@@ -16,7 +16,7 @@
 
 use bench::{fmt_dur, quick_time, BenchRecord};
 use criterion::Criterion;
-use graph::bfs::{parent_bfs_fused_ctx, parent_bfs_two_step_ctx, selects_one_step};
+use graph::bfs::{parent_bfs_fused_ctx, parent_bfs_two_step_ctx};
 use graph::pattern::pattern_u64;
 use hyperspace_core::cxkey::{self, CxPrefix, RollupAxes};
 use hypersparse::ctx::OpCtx;
@@ -96,10 +96,6 @@ fn shape_report() -> BenchRecord {
         PlusTimes::<f64>::new(),
     );
     let pat = pattern_u64(&g);
-    assert!(
-        selects_one_step(&MinFirst),
-        "MinFirst must pass the one-step conditions"
-    );
     let ctx = OpCtx::new();
     let (t_one, one) = quick_time(BFS_ITERS, || parent_bfs_fused_ctx(&ctx, &pat, 0, MinFirst));
     let (t_two, two) = quick_time(BFS_ITERS, || {

@@ -6,12 +6,13 @@
 //!
 //! * **u32 vs u64 column ids** — uniform SpGEMM and ewise union, where
 //!   index bytes dominate streamed bandwidth;
-//! * **monomorphic vs generic semiring loops** — PlusTimes/f64 SpGEMM
-//!   and push-mode vxm, LorLand word-merge ewise, toggled via
-//!   `OpCtx::set_fast_paths` so both sides run the same sharding;
-//! * **merge-path weighted shards vs fixed spans** — SpGEMM on an
-//!   RMAT-skewed graph at 4 threads, where fixed row spans serialize
-//!   behind the hub rows.
+//! * **flat vs `Option<T>`/hash accumulators** — PlusTimes/f64 SpGEMM
+//!   and push-mode vxm, LorLand word-merge ewise; the `*_generic_ns`
+//!   reference rows run the same call through `semiring::Plain`, which
+//!   withholds the semiring's capabilities, so both sides share the
+//!   context and the sharding;
+//! * **merge-path weighted shards** — SpGEMM on an RMAT-skewed graph at
+//!   4 threads, where hub rows would serialize equal-row-count spans.
 //!
 //! The JSON artifact holds lower-is-better nanosecond medians;
 //! `perf_gate` fails CI when any of them regresses >10%.
@@ -19,7 +20,7 @@
 use bench::{fmt_dur, quick_time, BenchRecord};
 use hypersparse::gen::{random_dcsr, rmat_dcsr, RmatParams};
 use hypersparse::{ops, Coo, Dcsr, Ix, OpCtx, SparseVec};
-use semiring::{LorLand, PlusTimes};
+use semiring::{LorLand, Plain, PlusTimes};
 use std::time::Duration;
 
 fn s() -> PlusTimes<f64> {
@@ -83,11 +84,9 @@ fn report(rec: &mut BenchRecord, label: &str, rows: Vec<Row>) {
 fn main() {
     println!("=== Kernel hot paths: pinned medians (DESIGN.md §13) ===");
     let mut rec = BenchRecord::new("kernel_hotpaths");
-    let fast = OpCtx::new();
-    let slow = OpCtx::new();
-    slow.set_fast_paths(false);
+    let ctx = OpCtx::new();
 
-    // Uniform SpGEMM: generic loop vs monomorphic f64 vs narrow ids.
+    // Uniform SpGEMM: Option<T> accumulator vs flat vs narrow ids.
     let a = random_dcsr(3_000, 3_000, 60_000, 11, s());
     let b = random_dcsr(3_000, 3_000, 60_000, 12, s());
     let (a32, b32) = (
@@ -100,20 +99,20 @@ fn main() {
         vec![
             Row {
                 key: "mxm_uniform_generic_ns",
-                ns: med(7, || ops::mxm_ctx(&slow, &a, &b, s()).nnz() as u64),
+                ns: med(7, || ops::mxm_ctx(&ctx, &a, &b, Plain(s())).nnz() as u64),
             },
             Row {
                 key: "mxm_uniform_u64_ns",
-                ns: med(7, || ops::mxm_ctx(&fast, &a, &b, s()).nnz() as u64),
+                ns: med(7, || ops::mxm_ctx(&ctx, &a, &b, s()).nnz() as u64),
             },
             Row {
                 key: "mxm_uniform_u32_ns",
-                ns: med(7, || ops::mxm_ctx(&fast, &a32, &b32, s()).nnz() as u64),
+                ns: med(7, || ops::mxm_ctx(&ctx, &a32, &b32, s()).nnz() as u64),
             },
         ],
     );
 
-    // Skewed SpGEMM: fixed row spans vs merge-path weighted shards.
+    // Skewed SpGEMM under merge-path weighted shards.
     let g = rmat_dcsr(
         RmatParams {
             scale: 12,
@@ -124,25 +123,17 @@ fn main() {
         s(),
     );
     let weighted = OpCtx::new().with_threads(4);
-    let fixed = OpCtx::new().with_threads(4);
-    fixed.set_shard_balancing(false);
     report(
         &mut rec,
         "SpGEMM, RMAT scale 12, 4 threads",
-        vec![
-            Row {
-                key: "mxm_rmat_fixed_ns",
-                ns: med(5, || ops::mxm_ctx(&fixed, &g, &g, s()).nnz() as u64),
-            },
-            Row {
-                key: "mxm_rmat_weighted_ns",
-                ns: med(5, || ops::mxm_ctx(&weighted, &g, &g, s()).nnz() as u64),
-            },
-        ],
+        vec![Row {
+            key: "mxm_rmat_weighted_ns",
+            ns: med(5, || ops::mxm_ctx(&weighted, &g, &g, s()).nnz() as u64),
+        }],
     );
 
-    // Push-mode vxm: generic hash scatter vs monomorphic flat
-    // accumulator vs narrow ids, on a busy RMAT frontier.
+    // Push-mode vxm: hash scatter vs flat accumulator vs narrow ids,
+    // on a busy RMAT frontier.
     let h = rmat_dcsr(
         RmatParams {
             scale: 13,
@@ -161,15 +152,17 @@ fn main() {
         vec![
             Row {
                 key: "vxm_push_generic_ns",
-                ns: med(9, || ops::vxm_push_ctx(&slow, &v, &h, s()).nnz() as u64),
+                ns: med(9, || {
+                    ops::vxm_push_ctx(&ctx, &v, &h, Plain(s())).nnz() as u64
+                }),
             },
             Row {
                 key: "vxm_push_mono_ns",
-                ns: med(9, || ops::vxm_push_ctx(&fast, &v, &h, s()).nnz() as u64),
+                ns: med(9, || ops::vxm_push_ctx(&ctx, &v, &h, s()).nnz() as u64),
             },
             Row {
                 key: "vxm_push_u32_ns",
-                ns: med(9, || ops::vxm_push_ctx(&fast, &v32, &h32, s()).nnz() as u64),
+                ns: med(9, || ops::vxm_push_ctx(&ctx, &v32, &h32, s()).nnz() as u64),
             },
         ],
     );
@@ -185,13 +178,13 @@ fn main() {
             Row {
                 key: "ewise_bool_generic_ns",
                 ns: med(9, || {
-                    ops::ewise_add_ctx(&slow, &ba, &bb, LorLand).nnz() as u64
+                    ops::ewise_add_ctx(&ctx, &ba, &bb, Plain(LorLand)).nnz() as u64
                 }),
             },
             Row {
                 key: "ewise_bool_word_ns",
                 ns: med(9, || {
-                    ops::ewise_add_ctx(&fast, &ba, &bb, LorLand).nnz() as u64
+                    ops::ewise_add_ctx(&ctx, &ba, &bb, LorLand).nnz() as u64
                 }),
             },
         ],
@@ -210,12 +203,12 @@ fn main() {
         vec![
             Row {
                 key: "ewise_add_u64_ns",
-                ns: med(9, || ops::ewise_add_ctx(&fast, &ea, &eb, s()).nnz() as u64),
+                ns: med(9, || ops::ewise_add_ctx(&ctx, &ea, &eb, s()).nnz() as u64),
             },
             Row {
                 key: "ewise_add_u32_ns",
                 ns: med(9, || {
-                    ops::ewise_add_ctx(&fast, &ea32, &eb32, s()).nnz() as u64
+                    ops::ewise_add_ctx(&ctx, &ea32, &eb32, s()).nnz() as u64
                 }),
             },
         ],

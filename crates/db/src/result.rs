@@ -117,16 +117,6 @@ impl ResultSet {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// The pre-`ResultSet` result shape, for callers still on the old
-    /// `Vec<(id, cells)>` API.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the `ResultSet` accessors (`rows`, `column`, `iter`) directly"
-    )]
-    pub fn into_pairs(self) -> Vec<(String, BTreeMap<String, String>)> {
-        self.rows.into_iter().map(|r| (r.id, r.cells)).collect()
-    }
 }
 
 impl<'a> IntoIterator for &'a ResultSet {
@@ -197,14 +187,5 @@ mod tests {
         assert_eq!(rs.rows()[1].get("dst"), Some("b"));
         let printed = rs.to_string();
         assert!(printed.contains("id | src | dst"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn compat_pairs_shim() {
-        let rs = ResultSet::from_rows(vec!["x".into()], vec![("r1".into(), cells(&[("x", "1")]))]);
-        let pairs = rs.into_pairs();
-        assert_eq!(pairs[0].0, "r1");
-        assert_eq!(pairs[0].1["x"], "1");
     }
 }

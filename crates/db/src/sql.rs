@@ -118,15 +118,6 @@ pub fn parse(sql: &str) -> Result<Query, SqlError> {
     })
 }
 
-/// Pre-[`SqlError`] parse entry point, kept for one release.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `parse`, which returns a typed `SqlError`"
-)]
-pub fn parse_compat(sql: &str) -> Result<Query, String> {
-    parse(sql).map_err(|e| e.to_string())
-}
-
 fn parse_pred(t: &mut Tokens) -> Result<Pred, SqlError> {
     let field = t.ident()?;
     if t.peek_is("=") {
@@ -495,14 +486,6 @@ mod tests {
                 found: ';'
             }
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn compat_shim_stringifies_errors() {
-        assert!(parse_compat("SELECT * FROM flows").is_ok());
-        let err = parse_compat("SELECT * FROM t WHERE a = unquoted").unwrap_err();
-        assert!(err.contains("'string literal'"), "{err}");
     }
 
     #[test]

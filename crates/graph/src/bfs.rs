@@ -17,15 +17,14 @@
 //! trusted as parents and the level needs **two** products: a cheap
 //! [`AnyPair`] reachability pass for the frontier plus a payload pass
 //! for the folded values. [`parent_bfs_with`] does not hard-code a list
-//! of good semirings — it consults [`semiring::onestep::probe`] (cached
-//! per semiring type) and picks [`BfsVariant::OneStep`] or
+//! of good semirings — it reads [`Semiring::ONE_STEP`], which a
+//! semiring declares in its own `impl` block and
+//! `semiring/tests/onestep_laws.rs` holds to the verdict of
+//! [`semiring::onestep::probe`], and picks [`BfsVariant::OneStep`] or
 //! [`BfsVariant::TwoStep`] accordingly; the property suite in
 //! `tests/onestep_props.rs` proves the two variants agree wherever the
 //! conditions admit the fused form.
 
-use std::any::TypeId;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use hypersparse::ctx::OpCtx;
@@ -33,14 +32,14 @@ use hypersparse::metrics::Kernel;
 use hypersparse::ops::mxv::{choose_direction, vxm_masked_opt_ctx};
 use hypersparse::ops::transpose_ctx;
 use hypersparse::{with_default_ctx, Dcsr, Direction, Ix, SparseVec};
-use semiring::onestep::probe;
 use semiring::{AnyPair, MinFirst, Semiring};
 
 use crate::frontier::Visited;
 use crate::pattern::pattern_u8;
 
 /// Which per-level strategy [`parent_bfs_with`] selected for a
-/// semiring — decided by the algebraic probe, not by a type list.
+/// semiring — decided by the semiring's declared (and law-checked)
+/// [`Semiring::ONE_STEP`], not by a type list.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum BfsVariant {
     /// Every condition of `semiring::onestep` held: one masked `vᵀA`
@@ -49,23 +48,6 @@ pub enum BfsVariant {
     /// Some condition failed: each level runs an [`AnyPair`]
     /// reachability product plus a separate payload product.
     TwoStep,
-}
-
-/// `true` iff the one-step conditions hold for `S`, probed over
-/// id-shaped samples (with the semiring's own `0`/`1` adjoined) and
-/// cached per concrete semiring type. Saturating integer arithmetic in
-/// the numeric semirings keeps the probe overflow-free even where ⊗ is
-/// `+` or `×` on `u64`.
-pub fn selects_one_step<S: Semiring<Value = u64>>(s: &S) -> bool {
-    static CACHE: OnceLock<Mutex<HashMap<TypeId, bool>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(&q) = cache.lock().unwrap().get(&TypeId::of::<S>()) {
-        return q;
-    }
-    let samples: Vec<u64> = vec![1, 2, 3, 5, 1 << 10, 1 << 20, s.one()];
-    let q = probe(s, &samples).qualifies();
-    cache.lock().unwrap().insert(TypeId::of::<S>(), q);
-    q
 }
 
 /// BFS levels from `src` over a `u8` pattern (see
@@ -106,7 +88,7 @@ pub fn bfs_levels(pat: &Dcsr<u8>, src: Ix) -> Vec<(Ix, u32)> {
 
 /// The fused **one-step** parent BFS: one masked `vᵀA` over `s` per
 /// level, the product trusted verbatim as next frontier *and* parent
-/// payloads. Sound only when [`selects_one_step`] holds for `s`;
+/// payloads. Sound only when [`Semiring::ONE_STEP`] holds for `S`;
 /// exposed so the property suite can run it unconditionally and compare
 /// against [`parent_bfs_two_step_ctx`].
 ///
@@ -183,8 +165,8 @@ where
 }
 
 /// Parent-style BFS from `src` over a `u64` pattern, with the per-level
-/// strategy **selected algebraically**: if [`selects_one_step`] accepts
-/// `s`, each level is the single fused product of
+/// strategy **selected algebraically**: if `S` declares
+/// [`Semiring::ONE_STEP`], each level is the single fused product of
 /// [`parent_bfs_fused_ctx`]; otherwise the sound two-step fallback
 /// runs. Returns the `(vertex, payload)` pairs plus the variant that
 /// produced them, and records the whole traversal under
@@ -207,7 +189,7 @@ where
     S: Semiring<Value = u64>,
 {
     let start = Instant::now();
-    let (out, variant) = if selects_one_step(&s) {
+    let (out, variant) = if S::ONE_STEP {
         (parent_bfs_fused_ctx(ctx, pat, src, s), BfsVariant::OneStep)
     } else {
         (
@@ -231,8 +213,8 @@ where
 /// sorted by vertex; `src` maps to itself. Deterministic: each vertex's
 /// parent is its smallest-id predecessor in the previous frontier.
 ///
-/// This is [`parent_bfs_with`] over [`MinFirst`] — which the algebraic
-/// probe accepts, so every level is the fused one-step product — with
+/// This is [`parent_bfs_with`] over [`MinFirst`] — which declares
+/// `ONE_STEP`, so every level is the fused one-step product — with
 /// the 1-shifted payloads unshifted back to parent ids.
 pub fn bfs_parents(pat: &Dcsr<u64>, src: Ix) -> Vec<(Ix, Ix)> {
     let (out, variant) = parent_bfs_with(pat, src, MinFirst);
@@ -245,7 +227,7 @@ mod tests {
     use super::*;
     use crate::pattern::{pattern_u64, pattern_u8};
     use hypersparse::Coo;
-    use semiring::{MaxFirst, MaxMin, MinPlus, MinSecond, PlusTimes};
+    use semiring::{MaxFirst, PlusTimes};
 
     /// 0→1→2→3, 0→2, plus an unreachable 5→6.
     fn g() -> Dcsr<f64> {
@@ -318,16 +300,7 @@ mod tests {
     }
 
     #[test]
-    fn probe_drives_variant_selection() {
-        // Qualifying algebras take the fused path, blending/mangling
-        // ones provably fall back — no hard-coded type list.
-        assert!(selects_one_step(&MinFirst));
-        assert!(selects_one_step(&MaxFirst));
-        assert!(!selects_one_step(&MinSecond));
-        assert!(!selects_one_step(&PlusTimes::<u64>::new()));
-        assert!(!selects_one_step(&MinPlus::<u64>::new()));
-        assert!(!selects_one_step(&MaxMin::<u64>::new()));
-
+    fn declared_capability_drives_variant_selection() {
         let p = pattern_u64(&g());
         assert_eq!(parent_bfs_with(&p, 0, MinFirst).1, BfsVariant::OneStep);
         assert_eq!(

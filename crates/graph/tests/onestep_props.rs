@@ -2,9 +2,10 @@
 //!
 //! The contract of `graph::bfs::parent_bfs_with` is three-sided:
 //!
-//! 1. **Selection is decided by the probe** — for every shipped
-//!    semiring with a `u64` carrier the variant returned matches what
-//!    `semiring::onestep` predicts, with no hard-coded list;
+//! 1. **Selection follows the declared capability** — the variant
+//!    returned is `S::ONE_STEP`'s, which `semiring/tests/onestep_laws.rs`
+//!    holds to what `semiring::onestep` predicts for every exported
+//!    semiring, with no hard-coded list here;
 //! 2. **Where the conditions hold, fused ≡ two-step** — on random
 //!    graphs the one-step product and the two-step fallback produce
 //!    bit-identical `(vertex, payload)` streams for every qualifying
@@ -15,8 +16,7 @@
 //!    regardless of how badly the semiring blends payloads.
 
 use graph::bfs::{
-    bfs_levels, parent_bfs_fused_ctx, parent_bfs_two_step_ctx, parent_bfs_with, selects_one_step,
-    BfsVariant,
+    bfs_levels, parent_bfs_fused_ctx, parent_bfs_two_step_ctx, parent_bfs_with, BfsVariant,
 };
 use graph::pattern::{pattern_u64, pattern_u8};
 use hypersparse::ctx::OpCtx;
@@ -90,11 +90,12 @@ proptest! {
         prop_assert_eq!(&ms, &want);
     }
 
-    // ---- 1 (+2): the public entry point selects per the probe, and
-    // its one-step output equals the fallback run by hand ----
+    // ---- 1 (+2): the public entry point selects per the declared
+    // capability, and its one-step output equals the fallback run by
+    // hand ----
 
     #[test]
-    fn selection_matches_probe_and_agrees(e in edges(), src in 0..N) {
+    fn selection_matches_declaration_and_agrees(e in edges(), src in 0..N) {
         let p = pattern_u64(&mk(e));
         let ctx = OpCtx::new();
 
@@ -109,27 +110,4 @@ proptest! {
         let (_, v) = parent_bfs_with(&p, src, MaxMin::<u64>::new());
         prop_assert_eq!(v, BfsVariant::TwoStep);
     }
-}
-
-#[test]
-fn selection_agrees_with_onestep_probe_for_all_u64_semirings() {
-    // The decision the graph layer caches must be exactly the verdict
-    // of the semiring-layer probe — machine-checked, not curated.
-    use semiring::onestep::probe;
-    use semiring::Semiring;
-
-    fn check<S: Semiring<Value = u64>>(s: S) {
-        let samples: Vec<u64> = vec![1, 2, 3, 5, 1 << 10, 1 << 20, s.one()];
-        assert_eq!(selects_one_step(&s), probe(&s, &samples).qualifies());
-    }
-    check(MinFirst);
-    check(MaxFirst);
-    check(MinSecond);
-    check(PlusTimes::<u64>::new());
-    check(MinPlus::<u64>::new());
-    check(MaxMin::<u64>::new());
-    check(semiring::MaxPlus::<u64>::new());
-    check(semiring::MinMax::<u64>::new());
-    check(semiring::MaxTimes::<u64>::new());
-    check(semiring::MinTimes::<u64>::new());
 }

@@ -25,7 +25,7 @@
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use semiring::traits::Value;
@@ -48,11 +48,14 @@ pub struct MxmScratch<T> {
     pub touched: Vec<Ix>,
     /// Hash accumulator for hypersparse column spaces.
     pub hash: HashMap<Ix, T>,
-    /// Flat branch-free accumulator for the monomorphic fast paths
-    /// (DESIGN.md §13). **Invariant:** every slot is the semiring zero
-    /// between kernel calls — the word-at-a-time drain restores zeros as
-    /// it consumes entries, so no per-call clear is needed.
+    /// Flat branch-free accumulator for `Semiring::FLAT_ACC` semirings
+    /// (DESIGN.md §13). **Invariant:** every slot is `flat_rest` between
+    /// kernel calls — the word-at-a-time drain restores it as it
+    /// consumes entries, so no per-call clear is needed.
     pub flat: Vec<T>,
+    /// The zero the slots of `flat` rest at. The pool is keyed by value
+    /// type, not by semiring, so the next lease may bring another zero.
+    flat_rest: Option<T>,
     /// Occupancy / mask bitmap, one bit per column, operated on a word
     /// at a time. **Invariant:** all-zero between kernel calls (checked
     /// in debug builds at lease time).
@@ -66,12 +69,13 @@ impl<T> Default for MxmScratch<T> {
             touched: Vec::new(),
             hash: HashMap::new(),
             flat: Vec::new(),
+            flat_rest: None,
             words: Vec::new(),
         }
     }
 }
 
-impl<T: Clone> MxmScratch<T> {
+impl<T: Clone + PartialEq> MxmScratch<T> {
     /// Grow the dense accumulator to at least `width` slots (never
     /// shrinks — capacity is the point of pooling).
     pub fn ensure_dense_width(&mut self, width: usize) {
@@ -85,10 +89,15 @@ impl<T: Clone> MxmScratch<T> {
         self.dense.len()
     }
 
-    /// Grow the flat accumulator to at least `width` slots, filling new
-    /// slots with `zero` (existing slots are already zero per the
-    /// invariant above).
+    /// Grow the flat accumulator to at least `width` slots resting at
+    /// `zero`. Slots left resting at a different semiring's zero (`0.0`
+    /// after `PlusTimes<f64>`, `+∞` wanted by a min-⊕ semiring) are
+    /// refilled; otherwise only new slots are written.
     pub fn ensure_flat_width(&mut self, width: usize, zero: T) {
+        if self.flat_rest.as_ref() != Some(&zero) {
+            self.flat.clear();
+            self.flat_rest = Some(zero.clone());
+        }
         if self.flat.len() < width {
             self.flat.resize(width, zero);
         }
@@ -146,10 +155,6 @@ impl<T: Value> Drop for ScratchLease<'_, T> {
 pub struct OpCtx {
     /// Requested thread cap; `0` means "auto" (available parallelism).
     threads: AtomicUsize,
-    /// Inverted so the derived `Default` (false) means fast paths *on*.
-    fast_paths_off: AtomicBool,
-    /// Inverted so the derived `Default` (false) means balancing *on*.
-    shard_balancing_off: AtomicBool,
     workspace: Mutex<Workspace>,
     metrics: MetricsRegistry,
     trace: TraceRegistry,
@@ -183,31 +188,6 @@ impl OpCtx {
                 .unwrap_or(1),
             n => n,
         }
-    }
-
-    /// Enable/disable the monomorphic semiring fast paths (on by
-    /// default). Proptests and bench ablations switch them off to pin
-    /// the generic kernels; outputs are bit-identical either way
-    /// (DESIGN.md §13).
-    pub fn set_fast_paths(&self, on: bool) {
-        self.fast_paths_off.store(!on, Ordering::Relaxed);
-    }
-
-    /// Whether monomorphic fast paths are engaged.
-    pub fn fast_paths(&self) -> bool {
-        !self.fast_paths_off.load(Ordering::Relaxed)
-    }
-
-    /// Enable/disable nnz-weighted (merge-path) shard balancing (on by
-    /// default). Off restores the legacy fixed rows-per-shard split;
-    /// outputs are bit-identical either way.
-    pub fn set_shard_balancing(&self, on: bool) {
-        self.shard_balancing_off.store(!on, Ordering::Relaxed);
-    }
-
-    /// Whether nnz-weighted shard balancing is engaged.
-    pub fn shard_balancing(&self) -> bool {
-        !self.shard_balancing_off.load(Ordering::Relaxed)
     }
 
     /// The context's metrics registry.
@@ -307,9 +287,9 @@ pub fn with_default_ctx<R>(f: impl FnOnce(&OpCtx) -> R) -> R {
 ///
 /// This is the merge-path decomposition of the `(rows, nnz)` merge
 /// curve: shard boundaries sit where the cumulative path length
-/// `Σ (wᵢ + 1)` crosses successive `total/target` diagonals. A single
-/// pathological RMAT row can no longer serialize its 255 fixed-shard
-/// neighbours behind it.
+/// `Σ (wᵢ + 1)` crosses successive `total/target` diagonals, so a
+/// single pathological RMAT row ends its shard instead of serializing a
+/// fixed span of neighbours behind it.
 ///
 /// Determinism: boundaries depend only on `(rows, target, weights)` —
 /// never on scheduling — and every output row is computed wholly inside
@@ -344,14 +324,6 @@ pub(crate) fn plan_weighted_shards(
     }
     shards.push((start, rows));
     shards
-}
-
-/// Legacy fixed-size sharding (`shard_size` rows each) — kept as the
-/// `shard_balancing(false)` ablation baseline for the weighted planner.
-pub(crate) fn fixed_shards(rows: usize, shard_size: usize) -> Vec<(usize, usize)> {
-    (0..rows.div_ceil(shard_size))
-        .map(|s| (s * shard_size, ((s + 1) * shard_size).min(rows)))
-        .collect()
 }
 
 /// Deterministic fan-out: run `jobs` closures on up to `threads` OS
@@ -450,19 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_and_balancing_flags_default_on() {
-        let ctx = OpCtx::new();
-        assert!(ctx.fast_paths());
-        assert!(ctx.shard_balancing());
-        ctx.set_fast_paths(false);
-        ctx.set_shard_balancing(false);
-        assert!(!ctx.fast_paths());
-        assert!(!ctx.shard_balancing());
-        ctx.set_fast_paths(true);
-        assert!(ctx.fast_paths());
-    }
-
-    #[test]
     fn flat_scratch_pools_like_dense() {
         let ctx = OpCtx::new();
         {
@@ -475,6 +434,10 @@ mod tests {
             assert_eq!(lease.get().flat_capacity(), 256);
             assert_eq!(lease.get().words.len(), 4);
             assert!(lease.get().flat.iter().all(|&v| v == 0.0));
+            // A lease under a semiring with another zero reseeds.
+            lease.get().ensure_flat_width(8, f64::INFINITY);
+            assert!(lease.get().flat.iter().all(|&v| v == f64::INFINITY));
+            assert_eq!(lease.get().flat_capacity(), 8);
         }
     }
 

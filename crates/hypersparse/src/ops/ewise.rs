@@ -18,9 +18,11 @@
 //! becomes a presence bitmap plus a truth bitmap, the union/intersection
 //! is a handful of bitwise ops per 64 columns, and survivors drain with
 //! `trailing_zeros` in ascending order. Output and flop counts are
-//! identical to the two-pointer merge ([`OpCtx::set_fast_paths`] ablates
-//! the path off); rows too sparse for the bitmaps to pay off
-//! (`words > nnz(a_row) + nnz(b_row)`) fall back per pair.
+//! identical to the two-pointer merge; rows too sparse for the bitmaps
+//! to pay off (`words > nnz(a_row) + nnz(b_row)`) fall back per pair.
+//! This is a `T = bool` data-layout specialisation, not a semiring
+//! capability, so it keeps its type-identity dispatch (and
+//! `semiring::Plain(LorLand)` runs the two-pointer reference).
 
 use std::any::{Any, TypeId};
 use std::time::Instant;
@@ -131,7 +133,7 @@ where
         format!("{}×{}, {}+{} nnz", a.nrows(), a.ncols(), a.nnz(), b.nnz())
     });
     let start = Instant::now();
-    if ctx.fast_paths() && TypeId::of::<O>() == TypeId::of::<AddOf<LorLand>>() {
+    if TypeId::of::<O>() == TypeId::of::<AddOf<LorLand>>() {
         if let Some((c, flops)) = try_bool_union(a, b) {
             record_ewise(ctx, Kernel::EwiseAdd, start, a, b, &c, flops);
             return c;
@@ -213,7 +215,7 @@ where
         format!("{}×{}, {}+{} nnz", a.nrows(), a.ncols(), a.nnz(), b.nnz())
     });
     let start = Instant::now();
-    if ctx.fast_paths() && TypeId::of::<O>() == TypeId::of::<MulOf<LorLand>>() {
+    if TypeId::of::<O>() == TypeId::of::<MulOf<LorLand>>() {
         if let Some((c, flops)) = try_bool_intersect(a, b) {
             record_ewise(ctx, Kernel::EwiseMul, start, a, b, &c, flops);
             return c;
@@ -732,19 +734,25 @@ mod tests {
         // Sparse rows in a wide space: per-pair gate falls back.
         let aw = bool_mat(5000, 900, 72);
         let bw = bool_mat(5000, 900, 73);
-        let fast = OpCtx::new();
-        let slow = OpCtx::new();
-        slow.set_fast_paths(false);
+        // `Plain` changes the combiner's type, so it takes the generic
+        // two-pointer loop.
+        let plain = semiring::Plain(s);
+        let ctx = OpCtx::new();
         for (x, y) in [(&a, &b), (&aw, &bw)] {
-            assert_eq!(ewise_add_ctx(&fast, x, y, s), ewise_add_ctx(&slow, x, y, s));
-            assert_eq!(ewise_mul_ctx(&fast, x, y, s), ewise_mul_ctx(&slow, x, y, s));
+            assert_eq!(
+                ewise_add_ctx(&ctx, x, y, s),
+                ewise_add_ctx(&ctx, x, y, plain)
+            );
+            assert_eq!(
+                ewise_mul_ctx(&ctx, x, y, s),
+                ewise_mul_ctx(&ctx, x, y, plain)
+            );
         }
-        // Flop parity too: the ablation must agree on the metric.
+        // Flop parity too: both loops must agree on the metric.
         let f2 = OpCtx::new();
         let s2 = OpCtx::new();
-        s2.set_fast_paths(false);
         let _ = ewise_add_ctx(&f2, &a, &b, s);
-        let _ = ewise_add_ctx(&s2, &a, &b, s);
+        let _ = ewise_add_ctx(&s2, &a, &b, plain);
         assert_eq!(
             f2.metrics().snapshot().kernel(Kernel::EwiseAdd).flops,
             s2.metrics().snapshot().kernel(Kernel::EwiseAdd).flops

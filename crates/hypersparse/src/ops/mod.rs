@@ -12,7 +12,6 @@
 //! the thread-local default context.
 
 pub mod ewise;
-pub(crate) mod fastpath;
 pub mod mxm;
 pub mod mxv;
 pub mod reduce;

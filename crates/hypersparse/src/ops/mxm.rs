@@ -7,24 +7,25 @@
 //!   column dimension; the only choice in hypersparse column spaces.
 //! * **dense scratch** — a reusable `Vec<Option<T>>` of width `ncols`:
 //!   faster constants when the column space is compact.
-//! * **monomorphic flat scratch** (the private `ops::fastpath`) — for
-//!   `PlusTimes/f64` and `LorLand` the dense path is replaced by a
-//!   branch-free flat accumulator plus an occupancy bitmap drained
-//!   word-at-a-time; bit-identical to the generic dense path and
-//!   toggleable via [`OpCtx::set_fast_paths`] for ablation.
+//! * **flat scratch** — for a semiring that declares
+//!   [`Semiring::FLAT_ACC`] the dense path is a zero-seeded `Vec<T>`
+//!   folded unconditionally (`slot = slot ⊕ p`, no `Option`
+//!   discriminant) plus an occupancy bitmap drained word-at-a-time;
+//!   bit-identical to the `Option<T>` path (DESIGN.md §13).
 //!
-//! [`mxm_ctx`] picks automatically (and the `ablation_accumulator` bench
-//! measures the crossover). Accumulator scratch is **leased from the
-//! context's workspace arena** ([`OpCtx::lease_mxm_scratch`]) so repeated
-//! multiplies on a hot path stop allocating per call, and parallelism is
-//! governed by the context's thread cap: rows of `A` are sharded by
+//! [`mxm_ctx`] picks between hash and dense from the input (the
+//! `ablation_accumulator` bench measures the crossover) and between the
+//! two dense forms from the semiring's type. Accumulator scratch is
+//! **leased from the context's workspace arena**
+//! ([`OpCtx::lease_mxm_scratch`]) so repeated multiplies on a hot path
+//! stop allocating per call, and parallelism is governed by the
+//! context's thread cap: rows of `A` are sharded by
 //! **merge-path weighted planning** (`plan_weighted_shards` — shard
 //! boundaries equalize nnz, not row count, so one heavy RMAT row no
 //! longer serializes a fixed-size shard) and per-shard outputs
 //! concatenate in row order, so the result is bit-for-bit identical at
-//! every thread count and under either sharding policy
-//! ([`OpCtx::set_shard_balancing`]). The ctx-free [`mxm`]/[`mxm_seq`]
-//! signatures wrap the thread-local default context.
+//! every thread count. The ctx-free [`mxm`]/[`mxm_seq`] signatures wrap
+//! the thread-local default context.
 //!
 //! All entry points are generic over the physical column-id width
 //! [`IndexType`]: `Dcsr<f64, u32>` operands run the same kernels with
@@ -34,14 +35,11 @@ use std::time::Instant;
 
 use semiring::traits::{Semiring, UnaryOp, Value};
 
-use crate::ctx::{
-    fixed_shards, par_run, plan_weighted_shards, with_default_ctx, MxmScratch, OpCtx,
-};
+use crate::ctx::{par_run, plan_weighted_shards, with_default_ctx, MxmScratch, OpCtx};
 use crate::dcsr::Dcsr;
 use crate::error::OpError;
 use crate::index::IndexType;
 use crate::metrics::Kernel;
-use crate::ops::fastpath;
 use crate::Ix;
 
 /// Column spaces at most this wide *may* use the dense scratch
@@ -64,9 +62,8 @@ const DENSE_ACC_FLOP_RATIO: u64 = 8;
 /// width-proportional drain per row; they now stay on the hash path.
 const DENSE_ACC_ROW_RATIO: u64 = 4096;
 
-/// Rows of `A` per shard under the legacy fixed plan, and (×2) the
-/// sequential cutoff below which sharding is never worth it.
-const ROWS_PER_SHARD: usize = 256;
+/// Below this many non-empty rows of `A`, sharding is never worth it.
+const PAR_MIN_ROWS: usize = 512;
 
 /// Weighted shards per thread: oversubscribe the merge-path plan so the
 /// atomic job queue can still balance residual skew between shards.
@@ -88,22 +85,17 @@ fn mm_detail<T: Value, U: Value, I: IndexType, J: IndexType>(
     )
 }
 
-/// Row-range plan for `nrows_ne` non-empty rows of `a`: merge-path
-/// weighted when the context enables balancing, legacy fixed-256
-/// otherwise. Either plan yields bit-identical results (rows never
+/// Merge-path weighted row-range plan for `nrows_ne` non-empty rows of
+/// `a`. Any boundary choice yields bit-identical results (rows never
 /// split; concat is in row order).
 fn shard_plan<T: Value, I: IndexType>(
     ctx: &OpCtx,
     a: &Dcsr<T, I>,
     nrows_ne: usize,
 ) -> Vec<(usize, usize)> {
-    if ctx.shard_balancing() {
-        plan_weighted_shards(nrows_ne, ctx.threads() * SHARD_FACTOR, |k| {
-            a.row_len_at(k) as u64
-        })
-    } else {
-        fixed_shards(nrows_ne, ROWS_PER_SHARD)
-    }
+    plan_weighted_shards(nrows_ne, ctx.threads() * SHARD_FACTOR, |k| {
+        a.row_len_at(k) as u64
+    })
 }
 
 /// `C = A ⊕.⊗ B` through an explicit execution context: scratch comes
@@ -128,18 +120,17 @@ pub fn mxm_ctx<T: Value, I: IndexType, S: Semiring<Value = T>>(
     let start = Instant::now();
     let nrows_ne = a.n_nonempty_rows();
     let threads = ctx.threads();
-    let fast = ctx.fast_paths();
 
-    let (c, flops) = if threads == 1 || nrows_ne < 2 * ROWS_PER_SHARD {
+    let (c, flops) = if threads == 1 || nrows_ne < PAR_MIN_ROWS {
         let mut lease = ctx.lease_mxm_scratch::<T>();
-        let (chunk, flops) = multiply_row_range_ws(a, b, s, 0, nrows_ne, lease.get(), fast);
+        let (chunk, flops) = multiply_row_range(a, b, s, 0, nrows_ne, lease.get(), &Some);
         (assemble(a.nrows(), b.ncols(), [chunk]), flops)
     } else {
         let shards = shard_plan(ctx, a, nrows_ne);
         let shard_results = par_run(threads, shards.len(), |shard| {
             let (lo, hi) = shards[shard];
             let mut lease = ctx.lease_mxm_scratch::<T>();
-            multiply_row_range_ws(a, b, s, lo, hi, lease.get(), fast)
+            multiply_row_range(a, b, s, lo, hi, lease.get(), &Some)
         });
         let flops = shard_results.iter().map(|(_, f)| f).sum();
         let chunks: Vec<_> = shard_results.into_iter().map(|(c, _)| c).collect();
@@ -177,9 +168,8 @@ pub fn mxm_seq_ctx<T: Value, I: IndexType, S: Semiring<Value = T>>(
     );
     let _span = ctx.kernel_span(Kernel::Mxm, || mm_detail(a, b));
     let start = Instant::now();
-    let fast = ctx.fast_paths();
     let mut lease = ctx.lease_mxm_scratch::<T>();
-    let (chunk, flops) = multiply_row_range_ws(a, b, s, 0, a.n_nonempty_rows(), lease.get(), fast);
+    let (chunk, flops) = multiply_row_range(a, b, s, 0, a.n_nonempty_rows(), lease.get(), &Some);
     drop(lease);
     let c = assemble(a.nrows(), b.ncols(), [chunk]);
     ctx.metrics().record(
@@ -299,19 +289,17 @@ where
     };
     let nrows_ne = a.n_nonempty_rows();
     let threads = ctx.threads();
-    let fast = ctx.fast_paths();
 
-    let (c, flops) = if threads == 1 || nrows_ne < 2 * ROWS_PER_SHARD {
+    let (c, flops) = if threads == 1 || nrows_ne < PAR_MIN_ROWS {
         let mut lease = ctx.lease_mxm_scratch::<T>();
-        let (chunk, flops) =
-            multiply_row_range_ep(a, b, s, 0, nrows_ne, lease.get(), fast, false, &ep);
+        let (chunk, flops) = multiply_row_range(a, b, s, 0, nrows_ne, lease.get(), &ep);
         (assemble(a.nrows(), b.ncols(), [chunk]), flops)
     } else {
         let shards = shard_plan(ctx, a, nrows_ne);
         let shard_results = par_run(threads, shards.len(), |shard| {
             let (lo, hi) = shards[shard];
             let mut lease = ctx.lease_mxm_scratch::<T>();
-            multiply_row_range_ep(a, b, s, lo, hi, lease.get(), fast, false, &ep)
+            multiply_row_range(a, b, s, lo, hi, lease.get(), &ep)
         });
         let flops = shard_results.iter().map(|(_, f)| f).sum();
         let chunks: Vec<_> = shard_results.into_iter().map(|(c, _)| c).collect();
@@ -387,16 +375,14 @@ pub fn try_mxm_masked_ctx<T: Value, M: Value, I: IndexType, S: Semiring<Value = 
     let start = Instant::now();
     let nrows_ne = a.n_nonempty_rows();
     let threads = ctx.threads();
-    let fast = ctx.fast_paths();
 
     // Same deterministic sharding as the unmasked kernel: rows of `A`
-    // split into shards whose outputs concatenate in row order, so
-    // neither thread count nor the sharding policy changes a bit of the
-    // result.
-    let (c, flops) = if threads == 1 || nrows_ne < 2 * ROWS_PER_SHARD {
+    // split into shards whose outputs concatenate in row order, so the
+    // thread count never changes a bit of the result.
+    let (c, flops) = if threads == 1 || nrows_ne < PAR_MIN_ROWS {
         let mut lease = ctx.lease_mxm_scratch::<T>();
         let (chunk, flops) =
-            multiply_masked_row_range_ws(a, b, mask, complement, s, 0, nrows_ne, lease.get(), fast);
+            multiply_masked_row_range_ws(a, b, mask, complement, s, 0, nrows_ne, lease.get());
         drop(lease);
         (assemble(a.nrows(), b.ncols(), [chunk]), flops)
     } else {
@@ -404,7 +390,7 @@ pub fn try_mxm_masked_ctx<T: Value, M: Value, I: IndexType, S: Semiring<Value = 
         let shard_results = par_run(threads, shards.len(), |shard| {
             let (lo, hi) = shards[shard];
             let mut lease = ctx.lease_mxm_scratch::<T>();
-            multiply_masked_row_range_ws(a, b, mask, complement, s, lo, hi, lease.get(), fast)
+            multiply_masked_row_range_ws(a, b, mask, complement, s, lo, hi, lease.get())
         });
         let flops = shard_results.iter().map(|(_, f)| f).sum();
         let chunks: Vec<_> = shard_results.into_iter().map(|(c, _)| c).collect();
@@ -436,8 +422,8 @@ pub fn try_mxm_masked<T: Value, M: Value, I: IndexType, S: Semiring<Value = T>>(
 /// Masked multiply of rows `start..end` of `A` (hash accumulator — the
 /// mask filter keeps per-row fill small regardless of the column space).
 ///
-/// In compact column spaces (and unless fast paths are ablated off) the
-/// per-product mask probe is a **word-bitmap test** on pooled scratch:
+/// In compact column spaces the per-product mask probe is a
+/// **word-bitmap test** on pooled scratch:
 /// the mask row's bits are set once, each probe is a shift+AND instead
 /// of a `binary_search` over the mask row, and the touched words are
 /// cleared on the way out. The probe is structural either way, so the
@@ -452,10 +438,9 @@ fn multiply_masked_row_range_ws<T: Value, M: Value, I: IndexType, S: Semiring<Va
     start: usize,
     end: usize,
     scratch: &mut MxmScratch<T>,
-    fast: bool,
 ) -> (RowsChunk<T, I>, u64) {
     let width = b.ncols();
-    let mask_bitmap = fast && width <= DENSE_ACC_MAX;
+    let mask_bitmap = width <= DENSE_ACC_MAX;
     if mask_bitmap {
         scratch.ensure_words((width as usize).div_ceil(64));
     }
@@ -551,36 +536,23 @@ fn assemble<T: Value, I: IndexType>(
 }
 
 /// Multiply rows `start..end` of `A` against `B` using workspace
-/// `scratch`, returning the rows plus the ⊗ count.
-fn multiply_row_range_ws<T: Value, I: IndexType, S: Semiring<Value = T>>(
+/// `scratch`, returning the rows plus the ⊗ count. Every accumulated
+/// value that survives the semiring-zero filter passes through the
+/// drain-time epilogue `ep` before being stored, and `None` results are
+/// dropped (plain `mxm` passes `&Some`). This is what lets
+/// `mxm_apply_prune_ctx` fuse a bias+ReLU prune into the multiply
+/// without materializing the intermediate product.
+///
+/// The accumulator is chosen from the input (hash vs width-proportional,
+/// [`dense_acc_pays_off`]) and from the semiring's type (flat vs
+/// `Option<T>`, [`Semiring::FLAT_ACC`] — resolved at monomorphisation).
+fn multiply_row_range<T, I, S, E>(
     a: &Dcsr<T, I>,
     b: &Dcsr<T, I>,
     s: S,
     start: usize,
     end: usize,
     scratch: &mut MxmScratch<T>,
-    fast: bool,
-) -> (RowsChunk<T, I>, u64) {
-    multiply_row_range_ep(a, b, s, start, end, scratch, fast, true, &Some)
-}
-
-/// [`multiply_row_range_ws`] with a drain-time epilogue: every
-/// accumulated value that survives the semiring-zero filter passes
-/// through `ep` before being stored, and `None` results are dropped.
-/// This is what lets `mxm_apply_prune_ctx` fuse a bias+ReLU prune into
-/// the multiply without materializing the intermediate product.
-/// `ep_identity` marks `ep` as the trivial `Some` so the monomorphic
-/// fast path can skip the epilogue walk entirely.
-#[allow(clippy::too_many_arguments)]
-fn multiply_row_range_ep<T, I, S, E>(
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    s: S,
-    start: usize,
-    end: usize,
-    scratch: &mut MxmScratch<T>,
-    fast: bool,
-    ep_identity: bool,
     ep: &E,
 ) -> (RowsChunk<T, I>, u64)
 where
@@ -589,28 +561,17 @@ where
     S: Semiring<Value = T>,
     E: Fn(T) -> Option<T>,
 {
-    if dense_acc_pays_off(a, b, start, end) {
-        if fast && fastpath::has_mono_semiring::<T, S>() {
-            if let Some(res) = fastpath::try_mono_mxm_rows::<T, I, S, E>(
-                a,
-                b,
-                start,
-                end,
-                scratch,
-                ep_identity,
-                ep,
-            ) {
-                return res;
-            }
-        }
-        multiply_rows_dense_ws(a, b, s, start, end, scratch, ep)
-    } else {
+    if !dense_acc_pays_off(a, b, start, end) {
         multiply_rows_hash_ws(a, b, s, start, end, scratch, ep)
+    } else if S::FLAT_ACC {
+        multiply_rows_flat_ws(a, b, s, start, end, scratch, ep)
+    } else {
+        multiply_rows_dense_ws(a, b, s, start, end, scratch, ep)
     }
 }
 
 /// Whether a width-proportional accumulator (dense `Vec<Option<T>>` or
-/// the monomorphic flat scratch) is worth leasing for rows
+/// the flat scratch) is worth leasing for rows
 /// `start..end`: the column space must be compact (`≤ DENSE_ACC_MAX`)
 /// **and** the range must carry enough estimated flops both in total
 /// (`width / DENSE_ACC_FLOP_RATIO`) and per row
@@ -766,6 +727,115 @@ where
     (out, flops)
 }
 
+/// A zero-seeded flat accumulator plus an occupancy bitmap over borrowed
+/// storage — the shared core of the [`Semiring::FLAT_ACC`] kernels
+/// (SpGEMM rows here, the vxm push segment in `ops::mxv`). Folds are
+/// unconditional (`slot = slot ⊕ p`: no `Option` discriminant, no
+/// per-product branch); [`FlatAcc::drain`] visits the touched slots in
+/// ascending column order without a sort and returns every slot and
+/// word it consumes to `s.zero()` / `0`, so pooled storage goes back
+/// clean.
+pub(crate) struct FlatAcc<'a, T> {
+    flat: &'a mut [T],
+    occ: &'a mut [u64],
+    /// Touched word range; `lo_w > hi_w` when nothing is pending.
+    lo_w: usize,
+    hi_w: usize,
+}
+
+impl<'a, T: Value> FlatAcc<'a, T> {
+    /// `flat` must rest at the semiring zero and `occ` at `0`, with one
+    /// bit of `occ` per slot of `flat`.
+    pub(crate) fn new(flat: &'a mut [T], occ: &'a mut [u64]) -> Self {
+        FlatAcc {
+            flat,
+            occ,
+            lo_w: usize::MAX,
+            hi_w: 0,
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn fold<S: Semiring<Value = T>>(&mut self, s: S, jz: usize, p: T) {
+        s.add_assign(&mut self.flat[jz], p);
+        let w = jz >> 6;
+        self.occ[w] |= 1u64 << (jz & 63);
+        self.lo_w = self.lo_w.min(w);
+        self.hi_w = self.hi_w.max(w);
+    }
+
+    #[inline(always)]
+    pub(crate) fn drain<S: Semiring<Value = T>>(&mut self, s: S, mut visit: impl FnMut(usize, T)) {
+        if self.lo_w > self.hi_w {
+            return;
+        }
+        for (w, word) in self.occ[..=self.hi_w]
+            .iter_mut()
+            .enumerate()
+            .skip(self.lo_w)
+        {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let jz = (w << 6) | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                visit(jz, std::mem::replace(&mut self.flat[jz], s.zero()));
+            }
+        }
+        (self.lo_w, self.hi_w) = (usize::MAX, 0);
+    }
+}
+
+/// Flat-accumulator row multiply for [`Semiring::FLAT_ACC`] semirings.
+/// Products fold in the same visitation order as the `Option<T>` path,
+/// columns drain ascending, and semiring zeros drop before `ep` runs —
+/// so the two are bit-identical (`tests/hotpath_props.rs`). The only
+/// internal divergence is the seed (`0 ⊕ p` versus storing `p`), which
+/// the capability's law makes invisible.
+fn multiply_rows_flat_ws<T, I, S, E>(
+    a: &Dcsr<T, I>,
+    b: &Dcsr<T, I>,
+    s: S,
+    start: usize,
+    end: usize,
+    scratch: &mut MxmScratch<T>,
+    ep: &E,
+) -> (RowsChunk<T, I>, u64)
+where
+    T: Value,
+    I: IndexType,
+    S: Semiring<Value = T>,
+    E: Fn(T) -> Option<T>,
+{
+    let width = b.ncols() as usize;
+    scratch.ensure_flat_width(width, s.zero());
+    scratch.ensure_words(width.div_ceil(64));
+    let mut acc = FlatAcc::new(&mut scratch.flat, &mut scratch.words);
+    let mut out = Vec::new();
+    let mut flops = 0u64;
+    for k_row in start..end {
+        let (i, acols, avals) = a.row_at(k_row);
+        for (&k, aik) in acols.iter().zip(avals) {
+            let (bcols, bvals) = b.row(k.to_ix());
+            flops += bcols.len() as u64;
+            for (&j, bkj) in bcols.iter().zip(bvals) {
+                acc.fold(s, j.as_usize(), s.mul(aik.clone(), bkj.clone()));
+            }
+        }
+        let mut row: Vec<(I, T)> = Vec::new();
+        acc.drain(s, |jz, v| {
+            if !s.is_zero(&v) {
+                if let Some(w) = ep(v) {
+                    row.push((I::from_usize(jz), w));
+                }
+            }
+        });
+        if !row.is_empty() {
+            out.push((i, row));
+        }
+    }
+    (out, flops)
+}
+
 /// Hash-accumulator row multiply — `O(flops)` in any column space.
 /// Public for the accumulator ablation bench; use [`mxm_ctx`] otherwise.
 pub fn multiply_rows_hash_acc<T: Value, I: IndexType, S: Semiring<Value = T>>(
@@ -799,7 +869,7 @@ mod tests {
     use super::*;
     use crate::coo::Coo;
     use crate::gen::random_dcsr;
-    use semiring::{LorLand, MinPlus, PlusTimes};
+    use semiring::{LorLand, MinPlus, Plain, PlusTimes};
 
     fn from_triplets(n: Ix, t: &[(Ix, Ix, f64)]) -> Dcsr<f64> {
         let mut c = Coo::new(n, n);
@@ -887,32 +957,44 @@ mod tests {
     }
 
     #[test]
-    fn weighted_and_fixed_sharding_agree() {
-        // Deliberately skewed rows: determinism must hold under either
-        // sharding policy, and across thread counts within each.
+    fn skewed_rows_shard_deterministically() {
+        // Deliberately skewed rows: the weighted plan's boundaries move
+        // with the thread count, the answer must not.
         let s = PlusTimes::<f64>::new();
         let a = crate::gen::rmat_dcsr(crate::gen::RmatParams::default(), 35, s);
         let b = crate::gen::rmat_dcsr(crate::gen::RmatParams::default(), 36, s);
-        let balanced = OpCtx::new().with_threads(4);
-        let fixed = OpCtx::new().with_threads(4);
-        fixed.set_shard_balancing(false);
-        assert!(balanced.shard_balancing() && !fixed.shard_balancing());
-        assert_eq!(mxm_ctx(&balanced, &a, &b, s), mxm_ctx(&fixed, &a, &b, s));
+        assert!(
+            a.n_nonempty_rows() >= PAR_MIN_ROWS,
+            "must take the sharded path"
+        );
+        let seq = OpCtx::new().with_threads(1);
+        let par = OpCtx::new().with_threads(4);
+        assert_eq!(mxm_ctx(&par, &a, &b, s), mxm_ctx(&seq, &a, &b, s));
     }
 
     #[test]
-    fn mono_fast_path_matches_generic_bit_for_bit() {
+    fn flat_accumulator_matches_plain_bit_for_bit() {
         let s = PlusTimes::<f64>::new();
         let a = random_dcsr(2000, 2000, 30_000, 61, s);
         let b = random_dcsr(2000, 2000, 30_000, 62, s);
-        let fast = OpCtx::new().with_threads(2);
-        let generic = OpCtx::new().with_threads(2);
-        generic.set_fast_paths(false);
-        assert_eq!(mxm_ctx(&fast, &a, &b, s), mxm_ctx(&generic, &a, &b, s));
+        let ctx = OpCtx::new().with_threads(2);
+        assert_eq!(mxm_ctx(&ctx, &a, &b, s), mxm_ctx(&ctx, &a, &b, Plain(s)));
     }
 
     #[test]
-    fn bool_mono_fast_path_matches_generic() {
+    fn flat_kernel_leaves_scratch_clean() {
+        let s = PlusTimes::<f64>::new();
+        let a = random_dcsr(64, 64, 400, 41, s);
+        let b = random_dcsr(64, 64, 400, 42, s);
+        let mut ws = MxmScratch::<f64>::default();
+        let (chunk, _) = multiply_rows_flat_ws(&a, &b, s, 0, a.n_nonempty_rows(), &mut ws, &Some);
+        assert!(!chunk.is_empty());
+        assert!(ws.words.iter().all(|&w| w == 0), "bitmap left dirty");
+        assert!(ws.flat.iter().all(|&v| v == 0.0), "flat acc left dirty");
+    }
+
+    #[test]
+    fn bool_flat_accumulator_matches_plain() {
         let s = LorLand;
         let f = PlusTimes::<f64>::new();
         let pat_a = random_dcsr(256, 256, 3000, 63, f);
@@ -923,11 +1005,9 @@ mod tests {
             c.build_dcsr(LorLand)
         };
         let (a, b) = (to_bool(&pat_a), to_bool(&pat_b));
-        let fast = OpCtx::new().with_threads(1);
-        let generic = OpCtx::new().with_threads(1);
-        generic.set_fast_paths(false);
-        let got = mxm_ctx(&fast, &a, &b, s);
-        assert_eq!(got, mxm_ctx(&generic, &a, &b, s));
+        let ctx = OpCtx::new().with_threads(1);
+        let got = mxm_ctx(&ctx, &a, &b, s);
+        assert_eq!(got, mxm_ctx(&ctx, &a, &b, Plain(s)));
         assert!(got.nnz() > 0);
     }
 
@@ -1031,18 +1111,22 @@ mod tests {
         let a = random_dcsr(64, 64, 500, 71, s);
         let b = random_dcsr(64, 64, 500, 72, s);
         let mask = random_dcsr(64, 64, 300, 73, s);
-        let fast = OpCtx::new().with_threads(1);
-        let slow = OpCtx::new().with_threads(1);
-        slow.set_fast_paths(false);
+        // The same entries in a column space too wide for the bitmap
+        // take the binary-search probe.
+        let widen = |m: &Dcsr<f64>| {
+            let (nr, _, rows, rowptr, colidx, vals) = m.clone().into_parts();
+            Dcsr::from_parts(nr, 2 * DENSE_ACC_MAX, rows, rowptr, colidx, vals)
+        };
+        let (bw, maskw) = (widen(&b), widen(&mask));
+        let ctx = OpCtx::new().with_threads(1);
         for complement in [false, true] {
-            assert_eq!(
-                mxm_masked_ctx(&fast, &a, &b, &mask, complement, s),
-                mxm_masked_ctx(&slow, &a, &b, &mask, complement, s),
-                "complement={complement}"
-            );
+            let bitmap = mxm_masked_ctx(&ctx, &a, &b, &mask, complement, s);
+            let search = mxm_masked_ctx(&ctx, &a, &bw, &maskw, complement, s);
+            assert!(bitmap.nnz() > 0);
+            assert!(bitmap.iter().eq(search.iter()), "complement={complement}");
         }
         // Bitmap scratch must come back clean for the next lease.
-        let mut lease = fast.lease_mxm_scratch::<f64>();
+        let mut lease = ctx.lease_mxm_scratch::<f64>();
         assert!(lease.get().words.iter().all(|&w| w == 0));
     }
 
@@ -1163,8 +1247,8 @@ mod tests {
 
     #[test]
     fn compact_busy_column_space_uses_flat_fast_scratch() {
-        // PlusTimes/f64 in a compact busy column space takes the
-        // monomorphic flat accumulator, not the generic Vec<Option<T>>.
+        // PlusTimes (FLAT_ACC) in a compact busy column space takes the
+        // flat accumulator, not the Vec<Option<T>>.
         let s = PlusTimes::<f64>::new();
         let a = random_dcsr(128, 128, 800, 16, s);
         let b = random_dcsr(128, 128, 800, 17, s);
@@ -1177,9 +1261,9 @@ mod tests {
 
     #[test]
     fn compact_busy_column_space_still_uses_dense_scratch() {
-        // Generic semirings (no mono fast path) still take the dense
+        // Semirings that do not declare FLAT_ACC take the dense
         // Vec<Option<T>> accumulator in compact busy column spaces —
-        // and so does PlusTimes when fast paths are ablated off.
+        // and so does PlusTimes behind `Plain`.
         let mp = MinPlus::<f64>::new();
         let gen = PlusTimes::<f64>::new();
         let a = random_dcsr(128, 128, 800, 16, gen);
@@ -1191,8 +1275,7 @@ mod tests {
             assert_eq!(lease.get().dense_capacity(), 128);
         }
         let ablated = OpCtx::new().with_threads(1);
-        ablated.set_fast_paths(false);
-        let _ = mxm_ctx(&ablated, &a, &b, gen);
+        let _ = mxm_ctx(&ablated, &a, &b, Plain(gen));
         let mut lease = ablated.lease_mxm_scratch::<f64>();
         assert_eq!(lease.get().dense_capacity(), 128);
         assert_eq!(lease.get().flat_capacity(), 0);

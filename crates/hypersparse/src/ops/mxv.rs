@@ -15,11 +15,10 @@
 //!   filtering (`SparseVec::without`) afterwards.
 //! * **Deterministic parallelism**: push partitions the frontier into
 //!   *fixed-size* segments (independent of thread count) and ⊕-merges
-//!   the segment partials left-to-right; pull shards output rows (by
-//!   merge-path nnz weighting when [`OpCtx::set_shard_balancing`] is
-//!   on). Both yield bit-identical results at every thread count, and a
-//!   1-thread run *is* the same segmented algorithm — sequential ≡
-//!   parallel.
+//!   the segment partials left-to-right; pull shards output rows by
+//!   merge-path nnz weighting. Both yield bit-identical results at every
+//!   thread count, and a 1-thread run *is* the same segmented algorithm
+//!   — sequential ≡ parallel.
 //!
 //! Within one accumulator slot, products fold in increasing source-index
 //! order starting from the first product (never from `s.zero()`), so
@@ -28,28 +27,28 @@
 //! indistinguishable for the exact semirings graph algorithms use
 //! (min/max/any ⊕), and ulp-level for floating-point ⊕.
 //!
-//! For `PlusTimes/f64` and `LorLand` an unmasked push segment in a
-//! compact column space takes a **monomorphic flat-accumulator** path
-//! (branch-free `+=`/`|=` plus an occupancy bitmap drained
-//! word-at-a-time) instead of the generic `HashMap` scatter; the
-//! observable output is identical and [`OpCtx::set_fast_paths`] ablates
-//! it off.
+//! Under a semiring that declares [`Semiring::FLAT_ACC`] an unmasked
+//! push segment in a compact, busy column space scatters into a
+//! **flat accumulator** (zero-seeded slots folded unconditionally plus
+//! an occupancy bitmap drained word-at-a-time) instead of the `HashMap`.
+//! That is the one fold that does start from `s.zero()`; the
+//! capability's law (`0 ⊕ p` is `p` to the bit) makes the seed, and so
+//! the choice of accumulator, unobservable (DESIGN.md §13).
 //!
 //! Every entry point records [`Kernel::Vxm`]/[`Kernel::Mxv`] metrics
 //! plus the chosen [`Direction`] and the mask probe/hit counts.
 
-use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::time::Instant;
 
 use semiring::traits::{Semiring, Value};
-use semiring::{LorLand, PlusTimes};
 
-use crate::ctx::{fixed_shards, par_run, plan_weighted_shards, with_default_ctx, OpCtx};
+use crate::ctx::{par_run, plan_weighted_shards, with_default_ctx, OpCtx};
 use crate::dcsr::Dcsr;
 use crate::error::OpError;
 use crate::index::IndexType;
 use crate::metrics::{Direction, Kernel};
+use crate::ops::mxm::FlatAcc;
 use crate::vector::SparseVec;
 use crate::Ix;
 
@@ -57,9 +56,8 @@ use crate::Ix;
 /// thread count) so the ⊕-merge tree is identical at any parallelism.
 const PUSH_SEG: usize = 1024;
 
-/// Stored transpose rows per pull shard (legacy fixed plan, and the
-/// cutoff below which pull never shards).
-const PULL_ROWS_PER_SHARD: usize = 512;
+/// At or below this many stored transpose rows, pull never shards.
+const PULL_PAR_MIN_ROWS: usize = 512;
 
 /// Weighted pull shards per thread (merge-path oversubscription).
 const PULL_SHARD_FACTOR: usize = 4;
@@ -68,14 +66,14 @@ const PULL_SHARD_FACTOR: usize = 4;
 /// than `nnz / PULL_ALPHA` edges.
 const PULL_ALPHA: u64 = 8;
 
-/// Column spaces at most this wide may take the monomorphic push path
-/// (a width-sized flat accumulator must be allocatable).
-const MONO_PUSH_MAX_WIDTH: u64 = 1 << 22;
+/// Column spaces at most this wide may take the flat push path (a
+/// width-sized flat accumulator must be allocatable).
+const FLAT_PUSH_MAX_WIDTH: u64 = 1 << 22;
 
-/// The mono push segment must carry at least `width /
-/// MONO_PUSH_EDGE_RATIO` edges to amortize zero-initializing the flat
+/// A flat push segment must carry at least `width /
+/// FLAT_PUSH_EDGE_RATIO` edges to amortize zero-initializing the flat
 /// accumulator; sparser segments stay on the hash scatter.
-const MONO_PUSH_EDGE_RATIO: u64 = 8;
+const FLAT_PUSH_EDGE_RATIO: u64 = 8;
 
 /// Edges a push sweep would touch: `Σ_{i ∈ v} |rows_of(i,:)|`.
 fn frontier_edges<T: Value, I: IndexType>(v: &SparseVec<T, I>, rows_of: &Dcsr<T, I>) -> u64 {
@@ -107,15 +105,15 @@ pub fn choose_direction<T: Value, I: IndexType>(
 /// One push segment's partial: `(entries, flops, mask_hits, mask_total)`.
 type PushPartial<T> = (Vec<(Ix, T)>, u64, u64, u64);
 
-/// Monomorphic unmasked push segment: `PlusTimes/f64` (branch-free
-/// fused multiply-add into a flat accumulator) or `LorLand` (bitwise
-/// OR). Returns `None` when `S` has no fast path or the gate says the
-/// flat accumulator doesn't pay off. Zeros are *kept*, exactly like the
-/// hash scatter — the cross-segment merge must see them.
-fn push_segment_mono<T, I, S>(
+/// Flat-accumulator unmasked push segment for [`Semiring::FLAT_ACC`]
+/// semirings. Returns `None` when the gate says the flat accumulator
+/// doesn't pay off. Zeros are *kept*, exactly like the hash scatter —
+/// the cross-segment merge must see them.
+fn push_segment_flat<T, I, S>(
     v: &SparseVec<T, I>,
     rows_of: &Dcsr<T, I>,
     flip: bool,
+    s: S,
     lo: usize,
     hi: usize,
 ) -> Option<PushPartial<T>>
@@ -125,116 +123,43 @@ where
     S: Semiring<Value = T>,
 {
     let width = rows_of.ncols();
-    if width > MONO_PUSH_MAX_WIDTH {
+    if width > FLAT_PUSH_MAX_WIDTH {
         return None;
     }
-    let is_f64 = TypeId::of::<S>() == TypeId::of::<PlusTimes<f64>>();
-    let is_bool = TypeId::of::<S>() == TypeId::of::<LorLand>();
-    if !is_f64 && !is_bool {
-        return None;
-    }
+    let (idx, vals) = (v.indices(), v.values());
     let est: u64 = (lo..hi)
-        .map(|k| rows_of.row(v.indices()[k].to_ix()).0.len() as u64)
+        .map(|k| rows_of.row(idx[k].to_ix()).0.len() as u64)
         .sum();
-    if est < (width / MONO_PUSH_EDGE_RATIO).max(1) {
+    if est < (width / FLAT_PUSH_EDGE_RATIO).max(1) {
         return None;
     }
-    let part: Box<dyn Any> = if is_f64 {
-        let v64 = (v as &dyn Any).downcast_ref::<SparseVec<f64, I>>()?;
-        let r64 = (rows_of as &dyn Any).downcast_ref::<Dcsr<f64, I>>()?;
-        Box::new(push_mono_f64(v64, r64, flip, lo, hi))
-    } else {
-        let vb = (v as &dyn Any).downcast_ref::<SparseVec<bool, I>>()?;
-        let rb = (rows_of as &dyn Any).downcast_ref::<Dcsr<bool, I>>()?;
-        Box::new(push_mono_bool(vb, rb, lo, hi))
-    };
-    let part = *part.downcast::<Vec<(Ix, T)>>().ok()?;
-    Some((part, est, 0, 0))
-}
-
-fn push_mono_f64<I: IndexType>(
-    v: &SparseVec<f64, I>,
-    rows_of: &Dcsr<f64, I>,
-    flip: bool,
-    lo: usize,
-    hi: usize,
-) -> Vec<(Ix, f64)> {
-    let width = rows_of.ncols() as usize;
-    let mut flat = vec![0.0f64; width];
+    let width = width as usize;
+    let mut flat = vec![s.zero(); width];
     let mut occ = vec![0u64; width.div_ceil(64)];
-    let (idx, vals) = (v.indices(), v.values());
-    let (mut lo_w, mut hi_w) = (usize::MAX, 0usize);
+    let mut acc = FlatAcc::new(&mut flat, &mut occ);
     for k in lo..hi {
-        let x = vals[k];
+        let x = &vals[k];
         let (cols, avals) = rows_of.row(idx[k].to_ix());
-        for (&j, &aij) in cols.iter().zip(avals) {
-            let jz = j.as_usize();
-            // Operand order mirrors the generic `s.mul` call exactly,
-            // so the partials match the hash scatter bit for bit.
-            let (l, r) = if flip { (aij, x) } else { (x, aij) };
-            flat[jz] += l * r;
-            let w = jz >> 6;
-            occ[w] |= 1u64 << (jz & 63);
-            lo_w = lo_w.min(w);
-            hi_w = hi_w.max(w);
+        for (&j, aij) in cols.iter().zip(avals) {
+            // Operand order mirrors the hash scatter exactly, so the
+            // partials match it bit for bit.
+            let p = if flip {
+                s.mul(aij.clone(), x.clone())
+            } else {
+                s.mul(x.clone(), aij.clone())
+            };
+            acc.fold(s, j.as_usize(), p);
         }
     }
     let mut out = Vec::new();
-    if lo_w <= hi_w {
-        for (w, &word) in occ.iter().enumerate().take(hi_w + 1).skip(lo_w) {
-            let mut bits = word;
-            while bits != 0 {
-                let jz = (w << 6) | bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                out.push((jz as Ix, flat[jz]));
-            }
-        }
-    }
-    out
-}
-
-fn push_mono_bool<I: IndexType>(
-    v: &SparseVec<bool, I>,
-    rows_of: &Dcsr<bool, I>,
-    lo: usize,
-    hi: usize,
-) -> Vec<(Ix, bool)> {
-    let width = rows_of.ncols() as usize;
-    let mut flat = vec![false; width];
-    let mut occ = vec![0u64; width.div_ceil(64)];
-    let (idx, vals) = (v.indices(), v.values());
-    let (mut lo_w, mut hi_w) = (usize::MAX, 0usize);
-    for k in lo..hi {
-        let x = vals[k];
-        let (cols, avals) = rows_of.row(idx[k].to_ix());
-        for (&j, &aij) in cols.iter().zip(avals) {
-            let jz = j.as_usize();
-            flat[jz] |= x && aij;
-            let w = jz >> 6;
-            occ[w] |= 1u64 << (jz & 63);
-            lo_w = lo_w.min(w);
-            hi_w = hi_w.max(w);
-        }
-    }
-    let mut out = Vec::new();
-    if lo_w <= hi_w {
-        for (w, &word) in occ.iter().enumerate().take(hi_w + 1).skip(lo_w) {
-            let mut bits = word;
-            while bits != 0 {
-                let jz = (w << 6) | bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                out.push((jz as Ix, flat[jz]));
-            }
-        }
-    }
-    out
+    acc.drain(s, |jz, val| out.push((jz as Ix, val)));
+    Some((out, est, 0, 0))
 }
 
 /// One push segment: scatter frontier entries `[lo, hi)` along their
 /// rows, ⊕-folding collisions in increasing source order. Returns
 /// sorted `(index, value)` partials (zeros *kept* — they are filtered
 /// once, after the cross-segment merge) plus flop/mask counters.
-#[allow(clippy::too_many_arguments)]
 fn push_segment<T, I, S>(
     v: &SparseVec<T, I>,
     rows_of: &Dcsr<T, I>,
@@ -243,15 +168,14 @@ fn push_segment<T, I, S>(
     s: S,
     lo: usize,
     hi: usize,
-    fast: bool,
 ) -> PushPartial<T>
 where
     T: Value,
     I: IndexType,
     S: Semiring<Value = T>,
 {
-    if fast && mask.is_none() {
-        if let Some(res) = push_segment_mono::<T, I, S>(v, rows_of, flip, lo, hi) {
+    if S::FLAT_ACC && mask.is_none() {
+        if let Some(res) = push_segment_flat(v, rows_of, flip, s, lo, hi) {
             return res;
         }
     }
@@ -330,15 +254,14 @@ where
     I: IndexType,
     S: Semiring<Value = T>,
 {
-    let fast = ctx.fast_paths();
     let n = v.nnz();
     let nsegs = n.div_ceil(PUSH_SEG).max(1);
     if nsegs == 1 {
-        return push_segment(v, rows_of, mask, flip, s, 0, n, fast);
+        return push_segment(v, rows_of, mask, flip, s, 0, n);
     }
     let parts = par_run(ctx.threads(), nsegs, |seg| {
         let lo = seg * PUSH_SEG;
-        push_segment(v, rows_of, mask, flip, s, lo, (lo + PUSH_SEG).min(n), fast)
+        push_segment(v, rows_of, mask, flip, s, lo, (lo + PUSH_SEG).min(n))
     });
     let (mut flops, mut probes, mut hits) = (0u64, 0u64, 0u64);
     let mut merged: Vec<(Ix, T)> = Vec::new();
@@ -427,9 +350,9 @@ where
     (out, flops, probes, hits)
 }
 
-/// Pull sweep sharded by stored output rows — each output is computed
-/// wholly inside one shard, so determinism is structural under either
-/// sharding policy (merge-path weighted or legacy fixed).
+/// Pull sweep sharded by stored output rows (merge-path weighted) —
+/// each output is computed wholly inside one shard, so determinism is
+/// structural.
 fn run_pull<T, I, S>(
     ctx: &OpCtx,
     v: &SparseVec<T, I>,
@@ -444,16 +367,12 @@ where
     S: Semiring<Value = T>,
 {
     let nrows = rows_of.n_nonempty_rows();
-    if nrows <= PULL_ROWS_PER_SHARD {
+    if nrows <= PULL_PAR_MIN_ROWS {
         return pull_rows(v, rows_of, mask, flip, s, 0, nrows);
     }
-    let shards = if ctx.shard_balancing() {
-        plan_weighted_shards(nrows, ctx.threads() * PULL_SHARD_FACTOR, |k| {
-            rows_of.row_len_at(k) as u64
-        })
-    } else {
-        fixed_shards(nrows, PULL_ROWS_PER_SHARD)
-    };
+    let shards = plan_weighted_shards(nrows, ctx.threads() * PULL_SHARD_FACTOR, |k| {
+        rows_of.row_len_at(k) as u64
+    });
     let parts = par_run(ctx.threads(), shards.len(), |shard| {
         let (lo, hi) = shards[shard];
         pull_rows(v, rows_of, mask, flip, s, lo, hi)
@@ -743,8 +662,8 @@ where
 /// inner loop): for every stored row `j` of `at = Aᵀ`,
 /// `out[j] ⊕= ⊕_i v[i] ⊗ at(j,i)` folding in increasing `i` — slots of
 /// `out` act as per-output accumulator seeds and untouched slots keep
-/// their initial value. Output-sharded (merge-path weighted when the
-/// context enables balancing), so bit-identical at any thread count.
+/// their initial value. Output-sharded (merge-path weighted), so
+/// bit-identical at any thread count.
 pub fn vxm_dense_pull_ctx<T, I, S>(ctx: &OpCtx, v: &[T], at: &Dcsr<T, I>, out: &mut [T], s: S)
 where
     T: Value,
@@ -758,14 +677,12 @@ where
     });
     let start = Instant::now();
     let nrows = at.n_nonempty_rows();
-    let shards = if nrows <= PULL_ROWS_PER_SHARD {
+    let shards = if nrows <= PULL_PAR_MIN_ROWS {
         vec![(0, nrows)]
-    } else if ctx.shard_balancing() {
+    } else {
         plan_weighted_shards(nrows, ctx.threads() * PULL_SHARD_FACTOR, |k| {
             at.row_len_at(k) as u64
         })
-    } else {
-        fixed_shards(nrows, PULL_ROWS_PER_SHARD)
     };
     let sweep = |lo: usize, hi: usize, out: &[T]| -> (Vec<(usize, T)>, u64) {
         let mut updates = Vec::with_capacity(hi - lo);
@@ -898,7 +815,7 @@ mod tests {
     use crate::coo::Coo;
     use crate::gen::random_dcsr;
     use crate::ops::transform::transpose;
-    use semiring::{MinPlus, PlusTimes};
+    use semiring::{MinPlus, Plain, PlusTimes};
 
     fn pt() -> PlusTimes<f64> {
         PlusTimes::new()
@@ -951,27 +868,23 @@ mod tests {
     }
 
     #[test]
-    fn mono_push_matches_generic_scatter() {
+    fn flat_push_matches_hash_scatter() {
         // A busy frontier in a compact column space takes the flat
-        // fast path; ablating it off must not change a bit.
+        // accumulator; withholding the capability must not change a bit.
         let a = random_dcsr(512, 512, 8000, 51, pt());
         let v = frontier(512, 400, 1);
-        let fast = OpCtx::new().with_threads(1);
-        let generic = OpCtx::new().with_threads(1);
-        generic.set_fast_paths(false);
+        let ctx = OpCtx::new().with_threads(1);
         assert_eq!(
-            vxm_ctx(&fast, &v, &a, pt()),
-            vxm_ctx(&generic, &v, &a, pt())
+            vxm_ctx(&ctx, &v, &a, pt()),
+            vxm_ctx(&ctx, &v, &a, Plain(pt()))
         );
         // And for a frontier spanning multiple segments.
         let big = random_dcsr(4000, 4000, 60_000, 52, pt());
         let vf = frontier(4000, 3000, 2);
-        let fast4 = OpCtx::new().with_threads(4);
-        let generic4 = OpCtx::new().with_threads(4);
-        generic4.set_fast_paths(false);
+        let ctx4 = OpCtx::new().with_threads(4);
         assert_eq!(
-            vxm_push_ctx(&fast4, &vf, &big, pt()),
-            vxm_push_ctx(&generic4, &vf, &big, pt())
+            vxm_push_ctx(&ctx4, &vf, &big, pt()),
+            vxm_push_ctx(&ctx4, &vf, &big, Plain(pt()))
         );
     }
 
@@ -1048,22 +961,6 @@ mod tests {
             assert_eq!(vxm_pull_ctx(&ctx, &v, &at, s), base.1, "pull @{threads}");
             assert_eq!(mxv_ctx(&ctx, &a, &v, s), base.2, "mxv @{threads}");
         }
-    }
-
-    #[test]
-    fn pull_weighted_and_fixed_sharding_agree() {
-        let s = MinPlus::<f64>::new();
-        let n = 6000;
-        let a = random_dcsr(n, n, 40_000, 22, s);
-        let at = transpose(&a);
-        let v = frontier(n, 3000, 7);
-        let balanced = OpCtx::new().with_threads(4);
-        let fixed = OpCtx::new().with_threads(4);
-        fixed.set_shard_balancing(false);
-        assert_eq!(
-            vxm_pull_ctx(&balanced, &v, &at, s),
-            vxm_pull_ctx(&fixed, &v, &at, s)
-        );
     }
 
     #[test]

@@ -17,10 +17,14 @@
 //!   ([`LorLand`]), `min.first` / `max.first` / `min.second`
 //!   ([`MinFirst`], [`MaxFirst`], [`MinSecond`]) for parent-tracking
 //!   BFS, and `any.pair` ([`AnyPair`]) for reachability.
+//! * **Capabilities** a semiring declares about itself
+//!   ([`Semiring::FLAT_ACC`], [`Semiring::ONE_STEP`]) so kernels
+//!   specialise at monomorphisation; [`Plain`] withholds them for
+//!   reference runs, and the law suite fails a wrong declaration.
 //! * The algebraic conditions for fused **one-step parent BFS**
 //!   ([`onestep`]): selectivity, left-carrying ⊗, annihilation, and
-//!   order-freeness as checkable predicates, probed per semiring so the
-//!   graph layer picks the fused variant only where it is sound.
+//!   order-freeness as checkable predicates, so the graph layer runs
+//!   the fused variant only where it is sound.
 //! * The scalar face of the paper's **semilink**
 //!   `(𝔸, ⊕, ⊗, ⊕.⊗, 0, 1, 𝕀)` ([`Semilink`]); the array-level identities
 //!   of §IV live in the `hyperspace-core` crate where arrays exist.
@@ -69,6 +73,6 @@ pub use pset::PSet;
 pub use semilink::Semilink;
 pub use semirings::{
     AnyPair, LorLand, MaxFirst, MaxMin, MaxPlus, MaxTimes, MinFirst, MinMax, MinPlus, MinSecond,
-    MinTimes, PlusTimes, UnionIntersect, XorAnd,
+    MinTimes, Plain, PlusTimes, UnionIntersect, XorAnd,
 };
 pub use traits::{BinaryOp, Monoid, Semiring, UnaryOp};

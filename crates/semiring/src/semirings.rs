@@ -24,7 +24,7 @@ macro_rules! numeric_semiring {
     (
         $(#[$doc:meta])*
         $name:ident, zero = $zero:ident, one = $one:ident,
-        add = $add:ident, mul = $mul:ident
+        add = $add:ident, mul = $mul:ident $(, flat_acc = $flat:literal)?
     ) => {
         $(#[$doc])*
         #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -39,6 +39,7 @@ macro_rules! numeric_semiring {
 
         impl<T: Numeric> Semiring for $name<T> {
             type Value = T;
+            $(const FLAT_ACC: bool = $flat;)?
 
             #[inline(always)]
             fn zero(&self) -> T {
@@ -62,8 +63,10 @@ macro_rules! numeric_semiring {
 
 numeric_semiring!(
     /// Standard arithmetic `(ℝ, +, ×, 0, 1)` — correlation, counting,
-    /// the `S₁` of the paper's DNN decomposition (§V.C).
-    PlusTimes, zero = ZERO, one = ONE, add = plus, mul = times
+    /// the `S₁` of the paper's DNN decomposition (§V.C). `0 + p` is `p`
+    /// to the bit in every [`Numeric`] (a `−0.0` product sums to `+0.0`,
+    /// but both are zeros and never stored), so it accumulates flat.
+    PlusTimes, zero = ZERO, one = ONE, add = plus, mul = times, flat_acc = true
 );
 
 numeric_semiring!(
@@ -136,6 +139,8 @@ pub struct LorLand;
 
 impl Semiring for LorLand {
     type Value = bool;
+    const FLAT_ACC: bool = true;
+    const ONE_STEP: bool = true;
 
     #[inline(always)]
     fn zero(&self) -> bool {
@@ -192,6 +197,7 @@ pub struct MinFirst;
 
 impl Semiring for MinFirst {
     type Value = u64;
+    const ONE_STEP: bool = true;
 
     #[inline(always)]
     fn zero(&self) -> u64 {
@@ -232,6 +238,7 @@ pub struct MaxFirst;
 
 impl Semiring for MaxFirst {
     type Value = u64;
+    const ONE_STEP: bool = true;
 
     #[inline(always)]
     fn zero(&self) -> u64 {
@@ -298,6 +305,7 @@ pub struct AnyPair;
 
 impl Semiring for AnyPair {
     type Value = u8;
+    const ONE_STEP: bool = true;
 
     #[inline(always)]
     fn zero(&self) -> u8 {
@@ -323,6 +331,47 @@ impl Semiring for AnyPair {
         } else {
             0
         }
+    }
+}
+
+/// `S` with its capabilities withheld: the same ⊕, ⊗, `0` and `1`,
+/// but [`Semiring::FLAT_ACC`] and [`Semiring::ONE_STEP`] stay `false`,
+/// so every kernel takes the path it takes for a semiring that declares
+/// nothing. Equivalence tests and ablation benches run `Plain(s)` as
+/// the reference for `s`.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct Plain<S>(pub S);
+
+impl<S: Semiring> Semiring for Plain<S> {
+    type Value = S::Value;
+
+    #[inline(always)]
+    fn zero(&self) -> S::Value {
+        self.0.zero()
+    }
+    #[inline(always)]
+    fn one(&self) -> S::Value {
+        self.0.one()
+    }
+    #[inline(always)]
+    fn add(&self, a: S::Value, b: S::Value) -> S::Value {
+        self.0.add(a, b)
+    }
+    #[inline(always)]
+    fn mul(&self, a: S::Value, b: S::Value) -> S::Value {
+        self.0.mul(a, b)
+    }
+    #[inline(always)]
+    fn is_zero(&self, v: &S::Value) -> bool {
+        self.0.is_zero(v)
+    }
+    #[inline(always)]
+    fn is_one(&self, v: &S::Value) -> bool {
+        self.0.is_one(v)
+    }
+    #[inline(always)]
+    fn add_assign(&self, a: &mut S::Value, b: S::Value) {
+        self.0.add_assign(a, b)
     }
 }
 

@@ -62,6 +62,21 @@ pub trait Semiring: Copy + Send + Sync + 'static {
     /// The value set `V`.
     type Value: Value;
 
+    /// Capability: kernels may accumulate into a flat slot array seeded
+    /// with [`Semiring::zero`] (`slot = slot ⊕ p` for every product)
+    /// instead of storing the first product and folding from there.
+    /// Declare `true` only when `Value` is cheap to clone and
+    /// `add(zero(), p)` is *bit-identical* to `p` for every `p` that is
+    /// not itself a zero — `onestep_laws.rs` fails a wrong declaration.
+    const FLAT_ACC: bool = false;
+
+    /// Capability: the one-step parent-BFS conditions of
+    /// [`crate::onestep`] hold (⊕ selective and order-free, ⊗ carries
+    /// its left operand, `0` annihilates), so a single masked `vᵀA` per
+    /// level yields frontier and parents at once. `onestep_laws.rs`
+    /// checks the declaration against [`crate::onestep::probe`].
+    const ONE_STEP: bool = false;
+
     /// The additive identity `0` (and multiplicative annihilator).
     fn zero(&self) -> Self::Value;
     /// The multiplicative identity `1`.

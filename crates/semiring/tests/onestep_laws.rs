@@ -5,9 +5,11 @@
 //! from the semiring's actual value set. The suite pins *both*
 //! directions of the characterization: qualifying algebras satisfy every
 //! condition on arbitrary samples, and each non-qualifying algebra
-//! violates the specific condition the theory says it must — so the
-//! `probe`-driven selection in `graph::bfs` is machine-checked rather
-//! than a hard-coded list.
+//! violates the specific condition the theory says it must. On top of
+//! that, every capability a semiring *declares* in its `impl` block
+//! (`ONE_STEP`, which `graph::bfs` dispatches on; `FLAT_ACC`, which the
+//! `hypersparse` kernels dispatch on) is held to the algebra here, so a
+//! wrong declaration fails CI instead of producing wrong answers.
 
 use proptest::prelude::*;
 use semiring::onestep::{
@@ -15,7 +17,7 @@ use semiring::onestep::{
 };
 use semiring::{
     AnyPair, LorLand, MaxFirst, MaxMin, MaxPlus, MaxTimes, MinFirst, MinMax, MinPlus, MinSecond,
-    MinTimes, PSet, PlusTimes, Semiring, UnionIntersect, XorAnd,
+    MinTimes, PSet, Plain, PlusTimes, Semiring, UnionIntersect, XorAnd,
 };
 
 /// Assert every one-step condition on a sampled triple — the shape of
@@ -153,5 +155,110 @@ proptest! {
         if add_selective(&pt, a, b) { prop_assert!(add_idempotent(&pt, a)); }
         let ms = MinSecond;
         if add_selective(&ms, a, b) { prop_assert!(add_idempotent(&ms, a)); }
+    }
+}
+
+// ---- Declared capabilities agree with the algebra ----
+
+/// `S::ONE_STEP` is exactly the probe's verdict over `samples` (which
+/// must be rich enough to expose a failing condition: distinct
+/// non-identity values, and `true` for GF(2)).
+fn assert_one_step_declared<S: Semiring>(s: S, samples: &[S::Value]) {
+    let r = probe(&s, samples);
+    assert_eq!(
+        S::ONE_STEP,
+        r.qualifies(),
+        "{}: declares ONE_STEP = {}, probe failed {:?}",
+        std::any::type_name::<S>(),
+        S::ONE_STEP,
+        r.failed()
+    );
+}
+
+#[test]
+fn one_step_declarations_match_the_probe_for_every_exported_semiring() {
+    let ids: Vec<u64> = vec![1, 2, 3, 5, 1 << 10, 1 << 20, u64::MAX];
+    let reals: Vec<f64> = vec![0.5, 1.0, 2.0, 3.0, 7.5];
+    assert_one_step_declared(MinFirst, &ids);
+    assert_one_step_declared(MaxFirst, &ids);
+    assert_one_step_declared(MinSecond, &ids);
+    assert_one_step_declared(LorLand, &[false, true]);
+    assert_one_step_declared(XorAnd, &[false, true]);
+    assert_one_step_declared(AnyPair, &[0u8, 1]);
+    assert_one_step_declared(PlusTimes::<u64>::new(), &ids);
+    assert_one_step_declared(PlusTimes::<f64>::new(), &reals);
+    assert_one_step_declared(MinPlus::<u64>::new(), &ids);
+    assert_one_step_declared(MinPlus::<f64>::new(), &reals);
+    assert_one_step_declared(MaxPlus::<i64>::new(), &[1, 2, 3, 5]);
+    assert_one_step_declared(MinTimes::<u64>::new(), &ids);
+    assert_one_step_declared(MaxTimes::<u64>::new(), &ids);
+    assert_one_step_declared(MaxMin::<u64>::new(), &ids);
+    assert_one_step_declared(MinMax::<u64>::new(), &ids);
+    assert_one_step_declared(
+        UnionIntersect,
+        &[
+            PSet::from_iter([1, 2]),
+            PSet::from_iter([2, 3]),
+            PSet::Universe,
+        ],
+    );
+    // `Plain` withholds even a capability the algebra would support.
+    const { assert!(!Plain::<MinFirst>::ONE_STEP && !Plain::<LorLand>::FLAT_ACC) };
+}
+
+/// The `FLAT_ACC` law: seeding a slot with `0` and folding `p` into it
+/// leaves exactly the bits the `Option<T>`/hash accumulators would have
+/// stored for `p` — or `p` is a zero, which no kernel stores.
+fn assert_flat_seed_invisible<S: Semiring>(s: S, p: S::Value, bits: impl Fn(&S::Value) -> u64) {
+    const { assert!(S::FLAT_ACC) };
+    let seeded = s.add(s.zero(), p.clone());
+    assert!(
+        bits(&seeded) == bits(&p) || (s.is_zero(&p) && s.is_zero(&seeded)),
+        "{}: 0 ⊕ {p:?} = {seeded:?}",
+        std::any::type_name::<S>()
+    );
+}
+
+#[test]
+fn flat_acc_declarations_hold_on_the_edges_of_each_domain() {
+    for p in [
+        0.0,
+        -0.0,
+        1.5,
+        -2.25,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ] {
+        assert_flat_seed_invisible(PlusTimes::<f64>::new(), p, |v| v.to_bits());
+        assert_flat_seed_invisible(PlusTimes::<f32>::new(), p as f32, |v| {
+            u64::from(v.to_bits())
+        });
+    }
+    for p in [0, 1, 7, u64::MAX - 1, u64::MAX] {
+        assert_flat_seed_invisible(PlusTimes::<u64>::new(), p, |v| *v);
+    }
+    for p in [i64::MIN, -1, 0, 1, i64::MAX] {
+        assert_flat_seed_invisible(PlusTimes::<i64>::new(), p, |v| *v as u64);
+    }
+    for p in [false, true] {
+        assert_flat_seed_invisible(LorLand, p, |v| u64::from(*v));
+    }
+}
+
+proptest! {
+    #[test]
+    fn flat_acc_seed_is_invisible_on_random_values(
+        x in any::<f64>(), y in any::<f64>(), n in any::<u64>(), b in any::<bool>(),
+    ) {
+        // Products are what kernels fold, so sample those too.
+        for p in [x, y, x * y] {
+            assert_flat_seed_invisible(PlusTimes::<f64>::new(), p, |v| v.to_bits());
+            assert_flat_seed_invisible(PlusTimes::<f32>::new(), p as f32, |v| u64::from(v.to_bits()));
+        }
+        assert_flat_seed_invisible(PlusTimes::<u64>::new(), n, |v| *v);
+        assert_flat_seed_invisible(LorLand, b, |v| u64::from(*v));
     }
 }
