@@ -38,14 +38,14 @@
 use std::time::Instant;
 
 use hypersparse::ops::{
-    ewise_add_ctx, mxm_masked_ctx, reduce_cols_ctx, reduce_rows_ctx, reduce_scalar_ctx, select_ctx,
+    col_degrees_ctx, ewise_add_ctx, mxm_masked_ctx, reduce_scalar_ctx, row_degrees_ctx, select_ctx,
 };
 use hypersparse::{with_default_ctx, Dcsr, Ix, Kernel, OpCtx, SparseVec};
 use semiring::traits::Value;
 use semiring::{MinFirst, PlusMonoid, PlusTimes, ZeroNorm};
 
 use crate::netsec::flag_degrees;
-use crate::pattern::{pattern_f64, pattern_u64, symmetrize_ctx};
+use crate::pattern::{pattern_f64, symmetrize_ctx};
 use crate::triangles::lower_triangle_ctx;
 
 /// Incrementally maintained fan-out/fan-in pattern degrees.
@@ -78,26 +78,37 @@ impl DegreeState {
     /// [`DegreeState::apply_delta`] through an explicit execution context.
     pub fn apply_delta_ctx<T: Value>(&mut self, ctx: &OpCtx, delta: &Dcsr<T>) {
         let t = Instant::now();
-        let dpat = pattern_u64(delta);
-        // Fresh edges: positions never seen before. Only these change a
-        // distinct-endpoint degree.
-        let seen = &self.pat;
-        let fresh = select_ctx(ctx, &dpat, move |r, c, _| seen.get(r, c).is_none());
-        if fresh.nnz() > 0 {
-            let dout = reduce_rows_ctx(ctx, &fresh, PlusMonoid::<u64>::default());
-            let din = reduce_cols_ctx(ctx, &fresh, PlusMonoid::<u64>::default());
-            self.fan_out = self.fan_out.ewise_add(&dout, PlusTimes::<u64>::new());
-            self.fan_in = self.fan_in.ewise_add(&din, PlusTimes::<u64>::new());
-            // Disjoint union — MinFirst's ⊕ is never applied.
-            self.pat = ewise_add_ctx(ctx, &self.pat, &fresh, MinFirst);
-        }
+        let dpat = delta.pattern(1u64);
+        let (fresh_nnz, fresh_bytes) = if self.pat.nnz() == 0 {
+            // Nothing seen yet (the first delta of every window): every
+            // entry is fresh, so the delta's degrees and pattern are the
+            // state's — no lookups against an empty pattern, no unions.
+            self.fan_out = row_degrees_ctx(ctx, &dpat);
+            self.fan_in = col_degrees_ctx(ctx, &dpat);
+            self.pat = dpat;
+            (self.pat.nnz(), self.pat.bytes())
+        } else {
+            // Fresh edges: positions never seen before. Only these
+            // change a distinct-endpoint degree.
+            let seen = &self.pat;
+            let fresh = select_ctx(ctx, &dpat, move |r, c, _| seen.get(r, c).is_none());
+            if fresh.nnz() > 0 {
+                let dout = row_degrees_ctx(ctx, &fresh);
+                let din = col_degrees_ctx(ctx, &fresh);
+                self.fan_out = self.fan_out.ewise_add(&dout, PlusTimes::<u64>::new());
+                self.fan_in = self.fan_in.ewise_add(&din, PlusTimes::<u64>::new());
+                // Disjoint union — MinFirst's ⊕ is never applied.
+                self.pat = ewise_add_ctx(ctx, &self.pat, &fresh, MinFirst);
+            }
+            (fresh.nnz(), fresh.bytes())
+        };
         ctx.metrics().record(
             Kernel::DeltaDegree,
             t.elapsed(),
             delta.nnz() as u64,
-            fresh.nnz() as u64,
+            fresh_nnz as u64,
             delta.nnz() as u64,
-            fresh.bytes() as u64,
+            fresh_bytes as u64,
         );
     }
 
@@ -131,7 +142,16 @@ impl DegreeState {
 
     /// Forget everything (window rotation).
     pub fn reset(&mut self) {
-        *self = DegreeState::new(self.pat.nrows(), self.pat.ncols());
+        self.take_degrees();
+    }
+
+    /// [`reset`](DegreeState::reset), handing back the finished
+    /// `(fan_out, fan_in)` vectors instead of dropping them — what a
+    /// closed window's detector verdict is read from. The pattern, only
+    /// needed to fold further deltas, is dropped.
+    pub fn take_degrees(&mut self) -> (SparseVec<u64>, SparseVec<u64>) {
+        let done = std::mem::replace(self, DegreeState::new(self.pat.nrows(), self.pat.ncols()));
+        (done.fan_out, done.fan_in)
     }
 }
 

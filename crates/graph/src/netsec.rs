@@ -9,9 +9,10 @@
 //! * a **fan-in DDoS** is a column with anomalously many distinct rows —
 //!   many sources converging on one victim.
 //!
-//! Both reduce to degree distributions of the sparsity *pattern*
-//! ([`crate::pattern_u64`] + [`reduce_rows_ctx`]/[`reduce_cols_ctx`]
-//! with ⊕ = `+` over 1s), followed by a threshold mask. The follow-up
+//! Both reduce to degree distributions of the sparsity *pattern*, read
+//! from the matrix structure ([`row_degrees_ctx`]/[`col_degrees_ctx`] —
+//! what `+` over an all-ones pattern would sum to, without building
+//! it), followed by a threshold mask. The follow-up
 //! question — "show me everything a flagged endpoint did" — is a masked
 //! row/column extraction ([`select_ctx`]) against the same epoch
 //! snapshot. Everything here runs through `_ctx` kernels, so detector
@@ -20,12 +21,9 @@
 //! degree descending with ascending-key tie-breaks, independent of
 //! thread and shard counts.
 
-use hypersparse::ops::{reduce_cols_ctx, reduce_rows_ctx, select_ctx};
+use hypersparse::ops::{col_degrees_ctx, row_degrees_ctx, select_ctx};
 use hypersparse::{with_default_ctx, Dcsr, Ix, OpCtx, SparseVec};
 use semiring::traits::Value;
-use semiring::PlusMonoid;
-
-use crate::pattern::pattern_u64;
 
 /// Fan-out degree distribution: distinct destinations contacted per
 /// source (the row degrees of the sparsity pattern). Multiplicities
@@ -36,7 +34,7 @@ pub fn fan_out<T: Value>(a: &Dcsr<T>) -> SparseVec<u64> {
 
 /// [`fan_out`] through an explicit execution context.
 pub fn fan_out_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> SparseVec<u64> {
-    reduce_rows_ctx(ctx, &pattern_u64(a), PlusMonoid::<u64>::default())
+    row_degrees_ctx(ctx, a)
 }
 
 /// Fan-in degree distribution: distinct sources per destination (the
@@ -47,7 +45,7 @@ pub fn fan_in<T: Value>(a: &Dcsr<T>) -> SparseVec<u64> {
 
 /// [`fan_in`] through an explicit execution context.
 pub fn fan_in_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> SparseVec<u64> {
-    reduce_cols_ctx(ctx, &pattern_u64(a), PlusMonoid::<u64>::default())
+    col_degrees_ctx(ctx, a)
 }
 
 /// Threshold a degree vector into flagged `(key, degree)` pairs, sorted

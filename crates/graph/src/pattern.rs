@@ -7,37 +7,24 @@
 //! semiring. These helpers strip a weighted matrix to its pattern in the
 //! value set each algorithm's semiring wants.
 
-use hypersparse::{Coo, Dcsr, OpCtx};
+use hypersparse::{Dcsr, OpCtx};
 use semiring::traits::{Semiring, Value};
-use semiring::{AnyPair, MinFirst, PlusTimes};
 
 /// Pattern in `u8` (value 1 everywhere) for [`semiring::AnyPair`] BFS.
 pub fn pattern_u8<T: Value>(m: &Dcsr<T>) -> Dcsr<u8> {
-    let mut c = Coo::new(m.nrows(), m.ncols());
-    for (r, col, _) in m.iter() {
-        c.push(r, col, 1u8);
-    }
-    c.build_dcsr(AnyPair)
+    m.pattern(1u8)
 }
 
 /// Pattern in `u64` (value 1 everywhere) for [`semiring::MinFirst`]
 /// parent tracking and min-label propagation.
 pub fn pattern_u64<T: Value>(m: &Dcsr<T>) -> Dcsr<u64> {
-    let mut c = Coo::new(m.nrows(), m.ncols());
-    for (r, col, _) in m.iter() {
-        c.push(r, col, 1u64);
-    }
-    c.build_dcsr(MinFirst)
+    m.pattern(1u64)
 }
 
 /// Pattern in `f64` (value 1 everywhere) for the `+.×` triangle and
 /// PageRank kernels.
 pub fn pattern_f64<T: Value>(m: &Dcsr<T>) -> Dcsr<f64> {
-    let mut c = Coo::new(m.nrows(), m.ncols());
-    for (r, col, _) in m.iter() {
-        c.push(r, col, 1.0f64);
-    }
-    c.build_dcsr(PlusTimes::<f64>::new())
+    m.pattern(1.0f64)
 }
 
 /// `A ⊕ Aᵀ` — make a digraph pattern undirected (self-loops dropped).
@@ -55,6 +42,7 @@ pub fn symmetrize_ctx<T: Value, S: Semiring<Value = T>>(ctx: &OpCtx, m: &Dcsr<T>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hypersparse::Coo;
     use semiring::PlusTimes;
 
     fn weighted() -> Dcsr<f64> {

@@ -119,6 +119,12 @@ impl<T: Value, I: IndexType> Dcsr<T, I> {
         &self.rows
     }
 
+    /// Every stored column id, row-major (the rows' column lists end to
+    /// end).
+    pub fn col_ids(&self) -> &[I] {
+        &self.colidx
+    }
+
     /// Position of `row` in the non-empty row list, if occupied.
     pub fn find_row(&self, row: Ix) -> Option<usize> {
         self.rows.binary_search(&row).ok()
@@ -217,6 +223,20 @@ impl<T: Value, I: IndexType> Dcsr<T, I> {
             colidx: self.colidx.iter().map(|&c| J::from_ix(c.to_ix())).collect(),
             vals: self.vals.clone(),
         })
+    }
+
+    /// The sparsity pattern with `one` stored at every position: the
+    /// index structure is copied as it stands (already sorted and
+    /// duplicate-free), only the values are replaced. `O(nnz)`.
+    pub fn pattern<U: Value>(&self, one: U) -> Dcsr<U, I> {
+        Dcsr {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            rows: self.rows.clone(),
+            rowptr: self.rowptr.clone(),
+            colidx: self.colidx.clone(),
+            vals: vec![one; self.colidx.len()],
+        }
     }
 
     /// Decompose into raw parts `(nrows, ncols, rows, rowptr, colidx, vals)`.

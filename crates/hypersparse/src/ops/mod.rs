@@ -33,7 +33,8 @@ pub use mxv::{
     vxm_push_ctx,
 };
 pub use reduce::{
-    reduce_cols, reduce_cols_ctx, reduce_rows, reduce_rows_ctx, reduce_scalar, reduce_scalar_ctx,
+    col_degrees_ctx, reduce_cols, reduce_cols_ctx, reduce_rows, reduce_rows_ctx, reduce_scalar,
+    reduce_scalar_ctx, row_degrees_ctx,
 };
 pub use structure::{
     assign, assign_ctx, concat_cols, concat_cols_ctx, concat_rows, concat_rows_ctx, diag, diag_of,

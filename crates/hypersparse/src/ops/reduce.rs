@@ -120,6 +120,57 @@ pub fn reduce_cols_ctx<T: Value, M: Monoid<T>>(ctx: &OpCtx, a: &Dcsr<T>, m: M) -
     out
 }
 
+/// Row degrees of the sparsity pattern: stored entries per non-empty
+/// row, read off the row extents. Equal to [`reduce_rows_ctx`] with `+`
+/// over the all-ones pattern of `a`, without building that pattern or
+/// touching a value; recorded on the same [`Kernel::ReduceRows`] row.
+pub fn row_degrees_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> SparseVec<u64> {
+    let _span = ctx.kernel_span(Kernel::ReduceRows, || {
+        format!("{}×{}, {} nnz, structural", a.nrows(), a.ncols(), a.nnz())
+    });
+    let start = Instant::now();
+    let degrees = (0..a.n_nonempty_rows())
+        .map(|k| a.row_len_at(k) as u64)
+        .collect();
+    let out = SparseVec::from_sorted_parts(a.nrows(), a.row_ids().to_vec(), degrees);
+    ctx.metrics().record(
+        Kernel::ReduceRows,
+        start.elapsed(),
+        a.nnz() as u64,
+        out.nnz() as u64,
+        out.nnz() as u64, // one extent subtraction per stored row
+        2 * out.bytes() as u64,
+    );
+    out
+}
+
+/// Column degrees of the sparsity pattern: stored entries per non-empty
+/// column, by sorting the column ids and counting runs. Equal to
+/// [`reduce_cols_ctx`] with `+` over the all-ones pattern of `a`;
+/// recorded on the same [`Kernel::ReduceCols`] row.
+pub fn col_degrees_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> SparseVec<u64> {
+    let _span = ctx.kernel_span(Kernel::ReduceCols, || {
+        format!("{}×{}, {} nnz, structural", a.nrows(), a.ncols(), a.nnz())
+    });
+    let start = Instant::now();
+    let mut cols = a.col_ids().to_vec();
+    cols.sort_unstable();
+    let (idx, degrees) = cols
+        .chunk_by(|x, y| x == y)
+        .map(|run| (run[0], run.len() as u64))
+        .unzip();
+    let out = SparseVec::from_sorted_parts(a.ncols(), idx, degrees);
+    ctx.metrics().record(
+        Kernel::ReduceCols,
+        start.elapsed(),
+        a.nnz() as u64,
+        out.nnz() as u64,
+        a.nnz() as u64, // one count per stored entry
+        (2 * std::mem::size_of_val(cols.as_slice()) + out.bytes()) as u64,
+    );
+    out
+}
+
 /// Fold every stored entry into one value.
 pub fn reduce_scalar<T: Value, M: Monoid<T>>(a: &Dcsr<T>, m: M) -> T {
     with_default_ctx(|ctx| reduce_scalar_ctx(ctx, a, m))

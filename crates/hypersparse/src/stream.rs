@@ -343,40 +343,43 @@ impl<S: Semiring> StreamingMatrix<S> {
         }
     }
 
-    /// Fold the entire hierarchy — live and sealed — into one matrix
-    /// (non-destructive; the stream remains usable for further inserts).
-    pub fn snapshot(&mut self) -> Dcsr<S::Value> {
-        self.flush_buffer();
-        let mut acc = Dcsr::empty(self.nrows, self.ncols);
-        for level in self.levels.iter().chain(self.sealed.iter()).flatten() {
-            acc = self.merge(&acc, level);
+    /// ⊕-fold `rest` onto `first`, in order. A stored layer holds no
+    /// semiring zero, so the first one seeds the fold as it stands —
+    /// merging it into an empty matrix would only copy it.
+    fn fold_layers<'a>(
+        &self,
+        first: Option<Dcsr<S::Value>>,
+        rest: impl Iterator<Item = &'a Dcsr<S::Value>>,
+    ) -> Dcsr<S::Value>
+    where
+        S::Value: 'a,
+    {
+        let mut acc = first.unwrap_or_else(|| Dcsr::empty(self.nrows, self.ncols));
+        for layer in rest {
+            acc = self.merge(&acc, layer);
         }
         acc
     }
 
-    /// Fold the entries inserted since the previous delta (or since
-    /// construction/reset/restore) into one matrix, then advance the
-    /// watermark: the live levels are folded into `Δ`, cleared, and `Δ`
-    /// is cascaded into the sealed hierarchy under the same geometric
-    /// cap discipline — so the invariant `full(t) = full(t−1) ⊕ Δ(t)`
-    /// holds by construction for every ⊕ (exactly, when ⊕ on the value
-    /// type is exact — e.g. integer counts; up to float associativity
-    /// otherwise). Cost is `O(Δ)` amortized, independent of the sealed
-    /// volume. Recorded as [`Kernel::DeltaFold`].
-    pub fn delta_snapshot(&mut self) -> Dcsr<S::Value> {
+    /// Fold the entire hierarchy — live and sealed — into one matrix
+    /// (non-destructive; the stream remains usable for further inserts).
+    pub fn snapshot(&mut self) -> Dcsr<S::Value> {
+        self.flush_buffer();
+        let mut layers = self.levels.iter().chain(self.sealed.iter()).flatten();
+        let first = layers.next().cloned();
+        self.fold_layers(first, layers)
+    }
+
+    /// Fold the live levels into one matrix and take them out of the
+    /// stream, the first one by move. Recorded as [`Kernel::DeltaFold`].
+    fn fold_live(&mut self) -> Dcsr<S::Value> {
         self.flush_buffer();
         let t = Instant::now();
-        let mut nnz_in = 0u64;
-        let mut delta = Dcsr::empty(self.nrows, self.ncols);
-        for level in self.levels.iter().flatten() {
-            nnz_in += level.nnz() as u64;
-            delta = self.merge(&delta, level);
-        }
-        self.levels.clear();
-        if delta.nnz() > 0 {
-            self.seal(delta.clone());
-        }
-        self.watermark = self.inserted;
+        let mut live = std::mem::take(&mut self.levels).into_iter().flatten();
+        let first = live.next();
+        let rest: Vec<_> = live.collect();
+        let nnz_in = first.iter().chain(&rest).map(Dcsr::nnz).sum::<usize>() as u64;
+        let delta = self.fold_layers(first, rest.iter());
         let record = |ctx: &OpCtx| {
             ctx.metrics().record(
                 Kernel::DeltaFold,
@@ -392,6 +395,43 @@ impl<S: Semiring> StreamingMatrix<S> {
             None => with_default_ctx(|ctx| record(ctx)),
         }
         delta
+    }
+
+    /// Fold the entries inserted since the previous delta (or since
+    /// construction/reset/restore) into one matrix, then advance the
+    /// watermark: the live levels are folded into `Δ`, cleared, and `Δ`
+    /// is cascaded into the sealed hierarchy under the same geometric
+    /// cap discipline — so the invariant `full(t) = full(t−1) ⊕ Δ(t)`
+    /// holds by construction for every ⊕ (exactly, when ⊕ on the value
+    /// type is exact — e.g. integer counts; up to float associativity
+    /// otherwise). Cost is `O(Δ)` amortized, independent of the sealed
+    /// volume. Recorded as [`Kernel::DeltaFold`].
+    pub fn delta_snapshot(&mut self) -> Dcsr<S::Value> {
+        let delta = self.fold_live();
+        if delta.nnz() > 0 {
+            self.seal(delta.clone());
+        }
+        self.watermark = self.inserted;
+        delta
+    }
+
+    /// Close the window in one step: fold everything stored,
+    /// [`reset`](StreamingMatrix::reset) the stream, and return
+    /// `(closing, delta)` — the closing window and the entries since the
+    /// last watermark. `delta` is `None` when no
+    /// [`delta_snapshot`](StreamingMatrix::delta_snapshot) cut this
+    /// window: the closing delta then *is* the closing window, folded
+    /// once and moved out instead of being cloned, sealed and re-merged.
+    pub fn rotate(&mut self) -> (Dcsr<S::Value>, Option<Dcsr<S::Value>>) {
+        if self.sealed.iter().all(Option::is_none) {
+            let closing = self.fold_live();
+            self.reset();
+            return (closing, None);
+        }
+        let delta = self.delta_snapshot();
+        let closing = self.snapshot();
+        self.reset();
+        (closing, Some(delta))
     }
 
     /// Cascade a freshly sealed delta into the pre-watermark hierarchy,

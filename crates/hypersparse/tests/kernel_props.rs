@@ -314,4 +314,37 @@ proptest! {
             &ctx, &hypersparse::ops::mxm_ctx(&ctx, &a, &w, s2), op, drop);
         prop_assert_eq!(fused, two_pass);
     }
+
+    /// The structural pattern equals the pattern built the long way: every
+    /// entry pushed into a COO as `one` and re-sorted.
+    #[test]
+    fn structural_pattern_equals_coo_built_pattern(t in triplets()) {
+        let a = build(&t, PlusTimes::<i64>::new());
+        let mut coo = Coo::new(N, N);
+        for (r, c, _) in a.iter() {
+            coo.push(r, c, 1u64);
+        }
+        prop_assert_eq!(a.pattern(1u64), coo.build_dcsr(semiring::MinFirst));
+        prop_assert_eq!(a.pattern(1.0f64).nnz(), a.nnz());
+    }
+
+    /// Degrees read off the matrix structure equal `+` reduced over the
+    /// all-ones pattern, at every thread count, and land on the same
+    /// kernel rows.
+    #[test]
+    fn structural_degrees_equal_reductions_over_the_pattern(t in triplets()) {
+        use hypersparse::ops::{col_degrees_ctx, reduce_cols_ctx, reduce_rows_ctx, row_degrees_ctx};
+        use hypersparse::Kernel;
+        let plus = semiring::PlusMonoid::<u64>::default();
+        let a = build(&t, PlusTimes::<i64>::new());
+        let pat = a.pattern(1u64);
+        for threads in [1usize, 2, 4, 8] {
+            let ctx = hypersparse::OpCtx::new().with_threads(threads);
+            prop_assert_eq!(row_degrees_ctx(&ctx, &a), reduce_rows_ctx(&ctx, &pat, plus));
+            prop_assert_eq!(col_degrees_ctx(&ctx, &a), reduce_cols_ctx(&ctx, &pat, plus));
+            let snap = ctx.metrics().snapshot();
+            prop_assert_eq!(snap.kernel(Kernel::ReduceRows).calls, 2);
+            prop_assert_eq!(snap.kernel(Kernel::ReduceCols).calls, 2);
+        }
+    }
 }

@@ -137,4 +137,60 @@ proptest! {
         }
         prop_assert_eq!(m.snapshot(), flat(&t, s));
     }
+
+    /// A fold seeded from its first layer: a stream holding one layer
+    /// snapshots to exactly that layer, an empty one to the empty
+    /// matrix, and neither spends a merge on it.
+    #[test]
+    fn one_layer_stream_snapshots_to_that_layer(t in events()) {
+        use hypersparse::Kernel;
+        let s = PlusTimes::<i64>::new();
+        let ctx = std::sync::Arc::new(hypersparse::OpCtx::new());
+        let config = StreamConfig::new().with_buffer_cap(t.len() + 1);
+        let mut m = StreamingMatrix::with_config(N, N, s, config).with_ctx(ctx.clone());
+        for &(r, c, v) in &t {
+            m.insert(r, c, v);
+        }
+        m.flush();
+        let layers: Vec<_> = m.level_slots().iter().flatten().cloned().collect();
+        prop_assert_eq!(layers.len(), usize::from(!t.is_empty()));
+        let layer = layers.into_iter().next().unwrap_or_else(|| Dcsr::empty(N, N));
+        prop_assert_eq!(&m.snapshot(), &layer);
+        prop_assert_eq!(&m.delta_snapshot(), &layer);
+        prop_assert_eq!(&m.snapshot(), &layer, "the sealed copy is the one layer now");
+        prop_assert_eq!(ctx.metrics().snapshot().kernel(Kernel::StreamMerge).calls, 0);
+    }
+
+    /// `rotate` ≡ `delta_snapshot` + `snapshot` + `reset`, whether or not
+    /// a delta cut the window, and says which it was.
+    #[test]
+    fn rotate_equals_delta_then_snapshot_then_reset(
+        t in events(),
+        delta_cuts in cut_points(),
+    ) {
+        let s = PlusTimes::<i64>::new();
+        let config = StreamConfig::new().with_buffer_cap(4).with_growth(2);
+        let mut a = StreamingMatrix::with_config(N, N, s, config);
+        let mut b = a.clone();
+        let mut cut = false;
+        for (i, &(r, c, v)) in t.iter().enumerate() {
+            if delta_cuts.contains(&i) {
+                cut |= a.delta_snapshot().nnz() > 0;
+                b.delta_snapshot();
+            }
+            a.insert(r, c, v);
+            b.insert(r, c, v);
+        }
+        let delta = b.delta_snapshot();
+        let closing = b.snapshot();
+        b.reset();
+        let (got_closing, got_delta) = a.rotate();
+        prop_assert_eq!(&got_closing, &closing);
+        prop_assert_eq!(&got_closing, &flat(&t, s));
+        prop_assert_eq!(got_delta.is_some(), cut, "a delta is reported iff one cut the window");
+        prop_assert_eq!(got_delta.as_ref().unwrap_or(&got_closing), &delta);
+        prop_assert_eq!(a.snapshot().nnz(), 0);
+        prop_assert_eq!(a.delta_watermark(), b.delta_watermark());
+        prop_assert_eq!(a.delta_watermark(), a.inserted());
+    }
 }

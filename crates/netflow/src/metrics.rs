@@ -19,6 +19,8 @@ pub struct NetflowMetrics {
     queries: AtomicU64,
     errors: AtomicU64,
     detections: AtomicU64,
+    detector_state_answers: AtomicU64,
+    detector_rescans: AtomicU64,
     latency: [Histogram; NetflowQueryClass::ALL.len()],
 }
 
@@ -38,6 +40,17 @@ impl NetflowMetrics {
         self.latency[class.index()].record(elapsed);
     }
 
+    /// Record which path answered one detector query: the maintained
+    /// degree state, or a rescan of the window's matrix.
+    pub fn record_detector_path(&self, from_state: bool) {
+        let counter = if from_state {
+            &self.detector_state_answers
+        } else {
+            &self.detector_rescans
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Record one failed query.
     pub fn record_error(&self) {
         self.errors.fetch_add(1, Ordering::Relaxed);
@@ -51,6 +64,8 @@ impl NetflowMetrics {
             queries: self.queries.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             detections: self.detections.load(Ordering::Relaxed),
+            detector_state_answers: self.detector_state_answers.load(Ordering::Relaxed),
+            detector_rescans: self.detector_rescans.load(Ordering::Relaxed),
             latency: std::array::from_fn(|i| self.latency[i].snapshot()),
         }
     }
@@ -69,6 +84,13 @@ pub struct NetflowMetricsSnapshot {
     pub errors: u64,
     /// Endpoints flagged by detector queries, cumulative.
     pub detections: u64,
+    /// Detector queries answered from the maintained degree state (the
+    /// standing classes, and the window detectors on the last window
+    /// closed).
+    pub detector_state_answers: u64,
+    /// Detector queries answered by rescanning a window's matrix (older
+    /// retained windows, `refresh()` cuts).
+    pub detector_rescans: u64,
     /// Per-class latency, indexed like [`NetflowQueryClass::ALL`].
     pub latency: [HistogramSnapshot; NetflowQueryClass::ALL.len()],
 }
@@ -111,6 +133,16 @@ impl NetflowMetricsSnapshot {
                 "Endpoints flagged by detectors",
                 self.detections,
             ),
+            (
+                "netflow_detector_state_answers_total",
+                "Detector queries answered from maintained degree state",
+                self.detector_state_answers,
+            ),
+            (
+                "netflow_detector_rescans_total",
+                "Detector queries answered by rescanning a window",
+                self.detector_rescans,
+            ),
         ] {
             write_prometheus_header(&mut out, name, "counter", help);
             let _ = writeln!(out, "{name} {v}");
@@ -149,12 +181,16 @@ mod tests {
         m.record_query(NetflowQueryClass::ScanSuspects, Duration::from_micros(5), 2);
         m.record_query(NetflowQueryClass::TopTalkers, Duration::from_micros(3), 0);
         m.record_error();
+        m.record_detector_path(true);
+        m.record_detector_path(true);
+        m.record_detector_path(false);
         let s = m.snapshot();
         assert_eq!(s.windows_closed, 2);
         assert_eq!(s.window_events, 150);
         assert_eq!(s.queries, 2);
         assert_eq!(s.errors, 1);
         assert_eq!(s.detections, 2);
+        assert_eq!((s.detector_state_answers, s.detector_rescans), (2, 1));
         assert_eq!(s.class(NetflowQueryClass::ScanSuspects).count(), 1);
         assert_eq!(s.class(NetflowQueryClass::DdosVictims).count(), 0);
     }
@@ -163,9 +199,13 @@ mod tests {
     fn prometheus_exposition_is_labelled_per_detector() {
         let m = NetflowMetrics::default();
         m.record_query(NetflowQueryClass::DdosVictims, Duration::from_micros(7), 1);
+        m.record_detector_path(false);
         let text = m.snapshot().render_prometheus();
         assert!(text.contains("# TYPE netflow_windows_closed_total counter"));
         assert!(text.contains("netflow_detections_total 1"));
+        assert!(text.contains("# TYPE netflow_detector_state_answers_total counter"));
+        assert!(text.contains("netflow_detector_state_answers_total 0"));
+        assert!(text.contains("netflow_detector_rescans_total 1"));
         assert!(text.contains("netflow_query_latency_seconds_bucket{detector=\"ddos_victims\""));
         assert!(!text.contains("detector=\"rollup\""));
     }

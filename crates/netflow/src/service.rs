@@ -23,9 +23,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use graph::incremental::DegreeState;
+use graph::netsec::flag_degrees;
 use hyperspace_core::cidr::{self, RollupAxes};
 use hypersparse::ops as kernels;
-use hypersparse::{Dcsr, Ix, OpCtx};
+use hypersparse::{Ix, OpCtx, SparseVec};
 use pipeline::{EpochSnapshot, PipelineConfig, StandingView};
 use semiring::{PlusMonoid, PlusTimes};
 use serve::{QueryServer, ViewSchema};
@@ -33,7 +34,7 @@ use serve::{QueryServer, ViewSchema};
 use crate::error::NetflowError;
 use crate::gen::FlowEvent;
 use crate::metrics::{NetflowMetrics, NetflowMetricsSnapshot};
-use crate::query::{NetflowBody, NetflowQuery, NetflowResponse};
+use crate::query::{NetflowBody, NetflowQuery, NetflowQueryClass, NetflowResponse};
 use crate::window::{TrafficSemiring, TrafficWindows, IP_SPACE};
 
 /// Service parameters.
@@ -98,15 +99,15 @@ pub struct WindowReport {
     pub ddos_victims: Vec<(String, u64)>,
 }
 
-/// The incrementally maintained detector state behind the
-/// `Standing*` query classes: one [`DegreeState`] folding every delta
-/// wave the pipeline publishes, registered as a [`StandingView`] so it
-/// updates at snapshot cuts (and the final cut of a closing window)
-/// and resets when the window rotates. Answering a standing detector
-/// query is then a threshold scan of maintained degrees — `O(Δ)` per
-/// epoch instead of rescanning the accumulated window.
+/// The incrementally maintained detector state: one [`DegreeState`]
+/// folding every delta wave the pipeline publishes, registered as a
+/// [`StandingView`] so it updates at snapshot cuts (and the final cut
+/// of a closing window) and resets when the window rotates. The
+/// `Standing*` query classes threshold the live degrees; rotation keeps
+/// the finished degrees as the closed window's verdict, so judging the
+/// window that just closed is a threshold scan too, not a rescan.
 struct StandingDetectors {
-    state: Mutex<DegreeState>,
+    state: Mutex<DetectorState>,
     /// Epoch of the last absorbed delta (what standing answers are
     /// stamped with).
     epoch: AtomicU64,
@@ -115,16 +116,34 @@ struct StandingDetectors {
     ctx: Arc<OpCtx>,
 }
 
+struct DetectorState {
+    /// The open window's degrees.
+    live: DegreeState,
+    /// The last closed window: its epoch and finished
+    /// `(fan_out, fan_in)` degrees.
+    closed: Option<(u64, SparseVec<u64>, SparseVec<u64>)>,
+}
+
+/// Which degree vector a detector thresholds.
+#[derive(Clone, Copy)]
+enum Axis {
+    FanOut,
+    FanIn,
+}
+
 impl StandingDetectors {
     fn new(ctx: Arc<OpCtx>) -> Self {
         StandingDetectors {
-            state: Mutex::new(DegreeState::new(IP_SPACE, IP_SPACE)),
+            state: Mutex::new(DetectorState {
+                live: DegreeState::new(IP_SPACE, IP_SPACE),
+                closed: None,
+            }),
             epoch: AtomicU64::new(0),
             ctx,
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, DegreeState> {
+    fn lock(&self) -> MutexGuard<'_, DetectorState> {
         // A panic mid-detector cannot leave the degree state torn
         // (apply_delta mutates through &mut but each field assignment
         // is whole-value), so recover the guard rather than poisoning
@@ -135,16 +154,43 @@ impl StandingDetectors {
     fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
     }
+
+    /// Threshold the open window's maintained degrees.
+    fn flag_live(&self, axis: Axis, threshold: u64) -> Vec<(Ix, u64)> {
+        let state = self.lock();
+        match axis {
+            Axis::FanOut => state.live.scan_suspects(threshold),
+            Axis::FanIn => state.live.ddos_victims(threshold),
+        }
+    }
+
+    /// Threshold the degrees rotation kept for window `epoch`; `None`
+    /// when that is not the last window closed.
+    fn flag_closed(&self, epoch: u64, axis: Axis, threshold: u64) -> Option<Vec<(Ix, u64)>> {
+        let state = self.lock();
+        let (_, fan_out, fan_in) = state.closed.as_ref().filter(|c| c.0 == epoch)?;
+        Some(flag_degrees(
+            match axis {
+                Axis::FanOut => fan_out,
+                Axis::FanIn => fan_in,
+            },
+            threshold,
+        ))
+    }
 }
 
 impl StandingView<TrafficSemiring> for StandingDetectors {
     fn apply_delta(&self, delta: &EpochSnapshot<TrafficSemiring>) {
-        self.lock().apply_delta_ctx(&self.ctx, delta.dcsr());
+        self.lock().live.apply_delta_ctx(&self.ctx, delta.dcsr());
         self.epoch.store(delta.epoch(), Ordering::Release);
     }
 
     fn reset(&self) {
-        self.lock().reset();
+        // Rotation applied the closing delta (stamping `epoch`) just
+        // before this call: the live degrees are the closed window's.
+        let mut state = self.lock();
+        let (fan_out, fan_in) = state.live.take_degrees();
+        state.closed = Some((self.epoch(), fan_out, fan_in));
     }
 }
 
@@ -253,6 +299,9 @@ impl NetflowService {
 
     /// Answer a typed netflow query against an already-held window
     /// snapshot (e.g. the return value of [`NetflowService::close_window`]).
+    /// The two window detectors read the last closed window's verdict
+    /// from the degree state rotation already built; any other snapshot
+    /// (an older retained window, a `refresh()` cut) is rescanned.
     pub fn query_snapshot(
         &self,
         snap: &Arc<EpochSnapshot<TrafficSemiring>>,
@@ -261,15 +310,10 @@ impl NetflowService {
         if let Some(resp) = self.answer_standing(q) {
             return resp;
         }
-        let class = q.class();
         let t = Instant::now();
-        let a = snap.dcsr();
-        let body = self.answer(a, q);
-        let flagged = match &body {
-            NetflowBody::Flagged(v) => v.len() as u64,
-            _ => 0,
-        };
-        self.metrics.record_query(class, t.elapsed(), flagged);
+        let body = self.answer(snap, q);
+        let flagged = body.as_flagged().map_or(0, |v| v.len() as u64);
+        self.metrics.record_query(q.class(), t.elapsed(), flagged);
         NetflowResponse {
             epoch: snap.epoch(),
             body,
@@ -281,27 +325,55 @@ impl NetflowService {
     /// wave's). Returns `None` for snapshot-backed queries.
     fn answer_standing(&self, q: &NetflowQuery) -> Option<NetflowResponse> {
         let t = Instant::now();
-        let ip = |i: Ix| cidr::ip_key(i as u32);
-        let flagged = match *q {
-            NetflowQuery::StandingScanSuspects { min_fanout } => {
-                self.standing.lock().scan_suspects(min_fanout)
-            }
-            NetflowQuery::StandingDdosVictims { min_fanin } => {
-                self.standing.lock().ddos_victims(min_fanin)
-            }
+        let (axis, threshold) = match *q {
+            NetflowQuery::StandingScanSuspects { min_fanout } => (Axis::FanOut, min_fanout),
+            NetflowQuery::StandingDdosVictims { min_fanin } => (Axis::FanIn, min_fanin),
             _ => return None,
         };
+        let flagged = self.flag(axis, threshold, None);
         self.metrics
             .record_query(q.class(), t.elapsed(), flagged.len() as u64);
         Some(NetflowResponse {
             epoch: self.standing.epoch(),
-            body: NetflowBody::Flagged(flagged.into_iter().map(|(i, d)| (ip(i), d)).collect()),
+            body: NetflowBody::Flagged(flagged),
         })
+    }
+
+    /// One detector, one path: the flagged `(endpoint, degree)` pairs of
+    /// the open window (`window = None`) or of a held one. A held window
+    /// is answered from the degrees rotation kept when it is the last
+    /// one closed, and rescanned otherwise; the two
+    /// `netflow_detector_*_total` counters say which.
+    fn flag(
+        &self,
+        axis: Axis,
+        threshold: u64,
+        window: Option<&EpochSnapshot<TrafficSemiring>>,
+    ) -> Vec<(String, u64)> {
+        let (hits, maintained) = match window {
+            None => (self.standing.flag_live(axis, threshold), true),
+            Some(snap) => match self.standing.flag_closed(snap.epoch(), axis, threshold) {
+                Some(hits) => (hits, true),
+                None => {
+                    let a = snap.dcsr();
+                    let hits = match axis {
+                        Axis::FanOut => graph::netsec::scan_suspects_ctx(&self.ctx, a, threshold),
+                        Axis::FanIn => graph::netsec::ddos_victims_ctx(&self.ctx, a, threshold),
+                    };
+                    (hits, false)
+                }
+            },
+        };
+        self.metrics.record_detector_path(maintained);
+        hits.into_iter()
+            .map(|(i, d)| (cidr::ip_key(i as u32), d))
+            .collect()
     }
 
     /// The kernel dispatch: every arm runs `_ctx` kernels on the
     /// service's detector context.
-    fn answer(&self, a: &Dcsr<u64>, q: &NetflowQuery) -> NetflowBody {
+    fn answer(&self, snap: &EpochSnapshot<TrafficSemiring>, q: &NetflowQuery) -> NetflowBody {
+        let a = snap.dcsr();
         let ip = |i: Ix| cidr::ip_key(i as u32);
         match *q {
             NetflowQuery::TopTalkers { k } => NetflowBody::Volumes(
@@ -316,18 +388,18 @@ impl NetflowService {
                     .map(|(i, v)| (ip(i), v))
                     .collect(),
             ),
-            NetflowQuery::ScanSuspects { min_fanout } => NetflowBody::Flagged(
-                graph::netsec::scan_suspects_ctx(&self.ctx, a, min_fanout)
-                    .into_iter()
-                    .map(|(i, d)| (ip(i), d))
-                    .collect(),
-            ),
-            NetflowQuery::DdosVictims { min_fanin } => NetflowBody::Flagged(
-                graph::netsec::ddos_victims_ctx(&self.ctx, a, min_fanin)
-                    .into_iter()
-                    .map(|(i, d)| (ip(i), d))
-                    .collect(),
-            ),
+            NetflowQuery::ScanSuspects { min_fanout } => {
+                NetflowBody::Flagged(self.flag(Axis::FanOut, min_fanout, Some(snap)))
+            }
+            NetflowQuery::DdosVictims { min_fanin } => {
+                NetflowBody::Flagged(self.flag(Axis::FanIn, min_fanin, Some(snap)))
+            }
+            NetflowQuery::StandingScanSuspects { min_fanout } => {
+                NetflowBody::Flagged(self.flag(Axis::FanOut, min_fanout, None))
+            }
+            NetflowQuery::StandingDdosVictims { min_fanin } => {
+                NetflowBody::Flagged(self.flag(Axis::FanIn, min_fanin, None))
+            }
             NetflowQuery::SuspectTraffic { ref sources } => {
                 let rows: Vec<Ix> = sources.iter().map(|&s| Ix::from(s)).collect();
                 NetflowBody::Flows(
@@ -361,10 +433,6 @@ impl NetflowService {
                         .collect(),
                 )
             }
-            NetflowQuery::StandingScanSuspects { .. }
-            | NetflowQuery::StandingDdosVictims { .. } => {
-                unreachable!("standing queries answer from maintained state before dispatch")
-            }
         }
     }
 
@@ -382,28 +450,25 @@ impl NetflowService {
         &self,
         snap: &Arc<EpochSnapshot<TrafficSemiring>>,
     ) -> Result<WindowReport, NetflowError> {
-        let scans = self.query_snapshot(
-            snap,
-            &NetflowQuery::ScanSuspects {
-                min_fanout: self.config.scan_fanout,
-            },
-        );
-        let ddos = self.query_snapshot(
-            snap,
-            &NetflowQuery::DdosVictims {
-                min_fanin: self.config.ddos_fanin,
-            },
-        );
+        let timed = |class, axis, threshold| {
+            let t = Instant::now();
+            let flagged = self.flag(axis, threshold, Some(snap));
+            self.metrics
+                .record_query(class, t.elapsed(), flagged.len() as u64);
+            flagged
+        };
         Ok(WindowReport {
             epoch: snap.epoch(),
-            scan_suspects: match scans.body {
-                NetflowBody::Flagged(v) => v,
-                _ => unreachable!("scan query answers Flagged"),
-            },
-            ddos_victims: match ddos.body {
-                NetflowBody::Flagged(v) => v,
-                _ => unreachable!("ddos query answers Flagged"),
-            },
+            scan_suspects: timed(
+                NetflowQueryClass::ScanSuspects,
+                Axis::FanOut,
+                self.config.scan_fanout,
+            ),
+            ddos_victims: timed(
+                NetflowQueryClass::DdosVictims,
+                Axis::FanIn,
+                self.config.ddos_fanin,
+            ),
         })
     }
 
@@ -674,6 +739,55 @@ mod tests {
     }
 
     #[test]
+    fn closing_verdict_reads_maintained_state_and_older_windows_rescan() {
+        let svc = NetflowService::new(
+            NetflowConfig::new()
+                .with_pipeline(PipelineConfig::new().with_shards(2))
+                .with_thresholds(3, 3),
+        );
+        let scan = NetflowQuery::ScanSuspects { min_fanout: 3 };
+        let ddos = NetflowQuery::DdosVictims { min_fanin: 3 };
+        // Window 1: a scanner. Window 2 (cut by a delta wave): a DDoS.
+        svc.ingest(&[(7, 100, 1), (7, 101, 1), (7, 102, 2), (1, 2, 5)])
+            .unwrap();
+        let first = svc.close_window().unwrap();
+        let report = svc.detect_snapshot(&first).unwrap();
+        assert_eq!(report.scan_suspects, [("000.000.000.007".to_string(), 3)]);
+        assert!(report.ddos_victims.is_empty());
+        let m = svc.metrics();
+        assert_eq!((m.detector_state_answers, m.detector_rescans), (2, 0));
+        // Any threshold reads the same kept degrees.
+        let all = svc
+            .query_snapshot(&first, &NetflowQuery::ScanSuspects { min_fanout: 1 })
+            .body;
+        assert_eq!(all.as_flagged().unwrap().len(), 2);
+
+        svc.ingest(&[(3, 50, 1), (4, 50, 1)]).unwrap();
+        svc.refresh().unwrap();
+        svc.ingest(&[(5, 50, 1), (3, 50, 7)]).unwrap();
+        let second = svc.close_window().unwrap();
+        let victims = svc.query_snapshot(&second, &ddos).body;
+        assert_eq!(
+            victims.as_flagged().unwrap(),
+            &[("000.000.000.050".to_string(), 3)]
+        );
+        assert_eq!(svc.metrics().detector_rescans, 0);
+
+        // The older window is no longer the one the state describes: it
+        // is rescanned, and says what it said when it closed.
+        let again = svc.query_window(first.epoch(), &scan).unwrap().body;
+        assert_eq!(again.as_flagged().unwrap(), report.scan_suspects);
+        assert!(svc
+            .query_snapshot(&first, &ddos)
+            .body
+            .as_flagged()
+            .unwrap()
+            .is_empty());
+        assert_eq!(svc.metrics().detector_rescans, 2);
+        svc.shutdown().unwrap();
+    }
+
+    #[test]
     fn prometheus_exposition_spans_all_layers() {
         let svc = service(1);
         svc.ingest(&[(1, 2, 1)]).unwrap();
@@ -687,6 +801,10 @@ mod tests {
             "serve_queries_total",
             "netflow_windows_closed_total",
             "netflow_query_latency_seconds_bucket{detector=\"scan_suspects\"",
+            // The newest closed window's verdict came from the state
+            // rotation built, not from a rescan.
+            "netflow_detector_state_answers_total 1",
+            "netflow_detector_rescans_total 0",
         ] {
             assert!(text.contains(needle), "missing {needle} in exposition");
         }

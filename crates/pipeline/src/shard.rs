@@ -29,6 +29,13 @@ use crate::value::PodValue;
 /// complete fold paired with the entries since the previous watermark.
 pub(crate) type FullAndDelta<S> = (Dcsr<<S as Semiring>::Value>, Dcsr<<S as Semiring>::Value>);
 
+/// Reply payload of a rotation marker: the closing window's fold and,
+/// when it differs from it, the closing delta.
+pub(crate) type ClosingAndDelta<S> = (
+    Dcsr<<S as Semiring>::Value>,
+    Option<Dcsr<<S as Semiring>::Value>>,
+);
+
 /// One message on a shard's command channel.
 pub(crate) enum Command<S: Semiring> {
     /// A single event (the common `ingest` path — no per-event Vec).
@@ -55,11 +62,13 @@ pub(crate) enum Command<S: Semiring> {
     /// so subsequent ingest starts the next window. The reply pairs the
     /// closing window's contents with the closing *delta* (entries since
     /// the last watermark), so standing views can absorb the window's
-    /// tail before resetting. Everything enqueued behind the marker
-    /// lands in the new window.
+    /// tail before resetting — `None` when no delta wave cut this
+    /// shard's window, i.e. the closing delta *is* the closing window
+    /// ([`StreamingMatrix::rotate`]). Everything enqueued behind the
+    /// marker lands in the new window.
     Rotate {
         /// Where to deliver `(closing window fold, closing delta)`.
-        reply: Sender<FullAndDelta<S>>,
+        reply: Sender<ClosingAndDelta<S>>,
     },
     /// Checkpoint marker: flush, serialize the hierarchy, write the
     /// shard file, reply with its manifest record.
@@ -176,10 +185,7 @@ fn run_worker<S: Semiring>(
             }
             Command::Rotate { reply } => {
                 let _span = span("shard_rotate", format!("shard {index}"));
-                let delta = stream.delta_snapshot();
-                let closing = stream.snapshot();
-                stream.reset();
-                let _ = reply.send((closing, delta));
+                let _ = reply.send(stream.rotate());
             }
             Command::Checkpoint {
                 dir,

@@ -114,7 +114,10 @@ impl<S: Semiring> StandingRegistry<S> {
 
     /// Feed one epoch's delta to every view, metering each application.
     pub(crate) fn apply(&self, delta: &EpochSnapshot<S>) {
-        let views = self.views.lock().unwrap_or_else(|e| e.into_inner());
+        Self::apply_to(&self.views.lock().unwrap_or_else(|e| e.into_inner()), delta);
+    }
+
+    fn apply_to(views: &[Registered<S>], delta: &EpochSnapshot<S>) {
         for reg in views.iter() {
             let t = Instant::now();
             reg.view.apply_delta(delta);
@@ -124,9 +127,12 @@ impl<S: Semiring> StandingRegistry<S> {
         }
     }
 
-    /// Reset every view (window rotation, after the closing delta).
-    pub(crate) fn reset_all(&self) {
+    /// Window rotation: feed every view the closing delta, then reset
+    /// it. One hold of the registration lock covers both, so no other
+    /// wave's delta can land between a view's last delta and its reset.
+    pub(crate) fn close(&self, delta: &EpochSnapshot<S>) {
         let views = self.views.lock().unwrap_or_else(|e| e.into_inner());
+        Self::apply_to(&views, delta);
         for reg in views.iter() {
             reg.view.reset();
         }
@@ -243,9 +249,9 @@ mod tests {
         assert!(!reg.is_empty());
 
         reg.apply(&delta_of(3, 1));
-        reg.apply(&delta_of(2, 2));
+        // Rotation: the closing delta lands, then the reset.
+        reg.close(&delta_of(2, 2));
         assert_eq!(view.total.load(Ordering::Relaxed), 5);
-        reg.reset_all();
         assert_eq!(view.resets.load(Ordering::Relaxed), 1);
 
         let stats = reg.stats();
@@ -267,6 +273,6 @@ mod tests {
         assert!(reg.render_prometheus().is_empty());
         // Applying with no views is a no-op, not an error.
         reg.apply(&delta_of(1, 1));
-        reg.reset_all();
+        reg.close(&delta_of(1, 2));
     }
 }

@@ -60,7 +60,13 @@ fn live_pipeline_records_stages_and_spans() {
     let s = PlusTimes::<f64>::new();
     let dir = std::env::temp_dir().join(format!("pipeline-obs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let p = Pipeline::with_config(1 << 16, 1 << 16, s, PipelineConfig::new().with_shards(2));
+    // A 64-event buffer makes each shard's hierarchy hold several
+    // layers, so cascades and the snapshot fold really merge (a lone
+    // layer is its own fold and costs no merge).
+    let config = PipelineConfig::new()
+        .with_shards(2)
+        .with_stream(hypersparse::StreamConfig::new().with_buffer_cap(64));
+    let p = Pipeline::with_config(1 << 16, 1 << 16, s, config);
     p.set_trace_mode(TraceMode::Full);
 
     for i in 0..200u64 {

@@ -20,6 +20,9 @@ use hyperspace::semiring::PlusMonoid;
 const HOSTS: u64 = 1 << 20; // 2^20-host key space, hypersparse
 const EVENTS_PER_FEED: u64 = 50_000;
 const FEEDS: u64 = 4;
+/// Events per `ingest_batch` call: one channel message per shard per
+/// batch instead of one per event (5–10× cheaper per event).
+const BATCH: u64 = 1_024;
 
 /// Deterministic pseudo-flow: (src, dst, bytes) for feed `t`, step `i`.
 fn flow(t: u64, i: u64) -> (u64, u64, f64) {
@@ -62,13 +65,17 @@ fn main() {
         .map(|t| {
             let p = Arc::clone(&p);
             std::thread::spawn(move || {
-                for i in 0..EVENTS_PER_FEED {
-                    let (src, dst, bytes) = flow(t, i);
-                    // Backpressure-aware ingest: try first, fall back to
-                    // blocking when the shard is saturated.
+                for start in (0..EVENTS_PER_FEED).step_by(BATCH as usize) {
+                    let mut batch =
+                        (start..(start + BATCH).min(EVENTS_PER_FEED)).map(|i| flow(t, i));
+                    // Backpressure-aware ingest, shown on the batch's
+                    // first event: try first, fall back to blocking when
+                    // the shard is saturated. The rest goes in one call.
+                    let (src, dst, bytes) = batch.next().expect("non-empty batch");
                     if let Err(PipelineError::Full { .. }) = p.try_ingest(src, dst, bytes) {
                         p.ingest(src, dst, bytes).unwrap();
                     }
+                    p.ingest_batch(batch).unwrap();
                 }
             })
         })

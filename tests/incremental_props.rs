@@ -5,8 +5,9 @@
 //!    delta waves (degree state, triangle state, PageRank refresh) gives
 //!    exactly the same answer as the from-scratch algorithm on the full
 //!    snapshot at every wave — including across `Rotate`, where the
-//!    closing delta folds exactly once and the state then resets with
-//!    the window.
+//!    closing delta folds exactly once — whether the shards replied
+//!    fold-once, cut, or a mix — and the state then resets with the
+//!    window.
 //! 2. **Shard invariance.** The whole evolution — every wave's degrees,
 //!    triangle counts, detector flags, and refreshed PageRank vector —
 //!    is bit-identical at 1, 2, and 4 shards.
@@ -25,10 +26,16 @@ const N: Ix = 64;
 
 type S = PlusTimes<u64>;
 
+/// `(fan_out, fan_in, triangles)` of a window.
+type WindowState = (SparseVec<u64>, SparseVec<u64>, u64);
+
 /// Both incremental states behind one standing-view registration, the
 /// way a real service wires them.
 struct TestView {
     state: Mutex<(DegreeState, TriangleState)>,
+    /// The state as it stood at the last reset: what it had folded of
+    /// the window that closed.
+    at_reset: Mutex<Option<WindowState>>,
     resets: AtomicU64,
 }
 
@@ -36,6 +43,7 @@ impl TestView {
     fn new() -> Self {
         TestView {
             state: Mutex::new((DegreeState::new(N, N), TriangleState::new(N))),
+            at_reset: Mutex::new(None),
             resets: AtomicU64::new(0),
         }
     }
@@ -54,10 +62,34 @@ impl StandingView<S> for TestView {
 
     fn reset(&self) {
         let mut g = self.lock();
-        g.0.reset();
+        let (fan_out, fan_in) = g.0.take_degrees();
+        *self.at_reset.lock().unwrap() = Some((fan_out, fan_in, g.1.count()));
         g.1.reset();
         self.resets.fetch_add(1, Ordering::SeqCst);
     }
+}
+
+/// Rotate, then check the closing window against the flat COO fold of
+/// `events` and what the view had folded at its reset against the
+/// from-scratch algorithms on that window.
+fn rotate_and_check(
+    p: &Pipeline<S>,
+    view: &TestView,
+    events: &[(Ix, Ix, u64)],
+) -> Result<(), String> {
+    let closed = p.rotate_shared().unwrap();
+    let mut coo = Coo::new(N, N);
+    coo.extend(events.iter().copied());
+    prop_assert_eq!(closed.dcsr(), &coo.build_dcsr(PlusTimes::<u64>::new()));
+    let (fan_out, fan_in, tri) = view.at_reset.lock().unwrap().take().expect("reset ran");
+    prop_assert_eq!(&fan_out, &netsec::fan_out(closed.dcsr()));
+    prop_assert_eq!(&fan_in, &netsec::fan_in(closed.dcsr()));
+    let sym = symmetrize(&pattern_f64(closed.dcsr()), PlusTimes::<f64>::new());
+    prop_assert_eq!(tri, triangles::triangle_count(&sym));
+    let g = view.lock();
+    prop_assert!(g.0.fan_out().is_empty());
+    prop_assert_eq!(g.1.count(), 0);
+    Ok(())
 }
 
 fn waves() -> impl Strategy<Value = Vec<Vec<(Ix, Ix, u64)>>> {
@@ -125,19 +157,34 @@ proptest! {
                 prior = refreshed;
             }
 
-            // Rotation: the closing delta folds exactly once (the state
-            // right before the reset saw the whole window), then the
-            // state resets with the window.
+            // Cut rotation: the waves above sealed deltas on the shards
+            // they reached, so the closing delta is only the tail — and
+            // the state right before its reset had seen the whole window.
             for &(r, c, v) in &extra {
                 p.ingest(r, c, v).unwrap();
             }
-            p.rotate_shared().unwrap();
+            let window: Vec<_> = ws.iter().flatten().chain(&extra).copied().collect();
+            rotate_and_check(&p, &view, &window)?;
             prop_assert_eq!(view.resets.load(Ordering::SeqCst), 1);
-            {
-                let g = view.lock();
-                prop_assert!(g.0.fan_out().is_empty());
-                prop_assert_eq!(g.1.count(), 0);
+
+            // Fold-once rotation: no wave cut this window, the closing
+            // delta is the closing window itself.
+            for &(r, c, v) in &extra {
+                p.ingest(r, c, v).unwrap();
             }
+            rotate_and_check(&p, &view, &extra)?;
+
+            // Mixed rotation: a wave that finds one row's shard occupied
+            // and every other shard empty, then traffic for all of them.
+            let head = [(extra[0].0, extra[0].1, 3u64)];
+            p.ingest(head[0].0, head[0].1, head[0].2).unwrap();
+            p.snapshot_incremental().unwrap();
+            for &(r, c, v) in &extra {
+                p.ingest(r, c, v).unwrap();
+            }
+            let window: Vec<_> = head.iter().chain(&extra).copied().collect();
+            rotate_and_check(&p, &view, &window)?;
+            prop_assert_eq!(view.resets.load(Ordering::SeqCst), 3);
 
             // The next window starts clean: state ≡ scratch over the new
             // window only, with no bleed-through from the rotated one.

@@ -12,11 +12,17 @@
 //! 3. **Detector determinism.** The full service — generator → sharded
 //!    ingest → rotation → detectors and analytics queries — answers
 //!    bit-identically at 1, 2, and 4 shards.
+//! 4. **Closing verdict ≡ rescan.** The verdict on the window that just
+//!    closed is read from the degree state rotation built; it equals the
+//!    from-scratch detectors on the same snapshot however many
+//!    `refresh()` waves cut the window, and older retained windows —
+//!    which are rescanned — still answer what they answered.
 
+use graph::netsec;
 use hyperspace::prelude::*;
 use hyperspace_core::cidr;
 use hypersparse::Ix;
-use netflow::{FlowEvent, NetflowBody, IP_SPACE};
+use netflow::{FlowEvent, NetflowBody, WindowReport, IP_SPACE};
 use proptest::prelude::*;
 
 /// Flat reference build: one window's events straight into COO.
@@ -37,8 +43,115 @@ fn windows() -> impl Strategy<Value = Vec<Vec<FlowEvent>>> {
     )
 }
 
+/// Windows as 1–4 parts of events; a `refresh()` wave runs between
+/// parts, so a window is cut by 0–3 of them. Small key ranges give
+/// degrees worth thresholding; empty parts and windows are allowed.
+fn cut_windows() -> impl Strategy<Value = Vec<Vec<Vec<FlowEvent>>>> {
+    let part = proptest::collection::vec((0..24u32, 0..24u32, 1u64..9), 0..40);
+    proptest::collection::vec(proptest::collection::vec(part, 1..5), 1..4)
+}
+
+/// The from-scratch verdict on one window snapshot: the oracle.
+fn rescan(
+    ctx: &OpCtx,
+    snap: &EpochSnapshot<PlusTimes<u64>>,
+    (scan, ddos): (u64, u64),
+) -> WindowReport {
+    let keyed = |hits: Vec<(Ix, u64)>| {
+        hits.into_iter()
+            .map(|(i, d)| (cidr::ip_key(i as u32), d))
+            .collect()
+    };
+    WindowReport {
+        epoch: snap.epoch(),
+        scan_suspects: keyed(netsec::scan_suspects_ctx(ctx, snap.dcsr(), scan)),
+        ddos_victims: keyed(netsec::ddos_victims_ctx(ctx, snap.dcsr(), ddos)),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Invariant 4: `detect_snapshot(&close_window())` comes from the
+    /// maintained state and equals the rescan, for windows cut by 0–3
+    /// delta waves (one of them reaching shards that hold nothing yet),
+    /// an empty window closed straight after another close, and at
+    /// every shard count; an older window's answer is the rescan's.
+    #[test]
+    fn closing_verdict_equals_rescan(
+        ws in cut_windows(),
+        thresholds in (1u64..6, 1u64..6),
+        seed in 0..u64::MAX,
+    ) {
+        // One generated window with labelled episodes, cut like the rest.
+        let gen = TrafficGen::new(
+            GenConfig::new()
+                .with_hosts(64)
+                .with_events_per_window(300)
+                .with_seed(seed)
+                .with_scan(0, 40)
+                .with_ddos(0, 40),
+        );
+        let generated: Vec<Vec<FlowEvent>> =
+            gen.window(0).chunks(100).map(<[FlowEvent]>::to_vec).collect();
+        // A wave that finds all but one shard empty, then traffic for all.
+        let lopsided = vec![vec![(7, 1, 1), (7, 2, 1), (7, 3, 1)], vec![(1, 7, 1), (2, 7, 1), (3, 3, 1)]];
+        let windows: Vec<&Vec<Vec<FlowEvent>>> = ws
+            .iter()
+            .chain([&generated, &lopsided])
+            .collect();
+        let ctx = OpCtx::new();
+        for shards in [1usize, 2, 4] {
+            let svc = netflow::NetflowService::new(
+                NetflowConfig::new()
+                    .with_thresholds(thresholds.0, thresholds.1)
+                    .with_retain_windows(64)
+                    .with_pipeline(PipelineConfig::new().with_shards(shards)),
+            );
+            let mut verdicts = Vec::new();
+            let mut judge = |svc: &netflow::NetflowService| {
+                let snap = svc.close_window().unwrap();
+                let report = svc.detect_snapshot(&snap).unwrap();
+                let want = rescan(&ctx, &snap, thresholds);
+                verdicts.push(want.clone());
+                (report, want)
+            };
+            for parts in &windows {
+                for (i, part) in parts.iter().enumerate() {
+                    if i > 0 {
+                        svc.refresh().unwrap();
+                    }
+                    svc.ingest(part).unwrap();
+                }
+                let (report, want) = judge(&svc);
+                prop_assert_eq!(report, want,
+                    "{} parts at {} shards", parts.len(), shards);
+            }
+            // Two closes back to back: an empty window, judged empty.
+            let (report, want) = judge(&svc);
+            prop_assert!(report.scan_suspects.is_empty() && report.ddos_victims.is_empty());
+            prop_assert_eq!(report, want);
+            // Every verdict so far came from maintained state.
+            prop_assert_eq!(svc.metrics().detector_rescans, 0);
+            prop_assert_eq!(svc.metrics().detector_state_answers, 2 * verdicts.len() as u64);
+
+            // Older windows are rescanned and answer as they did.
+            let older = &verdicts[..verdicts.len() - 1];
+            for want in older {
+                let scans = svc
+                    .query_window(want.epoch, &NetflowQuery::ScanSuspects { min_fanout: thresholds.0 })
+                    .unwrap();
+                prop_assert_eq!(scans.epoch, want.epoch);
+                prop_assert_eq!(scans.body.as_flagged().unwrap(), &want.scan_suspects[..]);
+                let ddos = svc
+                    .query_window(want.epoch, &NetflowQuery::DdosVictims { min_fanin: thresholds.1 })
+                    .unwrap();
+                prop_assert_eq!(ddos.body.as_flagged().unwrap(), &want.ddos_victims[..]);
+            }
+            prop_assert_eq!(svc.metrics().detector_rescans, 2 * older.len() as u64);
+            svc.shutdown().unwrap();
+        }
+    }
 
     /// Invariant 1: every closed window equals its flat reference, at
     /// every shard count, with ingest split into arbitrary batches.
