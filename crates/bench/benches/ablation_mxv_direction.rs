@@ -13,10 +13,8 @@
 use bench::{fmt_dur, quick_time};
 use criterion::Criterion;
 use hypersparse::gen::{ring_dcsr, rmat_dcsr, RmatParams};
-use hypersparse::ops::mxv::{
-    choose_direction, vxm_ctx, vxm_masked_opt_ctx, vxm_opt_ctx, vxm_pull_ctx, vxm_push_ctx,
-};
-use hypersparse::ops::transpose;
+use hypersparse::ops::mxv::{choose_direction, vxm_ctx, vxm_opt_ctx, vxm_pull_ctx};
+use hypersparse::ops::transpose_ctx;
 use hypersparse::{Dcsr, Ix, OpCtx, SparseVec};
 use semiring::PlusTimes;
 
@@ -65,7 +63,7 @@ fn bfs_shape(
     let mut visited = SparseVec::from_entries(g.nrows(), vec![(src, 1.0)], s());
     let mut frontier = visited.clone();
     for _ in 0..depth {
-        let next = vxm_masked_opt_ctx(ctx, &frontier, g, Some(gt), visited.indices(), s());
+        let next = vxm_opt_ctx(ctx, &frontier, g, Some(gt), Some(visited.indices()), s());
         if next.is_empty() {
             break;
         }
@@ -81,9 +79,9 @@ fn direction_table(name: &str, g: &Dcsr<f64>, gt: &Dcsr<f64>) {
     for k in [16usize, (n_rows / 64).max(1), n_rows] {
         let f = frontier_of(g, k);
         let dir = choose_direction(&f, g, true);
-        let (t_push, r_push) = quick_time(5, || vxm_push_ctx(&ctx, &f, g, s()));
+        let (t_push, r_push) = quick_time(5, || vxm_ctx(&ctx, &f, g, s()));
         let (t_pull, r_pull) = quick_time(5, || vxm_pull_ctx(&ctx, &f, gt, s()));
-        let (t_auto, _) = quick_time(5, || vxm_opt_ctx(&ctx, &f, g, Some(gt), s()));
+        let (t_auto, _) = quick_time(5, || vxm_opt_ctx(&ctx, &f, g, Some(gt), None, s()));
         assert_eq!(
             r_push.indices(),
             r_pull.indices(),
@@ -103,9 +101,9 @@ fn direction_table(name: &str, g: &Dcsr<f64>, gt: &Dcsr<f64>) {
 
 fn shape_report() {
     let g = rmat();
-    let gt = transpose(&g);
+    let gt = transpose_ctx(&OpCtx::new(), &g);
     let ring = ring_dcsr(1 << 14, s());
-    let ring_t = transpose(&ring);
+    let ring_t = transpose_ctx(&OpCtx::new(), &ring);
 
     println!("=== Ablation: direction-optimized vxm ===");
     println!(
@@ -121,10 +119,10 @@ fn shape_report() {
     let ctx = OpCtx::new();
     let (frontier, visited) = bfs_shape(&ctx, &g, &gt, 2);
     let (t_fused, r_fused) = quick_time(5, || {
-        vxm_masked_opt_ctx(&ctx, &frontier, &g, Some(&gt), visited.indices(), s())
+        vxm_opt_ctx(&ctx, &frontier, &g, Some(&gt), Some(visited.indices()), s())
     });
     let (t_unfused, r_unfused) = quick_time(5, || {
-        vxm_opt_ctx(&ctx, &frontier, &g, Some(&gt), s()).without(&visited)
+        vxm_opt_ctx(&ctx, &frontier, &g, Some(&gt), None, s()).without(&visited)
     });
     assert_eq!(r_fused, r_unfused, "mask fusion changed the result");
     println!(
@@ -188,9 +186,9 @@ fn shape_report() {
     // L ⊕.⊗ L masked by L (the Sandia triangle kernel) over the lower
     // triangle of the symmetrized rmat graph — the hot path that
     // graph::triangles drives.
-    let sym = hypersparse::ops::ewise_add(&g, &gt, s());
-    let l = hypersparse::ops::select(&sym, |r, c, _| c < r);
     let seq1 = OpCtx::new().with_threads(1);
+    let sym = hypersparse::ops::ewise_add_ctx(&seq1, &g, &gt, s());
+    let l = hypersparse::ops::select_ctx(&seq1, &sym, |r, c, _| c < r);
     let (t_mseq, r_mseq) = quick_time(3, || {
         hypersparse::ops::mxm_masked_ctx(&seq1, &l, &l, &l, false, s())
     });
@@ -217,7 +215,7 @@ fn shape_report() {
 
 fn criterion_benches(c: &mut Criterion) {
     let g = rmat();
-    let gt = transpose(&g);
+    let gt = transpose_ctx(&OpCtx::new(), &g);
     let ctx = OpCtx::new();
     let sparse = frontier_of(&g, 16);
     let dense = frontier_of(&g, usize::MAX);
@@ -226,22 +224,22 @@ fn criterion_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/mxv_direction");
     group.sample_size(10);
     group.bench_function("push_sparse_frontier", |b| {
-        b.iter(|| vxm_push_ctx(&ctx, &sparse, &g, s()))
+        b.iter(|| vxm_ctx(&ctx, &sparse, &g, s()))
     });
     group.bench_function("pull_sparse_frontier", |b| {
         b.iter(|| vxm_pull_ctx(&ctx, &sparse, &gt, s()))
     });
     group.bench_function("push_dense_frontier", |b| {
-        b.iter(|| vxm_push_ctx(&ctx, &dense, &g, s()))
+        b.iter(|| vxm_ctx(&ctx, &dense, &g, s()))
     });
     group.bench_function("pull_dense_frontier", |b| {
         b.iter(|| vxm_pull_ctx(&ctx, &dense, &gt, s()))
     });
     group.bench_function("masked_fused", |b| {
-        b.iter(|| vxm_masked_opt_ctx(&ctx, &frontier, &g, Some(&gt), visited.indices(), s()))
+        b.iter(|| vxm_opt_ctx(&ctx, &frontier, &g, Some(&gt), Some(visited.indices()), s()))
     });
     group.bench_function("masked_unfused_then_filter", |b| {
-        b.iter(|| vxm_opt_ctx(&ctx, &frontier, &g, Some(&gt), s()).without(&visited))
+        b.iter(|| vxm_opt_ctx(&ctx, &frontier, &g, Some(&gt), None, s()).without(&visited))
     });
     group.finish();
 }

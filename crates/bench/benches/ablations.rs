@@ -11,7 +11,7 @@ use bench::{fmt_dur, quick_time};
 use criterion::Criterion;
 use hypersparse::gen::{random_dcsr, rmat_dcsr, RmatParams};
 use hypersparse::ops::mxm::{multiply_rows_dense_acc, multiply_rows_hash_acc};
-use hypersparse::{Format, Matrix, SparseVec};
+use hypersparse::{Format, Matrix, OpCtx, SparseVec};
 use semiring::PlusTimes;
 
 fn s() -> PlusTimes<f64> {
@@ -56,8 +56,9 @@ fn shape_report() {
             1,
             s(),
         );
-        let (t_seq, c_seq) = quick_time(3, || hypersparse::ops::mxm_seq(&g, &g, s()));
-        let (t_par, c_par) = quick_time(3, || hypersparse::ops::mxm(&g, &g, s()));
+        let (seq, par) = (OpCtx::new().with_threads(1), OpCtx::new());
+        let (t_seq, c_seq) = quick_time(3, || hypersparse::ops::mxm_ctx(&seq, &g, &g, s()));
+        let (t_par, c_par) = quick_time(3, || hypersparse::ops::mxm_ctx(&par, &g, &g, s()));
         assert_eq!(c_seq, c_par, "parallel result differs at scale {scale}");
         println!(
             "| {:>5} | {:>8} | {:>10} | {:>10} | {:>6.2}x |",
@@ -112,12 +113,13 @@ fn shape_report() {
         // Baseline: maintain one flat matrix, ⊕-merging a fresh 1k-event
         // batch into it each time (the naive "update the big matrix"
         // pattern the hierarchical design replaces).
+        let ctx = OpCtx::new();
         let (t_rebuild, flat) = quick_time(1, || {
             let mut acc = hypersparse::Dcsr::<f64>::empty(n, n);
             for chunk in stream_events.chunks(1000) {
                 let mut coo = hypersparse::Coo::new(n, n);
                 coo.extend(chunk.iter().copied());
-                acc = hypersparse::ops::ewise_add(&acc, &coo.build_dcsr(s()), s());
+                acc = hypersparse::ops::ewise_add_ctx(&ctx, &acc, &coo.build_dcsr(s()), s());
             }
             acc
         });
@@ -145,11 +147,12 @@ fn criterion_benches(c: &mut Criterion) {
     );
     let mut group = c.benchmark_group("ablation/spgemm_scale12");
     group.sample_size(10);
+    let (seq, par) = (OpCtx::new().with_threads(1), OpCtx::new());
     group.bench_function("sequential", |b| {
-        b.iter(|| hypersparse::ops::mxm_seq(&g, &g, s()))
+        b.iter(|| hypersparse::ops::mxm_ctx(&seq, &g, &g, s()))
     });
     group.bench_function("parallel", |b| {
-        b.iter(|| hypersparse::ops::mxm(&g, &g, s()))
+        b.iter(|| hypersparse::ops::mxm_ctx(&par, &g, &g, s()))
     });
     group.finish();
 }

@@ -26,7 +26,7 @@ use criterion::Criterion;
 use graph::incremental::{DegreeState, TriangleState};
 use graph::pagerank::{pagerank, pagerank_refresh, PageRankOpts};
 use graph::{netsec, pattern_f64, symmetrize, triangles};
-use hypersparse::{Coo, Dcsr, Ix, StreamConfig, StreamingMatrix};
+use hypersparse::{Coo, Dcsr, Ix, OpCtx, StreamConfig, StreamingMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use semiring::PlusTimes;
@@ -144,7 +144,7 @@ fn shape_report() -> BenchRecord {
         let d = build(&wave(w as u64, BASE_EVENTS));
         deg.apply_delta(&d);
         tri.apply_delta(&d);
-        full = hypersparse::ops::ewise_add(&full, &d, s);
+        full = hypersparse::ops::ewise_add_ctx(&OpCtx::new(), &full, &d, s);
     }
     let mut inc_detect = Vec::new();
     let mut scr_detect = Vec::new();
@@ -152,7 +152,7 @@ fn shape_report() -> BenchRecord {
     let mut scr_tri = Vec::new();
     for i in 0..ITERS {
         let d = build(&wave(100 + i as u64, WAVE));
-        full = hypersparse::ops::ewise_add(&full, &d, s);
+        full = hypersparse::ops::ewise_add_ctx(&OpCtx::new(), &full, &d, s);
 
         let t = Instant::now();
         deg.apply_delta(&d);
@@ -202,7 +202,12 @@ fn shape_report() -> BenchRecord {
     let base = chain_graph();
     let prior = pagerank(&pattern_f64(&base), opts);
     let delta = build(&wave(600, 10));
-    let pat = pattern_f64(&hypersparse::ops::ewise_add(&base, &delta, s));
+    let pat = pattern_f64(&hypersparse::ops::ewise_add_ctx(
+        &OpCtx::new(),
+        &base,
+        &delta,
+        s,
+    ));
     let (cold_t, cold) = quick_time(5, || pagerank(&pat, opts));
     let (warm_t, warm) = quick_time(5, || pagerank_refresh(&pat, &prior, opts));
     let l1: f64 = cold.iter().zip(&warm).map(|(a, b)| (a - b).abs()).sum();
@@ -226,7 +231,7 @@ fn criterion_benches(c: &mut Criterion) {
     for w in 0..BASE_WAVES {
         let d = build(&wave(w as u64, BASE_EVENTS));
         deg.apply_delta(&d);
-        full = hypersparse::ops::ewise_add(&full, &d, s);
+        full = hypersparse::ops::ewise_add_ctx(&OpCtx::new(), &full, &d, s);
     }
     let deltas: Vec<Dcsr<u64>> = (0..ITERS)
         .map(|i| build(&wave(300 + i as u64, WAVE)))

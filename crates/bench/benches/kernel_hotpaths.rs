@@ -152,17 +152,15 @@ fn main() {
         vec![
             Row {
                 key: "vxm_push_generic_ns",
-                ns: med(9, || {
-                    ops::vxm_push_ctx(&ctx, &v, &h, Plain(s())).nnz() as u64
-                }),
+                ns: med(9, || ops::vxm_ctx(&ctx, &v, &h, Plain(s())).nnz() as u64),
             },
             Row {
                 key: "vxm_push_mono_ns",
-                ns: med(9, || ops::vxm_push_ctx(&ctx, &v, &h, s()).nnz() as u64),
+                ns: med(9, || ops::vxm_ctx(&ctx, &v, &h, s()).nnz() as u64),
             },
             Row {
                 key: "vxm_push_u32_ns",
-                ns: med(9, || ops::vxm_push_ctx(&ctx, &v32, &h32, s()).nnz() as u64),
+                ns: med(9, || ops::vxm_ctx(&ctx, &v32, &h32, s()).nnz() as u64),
             },
         ],
     );

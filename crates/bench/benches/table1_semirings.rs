@@ -10,7 +10,7 @@
 use bench::{fmt_dur, quick_time};
 use criterion::Criterion;
 use hypersparse::gen::{rmat_dcsr, RmatParams};
-use hypersparse::{Dcsr, SparseVec};
+use hypersparse::{Dcsr, OpCtx, SparseVec};
 use semiring::{
     MaxMin, MaxPlus, MaxTimes, MinMax, MinPlus, MinTimes, PSet, PlusTimes, Semiring, UnionIntersect,
 };
@@ -72,7 +72,8 @@ fn shape_report() {
             let s = $s;
             let f = frontier(n, s);
             let (t_spmv, _) = quick_time(5, || f.vxm(&g, s));
-            let (t_mxm, c) = quick_time(3, || hypersparse::ops::mxm(&g, &g, s));
+            let ctx = OpCtx::new();
+            let (t_mxm, c) = quick_time(3, || hypersparse::ops::mxm_ctx(&ctx, &g, &g, s));
             println!(
                 "| {:<9} | {:>10} | {:>10} | {:>10} |",
                 $name,
@@ -111,7 +112,9 @@ fn shape_report() {
         coo.push(r, c, PSet::from_iter([0, 1, 2, 3]));
     }
     let gs = coo.build_dcsr(UnionIntersect);
-    let (t, c8) = quick_time(1, || hypersparse::ops::mxm(&gs, &gs, UnionIntersect));
+    let (t, c8) = quick_time(1, || {
+        hypersparse::ops::mxm_ctx(&OpCtx::new(), &gs, &gs, UnionIntersect)
+    });
     println!(
         "| {:<9} | {:>10} | {:>10} | {:>10} |  (set-valued)",
         "∪.∩",
@@ -150,7 +153,10 @@ fn criterion_benches(c: &mut Criterion) {
     macro_rules! mxm {
         ($name:expr, $s:expr) => {{
             let s = $s;
-            group.bench_function($name, |b| b.iter(|| hypersparse::ops::mxm(&g, &g, s)));
+            let ctx = OpCtx::new();
+            group.bench_function($name, |b| {
+                b.iter(|| hypersparse::ops::mxm_ctx(&ctx, &g, &g, s))
+            });
         }};
     }
     mxm!("plus_times", PlusTimes::<f64>::new());

@@ -12,9 +12,7 @@
 
 use hypersparse::{Dcsr, MetricsSnapshot, OpCtx, OpError, TraceRegistry};
 
-use crate::infer::{
-    infer_fused_ctx, infer_two_semiring_ctx, try_infer_fused_ctx, try_infer_two_semiring_ctx,
-};
+use crate::infer::{try_infer_fused_ctx, try_infer_two_semiring_ctx};
 use crate::network::SparseDnn;
 
 /// Execution-context driver for sparse DNN inference.
@@ -52,10 +50,10 @@ impl DnnCtx {
         &self.ctx
     }
 
-    /// Fused inference ([`crate::infer::infer_fused_ctx`]) through this
-    /// driver's context. Panics on a batch-width mismatch.
+    /// Fused inference ([`crate::infer::try_infer_fused_ctx`]) through
+    /// this driver's context. Panics on a batch-width mismatch.
     pub fn infer(&self, net: &SparseDnn, y0: &Dcsr<f64>) -> Dcsr<f64> {
-        infer_fused_ctx(&self.ctx, net, y0)
+        self.try_infer(net, y0).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`DnnCtx::infer`]: returns
@@ -66,10 +64,11 @@ impl DnnCtx {
     }
 
     /// The literal §V.C two-semiring oscillation
-    /// ([`crate::infer::infer_two_semiring_ctx`]) through this driver's
-    /// context.
+    /// ([`crate::infer::try_infer_two_semiring_ctx`]) through this
+    /// driver's context. Panics on a batch-width mismatch.
     pub fn infer_two_semiring(&self, net: &SparseDnn, y0: &Dcsr<f64>) -> Dcsr<f64> {
-        infer_two_semiring_ctx(&self.ctx, net, y0)
+        self.try_infer_two_semiring(net, y0)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`DnnCtx::infer_two_semiring`].

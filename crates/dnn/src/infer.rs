@@ -10,14 +10,15 @@
 //! * [`infer_dense`]: a row-major `Vec<f64>` baseline with no sparse
 //!   machinery at all.
 //!
-//! Every sparse path runs on the execution-context stack: the `*_ctx`
-//! entry points thread one [`OpCtx`] through all layers (SpGEMM scratch
+//! Every sparse path runs on the execution-context stack: the
+//! `try_*_ctx` entry points thread one [`OpCtx`] through all layers (SpGEMM scratch
 //! is leased from its arena and reused layer to layer, parallelism
 //! follows its thread cap, and each layer records a
-//! [`Kernel::DnnLayer`] metrics row plus a trace span). The classic
-//! names wrap the thread-local default context, and `try_*` twins
-//! return [`OpError::DimensionMismatch`] instead of panicking on a
-//! batch whose width disagrees with the network.
+//! [`Kernel::DnnLayer`] metrics row plus a trace span). Each sparse
+//! reading has one body, `try_*_ctx`, returning
+//! [`OpError::DimensionMismatch`] on a batch whose width disagrees with
+//! the network, plus the bare name, which runs it on the thread's
+//! default context and panics with that error.
 //!
 //! Batches are `batch × neurons` matrices; activations stay hypersparse
 //! between layers, which is where the Fig. 8 speedups come from.
@@ -46,26 +47,17 @@ fn check_batch(op: &'static str, net: &SparseDnn, y0: &Dcsr<f64>) -> Result<(), 
 }
 
 /// Fused sparse inference: `Y ← relu(Y W + b)` with one fused
-/// SpGEMM+prune kernel per layer (thread-local default ctx).
+/// SpGEMM+prune kernel per layer. [`try_infer_fused_ctx`] on the
+/// thread's default context; panics on a batch-width mismatch.
 pub fn infer_fused(net: &SparseDnn, y0: &Dcsr<f64>) -> Dcsr<f64> {
-    with_default_ctx(|ctx| infer_fused_ctx(ctx, net, y0))
+    with_default_ctx(|ctx| try_infer_fused_ctx(ctx, net, y0)).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`infer_fused`] through an explicit execution context: one [`OpCtx`]
+/// Fused inference through an explicit execution context: one [`OpCtx`]
 /// drives every layer, so SpGEMM scratch leased for layer `k` is a pool
 /// hit for layer `k+1`, and per-layer counters land on the context's
-/// [`Kernel::DnnLayer`] metrics row.
-pub fn infer_fused_ctx(ctx: &OpCtx, net: &SparseDnn, y0: &Dcsr<f64>) -> Dcsr<f64> {
-    try_infer_fused_ctx(ctx, net, y0).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`infer_fused`] (thread-local default ctx).
-pub fn try_infer_fused(net: &SparseDnn, y0: &Dcsr<f64>) -> Result<Dcsr<f64>, OpError> {
-    with_default_ctx(|ctx| try_infer_fused_ctx(ctx, net, y0))
-}
-
-/// Fallible [`infer_fused_ctx`]: a batch whose width disagrees with the
-/// network becomes an [`OpError::DimensionMismatch`] instead of a panic.
+/// [`Kernel::DnnLayer`] metrics row. A batch whose width disagrees with
+/// the network becomes an [`OpError::DimensionMismatch`].
 pub fn try_infer_fused_ctx(
     ctx: &OpCtx,
     net: &SparseDnn,
@@ -125,25 +117,19 @@ fn fused_layer<I: IndexType>(
     y
 }
 
-/// The literal two-semiring oscillation of §V.C (thread-local default
-/// ctx): `Y_{k+1} = Y_k W_k ⊗ b_k ⊕ 0`, with the product in `S₁` and
-/// the bias/rectification in `S₂ = max.+` — every scalar operation
-/// routed through the [`DnnSemiringPair`] object.
+/// The literal two-semiring oscillation of §V.C:
+/// `Y_{k+1} = Y_k W_k ⊗ b_k ⊕ 0`, with the product in `S₁` and the
+/// bias/rectification in `S₂ = max.+` — every scalar operation routed
+/// through the [`DnnSemiringPair`] object.
+/// [`try_infer_two_semiring_ctx`] on the thread's default context;
+/// panics on a batch-width mismatch.
 pub fn infer_two_semiring(net: &SparseDnn, y0: &Dcsr<f64>) -> Dcsr<f64> {
-    with_default_ctx(|ctx| infer_two_semiring_ctx(ctx, net, y0))
-}
-
-/// [`infer_two_semiring`] through an explicit execution context.
-pub fn infer_two_semiring_ctx(ctx: &OpCtx, net: &SparseDnn, y0: &Dcsr<f64>) -> Dcsr<f64> {
-    try_infer_two_semiring_ctx(ctx, net, y0).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`infer_two_semiring`] (thread-local default ctx).
-pub fn try_infer_two_semiring(net: &SparseDnn, y0: &Dcsr<f64>) -> Result<Dcsr<f64>, OpError> {
     with_default_ctx(|ctx| try_infer_two_semiring_ctx(ctx, net, y0))
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible [`infer_two_semiring_ctx`].
+/// The two-semiring oscillation through an explicit execution context;
+/// a batch-width mismatch becomes an [`OpError::DimensionMismatch`].
 ///
 /// Unlike the fused path this keeps the two-pass structure the paper
 /// writes (an `S₁` multiply, then the `S₂` bias/rectify as its own

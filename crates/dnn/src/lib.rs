@@ -21,8 +21,9 @@
 //!   topology (every neuron has exactly `fanin` inputs);
 //! * [`infer`] — `infer_fused` (one fused SpGEMM+prune kernel per
 //!   layer), `infer_two_semiring` (the literal S₁/S₂ oscillation), and
-//!   `infer_dense` (row-major `Vec` baseline) — each sparse path in
-//!   ctx-explicit, ctx-free, and fallible `try_*` spellings;
+//!   `infer_dense` (row-major `Vec` baseline) — each sparse path as
+//!   one fallible, ctx-explicit body (`try_*_ctx`) plus the bare name
+//!   on the thread's default context;
 //! * [`ctx::DnnCtx`] — the serving driver: one
 //!   [`hypersparse::OpCtx`] owned for the model's lifetime, so SpGEMM
 //!   scratch pools across layers *and* batches, with per-layer
@@ -46,9 +47,8 @@ pub mod radix;
 
 pub use ctx::DnnCtx;
 pub use infer::{
-    densify_weights, infer_dense, infer_dense_full, infer_fused, infer_fused_ctx,
-    infer_two_semiring, infer_two_semiring_ctx, try_infer_fused, try_infer_fused_ctx,
-    try_infer_two_semiring, try_infer_two_semiring_ctx,
+    densify_weights, infer_dense, infer_dense_full, infer_fused, infer_two_semiring,
+    try_infer_fused_ctx, try_infer_two_semiring_ctx,
 };
 pub use network::{DnnError, SparseDnn};
 pub use radix::{radix_net, RadixNetParams};

@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use hypersparse::ctx::OpCtx;
 use hypersparse::metrics::Kernel;
-use hypersparse::ops::mxv::{choose_direction, vxm_masked_opt_ctx};
+use hypersparse::ops::mxv::{choose_direction, vxm_opt_ctx};
 use hypersparse::ops::transpose_ctx;
 use hypersparse::{with_default_ctx, Dcsr, Direction, Ix, SparseVec};
 use semiring::{AnyPair, MinFirst, Semiring};
@@ -55,7 +55,7 @@ pub enum BfsVariant {
 /// sorted by vertex, `src` at level 0; unreachable vertices are absent.
 ///
 /// Each level is one fused masked expansion `(fᵀA) ⊙ ¬visited`
-/// ([`vxm_masked_opt_ctx`]) — direction-optimized once the frontier is
+/// ([`vxm_opt_ctx`]) — direction-optimized once the frontier is
 /// dense enough to justify building the transpose, which then persists
 /// for the remaining levels.
 pub fn bfs_levels(pat: &Dcsr<u8>, src: Ix) -> Vec<(Ix, u32)> {
@@ -74,7 +74,14 @@ pub fn bfs_levels(pat: &Dcsr<u8>, src: Ix) -> Vec<(Ix, u32)> {
             }
             // q = (fᵀ A) ⊙ ¬visited — the Fig. 1 array operation, masked
             // inside the kernel.
-            let next = vxm_masked_opt_ctx(ctx, &frontier, pat, at.as_ref(), visited.as_slice(), s);
+            let next = vxm_opt_ctx(
+                ctx,
+                &frontier,
+                pat,
+                at.as_ref(),
+                Some(visited.as_slice()),
+                s,
+            );
             for (v, _) in next.iter() {
                 out.push((v, level));
             }
@@ -108,7 +115,14 @@ where
         if at.is_none() && choose_direction(&frontier, pat, true) == Direction::Pull {
             at = Some(transpose_ctx(ctx, pat));
         }
-        let next = vxm_masked_opt_ctx(ctx, &frontier, pat, at.as_ref(), visited.as_slice(), s);
+        let next = vxm_opt_ctx(
+            ctx,
+            &frontier,
+            pat,
+            at.as_ref(),
+            Some(visited.as_slice()),
+            s,
+        );
         out.extend(next.iter().map(|(v, &payload)| (v, payload)));
         visited.absorb_sorted(next.indices());
         // Re-stamp the new frontier with its own ids for the next hop.
@@ -142,16 +156,16 @@ where
             at = Some(transpose_ctx(ctx, pat));
         }
         // Step 1: who is reachable this level (pattern algebra, exact).
-        let next = vxm_masked_opt_ctx(
+        let next = vxm_opt_ctx(
             ctx,
             &reach,
             &pat8,
             at8.as_ref(),
-            visited.as_slice(),
+            Some(visited.as_slice()),
             AnyPair,
         );
         // Step 2: what the semiring folds onto them.
-        let vals = vxm_masked_opt_ctx(ctx, &stamped, pat, at.as_ref(), visited.as_slice(), s);
+        let vals = vxm_opt_ctx(ctx, &stamped, pat, at.as_ref(), Some(visited.as_slice()), s);
         for (v, _) in next.iter() {
             let payload = vals.get(&v).cloned().unwrap_or_else(|| s.zero());
             out.push((v, payload));

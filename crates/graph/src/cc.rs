@@ -35,7 +35,7 @@ pub fn connected_components(pat: &Dcsr<u64>) -> Vec<(Ix, Ix)> {
         if at.is_none() && choose_direction(&labels, pat, true) == Direction::Pull {
             at = Some(transpose_ctx(ctx, pat));
         }
-        let prop = vxm_opt_ctx(ctx, &labels, pat, at.as_ref(), s);
+        let prop = vxm_opt_ctx(ctx, &labels, pat, at.as_ref(), None, s);
         let next = labels.ewise_add(&prop, s);
         if next == labels {
             break;

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use hypersparse::ops::mxv::{mxv_opt_ctx, vxm_masked_opt_ctx};
+use hypersparse::ops::mxv::{mxv_opt_ctx, vxm_opt_ctx};
 use hypersparse::ops::transpose_ctx;
 use hypersparse::{with_default_ctx, Dcsr, Ix, SparseVec};
 use semiring::PlusTimes;
@@ -51,7 +51,7 @@ pub fn betweenness(pat: &Dcsr<f64>, sources: &[Ix]) -> Vec<f64> {
                 // path counts into the next level, visited masked off
                 // inside the kernel
                 let next =
-                    vxm_masked_opt_ctx(ctx, frontier, pat, Some(&at), visited.as_slice(), s());
+                    vxm_opt_ctx(ctx, frontier, pat, Some(&at), Some(visited.as_slice()), s());
                 if next.is_empty() {
                     break;
                 }

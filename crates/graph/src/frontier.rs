@@ -2,7 +2,7 @@
 //!
 //! BFS-style sweeps need two things from their visited set: a sorted
 //! index slice to hand the fused complement-mask kernels
-//! ([`hypersparse::ops::vxm_masked_ctx`]), and a cheap way to absorb
+//! ([`hypersparse::ops::vxm_opt_ctx`]), and a cheap way to absorb
 //! each level's newly-reached vertices. [`Visited`] keeps one sorted
 //! `Vec<Ix>` and merges each (already sorted, disjoint) frontier batch
 //! in `O(new)` when the batch lands past the current maximum and

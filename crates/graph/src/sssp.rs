@@ -37,7 +37,7 @@ pub fn sssp_generic<S: Semiring<Value = f64>>(w: &Dcsr<f64>, src: Ix, s: S) -> V
             if at.is_none() && choose_direction(&dist, w, true) == Direction::Pull {
                 at = Some(transpose_ctx(ctx, w));
             }
-            let relax = vxm_opt_ctx(ctx, &dist, w, at.as_ref(), s);
+            let relax = vxm_opt_ctx(ctx, &dist, w, at.as_ref(), None, s);
             let next = dist.ewise_add(&relax, s);
             if next == dist {
                 break;

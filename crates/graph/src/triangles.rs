@@ -4,7 +4,7 @@
 //! pattern, `ntri = Σ ((L ⊕.⊗ L) ⊙ L)` over `+.×`: the product counts
 //! wedges `i > k > j`, the mask keeps only wedges closed by an edge
 //! `i > j`, so each triangle is counted exactly once. The fused mask
-//! ([`hypersparse::ops::mxm_masked`]) is what makes this cheap.
+//! ([`hypersparse::ops::mxm_masked_ctx`]) is what makes this cheap.
 
 use hypersparse::{Dcsr, Ix, OpCtx};
 use semiring::{PlusMonoid, PlusTimes};

@@ -9,7 +9,7 @@
 //! * a **workspace arena** pooling SpGEMM scratch (dense accumulator +
 //!   touched list + hash accumulator, per value type) so hot paths that
 //!   repeat same-shaped multiplies stop allocating per call;
-//! * a **thread cap** replacing the old `mxm` vs `mxm_seq` split: `1`
+//! * a **thread cap** (there is no separate sequential kernel): `1`
 //!   forces sequential execution, `n` shards rows across `n` OS threads,
 //!   `auto` (the default) uses the machine's available parallelism —
 //!   results are bit-for-bit identical at every setting;
@@ -18,10 +18,10 @@
 //!
 //! Kernels take `&OpCtx`; the context is [`Sync`], so one context can
 //! serve parallel shards (scratch leases go through a mutex that is
-//! touched once per shard, not per row). The existing ctx-free kernel
-//! signatures remain available as thin wrappers over a **thread-local
-//! default context** ([`with_default_ctx`]), so existing callers keep
-//! both their API and their workspace-reuse benefits.
+//! touched once per shard, not per row). The bare conveniences on
+//! [`crate::Matrix`] / [`crate::SparseVec`] and in the upper crates run
+//! on a **thread-local default context** ([`with_default_ctx`]), so
+//! their callers get workspace reuse too.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
@@ -273,9 +273,9 @@ thread_local! {
 }
 
 /// Run `f` against this thread's default context — the context behind
-/// every ctx-free kernel signature. The default context persists for the
-/// thread's lifetime, so even legacy callers get workspace reuse; its
-/// metrics accumulate across all ctx-free calls on the thread.
+/// every bare (ctx-free) name. The default context persists for the
+/// thread's lifetime, so those callers get workspace reuse too; its
+/// metrics accumulate across all bare calls on the thread.
 pub fn with_default_ctx<R>(f: impl FnOnce(&OpCtx) -> R) -> R {
     DEFAULT_CTX.with(f)
 }

@@ -104,6 +104,11 @@ impl<T: Value, I: IndexType> Dcsr<T, I> {
         self.ncols
     }
 
+    /// `(nrows, ncols)` — what the kernels' `check_*` functions compare.
+    pub(crate) fn shape(&self) -> (Ix, Ix) {
+        (self.nrows, self.ncols)
+    }
+
     /// Number of stored (non-zero) entries.
     pub fn nnz(&self) -> usize {
         self.colidx.len()

@@ -1,17 +1,19 @@
-//! Fallible-operation errors for the `try_*` API on [`crate::Matrix`].
+//! The one error type of the fallible operations.
 //!
-//! The classic GraphBLAS-style methods (`mxm`, `ewise_add`, …) panic on
-//! misuse, which is the right default for algorithm code but wrong for a
-//! serving layer that must survive arbitrary inputs. The `try_*` twins
-//! return `Result<_, OpError>` instead; the panicking methods are thin
-//! wrappers that `panic!("{err}")`, so their messages (and every
-//! `should_panic` contract) are unchanged.
+//! A precondition of a kernel lives once, in a `pub(crate) check_*`
+//! beside it that returns an [`OpError`]. Serving layers that must
+//! survive arbitrary inputs call the `try_*_ctx` methods on
+//! [`crate::Matrix`] and get that value back; the bare methods and the
+//! `ops::*_ctx` kernels `panic!("{err}")` with it — so a misuse has one
+//! message whichever way it is reached, and the legacy phrases the
+//! `should_panic` contracts match live in `Display` below
+//! (DESIGN.md §7).
 
 use std::fmt;
 
 use crate::Ix;
 
-/// Why a `try_*` matrix operation could not run.
+/// Why an operation could not run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OpError {
     /// The operands' key spaces don't conform for the requested

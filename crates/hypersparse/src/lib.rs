@@ -31,9 +31,13 @@
 //! row order, so parallel ≡ sequential bit-for-bit. Every kernel runs
 //! under an execution context ([`ctx::OpCtx`]) providing a reusable
 //! workspace arena, a thread cap, and per-kernel metrics
-//! ([`metrics::MetricsSnapshot`]); ctx-free signatures use a
-//! thread-local default context. Fallible `try_*` variants on
-//! [`Matrix`] return [`OpError`] instead of panicking.
+//! ([`metrics::MetricsSnapshot`]). One calling convention holds
+//! everywhere (DESIGN.md §7): `_ctx` ⇔ the first parameter is an
+//! [`OpCtx`], `try_` ⇔ the result is a `Result<_, OpError>`, and a bare
+//! name runs on the thread's default context ([`with_default_ctx`]) and
+//! panics with that [`OpError`]'s `Display`. The kernels in [`ops`] are
+//! `*_ctx` only; a [`Matrix`] operation has one body (`try_op_ctx` if
+//! it can be misused, `op_ctx` if not) plus the bare `op`.
 //!
 //! Index space is `u64` throughout — dimensions are *key-space sizes*,
 //! not allocation sizes; only materialized formats (dense, bitmap, CSR)

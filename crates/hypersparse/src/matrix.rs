@@ -287,44 +287,31 @@ impl<T: Value> Matrix<T> {
 
     // ---- semiring operations (each re-runs format selection) ----
     //
-    // Every operation comes in up to four spellings:
-    //   `op`         — panics on misuse, thread-local default ctx;
-    //   `try_op`     — returns `Result<_, OpError>`, default ctx;
-    //   `op_ctx`     — panics on misuse, explicit `OpCtx`;
-    //   `try_op_ctx` — fallible AND explicit ctx (the primitive the
-    //                  other three wrap).
+    // Calling convention (DESIGN.md §7): an operation that can be
+    // misused has one body, `try_op_ctx` — explicit `OpCtx`, returns
+    // `Result<_, OpError>` — plus the bare `op`, which runs it on the
+    // thread's default context and panics with that error's `Display`.
+    // An operation that cannot fail has `op_ctx` plus the bare `op`.
+
+    /// `(nrows, ncols)`, as the kernels' `check_*` functions take it.
+    pub(crate) fn shape(&self) -> (Ix, Ix) {
+        (self.nrows(), self.ncols())
+    }
 
     /// Array multiplication `C = A ⊕.⊗ B`.
     pub fn mxm<S: Semiring<Value = T>>(&self, other: &Self, s: S) -> Self {
-        self.try_mxm(other, s).unwrap_or_else(|e| panic!("{e}"))
+        with_default_ctx(|ctx| self.try_mxm_ctx(ctx, other, s)).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Matrix::mxm`]: dimension mismatch becomes an error.
-    pub fn try_mxm<S: Semiring<Value = T>>(&self, other: &Self, s: S) -> Result<Self, OpError> {
-        with_default_ctx(|ctx| self.try_mxm_ctx(ctx, other, s))
-    }
-
-    /// [`Matrix::mxm`] through an explicit execution context.
-    pub fn mxm_ctx<S: Semiring<Value = T>>(&self, ctx: &OpCtx, other: &Self, s: S) -> Self {
-        self.try_mxm_ctx(ctx, other, s)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Matrix::mxm`] through an explicit execution context.
+    /// Fallible [`Matrix::mxm`] through an explicit execution context:
+    /// dimension mismatch becomes an error.
     pub fn try_mxm_ctx<S: Semiring<Value = T>>(
         &self,
         ctx: &OpCtx,
         other: &Self,
         s: S,
     ) -> Result<Self, OpError> {
-        if self.ncols() != other.nrows() {
-            return Err(OpError::DimensionMismatch {
-                op: "mxm",
-                a: (self.nrows(), self.ncols()),
-                b: (other.nrows(), other.ncols()),
-                rule: "inner dimensions differ",
-            });
-        }
+        ops::mxm::check_mxm("mxm", self.shape(), other.shape())?;
         Ok(self.wrap_ctx(
             ctx,
             ops::mxm_ctx(ctx, &self.as_dcsr(), &other.as_dcsr(), s),
@@ -332,7 +319,7 @@ impl<T: Value> Matrix<T> {
         ))
     }
 
-    /// Masked array multiplication (see [`ops::mxm_masked`]).
+    /// Masked array multiplication (see [`ops::mxm_masked_ctx`]).
     pub fn mxm_masked<S: Semiring<Value = T>, M: Value>(
         &self,
         other: &Self,
@@ -340,36 +327,13 @@ impl<T: Value> Matrix<T> {
         complement: bool,
         s: S,
     ) -> Self {
-        self.try_mxm_masked(other, mask, complement, s)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Matrix::mxm_masked`]: dimension mismatch (inner
-    /// dimensions or the mask's key space) becomes an error.
-    pub fn try_mxm_masked<S: Semiring<Value = T>, M: Value>(
-        &self,
-        other: &Self,
-        mask: &Matrix<M>,
-        complement: bool,
-        s: S,
-    ) -> Result<Self, OpError> {
         with_default_ctx(|ctx| self.try_mxm_masked_ctx(ctx, other, mask, complement, s))
-    }
-
-    /// [`Matrix::mxm_masked`] through an explicit execution context.
-    pub fn mxm_masked_ctx<S: Semiring<Value = T>, M: Value>(
-        &self,
-        ctx: &OpCtx,
-        other: &Self,
-        mask: &Matrix<M>,
-        complement: bool,
-        s: S,
-    ) -> Self {
-        self.try_mxm_masked_ctx(ctx, other, mask, complement, s)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Matrix::mxm_masked`] through an explicit context.
+    /// Fallible [`Matrix::mxm_masked`] through an explicit context:
+    /// dimension mismatch (inner dimensions or the mask's key space)
+    /// becomes an error.
     pub fn try_mxm_masked_ctx<S: Semiring<Value = T>, M: Value>(
         &self,
         ctx: &OpCtx,
@@ -378,50 +342,24 @@ impl<T: Value> Matrix<T> {
         complement: bool,
         s: S,
     ) -> Result<Self, OpError> {
+        ops::mxm::check_mxm_masked(self.shape(), other.shape(), mask.shape())?;
         Ok(self.wrap_ctx(
             ctx,
-            ops::try_mxm_masked_ctx(
+            ops::mxm_masked_ctx(
                 ctx,
                 &self.as_dcsr(),
                 &other.as_dcsr(),
                 &mask.as_dcsr(),
                 complement,
                 s,
-            )?,
+            ),
             s,
         ))
     }
 
-    fn check_same_space(&self, other: &Self, op: &'static str) -> Result<(), OpError> {
-        if (self.nrows(), self.ncols()) != (other.nrows(), other.ncols()) {
-            return Err(OpError::DimensionMismatch {
-                op,
-                a: (self.nrows(), self.ncols()),
-                b: (other.nrows(), other.ncols()),
-                rule: "element-wise operands must share a key space",
-            });
-        }
-        Ok(())
-    }
-
     /// Element-wise addition `C = A ⊕ B` (pattern union).
     pub fn ewise_add<S: Semiring<Value = T>>(&self, other: &Self, s: S) -> Self {
-        self.try_ewise_add(other, s)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Matrix::ewise_add`].
-    pub fn try_ewise_add<S: Semiring<Value = T>>(
-        &self,
-        other: &Self,
-        s: S,
-    ) -> Result<Self, OpError> {
         with_default_ctx(|ctx| self.try_ewise_add_ctx(ctx, other, s))
-    }
-
-    /// [`Matrix::ewise_add`] through an explicit execution context.
-    pub fn ewise_add_ctx<S: Semiring<Value = T>>(&self, ctx: &OpCtx, other: &Self, s: S) -> Self {
-        self.try_ewise_add_ctx(ctx, other, s)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -432,7 +370,7 @@ impl<T: Value> Matrix<T> {
         other: &Self,
         s: S,
     ) -> Result<Self, OpError> {
-        self.check_same_space(other, "ewise_add")?;
+        ops::ewise::check_same_space("ewise_add", self.shape(), other.shape())?;
         Ok(self.wrap_ctx(
             ctx,
             ops::ewise_add_ctx(ctx, &self.as_dcsr(), &other.as_dcsr(), s),
@@ -442,22 +380,7 @@ impl<T: Value> Matrix<T> {
 
     /// Element-wise multiplication `C = A ⊗ B` (pattern intersection).
     pub fn ewise_mul<S: Semiring<Value = T>>(&self, other: &Self, s: S) -> Self {
-        self.try_ewise_mul(other, s)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Matrix::ewise_mul`].
-    pub fn try_ewise_mul<S: Semiring<Value = T>>(
-        &self,
-        other: &Self,
-        s: S,
-    ) -> Result<Self, OpError> {
         with_default_ctx(|ctx| self.try_ewise_mul_ctx(ctx, other, s))
-    }
-
-    /// [`Matrix::ewise_mul`] through an explicit execution context.
-    pub fn ewise_mul_ctx<S: Semiring<Value = T>>(&self, ctx: &OpCtx, other: &Self, s: S) -> Self {
-        self.try_ewise_mul_ctx(ctx, other, s)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -468,7 +391,7 @@ impl<T: Value> Matrix<T> {
         other: &Self,
         s: S,
     ) -> Result<Self, OpError> {
-        self.check_same_space(other, "ewise_mul")?;
+        ops::ewise::check_same_space("ewise_mul", self.shape(), other.shape())?;
         Ok(self.wrap_ctx(
             ctx,
             ops::ewise_mul_ctx(ctx, &self.as_dcsr(), &other.as_dcsr(), s),
@@ -516,36 +439,18 @@ impl<T: Value> Matrix<T> {
         self.wrap_ctx(ctx, ops::select_ctx(ctx, &self.as_dcsr(), keep), s)
     }
 
-    /// Submatrix extraction with reindexing. Out-of-range selector
-    /// indices address empty key-space rows/columns and contribute
-    /// nothing; use [`Matrix::try_extract`] to treat them as errors.
+    /// Submatrix extraction with reindexing. **Permissive**, unlike the
+    /// other bare names: out-of-range selector indices address empty
+    /// key-space rows/columns and contribute nothing instead of
+    /// panicking; [`Matrix::try_extract_ctx`] treats them as errors.
     pub fn extract<S: Semiring<Value = T>>(&self, rows: &[Ix], cols: &[Ix], s: S) -> Self {
-        with_default_ctx(|ctx| self.extract_ctx(ctx, rows, cols, s))
+        with_default_ctx(|ctx| {
+            self.wrap_ctx(ctx, ops::extract_ctx(ctx, &self.as_dcsr(), rows, cols), s)
+        })
     }
 
-    /// [`Matrix::extract`] through an explicit execution context.
-    pub fn extract_ctx<S: Semiring<Value = T>>(
-        &self,
-        ctx: &OpCtx,
-        rows: &[Ix],
-        cols: &[Ix],
-        s: S,
-    ) -> Self {
-        self.wrap_ctx(ctx, ops::extract_ctx(ctx, &self.as_dcsr(), rows, cols), s)
-    }
-
-    /// Fallible [`Matrix::extract`]: selector indices must lie inside
-    /// the key space.
-    pub fn try_extract<S: Semiring<Value = T>>(
-        &self,
-        rows: &[Ix],
-        cols: &[Ix],
-        s: S,
-    ) -> Result<Self, OpError> {
-        with_default_ctx(|ctx| self.try_extract_ctx(ctx, rows, cols, s))
-    }
-
-    /// Fallible [`Matrix::extract`] through an explicit context.
+    /// Strict [`Matrix::extract`] through an explicit context: selector
+    /// indices must lie inside the key space.
     pub fn try_extract_ctx<S: Semiring<Value = T>>(
         &self,
         ctx: &OpCtx,
@@ -567,7 +472,7 @@ impl<T: Value> Matrix<T> {
                 bound: self.ncols(),
             });
         }
-        Ok(self.extract_ctx(ctx, rows, cols, s))
+        Ok(self.wrap_ctx(ctx, ops::extract_ctx(ctx, &self.as_dcsr(), rows, cols), s))
     }
 
     /// Kronecker product.
@@ -584,7 +489,7 @@ impl<T: Value> Matrix<T> {
         )
     }
 
-    /// Submatrix assignment `A(rows, cols) = B` (see [`ops::assign`]).
+    /// Submatrix assignment `A(rows, cols) = B` (see [`ops::assign_ctx`]).
     pub fn assign<S: Semiring<Value = T>>(&self, rows: &[Ix], cols: &[Ix], b: &Self, s: S) -> Self {
         with_default_ctx(|ctx| self.assign_ctx(ctx, rows, cols, b, s))
     }
@@ -607,42 +512,19 @@ impl<T: Value> Matrix<T> {
 
     /// Stack `self` on top of `other`.
     pub fn concat_rows<S: Semiring<Value = T>>(&self, other: &Self, s: S) -> Self {
-        self.try_concat_rows(other, s)
+        with_default_ctx(|ctx| self.try_concat_rows_ctx(ctx, other, s))
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Matrix::concat_rows`]: column mismatch or row-space
-    /// overflow become errors.
-    pub fn try_concat_rows<S: Semiring<Value = T>>(
-        &self,
-        other: &Self,
-        s: S,
-    ) -> Result<Self, OpError> {
-        with_default_ctx(|ctx| self.try_concat_rows_ctx(ctx, other, s))
-    }
-
-    /// Fallible [`Matrix::concat_rows`] through an explicit context.
+    /// Fallible [`Matrix::concat_rows`] through an explicit context:
+    /// column mismatch or row-space overflow become errors.
     pub fn try_concat_rows_ctx<S: Semiring<Value = T>>(
         &self,
         ctx: &OpCtx,
         other: &Self,
         s: S,
     ) -> Result<Self, OpError> {
-        if self.ncols() != other.ncols() {
-            return Err(OpError::DimensionMismatch {
-                op: "concat_rows",
-                a: (self.nrows(), self.ncols()),
-                b: (other.nrows(), other.ncols()),
-                rule: "concat_rows column conformance",
-            });
-        }
-        if self.nrows().checked_add(other.nrows()).is_none() {
-            return Err(OpError::TooLargeToMaterialize {
-                op: "concat_rows",
-                axis: Axis::Rows,
-                extents: (self.nrows(), other.nrows()),
-            });
-        }
+        ops::structure::check_concat(Axis::Rows, self.shape(), other.shape())?;
         Ok(self.wrap_ctx(
             ctx,
             ops::concat_rows_ctx(ctx, &self.as_dcsr(), &other.as_dcsr()),
@@ -652,42 +534,19 @@ impl<T: Value> Matrix<T> {
 
     /// Place `self` to the left of `other`.
     pub fn concat_cols<S: Semiring<Value = T>>(&self, other: &Self, s: S) -> Self {
-        self.try_concat_cols(other, s)
+        with_default_ctx(|ctx| self.try_concat_cols_ctx(ctx, other, s))
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Matrix::concat_cols`]: row mismatch or column-space
-    /// overflow become errors.
-    pub fn try_concat_cols<S: Semiring<Value = T>>(
-        &self,
-        other: &Self,
-        s: S,
-    ) -> Result<Self, OpError> {
-        with_default_ctx(|ctx| self.try_concat_cols_ctx(ctx, other, s))
-    }
-
-    /// Fallible [`Matrix::concat_cols`] through an explicit context.
+    /// Fallible [`Matrix::concat_cols`] through an explicit context:
+    /// row mismatch or column-space overflow become errors.
     pub fn try_concat_cols_ctx<S: Semiring<Value = T>>(
         &self,
         ctx: &OpCtx,
         other: &Self,
         s: S,
     ) -> Result<Self, OpError> {
-        if self.nrows() != other.nrows() {
-            return Err(OpError::DimensionMismatch {
-                op: "concat_cols",
-                a: (self.nrows(), self.ncols()),
-                b: (other.nrows(), other.ncols()),
-                rule: "concat_cols row conformance",
-            });
-        }
-        if self.ncols().checked_add(other.ncols()).is_none() {
-            return Err(OpError::TooLargeToMaterialize {
-                op: "concat_cols",
-                axis: Axis::Cols,
-                extents: (self.ncols(), other.ncols()),
-            });
-        }
+        ops::structure::check_concat(Axis::Cols, self.shape(), other.shape())?;
         Ok(self.wrap_ctx(
             ctx,
             ops::concat_cols_ctx(ctx, &self.as_dcsr(), &other.as_dcsr()),
@@ -712,7 +571,7 @@ impl<T: Value> Matrix<T> {
 
     /// Row reduction `out(i) = ⊕_j A(i,j)` (the `A ⊕.⊗ 𝟙` projection).
     pub fn reduce_rows<M: Monoid<T>>(&self, m: M) -> SparseVec<T> {
-        ops::reduce_rows(&self.as_dcsr(), m)
+        with_default_ctx(|ctx| self.reduce_rows_ctx(ctx, m))
     }
 
     /// [`Matrix::reduce_rows`] through an explicit execution context.
@@ -722,7 +581,7 @@ impl<T: Value> Matrix<T> {
 
     /// Column reduction `out(j) = ⊕_i A(i,j)` (the `𝟙 ⊕.⊗ A` projection).
     pub fn reduce_cols<M: Monoid<T>>(&self, m: M) -> SparseVec<T> {
-        ops::reduce_cols(&self.as_dcsr(), m)
+        with_default_ctx(|ctx| self.reduce_cols_ctx(ctx, m))
     }
 
     /// [`Matrix::reduce_cols`] through an explicit execution context.
@@ -732,7 +591,7 @@ impl<T: Value> Matrix<T> {
 
     /// Reduce every entry to one scalar.
     pub fn reduce_scalar<M: Monoid<T>>(&self, m: M) -> T {
-        ops::reduce_scalar(&self.as_dcsr(), m)
+        with_default_ctx(|ctx| self.reduce_scalar_ctx(ctx, m))
     }
 
     /// [`Matrix::reduce_scalar`] through an explicit execution context.
@@ -791,52 +650,27 @@ impl<T: Value> Matrix<T> {
     /// `vᵀ A` — one frontier-expansion step. Direction-optimized when
     /// the transpose is cached, push otherwise.
     pub fn vxm<S: Semiring<Value = T>>(&self, v: &SparseVec<T>, s: S) -> SparseVec<T> {
-        self.try_vxm(v, s).unwrap_or_else(|e| panic!("{e}"))
+        with_default_ctx(|ctx| self.try_vxm_ctx(ctx, v, s)).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Matrix::vxm`]: dimension mismatch becomes an error.
-    pub fn try_vxm<S: Semiring<Value = T>>(
-        &self,
-        v: &SparseVec<T>,
-        s: S,
-    ) -> Result<SparseVec<T>, OpError> {
-        with_default_ctx(|ctx| self.try_vxm_ctx(ctx, v, s))
-    }
-
-    /// [`Matrix::vxm`] through an explicit execution context.
-    pub fn vxm_ctx<S: Semiring<Value = T>>(
-        &self,
-        ctx: &OpCtx,
-        v: &SparseVec<T>,
-        s: S,
-    ) -> SparseVec<T> {
-        self.try_vxm_ctx(ctx, v, s)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Matrix::vxm`] through an explicit execution context.
+    /// Fallible [`Matrix::vxm`] through an explicit execution context:
+    /// dimension mismatch becomes an error.
     pub fn try_vxm_ctx<S: Semiring<Value = T>>(
         &self,
         ctx: &OpCtx,
         v: &SparseVec<T>,
         s: S,
     ) -> Result<SparseVec<T>, OpError> {
-        if v.dim() != self.nrows() {
-            return Err(OpError::DimensionMismatch {
-                op: "vxm",
-                a: (1, v.dim()),
-                b: (self.nrows(), self.ncols()),
-                rule: "dimension mismatch",
-            });
-        }
+        ops::mxv::check_vxm(v.dim(), self.shape(), None)?;
         // Use the transpose if someone already paid for it; never build
         // one mid-multiply.
         let at = self.at_cache.get().cloned();
-        Ok(ops::mxv::vxm_opt_ctx(
+        Ok(ops::vxm_opt_ctx(
             ctx,
             v,
             &self.as_dcsr(),
             at.as_deref(),
+            None,
             s,
         ))
     }
@@ -845,60 +679,19 @@ impl<T: Value> Matrix<T> {
     /// transpose is cached; Dense/Bitmap storage uses format-native
     /// SpMV.
     pub fn mxv<S: Semiring<Value = T>>(&self, v: &SparseVec<T>, s: S) -> SparseVec<T> {
-        self.try_mxv(v, s).unwrap_or_else(|e| panic!("{e}"))
+        with_default_ctx(|ctx| self.try_mxv_ctx(ctx, v, s)).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Matrix::mxv`]: dimension mismatch becomes an error.
-    pub fn try_mxv<S: Semiring<Value = T>>(
-        &self,
-        v: &SparseVec<T>,
-        s: S,
-    ) -> Result<SparseVec<T>, OpError> {
-        with_default_ctx(|ctx| self.try_mxv_ctx(ctx, v, s))
-    }
-
-    /// [`Matrix::mxv`] through an explicit execution context.
-    pub fn mxv_ctx<S: Semiring<Value = T>>(
-        &self,
-        ctx: &OpCtx,
-        v: &SparseVec<T>,
-        s: S,
-    ) -> SparseVec<T> {
-        self.try_mxv_ctx(ctx, v, s)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Matrix::mxv`] through an explicit execution context.
+    /// Fallible [`Matrix::mxv`] through an explicit execution context:
+    /// dimension mismatch becomes an error.
     pub fn try_mxv_ctx<S: Semiring<Value = T>>(
         &self,
         ctx: &OpCtx,
         v: &SparseVec<T>,
         s: S,
     ) -> Result<SparseVec<T>, OpError> {
-        if v.dim() != self.ncols() {
-            return Err(OpError::DimensionMismatch {
-                op: "mxv",
-                a: (self.nrows(), self.ncols()),
-                b: (v.dim(), 1),
-                rule: "dimension mismatch",
-            });
-        }
-        if matches!(self.repr, Repr::Csr(_) | Repr::Dcsr(_)) {
-            let at = self.at_cache.get().cloned();
-            return Ok(ops::mxv::mxv_opt_ctx(
-                ctx,
-                &self.as_dcsr(),
-                at.as_deref(),
-                v,
-                s,
-            ));
-        }
-        Ok(self.mxv_native(v, s))
-    }
-
-    /// Format-native SpMV over the full storage formats.
-    fn mxv_native<S: Semiring<Value = T>>(&self, v: &SparseVec<T>, s: S) -> SparseVec<T> {
-        match &self.repr {
+        ops::mxv::check_mxv(self.shape(), None, v.dim())?;
+        Ok(match &self.repr {
             // Format-native SpMV for the full formats (no conversion).
             Repr::Dense(m) => {
                 let mut idx = Vec::new();
@@ -938,8 +731,11 @@ impl<T: Value> Matrix<T> {
                 SparseVec::from_sorted_parts(m.nrows(), idx, vals)
             }
             // Sparse storage goes through the kernel module instead.
-            Repr::Csr(_) | Repr::Dcsr(_) => ops::mxv::mxv(&self.as_dcsr(), v, s),
-        }
+            Repr::Csr(_) | Repr::Dcsr(_) => {
+                let at = self.at_cache.get().cloned();
+                ops::mxv_opt_ctx(ctx, &self.as_dcsr(), at.as_deref(), v, s)
+            }
+        })
     }
 }
 
@@ -1082,7 +878,7 @@ mod tests {
             std::sync::Arc::ptr_eq(&at, &m.cached_transpose()),
             "second call must reuse, not rebuild"
         );
-        assert_eq!(*at, crate::ops::transpose(&m.as_dcsr()));
+        assert_eq!(*at, crate::ops::transpose_ctx(&OpCtx::new(), &m.as_dcsr()));
     }
 
     #[test]
@@ -1129,11 +925,12 @@ mod tests {
     fn try_vxm_mxv_dimension_errors() {
         let m = Matrix::from_dcsr(random_dcsr(10, 12, 30, 15, s()), s());
         let bad = SparseVec::<f64>::empty(11);
-        let e = m.try_vxm(&bad, s()).unwrap_err();
+        let ctx = OpCtx::new();
+        let e = m.try_vxm_ctx(&ctx, &bad, s()).unwrap_err();
         assert!(e.to_string().contains("vxm: dimension mismatch"), "{e}");
-        let e = m.try_mxv(&bad, s()).unwrap_err();
+        let e = m.try_mxv_ctx(&ctx, &bad, s()).unwrap_err();
         assert!(e.to_string().contains("mxv: dimension mismatch"), "{e}");
-        assert!(m.try_vxm(&SparseVec::empty(10), s()).is_ok());
-        assert!(m.try_mxv(&SparseVec::empty(12), s()).is_ok());
+        assert!(m.try_vxm_ctx(&ctx, &SparseVec::empty(10), s()).is_ok());
+        assert!(m.try_mxv_ctx(&ctx, &SparseVec::empty(12), s()).is_ok());
     }
 }

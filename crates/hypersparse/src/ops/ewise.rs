@@ -6,11 +6,9 @@
 //! (possibly astronomically large) dimensions.
 //!
 //! There is exactly **one merge loop per direction**: the generic
-//! [`ewise_add_op`]/[`ewise_mul_op`] kernels take an arbitrary combiner,
-//! and the classic [`ewise_add`]/[`ewise_mul`] names are the convenience
-//! API plugging in the semiring's own ⊕/⊗. Every kernel has a `*_ctx`
-//! variant recording into an [`OpCtx`]'s metrics; the ctx-free names use
-//! the thread-local default context.
+//! [`ewise_add_op_ctx`]/[`ewise_mul_op_ctx`] kernels take an arbitrary
+//! combiner, and [`ewise_add_ctx`]/[`ewise_mul_ctx`] plug in the
+//! semiring's own ⊕/⊗.
 //!
 //! **Boolean word path** (DESIGN.md §13): when the combiner is the
 //! `LorLand` semiring's own ⊕/⊗, colliding row pairs that are dense
@@ -30,8 +28,9 @@ use std::time::Instant;
 use semiring::traits::{BinaryOp, Semiring, Value};
 use semiring::LorLand;
 
-use crate::ctx::{with_default_ctx, OpCtx};
+use crate::ctx::OpCtx;
 use crate::dcsr::Dcsr;
+use crate::error::OpError;
 use crate::index::IndexType;
 use crate::metrics::Kernel;
 use crate::Ix;
@@ -59,15 +58,6 @@ impl<T: Value, S: Semiring<Value = T>> BinaryOp<T, T, T> for MulOf<S> {
 /// `C = A ⊕ B`: union of sparsity patterns, collisions combined with ⊕.
 /// An entry present in only one operand passes through unchanged —
 /// exactly the `A ⊕ 0 = A` behaviour of Table II.
-pub fn ewise_add<T: Value, I: IndexType, S: Semiring<Value = T>>(
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    s: S,
-) -> Dcsr<T, I> {
-    with_default_ctx(|ctx| ewise_add_ctx(ctx, a, b, s))
-}
-
-/// [`ewise_add`] through an explicit execution context.
 pub fn ewise_add_ctx<T: Value, I: IndexType, S: Semiring<Value = T>>(
     ctx: &OpCtx,
     a: &Dcsr<T, I>,
@@ -80,15 +70,6 @@ pub fn ewise_add_ctx<T: Value, I: IndexType, S: Semiring<Value = T>>(
 /// `C = A ⊗ B`: intersection of sparsity patterns, survivors combined
 /// with ⊗. Entries present in only one operand meet an implicit `0`,
 /// which annihilates — so they vanish (Table II's `A ⊗ 𝟙 = A` dual).
-pub fn ewise_mul<T: Value, I: IndexType, S: Semiring<Value = T>>(
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    s: S,
-) -> Dcsr<T, I> {
-    with_default_ctx(|ctx| ewise_mul_ctx(ctx, a, b, s))
-}
-
-/// [`ewise_mul`] through an explicit execution context.
 pub fn ewise_mul_ctx<T: Value, I: IndexType, S: Semiring<Value = T>>(
     ctx: &OpCtx,
     a: &Dcsr<T, I>,
@@ -103,18 +84,8 @@ pub fn ewise_mul_ctx<T: Value, I: IndexType, S: Semiring<Value = T>>(
 /// colliding entries combine with `op`, results equal to the semiring
 /// zero drop. Used where the combining operation is not the semiring's ⊕
 /// (e.g. `second` for "overwrite" merges, `-` for diffs).
-pub fn ewise_add_op<T, I, S, O>(a: &Dcsr<T, I>, b: &Dcsr<T, I>, op: O, s: S) -> Dcsr<T, I>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-    O: BinaryOp<T, T, T> + 'static,
-{
-    with_default_ctx(|ctx| ewise_add_op_ctx(ctx, a, b, op, s))
-}
-
-/// [`ewise_add_op`] through an explicit execution context. This is *the*
-/// union merge loop: [`ewise_add`] and [`ewise_add_op`] both land here.
+///
+/// This is *the* union merge loop: [`ewise_add_ctx`] lands here too.
 pub fn ewise_add_op_ctx<T, I, S, O>(
     ctx: &OpCtx,
     a: &Dcsr<T, I>,
@@ -128,7 +99,7 @@ where
     S: Semiring<Value = T>,
     O: BinaryOp<T, T, T> + 'static,
 {
-    assert_dims(a, b);
+    check_same_space("ewise_add", a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
     let _span = ctx.kernel_span(Kernel::EwiseAdd, || {
         format!("{}×{}, {}+{} nnz", a.nrows(), a.ncols(), a.nnz(), b.nnz())
     });
@@ -184,19 +155,9 @@ where
 
 /// `C = A ⊗' B` with an arbitrary combiner at intersections (GraphBLAS
 /// `eWiseMult` with a user binary op).
-pub fn ewise_mul_op<T, I, S, O>(a: &Dcsr<T, I>, b: &Dcsr<T, I>, op: O, s: S) -> Dcsr<T, I>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-    O: BinaryOp<T, T, T> + 'static,
-{
-    with_default_ctx(|ctx| ewise_mul_op_ctx(ctx, a, b, op, s))
-}
-
-/// [`ewise_mul_op`] through an explicit execution context. This is *the*
-/// intersection merge loop: [`ewise_mul`] and [`ewise_mul_op`] both land
-/// here.
+///
+/// This is *the* intersection merge loop: [`ewise_mul_ctx`] lands here
+/// too.
 pub fn ewise_mul_op_ctx<T, I, S, O>(
     ctx: &OpCtx,
     a: &Dcsr<T, I>,
@@ -210,7 +171,7 @@ where
     S: Semiring<Value = T>,
     O: BinaryOp<T, T, T> + 'static,
 {
-    assert_dims(a, b);
+    check_same_space("ewise_mul", a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
     let _span = ctx.kernel_span(Kernel::EwiseMul, || {
         format!("{}×{}, {}+{} nnz", a.nrows(), a.ncols(), a.nnz(), b.nnz())
     });
@@ -258,29 +219,11 @@ where
     c
 }
 
-/// GraphBLAS `eWiseUnion`: like [`ewise_add_op`], but an entry present in
+/// GraphBLAS `eWiseUnion`: like [`ewise_add_op_ctx`], but an entry present in
 /// only one operand still goes through `op`, paired with the *other
 /// operand's default value* — so `op` need not treat "absent" as an
-/// identity. E.g. `ewise_union(a, b, minus, 0.0, 0.0, s)` is a true
+/// identity. E.g. `ewise_union_ctx(ctx, a, b, minus, 0.0, 0.0, s)` is a true
 /// element-wise subtraction `A − B` including `0 − b` cells.
-pub fn ewise_union<T, I, S, O>(
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    op: O,
-    a_default: T,
-    b_default: T,
-    s: S,
-) -> Dcsr<T, I>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-    O: BinaryOp<T, T, T>,
-{
-    with_default_ctx(|ctx| ewise_union_ctx(ctx, a, b, op, a_default, b_default, s))
-}
-
-/// [`ewise_union`] through an explicit execution context.
 pub fn ewise_union_ctx<T, I, S, O>(
     ctx: &OpCtx,
     a: &Dcsr<T, I>,
@@ -296,7 +239,7 @@ where
     S: Semiring<Value = T>,
     O: BinaryOp<T, T, T>,
 {
-    assert_dims(a, b);
+    check_same_space("ewise_union", a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
     let _span = ctx.kernel_span(Kernel::EwiseUnion, || {
         format!("{}×{}, {}+{} nnz", a.nrows(), a.ncols(), a.nnz(), b.nnz())
     });
@@ -603,12 +546,17 @@ fn from_sorted_trips<T: Value, I: IndexType>(
     Dcsr::from_parts(nrows, ncols, rows, rowptr, colidx, vals)
 }
 
-fn assert_dims<T: Value, I: IndexType>(a: &Dcsr<T, I>, b: &Dcsr<T, I>) {
-    assert_eq!(
-        (a.nrows(), a.ncols()),
-        (b.nrows(), b.ncols()),
-        "element-wise operands must share a key space"
-    );
+/// Element-wise conformance: both operands span one key space.
+pub(crate) fn check_same_space(op: &'static str, a: (Ix, Ix), b: (Ix, Ix)) -> Result<(), OpError> {
+    if a != b {
+        return Err(OpError::DimensionMismatch {
+            op,
+            a,
+            b,
+            rule: "element-wise operands must share a key space",
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -628,7 +576,7 @@ mod tests {
     fn add_is_union_with_combining() {
         let a = m(4, &[(0, 0, 1.0), (1, 1, 2.0)]);
         let b = m(4, &[(1, 1, 3.0), (2, 2, 4.0)]);
-        let c = ewise_add(&a, &b, PlusTimes::<f64>::new());
+        let c = ewise_add_ctx(&OpCtx::new(), &a, &b, PlusTimes::<f64>::new());
         assert_eq!(c.nnz(), 3);
         assert_eq!(c.get(0, 0), Some(&1.0));
         assert_eq!(c.get(1, 1), Some(&5.0));
@@ -639,7 +587,7 @@ mod tests {
     fn mul_is_intersection() {
         let a = m(4, &[(0, 0, 2.0), (1, 1, 2.0), (3, 3, 9.0)]);
         let b = m(4, &[(1, 1, 3.0), (2, 2, 4.0), (3, 3, 1.0)]);
-        let c = ewise_mul(&a, &b, PlusTimes::<f64>::new());
+        let c = ewise_mul_ctx(&OpCtx::new(), &a, &b, PlusTimes::<f64>::new());
         assert_eq!(c.nnz(), 2);
         assert_eq!(c.get(1, 1), Some(&6.0));
         assert_eq!(c.get(3, 3), Some(&9.0));
@@ -651,8 +599,8 @@ mod tests {
         let s = PlusTimes::<f64>::new();
         let a = random_dcsr(64, 64, 200, 42, s);
         let zero = Dcsr::<f64>::empty(64, 64);
-        assert_eq!(ewise_add(&a, &zero, s), a);
-        assert_eq!(ewise_add(&zero, &a, s), a);
+        assert_eq!(ewise_add_ctx(&OpCtx::new(), &a, &zero, s), a);
+        assert_eq!(ewise_add_ctx(&OpCtx::new(), &zero, &a, s), a);
     }
 
     #[test]
@@ -660,14 +608,14 @@ mod tests {
         let s = PlusTimes::<f64>::new();
         let a = random_dcsr(64, 64, 200, 43, s);
         let zero = Dcsr::<f64>::empty(64, 64);
-        assert_eq!(ewise_mul(&a, &zero, s).nnz(), 0);
+        assert_eq!(ewise_mul_ctx(&OpCtx::new(), &a, &zero, s).nnz(), 0);
     }
 
     #[test]
     fn cancellation_drops_entries() {
         let a = m(4, &[(0, 0, 5.0)]);
         let b = m(4, &[(0, 0, -5.0)]);
-        let c = ewise_add(&a, &b, PlusTimes::<f64>::new());
+        let c = ewise_add_ctx(&OpCtx::new(), &a, &b, PlusTimes::<f64>::new());
         assert_eq!(c.nnz(), 0);
         assert!(c.row_ids().is_empty());
     }
@@ -679,7 +627,7 @@ mod tests {
         ca.push(0, 0, 5.0);
         let mut cb = Coo::new(4, 4);
         cb.push(0, 0, 3.0);
-        let c = ewise_add(&ca.build_dcsr(s), &cb.build_dcsr(s), s);
+        let c = ewise_add_ctx(&OpCtx::new(), &ca.build_dcsr(s), &cb.build_dcsr(s), s);
         assert_eq!(c.get(0, 0), Some(&3.0));
     }
 
@@ -694,10 +642,13 @@ mod tests {
         cb.push(0, 0, PSet::from_iter([2, 3]));
         let b = cb.build_dcsr(s);
         assert_eq!(
-            ewise_add(&a, &b, s).get(0, 0),
+            ewise_add_ctx(&OpCtx::new(), &a, &b, s).get(0, 0),
             Some(&PSet::from_iter([1, 2, 3]))
         );
-        assert_eq!(ewise_mul(&a, &b, s).get(0, 0), Some(&PSet::from_iter([2])));
+        assert_eq!(
+            ewise_mul_ctx(&OpCtx::new(), &a, &b, s).get(0, 0),
+            Some(&PSet::from_iter([2]))
+        );
     }
 
     #[test]
@@ -705,8 +656,14 @@ mod tests {
         let s = PlusTimes::<f64>::new();
         let a = random_dcsr(64, 64, 300, 44, s);
         let b = random_dcsr(64, 64, 300, 45, s);
-        assert_eq!(ewise_add(&a, &b, s), ewise_add(&b, &a, s));
-        assert_eq!(ewise_mul(&a, &b, s), ewise_mul(&b, &a, s));
+        assert_eq!(
+            ewise_add_ctx(&OpCtx::new(), &a, &b, s),
+            ewise_add_ctx(&OpCtx::new(), &b, &a, s)
+        );
+        assert_eq!(
+            ewise_mul_ctx(&OpCtx::new(), &a, &b, s),
+            ewise_mul_ctx(&OpCtx::new(), &b, &a, s)
+        );
     }
 
     /// A boolean matrix with the given pattern seed; every third stored
@@ -766,8 +723,8 @@ mod tests {
         let b = random_dcsr(80, 80, 400, 47, s);
         let an: Dcsr<f64, u32> = a.to_index_width().unwrap();
         let bn: Dcsr<f64, u32> = b.to_index_width().unwrap();
-        let wide = ewise_add(&a, &b, s);
-        let narrow = ewise_add(&an, &bn, s);
+        let wide = ewise_add_ctx(&OpCtx::new(), &a, &b, s);
+        let narrow = ewise_add_ctx(&OpCtx::new(), &an, &bn, s);
         let wt: Vec<_> = wide.iter().collect();
         let nt: Vec<_> = narrow.iter().collect();
         assert_eq!(wt, nt);
@@ -778,7 +735,7 @@ mod tests {
         use semiring::Second;
         let a = m(4, &[(0, 0, 1.0), (1, 1, 2.0)]);
         let b = m(4, &[(1, 1, 9.0), (2, 2, 3.0)]);
-        let c = ewise_add_op(&a, &b, Second, PlusTimes::<f64>::new());
+        let c = ewise_add_op_ctx(&OpCtx::new(), &a, &b, Second, PlusTimes::<f64>::new());
         assert_eq!(c.get(0, 0), Some(&1.0)); // only in a
         assert_eq!(c.get(1, 1), Some(&9.0)); // b wins the collision
         assert_eq!(c.get(2, 2), Some(&3.0)); // only in b
@@ -789,7 +746,8 @@ mod tests {
         use semiring::FnBinOp;
         let a = m(4, &[(0, 0, 5.0), (1, 1, 2.0)]);
         let b = m(4, &[(0, 0, 5.0), (1, 1, 1.5)]);
-        let c = ewise_add_op(
+        let c = ewise_add_op_ctx(
+            &OpCtx::new(),
             &a,
             &b,
             FnBinOp(|x: f64, y: f64| x - y),
@@ -805,7 +763,8 @@ mod tests {
         use semiring::FnBinOp;
         let a = m(4, &[(0, 0, 1.0), (1, 1, 7.0)]);
         let b = m(4, &[(1, 1, 3.0), (2, 2, 9.0)]);
-        let c = ewise_mul_op(
+        let c = ewise_mul_op_ctx(
+            &OpCtx::new(),
             &a,
             &b,
             FnBinOp(|x: f64, y: f64| x.max(y)),
@@ -822,7 +781,7 @@ mod tests {
         let a = m(4, &[(0, 0, 5.0), (1, 1, 2.0)]);
         let b = m(4, &[(1, 1, 2.0), (2, 2, 3.0)]);
         let minus = FnBinOp(|x: f64, y: f64| x - y);
-        let c = ewise_union(&a, &b, minus, 0.0, 0.0, sr);
+        let c = ewise_union_ctx(&OpCtx::new(), &a, &b, minus, 0.0, 0.0, sr);
         assert_eq!(c.get(0, 0), Some(&5.0)); // 5 − default(0)
         assert_eq!(c.get(1, 1), None); // 2 − 2 cancels
         assert_eq!(c.get(2, 2), Some(&-3.0)); // default(0) − 3: sign flips!
@@ -836,8 +795,8 @@ mod tests {
         let b = random_dcsr(24, 24, 120, 61, sr);
         let plus = FnBinOp(|x: f64, y: f64| x + y);
         assert_eq!(
-            ewise_union(&a, &b, plus, 0.0, 0.0, sr),
-            ewise_add(&a, &b, sr)
+            ewise_union_ctx(&OpCtx::new(), &a, &b, plus, 0.0, 0.0, sr),
+            ewise_add_ctx(&OpCtx::new(), &a, &b, sr)
         );
     }
 
@@ -849,7 +808,7 @@ mod tests {
         let b = m(4, &[(1, 1, 6.0)]);
         // min with +∞ defaults: singleton cells pass through unchanged.
         let mn = FnBinOp(|x: f64, y: f64| x.min(y));
-        let c = ewise_union(&a, &b, mn, f64::INFINITY, f64::INFINITY, sr);
+        let c = ewise_union_ctx(&OpCtx::new(), &a, &b, mn, f64::INFINITY, f64::INFINITY, sr);
         assert_eq!(c.get(0, 0), Some(&4.0));
         assert_eq!(c.get(1, 1), Some(&6.0));
     }
@@ -861,19 +820,19 @@ mod tests {
         let b = random_dcsr(32, 32, 150, 51, sr);
         use semiring::FnBinOp;
         assert_eq!(
-            ewise_add_op(&a, &b, FnBinOp(|x: f64, y: f64| x + y), sr),
-            ewise_add(&a, &b, sr)
+            ewise_add_op_ctx(&OpCtx::new(), &a, &b, FnBinOp(|x: f64, y: f64| x + y), sr),
+            ewise_add_ctx(&OpCtx::new(), &a, &b, sr)
         );
         assert_eq!(
-            ewise_mul_op(&a, &b, FnBinOp(|x: f64, y: f64| x * y), sr),
-            ewise_mul(&a, &b, sr)
+            ewise_mul_op_ctx(&OpCtx::new(), &a, &b, FnBinOp(|x: f64, y: f64| x * y), sr),
+            ewise_mul_ctx(&OpCtx::new(), &a, &b, sr)
         );
     }
 
     #[test]
     fn ctx_variants_record_metrics() {
         let sr = PlusTimes::<f64>::new();
-        let ctx = crate::ctx::OpCtx::new();
+        let ctx = OpCtx::new();
         let a = m(4, &[(0, 0, 1.0), (1, 1, 2.0)]);
         let b = m(4, &[(1, 1, 3.0), (2, 2, 4.0)]);
         let c = ewise_add_ctx(&ctx, &a, &b, sr);
@@ -891,6 +850,6 @@ mod tests {
     fn dim_mismatch_panics() {
         let a = Dcsr::<f64>::empty(3, 3);
         let b = Dcsr::<f64>::empty(4, 4);
-        let _ = ewise_add(&a, &b, PlusTimes::<f64>::new());
+        let _ = ewise_add_ctx(&OpCtx::new(), &a, &b, PlusTimes::<f64>::new());
     }
 }

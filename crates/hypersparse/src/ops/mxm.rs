@@ -24,8 +24,7 @@
 //! boundaries equalize nnz, not row count, so one heavy RMAT row no
 //! longer serializes a fixed-size shard) and per-shard outputs
 //! concatenate in row order, so the result is bit-for-bit identical at
-//! every thread count. The ctx-free [`mxm`]/[`mxm_seq`] signatures wrap
-//! the thread-local default context.
+//! every thread count.
 //!
 //! All entry points are generic over the physical column-id width
 //! [`IndexType`]: `Dcsr<f64, u32>` operands run the same kernels with
@@ -35,7 +34,7 @@ use std::time::Instant;
 
 use semiring::traits::{Semiring, UnaryOp, Value};
 
-use crate::ctx::{par_run, plan_weighted_shards, with_default_ctx, MxmScratch, OpCtx};
+use crate::ctx::{par_run, plan_weighted_shards, MxmScratch, OpCtx};
 use crate::dcsr::Dcsr;
 use crate::error::OpError;
 use crate::index::IndexType;
@@ -98,6 +97,35 @@ fn shard_plan<T: Value, I: IndexType>(
     })
 }
 
+/// `A ⊕.⊗ B` conformance, shared by the plain, fused-prune and masked
+/// multiplies (they differ only in the `op` the error names).
+pub(crate) fn check_mxm(op: &'static str, a: (Ix, Ix), b: (Ix, Ix)) -> Result<(), OpError> {
+    if a.1 != b.0 {
+        return Err(OpError::DimensionMismatch {
+            op,
+            a,
+            b,
+            rule: "inner dimensions differ",
+        });
+    }
+    Ok(())
+}
+
+/// Masked-multiply conformance: [`check_mxm`] plus a mask over the
+/// result's key space.
+pub(crate) fn check_mxm_masked(a: (Ix, Ix), b: (Ix, Ix), mask: (Ix, Ix)) -> Result<(), OpError> {
+    check_mxm("mxm_masked", a, b)?;
+    if mask != (a.0, b.1) {
+        return Err(OpError::DimensionMismatch {
+            op: "mxm_masked",
+            a: (a.0, b.1),
+            b: mask,
+            rule: "mask must share the result's key space",
+        });
+    }
+    Ok(())
+}
+
 /// `C = A ⊕.⊗ B` through an explicit execution context: scratch comes
 /// from `ctx`'s workspace arena, parallelism follows `ctx.threads()`,
 /// and the invocation is recorded in `ctx.metrics()`.
@@ -107,15 +135,7 @@ pub fn mxm_ctx<T: Value, I: IndexType, S: Semiring<Value = T>>(
     b: &Dcsr<T, I>,
     s: S,
 ) -> Dcsr<T, I> {
-    assert_eq!(
-        a.ncols(),
-        b.nrows(),
-        "inner dimensions differ: {}×{} · {}×{}",
-        a.nrows(),
-        a.ncols(),
-        b.nrows(),
-        b.ncols()
-    );
+    check_mxm("mxm", a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
     let _span = ctx.kernel_span(Kernel::Mxm, || mm_detail(a, b));
     let start = Instant::now();
     let nrows_ne = a.n_nonempty_rows();
@@ -148,59 +168,6 @@ pub fn mxm_ctx<T: Value, I: IndexType, S: Semiring<Value = T>>(
     c
 }
 
-/// Sequential SpGEMM through an explicit context — [`mxm_ctx`] with the
-/// thread cap overridden to 1 for this call (the workspace arena and
-/// metrics still come from `ctx`).
-pub fn mxm_seq_ctx<T: Value, I: IndexType, S: Semiring<Value = T>>(
-    ctx: &OpCtx,
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    s: S,
-) -> Dcsr<T, I> {
-    assert_eq!(
-        a.ncols(),
-        b.nrows(),
-        "inner dimensions differ: {}×{} · {}×{}",
-        a.nrows(),
-        a.ncols(),
-        b.nrows(),
-        b.ncols()
-    );
-    let _span = ctx.kernel_span(Kernel::Mxm, || mm_detail(a, b));
-    let start = Instant::now();
-    let mut lease = ctx.lease_mxm_scratch::<T>();
-    let (chunk, flops) = multiply_row_range(a, b, s, 0, a.n_nonempty_rows(), lease.get(), &Some);
-    drop(lease);
-    let c = assemble(a.nrows(), b.ncols(), [chunk]);
-    ctx.metrics().record(
-        Kernel::Mxm,
-        start.elapsed(),
-        (a.nnz() + b.nnz()) as u64,
-        c.nnz() as u64,
-        flops,
-        (a.bytes() + b.bytes() + c.bytes()) as u64,
-    );
-    c
-}
-
-/// `C = A ⊕.⊗ B`, parallel and deterministic (thread-local default ctx).
-pub fn mxm<T: Value, I: IndexType, S: Semiring<Value = T>>(
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    s: S,
-) -> Dcsr<T, I> {
-    with_default_ctx(|ctx| mxm_ctx(ctx, a, b, s))
-}
-
-/// Sequential reference SpGEMM (same output as [`mxm`]).
-pub fn mxm_seq<T: Value, I: IndexType, S: Semiring<Value = T>>(
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    s: S,
-) -> Dcsr<T, I> {
-    with_default_ctx(|ctx| mxm_seq_ctx(ctx, a, b, s))
-}
-
 /// Fused SpGEMM + prune: `C = prune(op(A ⊕.⊗ B))` in one pass, with no
 /// intermediate product ever materialized. The epilogue runs at
 /// accumulator-drain time: each accumulated value that is *not* an `s`
@@ -230,53 +197,7 @@ where
     SD: Semiring<Value = T>,
     O: UnaryOp<T, T>,
 {
-    try_mxm_apply_prune_ctx(ctx, a, b, s, op, drop).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fused SpGEMM + prune (thread-local default ctx). See
-/// [`mxm_apply_prune_ctx`].
-pub fn mxm_apply_prune<T, I, S, SD, O>(
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    s: S,
-    op: O,
-    drop: SD,
-) -> Dcsr<T, I>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-    SD: Semiring<Value = T>,
-    O: UnaryOp<T, T>,
-{
-    with_default_ctx(|ctx| mxm_apply_prune_ctx(ctx, a, b, s, op, drop))
-}
-
-/// Fallible [`mxm_apply_prune_ctx`]: non-conforming inner dimensions
-/// become an [`OpError::DimensionMismatch`] instead of a panic.
-pub fn try_mxm_apply_prune_ctx<T, I, S, SD, O>(
-    ctx: &OpCtx,
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    s: S,
-    op: O,
-    drop: SD,
-) -> Result<Dcsr<T, I>, OpError>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-    SD: Semiring<Value = T>,
-    O: UnaryOp<T, T>,
-{
-    if a.ncols() != b.nrows() {
-        return Err(OpError::DimensionMismatch {
-            op: "mxm_apply_prune",
-            a: (a.nrows(), a.ncols()),
-            b: (b.nrows(), b.ncols()),
-            rule: "inner dimensions differ",
-        });
-    }
+    check_mxm("mxm_apply_prune", a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
     let _span = ctx.kernel_span(Kernel::Mxm, || mm_detail(a, b));
     let start = Instant::now();
     let ep = move |v: T| {
@@ -314,7 +235,7 @@ where
         flops,
         (a.bytes() + b.bytes() + c.bytes()) as u64,
     );
-    Ok(c)
+    c
 }
 
 /// Masked SpGEMM through an explicit context: `C = (A ⊕.⊗ B) ⊙ mask`
@@ -330,47 +251,7 @@ pub fn mxm_masked_ctx<T: Value, M: Value, I: IndexType, S: Semiring<Value = T>>(
     complement: bool,
     s: S,
 ) -> Dcsr<T, I> {
-    try_mxm_masked_ctx(ctx, a, b, mask, complement, s).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Masked SpGEMM (thread-local default ctx). See [`mxm_masked_ctx`].
-pub fn mxm_masked<T: Value, M: Value, I: IndexType, S: Semiring<Value = T>>(
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    mask: &Dcsr<M, I>,
-    complement: bool,
-    s: S,
-) -> Dcsr<T, I> {
-    with_default_ctx(|ctx| mxm_masked_ctx(ctx, a, b, mask, complement, s))
-}
-
-/// Fallible [`mxm_masked_ctx`]: non-conforming inner dimensions or a
-/// mask that doesn't share the result's key space become an
-/// [`OpError::DimensionMismatch`] instead of a panic.
-pub fn try_mxm_masked_ctx<T: Value, M: Value, I: IndexType, S: Semiring<Value = T>>(
-    ctx: &OpCtx,
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    mask: &Dcsr<M, I>,
-    complement: bool,
-    s: S,
-) -> Result<Dcsr<T, I>, OpError> {
-    if a.ncols() != b.nrows() {
-        return Err(OpError::DimensionMismatch {
-            op: "mxm_masked",
-            a: (a.nrows(), a.ncols()),
-            b: (b.nrows(), b.ncols()),
-            rule: "inner dimensions differ",
-        });
-    }
-    if mask.nrows() != a.nrows() || mask.ncols() != b.ncols() {
-        return Err(OpError::DimensionMismatch {
-            op: "mxm_masked",
-            a: (a.nrows(), b.ncols()),
-            b: (mask.nrows(), mask.ncols()),
-            rule: "mask must share the result's key space",
-        });
-    }
+    check_mxm_masked(a.shape(), b.shape(), mask.shape()).unwrap_or_else(|e| panic!("{e}"));
     let _span = ctx.kernel_span(Kernel::MxmMasked, || mm_detail(a, b));
     let start = Instant::now();
     let nrows_ne = a.n_nonempty_rows();
@@ -405,18 +286,7 @@ pub fn try_mxm_masked_ctx<T: Value, M: Value, I: IndexType, S: Semiring<Value = 
         flops,
         (a.bytes() + b.bytes() + mask.bytes() + c.bytes()) as u64,
     );
-    Ok(c)
-}
-
-/// Fallible [`mxm_masked`] (thread-local default ctx).
-pub fn try_mxm_masked<T: Value, M: Value, I: IndexType, S: Semiring<Value = T>>(
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    mask: &Dcsr<M, I>,
-    complement: bool,
-    s: S,
-) -> Result<Dcsr<T, I>, OpError> {
-    with_default_ctx(|ctx| try_mxm_masked_ctx(ctx, a, b, mask, complement, s))
+    c
 }
 
 /// Masked multiply of rows `start..end` of `A` (hash accumulator — the
@@ -901,7 +771,7 @@ mod tests {
         // [[1,2],[0,3]] * [[4,0],[5,6]] = [[14,12],[15,18]]
         let a = from_triplets(2, &[(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)]);
         let b = from_triplets(2, &[(0, 0, 4.0), (1, 0, 5.0), (1, 1, 6.0)]);
-        let c = mxm(&a, &b, PlusTimes::<f64>::new());
+        let c = mxm_ctx(&OpCtx::new(), &a, &b, PlusTimes::<f64>::new());
         assert_eq!(c.get(0, 0), Some(&14.0));
         assert_eq!(c.get(0, 1), Some(&12.0));
         assert_eq!(c.get(1, 0), Some(&15.0));
@@ -913,7 +783,7 @@ mod tests {
         let s = PlusTimes::<f64>::new();
         let a = random_dcsr(64, 64, 300, 1, s);
         let b = random_dcsr(64, 64, 300, 2, s);
-        let c = mxm(&a, &b, s);
+        let c = mxm_ctx(&OpCtx::new(), &a, &b, s);
         let got: Vec<_> = c.iter().map(|(i, j, &v)| (i, j, v)).collect();
         let want = oracle(&a, &b, s);
         assert_eq!(got.len(), want.len());
@@ -929,7 +799,7 @@ mod tests {
         let mut c = Coo::new(3, 3);
         c.extend([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 9.0)]);
         let a = c.build_dcsr(s);
-        let a2 = mxm(&a, &a, s);
+        let a2 = mxm_ctx(&OpCtx::new(), &a, &a, s);
         // Two-hop: 0→1→2 costs 3.
         assert_eq!(a2.get(0, 2), Some(&3.0));
     }
@@ -940,7 +810,10 @@ mod tests {
         // Big enough to trigger the parallel path (>512 non-empty rows).
         let a = random_dcsr(2000, 2000, 20_000, 3, s);
         let b = random_dcsr(2000, 2000, 20_000, 4, s);
-        assert_eq!(mxm(&a, &b, s), mxm_seq(&a, &b, s));
+        assert_eq!(
+            mxm_ctx(&OpCtx::new(), &a, &b, s),
+            mxm_ctx(&OpCtx::new().with_threads(1), &a, &b, s)
+        );
     }
 
     #[test]
@@ -1018,8 +891,8 @@ mod tests {
         let b = random_dcsr(128, 128, 900, 66, s);
         let an: Dcsr<f64, u32> = a.to_index_width().unwrap();
         let bn: Dcsr<f64, u32> = b.to_index_width().unwrap();
-        let wide = mxm(&a, &b, s);
-        let narrow = mxm(&an, &bn, s);
+        let wide = mxm_ctx(&OpCtx::new(), &a, &b, s);
+        let narrow = mxm_ctx(&OpCtx::new(), &an, &bn, s);
         let wt: Vec<_> = wide.iter().map(|(i, j, &v)| (i, j, v)).collect();
         let nt: Vec<_> = narrow.iter().map(|(i, j, &v)| (i, j, v)).collect();
         assert_eq!(wt, nt);
@@ -1067,7 +940,7 @@ mod tests {
         ca.extend([(7, 1 << 40, 2.0), (9, 3, 5.0)]);
         let mut cb = Coo::new(n, n);
         cb.extend([(1 << 40, 123, 3.0), (3, 456, 7.0)]);
-        let c = mxm(&ca.build_dcsr(s), &cb.build_dcsr(s), s);
+        let c = mxm_ctx(&OpCtx::new(), &ca.build_dcsr(s), &cb.build_dcsr(s), s);
         assert_eq!(c.get(7, 123), Some(&6.0));
         assert_eq!(c.get(9, 456), Some(&35.0));
         assert_eq!(c.nnz(), 2);
@@ -1079,8 +952,8 @@ mod tests {
         let a = random_dcsr(32, 32, 200, 7, s);
         let b = random_dcsr(32, 32, 200, 8, s);
         let mask = random_dcsr(32, 32, 100, 9, s);
-        let full = mxm(&a, &b, s);
-        let masked = mxm_masked(&a, &b, &mask, false, s);
+        let full = mxm_ctx(&OpCtx::new(), &a, &b, s);
+        let masked = mxm_masked_ctx(&OpCtx::new(), &a, &b, &mask, false, s);
         for (i, j, v) in masked.iter() {
             assert!(mask.get(i, j).is_some());
             assert_eq!(full.get(i, j), Some(v));
@@ -1099,7 +972,7 @@ mod tests {
         let a = random_dcsr(32, 32, 200, 10, s);
         let b = random_dcsr(32, 32, 200, 11, s);
         let mask = random_dcsr(32, 32, 100, 12, s);
-        let comp = mxm_masked(&a, &b, &mask, true, s);
+        let comp = mxm_masked_ctx(&OpCtx::new(), &a, &b, &mask, true, s);
         for (i, j, _) in comp.iter() {
             assert!(mask.get(i, j).is_none());
         }
@@ -1136,7 +1009,7 @@ mod tests {
         let mut c = Coo::new(3, 3);
         c.extend([(0, 1, true), (1, 2, true)]);
         let a = c.build_dcsr(s);
-        let a2 = mxm(&a, &a, s);
+        let a2 = mxm_ctx(&OpCtx::new(), &a, &a, s);
         assert_eq!(a2.get(0, 2), Some(&true));
         assert_eq!(a2.nnz(), 1);
     }
@@ -1146,15 +1019,20 @@ mod tests {
     fn conformance_checked() {
         let a = Dcsr::<f64>::empty(3, 4);
         let b = Dcsr::<f64>::empty(5, 3);
-        let _ = mxm(&a, &b, PlusTimes::<f64>::new());
+        let _ = mxm_ctx(&OpCtx::new(), &a, &b, PlusTimes::<f64>::new());
     }
 
     #[test]
-    #[should_panic(expected = "inner dimensions differ: 3×4 · 5×3")]
+    #[should_panic(expected = "inner dimensions differ: 3×4 vs 5×3")]
     fn seq_conformance_panic_carries_shapes() {
         let a = Dcsr::<f64>::empty(3, 4);
         let b = Dcsr::<f64>::empty(5, 3);
-        let _ = mxm_seq(&a, &b, PlusTimes::<f64>::new());
+        let _ = mxm_ctx(
+            &OpCtx::new().with_threads(1),
+            &a,
+            &b,
+            PlusTimes::<f64>::new(),
+        );
     }
 
     #[test]
@@ -1163,16 +1041,19 @@ mod tests {
         let a = Dcsr::<f64>::empty(3, 4);
         let b = Dcsr::<f64>::empty(5, 3);
         let mask = Dcsr::<f64>::empty(3, 3);
-        let _ = mxm_masked(&a, &b, &mask, false, PlusTimes::<f64>::new());
+        let _ = mxm_masked_ctx(&OpCtx::new(), &a, &b, &mask, false, PlusTimes::<f64>::new());
     }
 
     #[test]
     fn try_masked_reports_typed_errors() {
+        use crate::matrix::Matrix;
         let s = PlusTimes::<f64>::new();
-        let a = Dcsr::<f64>::empty(3, 4);
-        let b = Dcsr::<f64>::empty(5, 3);
-        let mask = Dcsr::<f64>::empty(3, 3);
-        let e = try_mxm_masked(&a, &b, &mask, false, s).unwrap_err();
+        let ctx = OpCtx::new();
+        let empty = |nrows, ncols| Matrix::from_dcsr(Dcsr::<f64>::empty(nrows, ncols), s);
+        let a = empty(3, 4);
+        let b = empty(5, 3);
+        let mask = empty(3, 3);
+        let e = a.try_mxm_masked_ctx(&ctx, &b, &mask, false, s).unwrap_err();
         assert!(
             matches!(
                 e,
@@ -1184,16 +1065,16 @@ mod tests {
             ),
             "{e:?}"
         );
-        let b = Dcsr::<f64>::empty(4, 6);
-        let e = try_mxm_masked(&a, &b, &mask, false, s).unwrap_err();
+        let b = empty(4, 6);
+        let e = a.try_mxm_masked_ctx(&ctx, &b, &mask, false, s).unwrap_err();
         let msg = e.to_string();
         assert!(
             msg.contains("mask must share the result's key space"),
             "{msg}"
         );
         assert!(msg.contains("3×6 vs 3×3"), "{msg}");
-        let mask = Dcsr::<f64>::empty(3, 6);
-        assert!(try_mxm_masked(&a, &b, &mask, false, s).is_ok());
+        let mask = empty(3, 6);
+        assert!(a.try_mxm_masked_ctx(&ctx, &b, &mask, false, s).is_ok());
     }
 
     #[test]
@@ -1321,13 +1202,7 @@ mod tests {
 
     #[test]
     fn try_fused_prune_reports_typed_error() {
-        use semiring::FnOp;
-        let s = PlusTimes::<f64>::new();
-        let a = Dcsr::<f64>::empty(3, 4);
-        let b = Dcsr::<f64>::empty(5, 3);
-        let op = FnOp(|x: f64| x);
-        let ctx = OpCtx::new();
-        let e = try_mxm_apply_prune_ctx(&ctx, &a, &b, s, op, s).unwrap_err();
+        let e = check_mxm("mxm_apply_prune", (3, 4), (5, 3)).unwrap_err();
         assert!(
             matches!(
                 e,

@@ -43,7 +43,7 @@ use std::time::Instant;
 
 use semiring::traits::{Semiring, Value};
 
-use crate::ctx::{par_run, plan_weighted_shards, with_default_ctx, OpCtx};
+use crate::ctx::{par_run, plan_weighted_shards, OpCtx};
 use crate::dcsr::Dcsr;
 use crate::error::OpError;
 use crate::index::IndexType;
@@ -449,101 +449,74 @@ where
     out
 }
 
-fn check_vxm<T: Value, I: IndexType>(v: &SparseVec<T, I>, a: &Dcsr<T, I>) -> Result<(), OpError> {
-    if v.dim() != a.nrows() {
-        return Err(OpError::DimensionMismatch {
-            op: "vxm",
-            a: (1, v.dim()),
-            b: (a.nrows(), a.ncols()),
-            rule: "dimension mismatch",
-        });
+/// `at`, when supplied, must be `a`'s transpose — checked by shape, O(1).
+fn check_transpose(op: &'static str, a: (Ix, Ix), at: Option<(Ix, Ix)>) -> Result<(), OpError> {
+    match at {
+        Some(t) if t != (a.1, a.0) => Err(OpError::DimensionMismatch {
+            op,
+            a,
+            b: t,
+            rule: "supplied transpose must have the transposed shape",
+        }),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
-fn check_mxv<T: Value, I: IndexType>(a: &Dcsr<T, I>, v: &SparseVec<T, I>) -> Result<(), OpError> {
-    if v.dim() != a.ncols() {
+/// `vᵀ A` conformance: `v` spans the rows of `a` (an `nrows × ncols`
+/// shape), and a supplied transpose has the transposed shape.
+pub(crate) fn check_vxm(v_dim: Ix, a: (Ix, Ix), at: Option<(Ix, Ix)>) -> Result<(), OpError> {
+    if v_dim != a.0 {
         return Err(OpError::DimensionMismatch {
-            op: "mxv",
-            a: (a.nrows(), a.ncols()),
-            b: (v.dim(), 1),
+            op: "vxm",
+            a: (1, v_dim),
+            b: a,
             rule: "dimension mismatch",
         });
     }
-    Ok(())
+    check_transpose("vxm", a, at)
+}
+
+/// `A v` conformance: `v` spans the columns of `a`, and a supplied
+/// transpose has the transposed shape.
+pub(crate) fn check_mxv(a: (Ix, Ix), at: Option<(Ix, Ix)>, v_dim: Ix) -> Result<(), OpError> {
+    if v_dim != a.1 {
+        return Err(OpError::DimensionMismatch {
+            op: "mxv",
+            a,
+            b: (v_dim, 1),
+            rule: "dimension mismatch",
+        });
+    }
+    check_transpose("mxv", a, at)
 }
 
 // ---- vxm family ----
 
 /// `vᵀ A` over a semiring: `out(j) = ⊕_i v(i) ⊗ A(i,j)` — one frontier
 /// expansion, push direction, parallel over fixed frontier segments.
+/// This is the forced-push side of the push ≡ pull law.
 pub fn vxm_ctx<T, I, S>(ctx: &OpCtx, v: &SparseVec<T, I>, a: &Dcsr<T, I>, s: S) -> SparseVec<T, I>
 where
     T: Value,
     I: IndexType,
     S: Semiring<Value = T>,
 {
-    try_vxm_ctx(ctx, v, a, s).unwrap_or_else(|e| panic!("{e}"))
+    vxm_opt_ctx(ctx, v, a, None, None, s)
 }
 
-/// [`vxm_ctx`] against the thread-local default context.
-pub fn vxm<T, I, S>(v: &SparseVec<T, I>, a: &Dcsr<T, I>, s: S) -> SparseVec<T, I>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-{
-    with_default_ctx(|ctx| vxm_ctx(ctx, v, a, s))
-}
-
-/// Fallible [`vxm_ctx`]: dimension mismatch becomes an [`OpError`].
-pub fn try_vxm_ctx<T, I, S>(
-    ctx: &OpCtx,
-    v: &SparseVec<T, I>,
-    a: &Dcsr<T, I>,
-    s: S,
-) -> Result<SparseVec<T, I>, OpError>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-{
-    check_vxm(v, a)?;
-    Ok(run_mv(
-        ctx,
-        Kernel::Vxm,
-        v,
-        Some(a),
-        None,
-        None,
-        false,
-        a.ncols(),
-        s,
-    ))
-}
-
-/// Fallible [`vxm`] against the thread-local default context.
-pub fn try_vxm<T, I, S>(
-    v: &SparseVec<T, I>,
-    a: &Dcsr<T, I>,
-    s: S,
-) -> Result<SparseVec<T, I>, OpError>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-{
-    with_default_ctx(|ctx| try_vxm_ctx(ctx, v, a, s))
-}
-
-/// Direction-optimized `vᵀ A`: supply `at = Aᵀ` (e.g. from
+/// Direction-optimized, mask-fused `vᵀ A`. Supply `at = Aᵀ` (e.g. from
 /// [`crate::Matrix::cached_transpose_ctx`]) and the kernel picks push or
-/// pull per call via [`choose_direction`].
+/// pull per call via [`choose_direction`]. Supply a complement `mask`
+/// (a sorted index slice, e.g. the visited set) and `(vᵀA) ⊙ ¬mask` is
+/// computed *inside* the accumulator loop — equivalent to
+/// `vxm_ctx(..).without(mask)` without materializing the masked-off
+/// work; in pull direction a masked output skips its whole gather row.
 pub fn vxm_opt_ctx<T, I, S>(
     ctx: &OpCtx,
     v: &SparseVec<T, I>,
     a: &Dcsr<T, I>,
     at: Option<&Dcsr<T, I>>,
+    mask: Option<&[Ix]>,
     s: S,
 ) -> SparseVec<T, I>
 where
@@ -551,88 +524,12 @@ where
     I: IndexType,
     S: Semiring<Value = T>,
 {
-    assert_eq!(v.dim(), a.nrows(), "dimension mismatch");
-    debug_assert!(at.is_none_or(|t| t.nrows() == a.ncols() && t.ncols() == a.nrows()));
-    run_mv(ctx, Kernel::Vxm, v, Some(a), at, None, false, a.ncols(), s)
+    check_vxm(v.dim(), a.shape(), at.map(Dcsr::shape)).unwrap_or_else(|e| panic!("{e}"));
+    run_mv(ctx, Kernel::Vxm, v, Some(a), at, mask, false, a.ncols(), s)
 }
 
-/// Mask-fused frontier expansion: `(vᵀA) ⊙ ¬mask` with the complement
-/// mask (a sorted index slice, e.g. the visited set) applied *inside*
-/// the accumulator loop. Equivalent to `vxm(...).without(mask)` without
-/// materializing the masked-off work.
-pub fn vxm_masked_ctx<T, I, S>(
-    ctx: &OpCtx,
-    v: &SparseVec<T, I>,
-    a: &Dcsr<T, I>,
-    mask: &[Ix],
-    s: S,
-) -> SparseVec<T, I>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-{
-    vxm_masked_opt_ctx(ctx, v, a, None, mask, s)
-}
-
-/// [`vxm_masked_ctx`] with direction optimization over an optional
-/// transpose. In pull direction a masked output skips its whole gather
-/// row — the mask's biggest win.
-pub fn vxm_masked_opt_ctx<T, I, S>(
-    ctx: &OpCtx,
-    v: &SparseVec<T, I>,
-    a: &Dcsr<T, I>,
-    at: Option<&Dcsr<T, I>>,
-    mask: &[Ix],
-    s: S,
-) -> SparseVec<T, I>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-{
-    assert_eq!(v.dim(), a.nrows(), "dimension mismatch");
-    debug_assert!(at.is_none_or(|t| t.nrows() == a.ncols() && t.ncols() == a.nrows()));
-    run_mv(
-        ctx,
-        Kernel::Vxm,
-        v,
-        Some(a),
-        at,
-        Some(mask),
-        false,
-        a.ncols(),
-        s,
-    )
-}
-
-/// Force-push `vᵀ A` (ablation entry point).
-pub fn vxm_push_ctx<T, I, S>(
-    ctx: &OpCtx,
-    v: &SparseVec<T, I>,
-    a: &Dcsr<T, I>,
-    s: S,
-) -> SparseVec<T, I>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-{
-    assert_eq!(v.dim(), a.nrows(), "dimension mismatch");
-    run_mv(
-        ctx,
-        Kernel::Vxm,
-        v,
-        Some(a),
-        None,
-        None,
-        false,
-        a.ncols(),
-        s,
-    )
-}
-
-/// Force-pull `vᵀ A` given `at = Aᵀ` (ablation entry point).
+/// Force-pull `vᵀ A` given `at = Aᵀ` — the other side of the
+/// push ≡ pull law.
 pub fn vxm_pull_ctx<T, I, S>(
     ctx: &OpCtx,
     v: &SparseVec<T, I>,
@@ -644,7 +541,7 @@ where
     I: IndexType,
     S: Semiring<Value = T>,
 {
-    assert_eq!(v.dim(), at.ncols(), "dimension mismatch");
+    check_vxm(v.dim(), (at.ncols(), at.nrows()), None).unwrap_or_else(|e| panic!("{e}"));
     run_mv(
         ctx,
         Kernel::Vxm,
@@ -737,57 +634,7 @@ where
     I: IndexType,
     S: Semiring<Value = T>,
 {
-    try_mxv_ctx(ctx, a, v, s).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`mxv_ctx`] against the thread-local default context.
-pub fn mxv<T, I, S>(a: &Dcsr<T, I>, v: &SparseVec<T, I>, s: S) -> SparseVec<T, I>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-{
-    with_default_ctx(|ctx| mxv_ctx(ctx, a, v, s))
-}
-
-/// Fallible [`mxv_ctx`]: dimension mismatch becomes an [`OpError`].
-pub fn try_mxv_ctx<T, I, S>(
-    ctx: &OpCtx,
-    a: &Dcsr<T, I>,
-    v: &SparseVec<T, I>,
-    s: S,
-) -> Result<SparseVec<T, I>, OpError>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-{
-    check_mxv(a, v)?;
-    Ok(run_mv(
-        ctx,
-        Kernel::Mxv,
-        v,
-        None,
-        Some(a),
-        None,
-        true,
-        a.nrows(),
-        s,
-    ))
-}
-
-/// Fallible [`mxv`] against the thread-local default context.
-pub fn try_mxv<T, I, S>(
-    a: &Dcsr<T, I>,
-    v: &SparseVec<T, I>,
-    s: S,
-) -> Result<SparseVec<T, I>, OpError>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-{
-    with_default_ctx(|ctx| try_mxv_ctx(ctx, a, v, s))
+    mxv_opt_ctx(ctx, a, None, v, s)
 }
 
 /// Direction-optimized `A v`: supply `at = Aᵀ` and a sparse `v` can be
@@ -804,8 +651,7 @@ where
     I: IndexType,
     S: Semiring<Value = T>,
 {
-    assert_eq!(v.dim(), a.ncols(), "dimension mismatch");
-    debug_assert!(at.is_none_or(|t| t.nrows() == a.ncols() && t.ncols() == a.nrows()));
+    check_mxv(a.shape(), at.map(Dcsr::shape), v.dim()).unwrap_or_else(|e| panic!("{e}"));
     run_mv(ctx, Kernel::Mxv, v, at, Some(a), None, true, a.nrows(), s)
 }
 
@@ -814,7 +660,7 @@ mod tests {
     use super::*;
     use crate::coo::Coo;
     use crate::gen::random_dcsr;
-    use crate::ops::transform::transpose;
+    use crate::ops::transform::transpose_ctx;
     use semiring::{MinPlus, Plain, PlusTimes};
 
     fn pt() -> PlusTimes<f64> {
@@ -883,8 +729,8 @@ mod tests {
         let vf = frontier(4000, 3000, 2);
         let ctx4 = OpCtx::new().with_threads(4);
         assert_eq!(
-            vxm_push_ctx(&ctx4, &vf, &big, pt()),
-            vxm_push_ctx(&ctx4, &vf, &big, Plain(pt()))
+            vxm_ctx(&ctx4, &vf, &big, pt()),
+            vxm_ctx(&ctx4, &vf, &big, Plain(pt()))
         );
     }
 
@@ -894,8 +740,8 @@ mod tests {
         let v = frontier(300, 40, 3);
         let an: Dcsr<f64, u32> = a.to_index_width().unwrap();
         let vn: SparseVec<f64, u32> = v.to_index_width().unwrap();
-        let wide = vxm(&v, &a, pt());
-        let narrow = vxm(&vn, &an, pt());
+        let wide = vxm_ctx(&OpCtx::new(), &v, &a, pt());
+        let narrow = vxm_ctx(&OpCtx::new(), &vn, &an, pt());
         let wt: Vec<_> = wide.iter().map(|(i, &x)| (i, x)).collect();
         let nt: Vec<_> = narrow.iter().map(|(i, &x)| (i, x)).collect();
         assert_eq!(wt, nt);
@@ -908,12 +754,12 @@ mod tests {
         let v = frontier(200, 30, 1);
         let mask: Vec<Ix> = (0..200).step_by(3).collect();
         let mask_vec = SparseVec::from_entries(200, mask.iter().map(|&i| (i, 1.0)).collect(), pt());
-        let fused = vxm_masked_ctx(&ctx, &v, &a, &mask, pt());
+        let fused = vxm_opt_ctx(&ctx, &v, &a, None, Some(&mask), pt());
         let unfused = vxm_ctx(&ctx, &v, &a, pt()).without(&mask_vec);
         assert_eq!(fused, unfused);
         // And the pull direction agrees too.
-        let at = transpose(&a);
-        let pulled = vxm_masked_opt_ctx(&ctx, &v, &a, Some(&at), &mask, pt());
+        let at = transpose_ctx(&ctx, &a);
+        let pulled = vxm_opt_ctx(&ctx, &v, &a, Some(&at), Some(&mask), pt());
         assert_eq!(pulled, unfused);
     }
 
@@ -921,9 +767,9 @@ mod tests {
     fn push_equals_pull() {
         let ctx = OpCtx::new();
         let a = random_dcsr(256, 256, 3000, 9, pt());
-        let at = transpose(&a);
+        let at = transpose_ctx(&ctx, &a);
         let v = frontier(256, 200, 2);
-        let push = vxm_push_ctx(&ctx, &v, &a, pt());
+        let push = vxm_ctx(&ctx, &v, &a, pt());
         let pull = vxm_pull_ctx(&ctx, &v, &at, pt());
         assert_eq!(push, pull);
     }
@@ -945,7 +791,7 @@ mod tests {
         let s = MinPlus::<f64>::new();
         let n = 6000;
         let a = random_dcsr(n, n, 40_000, 21, s);
-        let at = transpose(&a);
+        let at = transpose_ctx(&OpCtx::new(), &a);
         let v = frontier(n, 3000, 7);
         let base = {
             let ctx = OpCtx::new().with_threads(1);
@@ -991,14 +837,14 @@ mod tests {
             }
         }
         let want = SparseVec::from_sorted_parts(a.nrows(), idx, vals);
-        assert_eq!(mxv(&a, &v, pt()), want);
+        assert_eq!(mxv_ctx(&OpCtx::new(), &a, &v, pt()), want);
         // Push direction (via the transpose) agrees.
         let ctx = OpCtx::new();
-        let at = transpose(&a);
+        let at = transpose_ctx(&ctx, &a);
         let sparse_v = frontier(300, 3, 5);
         assert_eq!(
             mxv_opt_ctx(&ctx, &a, Some(&at), &sparse_v, pt()),
-            mxv(&a, &sparse_v, pt())
+            mxv_ctx(&ctx, &a, &sparse_v, pt())
         );
     }
 
@@ -1011,40 +857,59 @@ mod tests {
         c.extend([(0u64, 1u64, 7u64), (2, 1, 3)]);
         let a = c.build_dcsr(s);
         let v = SparseVec::from_entries(4, vec![(1, 9u64)], s);
-        let got = mxv(&a, &v, s);
+        let got = mxv_ctx(&OpCtx::new(), &a, &v, s);
         assert_eq!(got.get(&0), Some(&7));
         assert_eq!(got.get(&2), Some(&3));
         let ctx = OpCtx::new();
-        let at = transpose(&a);
+        let at = transpose_ctx(&ctx, &a);
         assert_eq!(mxv_opt_ctx(&ctx, &a, Some(&at), &v, s), got);
     }
 
     #[test]
     fn try_variants_report_dimension_mismatch() {
         let a = random_dcsr(10, 12, 30, 1, pt());
-        let bad = SparseVec::<f64>::empty(11);
-        let e = try_vxm(&bad, &a, pt()).unwrap_err();
+        let e = check_vxm(11, a.shape(), None).unwrap_err();
         assert!(e.to_string().contains("vxm: dimension mismatch"), "{e}");
-        let e = try_mxv(&a, &bad, pt()).unwrap_err();
+        let e = check_mxv(a.shape(), None, 11).unwrap_err();
         assert!(e.to_string().contains("mxv: dimension mismatch"), "{e}");
-        assert!(try_vxm(&SparseVec::empty(10), &a, pt()).is_ok());
-        assert!(try_mxv(&a, &SparseVec::empty(12), pt()).is_ok());
+        assert!(check_vxm(10, a.shape(), None).is_ok());
+        assert!(check_mxv(a.shape(), None, 12).is_ok());
     }
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn vxm_panics_on_mismatch() {
         let a = random_dcsr(10, 12, 30, 1, pt());
-        let _ = vxm(&SparseVec::<f64>::empty(11), &a, pt());
+        let _ = vxm_ctx(&OpCtx::new(), &SparseVec::<f64>::empty(11), &a, pt());
+    }
+
+    // The supplied transpose is checked in release builds too: an `at`
+    // of the wrong shape used to yield indices beyond the output's `dim`.
+    #[test]
+    #[should_panic(expected = "vxm: supplied transpose must have the transposed shape")]
+    fn vxm_opt_rejects_misshapen_transpose() {
+        let a = random_dcsr(10, 12, 30, 1, pt());
+        let not_at = random_dcsr(20, 10, 30, 2, pt());
+        let v = frontier(10, 9, 0);
+        let _ = vxm_opt_ctx(&OpCtx::new(), &v, &a, Some(&not_at), None, pt());
+    }
+
+    #[test]
+    #[should_panic(expected = "mxv: supplied transpose must have the transposed shape")]
+    fn mxv_opt_rejects_misshapen_transpose() {
+        let a = random_dcsr(10, 12, 30, 1, pt());
+        let not_at = random_dcsr(12, 20, 30, 2, pt());
+        let v = frontier(12, 2, 0);
+        let _ = mxv_opt_ctx(&OpCtx::new(), &a, Some(&not_at), &v, pt());
     }
 
     #[test]
     fn metrics_record_direction_flops_and_mask_hits() {
         let ctx = OpCtx::new();
         let a = random_dcsr(100, 100, 900, 8, pt());
-        let at = transpose(&a);
+        let at = transpose_ctx(&ctx, &a);
         let dense_v = frontier(100, 90, 0);
-        let _ = vxm_opt_ctx(&ctx, &dense_v, &a, Some(&at), pt());
+        let _ = vxm_opt_ctx(&ctx, &dense_v, &a, Some(&at), None, pt());
         let snap = ctx.metrics().snapshot();
         assert_eq!(snap.kernel(Kernel::Vxm).calls, 1);
         assert_eq!(snap.mv_pull_calls, 1);
@@ -1052,7 +917,7 @@ mod tests {
         assert!(snap.kernel(Kernel::Vxm).bytes_touched > 0);
 
         let mask: Vec<Ix> = (0..100).collect(); // everything masked
-        let masked = vxm_masked_opt_ctx(&ctx, &dense_v, &a, Some(&at), &mask, pt());
+        let masked = vxm_opt_ctx(&ctx, &dense_v, &a, Some(&at), Some(&mask), pt());
         assert!(masked.is_empty());
         let snap = ctx.metrics().snapshot();
         assert!(snap.mask_probes > 0);
@@ -1067,7 +932,7 @@ mod tests {
     fn dense_pull_matches_scalar_scatter() {
         let n = 64usize;
         let a = random_dcsr(n as Ix, n as Ix, 500, 17, pt());
-        let at = transpose(&a);
+        let at = transpose_ctx(&OpCtx::new(), &a);
         let v: Vec<f64> = (0..n).map(|i| 0.25 + i as f64 * 0.5).collect();
         // Scalar oracle: scatter rows of `a` in row order.
         let mut want = vec![0.125f64; n];

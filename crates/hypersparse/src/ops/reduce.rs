@@ -1,20 +1,17 @@
 //! Monoid reductions — the paper's projections `A ⊕.⊗ 𝟙` (§IV).
 //!
 //! `C = A ⊕.⊗ 𝟙` collapses columns: `C(k₁) = ⊕_{k₂} A(k₁, k₂)` — that is
-//! [`reduce_rows`]. `𝟙 ⊕.⊗ A` collapses rows — [`reduce_cols`]. Rather
+//! [`reduce_rows_ctx`]. `𝟙 ⊕.⊗ A` collapses rows — [`reduce_cols_ctx`]. Rather
 //! than materialize an all-ones array over a 2⁶⁰ key space, the kernels
 //! fold directly; the equivalence with the literal ⊕.⊗-against-ones form
 //! is asserted in the `hyperspace-core` semilink tests.
-//!
-//! Each kernel has a `*_ctx` variant recording into an [`OpCtx`]'s
-//! metrics; the ctx-free names wrap the thread-local default context.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use semiring::traits::{Monoid, Value};
 
-use crate::ctx::{par_run, with_default_ctx, OpCtx};
+use crate::ctx::{par_run, OpCtx};
 use crate::dcsr::Dcsr;
 use crate::metrics::Kernel;
 use crate::vector::SparseVec;
@@ -27,11 +24,6 @@ use crate::Ix;
 pub(crate) const ROWS_PER_SHARD: usize = 512;
 
 /// Fold each non-empty row with the monoid: `out(i) = ⊕_j A(i, j)`.
-pub fn reduce_rows<T: Value, M: Monoid<T>>(a: &Dcsr<T>, m: M) -> SparseVec<T> {
-    with_default_ctx(|ctx| reduce_rows_ctx(ctx, a, m))
-}
-
-/// [`reduce_rows`] through an explicit execution context.
 pub fn reduce_rows_ctx<T: Value, M: Monoid<T>>(ctx: &OpCtx, a: &Dcsr<T>, m: M) -> SparseVec<T> {
     let _span = ctx.kernel_span(Kernel::ReduceRows, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
@@ -83,11 +75,6 @@ pub fn reduce_rows_ctx<T: Value, M: Monoid<T>>(ctx: &OpCtx, a: &Dcsr<T>, m: M) -
 }
 
 /// Fold each non-empty column: `out(j) = ⊕_i A(i, j)`.
-pub fn reduce_cols<T: Value, M: Monoid<T>>(a: &Dcsr<T>, m: M) -> SparseVec<T> {
-    with_default_ctx(|ctx| reduce_cols_ctx(ctx, a, m))
-}
-
-/// [`reduce_cols`] through an explicit execution context.
 pub fn reduce_cols_ctx<T: Value, M: Monoid<T>>(ctx: &OpCtx, a: &Dcsr<T>, m: M) -> SparseVec<T> {
     let _span = ctx.kernel_span(Kernel::ReduceCols, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
@@ -172,11 +159,6 @@ pub fn col_degrees_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> SparseVec<u64> {
 }
 
 /// Fold every stored entry into one value.
-pub fn reduce_scalar<T: Value, M: Monoid<T>>(a: &Dcsr<T>, m: M) -> T {
-    with_default_ctx(|ctx| reduce_scalar_ctx(ctx, a, m))
-}
-
-/// [`reduce_scalar`] through an explicit execution context.
 pub fn reduce_scalar_ctx<T: Value, M: Monoid<T>>(ctx: &OpCtx, a: &Dcsr<T>, m: M) -> T {
     let _span = ctx.kernel_span(Kernel::ReduceScalar, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
@@ -212,7 +194,7 @@ mod tests {
     #[test]
     fn row_reduction_is_out_degree_weight() {
         let a = m(&[(0, 1, 1.0), (0, 2, 2.0), (3, 3, 5.0)]);
-        let r = reduce_rows(&a, PlusMonoid::<f64>::default());
+        let r = reduce_rows_ctx(&OpCtx::new(), &a, PlusMonoid::<f64>::default());
         assert_eq!(r.get(&0), Some(&3.0));
         assert_eq!(r.get(&3), Some(&5.0));
         assert_eq!(r.get(&1), None);
@@ -221,7 +203,7 @@ mod tests {
     #[test]
     fn col_reduction_is_in_degree_weight() {
         let a = m(&[(0, 1, 1.0), (2, 1, 2.0), (3, 3, 5.0)]);
-        let c = reduce_cols(&a, PlusMonoid::<f64>::default());
+        let c = reduce_cols_ctx(&OpCtx::new(), &a, PlusMonoid::<f64>::default());
         assert_eq!(c.get(&1), Some(&3.0));
         assert_eq!(c.get(&3), Some(&5.0));
     }
@@ -229,24 +211,36 @@ mod tests {
     #[test]
     fn scalar_reduction() {
         let a = m(&[(0, 1, 1.0), (2, 1, 2.0), (3, 3, 5.0)]);
-        assert_eq!(reduce_scalar(&a, PlusMonoid::<f64>::default()), 8.0);
-        assert_eq!(reduce_scalar(&a, MaxMonoid::<f64>::default()), 5.0);
-        assert_eq!(reduce_scalar(&a, MinMonoid::<f64>::default()), 1.0);
+        assert_eq!(
+            reduce_scalar_ctx(&OpCtx::new(), &a, PlusMonoid::<f64>::default()),
+            8.0
+        );
+        assert_eq!(
+            reduce_scalar_ctx(&OpCtx::new(), &a, MaxMonoid::<f64>::default()),
+            5.0
+        );
+        assert_eq!(
+            reduce_scalar_ctx(&OpCtx::new(), &a, MinMonoid::<f64>::default()),
+            1.0
+        );
     }
 
     #[test]
     fn empty_reduces_to_identity() {
         let a = Dcsr::<f64>::empty(8, 8);
-        assert_eq!(reduce_scalar(&a, PlusMonoid::<f64>::default()), 0.0);
-        assert!(reduce_rows(&a, PlusMonoid::<f64>::default()).is_empty());
-        assert!(reduce_cols(&a, PlusMonoid::<f64>::default()).is_empty());
+        assert_eq!(
+            reduce_scalar_ctx(&OpCtx::new(), &a, PlusMonoid::<f64>::default()),
+            0.0
+        );
+        assert!(reduce_rows_ctx(&OpCtx::new(), &a, PlusMonoid::<f64>::default()).is_empty());
+        assert!(reduce_cols_ctx(&OpCtx::new(), &a, PlusMonoid::<f64>::default()).is_empty());
     }
 
     #[test]
     fn identity_results_are_dropped() {
         // Row sums that cancel to the monoid identity don't appear.
         let a = m(&[(0, 1, 2.0), (0, 2, -2.0), (1, 1, 1.0)]);
-        let r = reduce_rows(&a, PlusMonoid::<f64>::default());
+        let r = reduce_rows_ctx(&OpCtx::new(), &a, PlusMonoid::<f64>::default());
         assert_eq!(r.get(&0), None);
         assert_eq!(r.get(&1), Some(&1.0));
     }

@@ -1,16 +1,16 @@
-//! Structural composition: assign, concatenation, diagonals, triangles,
-//! matrix powers — the remaining GraphBLAS surface.
+//! Structural composition: assign, concatenation, diagonals, matrix
+//! powers — the remaining GraphBLAS surface.
 //!
-//! The heavyweight kernels have `*_ctx` variants recording into an
-//! [`OpCtx`]'s metrics; the ctx-free names wrap the thread-local default
-//! context.
+//! The heavyweight kernels take an [`OpCtx`] and record into its
+//! metrics; `diag`/`diag_of` are plain constructors.
 
 use std::time::Instant;
 
 use semiring::traits::{Semiring, Value};
 
-use crate::ctx::{with_default_ctx, OpCtx};
+use crate::ctx::OpCtx;
 use crate::dcsr::Dcsr;
+use crate::error::{Axis, OpError};
 use crate::metrics::Kernel;
 use crate::vector::SparseVec;
 use crate::Ix;
@@ -19,11 +19,6 @@ use crate::Ix;
 /// entry `B(i, j)` lands at `A(rows[i], cols[j])`, replacing anything in
 /// the selected cross-pattern (cells selected but absent in `B` are
 /// cleared). Selectors must be strictly increasing.
-pub fn assign<T: Value>(a: &Dcsr<T>, rows_sel: &[Ix], cols_sel: &[Ix], b: &Dcsr<T>) -> Dcsr<T> {
-    with_default_ctx(|ctx| assign_ctx(ctx, a, rows_sel, cols_sel, b))
-}
-
-/// [`assign`] through an explicit execution context.
 pub fn assign_ctx<T: Value>(
     ctx: &OpCtx,
     a: &Dcsr<T>,
@@ -80,20 +75,40 @@ pub fn assign_ctx<T: Value>(
     c
 }
 
-/// Stack `a` on top of `b` (column dimensions must match).
-pub fn concat_rows<T: Value>(a: &Dcsr<T>, b: &Dcsr<T>) -> Dcsr<T> {
-    with_default_ctx(|ctx| concat_rows_ctx(ctx, a, b))
+/// Concatenation conformance along `axis`: the other axis must match and
+/// the stacked extent must fit the index space. Returns that extent.
+pub(crate) fn check_concat(axis: Axis, a: (Ix, Ix), b: (Ix, Ix)) -> Result<Ix, OpError> {
+    let (op, rule, conforms, extents) = match axis {
+        Axis::Rows => (
+            "concat_rows",
+            "concat_rows column conformance",
+            a.1 == b.1,
+            (a.0, b.0),
+        ),
+        Axis::Cols => (
+            "concat_cols",
+            "concat_cols row conformance",
+            a.0 == b.0,
+            (a.1, b.1),
+        ),
+    };
+    if !conforms {
+        return Err(OpError::DimensionMismatch { op, a, b, rule });
+    }
+    extents
+        .0
+        .checked_add(extents.1)
+        .ok_or(OpError::TooLargeToMaterialize { op, axis, extents })
 }
 
-/// [`concat_rows`] through an explicit execution context.
+/// Stack `a` on top of `b` (column dimensions must match).
 pub fn concat_rows_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>, b: &Dcsr<T>) -> Dcsr<T> {
-    assert_eq!(a.ncols(), b.ncols(), "concat_rows column conformance");
+    let nrows = check_concat(Axis::Rows, a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
     let _span = ctx.kernel_span(Kernel::ConcatRows, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
     let start = Instant::now();
     let (nra, nc) = (a.nrows(), a.ncols());
-    let nrows = nra.checked_add(b.nrows()).expect("row overflow");
 
     let mut rows: Vec<Ix> = a.row_ids().to_vec();
     let mut rowptr = vec![0usize];
@@ -123,19 +138,13 @@ pub fn concat_rows_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>, b: &Dcsr<T>) -> Dcsr<
 }
 
 /// Place `a` to the left of `b` (row dimensions must match).
-pub fn concat_cols<T: Value>(a: &Dcsr<T>, b: &Dcsr<T>) -> Dcsr<T> {
-    with_default_ctx(|ctx| concat_cols_ctx(ctx, a, b))
-}
-
-/// [`concat_cols`] through an explicit execution context.
 pub fn concat_cols_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>, b: &Dcsr<T>) -> Dcsr<T> {
-    assert_eq!(a.nrows(), b.nrows(), "concat_cols row conformance");
+    let ncols = check_concat(Axis::Cols, a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
     let _span = ctx.kernel_span(Kernel::ConcatCols, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
     let start = Instant::now();
     let shift = a.ncols();
-    let ncols = shift.checked_add(b.ncols()).expect("col overflow");
 
     // Merge per row: a's columns first (unchanged), then b's shifted.
     let (ra, rb) = (a.row_ids(), b.row_ids());
@@ -213,27 +222,12 @@ pub fn diag_of<T: Value>(a: &Dcsr<T>) -> SparseVec<T> {
     SparseVec::from_sorted_parts(dim.max(idx.last().map_or(0, |l| l + 1)), idx, vals)
 }
 
-/// Strictly-lower-triangular part (`c < r`).
-pub fn tril<T: Value>(a: &Dcsr<T>) -> Dcsr<T> {
-    super::transform::select(a, |r, c, _| c < r)
-}
-
-/// Strictly-upper-triangular part (`c > r`).
-pub fn triu<T: Value>(a: &Dcsr<T>) -> Dcsr<T> {
-    super::transform::select(a, |r, c, _| c > r)
-}
-
 /// `A^k` over a semiring, by repeated squaring (`A⁰ = 𝕀` is disallowed —
 /// identity matrices over huge key spaces are exactly the paper's
-/// closing open problem; require `k ≥ 1`).
-pub fn matrix_power<T: Value, S: Semiring<Value = T>>(a: &Dcsr<T>, k: u32, s: S) -> Dcsr<T> {
-    with_default_ctx(|ctx| matrix_power_ctx(ctx, a, k, s))
-}
-
-/// [`matrix_power`] through an explicit execution context: the repeated
-/// squarings run as [`super::mxm::mxm_ctx`] against the same context (so
-/// they share its workspace arena and show up under the `mxm` counters),
-/// while the overall call is recorded under `power`.
+/// closing open problem; require `k ≥ 1`). The repeated squarings run as
+/// [`super::mxm::mxm_ctx`] against the same context (so they share its
+/// workspace arena and show up under the `mxm` counters), while the
+/// overall call is recorded under `power`.
 pub fn matrix_power_ctx<T: Value, S: Semiring<Value = T>>(
     ctx: &OpCtx,
     a: &Dcsr<T>,
@@ -296,7 +290,7 @@ mod tests {
         let b = m(2, &[(0, 0, 7.0)]); // 2×2 block
                                       // Assign into rows {1,3} × cols {1,3}: clears (1,1), (3,3), (1,3);
                                       // writes b(0,0)=7 at (1,1).
-        let out = assign(&a, &[1, 3], &[1, 3], &b.clone());
+        let out = assign_ctx(&OpCtx::new(), &a, &[1, 3], &[1, 3], &b.clone());
         assert_eq!(out.get(0, 0), Some(&1.0)); // untouched
         assert_eq!(out.get(1, 1), Some(&7.0)); // replaced
         assert_eq!(out.get(3, 3), None); // cleared
@@ -310,15 +304,18 @@ mod tests {
         let b = random_dcsr(4, 4, 8, 2, s());
         let rows = [2u64, 5, 9, 13];
         let cols = [0u64, 3, 8, 15];
-        let out = assign(&a, &rows, &cols, &b);
-        assert_eq!(super::super::transform::extract(&out, &rows, &cols), b);
+        let out = assign_ctx(&OpCtx::new(), &a, &rows, &cols, &b);
+        assert_eq!(
+            super::super::transform::extract_ctx(&OpCtx::new(), &out, &rows, &cols),
+            b
+        );
     }
 
     #[test]
     fn concat_rows_stacks() {
         let a = m(2, &[(0, 1, 1.0)]);
         let b = m(2, &[(1, 0, 2.0)]);
-        let c = concat_rows(&a, &b);
+        let c = concat_rows_ctx(&OpCtx::new(), &a, &b);
         assert_eq!(c.nrows(), 4);
         assert_eq!(c.get(0, 1), Some(&1.0));
         assert_eq!(c.get(3, 0), Some(&2.0));
@@ -329,7 +326,7 @@ mod tests {
     fn concat_cols_widens() {
         let a = m(2, &[(0, 1, 1.0), (1, 0, 5.0)]);
         let b = m(2, &[(0, 0, 2.0)]);
-        let c = concat_cols(&a, &b);
+        let c = concat_cols_ctx(&OpCtx::new(), &a, &b);
         assert_eq!(c.ncols(), 4);
         assert_eq!(c.get(0, 1), Some(&1.0));
         assert_eq!(c.get(0, 2), Some(&2.0)); // shifted by 2
@@ -342,8 +339,8 @@ mod tests {
         // [A | B] stacked twice == 4-block matrix with right dims.
         let a = random_dcsr(8, 8, 20, 3, s());
         let b = random_dcsr(8, 8, 20, 4, s());
-        let wide = concat_cols(&a, &b);
-        let tall = concat_rows(&wide, &wide);
+        let wide = concat_cols_ctx(&OpCtx::new(), &a, &b);
+        let tall = concat_rows_ctx(&OpCtx::new(), &wide, &wide);
         assert_eq!(tall.nrows(), 16);
         assert_eq!(tall.ncols(), 16);
         assert_eq!(tall.nnz(), 2 * (a.nnz() + b.nnz()));
@@ -368,24 +365,13 @@ mod tests {
     }
 
     #[test]
-    fn tril_triu_partition_offdiagonal() {
-        let a = random_dcsr(16, 16, 80, 5, s());
-        let low = tril(&a);
-        let up = triu(&a);
-        let dg = diag_of(&a);
-        assert_eq!(low.nnz() + up.nnz() + dg.nnz(), a.nnz());
-        assert!(low.iter().all(|(r, c, _)| c < r));
-        assert!(up.iter().all(|(r, c, _)| c > r));
-    }
-
-    #[test]
     fn power_counts_paths() {
         // Path 0→1→2→3: A² has the 2-hop pairs, A³ the single 3-hop.
         let a = m(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]);
-        let a2 = matrix_power(&a, 2, s());
+        let a2 = matrix_power_ctx(&OpCtx::new(), &a, 2, s());
         assert_eq!(a2.get(0, 2), Some(&1.0));
         assert_eq!(a2.nnz(), 2);
-        let a3 = matrix_power(&a, 3, s());
+        let a3 = matrix_power_ctx(&OpCtx::new(), &a, 3, s());
         assert_eq!(a3.get(0, 3), Some(&1.0));
         assert_eq!(a3.nnz(), 1);
     }
@@ -393,8 +379,16 @@ mod tests {
     #[test]
     fn power_equals_iterated_mxm() {
         let a = random_dcsr(12, 12, 40, 6, s());
-        let direct = super::super::mxm::mxm(&super::super::mxm::mxm(&a, &a, s()), &a, s());
-        let fast = matrix_power(&a, 3, s());
+        let direct = {
+            let ctx = OpCtx::new();
+            super::super::mxm::mxm_ctx(
+                &ctx,
+                &super::super::mxm::mxm_ctx(&ctx, &a, &a, s()),
+                &a,
+                s(),
+            )
+        };
+        let fast = matrix_power_ctx(&OpCtx::new(), &a, 3, s());
         let d: Vec<_> = direct.iter().map(|(r, c, &v)| (r, c, v)).collect();
         let f: Vec<_> = fast.iter().map(|(r, c, &v)| (r, c, v)).collect();
         assert_eq!(d.len(), f.len());
@@ -410,7 +404,7 @@ mod tests {
         let mut c = Coo::new(3, 3);
         c.extend([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 9.0)]);
         let a = c.build_dcsr(sm);
-        let a2 = matrix_power(&a, 2, sm);
+        let a2 = matrix_power_ctx(&OpCtx::new(), &a, 2, sm);
         assert_eq!(a2.get(0, 2), Some(&3.0));
     }
 
@@ -421,14 +415,20 @@ mod tests {
             c.push(x, y, true);
         }
         let a = c.build_dcsr(LorLand);
-        assert_eq!(matrix_power(&a, 3, LorLand).get(0, 3), Some(&true));
-        assert_eq!(matrix_power(&a, 2, LorLand).get(0, 3), None);
+        assert_eq!(
+            matrix_power_ctx(&OpCtx::new(), &a, 3, LorLand).get(0, 3),
+            Some(&true)
+        );
+        assert_eq!(
+            matrix_power_ctx(&OpCtx::new(), &a, 2, LorLand).get(0, 3),
+            None
+        );
     }
 
     #[test]
     #[should_panic(expected = "k ≥ 1")]
     fn zeroth_power_rejected() {
         let a = m(4, &[(0, 1, 1.0)]);
-        let _ = matrix_power(&a, 0, s());
+        let _ = matrix_power_ctx(&OpCtx::new(), &a, 0, s());
     }
 }

@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use semiring::traits::{Monoid, Value};
 
-use crate::ctx::{with_default_ctx, OpCtx};
+use crate::ctx::OpCtx;
 use crate::dcsr::Dcsr;
 use crate::index::IndexType;
 use crate::metrics::Kernel;
@@ -58,11 +58,6 @@ fn rank<T: Value + PartialOrd>(a: &(Ix, T), b: &(Ix, T)) -> Ordering {
 /// The `k` largest entries of a sparse vector, descending by value with
 /// ascending-index tie-breaks. Returns fewer than `k` pairs when the
 /// vector has fewer stored entries.
-pub fn top_k<T: Value + PartialOrd, I: IndexType>(v: &SparseVec<T, I>, k: usize) -> Vec<(Ix, T)> {
-    with_default_ctx(|ctx| top_k_ctx(ctx, v, k))
-}
-
-/// [`top_k`] through an explicit execution context.
 pub fn top_k_ctx<T: Value + PartialOrd, I: IndexType>(
     ctx: &OpCtx,
     v: &SparseVec<T, I>,
@@ -90,15 +85,6 @@ pub fn top_k_ctx<T: Value + PartialOrd, I: IndexType>(
 
 /// Heavy-hitter rows: ⊕-reduce every row, then take the `k` largest
 /// folds — e.g. top traffic sources by total packet volume.
-pub fn top_k_rows<T, M>(a: &Dcsr<T>, k: usize, m: M) -> Vec<(Ix, T)>
-where
-    T: Value + PartialOrd,
-    M: Monoid<T>,
-{
-    with_default_ctx(|ctx| top_k_rows_ctx(ctx, a, k, m))
-}
-
-/// [`top_k_rows`] through an explicit execution context.
 pub fn top_k_rows_ctx<T, M>(ctx: &OpCtx, a: &Dcsr<T>, k: usize, m: M) -> Vec<(Ix, T)>
 where
     T: Value + PartialOrd,
@@ -110,15 +96,6 @@ where
 
 /// Heavy-hitter columns: ⊕-reduce every column, then take the `k`
 /// largest folds — e.g. top traffic destinations by total volume.
-pub fn top_k_cols<T, M>(a: &Dcsr<T>, k: usize, m: M) -> Vec<(Ix, T)>
-where
-    T: Value + PartialOrd,
-    M: Monoid<T>,
-{
-    with_default_ctx(|ctx| top_k_cols_ctx(ctx, a, k, m))
-}
-
-/// [`top_k_cols`] through an explicit execution context.
 pub fn top_k_cols_ctx<T, M>(ctx: &OpCtx, a: &Dcsr<T>, k: usize, m: M) -> Vec<(Ix, T)>
 where
     T: Value + PartialOrd,
@@ -141,17 +118,23 @@ mod tests {
     #[test]
     fn top_k_orders_desc_with_index_tiebreak() {
         let v = vec_of(&[(5, 2.0), (1, 9.0), (7, 2.0), (3, 4.0)]);
-        assert_eq!(top_k(&v, 3), vec![(1, 9.0), (3, 4.0), (5, 2.0)]);
+        assert_eq!(
+            top_k_ctx(&OpCtx::new(), &v, 3),
+            vec![(1, 9.0), (3, 4.0), (5, 2.0)]
+        );
         // Tie at 2.0: the smaller index wins the last slot.
-        assert_eq!(top_k(&v, 4), vec![(1, 9.0), (3, 4.0), (5, 2.0), (7, 2.0)]);
+        assert_eq!(
+            top_k_ctx(&OpCtx::new(), &v, 4),
+            vec![(1, 9.0), (3, 4.0), (5, 2.0), (7, 2.0)]
+        );
     }
 
     #[test]
     fn k_larger_than_nnz_returns_everything_sorted() {
         let v = vec_of(&[(2, 1.0), (9, 3.0)]);
-        assert_eq!(top_k(&v, 10), vec![(9, 3.0), (2, 1.0)]);
-        assert!(top_k(&SparseVec::<f64>::empty(8), 3).is_empty());
-        assert!(top_k(&v, 0).is_empty());
+        assert_eq!(top_k_ctx(&OpCtx::new(), &v, 10), vec![(9, 3.0), (2, 1.0)]);
+        assert!(top_k_ctx(&OpCtx::new(), &SparseVec::<f64>::empty(8), 3).is_empty());
+        assert!(top_k_ctx(&OpCtx::new(), &v, 0).is_empty());
     }
 
     #[test]
@@ -164,7 +147,7 @@ mod tests {
         let mut full: Vec<(Ix, f64)> = entries.clone();
         full.sort_by(rank);
         full.truncate(17);
-        assert_eq!(top_k(&v, 17), full);
+        assert_eq!(top_k_ctx(&OpCtx::new(), &v, 17), full);
     }
 
     #[test]
@@ -172,11 +155,14 @@ mod tests {
         // NaN must never displace a real heavy hitter, whatever its
         // position relative to the select_nth k-boundary.
         let v = vec_of(&[(0, f64::NAN), (1, 9.0), (2, f64::NAN), (3, 4.0), (4, 7.0)]);
-        assert_eq!(top_k(&v, 2), vec![(1, 9.0), (4, 7.0)]);
-        assert_eq!(top_k(&v, 3), vec![(1, 9.0), (4, 7.0), (3, 4.0)]);
+        assert_eq!(top_k_ctx(&OpCtx::new(), &v, 2), vec![(1, 9.0), (4, 7.0)]);
+        assert_eq!(
+            top_k_ctx(&OpCtx::new(), &v, 3),
+            vec![(1, 9.0), (4, 7.0), (3, 4.0)]
+        );
         // Asking for more than the comparable entries: NaNs trail, in
         // index order — fully deterministic.
-        let all = top_k(&v, 5);
+        let all = top_k_ctx(&OpCtx::new(), &v, 5);
         assert_eq!(&all[..3], &[(1, 9.0), (4, 7.0), (3, 4.0)]);
         assert_eq!(all[3].0, 0);
         assert!(all[3].1.is_nan());
@@ -200,7 +186,7 @@ mod tests {
         let mut full = entries.clone();
         full.sort_by(rank);
         full.truncate(40);
-        let got = top_k(&v, 40);
+        let got = top_k_ctx(&OpCtx::new(), &v, 40);
         assert_eq!(got.len(), 40);
         for (g, f) in got.iter().zip(&full) {
             assert_eq!(g.0, f.0);
@@ -219,11 +205,11 @@ mod tests {
         c.extend([(3, 0, 3.0), (3, 4, 4.0), (1, 2, 5.0), (9, 9, 1.0)]);
         let a = c.build_dcsr(PlusTimes::<f64>::new());
         assert_eq!(
-            top_k_rows(&a, 2, PlusMonoid::<f64>::default()),
+            top_k_rows_ctx(&OpCtx::new(), &a, 2, PlusMonoid::<f64>::default()),
             vec![(3, 7.0), (1, 5.0)]
         );
         assert_eq!(
-            top_k_cols(&a, 1, PlusMonoid::<f64>::default()),
+            top_k_cols_ctx(&OpCtx::new(), &a, 1, PlusMonoid::<f64>::default()),
             vec![(2, 5.0)]
         );
     }

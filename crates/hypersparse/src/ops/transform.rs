@@ -1,15 +1,13 @@
 //! Structural transforms: transpose, apply, select, extract, Kronecker.
 //!
-//! Each kernel has a `*_ctx` variant recording calls/nnz/flops into an
-//! [`OpCtx`]'s metrics; the ctx-free names wrap the thread-local default
-//! context.
+//! Each kernel records calls/nnz/flops into its [`OpCtx`]'s metrics.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use semiring::traits::{Semiring, UnaryOp, Value};
 
-use crate::ctx::{par_run, with_default_ctx, OpCtx};
+use crate::ctx::{par_run, OpCtx};
 use crate::dcsr::Dcsr;
 use crate::metrics::Kernel;
 use crate::ops::reduce::ROWS_PER_SHARD;
@@ -17,11 +15,6 @@ use crate::Ix;
 
 /// `Aᵀ`: bucket entries by column, emit column-major as new rows.
 /// `O(nnz log nnz)` without materializing either dimension.
-pub fn transpose<T: Value>(a: &Dcsr<T>) -> Dcsr<T> {
-    with_default_ctx(|ctx| transpose_ctx(ctx, a))
-}
-
-/// [`transpose`] through an explicit execution context.
 pub fn transpose_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> Dcsr<T> {
     let _span = ctx.kernel_span(Kernel::Transpose, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
@@ -57,15 +50,6 @@ pub fn transpose_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> Dcsr<T> {
 
 /// Apply a unary operator to every stored value; results equal to the
 /// semiring zero are dropped (so `apply` can only shrink the pattern).
-pub fn apply<T: Value, S, O>(a: &Dcsr<T>, op: O, s: S) -> Dcsr<T>
-where
-    S: Semiring<Value = T>,
-    O: UnaryOp<T, T>,
-{
-    with_default_ctx(|ctx| apply_ctx(ctx, a, op, s))
-}
-
-/// [`apply`] through an explicit execution context.
 pub fn apply_ctx<T: Value, S, O>(ctx: &OpCtx, a: &Dcsr<T>, op: O, s: S) -> Dcsr<T>
 where
     S: Semiring<Value = T>,
@@ -78,7 +62,7 @@ where
 /// and drop results that are zero under the explicit `drop` semiring —
 /// one deterministic row-sharded pass.
 ///
-/// Semantically this is [`apply`] with the zero-dropping role named:
+/// Semantically this is [`apply_ctx`] with the zero-dropping role named:
 /// `apply`'s semiring argument does no arithmetic, it only decides which
 /// op results vanish from the pattern, and call sites that compute in
 /// one semiring while pruning in another (the two-semiring DNN layer of
@@ -86,15 +70,6 @@ where
 /// `0.0` — the *PlusTimes* zero, not MaxPlus's `−∞`) need that choice
 /// explicit in the signature. Recorded under
 /// [`crate::metrics::Kernel::ApplyPrune`].
-pub fn apply_prune<T: Value, SD, O>(a: &Dcsr<T>, op: O, drop: SD) -> Dcsr<T>
-where
-    SD: Semiring<Value = T>,
-    O: UnaryOp<T, T>,
-{
-    with_default_ctx(|ctx| apply_prune_ctx(ctx, a, op, drop))
-}
-
-/// [`apply_prune`] through an explicit execution context.
 pub fn apply_prune_ctx<T: Value, SD, O>(ctx: &OpCtx, a: &Dcsr<T>, op: O, drop: SD) -> Dcsr<T>
 where
     SD: Semiring<Value = T>,
@@ -174,11 +149,6 @@ where
 
 /// Keep entries satisfying a predicate on `(row, col, value)` —
 /// GraphBLAS `GrB_select`.
-pub fn select<T: Value, F: Fn(Ix, Ix, &T) -> bool>(a: &Dcsr<T>, keep: F) -> Dcsr<T> {
-    with_default_ctx(|ctx| select_ctx(ctx, a, keep))
-}
-
-/// [`select`] through an explicit execution context.
 pub fn select_ctx<T: Value, F: Fn(Ix, Ix, &T) -> bool>(
     ctx: &OpCtx,
     a: &Dcsr<T>,
@@ -221,11 +191,6 @@ pub fn select_ctx<T: Value, F: Fn(Ix, Ix, &T) -> bool>(
 /// position `(i, j)` is `A(rows[i], cols[j])`. Selector slices must be
 /// strictly increasing (GraphBLAS allows duplicates; the associative
 /// array layer never produces them, so we keep the stronger contract).
-pub fn extract<T: Value>(a: &Dcsr<T>, rows_sel: &[Ix], cols_sel: &[Ix]) -> Dcsr<T> {
-    with_default_ctx(|ctx| extract_ctx(ctx, a, rows_sel, cols_sel))
-}
-
-/// [`extract`] through an explicit execution context.
 pub fn extract_ctx<T: Value>(
     ctx: &OpCtx,
     a: &Dcsr<T>,
@@ -285,11 +250,6 @@ pub fn extract_ctx<T: Value>(
 /// `(nrows_A·nrows_B) × (ncols_A·ncols_B)`, entry
 /// `(i_A·nrows_B + i_B, j_A·ncols_B + j_B) = A(i_A,j_A) ⊗ B(i_B,j_B)`.
 /// The generator behind Graph500/RMAT-style power-law graphs.
-pub fn kron<T: Value, S: Semiring<Value = T>>(a: &Dcsr<T>, b: &Dcsr<T>, s: S) -> Dcsr<T> {
-    with_default_ctx(|ctx| kron_ctx(ctx, a, b, s))
-}
-
-/// [`kron`] through an explicit execution context.
 pub fn kron_ctx<T: Value, S: Semiring<Value = T>>(
     ctx: &OpCtx,
     a: &Dcsr<T>,
@@ -354,6 +314,7 @@ mod tests {
     use super::*;
     use crate::coo::Coo;
     use crate::gen::random_dcsr;
+    use crate::ops::mxm::mxm_ctx;
     use semiring::{PlusTimes, Relu, ZeroNorm};
 
     fn m(n: Ix, t: &[(Ix, Ix, f64)]) -> Dcsr<f64> {
@@ -366,10 +327,10 @@ mod tests {
     fn transpose_round_trip() {
         let s = PlusTimes::<f64>::new();
         let a = random_dcsr(100, 60, 400, 7, s);
-        let t = transpose(&a);
+        let t = transpose_ctx(&OpCtx::new(), &a);
         assert_eq!(t.nrows(), 60);
         assert_eq!(t.ncols(), 100);
-        assert_eq!(transpose(&t), a);
+        assert_eq!(transpose_ctx(&OpCtx::new(), &t), a);
         for (r, c, v) in a.iter() {
             assert_eq!(t.get(c, r), Some(v));
         }
@@ -381,8 +342,9 @@ mod tests {
         let s = PlusTimes::<f64>::new();
         let a = random_dcsr(40, 40, 200, 8, s);
         let b = random_dcsr(40, 40, 200, 9, s);
-        let lhs = transpose(&super::super::mxm::mxm(&a, &b, s));
-        let rhs = super::super::mxm::mxm(&transpose(&b), &transpose(&a), s);
+        let ctx = OpCtx::new();
+        let lhs = transpose_ctx(&ctx, &mxm_ctx(&ctx, &a, &b, s));
+        let rhs = mxm_ctx(&ctx, &transpose_ctx(&ctx, &b), &transpose_ctx(&ctx, &a), s);
         let l: Vec<_> = lhs.iter().map(|(i, j, &v)| (i, j, v)).collect();
         let r: Vec<_> = rhs.iter().map(|(i, j, &v)| (i, j, v)).collect();
         assert_eq!(l.len(), r.len());
@@ -395,7 +357,8 @@ mod tests {
     #[test]
     fn apply_zero_norm_produces_pattern() {
         let a = m(4, &[(0, 1, 7.0), (2, 3, -2.0)]);
-        let p = apply(
+        let p = apply_ctx(
+            &OpCtx::new(),
             &a,
             ZeroNorm(PlusTimes::<f64>::new()),
             PlusTimes::<f64>::new(),
@@ -407,7 +370,7 @@ mod tests {
     #[test]
     fn apply_drops_new_zeros() {
         let a = m(4, &[(0, 1, -7.0), (2, 3, 2.0)]);
-        let r = apply(&a, Relu(0.0), PlusTimes::<f64>::new());
+        let r = apply_ctx(&OpCtx::new(), &a, Relu(0.0), PlusTimes::<f64>::new());
         assert_eq!(r.nnz(), 1);
         assert_eq!(r.get(2, 3), Some(&2.0));
     }
@@ -415,7 +378,7 @@ mod tests {
     #[test]
     fn select_by_predicate() {
         let a = m(4, &[(0, 1, 1.0), (1, 0, 2.0), (2, 3, 3.0)]);
-        let upper = select(&a, |r, c, _| c > r);
+        let upper = select_ctx(&OpCtx::new(), &a, |r, c, _| c > r);
         assert_eq!(upper.nnz(), 2);
         assert!(upper.get(1, 0).is_none());
     }
@@ -423,7 +386,7 @@ mod tests {
     #[test]
     fn extract_reindexes() {
         let a = m(6, &[(1, 1, 1.0), (1, 4, 2.0), (4, 4, 3.0), (5, 0, 9.0)]);
-        let sub = extract(&a, &[1, 4], &[1, 4]);
+        let sub = extract_ctx(&OpCtx::new(), &a, &[1, 4], &[1, 4]);
         assert_eq!(sub.nrows(), 2);
         assert_eq!(sub.ncols(), 2);
         assert_eq!(sub.get(0, 0), Some(&1.0)); // old (1,1)
@@ -436,7 +399,7 @@ mod tests {
     fn kron_small() {
         let a = m(2, &[(0, 0, 1.0), (1, 1, 2.0)]);
         let b = m(2, &[(0, 1, 3.0)]);
-        let k = kron(&a, &b, PlusTimes::<f64>::new());
+        let k = kron_ctx(&OpCtx::new(), &a, &b, PlusTimes::<f64>::new());
         assert_eq!(k.nrows(), 4);
         assert_eq!(k.get(0, 1), Some(&3.0)); // (0,0)⊗(0,1)
         assert_eq!(k.get(2, 3), Some(&6.0)); // (1,1)⊗(0,1)
@@ -448,7 +411,7 @@ mod tests {
         let s = PlusTimes::<f64>::new();
         let a = random_dcsr(8, 8, 10, 13, s);
         let b = random_dcsr(8, 8, 12, 14, s);
-        let k = kron(&a, &b, s);
+        let k = kron_ctx(&OpCtx::new(), &a, &b, s);
         assert_eq!(k.nnz(), a.nnz() * b.nnz());
     }
 
@@ -498,9 +461,9 @@ mod tests {
         // Values sit in [1,2), so shifting by -1.5 sends roughly half of
         // them to 0.0 — both spellings must drop exactly those.
         let op = FnOp(|x: f64| (x - 1.5).max(0.0));
-        let pruned = apply_prune(&a, op, s);
+        let pruned = apply_prune_ctx(&OpCtx::new(), &a, op, s);
         assert!(pruned.nnz() > 0 && pruned.nnz() < a.nnz());
-        assert_eq!(pruned, apply(&a, op, s));
+        assert_eq!(pruned, apply_ctx(&OpCtx::new(), &a, op, s));
     }
 
     #[test]

@@ -686,7 +686,7 @@ mod tests {
                 stream.insert(r, c, rng.gen_range(1..100u64));
             }
             let delta = stream.delta_snapshot();
-            folded = crate::ops::ewise_add(&folded, &delta, s);
+            folded = ewise_add_ctx(&OpCtx::new(), &folded, &delta, s);
             assert_eq!(stream.snapshot(), folded, "full(t) = fold(⊕, deltas)");
         }
     }

@@ -2,8 +2,8 @@
 
 use semiring::traits::{Monoid, Semiring, UnaryOp, Value};
 
+use crate::ctx::with_default_ctx;
 use crate::dcsr::Dcsr;
-use crate::error::OpError;
 use crate::index::IndexType;
 use crate::Ix;
 
@@ -192,33 +192,16 @@ impl<T: Value, I: IndexType> SparseVec<T, I> {
     /// This is one BFS/SSSP step: scatter each frontier entry along its
     /// row of `A`, ⊕-merging collisions. `O(Σ_{i ∈ v} |A(i,:)|)` — cost
     /// proportional to the edges touched, independent of dimension.
-    /// Thin wrapper over [`crate::ops::mxv::vxm`] (same outputs as the
-    /// original sequential scatter; now segmented, parallel, metered).
+    /// [`crate::ops::mxv::vxm_ctx`] on the thread's default context.
     pub fn vxm<S: Semiring<Value = T>>(&self, a: &Dcsr<T, I>, s: S) -> Self {
-        crate::ops::mxv::vxm(self, a, s)
-    }
-
-    /// Fallible [`SparseVec::vxm`]: dimension mismatch becomes an
-    /// [`OpError`] instead of a panic.
-    pub fn try_vxm<S: Semiring<Value = T>>(&self, a: &Dcsr<T, I>, s: S) -> Result<Self, OpError> {
-        crate::ops::mxv::try_vxm(self, a, s)
+        with_default_ctx(|ctx| crate::ops::mxv::vxm_ctx(ctx, self, a, s))
     }
 
     /// Matrix × column-vector: `(A v)(i) = ⊕_j A(i,j) ⊗ v(j)` — a sparse
     /// dot product of each stored row with `v`.
-    ///
-    /// Thin wrapper over [`crate::ops::mxv::mxv`].
+    /// [`crate::ops::mxv::mxv_ctx`] on the thread's default context.
     pub fn mxv<S: Semiring<Value = T>>(a: &Dcsr<T, I>, v: &Self, s: S) -> Self {
-        crate::ops::mxv::mxv(a, v, s)
-    }
-
-    /// Fallible [`SparseVec::mxv`].
-    pub fn try_mxv<S: Semiring<Value = T>>(
-        a: &Dcsr<T, I>,
-        v: &Self,
-        s: S,
-    ) -> Result<Self, OpError> {
-        crate::ops::mxv::try_mxv(a, v, s)
+        with_default_ctx(|ctx| crate::ops::mxv::mxv_ctx(ctx, a, v, s))
     }
 
     /// Restrict to indices where `keep` returns `false` → entry removed.

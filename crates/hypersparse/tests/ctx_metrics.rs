@@ -1,6 +1,6 @@
 //! Integration tests for the execution-context layer: per-kernel
 //! metrics, workspace-arena reuse, thread-cap determinism, and the
-//! fallible `try_*` API.
+//! fallible `try_*_ctx` API.
 
 use hypersparse::gen::random_dcsr;
 use hypersparse::ops;
@@ -99,8 +99,8 @@ fn matrix_level_ctx_calls_share_one_registry() {
     let a = Matrix::from_triplets(64, 64, vec![(0, 1, 1.0), (1, 2, 2.0)], s);
     let b = Matrix::from_triplets(64, 64, vec![(1, 0, 3.0), (2, 1, 4.0)], s);
 
-    let _ = a.mxm_ctx(&ctx, &b, s);
-    let _ = a.ewise_add_ctx(&ctx, &b, s);
+    let _ = a.try_mxm_ctx(&ctx, &b, s).unwrap();
+    let _ = a.try_ewise_add_ctx(&ctx, &b, s).unwrap();
     let _ = a.transpose_ctx(&ctx, s);
 
     let snap = ctx.metrics().snapshot();
@@ -115,9 +115,10 @@ fn matrix_level_ctx_calls_share_one_registry() {
 #[test]
 fn try_mxm_reports_dimension_mismatch() {
     let s = PlusTimes::<f64>::new();
+    let ctx = OpCtx::new();
     let a = Matrix::from_triplets(3, 4, vec![(0, 0, 1.0)], s);
     let b = Matrix::from_triplets(5, 3, vec![(0, 0, 1.0)], s);
-    match a.try_mxm(&b, s) {
+    match a.try_mxm_ctx(&ctx, &b, s) {
         Err(OpError::DimensionMismatch { op, a, b, rule }) => {
             assert_eq!(op, "mxm");
             assert_eq!(a, (3, 4));
@@ -128,7 +129,7 @@ fn try_mxm_reports_dimension_mismatch() {
     }
     // And the conforming product still works through the same API.
     let ok = Matrix::from_triplets(4, 2, vec![(0, 0, 2.0)], s);
-    assert!(a.try_mxm(&ok, s).is_ok());
+    assert!(a.try_mxm_ctx(&ctx, &ok, s).is_ok());
 }
 
 #[test]
@@ -143,11 +144,12 @@ fn panicking_mxm_keeps_its_message() {
 #[test]
 fn try_ewise_ops_report_key_space_mismatch() {
     let s = PlusTimes::<f64>::new();
+    let ctx = OpCtx::new();
     let a = Matrix::from_triplets(4, 4, vec![(0, 0, 1.0)], s);
     let b = Matrix::from_triplets(4, 5, vec![(0, 0, 1.0)], s);
     for (name, res) in [
-        ("ewise_add", a.try_ewise_add(&b, s)),
-        ("ewise_mul", a.try_ewise_mul(&b, s)),
+        ("ewise_add", a.try_ewise_add_ctx(&ctx, &b, s)),
+        ("ewise_mul", a.try_ewise_mul_ctx(&ctx, &b, s)),
     ] {
         match res {
             Err(OpError::DimensionMismatch { op, rule, .. }) => {
@@ -162,10 +164,11 @@ fn try_ewise_ops_report_key_space_mismatch() {
 #[test]
 fn try_concat_reports_mismatch_and_overflow() {
     let s = PlusTimes::<f64>::new();
+    let ctx = OpCtx::new();
     let a = Matrix::from_triplets(4, 4, vec![(0, 0, 1.0)], s);
     let wide = Matrix::from_triplets(4, 5, vec![(0, 0, 1.0)], s);
     assert!(matches!(
-        a.try_concat_rows(&wide, s),
+        a.try_concat_rows_ctx(&ctx, &wide, s),
         Err(OpError::DimensionMismatch {
             op: "concat_rows",
             ..
@@ -173,7 +176,7 @@ fn try_concat_reports_mismatch_and_overflow() {
     ));
     let tall = Matrix::from_triplets(5, 4, vec![(0, 0, 1.0)], s);
     assert!(matches!(
-        a.try_concat_cols(&tall, s),
+        a.try_concat_cols_ctx(&ctx, &tall, s),
         Err(OpError::DimensionMismatch {
             op: "concat_cols",
             ..
@@ -182,7 +185,7 @@ fn try_concat_reports_mismatch_and_overflow() {
 
     // Row/col arithmetic past u64::MAX is an error, not a panic.
     let huge = Matrix::<f64>::empty(u64::MAX, 4);
-    match huge.try_concat_rows(&a, s) {
+    match huge.try_concat_rows_ctx(&ctx, &a, s) {
         Err(OpError::TooLargeToMaterialize { op, axis, extents }) => {
             assert_eq!(op, "concat_rows");
             assert_eq!(axis, Axis::Rows);
@@ -192,7 +195,7 @@ fn try_concat_reports_mismatch_and_overflow() {
     }
     let vast = Matrix::<f64>::empty(4, u64::MAX);
     assert!(matches!(
-        vast.try_concat_cols(&a, s),
+        vast.try_concat_cols_ctx(&ctx, &a, s),
         Err(OpError::TooLargeToMaterialize {
             axis: Axis::Cols,
             ..
@@ -203,9 +206,10 @@ fn try_concat_reports_mismatch_and_overflow() {
 #[test]
 fn try_extract_validates_selectors_extract_does_not() {
     let s = PlusTimes::<f64>::new();
+    let ctx = OpCtx::new();
     let a = Matrix::from_triplets(10, 10, vec![(1, 1, 1.0)], s);
 
-    match a.try_extract(&[1, 99], &[1], s) {
+    match a.try_extract_ctx(&ctx, &[1, 99], &[1], s) {
         Err(OpError::IndexOutOfBounds { axis, index, bound }) => {
             assert_eq!(axis, Axis::Rows);
             assert_eq!(index, 99);
@@ -214,7 +218,7 @@ fn try_extract_validates_selectors_extract_does_not() {
         other => panic!("expected IndexOutOfBounds, got {other:?}"),
     }
     assert!(matches!(
-        a.try_extract(&[1], &[10], s),
+        a.try_extract_ctx(&ctx, &[1], &[10], s),
         Err(OpError::IndexOutOfBounds {
             axis: Axis::Cols,
             index: 10,
@@ -222,7 +226,7 @@ fn try_extract_validates_selectors_extract_does_not() {
         })
     ));
 
-    let ok = a.try_extract(&[1], &[1], s).unwrap();
+    let ok = a.try_extract_ctx(&ctx, &[1], &[1], s).unwrap();
     assert_eq!(ok.nnz(), 1);
 
     // The classic extract keeps its permissive contract: out-of-range

@@ -129,24 +129,25 @@ proptest! {
     #[test]
     fn narrow_index_width_is_invisible(ta in triplets(), tb in triplets(), tv in triplets()) {
         let s = PlusTimes::<f64>::new();
+        let ctx = OpCtx::new();
         let (a, b) = (build_f64(&ta), build_f64(&tb));
         let (a32, b32) = (
             a.to_index_width::<u32>().unwrap(),
             b.to_index_width::<u32>().unwrap(),
         );
-        assert_width_invariant!(ops::mxm(&a, &b, s), ops::mxm(&a32, &b32, s));
-        assert_width_invariant!(ops::ewise_add(&a, &b, s), ops::ewise_add(&a32, &b32, s));
-        assert_width_invariant!(ops::ewise_mul(&a, &b, s), ops::ewise_mul(&a32, &b32, s));
+        assert_width_invariant!(ops::mxm_ctx(&ctx, &a, &b, s), ops::mxm_ctx(&ctx, &a32, &b32, s));
+        assert_width_invariant!(ops::ewise_add_ctx(&ctx, &a, &b, s), ops::ewise_add_ctx(&ctx, &a32, &b32, s));
+        assert_width_invariant!(ops::ewise_mul_ctx(&ctx, &a, &b, s), ops::ewise_mul_ctx(&ctx, &a32, &b32, s));
 
         let v = build_vec(&tv);
         let v32 = v.to_index_width::<u32>().unwrap();
         prop_assert_eq!(
-            ops::vxm(&v, &a, s),
-            ops::vxm(&v32, &a32, s).to_index_width().unwrap()
+            ops::vxm_ctx(&ctx, &v, &a, s),
+            ops::vxm_ctx(&ctx, &v32, &a32, s).to_index_width().unwrap()
         );
         prop_assert_eq!(
-            ops::mxv(&a, &v, s),
-            ops::mxv(&a32, &v32, s).to_index_width().unwrap()
+            ops::mxv_ctx(&ctx, &a, &v, s),
+            ops::mxv_ctx(&ctx, &a32, &v32, s).to_index_width().unwrap()
         );
     }
 

@@ -41,7 +41,7 @@ proptest! {
     fn mxm_matches_oracle_plus_times(ta in triplets(), tb in triplets()) {
         let s = PlusTimes::<i64>::new();
         let (a, b) = (build(&ta, s), build(&tb, s));
-        let got: Vec<_> = hypersparse::ops::mxm(&a, &b, s)
+        let got: Vec<_> = hypersparse::ops::mxm_ctx(&hypersparse::OpCtx::new(), &a, &b, s)
             .iter()
             .map(|(i, j, &v)| (i, j, v))
             .collect();
@@ -52,7 +52,7 @@ proptest! {
     fn mxm_matches_oracle_min_plus(ta in triplets(), tb in triplets()) {
         let s = MinPlus::<i64>::new();
         let (a, b) = (build(&ta, s), build(&tb, s));
-        let got: Vec<_> = hypersparse::ops::mxm(&a, &b, s)
+        let got: Vec<_> = hypersparse::ops::mxm_ctx(&hypersparse::OpCtx::new(), &a, &b, s)
             .iter()
             .map(|(i, j, &v)| (i, j, v))
             .collect();
@@ -74,7 +74,7 @@ proptest! {
             u.entry(k).and_modify(|x| *x += v).or_insert(v);
         }
         u.retain(|_, v| *v != 0);
-        let got: Vec<_> = hypersparse::ops::ewise_add(&a, &b, s)
+        let got: Vec<_> = hypersparse::ops::ewise_add_ctx(&hypersparse::OpCtx::new(), &a, &b, s)
             .iter()
             .map(|(r, c, &v)| ((r, c), v))
             .collect();
@@ -87,7 +87,7 @@ proptest! {
             .filter(|(_, v)| *v != 0)
             .collect();
         i.sort();
-        let got: Vec<_> = hypersparse::ops::ewise_mul(&a, &b, s)
+        let got: Vec<_> = hypersparse::ops::ewise_mul_ctx(&hypersparse::OpCtx::new(), &a, &b, s)
             .iter()
             .map(|(r, c, &v)| ((r, c), v))
             .collect();
@@ -98,8 +98,8 @@ proptest! {
     fn transpose_involution_and_entry_map(t in triplets()) {
         let s = PlusTimes::<i64>::new();
         let a = build(&t, s);
-        let at = hypersparse::ops::transpose(&a);
-        prop_assert_eq!(hypersparse::ops::transpose(&at), a.clone());
+        let at = hypersparse::ops::transpose_ctx(&hypersparse::OpCtx::new(), &a);
+        prop_assert_eq!(hypersparse::ops::transpose_ctx(&hypersparse::OpCtx::new(), &at), a.clone());
         for (r, c, v) in a.iter() {
             prop_assert_eq!(at.get(c, r), Some(v));
         }
@@ -137,24 +137,24 @@ proptest! {
     fn concat_extract_inverse(ta in triplets(), tb in triplets()) {
         let s = PlusTimes::<i64>::new();
         let (a, b) = (build(&ta, s), build(&tb, s));
-        let tall = hypersparse::ops::concat_rows(&a, &b);
+        let tall = hypersparse::ops::concat_rows_ctx(&hypersparse::OpCtx::new(), &a, &b);
         let rows_a: Vec<Ix> = (0..N).collect();
         let rows_b: Vec<Ix> = (N..2 * N).collect();
         let cols: Vec<Ix> = (0..N).collect();
-        prop_assert_eq!(hypersparse::ops::extract(&tall, &rows_a, &cols), a);
-        prop_assert_eq!(hypersparse::ops::extract(&tall, &rows_b, &cols), b);
+        prop_assert_eq!(hypersparse::ops::extract_ctx(&hypersparse::OpCtx::new(), &tall, &rows_a, &cols), a);
+        prop_assert_eq!(hypersparse::ops::extract_ctx(&hypersparse::OpCtx::new(), &tall, &rows_b, &cols), b);
     }
 
     #[test]
     fn masked_mxm_is_filtered_full_mxm(ta in triplets(), tb in triplets(), tm in triplets()) {
         let s = PlusTimes::<i64>::new();
         let (a, b, mask) = (build(&ta, s), build(&tb, s), build(&tm, s));
-        let full = hypersparse::ops::mxm(&a, &b, s);
-        let masked = hypersparse::ops::mxm_masked(&a, &b, &mask, false, s);
-        let expect = hypersparse::ops::select(&full, |r, c, _| mask.get(r, c).is_some());
+        let full = hypersparse::ops::mxm_ctx(&hypersparse::OpCtx::new(), &a, &b, s);
+        let masked = hypersparse::ops::mxm_masked_ctx(&hypersparse::OpCtx::new(), &a, &b, &mask, false, s);
+        let expect = hypersparse::ops::select_ctx(&hypersparse::OpCtx::new(), &full, |r, c, _| mask.get(r, c).is_some());
         prop_assert_eq!(masked, expect);
-        let comp = hypersparse::ops::mxm_masked(&a, &b, &mask, true, s);
-        let expect_c = hypersparse::ops::select(&full, |r, c, _| mask.get(r, c).is_none());
+        let comp = hypersparse::ops::mxm_masked_ctx(&hypersparse::OpCtx::new(), &a, &b, &mask, true, s);
+        let expect_c = hypersparse::ops::select_ctx(&hypersparse::OpCtx::new(), &full, |r, c, _| mask.get(r, c).is_none());
         prop_assert_eq!(comp, expect_c);
     }
 
@@ -191,12 +191,11 @@ proptest! {
                     build_big(&tb, $f, s),
                     build_big(&tm, $f, s),
                 );
-                let full = hypersparse::ops::mxm(&a, &b, s);
+                let full = hypersparse::ops::mxm_ctx(&hypersparse::OpCtx::new(), &a, &b, s);
                 for complement in [false, true] {
                     let seq = hypersparse::ops::mxm_masked_ctx(
                         &hypersparse::OpCtx::new().with_threads(1), &a, &b, &mask, complement, s);
-                    let expect = hypersparse::ops::select(
-                        &full, |r, c, _| mask.get(r, c).is_some() != complement);
+                    let expect = hypersparse::ops::select_ctx(&hypersparse::OpCtx::new(), &full, |r, c, _| mask.get(r, c).is_some() != complement);
                     prop_assert_eq!(&seq, &expect);
                     for threads in [2usize, 4, 8] {
                         let par = hypersparse::ops::mxm_masked_ctx(
@@ -221,21 +220,55 @@ proptest! {
         let mask_vec = hypersparse::SparseVec::from_entries(
             N, tm.iter().map(|&(i, _, _)| (i, 1i64)).collect(), s);
         let mask: Vec<Ix> = mask_vec.indices().to_vec();
-        let fused = hypersparse::ops::vxm_masked_ctx(&hypersparse::OpCtx::new(), &v, &a, &mask, s);
-        let unfused = hypersparse::ops::vxm(&v, &a, s).without(&mask_vec);
+        let fused = hypersparse::ops::vxm_opt_ctx(
+            &hypersparse::OpCtx::new(), &v, &a, None, Some(&mask), s);
+        let unfused = hypersparse::ops::vxm_ctx(&hypersparse::OpCtx::new(), &v, &a, s).without(&mask_vec);
         prop_assert_eq!(fused, unfused);
+    }
+
+    #[test]
+    fn vxm_opt_is_vxm_then_without_for_every_transpose_and_mask(
+        ta in triplets(), tv in triplets(), tm in triplets(),
+    ) {
+        // The one merged entry point: whatever transpose and complement
+        // mask it is handed, it equals the plain push product with the
+        // mask applied afterwards, at every thread count.
+        let s = PlusTimes::<i64>::new();
+        let a = build(&ta, s);
+        let at = hypersparse::ops::transpose_ctx(&hypersparse::OpCtx::new(), &a);
+        let v = hypersparse::SparseVec::from_entries(
+            N, tv.iter().map(|&(i, _, x)| (i, x)).collect(), s);
+        let visited = hypersparse::SparseVec::from_entries(
+            N, tm.iter().map(|&(i, _, _)| (i, 1i64)).collect(), s);
+        let nothing = hypersparse::SparseVec::empty(N);
+        let masks: [Option<&hypersparse::SparseVec<i64>>; 3] =
+            [None, Some(&nothing), Some(&visited)];
+        for threads in [1usize, 2, 8] {
+            let ctx = hypersparse::OpCtx::new().with_threads(threads);
+            let plain = hypersparse::ops::vxm_ctx(&ctx, &v, &a, s);
+            for transpose in [None, Some(&at)] {
+                for mask in masks {
+                    let got = hypersparse::ops::vxm_opt_ctx(
+                        &ctx, &v, &a, transpose, mask.map(|m| m.indices()), s);
+                    let want = mask.map_or(plain.clone(), |m| plain.without(m));
+                    prop_assert_eq!(
+                        got, want, "threads={} at={} mask={:?}",
+                        threads, transpose.is_some(), mask.map(|m| m.nnz()));
+                }
+            }
+        }
     }
 
     #[test]
     fn vxm_push_equals_pull(ta in triplets(), tv in triplets()) {
         let s = PlusTimes::<i64>::new();
         let a = build(&ta, s);
-        let at = hypersparse::ops::transpose(&a);
+        let at = hypersparse::ops::transpose_ctx(&hypersparse::OpCtx::new(), &a);
         let v = hypersparse::SparseVec::from_entries(
             N, tv.iter().map(|&(i, _, x)| (i, x)).collect(), s);
         let ctx = hypersparse::OpCtx::new();
         prop_assert_eq!(
-            hypersparse::ops::vxm_push_ctx(&ctx, &v, &a, s),
+            hypersparse::ops::vxm_ctx(&ctx, &v, &a, s),
             hypersparse::ops::vxm_pull_ctx(&ctx, &v, &at, s)
         );
     }

@@ -100,7 +100,7 @@ proptest! {
             for (i, &(r, c, v)) in t.iter().enumerate() {
                 if delta_cuts.contains(&i) {
                     let delta = m.delta_snapshot();
-                    folded = hypersparse::ops::ewise_add(&folded, &delta, s);
+                    folded = hypersparse::ops::ewise_add_ctx(&hypersparse::OpCtx::new(), &folded, &delta, s);
                     // Invariant at every cut: deltas so far ≡ full fold.
                     prop_assert_eq!(&folded, &m.snapshot());
                 }
@@ -111,7 +111,7 @@ proptest! {
                 m.insert(r, c, v);
             }
             let tail = m.delta_snapshot();
-            folded = hypersparse::ops::ewise_add(&folded, &tail, s);
+            folded = hypersparse::ops::ewise_add_ctx(&hypersparse::OpCtx::new(), &folded, &tail, s);
             prop_assert_eq!(&folded, &flat(&t, s));
             prop_assert_eq!(&folded, &m.snapshot());
             // After the final cut the next delta is empty.

@@ -62,7 +62,12 @@ impl StandingView<PlusTimes<i64>> for Collect {
         let mut open = self.open.lock().unwrap();
         *open = Some(match open.take() {
             None => delta.dcsr().clone(),
-            Some(acc) => hypersparse::ops::ewise_add(&acc, delta.dcsr(), PlusTimes::new()),
+            Some(acc) => hypersparse::ops::ewise_add_ctx(
+                &hypersparse::OpCtx::new(),
+                &acc,
+                delta.dcsr(),
+                PlusTimes::new(),
+            ),
         });
     }
 
