@@ -85,7 +85,7 @@ fn shape_report() {
     // dnn_layer record per layer per inference.
     let driver = DnnCtx::new();
     driver.infer(&net, &y0);
-    let prom = driver.render_prometheus();
+    let prom = driver.metrics().render_prometheus();
     assert!(
         prom.contains(&format!(
             "hypersparse_kernel_calls_total{{kernel=\"dnn_layer\"}} {DEPTH}"

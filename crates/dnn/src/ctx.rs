@@ -86,11 +86,6 @@ impl DnnCtx {
         self.ctx.metrics().snapshot()
     }
 
-    /// Prometheus text exposition of the accumulated counters.
-    pub fn render_prometheus(&self) -> String {
-        self.metrics().render_prometheus()
-    }
-
     /// The trace registry (span modes, slow-op capture).
     pub fn trace(&self) -> &TraceRegistry {
         self.ctx.trace()
@@ -136,7 +131,7 @@ mod tests {
         let y0 = sparse_batch(8, 64, 0.2, 9);
         let driver = DnnCtx::new();
         let _ = driver.infer(&net, &y0);
-        let prom = driver.render_prometheus();
+        let prom = driver.metrics().render_prometheus();
         assert!(
             prom.contains("hypersparse_kernel_calls_total{kernel=\"dnn_layer\"} 6"),
             "{prom}"

@@ -95,7 +95,9 @@ pub use index::IndexType;
 pub use matrix::{Format, FormatPolicy, Matrix};
 pub use metrics::{Direction, Kernel, KernelSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use stream::{StreamConfig, StreamingMatrix};
-pub use trace::{Histogram, HistogramSnapshot, Span, SpanRecord, TraceMode, TraceRegistry};
+pub use trace::{
+    Exposition, Histogram, HistogramSnapshot, Span, SpanRecord, TraceMode, TraceRegistry,
+};
 pub use vector::SparseVec;
 
 /// External index type: key spaces are up to ~2⁶⁰, far beyond anything a

@@ -19,11 +19,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::trace::{
-    write_prometheus_header, write_prometheus_histogram, Histogram, HistogramSnapshot,
-};
+use crate::trace::{Exposition, Histogram, HistogramSnapshot};
 
-/// Kernel identities tracked by the metrics registry.
+/// Kernel identities tracked by the metrics registry, declared in
+/// [`Kernel::ALL`] order (the discriminant is the registry index).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Kernel {
@@ -129,7 +128,7 @@ impl Kernel {
     }
 
     fn index(self) -> usize {
-        Kernel::ALL.iter().position(|&k| k == self).expect("in ALL")
+        self as usize
     }
 }
 
@@ -230,6 +229,21 @@ pub struct KernelSnapshot {
     pub latency: HistogramSnapshot,
 }
 
+impl KernelSnapshot {
+    /// ⊕ `other` (the same kernel's row from another registry) into
+    /// `self`: every counter adds, the histograms merge.
+    pub fn merge(&mut self, other: &KernelSnapshot) {
+        debug_assert_eq!(self.kernel, other.kernel, "rows of one kernel");
+        self.calls += other.calls;
+        self.elapsed_ns += other.elapsed_ns;
+        self.nnz_in += other.nnz_in;
+        self.nnz_out += other.nnz_out;
+        self.flops += other.flops;
+        self.bytes_touched += other.bytes_touched;
+        self.latency.merge(&other.latency);
+    }
+}
+
 /// The per-context metrics registry: one [`KernelStats`] row per
 /// [`Kernel`], plus engine-wide counters.
 #[derive(Debug, Default)]
@@ -326,7 +340,7 @@ impl MetricsRegistry {
 }
 
 /// A frozen view of a [`MetricsRegistry`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// One row per kernel, in [`Kernel::ALL`] order.
     pub kernels: Vec<KernelSnapshot>,
@@ -347,6 +361,27 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// ⊕ another registry's snapshot into `self` — how per-shard
+    /// registries become one service-wide view. Element-wise add, so
+    /// associative and commutative with `MetricsSnapshot::default()` as
+    /// the identity; parts fold in any order to the same total.
+    pub fn merge(&mut self, other: &MetricsSnapshot) {
+        if self.kernels.is_empty() {
+            self.kernels.clone_from(&other.kernels);
+        } else {
+            for (t, p) in self.kernels.iter_mut().zip(&other.kernels) {
+                t.merge(p);
+            }
+        }
+        self.format_switches += other.format_switches;
+        self.workspace_hits += other.workspace_hits;
+        self.workspace_misses += other.workspace_misses;
+        self.mv_push_calls += other.mv_push_calls;
+        self.mv_pull_calls += other.mv_pull_calls;
+        self.mask_probes += other.mask_probes;
+        self.mask_hits += other.mask_hits;
+    }
+
     /// Fraction of complement-mask probes that skipped work
     /// (`0.0` when no masked kernel ran).
     pub fn mask_hit_rate(&self) -> f64 {
@@ -428,14 +463,12 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Prometheus text exposition (format 0.0.4) of every counter and
-    /// latency histogram: kernel rows become `hypersparse_kernel_*`
-    /// series labelled by kernel (idle kernels are omitted), engine-wide
-    /// counters and hit rates follow. Append the pipeline layer's
-    /// exposition for a full service `/metrics` payload.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        let active: Vec<&KernelSnapshot> = self.kernels.iter().filter(|k| k.calls > 0).collect();
+    /// What this registry measures, as Prometheus families: kernel rows
+    /// become `hypersparse_kernel_*` series labelled by kernel (idle
+    /// kernels are omitted), engine-wide counters and hit rates follow.
+    pub fn expose(&self, out: &mut Exposition) {
+        let active = || self.kernels.iter().filter(|k| k.calls > 0);
+        let label = |k: &KernelSnapshot| format!("kernel=\"{}\"", k.kernel.name());
         for (name, help, get) in [
             (
                 "hypersparse_kernel_calls_total",
@@ -463,29 +496,13 @@ impl MetricsSnapshot {
                 |k| k.bytes_touched,
             ),
         ] {
-            write_prometheus_header(&mut out, name, "counter", help);
-            for k in &active {
-                out.push_str(&format!(
-                    "{name}{{kernel=\"{}\"}} {}\n",
-                    k.kernel.name(),
-                    get(k)
-                ));
-            }
+            out.family(name, "counter", help, active().map(|k| (label(k), get(k))));
         }
-        write_prometheus_header(
-            &mut out,
+        out.histograms(
             "hypersparse_kernel_latency_seconds",
-            "histogram",
             "Per-invocation kernel latency.",
+            active().map(|k| (label(k), &k.latency)),
         );
-        for k in &active {
-            write_prometheus_histogram(
-                &mut out,
-                "hypersparse_kernel_latency_seconds",
-                &format!("kernel=\"{}\"", k.kernel.name()),
-                &k.latency,
-            );
-        }
         for (name, help, v) in [
             (
                 "hypersparse_format_switches_total",
@@ -513,23 +530,17 @@ impl MetricsSnapshot {
                 self.mask_hits,
             ),
         ] {
-            write_prometheus_header(&mut out, name, "counter", help);
-            out.push_str(&format!("{name} {v}\n"));
+            out.family(name, "counter", help, [("", v)]);
         }
-        write_prometheus_header(
-            &mut out,
+        out.family(
             "hypersparse_mxv_direction_calls_total",
             "counter",
             "Matrix-vector kernel invocations by chosen direction.",
+            [
+                ("direction=\"push\"", self.mv_push_calls),
+                ("direction=\"pull\"", self.mv_pull_calls),
+            ],
         );
-        out.push_str(&format!(
-            "hypersparse_mxv_direction_calls_total{{direction=\"push\"}} {}\n",
-            self.mv_push_calls
-        ));
-        out.push_str(&format!(
-            "hypersparse_mxv_direction_calls_total{{direction=\"pull\"}} {}\n",
-            self.mv_pull_calls
-        ));
         for (name, help, v) in [
             (
                 "hypersparse_workspace_hit_rate",
@@ -542,10 +553,15 @@ impl MetricsSnapshot {
                 self.mask_hit_rate(),
             ),
         ] {
-            write_prometheus_header(&mut out, name, "gauge", help);
-            out.push_str(&format!("{name} {v}\n"));
+            out.family(name, "gauge", help, [("", v)]);
         }
-        out
+    }
+
+    /// [`MetricsSnapshot::expose`] as a body of its own (format 0.0.4).
+    pub fn render_prometheus(&self) -> String {
+        let mut out = Exposition::default();
+        self.expose(&mut out);
+        out.finish()
     }
 }
 
@@ -606,6 +622,54 @@ mod tests {
         assert_eq!(snap.mv_push_calls, 0);
         assert_eq!(snap.mask_hit_rate(), 0.0);
         assert!(!snap.report().contains("mxv direction"));
+    }
+
+    #[test]
+    fn kernels_are_declared_in_all_order() {
+        for (i, k) in Kernel::ALL.iter().enumerate() {
+            assert_eq!(*k as usize, i);
+        }
+    }
+
+    #[test]
+    fn merge_sums_every_field() {
+        let hist = |ns: &[u64]| {
+            let h = Histogram::default();
+            ns.iter().for_each(|&n| h.record_ns(n));
+            h.snapshot()
+        };
+        // Exhaustive literals (no `..Default::default()`): a new field
+        // must be given a value here, and so a line in `merge`. Each
+        // field carries its own weight, so a cross-wired sum shows too.
+        let snap = |m: u64, latency: HistogramSnapshot| MetricsSnapshot {
+            kernels: vec![KernelSnapshot {
+                kernel: Kernel::Mxm,
+                calls: m,
+                elapsed_ns: 10 * m,
+                nnz_in: 100 * m,
+                nnz_out: 1_000 * m,
+                flops: 10_000 * m,
+                bytes_touched: 100_000 * m,
+                latency,
+            }],
+            format_switches: 2 * m,
+            workspace_hits: 3 * m,
+            workspace_misses: 5 * m,
+            mv_push_calls: 7 * m,
+            mv_pull_calls: 11 * m,
+            mask_probes: 13 * m,
+            mask_hits: 17 * m,
+        };
+        let expected = snap(3, hist(&[10, 20]));
+        let mut merged = snap(1, hist(&[10]));
+        merged.merge(&snap(2, hist(&[20])));
+        assert_eq!(merged, expected);
+        // The empty snapshot is the identity on either side.
+        merged.merge(&MetricsSnapshot::default());
+        assert_eq!(merged, expected);
+        let mut id = MetricsSnapshot::default();
+        id.merge(&expected);
+        assert_eq!(id, expected);
     }
 
     #[test]

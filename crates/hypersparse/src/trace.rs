@@ -17,9 +17,9 @@
 //!   `snapshot` span owns the `stream_merge`/`ewise_add` kernel spans its
 //!   ⊕-fold triggers. A configurable **slow-op threshold** flags spans
 //!   that overran it, carrying the operand shapes the kernel recorded.
-//! * [`write_prometheus_histogram`] and friends — the text-exposition
-//!   building blocks `MetricsSnapshot::render_prometheus` and the
-//!   pipeline layer assemble their `/metrics` payload from.
+//! * [`Exposition`] — the one Prometheus text writer; every layer's
+//!   `expose` writes its families into it and a scrape body is composed
+//!   by handing it down the layers.
 //!
 //! **Disabled mode is the default and costs one relaxed atomic load per
 //! span site** — no clock read, no allocation, no thread-local touch
@@ -162,56 +162,103 @@ impl HistogramSnapshot {
     }
 }
 
-/// Append one Prometheus histogram (cumulative `_bucket` lines from the
-/// first through the last non-empty bucket, then `+Inf`, `_sum`,
-/// `_count`) for metric `name` with label set `labels` (e.g.
-/// `kernel="mxm"`; pass `""` for none).
-pub fn write_prometheus_histogram(
-    out: &mut String,
-    name: &str,
-    labels: &str,
-    h: &HistogramSnapshot,
-) {
-    use std::fmt::Write;
-    let sep = if labels.is_empty() { "" } else { "," };
-    let first = h.buckets.iter().position(|&c| c > 0);
-    if let Some(first) = first {
-        let last = h.buckets.iter().rposition(|&c| c > 0).unwrap_or(first);
-        let mut cum = 0u64;
-        for i in 0..=last {
-            cum += h.buckets[i];
-            if i < first {
-                continue;
-            }
-            // The unbounded last bucket is covered by the +Inf line below.
-            if let Some(le) = bucket_le_ns(i) {
-                let _ = writeln!(
-                    out,
-                    "{name}_bucket{{{labels}{sep}le=\"{}\"}} {cum}",
-                    le as f64 / 1e9
-                );
-            }
-        }
-    }
-    let _ = writeln!(
-        out,
-        "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}",
-        h.count()
-    );
-    let brace_labels: String = if labels.is_empty() {
-        String::new()
-    } else {
-        format!("{{{labels}}}")
-    };
-    let _ = writeln!(out, "{name}_sum{brace_labels} {}", h.sum_ns as f64 / 1e9);
-    let _ = writeln!(out, "{name}_count{brace_labels} {}", h.count());
+/// The one Prometheus text-format (0.0.4) writer: every layer's
+/// `expose` hands it families, and a scrape body is whatever has been
+/// written when [`Exposition::finish`] is called. One call per family
+/// and one rule for empty input: a family with no rows is omitted, and
+/// so is a histogram row with no observations.
+///
+/// A label set is the rendered pairs without braces (`kernel="mxm"`),
+/// `""` for none. Debug builds assert that a body declares each family
+/// once and writes each series once — a scraper rejects a body that
+/// does either twice.
+#[derive(Debug, Default)]
+pub struct Exposition {
+    out: String,
+    seen: std::collections::HashSet<String>,
 }
 
-/// Append one `# HELP` + `# TYPE` header pair.
-pub fn write_prometheus_header(out: &mut String, name: &str, kind: &str, help: &str) {
-    use std::fmt::Write;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
+impl Exposition {
+    /// One counter or gauge family (`kind`): its header, then one
+    /// `name{labels} value` line per row.
+    pub fn family<L: AsRef<str>, V: std::fmt::Display>(
+        &mut self,
+        name: &str,
+        kind: &str,
+        help: &str,
+        rows: impl IntoIterator<Item = (L, V)>,
+    ) {
+        let mut rows = rows.into_iter().peekable();
+        if rows.peek().is_some() {
+            self.declare(name, kind, help);
+        }
+        for (labels, value) in rows {
+            self.sample(name, labels.as_ref(), value);
+        }
+    }
+
+    /// One histogram family, in seconds: per row the cumulative
+    /// `_bucket` lines from the first through the last non-empty bucket,
+    /// then `+Inf`, `_sum` and `_count`.
+    pub fn histograms<'a, L: AsRef<str>>(
+        &mut self,
+        name: &str,
+        help: &str,
+        rows: impl IntoIterator<Item = (L, &'a HistogramSnapshot)>,
+    ) {
+        let mut rows = rows.into_iter().filter(|(_, h)| h.count() > 0).peekable();
+        if rows.peek().is_some() {
+            self.declare(name, "histogram", help);
+        }
+        let bucket = format!("{name}_bucket");
+        for (labels, h) in rows {
+            let labels = labels.as_ref();
+            let sep = if labels.is_empty() { "" } else { "," };
+            let last = h.buckets.iter().rposition(|&c| c > 0).unwrap_or(0);
+            let mut cum = 0u64;
+            for (b, count) in h.buckets[..=last].iter().enumerate() {
+                cum += count;
+                // The unbounded last bucket is covered by the +Inf line below.
+                if let (true, Some(le)) = (cum > 0, bucket_le_ns(b)) {
+                    let le = le as f64 / 1e9;
+                    self.sample(&bucket, &format!("{labels}{sep}le=\"{le}\""), cum);
+                }
+            }
+            self.sample(&bucket, &format!("{labels}{sep}le=\"+Inf\""), cum);
+            self.sample(&format!("{name}_sum"), labels, h.sum_ns as f64 / 1e9);
+            self.sample(&format!("{name}_count"), labels, cum);
+        }
+    }
+
+    /// The body written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    fn declare(&mut self, name: &str, kind: &str, help: &str) {
+        use std::fmt::Write;
+        debug_assert!(
+            self.seen.insert(format!("# {name}")),
+            "family {name} declared twice"
+        );
+        let _ = writeln!(self.out, "# HELP {name} {help}");
+        let _ = writeln!(self.out, "# TYPE {name} {kind}");
+    }
+
+    /// One `name{labels} value` line (no braces for an empty label set).
+    fn sample(&mut self, name: &str, labels: &str, value: impl std::fmt::Display) {
+        use std::fmt::Write;
+        let series = if labels.is_empty() {
+            name.to_string()
+        } else {
+            format!("{name}{{{labels}}}")
+        };
+        debug_assert!(
+            self.seen.insert(series.clone()),
+            "series {series} written twice"
+        );
+        let _ = writeln!(self.out, "{series} {value}");
+    }
 }
 
 /// How much span machinery runs (see [`TraceRegistry::set_mode`]).
@@ -704,8 +751,24 @@ mod tests {
         let h = Histogram::default();
         h.record_ns(1_000); // bucket 9 → le 1024
         h.record_ns(1_500); // bucket 10 → le 2048
-        let mut out = String::new();
-        write_prometheus_histogram(&mut out, "x_seconds", "kernel=\"mxm\"", &h.snapshot());
+        let bare = Histogram::default();
+        bare.record_ns(3); // bucket 1 → le 4
+        let (labelled, bare, empty) = (h.snapshot(), bare.snapshot(), HistogramSnapshot::default());
+        let mut out = Exposition::default();
+        out.histograms(
+            "x_seconds",
+            "x",
+            [("kernel=\"mxm\"", &labelled), ("kernel=\"idle\"", &empty)],
+        );
+        out.histograms("y_seconds", "y", [("", &bare)]);
+        out.histograms("z_seconds", "z", [("", &empty)]);
+        out.family("n_total", "counter", "n", [("", 7u64)]);
+        out.family("m_total", "counter", "m", std::iter::empty::<(&str, u64)>());
+        let out = out.finish();
+        assert!(
+            out.starts_with("# HELP x_seconds x\n# TYPE x_seconds histogram\n"),
+            "{out}"
+        );
         assert!(
             out.contains("x_seconds_bucket{kernel=\"mxm\",le=\"0.000001024\"} 1"),
             "{out}"
@@ -723,9 +786,12 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("x_seconds_count{kernel=\"mxm\"} 2"), "{out}");
-        let mut bare = String::new();
-        write_prometheus_histogram(&mut bare, "y_seconds", "", &HistogramSnapshot::default());
-        assert!(bare.contains("y_seconds_bucket{le=\"+Inf\"} 0"), "{bare}");
-        assert!(bare.contains("y_seconds_count 0"), "{bare}");
+        assert!(out.contains("y_seconds_bucket{le=\"+Inf\"} 1"), "{out}");
+        assert!(out.contains("y_seconds_count 1"), "{out}");
+        assert!(out.contains("# TYPE n_total counter\nn_total 7\n"), "{out}");
+        // One rule for empty input: no observations, no row; no rows, no family.
+        for absent in ["idle", "z_seconds", "m_total"] {
+            assert!(!out.contains(absent), "{absent} in {out}");
+        }
     }
 }

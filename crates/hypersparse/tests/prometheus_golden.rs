@@ -1,5 +1,7 @@
 //! Golden-file coverage of the Prometheus text exposition, plus
-//! algebraic properties of the latency histograms backing it.
+//! algebraic properties of the histograms and snapshots backing it
+//! (the text-level lint of whole scrape bodies is the workspace's
+//! `tests/exposition.rs`).
 //!
 //! The exposition must be byte-stable for fixed inputs: dashboards and
 //! scrape configs key on exact series names and label spellings, so any
@@ -8,7 +10,8 @@
 use std::time::Duration;
 
 use hypersparse::{
-    Histogram, HistogramSnapshot, Kernel, MetricsRegistry, TraceMode, TraceRegistry,
+    Histogram, HistogramSnapshot, Kernel, MetricsRegistry, MetricsSnapshot, TraceMode,
+    TraceRegistry,
 };
 use proptest::prelude::*;
 
@@ -94,41 +97,6 @@ hypersparse_mask_hit_rate 0
 }
 
 #[test]
-fn exposition_scrapes_cleanly() {
-    // Structural lint over a *busier* registry than the golden: every
-    // non-comment line is `name{labels} value`, every series name that
-    // appears was declared by a # TYPE header first.
-    let reg = fixed_registry();
-    reg.record(Kernel::Vxm, Duration::from_millis(2), 50, 40, 90, 720);
-    reg.record_mv_direction(hypersparse::Direction::Push, 10, 4);
-    let text = reg.snapshot().render_prometheus();
-    let mut declared: Vec<String> = Vec::new();
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            declared.push(rest.split(' ').next().unwrap().to_string());
-            continue;
-        }
-        if line.starts_with('#') {
-            continue;
-        }
-        let name_end = line.find(['{', ' ']).expect("malformed line");
-        let base = line[..name_end]
-            .trim_end_matches("_bucket")
-            .trim_end_matches("_sum")
-            .trim_end_matches("_count");
-        assert!(
-            declared.iter().any(|d| d == base || d == &line[..name_end]),
-            "undeclared series {line:?}"
-        );
-        let value = line.rsplit(' ').next().unwrap();
-        assert!(
-            value == "+Inf" || value.parse::<f64>().is_ok(),
-            "unparsable value in {line:?}"
-        );
-    }
-}
-
-#[test]
 fn slow_span_capture_feeds_the_report() {
     let t = TraceRegistry::default();
     t.set_mode(TraceMode::SlowOnly);
@@ -140,6 +108,22 @@ fn slow_span_capture_feeds_the_report() {
     assert_eq!(slow.len(), 1);
     assert_eq!(slow[0].name, "mxm");
     assert!(t.report().contains("[slow]"));
+}
+
+/// One recorded kernel call: `Kernel::ALL` index, latency in ns, nnz, and
+/// whether a format switch and a pull-direction call ride along.
+type Record = (usize, u64, u64, bool);
+
+fn records() -> impl Strategy<Value = Vec<Record>> {
+    proptest::collection::vec(
+        (
+            0..Kernel::ALL.len(),
+            1u64..1 << 30,
+            0u64..1 << 20,
+            any::<bool>(),
+        ),
+        0..20,
+    )
 }
 
 proptest! {
@@ -177,6 +161,41 @@ proptest! {
             left.sum_ns,
             xs.iter().chain(&ys).chain(&zs).sum::<u64>()
         );
+    }
+
+    /// Snapshot merge is associative and commutative with the empty
+    /// snapshot as identity: shard registries fold to one service-wide
+    /// view in any grouping/order.
+    #[test]
+    fn snapshot_merge_is_associative_and_commutative(
+        xs in records(), ys in records(), zs in records(),
+    ) {
+        let snap = |rs: &[Record]| {
+            let reg = MetricsRegistry::default();
+            for &(k, ns, nnz, switch) in rs {
+                let kernel = Kernel::ALL[k];
+                reg.record(kernel, Duration::from_nanos(ns), nnz, nnz / 2, nnz * 3, nnz * 16);
+                if switch {
+                    reg.record_format_switch();
+                    reg.record_mv_direction(hypersparse::Direction::Pull, nnz, nnz / 3);
+                }
+            }
+            reg.snapshot()
+        };
+        let (a, b, c) = (snap(&xs), snap(&ys), snap(&zs));
+        let merge = |l: &MetricsSnapshot, r: &MetricsSnapshot| {
+            let mut out = l.clone();
+            out.merge(r);
+            out
+        };
+        let left = merge(&merge(&a, &b), &c);
+        prop_assert_eq!(&left, &merge(&a, &merge(&b, &c)));
+        prop_assert_eq!(merge(&a, &b), merge(&b, &a));
+        prop_assert_eq!(&merge(&MetricsSnapshot::default(), &a), &a);
+        prop_assert_eq!(&merge(&a, &MetricsSnapshot::default()), &a);
+        prop_assert_eq!(left.total_calls(), (xs.len() + ys.len() + zs.len()) as u64);
+        let bytes: u64 = left.kernels.iter().map(|k| k.bytes_touched).sum();
+        prop_assert_eq!(bytes, xs.iter().chain(&ys).chain(&zs).map(|r| r.2 * 16).sum::<u64>());
     }
 
     /// Quantiles are monotone in q and bounded by the recorded range's

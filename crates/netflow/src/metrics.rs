@@ -1,13 +1,12 @@
 //! Netflow-service observability: window/event counters plus
-//! per-detector latency histograms, rendered in the same Prometheus
-//! text exposition as the pipeline and serving layers — one scrape
-//! endpoint concatenates all three.
+//! per-detector latency histograms, written into the same
+//! [`Exposition`] as the pipeline and serving layers — one scrape body
+//! carries all three.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use hypersparse::trace::{write_prometheus_header, write_prometheus_histogram};
-use hypersparse::{Histogram, HistogramSnapshot};
+use hypersparse::{Exposition, Histogram, HistogramSnapshot};
 
 use crate::query::NetflowQueryClass;
 
@@ -101,12 +100,9 @@ impl NetflowMetricsSnapshot {
         &self.latency[class.index()]
     }
 
-    /// The Prometheus text exposition: `netflow_*` counters plus
+    /// The netflow families: `netflow_*` counters plus
     /// `netflow_query_latency_seconds{detector="..."}` histograms.
-    /// Designed to concatenate with the pipeline and serve expositions.
-    pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
+    pub(crate) fn expose(&self, out: &mut Exposition) {
         for (name, help, v) in [
             (
                 "netflow_windows_closed_total",
@@ -144,28 +140,13 @@ impl NetflowMetricsSnapshot {
                 self.detector_rescans,
             ),
         ] {
-            write_prometheus_header(&mut out, name, "counter", help);
-            let _ = writeln!(out, "{name} {v}");
+            out.family(name, "counter", help, [("", v)]);
         }
-        write_prometheus_header(
-            &mut out,
+        out.histograms(
             "netflow_query_latency_seconds",
-            "histogram",
             "Netflow query latency by detector class",
+            NetflowQueryClass::ALL.map(|c| (format!("detector=\"{}\"", c.label()), self.class(c))),
         );
-        for class in NetflowQueryClass::ALL {
-            let h = self.class(class);
-            if h.count() == 0 {
-                continue;
-            }
-            write_prometheus_histogram(
-                &mut out,
-                "netflow_query_latency_seconds",
-                &format!("detector=\"{}\"", class.label()),
-                h,
-            );
-        }
-        out
     }
 }
 
@@ -200,7 +181,9 @@ mod tests {
         let m = NetflowMetrics::default();
         m.record_query(NetflowQueryClass::DdosVictims, Duration::from_micros(7), 1);
         m.record_detector_path(false);
-        let text = m.snapshot().render_prometheus();
+        let mut out = Exposition::default();
+        m.snapshot().expose(&mut out);
+        let text = out.finish();
         assert!(text.contains("# TYPE netflow_windows_closed_total counter"));
         assert!(text.contains("netflow_detections_total 1"));
         assert!(text.contains("# TYPE netflow_detector_state_answers_total counter"));

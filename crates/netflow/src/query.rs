@@ -90,7 +90,8 @@ impl NetflowQuery {
     }
 }
 
-/// Per-detector latency buckets (the Prometheus `detector` label).
+/// Per-detector latency buckets (the Prometheus `detector` label),
+/// declared in [`NetflowQueryClass::ALL`] order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetflowQueryClass {
     /// Source volume heavy hitters.
@@ -140,16 +141,7 @@ impl NetflowQueryClass {
 
     /// Index into per-class arrays.
     pub(crate) fn index(self) -> usize {
-        match self {
-            NetflowQueryClass::TopTalkers => 0,
-            NetflowQueryClass::TopListeners => 1,
-            NetflowQueryClass::ScanSuspects => 2,
-            NetflowQueryClass::DdosVictims => 3,
-            NetflowQueryClass::Drilldown => 4,
-            NetflowQueryClass::Rollup => 5,
-            NetflowQueryClass::StandingScan => 6,
-            NetflowQueryClass::StandingDdos => 7,
-        }
+        self as usize
     }
 }
 

@@ -26,7 +26,7 @@ use graph::incremental::DegreeState;
 use graph::netsec::flag_degrees;
 use hyperspace_core::cidr::{self, RollupAxes};
 use hypersparse::ops as kernels;
-use hypersparse::{Ix, OpCtx, SparseVec};
+use hypersparse::{Exposition, Ix, OpCtx, SparseVec};
 use pipeline::{EpochSnapshot, PipelineConfig, StandingView};
 use semiring::{PlusMonoid, PlusTimes};
 use serve::{QueryServer, ViewSchema};
@@ -483,15 +483,21 @@ impl NetflowService {
         self.ctx.metrics().snapshot()
     }
 
-    /// The full Prometheus text exposition: pipeline stages and kernel
-    /// counters, serving counters, netflow counters and per-detector
-    /// histograms, and the detector-kernel registry — one scrape body.
+    /// The full Prometheus text exposition, one scrape body: pipeline
+    /// stages and standing views, the kernel registry (the detector
+    /// context ⊕ the pipeline's shards and assembler, so each
+    /// `hypersparse_*` family is declared once), serving counters,
+    /// netflow counters and per-detector histograms.
     pub fn render_prometheus(&self) -> String {
-        let mut out = self.windows.pipeline().render_prometheus();
-        out.push_str(&self.server.metrics().render_prometheus());
-        out.push_str(&self.metrics.snapshot().render_prometheus());
-        out.push_str(&self.kernel_metrics().render_prometheus());
-        out
+        let pipeline = self.windows.pipeline();
+        let mut kernels = pipeline.kernel_metrics();
+        kernels.merge(&self.kernel_metrics());
+        let mut out = Exposition::default();
+        pipeline.expose(&mut out);
+        kernels.expose(&mut out);
+        self.server.metrics().expose(&mut out);
+        self.metrics().expose(&mut out);
+        out.finish()
     }
 
     /// Graceful shutdown of the pipeline shard workers.

@@ -38,8 +38,9 @@
 //!   construction, `O(Δ)` maintenance per wave.
 //! * **Observability** — service counters ([`PipelineMetrics`]) plus
 //!   per-shard kernel registries (`stream_merge`, `ewise_add`, …)
-//!   merged via [`metrics::merge_kernel_snapshots`], and per-view
-//!   `pipeline_standing_*` series for standing queries.
+//!   merged with [`hypersparse::MetricsSnapshot::merge`], and per-view
+//!   `pipeline_standing_*` series for standing queries; each writes its
+//!   families into one [`hypersparse::Exposition`].
 //!
 //! ```
 //! use pipeline::{Pipeline, PipelineConfig};
@@ -76,7 +77,7 @@ pub mod value;
 pub use checkpoint::Manifest;
 pub use config::{shard_of, PipelineConfig};
 pub use error::PipelineError;
-pub use metrics::{merge_kernel_snapshots, PipelineMetrics, PipelineMetricsSnapshot, Stage};
+pub use metrics::{PipelineMetrics, PipelineMetricsSnapshot, Stage};
 pub use router::Pipeline;
 pub use sink::SnapshotSink;
 pub use snapshot::{EpochSnapshot, IncrementalEpoch};

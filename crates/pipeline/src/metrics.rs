@@ -11,8 +11,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use hypersparse::trace::{write_prometheus_header, write_prometheus_histogram};
-use hypersparse::{Histogram, HistogramSnapshot, KernelSnapshot, MetricsSnapshot};
+use hypersparse::{Exposition, Histogram, HistogramSnapshot};
 
 /// The pipeline stages whose latency is tracked in log₂ histograms.
 ///
@@ -240,17 +239,10 @@ impl PipelineMetricsSnapshot {
         &self.stage_latency[stage as usize]
     }
 
-    /// Render the service counters and stage latency histograms in
-    /// Prometheus text exposition format (version 0.0.4).
-    ///
-    /// Covers only what the shard kernel registries cannot see; append
-    /// [`MetricsSnapshot::render_prometheus`] of the merged kernel
-    /// snapshot (see [`merge_kernel_snapshots`]) for the full picture —
-    /// [`crate::Pipeline::render_prometheus`] does exactly that.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        use std::fmt::Write;
-        let counters: [(&str, &str, u64); 5] = [
+    /// What the shard kernel registries cannot see, as Prometheus
+    /// families: service counters, channel depths, stage latency.
+    pub(crate) fn expose(&self, out: &mut Exposition) {
+        for (name, help, value) in [
             (
                 "pipeline_events_ingested_total",
                 "Events accepted into shard channels.",
@@ -276,74 +268,33 @@ impl PipelineMetricsSnapshot {
                 "Committed checkpoints.",
                 self.checkpoints,
             ),
-        ];
-        for (name, help, value) in counters {
-            write_prometheus_header(&mut out, name, "counter", help);
-            let _ = writeln!(out, "{name} {value}");
+        ] {
+            out.family(name, "counter", help, [("", value)]);
         }
-        write_prometheus_header(
-            &mut out,
+        out.family(
             "pipeline_channel_depth",
             "gauge",
             "Messages queued on each shard channel at scrape time.",
-        );
-        for (shard, depth) in self.channel_depths.iter().enumerate() {
-            let _ = writeln!(out, "pipeline_channel_depth{{shard=\"{shard}\"}} {depth}");
-        }
-        if self.stage_latency.iter().any(|h| h.count() > 0) {
-            write_prometheus_header(
-                &mut out,
-                "pipeline_stage_latency_seconds",
-                "histogram",
-                "Wall time per pipeline stage execution.",
-            );
-            for stage in Stage::ALL {
-                let h = self.stage(stage);
-                if h.count() == 0 {
-                    continue;
-                }
-                let labels = format!("stage=\"{}\"", stage.name());
-                write_prometheus_histogram(&mut out, "pipeline_stage_latency_seconds", &labels, h);
-            }
-        }
-        out
-    }
-}
-
-/// Sum per-shard kernel registries into one workspace-wide
-/// [`MetricsSnapshot`] (kernel rows, format switches, workspace and
-/// direction counters all add element-wise).
-pub fn merge_kernel_snapshots(parts: &[MetricsSnapshot]) -> MetricsSnapshot {
-    let mut total = MetricsSnapshot::default();
-    for part in parts {
-        if total.kernels.is_empty() {
-            total.kernels = part
-                .kernels
+            self.channel_depths
                 .iter()
-                .map(|k| KernelSnapshot {
-                    kernel: k.kernel,
-                    ..Default::default()
-                })
-                .collect();
-        }
-        for (t, p) in total.kernels.iter_mut().zip(&part.kernels) {
-            debug_assert_eq!(t.kernel, p.kernel, "registries share Kernel::ALL order");
-            t.calls += p.calls;
-            t.elapsed_ns += p.elapsed_ns;
-            t.nnz_in += p.nnz_in;
-            t.nnz_out += p.nnz_out;
-            t.flops += p.flops;
-            t.latency.merge(&p.latency);
-        }
-        total.format_switches += part.format_switches;
-        total.workspace_hits += part.workspace_hits;
-        total.workspace_misses += part.workspace_misses;
-        total.mv_push_calls += part.mv_push_calls;
-        total.mv_pull_calls += part.mv_pull_calls;
-        total.mask_probes += part.mask_probes;
-        total.mask_hits += part.mask_hits;
+                .enumerate()
+                .map(|(shard, depth)| (format!("shard=\"{shard}\""), depth)),
+        );
+        out.histograms(
+            "pipeline_stage_latency_seconds",
+            "Wall time per pipeline stage execution.",
+            Stage::ALL.map(|stage| (format!("stage=\"{}\"", stage.name()), self.stage(stage))),
+        );
     }
-    total
+
+    /// Those families as a body of their own (format 0.0.4);
+    /// [`crate::Pipeline::render_prometheus`] adds the standing views
+    /// and the merged kernel registry.
+    pub fn render_prometheus(&self) -> String {
+        let mut out = Exposition::default();
+        self.expose(&mut out);
+        out.finish()
+    }
 }
 
 #[cfg(test)]
@@ -381,12 +332,14 @@ mod tests {
             .record(Kernel::StreamMerge, Duration::from_micros(3), 6, 6, 0, 384);
         b.metrics()
             .record(Kernel::EwiseAdd, Duration::from_micros(1), 4, 4, 0, 256);
-        let merged = merge_kernel_snapshots(&[a.metrics().snapshot(), b.metrics().snapshot()]);
+        let mut merged = a.metrics().snapshot();
+        merged.merge(&b.metrics().snapshot());
         let sm = merged.kernel(Kernel::StreamMerge);
         assert_eq!(sm.calls, 2);
         assert_eq!(sm.nnz_in, 16);
         assert_eq!(sm.flops, 2);
+        assert_eq!(sm.bytes_touched, 1024);
         assert_eq!(merged.kernel(Kernel::EwiseAdd).calls, 1);
-        assert_eq!(merge_kernel_snapshots(&[]).total_calls(), 0);
+        assert_eq!(hypersparse::MetricsSnapshot::default().total_calls(), 0);
     }
 }

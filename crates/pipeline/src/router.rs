@@ -6,7 +6,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use hypersparse::{Ix, MetricsSnapshot, OpCtx, StreamingMatrix, TraceMode};
+use hypersparse::{Exposition, Ix, MetricsSnapshot, OpCtx, StreamingMatrix, TraceMode};
 use semiring::traits::Semiring;
 
 use crate::checkpoint::{
@@ -14,7 +14,7 @@ use crate::checkpoint::{
 };
 use crate::config::{shard_of, PipelineConfig};
 use crate::error::PipelineError;
-use crate::metrics::{merge_kernel_snapshots, PipelineMetrics, PipelineMetricsSnapshot, Stage};
+use crate::metrics::{PipelineMetrics, PipelineMetricsSnapshot, Stage};
 use crate::shard::{Command, Shard};
 use crate::sink::SnapshotSink;
 use crate::snapshot::{EpochSnapshot, IncrementalEpoch};
@@ -670,13 +670,11 @@ where
     /// Kernel counters summed across every shard plus the snapshot
     /// assembler.
     pub fn kernel_metrics(&self) -> MetricsSnapshot {
-        let mut parts: Vec<MetricsSnapshot> = self
-            .shards
-            .iter()
-            .map(|sh| sh.ctx.metrics().snapshot())
-            .collect();
-        parts.push(self.assemble_ctx.metrics().snapshot());
-        merge_kernel_snapshots(&parts)
+        let mut total = self.assemble_ctx.metrics().snapshot();
+        for shard in &self.shards {
+            total.merge(&shard.ctx.metrics().snapshot());
+        }
+        total
     }
 
     // -- tracing --------------------------------------------------------
@@ -720,15 +718,24 @@ where
         out
     }
 
-    /// The full Prometheus text exposition: service counters and stage
-    /// latency histograms, per-standing-view series (when views are
-    /// registered), followed by the kernel counters and latency
-    /// histograms merged across every shard and the assembler.
+    /// Write the pipeline's own families into `out`: service counters,
+    /// stage latency, and the per-standing-view series. The kernel rows
+    /// are `self.kernel_metrics().expose(out)`, left to the caller so a
+    /// layer that owns a further `OpCtx` can merge its registry in first
+    /// and every `hypersparse_*` family is declared once per body.
+    pub fn expose(&self, out: &mut Exposition) {
+        self.metrics_snapshot().expose(out);
+        StandingViewStats::expose(&self.standing.stats(), out);
+    }
+
+    /// The full Prometheus text exposition: [`Pipeline::expose`], then
+    /// the kernel counters and latency histograms merged across every
+    /// shard and the assembler.
     pub fn render_prometheus(&self) -> String {
-        let mut out = self.metrics_snapshot().render_prometheus();
-        out.push_str(&self.standing.render_prometheus());
-        out.push_str(&self.kernel_metrics().render_prometheus());
-        out
+        let mut out = Exposition::default();
+        self.expose(&mut out);
+        self.kernel_metrics().expose(&mut out);
+        out.finish()
     }
 }
 

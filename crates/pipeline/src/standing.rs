@@ -26,8 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use hypersparse::trace::{write_prometheus_header, write_prometheus_histogram};
-use hypersparse::{Histogram, HistogramSnapshot};
+use hypersparse::{Exposition, Histogram, HistogramSnapshot};
 use semiring::traits::Semiring;
 
 use crate::snapshot::EpochSnapshot;
@@ -70,6 +69,31 @@ pub struct StandingViewStats {
     pub updates: u64,
     /// Per-update `apply_delta` wall time.
     pub latency: HistogramSnapshot,
+}
+
+impl StandingViewStats {
+    /// The `pipeline_standing_*` families, one row per view (none when
+    /// no view is registered).
+    pub(crate) fn expose(stats: &[StandingViewStats], out: &mut Exposition) {
+        let label = |s: &StandingViewStats| format!("view=\"{}\"", s.name);
+        out.family(
+            "pipeline_standing_updates_total",
+            "counter",
+            "Deltas applied per standing view",
+            stats.iter().map(|s| (label(s), s.updates)),
+        );
+        out.family(
+            "pipeline_standing_epoch",
+            "gauge",
+            "Last epoch applied per standing view",
+            stats.iter().map(|s| (label(s), s.epoch)),
+        );
+        out.histograms(
+            "pipeline_standing_update_seconds",
+            "Standing-view delta application latency",
+            stats.iter().map(|s| (label(s), &s.latency)),
+        );
+    }
 }
 
 /// The pipeline's standing-query registry.
@@ -150,62 +174,6 @@ impl<S: Semiring> StandingRegistry<S> {
             })
             .collect()
     }
-
-    /// `pipeline_standing_*` Prometheus series; empty string when no
-    /// view is registered, so concatenation stays clean for pipelines
-    /// that never use standing queries.
-    pub(crate) fn render_prometheus(&self) -> String {
-        use std::fmt::Write;
-        let stats = self.stats();
-        if stats.is_empty() {
-            return String::new();
-        }
-        let mut out = String::new();
-        write_prometheus_header(
-            &mut out,
-            "pipeline_standing_updates_total",
-            "counter",
-            "Deltas applied per standing view",
-        );
-        for s in &stats {
-            let _ = writeln!(
-                out,
-                "pipeline_standing_updates_total{{view=\"{}\"}} {}",
-                s.name, s.updates
-            );
-        }
-        write_prometheus_header(
-            &mut out,
-            "pipeline_standing_epoch",
-            "gauge",
-            "Last epoch applied per standing view",
-        );
-        for s in &stats {
-            let _ = writeln!(
-                out,
-                "pipeline_standing_epoch{{view=\"{}\"}} {}",
-                s.name, s.epoch
-            );
-        }
-        write_prometheus_header(
-            &mut out,
-            "pipeline_standing_update_seconds",
-            "histogram",
-            "Standing-view delta application latency",
-        );
-        for s in &stats {
-            if s.latency.count() == 0 {
-                continue;
-            }
-            write_prometheus_histogram(
-                &mut out,
-                "pipeline_standing_update_seconds",
-                &format!("view=\"{}\"", s.name),
-                &s.latency,
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -240,6 +208,12 @@ mod tests {
         EpochSnapshot::assemble(epoch, nnz, &ctx, vec![coo.build_dcsr(s)], s)
     }
 
+    fn exposed(reg: &StandingRegistry<PlusTimes<f64>>) -> String {
+        let mut out = Exposition::default();
+        StandingViewStats::expose(&reg.stats(), &mut out);
+        out.finish()
+    }
+
     #[test]
     fn registry_applies_meters_and_resets() {
         let reg = StandingRegistry::<PlusTimes<f64>>::default();
@@ -261,7 +235,7 @@ mod tests {
         assert_eq!(stats[0].updates, 2);
         assert_eq!(stats[0].latency.count(), 2);
 
-        let text = reg.render_prometheus();
+        let text = exposed(&reg);
         assert!(text.contains("pipeline_standing_updates_total{view=\"nnz\"} 2"));
         assert!(text.contains("pipeline_standing_epoch{view=\"nnz\"} 2"));
         assert!(text.contains("pipeline_standing_update_seconds_bucket{view=\"nnz\""));
@@ -270,7 +244,7 @@ mod tests {
     #[test]
     fn empty_registry_renders_nothing() {
         let reg = StandingRegistry::<PlusTimes<f64>>::default();
-        assert!(reg.render_prometheus().is_empty());
+        assert!(exposed(&reg).is_empty());
         // Applying with no views is a no-op, not an error.
         reg.apply(&delta_of(1, 1));
         reg.close(&delta_of(1, 2));

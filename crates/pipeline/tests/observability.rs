@@ -91,6 +91,14 @@ fn live_pipeline_records_stages_and_spans() {
     let kernels = p.kernel_metrics();
     let sm = kernels.kernel(hypersparse::Kernel::StreamMerge);
     assert_eq!(sm.latency.count(), sm.calls);
+    // ...and their byte traffic: the merge sums every field of a row.
+    for k in kernels
+        .kernels
+        .iter()
+        .filter(|k| k.calls > 0 && k.nnz_in > 0)
+    {
+        assert!(k.bytes_touched > 0, "{k:?}");
+    }
 
     let text = p.render_prometheus();
     for series in [

@@ -110,7 +110,7 @@ impl QueryRequest {
     }
 }
 
-/// Per-class latency buckets.
+/// Per-class latency buckets, declared in [`QueryClass::ALL`] order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueryClass {
     /// SQL text queries.
@@ -148,13 +148,7 @@ impl QueryClass {
 
     /// Index into per-class arrays.
     pub(crate) fn index(self) -> usize {
-        match self {
-            QueryClass::Sql => 0,
-            QueryClass::Select => 1,
-            QueryClass::Neighbors => 2,
-            QueryClass::GroupCount => 3,
-            QueryClass::Point => 4,
-        }
+        self as usize
     }
 }
 

@@ -8,7 +8,6 @@
 //! refresh) and lazily by LRU pressure otherwise.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::api::ResponseBody;
@@ -23,8 +22,6 @@ pub struct ViewCache {
     /// Most recently used at the back. O(n) probes — fine at the tens
     /// of entries a serving cache holds.
     entries: Mutex<VecDeque<CacheEntry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl ViewCache {
@@ -33,8 +30,6 @@ impl ViewCache {
         ViewCache {
             capacity,
             entries: Mutex::new(VecDeque::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -45,14 +40,7 @@ impl ViewCache {
         let entry = q.remove(pos).expect("position just found");
         let body = Arc::clone(&entry.1);
         q.push_back(entry);
-        self.hits.fetch_add(1, Ordering::Relaxed);
         Some(body)
-    }
-
-    /// Record a miss (kept separate from [`ViewCache::lookup`] so probes
-    /// for uncacheable requests don't skew the ratio).
-    pub fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Insert a freshly computed body, evicting the least recently used
@@ -88,16 +76,6 @@ impl ViewCache {
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 }
 

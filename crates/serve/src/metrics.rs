@@ -1,12 +1,11 @@
 //! Serving observability: counters plus per-query-class latency
-//! histograms, rendered in the same Prometheus text exposition the
-//! pipeline uses (so one scrape endpoint can concatenate both).
+//! histograms, written into the same [`Exposition`] the pipeline
+//! writes into (one scrape body for both).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use hypersparse::trace::{write_prometheus_header, write_prometheus_histogram};
-use hypersparse::{Histogram, HistogramSnapshot};
+use hypersparse::{Exposition, Histogram, HistogramSnapshot};
 
 use crate::api::QueryClass;
 
@@ -88,12 +87,9 @@ impl ServeMetricsSnapshot {
         out
     }
 
-    /// The Prometheus text exposition: `serve_*` counters plus
-    /// `serve_query_latency_seconds{class="..."}` histograms. Designed
-    /// to concatenate with [`pipeline::Pipeline::render_prometheus`].
-    pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
+    /// The serving families: `serve_*` counters plus
+    /// `serve_query_latency_seconds{class="..."}` histograms.
+    pub fn expose(&self, out: &mut Exposition) {
         for (name, help, v) in [
             ("serve_queries_total", "Queries answered", self.queries),
             ("serve_query_errors_total", "Queries failed", self.errors),
@@ -113,28 +109,13 @@ impl ServeMetricsSnapshot {
                 self.refreshes,
             ),
         ] {
-            write_prometheus_header(&mut out, name, "counter", help);
-            let _ = writeln!(out, "{name} {v}");
+            out.family(name, "counter", help, [("", v)]);
         }
-        write_prometheus_header(
-            &mut out,
+        out.histograms(
             "serve_query_latency_seconds",
-            "histogram",
             "Query latency by class",
+            QueryClass::ALL.map(|c| (format!("class=\"{}\"", c.label()), self.class(c))),
         );
-        for class in QueryClass::ALL {
-            let h = self.class(class);
-            if h.count() == 0 {
-                continue;
-            }
-            write_prometheus_histogram(
-                &mut out,
-                "serve_query_latency_seconds",
-                &format!("class=\"{}\"", class.label()),
-                h,
-            );
-        }
-        out
     }
 }
 
@@ -164,7 +145,9 @@ mod tests {
     fn prometheus_exposition_is_labelled_per_class() {
         let m = ServeMetrics::default();
         m.record_query(QueryClass::Select, Duration::from_micros(5), false);
-        let text = m.snapshot().render_prometheus();
+        let mut out = Exposition::default();
+        m.snapshot().expose(&mut out);
+        let text = out.finish();
         assert!(text.contains("# TYPE serve_queries_total counter"));
         assert!(text.contains("serve_queries_total 1"));
         assert!(text.contains("serve_query_latency_seconds_bucket{class=\"select\""));

@@ -12,7 +12,7 @@ use std::fmt::Display;
 use std::sync::Arc;
 use std::time::Instant;
 
-use hypersparse::{TraceMode, TraceRegistry};
+use hypersparse::{Exposition, TraceMode, TraceRegistry};
 use pipeline::{Pipeline, PodValue};
 use semiring::traits::Semiring;
 
@@ -159,7 +159,6 @@ where
                     body,
                 });
             }
-            self.cache.record_miss();
         }
 
         let body = match self.compute(view, req) {
@@ -225,7 +224,8 @@ where
         self.metrics.snapshot()
     }
 
-    /// The sub-view cache (hit/miss counters, entry count).
+    /// The sub-view cache (entry count; hit/miss counters are in
+    /// [`QueryServer::metrics`]).
     pub fn cache(&self) -> &ViewCache {
         &self.cache
     }
@@ -242,18 +242,15 @@ where
         self.trace.set_mode(mode);
     }
 
-    /// The serving Prometheus exposition (`serve_*` metrics only).
-    pub fn render_prometheus(&self) -> String {
-        self.metrics.snapshot().render_prometheus()
-    }
-
-    /// The merged exposition: the pipeline's service + kernel metrics
-    /// followed by the serving layer's — one scrape body for the whole
-    /// ingest-to-answer stack.
+    /// One scrape body for the whole ingest-to-answer stack: the
+    /// pipeline's service families and merged kernel registry, then the
+    /// serving layer's.
     pub fn render_prometheus_with(&self, p: &Pipeline<S>) -> String {
-        let mut out = p.render_prometheus();
-        out.push_str(&self.render_prometheus());
-        out
+        let mut out = Exposition::default();
+        p.expose(&mut out);
+        p.kernel_metrics().expose(&mut out);
+        self.metrics().expose(&mut out);
+        out.finish()
     }
 }
 

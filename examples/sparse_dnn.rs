@@ -78,7 +78,7 @@ fn main() {
     // Per-layer observability: both inferences above ran on this
     // driver's registries.
     println!("\nkernel metrics (Prometheus exposition):");
-    for line in driver.render_prometheus().lines() {
+    for line in driver.metrics().render_prometheus().lines() {
         if line.contains("kernel_calls_total") {
             println!("  {line}");
         }
