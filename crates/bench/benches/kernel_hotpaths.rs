@@ -12,15 +12,21 @@
 //!   withholds the semiring's capabilities, so both sides share the
 //!   context and the sharding;
 //! * **merge-path weighted shards** — SpGEMM on an RMAT-skewed graph at
-//!   4 threads, where hub rows would serialize equal-row-count spans.
+//!   4 threads, where hub rows would serialize equal-row-count spans;
+//! * **radix vs comparison sort** — flushing one 4 096-event buffer of a
+//!   hypersparse netflow window (the crate's stable LSD radix sort, in
+//!   place, against the `sort_by_key` + fold it replaced and the tests
+//!   keep as oracle), and the structural column degrees of that
+//!   window's ~200 k-entry pattern, which sort the column ids.
 //!
 //! The JSON artifact holds lower-is-better nanosecond medians;
 //! `perf_gate` fails CI when any of them regresses >10%.
 
 use bench::{fmt_dur, quick_time, BenchRecord};
 use hypersparse::gen::{random_dcsr, rmat_dcsr, RmatParams};
-use hypersparse::{ops, Coo, Dcsr, Ix, OpCtx, SparseVec};
-use semiring::{LorLand, Plain, PlusTimes};
+use hypersparse::{ops, Coo, Dcsr, Ix, OpCtx, SparseVec, StreamConfig, StreamingMatrix};
+use netflow::gen::{GenConfig, TrafficGen};
+use semiring::{LorLand, Plain, PlusTimes, Semiring};
 use std::time::Duration;
 
 fn s() -> PlusTimes<f64> {
@@ -60,6 +66,34 @@ fn frontier_of(g: &Dcsr<f64>, k: usize) -> SparseVec<f64> {
             .collect(),
         s(),
     )
+}
+
+/// The flush as it was before the radix sort, and the oracle the
+/// property tests still hold it to: stable comparison sort, fold each
+/// duplicate group left to right, drop zeros, lay the arrays down.
+fn comparison_sorted_flush(n: Ix, mut buf: Vec<(Ix, Ix, u64)>) -> Dcsr<u64> {
+    let s = PlusTimes::<u64>::new();
+    buf.sort_by_key(|e| (e.0, e.1));
+    let (mut rows, mut rowptr) = (Vec::new(), vec![0usize]);
+    let (mut colidx, mut vals) = (Vec::with_capacity(buf.len()), Vec::with_capacity(buf.len()));
+    let mut it = buf.into_iter().peekable();
+    while let Some((r, c, mut v)) = it.next() {
+        while let Some(&(_, _, dup)) = it.peek().filter(|e| (e.0, e.1) == (r, c)) {
+            s.add_assign(&mut v, dup);
+            it.next();
+        }
+        if s.is_zero(&v) {
+            continue;
+        }
+        if rows.last() != Some(&r) {
+            rows.push(r);
+            rowptr.push(colidx.len());
+        }
+        colidx.push(c);
+        vals.push(v);
+        *rowptr.last_mut().expect("nonempty") = colidx.len();
+    }
+    Dcsr::from_parts(n, n, rows, rowptr, colidx, vals)
 }
 
 struct Row {
@@ -210,6 +244,68 @@ fn main() {
                 }),
             },
         ],
+    );
+
+    // One shard buffer's flush and the closing window's column degrees,
+    // on the e2e `netflow_ingest` window shape: 65 536 heavy-tailed hosts
+    // in a 2³² × 2³² space, 250 k events → ~195 k distinct flows. Sixteen
+    // buffers per timed run, reported per buffer.
+    const BUFFER: usize = 4_096;
+    const BUFFERS: usize = 16;
+    let n: Ix = 1 << 32;
+    let window: Vec<(Ix, Ix, u64)> = TrafficGen::new(
+        GenConfig::new()
+            .with_hosts(65_536)
+            .with_events_per_window(250_000)
+            .with_seed(7),
+    )
+    .window(0)
+    .into_iter()
+    .map(|(src, dst, packets)| (Ix::from(src), Ix::from(dst), packets))
+    .collect();
+    let counts = PlusTimes::<u64>::new();
+    let mut stream =
+        StreamingMatrix::with_config(n, n, counts, StreamConfig::new().with_buffer_cap(BUFFER));
+    let per_buffer = |total: f64| total / BUFFERS as f64;
+    report(
+        &mut rec,
+        "stream flush, one 4096-event buffer of a 65536-host window",
+        vec![
+            Row {
+                key: "stream_flush_cmp_ns",
+                ns: per_buffer(med(15, || {
+                    (window.chunks_exact(BUFFER).take(BUFFERS))
+                        .map(|buf| comparison_sorted_flush(n, buf.to_vec()).nnz() as u64)
+                        .sum()
+                })),
+            },
+            Row {
+                key: "stream_flush_radix_ns",
+                ns: per_buffer(med(15, || {
+                    (window.chunks_exact(BUFFER).take(BUFFERS))
+                        .map(|buf| {
+                            for &(r, c, v) in buf {
+                                stream.insert(r, c, v); // the last one flushes
+                            }
+                            let nnz = stream.level_slots()[0].as_ref().map_or(0, Dcsr::nnz);
+                            stream.reset();
+                            nnz as u64
+                        })
+                        .sum()
+                })),
+            },
+        ],
+    );
+    let mut flat = Coo::new(n, n);
+    flat.extend(window.iter().copied());
+    let pattern = flat.build_dcsr(counts);
+    report(
+        &mut rec,
+        "column degrees, ~195k-entry window pattern",
+        vec![Row {
+            key: "col_degrees_ns",
+            ns: med(15, || ops::col_degrees_ctx(&ctx, &pattern).nnz() as u64),
+        }],
     );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");

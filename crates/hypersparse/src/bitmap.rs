@@ -8,7 +8,7 @@
 
 use semiring::traits::{Semiring, Value};
 
-use crate::dcsr::Dcsr;
+use crate::dcsr::{Dcsr, DcsrBuilder};
 use crate::Ix;
 
 /// Bitmap matrix: one presence bit and one (possibly default) value slot
@@ -53,24 +53,16 @@ impl<T: Value> Bitmap<T> {
     /// Compress to hypersparse (presence bits drive inclusion; values are
     /// not re-tested against zero — the bitmap is authoritative).
     pub fn to_dcsr(&self) -> Dcsr<T> {
-        let mut rows = Vec::new();
-        let mut rowptr = vec![0usize];
-        let mut colidx = Vec::new();
-        let mut vals = Vec::new();
+        let mut out = DcsrBuilder::with_capacity(self.nrows, self.ncols, 0);
         for r in 0..self.nrows {
-            let start = colidx.len();
+            out.row(r);
             for c in 0..self.ncols {
                 if self.contains(r, c) {
-                    colidx.push(c);
-                    vals.push(self.data[self.offset(r, c)].clone());
+                    out.push(c, self.data[self.offset(r, c)].clone());
                 }
             }
-            if colidx.len() > start {
-                rows.push(r);
-                rowptr.push(colidx.len());
-            }
         }
-        Dcsr::from_parts(self.nrows, self.ncols, rows, rowptr, colidx, vals)
+        out.finish()
     }
 
     /// Row dimension.

@@ -8,7 +8,8 @@
 
 use semiring::traits::{Semiring, Value};
 
-use crate::dcsr::Dcsr;
+use crate::dcsr::{Dcsr, DcsrBuilder};
+use crate::radix::{radix_sort_by_key, SortScratch};
 use crate::Ix;
 
 /// An unsorted triplet buffer.
@@ -70,39 +71,44 @@ impl<T: Value> Coo<T> {
 
     /// Sort, ⊕-merge duplicates, drop zeros, and emit a [`Dcsr`].
     pub fn build_dcsr<S: Semiring<Value = T>>(mut self, s: S) -> Dcsr<T> {
-        // Stable sort by (row, col); merge order within a duplicate group
-        // is therefore insertion order, keeping ⊕-folding deterministic.
-        self.entries.sort_by_key(|a| (a.0, a.1));
-
-        let mut rows: Vec<Ix> = Vec::new();
-        let mut rowptr: Vec<usize> = vec![0];
-        let mut colidx: Vec<Ix> = Vec::with_capacity(self.entries.len());
-        let mut vals: Vec<T> = Vec::with_capacity(self.entries.len());
-
-        let mut it = self.entries.into_iter().peekable();
-        while let Some((r, c, mut v)) = it.next() {
-            while let Some((nr, nc, _)) = it.peek() {
-                if *nr == r && *nc == c {
-                    let (_, _, nv) = it.next().expect("peeked");
-                    s.add_assign(&mut v, nv);
-                } else {
-                    break;
-                }
-            }
-            if s.is_zero(&v) {
-                continue;
-            }
-            if rows.last() != Some(&r) {
-                rows.push(r);
-                rowptr.push(colidx.len());
-            }
-            colidx.push(c);
-            vals.push(v);
-            *rowptr.last_mut().expect("nonempty") = colidx.len();
-        }
-
-        Dcsr::from_parts(self.nrows, self.ncols, rows, rowptr, colidx, vals)
+        let mut scratch = SortScratch::default();
+        fold_entries(self.nrows, self.ncols, &mut self.entries, &mut scratch, s)
     }
+}
+
+/// Sort `entries` by `(row, col)`, ⊕-fold each key's values and drop the
+/// folds that come to the semiring zero; `entries` is left empty with
+/// its capacity. The sort is stable, so a duplicate group folds in
+/// insertion order and ⊕-folding stays deterministic. Only
+/// `(row, col, position)` records are sorted; each value is then moved
+/// out of its slot once (the zero left behind is never read).
+pub(crate) fn fold_entries<T: Value, S: Semiring<Value = T>>(
+    nrows: Ix,
+    ncols: Ix,
+    entries: &mut Vec<(Ix, Ix, T)>,
+    scratch: &mut SortScratch,
+    s: S,
+) -> Dcsr<T> {
+    let SortScratch { recs, tmp } = scratch;
+    recs.clear();
+    recs.extend(entries.iter().enumerate().map(|(k, e)| (e.0, e.1, k)));
+    radix_sort_by_key(recs, tmp, |r| (r.0, r.1));
+
+    let mut out = DcsrBuilder::with_capacity(nrows, ncols, entries.len());
+    let mut take = |k: usize| std::mem::replace(&mut entries[k].2, s.zero());
+    let mut it = recs.iter().peekable();
+    while let Some(&(r, c, k)) = it.next() {
+        let mut v = take(k);
+        while let Some(&&(_, _, dup)) = it.peek().filter(|n| (n.0, n.1) == (r, c)) {
+            s.add_assign(&mut v, take(dup));
+            it.next();
+        }
+        if !s.is_zero(&v) {
+            out.push_entry(r, c, v);
+        }
+    }
+    entries.clear();
+    out.finish()
 }
 
 #[cfg(test)]

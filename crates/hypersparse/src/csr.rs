@@ -6,7 +6,7 @@
 
 use semiring::traits::Value;
 
-use crate::dcsr::Dcsr;
+use crate::dcsr::{Dcsr, DcsrBuilder};
 use crate::index::IndexType;
 use crate::Ix;
 
@@ -68,21 +68,13 @@ impl<T: Value, I: IndexType> Csr<T, I> {
 
     /// Convert to the hypersparse compute format.
     pub fn to_dcsr(&self) -> Dcsr<T, I> {
-        let mut rows = Vec::new();
-        let mut rowptr = vec![0usize];
-        let mut colidx = Vec::with_capacity(self.nnz());
-        let mut vals = Vec::with_capacity(self.nnz());
+        let mut out = DcsrBuilder::with_capacity(self.nrows, self.ncols, self.nnz());
         for r in 0..self.nrows as usize {
             let (lo, hi) = (self.rowptr[r], self.rowptr[r + 1]);
-            if lo == hi {
-                continue;
-            }
-            rows.push(r as Ix);
-            colidx.extend_from_slice(&self.colidx[lo..hi]);
-            vals.extend_from_slice(&self.vals[lo..hi]);
-            rowptr.push(colidx.len());
+            out.row(r as Ix);
+            out.extend(&self.colidx[lo..hi], &self.vals[lo..hi]);
         }
-        Dcsr::from_parts(self.nrows, self.ncols, rows, rowptr, colidx, vals)
+        out.finish()
     }
 
     /// Row dimension.

@@ -258,6 +258,101 @@ impl<T: Value, I: IndexType> Dcsr<T, I> {
     }
 }
 
+/// Sorted entries → [`Dcsr`]: the one place a kernel's output is laid
+/// down as `rows`/`rowptr`/`colidx`/`vals`. Rows arrive in strictly
+/// increasing order, a row's entries in strictly increasing column
+/// order, and whatever the caller drops (semiring zeros) never arrives —
+/// so a row that receives nothing, e.g. one whose collisions all
+/// cancelled, is not stored. [`finish`](Self::finish) hands the parts to
+/// [`Dcsr::from_parts`], which debug-asserts all of that.
+pub(crate) struct DcsrBuilder<T, I: IndexType = Ix> {
+    nrows: Ix,
+    ncols: Ix,
+    /// The open row; its entries start where the last closed row ended.
+    row: Ix,
+    rows: Vec<Ix>,
+    rowptr: Vec<usize>,
+    colidx: Vec<I>,
+    vals: Vec<T>,
+}
+
+impl<T: Value, I: IndexType> DcsrBuilder<T, I> {
+    /// A builder with room for `nnz` entries.
+    pub(crate) fn with_capacity(nrows: Ix, ncols: Ix, nnz: usize) -> Self {
+        DcsrBuilder {
+            nrows,
+            ncols,
+            row: 0,
+            rows: Vec::new(),
+            rowptr: vec![0],
+            colidx: Vec::with_capacity(nnz),
+            vals: Vec::with_capacity(nnz),
+        }
+    }
+
+    /// Open row `r`, closing the one before it.
+    pub(crate) fn row(&mut self, r: Ix) {
+        if self.colidx.len() > *self.rowptr.last().expect("starts as [0]") {
+            self.rows.push(self.row);
+            self.rowptr.push(self.colidx.len());
+        }
+        self.row = r;
+    }
+
+    /// Append one entry to the open row.
+    #[inline]
+    pub(crate) fn push(&mut self, c: I, v: T) {
+        self.colidx.push(c);
+        self.vals.push(v);
+    }
+
+    /// Append a run of entries to the open row: a whole row, or the tail
+    /// of one, that only one operand holds.
+    pub(crate) fn extend(&mut self, cols: &[I], vals: &[T]) {
+        self.colidx.extend_from_slice(cols);
+        self.vals.extend_from_slice(vals);
+    }
+
+    /// Append stored rows `lo..hi` of `src` as they stand — the rows one
+    /// operand of a merge holds alone — as four slice copies.
+    pub(crate) fn extend_rows(&mut self, src: &Dcsr<T, I>, lo: usize, hi: usize) {
+        if lo == hi {
+            return;
+        }
+        self.row(src.rows[hi - 1]);
+        let (from, to) = (src.rowptr[lo], src.rowptr[hi]);
+        let base = self.colidx.len();
+        self.rows.extend_from_slice(&src.rows[lo..hi]);
+        self.rowptr
+            .extend(src.rowptr[lo + 1..=hi].iter().map(|&end| end - from + base));
+        self.colidx.extend_from_slice(&src.colidx[from..to]);
+        self.vals.extend_from_slice(&src.vals[from..to]);
+    }
+
+    /// Append one entry of a `(row, col)`-sorted stream, opening its row
+    /// when the stream moves on to it.
+    #[inline]
+    pub(crate) fn push_entry(&mut self, r: Ix, c: I, v: T) {
+        if r != self.row {
+            self.row(r);
+        }
+        self.push(c, v);
+    }
+
+    /// Close the open row and assemble the matrix.
+    pub(crate) fn finish(mut self) -> Dcsr<T, I> {
+        self.row(self.row);
+        Dcsr::from_parts(
+            self.nrows,
+            self.ncols,
+            self.rows,
+            self.rowptr,
+            self.colidx,
+            self.vals,
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,7 @@
 
 use semiring::traits::{Semiring, Value};
 
-use crate::dcsr::Dcsr;
+use crate::dcsr::{Dcsr, DcsrBuilder};
 use crate::Ix;
 
 /// Row-major dense matrix with an explicit "zero" fill value.
@@ -45,49 +45,27 @@ impl<T: Value> DenseMat<T> {
 
     /// Compress to hypersparse, dropping cells equal to the semiring zero.
     pub fn to_dcsr<S: Semiring<Value = T>>(&self, s: S) -> Dcsr<T> {
-        let mut rows = Vec::new();
-        let mut rowptr = vec![0usize];
-        let mut colidx = Vec::new();
-        let mut vals = Vec::new();
-        for r in 0..self.nrows {
-            let start = colidx.len();
-            for c in 0..self.ncols {
-                let v = self.get(r, c);
-                if !s.is_zero(v) {
-                    colidx.push(c);
-                    vals.push(v.clone());
-                }
-            }
-            if colidx.len() > start {
-                rows.push(r);
-                rowptr.push(colidx.len());
-            }
-        }
-        Dcsr::from_parts(self.nrows, self.ncols, rows, rowptr, colidx, vals)
+        self.compress(|v| !s.is_zero(v))
     }
 
     /// Compress to hypersparse using the stored fill value as "zero"
     /// (no semiring needed — the fill was fixed at construction).
     pub fn to_dcsr_by_fill(&self) -> Dcsr<T> {
-        let mut rows = Vec::new();
-        let mut rowptr = vec![0usize];
-        let mut colidx = Vec::new();
-        let mut vals = Vec::new();
+        self.compress(|v| *v != self.zero)
+    }
+
+    fn compress(&self, keep: impl Fn(&T) -> bool) -> Dcsr<T> {
+        let mut out = DcsrBuilder::with_capacity(self.nrows, self.ncols, 0);
         for r in 0..self.nrows {
-            let start = colidx.len();
+            out.row(r);
             for c in 0..self.ncols {
                 let v = self.get(r, c);
-                if *v != self.zero {
-                    colidx.push(c);
-                    vals.push(v.clone());
+                if keep(v) {
+                    out.push(c, v.clone());
                 }
             }
-            if colidx.len() > start {
-                rows.push(r);
-                rowptr.push(colidx.len());
-            }
         }
-        Dcsr::from_parts(self.nrows, self.ncols, rows, rowptr, colidx, vals)
+        out.finish()
     }
 
     /// Row dimension.

@@ -80,6 +80,7 @@ pub mod index;
 pub mod matrix;
 pub mod metrics;
 pub mod ops;
+mod radix;
 pub mod stream;
 pub mod trace;
 pub mod vector;

@@ -23,13 +23,14 @@
 //! `semiring::Plain(LorLand)` runs the two-pointer reference).
 
 use std::any::{Any, TypeId};
+use std::cmp::Ordering;
 use std::time::Instant;
 
 use semiring::traits::{BinaryOp, Semiring, Value};
 use semiring::LorLand;
 
 use crate::ctx::OpCtx;
-use crate::dcsr::Dcsr;
+use crate::dcsr::{Dcsr, DcsrBuilder};
 use crate::error::OpError;
 use crate::index::IndexType;
 use crate::metrics::Kernel;
@@ -111,44 +112,7 @@ where
         }
     }
     let mut flops = 0u64;
-    let mut trips: Vec<(Ix, I, T)> = Vec::with_capacity(a.nnz() + b.nnz());
-    let (ra, rb) = (a.row_ids(), b.row_ids());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ra.len() || j < rb.len() {
-        if j >= rb.len() || (i < ra.len() && ra[i] < rb[j]) {
-            let (r, cols, vs) = a.row_at(i);
-            trips.extend(cols.iter().zip(vs).map(|(&c, v)| (r, c, v.clone())));
-            i += 1;
-        } else if i >= ra.len() || rb[j] < ra[i] {
-            let (r, cols, vs) = b.row_at(j);
-            trips.extend(cols.iter().zip(vs).map(|(&c, v)| (r, c, v.clone())));
-            j += 1;
-        } else {
-            let (r, acols, avals) = a.row_at(i);
-            let (_, bcols, bvals) = b.row_at(j);
-            let (mut p, mut q) = (0usize, 0usize);
-            while p < acols.len() || q < bcols.len() {
-                if q >= bcols.len() || (p < acols.len() && acols[p] < bcols[q]) {
-                    trips.push((r, acols[p], avals[p].clone()));
-                    p += 1;
-                } else if p >= acols.len() || bcols[q] < acols[p] {
-                    trips.push((r, bcols[q], bvals[q].clone()));
-                    q += 1;
-                } else {
-                    let v = op.apply(avals[p].clone(), bvals[q].clone());
-                    flops += 1;
-                    if !s.is_zero(&v) {
-                        trips.push((r, acols[p], v));
-                    }
-                    p += 1;
-                    q += 1;
-                }
-            }
-            i += 1;
-            j += 1;
-        }
-    }
-    let c = from_sorted_trips(a.nrows(), a.ncols(), trips);
+    let c = union_rows(a, b, |out, ra, rb| flops += union_row(out, ra, rb, op, s));
     record_ewise(ctx, Kernel::EwiseAdd, start, a, b, &c, flops);
     c
 }
@@ -183,38 +147,9 @@ where
         }
     }
     let mut flops = 0u64;
-    let mut trips: Vec<(Ix, I, T)> = Vec::new();
-    let (ra, rb) = (a.row_ids(), b.row_ids());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ra.len() && j < rb.len() {
-        match ra[i].cmp(&rb[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let (r, acols, avals) = a.row_at(i);
-                let (_, bcols, bvals) = b.row_at(j);
-                let (mut p, mut q) = (0usize, 0usize);
-                while p < acols.len() && q < bcols.len() {
-                    match acols[p].cmp(&bcols[q]) {
-                        std::cmp::Ordering::Less => p += 1,
-                        std::cmp::Ordering::Greater => q += 1,
-                        std::cmp::Ordering::Equal => {
-                            let v = op.apply(avals[p].clone(), bvals[q].clone());
-                            flops += 1;
-                            if !s.is_zero(&v) {
-                                trips.push((r, acols[p], v));
-                            }
-                            p += 1;
-                            q += 1;
-                        }
-                    }
-                }
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    let c = from_sorted_trips(a.nrows(), a.ncols(), trips);
+    let c = intersect_rows(a, b, |out, ra, rb| {
+        flops += intersect_row(out, ra, rb, op, s)
+    });
     record_ewise(ctx, Kernel::EwiseMul, start, a, b, &c, flops);
     c
 }
@@ -245,11 +180,14 @@ where
     });
     let start = Instant::now();
     let mut flops = 0u64;
-    let mut trips: Vec<(Ix, I, T)> = Vec::with_capacity(a.nnz() + b.nnz());
-    let mut push = |r: Ix, c: I, v: T, flops: &mut u64| {
-        *flops += 1;
+    let mut out = DcsrBuilder::with_capacity(a.nrows(), a.ncols(), a.nnz() + b.nnz());
+    // Every cell goes through `op`; a side with no entry there lends its
+    // default.
+    let mut cell = |out: &mut DcsrBuilder<T, I>, c: I, x: &T, y: &T| {
+        let v = op.apply(x.clone(), y.clone());
+        flops += 1;
         if !s.is_zero(&v) {
-            trips.push((r, c, v));
+            out.push(c, v);
         }
     };
     let (ra, rb) = (a.row_ids(), b.row_ids());
@@ -257,44 +195,32 @@ where
     while i < ra.len() || j < rb.len() {
         if j >= rb.len() || (i < ra.len() && ra[i] < rb[j]) {
             let (r, cols, vs) = a.row_at(i);
+            out.row(r);
             for (&c, v) in cols.iter().zip(vs) {
-                push(r, c, op.apply(v.clone(), b_default.clone()), &mut flops);
+                cell(&mut out, c, v, &b_default);
             }
             i += 1;
         } else if i >= ra.len() || rb[j] < ra[i] {
             let (r, cols, vs) = b.row_at(j);
+            out.row(r);
             for (&c, v) in cols.iter().zip(vs) {
-                push(r, c, op.apply(a_default.clone(), v.clone()), &mut flops);
+                cell(&mut out, c, &a_default, v);
             }
             j += 1;
         } else {
             let (r, acols, avals) = a.row_at(i);
             let (_, bcols, bvals) = b.row_at(j);
+            out.row(r);
             let (mut p, mut q) = (0usize, 0usize);
             while p < acols.len() || q < bcols.len() {
                 if q >= bcols.len() || (p < acols.len() && acols[p] < bcols[q]) {
-                    push(
-                        r,
-                        acols[p],
-                        op.apply(avals[p].clone(), b_default.clone()),
-                        &mut flops,
-                    );
+                    cell(&mut out, acols[p], &avals[p], &b_default);
                     p += 1;
                 } else if p >= acols.len() || bcols[q] < acols[p] {
-                    push(
-                        r,
-                        bcols[q],
-                        op.apply(a_default.clone(), bvals[q].clone()),
-                        &mut flops,
-                    );
+                    cell(&mut out, bcols[q], &a_default, &bvals[q]);
                     q += 1;
                 } else {
-                    push(
-                        r,
-                        acols[p],
-                        op.apply(avals[p].clone(), bvals[q].clone()),
-                        &mut flops,
-                    );
+                    cell(&mut out, acols[p], &avals[p], &bvals[q]);
                     p += 1;
                     q += 1;
                 }
@@ -303,9 +229,147 @@ where
             j += 1;
         }
     }
-    let c = from_sorted_trips(a.nrows(), a.ncols(), trips);
+    let c = out.finish();
     record_ewise(ctx, Kernel::EwiseUnion, start, a, b, &c, flops);
     c
+}
+
+/// One row's `(cols, vals)`.
+type RowOf<'a, T, I> = (&'a [I], &'a [T]);
+
+/// The union walk over two row lists: a run of rows only one operand
+/// holds goes over as it stands; a row both hold is opened in the output
+/// and handed to `collide`.
+fn union_rows<T: Value, I: IndexType>(
+    a: &Dcsr<T, I>,
+    b: &Dcsr<T, I>,
+    mut collide: impl FnMut(&mut DcsrBuilder<T, I>, RowOf<T, I>, RowOf<T, I>),
+) -> Dcsr<T, I> {
+    let mut out = DcsrBuilder::with_capacity(a.nrows(), a.ncols(), a.nnz() + b.nnz());
+    let (ra, rb) = (a.row_ids(), b.row_ids());
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < ra.len() || j < rb.len() {
+        if j >= rb.len() || (i < ra.len() && ra[i] < rb[j]) {
+            let run = rows_before(&ra[i..], rb.get(j));
+            out.extend_rows(a, i, i + run);
+            i += run;
+        } else if i >= ra.len() || rb[j] < ra[i] {
+            let run = rows_before(&rb[j..], ra.get(i));
+            out.extend_rows(b, j, j + run);
+            j += run;
+        } else {
+            let (r, acols, avals) = a.row_at(i);
+            let (_, bcols, bvals) = b.row_at(j);
+            out.row(r);
+            collide(&mut out, (acols, avals), (bcols, bvals));
+            i += 1;
+            j += 1;
+        }
+    }
+    out.finish()
+}
+
+/// Length of the leading run of `rows` that sorts before the other
+/// operand's next row (`None`: it has none left).
+fn rows_before(rows: &[Ix], bound: Option<&Ix>) -> usize {
+    bound.map_or(rows.len(), |b| rows.iter().take_while(|&r| r < b).count())
+}
+
+/// Two-pointer union of one colliding row pair into the open row:
+/// one-sided columns pass through (the tail as a slice copy), collisions
+/// combine with `op` and drop if zero. Returns the collision count.
+#[inline]
+fn union_row<T: Value, I: IndexType, S: Semiring<Value = T>, O: BinaryOp<T, T, T>>(
+    out: &mut DcsrBuilder<T, I>,
+    (acols, avals): RowOf<T, I>,
+    (bcols, bvals): RowOf<T, I>,
+    op: O,
+    s: S,
+) -> u64 {
+    let mut flops = 0;
+    let (mut p, mut q) = (0usize, 0usize);
+    while p < acols.len() && q < bcols.len() {
+        match acols[p].cmp(&bcols[q]) {
+            Ordering::Less => {
+                out.push(acols[p], avals[p].clone());
+                p += 1;
+            }
+            Ordering::Greater => {
+                out.push(bcols[q], bvals[q].clone());
+                q += 1;
+            }
+            Ordering::Equal => {
+                let v = op.apply(avals[p].clone(), bvals[q].clone());
+                flops += 1;
+                if !s.is_zero(&v) {
+                    out.push(acols[p], v);
+                }
+                p += 1;
+                q += 1;
+            }
+        }
+    }
+    // At most one side has a tail left.
+    out.extend(&acols[p..], &avals[p..]);
+    out.extend(&bcols[q..], &bvals[q..]);
+    flops
+}
+
+/// The intersection walk: only rows both operands hold are opened and
+/// handed to `collide`.
+fn intersect_rows<T: Value, I: IndexType>(
+    a: &Dcsr<T, I>,
+    b: &Dcsr<T, I>,
+    mut collide: impl FnMut(&mut DcsrBuilder<T, I>, RowOf<T, I>, RowOf<T, I>),
+) -> Dcsr<T, I> {
+    let mut out = DcsrBuilder::with_capacity(a.nrows(), a.ncols(), 0);
+    let (ra, rb) = (a.row_ids(), b.row_ids());
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < ra.len() && j < rb.len() {
+        match ra[i].cmp(&rb[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                let (r, acols, avals) = a.row_at(i);
+                let (_, bcols, bvals) = b.row_at(j);
+                out.row(r);
+                collide(&mut out, (acols, avals), (bcols, bvals));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.finish()
+}
+
+/// Two-pointer intersection of one colliding row pair into the open
+/// row. Returns the collision count.
+#[inline]
+fn intersect_row<T: Value, I: IndexType, S: Semiring<Value = T>, O: BinaryOp<T, T, T>>(
+    out: &mut DcsrBuilder<T, I>,
+    (acols, avals): RowOf<T, I>,
+    (bcols, bvals): RowOf<T, I>,
+    op: O,
+    s: S,
+) -> u64 {
+    let mut flops = 0;
+    let (mut p, mut q) = (0usize, 0usize);
+    while p < acols.len() && q < bcols.len() {
+        match acols[p].cmp(&bcols[q]) {
+            Ordering::Less => p += 1,
+            Ordering::Greater => q += 1,
+            Ordering::Equal => {
+                let v = op.apply(avals[p].clone(), bvals[q].clone());
+                flops += 1;
+                if !s.is_zero(&v) {
+                    out.push(acols[p], v);
+                }
+                p += 1;
+                q += 1;
+            }
+        }
+    }
+    flops
 }
 
 fn record_ewise<T: Value, I: IndexType>(
@@ -397,64 +461,31 @@ fn bool_union<I: IndexType>(a: &Dcsr<bool, I>, b: &Dcsr<bool, I>) -> (Dcsr<bool,
     let nw_full = (a.ncols() as usize).div_ceil(64);
     let mut words = BoolWords::default();
     let mut flops = 0u64;
-    let mut trips: Vec<(Ix, I, bool)> = Vec::with_capacity(a.nnz() + b.nnz());
-    let (ra, rb) = (a.row_ids(), b.row_ids());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ra.len() || j < rb.len() {
-        if j >= rb.len() || (i < ra.len() && ra[i] < rb[j]) {
-            let (r, cols, vs) = a.row_at(i);
-            trips.extend(cols.iter().zip(vs).map(|(&c, &v)| (r, c, v)));
-            i += 1;
-        } else if i >= ra.len() || rb[j] < ra[i] {
-            let (r, cols, vs) = b.row_at(j);
-            trips.extend(cols.iter().zip(vs).map(|(&c, &v)| (r, c, v)));
-            j += 1;
-        } else {
-            let (r, acols, avals) = a.row_at(i);
-            let (_, bcols, bvals) = b.row_at(j);
-            if word_merge_pays_off(nw_full, acols.len(), bcols.len()) {
-                words.ensure(nw_full);
-                words.load(acols, avals, bcols, bvals);
-                for w in 0..nw_full {
-                    let (pa, ta) = (words.pa[w], words.ta[w]);
-                    let (pb, tb) = (words.pb[w], words.tb[w]);
-                    let coll = pa & pb;
-                    flops += u64::from(coll.count_ones());
-                    let truth = ta | tb;
-                    // A collision where both sides are false ORs to the
-                    // semiring zero and drops; everything else survives.
-                    let mut out = (pa | pb) & !(coll & !truth);
-                    while out != 0 {
-                        let cz = (w << 6) | out.trailing_zeros() as usize;
-                        out &= out - 1;
-                        trips.push((r, I::from_usize(cz), (truth >> (cz & 63)) & 1 == 1));
-                    }
-                }
-                words.clear(nw_full);
-            } else {
-                let (mut p, mut q) = (0usize, 0usize);
-                while p < acols.len() || q < bcols.len() {
-                    if q >= bcols.len() || (p < acols.len() && acols[p] < bcols[q]) {
-                        trips.push((r, acols[p], avals[p]));
-                        p += 1;
-                    } else if p >= acols.len() || bcols[q] < acols[p] {
-                        trips.push((r, bcols[q], bvals[q]));
-                        q += 1;
-                    } else {
-                        flops += 1;
-                        if avals[p] | bvals[q] {
-                            trips.push((r, acols[p], true));
-                        }
-                        p += 1;
-                        q += 1;
-                    }
-                }
-            }
-            i += 1;
-            j += 1;
+    let c = union_rows(a, b, |out, (acols, avals), (bcols, bvals)| {
+        if !word_merge_pays_off(nw_full, acols.len(), bcols.len()) {
+            flops += union_row(out, (acols, avals), (bcols, bvals), AddOf(LorLand), LorLand);
+            return;
         }
-    }
-    (from_sorted_trips(a.nrows(), a.ncols(), trips), flops)
+        words.ensure(nw_full);
+        words.load(acols, avals, bcols, bvals);
+        for w in 0..nw_full {
+            let (pa, ta) = (words.pa[w], words.ta[w]);
+            let (pb, tb) = (words.pb[w], words.tb[w]);
+            let coll = pa & pb;
+            flops += u64::from(coll.count_ones());
+            let truth = ta | tb;
+            // A collision where both sides are false ORs to the
+            // semiring zero and drops; everything else survives.
+            let mut live = (pa | pb) & !(coll & !truth);
+            while live != 0 {
+                let cz = (w << 6) | live.trailing_zeros() as usize;
+                live &= live - 1;
+                out.push(I::from_usize(cz), (truth >> (cz & 63)) & 1 == 1);
+            }
+        }
+        words.clear(nw_full);
+    });
+    (c, flops)
 }
 
 /// Downcast to the concrete boolean matrices and run the monomorphic
@@ -476,74 +507,26 @@ fn bool_intersect<I: IndexType>(a: &Dcsr<bool, I>, b: &Dcsr<bool, I>) -> (Dcsr<b
     let nw_full = (a.ncols() as usize).div_ceil(64);
     let mut words = BoolWords::default();
     let mut flops = 0u64;
-    let mut trips: Vec<(Ix, I, bool)> = Vec::new();
-    let (ra, rb) = (a.row_ids(), b.row_ids());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ra.len() && j < rb.len() {
-        match ra[i].cmp(&rb[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let (r, acols, avals) = a.row_at(i);
-                let (_, bcols, bvals) = b.row_at(j);
-                if word_merge_pays_off(nw_full, acols.len(), bcols.len()) {
-                    words.ensure(nw_full);
-                    words.load(acols, avals, bcols, bvals);
-                    for w in 0..nw_full {
-                        let coll = words.pa[w] & words.pb[w];
-                        flops += u64::from(coll.count_ones());
-                        let mut out = coll & words.ta[w] & words.tb[w];
-                        while out != 0 {
-                            let cz = (w << 6) | out.trailing_zeros() as usize;
-                            out &= out - 1;
-                            trips.push((r, I::from_usize(cz), true));
-                        }
-                    }
-                    words.clear(nw_full);
-                } else {
-                    let (mut p, mut q) = (0usize, 0usize);
-                    while p < acols.len() && q < bcols.len() {
-                        match acols[p].cmp(&bcols[q]) {
-                            std::cmp::Ordering::Less => p += 1,
-                            std::cmp::Ordering::Greater => q += 1,
-                            std::cmp::Ordering::Equal => {
-                                flops += 1;
-                                if avals[p] && bvals[q] {
-                                    trips.push((r, acols[p], true));
-                                }
-                                p += 1;
-                                q += 1;
-                            }
-                        }
-                    }
-                }
-                i += 1;
-                j += 1;
+    let c = intersect_rows(a, b, |out, (acols, avals), (bcols, bvals)| {
+        if !word_merge_pays_off(nw_full, acols.len(), bcols.len()) {
+            flops += intersect_row(out, (acols, avals), (bcols, bvals), MulOf(LorLand), LorLand);
+            return;
+        }
+        words.ensure(nw_full);
+        words.load(acols, avals, bcols, bvals);
+        for w in 0..nw_full {
+            let coll = words.pa[w] & words.pb[w];
+            flops += u64::from(coll.count_ones());
+            let mut live = coll & words.ta[w] & words.tb[w];
+            while live != 0 {
+                let cz = (w << 6) | live.trailing_zeros() as usize;
+                live &= live - 1;
+                out.push(I::from_usize(cz), true);
             }
         }
-    }
-    (from_sorted_trips(a.nrows(), a.ncols(), trips), flops)
-}
-
-fn from_sorted_trips<T: Value, I: IndexType>(
-    nrows: Ix,
-    ncols: Ix,
-    trips: Vec<(Ix, I, T)>,
-) -> Dcsr<T, I> {
-    let mut rows = Vec::new();
-    let mut rowptr = vec![0usize];
-    let mut colidx = Vec::with_capacity(trips.len());
-    let mut vals = Vec::with_capacity(trips.len());
-    for (r, c, v) in trips {
-        if rows.last() != Some(&r) {
-            rows.push(r);
-            rowptr.push(colidx.len());
-        }
-        colidx.push(c);
-        vals.push(v);
-        *rowptr.last_mut().expect("nonempty") = colidx.len();
-    }
-    Dcsr::from_parts(nrows, ncols, rows, rowptr, colidx, vals)
+        words.clear(nw_full);
+    });
+    (c, flops)
 }
 
 /// Element-wise conformance: both operands span one key space.

@@ -35,7 +35,7 @@ use std::time::Instant;
 use semiring::traits::{Semiring, UnaryOp, Value};
 
 use crate::ctx::{par_run, plan_weighted_shards, MxmScratch, OpCtx};
-use crate::dcsr::Dcsr;
+use crate::dcsr::{Dcsr, DcsrBuilder};
 use crate::error::OpError;
 use crate::index::IndexType;
 use crate::metrics::Kernel;
@@ -388,21 +388,16 @@ fn assemble<T: Value, I: IndexType>(
     ncols: Ix,
     chunks: impl IntoIterator<Item = RowsChunk<T, I>>,
 ) -> Dcsr<T, I> {
-    let mut rows = Vec::new();
-    let mut rowptr = vec![0usize];
-    let mut colidx = Vec::new();
-    let mut vals = Vec::new();
+    let mut out = DcsrBuilder::with_capacity(nrows, ncols, 0);
     for chunk in chunks {
         for (r, cv) in chunk {
-            rows.push(r);
+            out.row(r);
             for (c, v) in cv {
-                colidx.push(c);
-                vals.push(v);
+                out.push(c, v);
             }
-            rowptr.push(colidx.len());
         }
     }
-    Dcsr::from_parts(nrows, ncols, rows, rowptr, colidx, vals)
+    out.finish()
 }
 
 /// Multiply rows `start..end` of `A` against `B` using workspace

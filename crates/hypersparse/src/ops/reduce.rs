@@ -14,6 +14,7 @@ use semiring::traits::{Monoid, Value};
 use crate::ctx::{par_run, OpCtx};
 use crate::dcsr::Dcsr;
 use crate::metrics::Kernel;
+use crate::radix::radix_sort_by_key;
 use crate::vector::SparseVec;
 use crate::Ix;
 
@@ -141,7 +142,7 @@ pub fn col_degrees_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> SparseVec<u64> {
     });
     let start = Instant::now();
     let mut cols = a.col_ids().to_vec();
-    cols.sort_unstable();
+    radix_sort_by_key(&mut cols, &mut Vec::new(), |&c| (0, c));
     let (idx, degrees) = cols
         .chunk_by(|x, y| x == y)
         .map(|run| (run[0], run.len() as u64))

@@ -9,7 +9,7 @@ use std::time::Instant;
 use semiring::traits::{Semiring, Value};
 
 use crate::ctx::OpCtx;
-use crate::dcsr::Dcsr;
+use crate::dcsr::{Dcsr, DcsrBuilder};
 use crate::error::{Axis, OpError};
 use crate::metrics::Kernel;
 use crate::vector::SparseVec;
@@ -38,32 +38,27 @@ pub fn assign_ctx<T: Value>(
     let row_set: std::collections::HashSet<Ix> = rows_sel.iter().copied().collect();
     let col_set: std::collections::HashSet<Ix> = cols_sel.iter().copied().collect();
 
-    // Survivors of A: everything outside the selected cross-pattern.
-    let mut trips: Vec<(Ix, Ix, T)> = a
-        .iter()
+    // Survivors of A (everything outside the selected cross-pattern) and
+    // the entries of B mapped through the selectors are both in
+    // `(row, col)` order and share no key: one two-way merge.
+    let mut kept = (a.iter())
         .filter(|(r, c, _)| !(row_set.contains(r) && col_set.contains(c)))
-        .map(|(r, c, v)| (r, c, v.clone()))
-        .collect();
-    // Incoming entries of B, mapped through the selectors.
-    for (i, j, v) in b.iter() {
-        trips.push((rows_sel[i as usize], cols_sel[j as usize], v.clone()));
+        .peekable();
+    let mut put = (b.iter())
+        .map(|(i, j, v)| (rows_sel[i as usize], cols_sel[j as usize], v))
+        .peekable();
+    let mut out = DcsrBuilder::with_capacity(a.nrows(), a.ncols(), a.nnz() + b.nnz());
+    loop {
+        let from_a = match (kept.peek(), put.peek()) {
+            (Some(x), Some(y)) => (x.0, x.1) < (y.0, y.1),
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => break,
+        };
+        let (r, c, v) = if from_a { kept.next() } else { put.next() }.expect("peeked");
+        out.push_entry(r, c, v.clone());
     }
-    trips.sort_by_key(|&(r, c, _)| (r, c));
-
-    let mut rows = Vec::new();
-    let mut rowptr = vec![0usize];
-    let mut colidx = Vec::with_capacity(trips.len());
-    let mut vals = Vec::with_capacity(trips.len());
-    for (r, c, v) in trips {
-        if rows.last() != Some(&r) {
-            rows.push(r);
-            rowptr.push(colidx.len());
-        }
-        colidx.push(c);
-        vals.push(v);
-        *rowptr.last_mut().expect("nonempty") = colidx.len();
-    }
-    let c = Dcsr::from_parts(a.nrows(), a.ncols(), rows, rowptr, colidx, vals);
+    let c = out.finish();
     ctx.metrics().record(
         Kernel::Assign,
         start.elapsed(),
@@ -108,24 +103,13 @@ pub fn concat_rows_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>, b: &Dcsr<T>) -> Dcsr<
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
     let start = Instant::now();
-    let (nra, nc) = (a.nrows(), a.ncols());
-
-    let mut rows: Vec<Ix> = a.row_ids().to_vec();
-    let mut rowptr = vec![0usize];
-    let mut colidx = Vec::with_capacity(a.nnz() + b.nnz());
-    let mut vals = Vec::with_capacity(a.nnz() + b.nnz());
-    for (_, cols, vs) in a.iter_rows() {
-        colidx.extend_from_slice(cols);
-        vals.extend_from_slice(vs);
-        rowptr.push(colidx.len());
-    }
+    let mut out = DcsrBuilder::with_capacity(nrows, a.ncols(), a.nnz() + b.nnz());
+    out.extend_rows(a, 0, a.n_nonempty_rows());
     for (r, cols, vs) in b.iter_rows() {
-        rows.push(nra + r);
-        colidx.extend_from_slice(cols);
-        vals.extend_from_slice(vs);
-        rowptr.push(colidx.len());
+        out.row(a.nrows() + r);
+        out.extend(cols, vs);
     }
-    let c = Dcsr::from_parts(nrows, nc, rows, rowptr, colidx, vals);
+    let c = out.finish();
     ctx.metrics().record(
         Kernel::ConcatRows,
         start.elapsed(),
@@ -148,39 +132,29 @@ pub fn concat_cols_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>, b: &Dcsr<T>) -> Dcsr<
 
     // Merge per row: a's columns first (unchanged), then b's shifted.
     let (ra, rb) = (a.row_ids(), b.row_ids());
-    let mut rows = Vec::new();
-    let mut rowptr = vec![0usize];
-    let mut colidx = Vec::with_capacity(a.nnz() + b.nnz());
-    let mut vals = Vec::with_capacity(a.nnz() + b.nnz());
+    let mut out = DcsrBuilder::with_capacity(a.nrows(), ncols, a.nnz() + b.nnz());
     let (mut i, mut j) = (0usize, 0usize);
     while i < ra.len() || j < rb.len() {
-        let r;
-        if j >= rb.len() || (i < ra.len() && ra[i] < rb[j]) {
-            r = ra[i];
-        } else if i >= ra.len() || rb[j] < ra[i] {
-            r = rb[j];
-        } else {
-            r = ra[i];
-        }
-        let row_start = colidx.len();
-        if i < ra.len() && ra[i] == r {
+        let r = match (ra.get(i), rb.get(j)) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (Some(&x), None) | (None, Some(&x)) => x,
+            (None, None) => unreachable!("loop condition"),
+        };
+        out.row(r);
+        if ra.get(i) == Some(&r) {
             let (_, cols, vs) = a.row_at(i);
-            colidx.extend_from_slice(cols);
-            vals.extend_from_slice(vs);
+            out.extend(cols, vs);
             i += 1;
         }
-        if j < rb.len() && rb[j] == r {
+        if rb.get(j) == Some(&r) {
             let (_, cols, vs) = b.row_at(j);
-            colidx.extend(cols.iter().map(|&c| c + shift));
-            vals.extend_from_slice(vs);
+            for (&c, v) in cols.iter().zip(vs) {
+                out.push(c + shift, v.clone());
+            }
             j += 1;
         }
-        if colidx.len() > row_start {
-            rows.push(r);
-            rowptr.push(colidx.len());
-        }
     }
-    let c = Dcsr::from_parts(a.nrows(), ncols, rows, rowptr, colidx, vals);
+    let c = out.finish();
     ctx.metrics().record(
         Kernel::ConcatCols,
         start.elapsed(),
@@ -194,18 +168,12 @@ pub fn concat_cols_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>, b: &Dcsr<T>) -> Dcsr<
 
 /// Diagonal matrix from a sparse vector: `D(i, i) = v(i)`.
 pub fn diag<T: Value>(v: &SparseVec<T>) -> Dcsr<T> {
-    let n = v.dim();
-    let mut rows = Vec::with_capacity(v.nnz());
-    let mut rowptr = vec![0usize];
-    let mut colidx = Vec::with_capacity(v.nnz());
-    let mut vals = Vec::with_capacity(v.nnz());
+    let mut out = DcsrBuilder::with_capacity(v.dim(), v.dim(), v.nnz());
     for (i, x) in v.iter() {
-        rows.push(i);
-        colidx.push(i);
-        vals.push(x.clone());
-        rowptr.push(colidx.len());
+        out.row(i);
+        out.push(i, x.clone());
     }
-    Dcsr::from_parts(n, n, rows, rowptr, colidx, vals)
+    out.finish()
 }
 
 /// Extract the main diagonal of a matrix as a sparse vector.

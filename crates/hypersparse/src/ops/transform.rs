@@ -8,35 +8,28 @@ use std::time::Instant;
 use semiring::traits::{Semiring, UnaryOp, Value};
 
 use crate::ctx::{par_run, OpCtx};
-use crate::dcsr::Dcsr;
+use crate::dcsr::{Dcsr, DcsrBuilder};
 use crate::metrics::Kernel;
 use crate::ops::reduce::ROWS_PER_SHARD;
+use crate::radix::radix_sort_by_key;
 use crate::Ix;
 
-/// `Aᵀ`: bucket entries by column, emit column-major as new rows.
-/// `O(nnz log nnz)` without materializing either dimension.
+/// `Aᵀ`: sort the entries by column and emit column-major as new rows.
+/// `a` is row-major already, so a stable sort on the column id alone
+/// leaves each new row's entries in old-row order. `O(nnz)` per varying
+/// column-id byte, without materializing either dimension.
 pub fn transpose_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> Dcsr<T> {
     let _span = ctx.kernel_span(Kernel::Transpose, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
     let start = Instant::now();
-    let mut trips: Vec<(Ix, Ix, T)> = a.iter().map(|(r, c, v)| (c, r, v.clone())).collect();
-    trips.sort_by_key(|x| (x.0, x.1));
-
-    let mut rows = Vec::new();
-    let mut rowptr = vec![0usize];
-    let mut colidx = Vec::with_capacity(trips.len());
-    let mut vals = Vec::with_capacity(trips.len());
-    for (r, c, v) in trips {
-        if rows.last() != Some(&r) {
-            rows.push(r);
-            rowptr.push(colidx.len());
-        }
-        colidx.push(c);
-        vals.push(v);
-        *rowptr.last_mut().expect("nonempty") = colidx.len();
+    let mut recs: Vec<(Ix, Ix, &T)> = a.iter().map(|(r, c, v)| (c, r, v)).collect();
+    radix_sort_by_key(&mut recs, &mut Vec::new(), |rec| (0, rec.0));
+    let mut out = DcsrBuilder::with_capacity(a.ncols(), a.nrows(), a.nnz());
+    for (r, c, v) in recs {
+        out.push_entry(r, c, v.clone());
     }
-    let c = Dcsr::from_parts(a.ncols(), a.nrows(), rows, rowptr, colidx, vals);
+    let c = out.finish();
     ctx.metrics().record(
         Kernel::Transpose,
         start.elapsed(),
@@ -158,24 +151,16 @@ pub fn select_ctx<T: Value, F: Fn(Ix, Ix, &T) -> bool>(
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
     let start = Instant::now();
-    let mut rows = Vec::new();
-    let mut rowptr = vec![0usize];
-    let mut colidx = Vec::new();
-    let mut vals = Vec::new();
+    let mut out = DcsrBuilder::with_capacity(a.nrows(), a.ncols(), 0);
     for (r, cols, vs) in a.iter_rows() {
-        let rstart = colidx.len();
+        out.row(r);
         for (&c, v) in cols.iter().zip(vs) {
             if keep(r, c, v) {
-                colidx.push(c);
-                vals.push(v.clone());
+                out.push(c, v.clone());
             }
         }
-        if colidx.len() > rstart {
-            rows.push(r);
-            rowptr.push(colidx.len());
-        }
     }
-    let c = Dcsr::from_parts(a.nrows(), a.ncols(), rows, rowptr, colidx, vals);
+    let c = out.finish();
     ctx.metrics().record(
         Kernel::Select,
         start.elapsed(),
@@ -209,32 +194,17 @@ pub fn extract_ctx<T: Value>(
         .map(|(p, &c)| (c, p as Ix))
         .collect();
 
-    let mut rows = Vec::new();
-    let mut rowptr = vec![0usize];
-    let mut colidx = Vec::new();
-    let mut vals = Vec::new();
+    let mut out = DcsrBuilder::with_capacity(rows_sel.len() as Ix, cols_sel.len() as Ix, 0);
     for (new_r, &old_r) in rows_sel.iter().enumerate() {
         let (cols, vs) = a.row(old_r);
-        let rstart = colidx.len();
+        out.row(new_r as Ix);
         for (&c, v) in cols.iter().zip(vs) {
             if let Some(&p) = col_pos.get(&c) {
-                colidx.push(p);
-                vals.push(v.clone());
+                out.push(p, v.clone());
             }
         }
-        if colidx.len() > rstart {
-            rows.push(new_r as Ix);
-            rowptr.push(colidx.len());
-        }
     }
-    let c = Dcsr::from_parts(
-        rows_sel.len() as Ix,
-        cols_sel.len() as Ix,
-        rows,
-        rowptr,
-        colidx,
-        vals,
-    );
+    let c = out.finish();
     ctx.metrics().record(
         Kernel::Extract,
         start.elapsed(),
@@ -270,34 +240,25 @@ pub fn kron_ctx<T: Value, S: Semiring<Value = T>>(
     let start = Instant::now();
     let mut flops = 0u64;
 
-    let mut rows = Vec::new();
-    let mut rowptr = vec![0usize];
-    let mut colidx = Vec::with_capacity(a.nnz() * b.nnz());
-    let mut vals = Vec::with_capacity(a.nnz() * b.nnz());
+    let mut out = DcsrBuilder::with_capacity(nrows, ncols, a.nnz() * b.nnz());
 
     // Row ids of the product appear in sorted order because a's rows and
     // b's rows are each sorted and the blocks are disjoint.
     for (ra, acols, avals) in a.iter_rows() {
         for (rb, bcols, bvals) in b.iter_rows() {
-            let r = ra * b.nrows() + rb;
-            let rstart = colidx.len();
+            out.row(ra * b.nrows() + rb);
             for (&ca, va) in acols.iter().zip(avals) {
                 for (&cb, vb) in bcols.iter().zip(bvals) {
                     let v = s.mul(va.clone(), vb.clone());
                     flops += 1;
                     if !s.is_zero(&v) {
-                        colidx.push(ca * b.ncols() + cb);
-                        vals.push(v);
+                        out.push(ca * b.ncols() + cb, v);
                     }
                 }
             }
-            if colidx.len() > rstart {
-                rows.push(r);
-                rowptr.push(colidx.len());
-            }
         }
     }
-    let c = Dcsr::from_parts(nrows, ncols, rows, rowptr, colidx, vals);
+    let c = out.finish();
     ctx.metrics().record(
         Kernel::Kron,
         start.elapsed(),

@@ -31,20 +31,35 @@ use std::time::Instant;
 
 use semiring::traits::Semiring;
 
-use crate::coo::Coo;
+use crate::coo::fold_entries;
 use crate::ctx::{with_default_ctx, OpCtx};
 use crate::dcsr::Dcsr;
 use crate::metrics::Kernel;
 use crate::ops::ewise_add_ctx;
+use crate::radix::SortScratch;
 use crate::Ix;
 
 /// Tunable hierarchy parameters for a [`StreamingMatrix`].
 ///
-/// The defaults reproduce the historical hard-coded constants, so
-/// `StreamingMatrix::new` behaves exactly as before; serving layers
-/// (e.g. the `pipeline` crate's shards) tune these per deployment —
-/// smaller buffers bound per-event latency, larger growth factors
-/// flatten the hierarchy for snapshot-heavy workloads.
+/// `buffer_cap` trades ingest rate against cut latency. A flush sorts
+/// the buffer in place and ⊕-merges it down the hierarchy, so a larger
+/// buffer means fewer, larger merges (each stored entry is re-merged
+/// about `window / buffer_cap` times less often) — but whatever is still
+/// buffered when a snapshot, delta or rotate marker arrives is sorted
+/// on that marker's clock. The cap is a threshold, not a reservation:
+/// buffer and sort scratch grow with use, so a stream that never fills
+/// it never pays for it. `growth` sets how many flushes a level absorbs
+/// before it cascades.
+///
+/// The defaults (4 096, 8) come from the sweep recorded in
+/// EXPERIMENTS.md, "The ingest floor (PR 24)": every larger buffer
+/// ingests faster on 250 k-event windows (32 768: +33 % events/s, an
+/// eighth of the merge calls) and every one of them closes a
+/// 20 k-event window later, because events a 4 096 buffer had already
+/// folded during ingest are still unsorted at the marker. A deployment
+/// that closes large windows rarely should raise `buffer_cap` through
+/// its `PipelineConfig::with_stream`; 32 768 is the largest whose sort
+/// working set (72 B per buffered event) stays inside a 4 MiB L2.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Capacity of the level-0 insert buffer (events held unsorted
@@ -104,6 +119,9 @@ pub struct StreamingMatrix<S: Semiring> {
     s: S,
     config: StreamConfig,
     buffer: Vec<(Ix, Ix, S::Value)>,
+    /// The flush sort's record buffers, kept so a flush allocates only
+    /// its output. Like `buffer` they grow with use, up to `buffer_cap`.
+    scratch: SortScratch,
     levels: Vec<Option<Dcsr<S::Value>>>,
     /// Pre-watermark hierarchy: entries already returned by a
     /// `delta_snapshot`, kept out of the live levels so the next delta
@@ -131,7 +149,8 @@ impl<S: Semiring> StreamingMatrix<S> {
             ncols,
             s,
             config,
-            buffer: Vec::with_capacity(config.buffer_cap),
+            buffer: Vec::new(),
+            scratch: SortScratch::default(),
             levels: Vec::new(),
             sealed: Vec::new(),
             inserted: 0,
@@ -315,9 +334,15 @@ impl<S: Semiring> StreamingMatrix<S> {
         if self.buffer.is_empty() {
             return;
         }
-        let mut coo = Coo::new(self.nrows, self.ncols);
-        coo.extend(self.buffer.drain(..));
-        let mut carry = coo.build_dcsr(self.s);
+        // Sorted and folded where it lies: `insert` has already checked
+        // every key against the space.
+        let mut carry = fold_entries(
+            self.nrows,
+            self.ncols,
+            &mut self.buffer,
+            &mut self.scratch,
+            self.s,
+        );
 
         let mut k = 0usize;
         loop {
@@ -497,6 +522,7 @@ impl<S: Semiring> StreamingMatrix<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coo::Coo;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use semiring::{MinPlus, PlusTimes};
@@ -640,6 +666,25 @@ mod tests {
         rebuilt.insert(3, 3, 2.5);
         stream.insert(3, 3, 2.5);
         assert_eq!(rebuilt.snapshot(), stream.snapshot());
+    }
+
+    #[test]
+    fn buffer_grows_to_its_cap_instead_of_reserving_it() {
+        // The cap is a threshold, not a reservation: a stream that never
+        // fills it never pays for it, and `usize::MAX` is a legal cap.
+        let s = PlusTimes::<f64>::new();
+        let cfg = StreamConfig::new().with_buffer_cap(usize::MAX);
+        let mut stream = StreamingMatrix::with_config(1 << 40, 1 << 40, s, cfg);
+        assert_eq!(stream.buffer.capacity(), 0);
+        for i in 0..100u64 {
+            stream.insert(i % 7, i, 1.0);
+        }
+        assert_eq!(stream.buffered(), 100, "nothing flushed below the cap");
+        assert!(stream.buffer.capacity() < 1024);
+        assert_eq!(stream.get(3, 3), Some(1.0));
+        let snap = stream.snapshot();
+        assert_eq!(snap.nnz(), 100);
+        assert_eq!(snap.n_nonempty_rows(), 7);
     }
 
     #[test]

@@ -381,3 +381,240 @@ proptest! {
         }
     }
 }
+
+// ---- the one sort and the one builder (ISSUE 24) ----
+
+/// The free monoid on insertion positions: ⊕ appends, so a folded cell
+/// spells out the order its duplicates were folded in. Not commutative —
+/// which is the point: it tells a stable sort from an unstable one.
+#[derive(Copy, Clone)]
+struct Concat;
+impl Semiring for Concat {
+    type Value = Vec<u32>;
+    fn zero(&self) -> Vec<u32> {
+        Vec::new()
+    }
+    fn one(&self) -> Vec<u32> {
+        vec![u32::MAX]
+    }
+    fn add(&self, mut a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
+        a.extend(b);
+        a
+    }
+    fn mul(&self, a: Vec<u32>, _: Vec<u32>) -> Vec<u32> {
+        a
+    }
+}
+
+/// Keys drawn from a pool of at most six ids anywhere below 2⁶⁰ — heavy
+/// duplication over a key space no array could index.
+fn pooled_keys() -> impl Strategy<Value = Vec<(Ix, Ix)>> {
+    (
+        proptest::collection::vec(0..(1u64 << 60), 1..6),
+        proptest::collection::vec((0..6usize, 0..6usize), 0..200),
+    )
+        .prop_map(|(pool, picks)| {
+            let at = |i: usize| pool[i % pool.len()];
+            picks.into_iter().map(|(r, c)| (at(r), at(c))).collect()
+        })
+}
+
+/// What `Coo::build_dcsr` did before the radix sort: stable comparison
+/// sort, fold each duplicate group left to right, drop zeros, lay the
+/// four arrays down by hand.
+fn comparison_sorted_build<S: Semiring>(
+    n: Ix,
+    mut t: Vec<(Ix, Ix, S::Value)>,
+    s: S,
+) -> Dcsr<S::Value> {
+    t.sort_by_key(|e| (e.0, e.1));
+    let mut folded: Vec<(Ix, Ix, S::Value)> = Vec::new();
+    for (r, c, v) in t {
+        match folded.last_mut() {
+            Some(last) if (last.0, last.1) == (r, c) => s.add_assign(&mut last.2, v),
+            _ => folded.push((r, c, v)),
+        }
+    }
+    folded.retain(|e| !s.is_zero(&e.2));
+    hand_laid(n, n, folded)
+}
+
+/// The old `from_sorted_trips`: sorted, duplicate-free triplets → `Dcsr`.
+fn hand_laid<T: semiring::traits::Value>(nrows: Ix, ncols: Ix, t: Vec<(Ix, Ix, T)>) -> Dcsr<T> {
+    let (mut rows, mut rowptr, mut colidx, mut vals) =
+        (Vec::new(), vec![0usize], Vec::new(), Vec::new());
+    for (r, c, v) in t {
+        if rows.last() != Some(&r) {
+            rows.push(r);
+            rowptr.push(colidx.len());
+        }
+        colidx.push(c);
+        vals.push(v);
+        *rowptr.last_mut().unwrap() = colidx.len();
+    }
+    Dcsr::from_parts(nrows, ncols, rows, rowptr, colidx, vals)
+}
+
+/// The structural invariants `Dcsr::from_parts` only debug-asserts,
+/// through the public accessors, so a release-mode run checks them too.
+fn assert_dcsr_invariants<T: semiring::traits::Value>(m: &Dcsr<T>) {
+    assert!(
+        m.row_ids().windows(2).all(|w| w[0] < w[1]),
+        "rows not increasing"
+    );
+    for (k, (_, cols, vals)) in m.iter_rows().enumerate() {
+        assert!(m.row_len_at(k) > 0, "empty row stored");
+        assert_eq!(cols.len(), vals.len());
+        assert!(cols.windows(2).all(|w| w[0] < w[1]), "cols not increasing");
+    }
+    assert_eq!(m.iter().count(), m.nnz());
+}
+
+fn bits(m: &Dcsr<f64>) -> Vec<(Ix, Ix, u64)> {
+    m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect()
+}
+
+proptest! {
+    /// Radix order ≡ `sort_by_key`: on huge, heavily duplicated keys every
+    /// cell lists its insertion positions in ascending order, and the
+    /// whole matrix equals the comparison-sorted build.
+    #[test]
+    fn radix_build_orders_like_a_stable_comparison_sort(keys in pooled_keys()) {
+        let n = 1u64 << 60;
+        let t: Vec<(Ix, Ix, Vec<u32>)> = keys
+            .iter()
+            .enumerate()
+            .map(|(k, &(r, c))| (r, c, vec![k as u32]))
+            .collect();
+        let mut coo = Coo::new(n, n);
+        coo.extend(t.iter().cloned());
+        let got = coo.build_dcsr(Concat);
+        for (_, _, positions) in got.iter() {
+            prop_assert!(positions.windows(2).all(|w| w[0] < w[1]), "fold left insertion order");
+        }
+        prop_assert_eq!(got, comparison_sorted_build(n, t, Concat));
+    }
+
+    /// `PlusTimes<f64>` duplicates of values whose sum depends on the
+    /// order (1e16 + 1 − 1e16 is 0 or 1) fold to the same bits as under
+    /// the comparison sort.
+    #[test]
+    fn build_folds_order_sensitive_floats_bit_identically(
+        t in proptest::collection::vec((0..3u64, 0..3u64, 0..3usize), 0..120),
+    ) {
+        let s = PlusTimes::<f64>::new();
+        let t: Vec<(Ix, Ix, f64)> =
+            t.into_iter().map(|(r, c, v)| (r, c, [1e16, 1.0, -1e16][v])).collect();
+        let mut coo = Coo::new(N, N);
+        coo.extend(t.iter().copied());
+        prop_assert_eq!(bits(&coo.build_dcsr(s)), bits(&comparison_sorted_build(N, t, s)));
+    }
+
+    /// Row-disjoint operands (what two shards hand the assemble): `A ⊕ B`
+    /// is the two row lists interleaved, entry for entry.
+    #[test]
+    fn ewise_add_of_row_disjoint_operands_is_concatenation(ta in triplets(), tb in triplets()) {
+        let s = PlusTimes::<i64>::new();
+        let even: Vec<_> = ta.into_iter().map(|(r, c, v)| (r & !1, c, v)).collect();
+        let odd: Vec<_> = tb.into_iter().map(|(r, c, v)| (r | 1, c, v)).collect();
+        let (a, b) = (build(&even, s), build(&odd, s));
+        let mut want = [a.to_triplets(), b.to_triplets()].concat();
+        want.sort_by_key(|e| (e.0, e.1));
+        let ctx = hypersparse::OpCtx::new();
+        let got = hypersparse::ops::ewise_add_ctx(&ctx, &a, &b, s);
+        assert_dcsr_invariants(&got);
+        prop_assert_eq!(got, hand_laid(N, N, want));
+        prop_assert_eq!(ctx.metrics().snapshot().kernel(hypersparse::Kernel::EwiseAdd).flops, 0);
+    }
+
+    /// Every kernel that lays its output down through the builder equals
+    /// the same entries laid down by hand, array for array.
+    #[test]
+    fn builder_output_equals_hand_laid_arrays(ta in triplets(), tb in triplets()) {
+        use hypersparse::ops;
+        use std::collections::BTreeMap;
+        let s = PlusTimes::<i64>::new();
+        let ctx = hypersparse::OpCtx::new();
+        // Negated copies of `a`'s first row make whole rows cancel.
+        let tb: Vec<_> = tb.into_iter().chain(
+            build(&ta, s).iter_rows().take(1)
+                .flat_map(|(r, cols, vals)| cols.iter().zip(vals).map(move |(&c, &v)| (r, c, -v)))
+                .collect::<Vec<_>>(),
+        ).collect();
+        let (a, b) = (build(&ta, s), build(&tb, s));
+        let cells = |m: &Dcsr<i64>| m.iter().map(|(r, c, &v)| ((r, c), v)).collect::<BTreeMap<_, _>>();
+        let (ma, mb) = (cells(&a), cells(&b));
+        let lay = |m: BTreeMap<(Ix, Ix), i64>| {
+            hand_laid(N, N, m.into_iter().filter(|e| e.1 != 0).map(|((r, c), v)| (r, c, v)).collect())
+        };
+
+        let mut sum = ma.clone();
+        for (&k, &v) in &mb {
+            *sum.entry(k).or_insert(0) += v;
+        }
+        let add = ops::ewise_add_ctx(&ctx, &a, &b, s);
+        assert_dcsr_invariants(&add);
+        prop_assert_eq!(&add, &lay(sum.clone()));
+        let product = ma.iter().filter_map(|(k, v)| mb.get(k).map(|w| (*k, v * w))).collect();
+        prop_assert_eq!(ops::ewise_mul_ctx(&ctx, &a, &b, s), lay(product));
+        let minus = semiring::FnBinOp(|x: i64, y: i64| x - 2 * y);
+        let mut diff = ma.clone();
+        for (&k, &v) in &mb {
+            *diff.entry(k).or_insert(0) -= 2 * v;
+        }
+        let union = ops::ewise_union_ctx(&ctx, &a, &b, minus, 0, 0, s);
+        assert_dcsr_invariants(&union);
+        prop_assert_eq!(union, lay(diff));
+
+        let flipped = ma.iter().map(|(&(r, c), &v)| ((c, r), v)).collect();
+        prop_assert_eq!(ops::transpose_ctx(&ctx, &a), lay(flipped));
+
+        // assign: B's leading 4×4 block lands on rows {1,5,9,13} × cols {0,2,4,6}.
+        let (rows_sel, cols_sel): (Vec<Ix>, Vec<Ix>) = ((0..4).map(|i| 4 * i + 1).collect(), (0..4).map(|j| 2 * j).collect());
+        let block = ops::extract_ctx(&ctx, &b, &[0, 1, 2, 3], &[0, 1, 2, 3]);
+        let mut assigned: BTreeMap<_, _> = ma.iter()
+            .filter(|((r, c), _)| !(rows_sel.contains(r) && cols_sel.contains(c)))
+            .map(|(&k, &v)| (k, v))
+            .collect();
+        for (i, j, &v) in block.iter() {
+            assigned.insert((rows_sel[i as usize], cols_sel[j as usize]), v);
+        }
+        prop_assert_eq!(ops::assign_ctx(&ctx, &a, &rows_sel, &cols_sel, &block), lay(assigned));
+    }
+}
+
+/// A row whose every collision cancels is absent from `A ⊕ B` — not
+/// stored empty — while its neighbours survive.
+#[test]
+fn fully_cancelling_row_is_absent() {
+    let s = PlusTimes::<i64>::new();
+    let a = build(&[(1, 1, 4), (2, 0, 3), (2, 5, -7), (3, 3, 1)], s);
+    let b = build(&[(2, 0, -3), (2, 5, 7), (4, 4, 2)], s);
+    let c = hypersparse::ops::ewise_add_ctx(&hypersparse::OpCtx::new(), &a, &b, s);
+    assert_dcsr_invariants(&c);
+    assert_eq!(c.row_ids(), &[1, 3, 4]);
+    assert_eq!(c.to_triplets(), vec![(1, 1, 4), (3, 3, 1), (4, 4, 2)]);
+}
+
+/// `LorLand` pass-through keeps an explicit `false` — whole rows, row
+/// tails and the word path's one-sided columns alike; only a collision
+/// that ORs to `false` drops.
+#[test]
+fn lorland_pass_through_keeps_an_explicit_false() {
+    use semiring::LorLand;
+    let stored = |t: &[(Ix, Ix, bool)]| hand_laid(N, N, t.to_vec());
+    let a = stored(&[(0, 0, false), (2, 1, false), (2, 9, false), (5, 5, false)]);
+    let b = stored(&[(2, 1, false), (2, 3, true), (7, 7, false)]);
+    let ctx = hypersparse::OpCtx::new();
+    let want = vec![
+        (0, 0, false),
+        (2, 3, true),
+        (2, 9, false),
+        (5, 5, false),
+        (7, 7, false),
+    ];
+    let word = hypersparse::ops::ewise_add_ctx(&ctx, &a, &b, LorLand);
+    let generic = hypersparse::ops::ewise_add_ctx(&ctx, &a, &b, semiring::Plain(LorLand));
+    assert_eq!(word.to_triplets(), want);
+    assert_eq!(generic, word);
+}

@@ -194,3 +194,75 @@ proptest! {
         prop_assert_eq!(a.delta_watermark(), a.inserted());
     }
 }
+
+proptest! {
+    /// One flush folds `PlusTimes<f64>` duplicates in insertion order: on
+    /// values whose sum depends on the order (1e16 + 1 − 1e16 is 0 or 1)
+    /// the flushed layer carries the bits a stable comparison sort and a
+    /// left-to-right fold produce.
+    #[test]
+    fn flush_folds_order_sensitive_floats_bit_identically(
+        t in proptest::collection::vec((0..3u64, 0..3u64, 0..3usize), 0..120),
+    ) {
+        let s = PlusTimes::<f64>::new();
+        let mut sorted: Vec<(Ix, Ix, f64)> =
+            t.into_iter().map(|(r, c, v)| (r, c, [1e16, 1.0, -1e16][v])).collect();
+        let config = StreamConfig::new().with_buffer_cap(sorted.len() + 1);
+        let mut m = StreamingMatrix::with_config(N, N, s, config);
+        for &(r, c, v) in &sorted {
+            m.insert(r, c, v);
+        }
+        m.flush();
+        let got: Vec<_> = m.snapshot().iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
+
+        sorted.sort_by_key(|e| (e.0, e.1));
+        let mut want: Vec<(Ix, Ix, f64)> = Vec::new();
+        for (r, c, v) in sorted {
+            match want.last_mut() {
+                Some(last) if (last.0, last.1) == (r, c) => last.2 += v,
+                _ => want.push((r, c, v)),
+            }
+        }
+        want.retain(|e| e.2 != 0.0);
+        let want: Vec<_> = want.into_iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
+        prop_assert_eq!(got, want);
+    }
+
+    /// ROADMAP item 6's pin: a `PlusTimes<u64>` window whose cells
+    /// overflow saturates to the same `u64::MAX` cells through flush,
+    /// cascade and rotate as the flat COO build — a saturated cell stays
+    /// saturated whichever layer absorbs the next increment.
+    #[test]
+    fn saturating_u64_window_folds_like_the_flat_build(
+        t in proptest::collection::vec((0..6u64, 0..6u64, 0..4usize), 1..300),
+        delta_cuts in cut_points(),
+    ) {
+        let s = PlusTimes::<u64>::new();
+        let t: Vec<(Ix, Ix, u64)> = t
+            .into_iter()
+            .map(|(r, c, v)| (r, c, [1, u64::MAX / 3, u64::MAX / 2, u64::MAX - 1][v]))
+            .collect();
+        let mut flat = Coo::new(N, N);
+        flat.extend(t.iter().copied());
+        let flat = flat.build_dcsr(s);
+
+        let config = StreamConfig::new().with_buffer_cap(4).with_growth(2);
+        let mut m = StreamingMatrix::with_config(N, N, s, config);
+        for (i, &(r, c, v)) in t.iter().enumerate() {
+            if delta_cuts.contains(&i) {
+                m.delta_snapshot();
+            }
+            m.insert(r, c, v);
+        }
+        let (closing, _) = m.rotate();
+        prop_assert_eq!(&closing, &flat);
+        // The oracle: per-cell saturating sums.
+        let mut cells: std::collections::BTreeMap<(Ix, Ix), u64> = Default::default();
+        for &(r, c, v) in &t {
+            let cell = cells.entry((r, c)).or_insert(0);
+            *cell = cell.saturating_add(v);
+        }
+        let got: Vec<_> = closing.iter().map(|(r, c, &v)| ((r, c), v)).collect();
+        prop_assert_eq!(got, cells.into_iter().collect::<Vec<_>>());
+    }
+}

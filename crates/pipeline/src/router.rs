@@ -181,8 +181,13 @@ where
         events: impl IntoIterator<Item = (Ix, Ix, S::Value)>,
     ) -> Result<(), PipelineError> {
         let t = Instant::now();
-        let mut routed: Vec<Vec<(Ix, Ix, S::Value)>> =
-            (0..self.config.shards).map(|_| Vec::new()).collect();
+        let events = events.into_iter();
+        // An even split of what the iterator promises; a skewed batch
+        // grows its busy shard's vector from there.
+        let per_shard = events.size_hint().0.div_ceil(self.config.shards);
+        let mut routed: Vec<Vec<(Ix, Ix, S::Value)>> = (0..self.config.shards)
+            .map(|_| Vec::with_capacity(per_shard))
+            .collect();
         for (row, col, val) in events {
             let shard = self.check_key(row, col)?;
             routed[shard].push((row, col, val));
