@@ -17,7 +17,11 @@
 //!   hypersparse netflow window (the crate's stable LSD radix sort, in
 //!   place, against the `sort_by_key` + fold it replaced and the tests
 //!   keep as oracle), and the structural column degrees of that
-//!   window's ~200 k-entry pattern, which sort the column ids.
+//!   window's ~200 k-entry pattern, which sort the column ids;
+//! * **indexing instead of searching** — on the `kernel_batch` graph
+//!   (scale-14 RMAT, seed 7): the triangle-count product `L·L⟨L⟩` (mask
+//!   slots, B rows found by position) and the transpose BFS and PageRank
+//!   take (one counting pass in the compact column space).
 //!
 //! The JSON artifact holds lower-is-better nanosecond medians;
 //! `perf_gate` fails CI when any of them regresses >10%.
@@ -26,7 +30,7 @@ use bench::{fmt_dur, quick_time, BenchRecord};
 use hypersparse::gen::{random_dcsr, rmat_dcsr, RmatParams};
 use hypersparse::{ops, Coo, Dcsr, Ix, OpCtx, SparseVec, StreamConfig, StreamingMatrix};
 use netflow::gen::{GenConfig, TrafficGen};
-use semiring::{LorLand, Plain, PlusTimes, Semiring};
+use semiring::{LorLand, Plain, PlusTimes, Semiring, ZeroNorm};
 use std::time::Duration;
 
 fn s() -> PlusTimes<f64> {
@@ -305,6 +309,39 @@ fn main() {
         vec![Row {
             key: "col_degrees_ns",
             ns: med(15, || ops::col_degrees_ctx(&ctx, &pattern).nnz() as u64),
+        }],
+    );
+
+    // The `kernel_batch` graph: L is the strictly lower pattern of its
+    // symmetrization, as `graph::triangles::triangle_count` builds it.
+    let r = rmat_dcsr(
+        RmatParams {
+            scale: 14,
+            edge_factor: 8,
+            probs: (0.57, 0.19, 0.19, 0.05),
+        },
+        7,
+        s(),
+    );
+    let sym = ops::ewise_add_ctx(&ctx, &r, &ops::transpose_ctx(&ctx, &r), s());
+    let l = ops::apply_ctx(&ctx, &sym, ZeroNorm(s()), s());
+    let l = ops::select_ctx(&ctx, &l, |i, j, _| j < i);
+    report(
+        &mut rec,
+        "masked SpGEMM L·L<L>, RMAT scale 14 (triangle count)",
+        vec![Row {
+            key: "mxm_masked_tri_ns",
+            ns: med(5, || {
+                ops::mxm_masked_ctx(&ctx, &l, &l, &l, false, s()).nnz() as u64
+            }),
+        }],
+    );
+    report(
+        &mut rec,
+        "transpose, RMAT scale 14",
+        vec![Row {
+            key: "transpose_rmat_ns",
+            ns: med(9, || ops::transpose_ctx(&ctx, &r).nnz() as u64),
         }],
     );
 

@@ -133,3 +133,37 @@ fn connected_components_identical_at_any_thread_count() {
         );
     }
 }
+
+#[test]
+fn msbfs_levels_identical_at_any_thread_count() {
+    // Every level is one complement-masked SpGEMM (frontier ⊕.⊗ A under
+    // ¬visited); 600 sources clear the ~512-row bar where it shards.
+    let g = rmat_dcsr(
+        RmatParams {
+            scale: 10,
+            edge_factor: 8,
+            ..Default::default()
+        },
+        5,
+        PlusTimes::<f64>::new(),
+    );
+    let pat = pattern_u8(&g);
+    let sources: Vec<_> = (0..600).collect();
+    let base = with_threads(1, || graph::msbfs::msbfs_levels(&pat, &sources));
+    assert!(
+        base.nnz() > sources.len(),
+        "searches must reach past their sources"
+    );
+    assert_eq!(
+        graph::msbfs::level_of(&base, 0, 0),
+        Some(0),
+        "a source is at level 0"
+    );
+    for k in [2, 4, 8] {
+        assert_eq!(
+            with_threads(k, || graph::msbfs::msbfs_levels(&pat, &sources)),
+            base,
+            "msbfs_levels differs at {k} threads"
+        );
+    }
+}

@@ -56,10 +56,11 @@ pub struct MxmScratch<T> {
     /// The zero the slots of `flat` rest at. The pool is keyed by value
     /// type, not by semiring, so the next lease may bring another zero.
     flat_rest: Option<T>,
-    /// Occupancy / mask bitmap, one bit per column, operated on a word
-    /// at a time. **Invariant:** all-zero between kernel calls (checked
-    /// in debug builds at lease time).
+    /// Occupancy bitmap, one bit per column, operated on a word at a
+    /// time. **Invariant:** all-zero between kernel calls (checked in
+    /// debug builds at lease time), as are the mask scatter `slots`.
     pub words: Vec<u64>,
+    pub(crate) slots: Vec<u32>,
 }
 
 impl<T> Default for MxmScratch<T> {
@@ -71,6 +72,7 @@ impl<T> Default for MxmScratch<T> {
             flat: Vec::new(),
             flat_rest: None,
             words: Vec::new(),
+            slots: Vec::new(),
         }
     }
 }
@@ -116,10 +118,12 @@ impl<T: Clone + PartialEq> MxmScratch<T> {
     }
 }
 
-/// Type-erased pools of [`MxmScratch`] buffers, keyed by value type.
+/// Type-erased pools of [`MxmScratch`] buffers, keyed by value type,
+/// plus the SpGEMM driver's row-position index (all-zero while parked).
 #[derive(Debug, Default)]
 struct Workspace {
     pools: HashMap<TypeId, Vec<Box<dyn Any + Send>>>,
+    row_index: Vec<u32>,
 }
 
 /// A leased [`MxmScratch`], returned to the context's pool on drop.
@@ -235,7 +239,7 @@ impl OpCtx {
                 scratch.touched.clear();
                 scratch.hash.clear();
                 debug_assert!(
-                    scratch.words.iter().all(|&w| w == 0),
+                    scratch.words.iter().all(|&w| w == 0) && scratch.slots.iter().all(|&t| t == 0),
                     "bitmap scratch returned dirty"
                 );
                 ScratchLease {
@@ -253,6 +257,19 @@ impl OpCtx {
         }
     }
 
+    /// Lend `f` the pooled row-position index (`len` slots or more, all
+    /// `0`, which `f` leaves `0`), out of the arena for the call.
+    pub(crate) fn with_row_index<R>(&self, len: usize, f: impl FnOnce(&mut [u32]) -> R) -> R {
+        let ws = || self.workspace.lock().expect("workspace mutex");
+        let mut index = std::mem::take(&mut ws().row_index);
+        if index.len() < len {
+            index = vec![0; len];
+        }
+        let out = f(&mut index);
+        ws().row_index = index;
+        out
+    }
+
     /// Number of scratch buffers currently parked in the arena (all
     /// value types). Diagnostic; used by the reuse tests.
     pub fn pooled_buffers(&self) -> usize {
@@ -263,8 +280,7 @@ impl OpCtx {
     /// Drop every pooled scratch buffer (e.g. after a one-off huge
     /// multiply whose dense accumulator should not stay resident).
     pub fn trim_workspace(&self) {
-        let mut ws = self.workspace.lock().expect("workspace mutex");
-        ws.pools.clear();
+        *self.workspace.lock().expect("workspace mutex") = Workspace::default();
     }
 }
 

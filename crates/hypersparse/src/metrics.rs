@@ -154,6 +154,20 @@ impl Direction {
     }
 }
 
+/// The Gustavson accumulator an SpGEMM row range ran on
+/// ([`mod@crate::ops::mxm`]); indexes [`MetricsSnapshot::mxm_accumulator_calls`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub enum Accumulator {
+    Flat,
+    Dense,
+    Hash,
+    MaskSlot,
+}
+
+/// [`Accumulator`] label values, in discriminant order.
+const ACC: [&str; 4] = ["flat", "dense", "hash", "mask_slot"];
+
 /// Live counters for one kernel.
 #[derive(Debug, Default)]
 pub struct KernelStats {
@@ -256,6 +270,7 @@ pub struct MetricsRegistry {
     mv_pull: AtomicU64,
     mask_probes: AtomicU64,
     mask_hits: AtomicU64,
+    mxm_acc: [AtomicU64; ACC.len()],
 }
 
 impl MetricsRegistry {
@@ -307,6 +322,11 @@ impl MetricsRegistry {
         self.mask_hits.fetch_add(hits, Ordering::Relaxed);
     }
 
+    /// Count one SpGEMM row range run on `acc`.
+    pub(crate) fn record_accumulator(&self, acc: Accumulator) {
+        self.mxm_acc[acc as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Freeze every counter into an owned snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -321,6 +341,7 @@ impl MetricsRegistry {
             mv_pull_calls: self.mv_pull.load(Ordering::Relaxed),
             mask_probes: self.mask_probes.load(Ordering::Relaxed),
             mask_hits: self.mask_hits.load(Ordering::Relaxed),
+            mxm_accumulator_calls: self.mxm_acc.each_ref().map(|c| c.load(Ordering::Relaxed)),
         }
     }
 
@@ -336,6 +357,9 @@ impl MetricsRegistry {
         self.mv_pull.store(0, Ordering::Relaxed);
         self.mask_probes.store(0, Ordering::Relaxed);
         self.mask_hits.store(0, Ordering::Relaxed);
+        self.mxm_acc
+            .iter()
+            .for_each(|c| c.store(0, Ordering::Relaxed));
     }
 }
 
@@ -358,6 +382,9 @@ pub struct MetricsSnapshot {
     pub mask_probes: u64,
     /// Mask lookups that found the index masked off (work skipped).
     pub mask_hits: u64,
+    /// SpGEMM row ranges by the accumulator that ran them, indexed by
+    /// [`Accumulator`].
+    pub mxm_accumulator_calls: [u64; 4],
 }
 
 impl MetricsSnapshot {
@@ -380,6 +407,9 @@ impl MetricsSnapshot {
         self.mv_pull_calls += other.mv_pull_calls;
         self.mask_probes += other.mask_probes;
         self.mask_hits += other.mask_hits;
+        for (k, n) in other.mxm_accumulator_calls.into_iter().enumerate() {
+            self.mxm_accumulator_calls[k] += n;
+        }
     }
 
     /// Fraction of complement-mask probes that skipped work
@@ -541,6 +571,13 @@ impl MetricsSnapshot {
                 ("direction=\"pull\"", self.mv_pull_calls),
             ],
         );
+        let acc = ACC.map(|a| format!("acc=\"{a}\""));
+        out.family(
+            "hypersparse_mxm_accumulator_calls_total",
+            "counter",
+            "SpGEMM row ranges by the accumulator that ran them.",
+            acc.into_iter().zip(self.mxm_accumulator_calls),
+        );
         for (name, help, v) in [
             (
                 "hypersparse_workspace_hit_rate",
@@ -659,6 +696,7 @@ mod tests {
             mv_pull_calls: 11 * m,
             mask_probes: 13 * m,
             mask_hits: 17 * m,
+            mxm_accumulator_calls: [19 * m, 23 * m, 29 * m, 31 * m],
         };
         let expected = snap(3, hist(&[10, 20]));
         let mut merged = snap(1, hist(&[10]));

@@ -1,7 +1,8 @@
 //! Sparse matrix–matrix multiply (SpGEMM) — the array ⊕.⊗ of Table II.
 //!
 //! Gustavson's row-wise algorithm: for each non-empty row *i* of `A`,
-//! accumulate `⊕_k A(i,k) ⊗ B(k,:)`. Three accumulator strategies:
+//! accumulate `⊕_k A(i,k) ⊗ B(k,:)` — one row loop, a mask probe saying
+//! where each ⊗ folds, and four accumulator strategies:
 //!
 //! * **hash** — a `HashMap<col, T>` per row: `O(flops)` regardless of the
 //!   column dimension; the only choice in hypersparse column spaces.
@@ -12,11 +13,16 @@
 //!   folded unconditionally (`slot = slot ⊕ p`, no `Option`
 //!   discriminant) plus an occupancy bitmap drained word-at-a-time;
 //!   bit-identical to the `Option<T>` path (DESIGN.md §13).
+//! * **mask slots** — one per entry of a structural mask's row, drained
+//!   in mask order (no hash, no sort); a complement mask filters instead.
 //!
-//! [`mxm_ctx`] picks between hash and dense from the input (the
-//! `ablation_accumulator` bench measures the crossover) and between the
-//! two dense forms from the semiring's type. Accumulator scratch is
-//! **leased from the context's workspace arena**
+//! [`mxm_ctx`], [`mxm_apply_prune_ctx`] and [`mxm_masked_ctx`] are one
+//! driver with mask, complement and epilogue as arguments (the GraphBLAS
+//! C API's `mxm`). It picks hash vs width-proportional from the input
+//! (the `ablation_accumulator` bench measures the crossover) and flat vs
+//! `Option<T>` from the semiring's type; in `compact` id spaces B's
+//! rows and mask entries are indexed, not searched. Accumulator scratch
+//! is **leased from the context's workspace arena**
 //! ([`OpCtx::lease_mxm_scratch`]) so repeated multiplies on a hot path
 //! stop allocating per call, and parallelism is governed by the
 //! context's thread cap: rows of `A` are sharded by
@@ -30,6 +36,8 @@
 //! [`IndexType`]: `Dcsr<f64, u32>` operands run the same kernels with
 //! half the index bandwidth (DESIGN.md §13).
 
+use std::collections::{hash_map::Entry, HashMap};
+use std::ops::Range;
 use std::time::Instant;
 
 use semiring::traits::{Semiring, UnaryOp, Value};
@@ -38,13 +46,23 @@ use crate::ctx::{par_run, plan_weighted_shards, MxmScratch, OpCtx};
 use crate::dcsr::{Dcsr, DcsrBuilder};
 use crate::error::OpError;
 use crate::index::IndexType;
-use crate::metrics::Kernel;
+use crate::metrics::{Accumulator, Kernel};
 use crate::Ix;
 
 /// Column spaces at most this wide *may* use the dense scratch
 /// accumulator — provided the row range also carries enough estimated
 /// flops (see [`dense_acc_pays_off`]).
 const DENSE_ACC_MAX: u64 = 1 << 22;
+
+/// Whether an id space `width` wide is **compact** for operands holding
+/// `nnz` entries between them: narrow enough for an id-indexed array and
+/// no wider than the entries that index it, so building, walking or
+/// clearing that array costs no more than one pass over the operands.
+/// The one rule for direct addressing (B-row locator, mask scatter
+/// slots, transpose's counting pass); wider spaces search and radix-sort.
+pub(crate) fn compact(width: Ix, nnz: usize) -> bool {
+    width <= DENSE_ACC_MAX && width <= nnz as Ix
+}
 
 /// Dense scratch must be amortized: require at least `width /
 /// DENSE_ACC_FLOP_RATIO` estimated ⊗ applications before leasing a
@@ -67,35 +85,6 @@ const PAR_MIN_ROWS: usize = 512;
 /// Weighted shards per thread: oversubscribe the merge-path plan so the
 /// atomic job queue can still balance residual skew between shards.
 const SHARD_FACTOR: usize = 4;
-
-/// Shape detail for span/slow-op records: `r×c·r×c nnz a+b`.
-fn mm_detail<T: Value, U: Value, I: IndexType, J: IndexType>(
-    a: &Dcsr<T, I>,
-    b: &Dcsr<U, J>,
-) -> String {
-    format!(
-        "{}×{} · {}×{} nnz {}+{}",
-        a.nrows(),
-        a.ncols(),
-        b.nrows(),
-        b.ncols(),
-        a.nnz(),
-        b.nnz()
-    )
-}
-
-/// Merge-path weighted row-range plan for `nrows_ne` non-empty rows of
-/// `a`. Any boundary choice yields bit-identical results (rows never
-/// split; concat is in row order).
-fn shard_plan<T: Value, I: IndexType>(
-    ctx: &OpCtx,
-    a: &Dcsr<T, I>,
-    nrows_ne: usize,
-) -> Vec<(usize, usize)> {
-    plan_weighted_shards(nrows_ne, ctx.threads() * SHARD_FACTOR, |k| {
-        a.row_len_at(k) as u64
-    })
-}
 
 /// `A ⊕.⊗ B` conformance, shared by the plain, fused-prune and masked
 /// multiplies (they differ only in the `op` the error names).
@@ -135,37 +124,7 @@ pub fn mxm_ctx<T: Value, I: IndexType, S: Semiring<Value = T>>(
     b: &Dcsr<T, I>,
     s: S,
 ) -> Dcsr<T, I> {
-    check_mxm("mxm", a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
-    let _span = ctx.kernel_span(Kernel::Mxm, || mm_detail(a, b));
-    let start = Instant::now();
-    let nrows_ne = a.n_nonempty_rows();
-    let threads = ctx.threads();
-
-    let (c, flops) = if threads == 1 || nrows_ne < PAR_MIN_ROWS {
-        let mut lease = ctx.lease_mxm_scratch::<T>();
-        let (chunk, flops) = multiply_row_range(a, b, s, 0, nrows_ne, lease.get(), &Some);
-        (assemble(a.nrows(), b.ncols(), [chunk]), flops)
-    } else {
-        let shards = shard_plan(ctx, a, nrows_ne);
-        let shard_results = par_run(threads, shards.len(), |shard| {
-            let (lo, hi) = shards[shard];
-            let mut lease = ctx.lease_mxm_scratch::<T>();
-            multiply_row_range(a, b, s, lo, hi, lease.get(), &Some)
-        });
-        let flops = shard_results.iter().map(|(_, f)| f).sum();
-        let chunks: Vec<_> = shard_results.into_iter().map(|(c, _)| c).collect();
-        (assemble(a.nrows(), b.ncols(), chunks), flops)
-    };
-
-    ctx.metrics().record(
-        Kernel::Mxm,
-        start.elapsed(),
-        (a.nnz() + b.nnz()) as u64,
-        c.nnz() as u64,
-        flops,
-        (a.bytes() + b.bytes() + c.bytes()) as u64,
-    );
-    c
+    spgemm(ctx, "mxm", a, b, None::<(&Dcsr<T, I>, bool)>, s, &Some)
 }
 
 /// Fused SpGEMM + prune: `C = prune(op(A ⊕.⊗ B))` in one pass, with no
@@ -197,52 +156,24 @@ where
     SD: Semiring<Value = T>,
     O: UnaryOp<T, T>,
 {
-    check_mxm("mxm_apply_prune", a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
-    let _span = ctx.kernel_span(Kernel::Mxm, || mm_detail(a, b));
-    let start = Instant::now();
-    let ep = move |v: T| {
-        let w = op.apply(v);
-        if drop.is_zero(&w) {
-            None
-        } else {
-            Some(w)
-        }
-    };
-    let nrows_ne = a.n_nonempty_rows();
-    let threads = ctx.threads();
-
-    let (c, flops) = if threads == 1 || nrows_ne < PAR_MIN_ROWS {
-        let mut lease = ctx.lease_mxm_scratch::<T>();
-        let (chunk, flops) = multiply_row_range(a, b, s, 0, nrows_ne, lease.get(), &ep);
-        (assemble(a.nrows(), b.ncols(), [chunk]), flops)
-    } else {
-        let shards = shard_plan(ctx, a, nrows_ne);
-        let shard_results = par_run(threads, shards.len(), |shard| {
-            let (lo, hi) = shards[shard];
-            let mut lease = ctx.lease_mxm_scratch::<T>();
-            multiply_row_range(a, b, s, lo, hi, lease.get(), &ep)
-        });
-        let flops = shard_results.iter().map(|(_, f)| f).sum();
-        let chunks: Vec<_> = shard_results.into_iter().map(|(c, _)| c).collect();
-        (assemble(a.nrows(), b.ncols(), chunks), flops)
-    };
-
-    ctx.metrics().record(
-        Kernel::Mxm,
-        start.elapsed(),
-        (a.nnz() + b.nnz()) as u64,
-        c.nnz() as u64,
-        flops,
-        (a.bytes() + b.bytes() + c.bytes()) as u64,
-    );
-    c
+    let ep = move |v: T| Some(op.apply(v)).filter(|w| !drop.is_zero(w));
+    spgemm(
+        ctx,
+        "mxm_apply_prune",
+        a,
+        b,
+        None::<(&Dcsr<T, I>, bool)>,
+        s,
+        &ep,
+    )
 }
 
 /// Masked SpGEMM through an explicit context: `C = (A ⊕.⊗ B) ⊙ mask`
 /// (structural mask, i.e. only positions stored in `mask` are
 /// computed/kept; `complement` inverts the selection). Fusing the mask
 /// into the accumulator loop is what makes masked triangle counting
-/// `O(flops into the mask)` instead of `O(all flops)`.
+/// `O(flops into the mask)` instead of `O(all flops)`; `flops` counts
+/// only the ⊗ that land in the selection.
 pub fn mxm_masked_ctx<T: Value, M: Value, I: IndexType, S: Semiring<Value = T>>(
     ctx: &OpCtx,
     a: &Dcsr<T, I>,
@@ -251,193 +182,393 @@ pub fn mxm_masked_ctx<T: Value, M: Value, I: IndexType, S: Semiring<Value = T>>(
     complement: bool,
     s: S,
 ) -> Dcsr<T, I> {
-    check_mxm_masked(a.shape(), b.shape(), mask.shape()).unwrap_or_else(|e| panic!("{e}"));
-    let _span = ctx.kernel_span(Kernel::MxmMasked, || mm_detail(a, b));
+    spgemm(ctx, "mxm_masked", a, b, Some((mask, complement)), s, &Some)
+}
+
+/// The one SpGEMM driver: check, span, B-row locator, shard plan, lease,
+/// assemble, metrics. A `(mask, complement)` makes it [`Kernel::MxmMasked`];
+/// `ep` is the drain-time epilogue (`&Some` when there is none).
+fn spgemm<T, M, I, S, E>(
+    ctx: &OpCtx,
+    op: &'static str,
+    a: &Dcsr<T, I>,
+    b: &Dcsr<T, I>,
+    mask: Option<(&Dcsr<M, I>, bool)>,
+    s: S,
+    ep: &E,
+) -> Dcsr<T, I>
+where
+    T: Value,
+    M: Value,
+    I: IndexType,
+    S: Semiring<Value = T>,
+    E: Fn(T) -> Option<T> + Sync,
+{
+    match mask {
+        Some((m, _)) => check_mxm_masked(a.shape(), b.shape(), m.shape()),
+        None => check_mxm(op, a.shape(), b.shape()),
+    }
+    .unwrap_or_else(|e| panic!("{e}"));
+    let kernel = mask.map_or(Kernel::Mxm, |_| Kernel::MxmMasked);
+    let (mask_nnz, mask_bytes) = mask.map_or((0, 0), |(m, _)| (m.nnz(), m.bytes()));
+    let _span = ctx.kernel_span(kernel, || {
+        let (ar, ac, br, bc) = (a.nrows(), a.ncols(), b.nrows(), b.ncols());
+        format!("{ar}×{ac} · {br}×{bc} nnz {}+{}", a.nnz(), b.nnz())
+    });
     let start = Instant::now();
-    let nrows_ne = a.n_nonempty_rows();
-    let threads = ctx.threads();
-
-    // Same deterministic sharding as the unmasked kernel: rows of `A`
-    // split into shards whose outputs concatenate in row order, so the
-    // thread count never changes a bit of the result.
-    let (c, flops) = if threads == 1 || nrows_ne < PAR_MIN_ROWS {
-        let mut lease = ctx.lease_mxm_scratch::<T>();
-        let (chunk, flops) =
-            multiply_masked_row_range_ws(a, b, mask, complement, s, 0, nrows_ne, lease.get());
-        drop(lease);
-        (assemble(a.nrows(), b.ncols(), [chunk]), flops)
-    } else {
-        let shards = shard_plan(ctx, a, nrows_ne);
-        let shard_results = par_run(threads, shards.len(), |shard| {
-            let (lo, hi) = shards[shard];
+    let nnz = a.nnz() + b.nnz() + mask_nnz;
+    let (c, flops) = with_locator(ctx, b, compact(b.nrows(), nnz), |rows| {
+        let run = |range: Range<usize>| {
             let mut lease = ctx.lease_mxm_scratch::<T>();
-            multiply_masked_row_range_ws(a, b, mask, complement, s, lo, hi, lease.get())
-        });
-        let flops = shard_results.iter().map(|(_, f)| f).sum();
-        let chunks: Vec<_> = shard_results.into_iter().map(|(c, _)| c).collect();
-        (assemble(a.nrows(), b.ncols(), chunks), flops)
-    };
-
+            let (part, flops, acc) = multiply_row_range(a, rows, mask, s, range, lease.get(), ep);
+            ctx.metrics().record_accumulator(acc);
+            (part, flops)
+        };
+        let (nrows_ne, threads) = (a.n_nonempty_rows(), ctx.threads());
+        let parts = if threads == 1 || nrows_ne < PAR_MIN_ROWS {
+            vec![run(0..nrows_ne)]
+        } else {
+            let shards =
+                plan_weighted_shards(nrows_ne, threads * SHARD_FACTOR, |k| a.row_len_at(k) as u64);
+            par_run(threads, shards.len(), |k| run(shards[k].0..shards[k].1))
+        };
+        let flops = parts.iter().map(|(_, f)| f).sum();
+        (assemble(parts.into_iter().map(|(c, _)| c).collect()), flops)
+    });
     ctx.metrics().record(
-        Kernel::MxmMasked,
+        kernel,
         start.elapsed(),
-        (a.nnz() + b.nnz() + mask.nnz()) as u64,
+        nnz as u64,
         c.nnz() as u64,
         flops,
-        (a.bytes() + b.bytes() + mask.bytes() + c.bytes()) as u64,
+        (a.bytes() + b.bytes() + mask_bytes + c.bytes()) as u64,
     );
     c
 }
 
-/// Masked multiply of rows `start..end` of `A` (hash accumulator — the
-/// mask filter keeps per-row fill small regardless of the column space).
-///
-/// In compact column spaces the per-product mask probe is a
-/// **word-bitmap test** on pooled scratch:
-/// the mask row's bits are set once, each probe is a shift+AND instead
-/// of a `binary_search` over the mask row, and the touched words are
-/// cleared on the way out. The probe is structural either way, so the
-/// output is identical.
-#[allow(clippy::too_many_arguments)]
-fn multiply_masked_row_range_ws<T: Value, M: Value, I: IndexType, S: Semiring<Value = T>>(
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    mask: &Dcsr<M, I>,
-    complement: bool,
-    s: S,
-    start: usize,
-    end: usize,
-    scratch: &mut MxmScratch<T>,
-) -> (RowsChunk<T, I>, u64) {
-    let width = b.ncols();
-    let mask_bitmap = width <= DENSE_ACC_MAX;
-    if mask_bitmap {
-        scratch.ensure_words((width as usize).div_ceil(64));
+/// Concatenate per-range results (in row order) as slice copies; a lone
+/// range is the result as it stands.
+fn assemble<T: Value, I: IndexType>(mut parts: Vec<Dcsr<T, I>>) -> Dcsr<T, I> {
+    if parts.len() == 1 {
+        return parts.pop().expect("one part");
     }
-    let MxmScratch {
-        hash: acc,
-        words: occ,
-        ..
-    } = scratch;
-    let mut out = Vec::new();
-    let mut flops = 0u64;
-    for k_row in start..end {
-        let (i, acols, avals) = a.row_at(k_row);
-        let (mcols, _) = mask.row(i);
-        if mcols.is_empty() && !complement {
-            continue; // nothing of this row can survive the mask
-        }
-        let row_bitmap = mask_bitmap && !mcols.is_empty();
-        if row_bitmap {
-            for &m in mcols {
-                let mz = m.as_usize();
-                occ[mz >> 6] |= 1u64 << (mz & 63);
-            }
-        }
-        acc.clear();
-        for (&k, aik) in acols.iter().zip(avals) {
-            let (bcols, bvals) = b.row(k.to_ix());
-            for (&j, bkj) in bcols.iter().zip(bvals) {
-                let in_mask = if row_bitmap {
-                    let jz = j.as_usize();
-                    (occ[jz >> 6] >> (jz & 63)) & 1 == 1
-                } else {
-                    mcols.binary_search(&j).is_ok()
-                };
-                if in_mask == complement {
-                    continue;
-                }
-                let p = s.mul(aik.clone(), bkj.clone());
-                flops += 1;
-                match acc.entry(j.to_ix()) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        s.add_assign(e.get_mut(), p)
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(p);
-                    }
-                }
-            }
-        }
-        if row_bitmap {
-            for &m in mcols {
-                occ[m.as_usize() >> 6] = 0;
-            }
-        }
-        let mut row: Vec<(I, T)> = acc
-            .drain()
-            .filter(|(_, v)| !s.is_zero(v))
-            .map(|(j, v)| (I::from_ix(j), v))
-            .collect();
-        if row.is_empty() {
-            continue;
-        }
-        row.sort_by_key(|e| e.0);
-        out.push((i, row));
-    }
-    (out, flops)
-}
-
-/// Per-shard result: `(row id, sorted (col, val) entries)` pairs. The
-/// column ids carry the operands' physical index width `I`.
-pub type RowsChunk<T, I = Ix> = Vec<(Ix, Vec<(I, T)>)>;
-
-/// Concatenate row chunks (already in global row order) into a DCSR.
-fn assemble<T: Value, I: IndexType>(
-    nrows: Ix,
-    ncols: Ix,
-    chunks: impl IntoIterator<Item = RowsChunk<T, I>>,
-) -> Dcsr<T, I> {
-    let mut out = DcsrBuilder::with_capacity(nrows, ncols, 0);
-    for chunk in chunks {
-        for (r, cv) in chunk {
-            out.row(r);
-            for (c, v) in cv {
-                out.push(c, v);
-            }
-        }
+    let (nrows, ncols) = parts[0].shape();
+    let mut out = DcsrBuilder::with_capacity(nrows, ncols, parts.iter().map(Dcsr::nnz).sum());
+    for p in &parts {
+        out.extend_rows(p, 0, p.n_nonempty_rows());
     }
     out.finish()
 }
 
-/// Multiply rows `start..end` of `A` against `B` using workspace
-/// `scratch`, returning the rows plus the ⊗ count. Every accumulated
-/// value that survives the semiring-zero filter passes through the
-/// drain-time epilogue `ep` before being stored, and `None` results are
-/// dropped (plain `mxm` passes `&Some`). This is what lets
-/// `mxm_apply_prune_ctx` fuse a bias+ReLU prune into the multiply
-/// without materializing the intermediate product.
-///
-/// The accumulator is chosen from the input (hash vs width-proportional,
-/// [`dense_acc_pays_off`]) and from the semiring's type (flat vs
-/// `Option<T>`, [`Semiring::FLAT_ACC`] — resolved at monomorphisation).
-fn multiply_row_range<T, I, S, E>(
-    a: &Dcsr<T, I>,
+/// The one B-row lookup of every SpGEMM path. Over a [`compact`] row
+/// space `pos[k]` is one plus row `k`'s position among B's stored rows
+/// (`0`: none), built once per call and shared by the shards; otherwise
+/// a binary search of B's row ids, the only way into a 2³² row space.
+struct BRows<'a, T, I: IndexType> {
+    b: &'a Dcsr<T, I>,
+    pos: Option<&'a [u32]>,
+}
+
+impl<'a, T: Value, I: IndexType> BRows<'a, T, I> {
+    /// Columns and values of B's row `k` (empty slices if it has none).
+    #[inline(always)]
+    fn row(&self, k: I) -> (&'a [I], &'a [T]) {
+        let at = match self.pos {
+            Some(pos) => (pos[k.as_usize()] as usize).checked_sub(1),
+            None => self.b.find_row(k.to_ix()),
+        };
+        at.map_or((&[], &[]), |p| {
+            let (_, cols, vals) = self.b.row_at(p);
+            (cols, vals)
+        })
+    }
+}
+
+/// Run `f` with B's row locator — `indexed` on the context's pooled
+/// position array (at rest all zero, cleared by walking B's row ids),
+/// searched otherwise.
+fn with_locator<T: Value, I: IndexType, R>(
+    ctx: &OpCtx,
     b: &Dcsr<T, I>,
+    indexed: bool,
+    f: impl FnOnce(&BRows<'_, T, I>) -> R,
+) -> R {
+    if !indexed {
+        return f(&BRows { b, pos: None });
+    }
+    ctx.with_row_index(b.nrows() as usize, |pos| {
+        for (k, &r) in b.row_ids().iter().enumerate() {
+            pos[r as usize] = k as u32 + 1;
+        }
+        let out = f(&BRows { b, pos: Some(pos) });
+        for &r in b.row_ids() {
+            pos[r as usize] = 0;
+        }
+        out
+    })
+}
+
+/// Where a row's products fold: unmasked, in their own column's slot;
+/// under a mask, in their mask entry's slot `t` (`slot[j] = t + 1` over
+/// a compact column space, cleared by walking the row; else a
+/// `binary_search` of the row); under a complement, in their own slot
+/// when off the row.
+struct MaskProbe<'a, M, I: IndexType> {
+    mask: Option<(&'a Dcsr<M, I>, bool)>,
+    scatter: bool,
+    slot: Vec<u32>,
+    row: &'a [I],
+}
+
+impl<'a, M: Value, I: IndexType> MaskProbe<'a, M, I> {
+    const UNMASKED: Self = MaskProbe {
+        mask: None,
+        scatter: false,
+        slot: Vec::new(),
+        row: &[],
+    };
+
+    /// Open row `i`; `false` when nothing of it can survive the mask.
+    fn enter(&mut self, i: Ix) -> bool {
+        let Some((mask, complement)) = self.mask else {
+            return true;
+        };
+        self.row = mask.row(i).0;
+        if self.scatter {
+            for (t, &m) in self.row.iter().enumerate() {
+                self.slot[m.as_usize()] = t as u32 + 1;
+            }
+        }
+        complement || !self.row.is_empty()
+    }
+
+    /// The slot a product landing in column `j` folds into, if any.
+    #[inline(always)]
+    fn slot(&self, j: I) -> Option<Ix> {
+        let Some((_, complement)) = self.mask else {
+            return Some(j.to_ix());
+        };
+        let t = if self.scatter {
+            (self.slot[j.as_usize()] as Ix).checked_sub(1)
+        } else {
+            self.row.binary_search(&j).ok().map(|t| t as Ix)
+        };
+        match (t, complement) {
+            (Some(t), false) => Some(t),
+            (None, true) => Some(j.to_ix()),
+            _ => None,
+        }
+    }
+
+    /// Close the open row, putting its slots back to rest.
+    fn leave(&mut self) {
+        if self.scatter {
+            for &m in self.row {
+                self.slot[m.as_usize()] = 0;
+            }
+        }
+    }
+}
+
+/// One output row's storage: `fold` ⊕-folds `p` into slot `t`; `drain`
+/// visits `(column, value)` ascending (`mask_row` maps mask slots back to
+/// columns) and leaves the storage at rest.
+trait RowAcc<T, I> {
+    const KIND: Accumulator;
+    fn fold(&mut self, t: Ix, p: T);
+    fn drain(&mut self, mask_row: &[I], visit: impl FnMut(I, T));
+}
+
+struct HashAcc<'a, T, I, S>(&'a mut HashMap<Ix, T>, Vec<(I, T)>, S);
+
+impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I> for HashAcc<'_, T, I, S> {
+    const KIND: Accumulator = Accumulator::Hash;
+    fn fold(&mut self, t: Ix, p: T) {
+        match self.0.entry(t) {
+            Entry::Occupied(mut e) => self.2.add_assign(e.get_mut(), p),
+            Entry::Vacant(e) => {
+                e.insert(p);
+            }
+        }
+    }
+    fn drain(&mut self, _: &[I], mut visit: impl FnMut(I, T)) {
+        self.1
+            .extend(self.0.drain().map(|(j, v)| (I::from_ix(j), v)));
+        self.1.sort_unstable_by_key(|e| e.0);
+        self.1.drain(..).for_each(|(j, v)| visit(j, v));
+    }
+}
+
+struct DenseAcc<'a, T, S>(&'a mut [Option<T>], &'a mut Vec<Ix>, S);
+
+impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I> for DenseAcc<'_, T, S> {
+    const KIND: Accumulator = Accumulator::Dense;
+    fn fold(&mut self, t: Ix, p: T) {
+        match &mut self.0[t as usize] {
+            Some(v) => self.2.add_assign(v, p),
+            slot @ None => {
+                *slot = Some(p);
+                self.1.push(t);
+            }
+        }
+    }
+    fn drain(&mut self, _: &[I], mut visit: impl FnMut(I, T)) {
+        self.1.sort_unstable();
+        for t in self.1.drain(..) {
+            visit(I::from_ix(t), self.0[t as usize].take().expect("touched"));
+        }
+    }
+}
+
+impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I> for (FlatAcc<'_, T>, S) {
+    const KIND: Accumulator = Accumulator::Flat;
+    #[inline(always)]
+    fn fold(&mut self, t: Ix, p: T) {
+        self.0.fold(self.1, t as usize, p);
+    }
+    fn drain(&mut self, _: &[I], mut visit: impl FnMut(I, T)) {
+        self.0.drain(self.1, |t, v| visit(I::from_usize(t), v));
+    }
+}
+
+/// Mask slots, slot `t` for the open mask row's `t`-th entry: the
+/// zero-seeded flat scratch for a [`Semiring::FLAT_ACC`] semiring,
+/// `Option<T>` otherwise; drained in mask order.
+struct MaskSlots<'a, T, S>(&'a mut [T], &'a mut [Option<T>], S);
+
+impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I> for MaskSlots<'_, T, S> {
+    const KIND: Accumulator = Accumulator::MaskSlot;
+    fn fold(&mut self, t: Ix, p: T) {
+        match S::FLAT_ACC {
+            true => self.2.add_assign(&mut self.0[t as usize], p),
+            false => match &mut self.1[t as usize] {
+                Some(v) => self.2.add_assign(v, p),
+                slot @ None => *slot = Some(p),
+            },
+        }
+    }
+    fn drain(&mut self, mask_row: &[I], mut visit: impl FnMut(I, T)) {
+        for (t, &j) in mask_row.iter().enumerate() {
+            let v = match S::FLAT_ACC {
+                true => Some(std::mem::replace(&mut self.0[t], self.2.zero())),
+                false => self.1[t].take(),
+            };
+            v.into_iter().for_each(|v| visit(j, v));
+        }
+    }
+}
+
+/// Rows `range` of `A ⊕.⊗ B` on workspace `scratch`, their ⊗ count and
+/// the accumulator that ran them: mask slots under a structural mask,
+/// else hash vs width-proportional by [`dense_acc_pays_off`] and flat vs
+/// `Option<T>` by [`Semiring::FLAT_ACC`] (resolved at monomorphisation).
+fn multiply_row_range<T, M, I, S, E>(
+    a: &Dcsr<T, I>,
+    rows: &BRows<'_, T, I>,
+    mask: Option<(&Dcsr<M, I>, bool)>,
     s: S,
-    start: usize,
-    end: usize,
+    range: Range<usize>,
     scratch: &mut MxmScratch<T>,
     ep: &E,
-) -> (RowsChunk<T, I>, u64)
+) -> (Dcsr<T, I>, u64, Accumulator)
 where
     T: Value,
+    M: Value,
     I: IndexType,
     S: Semiring<Value = T>,
     E: Fn(T) -> Option<T>,
 {
-    if !dense_acc_pays_off(a, b, start, end) {
-        multiply_rows_hash_ws(a, b, s, start, end, scratch, ep)
-    } else if S::FLAT_ACC {
-        multiply_rows_flat_ws(a, b, s, start, end, scratch, ep)
-    } else {
-        multiply_rows_dense_ws(a, b, s, start, end, scratch, ep)
+    let width = rows.b.ncols() as usize;
+    let nnz = a.nnz() + rows.b.nnz() + mask.map_or(0, |(m, _)| m.nnz());
+    let scatter = mask.is_some() && compact(width as Ix, nnz);
+    let mut slot = std::mem::take(&mut scratch.slots);
+    if scatter && slot.len() < width {
+        slot = vec![0; width];
     }
+    let mut probe = MaskProbe::UNMASKED;
+    (probe.mask, probe.scatter, probe.slot) = (mask, scatter, slot);
+    let out = match mask {
+        Some((m, false)) => {
+            let most = m.iter_rows().map(|(_, cols, _)| cols.len()).max();
+            if S::FLAT_ACC {
+                scratch.ensure_flat_width(most.unwrap_or(0), s.zero());
+            } else {
+                scratch.ensure_dense_width(most.unwrap_or(0));
+            }
+            let acc = &mut MaskSlots(&mut scratch.flat, &mut scratch.dense, s);
+            gustavson(a, rows, &mut probe, acc, s, range, ep)
+        }
+        _ if !dense_acc_pays_off(a, rows, range.clone()) => {
+            let acc = &mut HashAcc(&mut scratch.hash, Vec::new(), s);
+            gustavson(a, rows, &mut probe, acc, s, range, ep)
+        }
+        _ if S::FLAT_ACC => {
+            scratch.ensure_flat_width(width, s.zero());
+            scratch.ensure_words(width.div_ceil(64));
+            let acc = &mut (FlatAcc::new(&mut scratch.flat, &mut scratch.words), s);
+            gustavson(a, rows, &mut probe, acc, s, range, ep)
+        }
+        _ => {
+            scratch.ensure_dense_width(width);
+            let acc = &mut DenseAcc(&mut scratch.dense, &mut scratch.touched, s);
+            gustavson(a, rows, &mut probe, acc, s, range, ep)
+        }
+    };
+    scratch.slots = probe.slot;
+    out
+}
+
+/// The row loop every product runs: for each row of `A` in `range`, fold
+/// `A(i,k) ⊗ B(k,j)` wherever the probe places it, then drain the row —
+/// semiring zeros dropped *before* `ep` runs, so `ep` only ever sees
+/// values the two-pass path would store. Returns the rows, the ⊗ count
+/// and the accumulator's kind.
+fn gustavson<T, M, I, S, E, A: RowAcc<T, I>>(
+    a: &Dcsr<T, I>,
+    rows: &BRows<'_, T, I>,
+    probe: &mut MaskProbe<'_, M, I>,
+    acc: &mut A,
+    s: S,
+    range: Range<usize>,
+    ep: &E,
+) -> (Dcsr<T, I>, u64, Accumulator)
+where
+    T: Value,
+    M: Value,
+    I: IndexType,
+    S: Semiring<Value = T>,
+    E: Fn(T) -> Option<T>,
+{
+    let mut out = DcsrBuilder::with_capacity(a.nrows(), rows.b.ncols(), 0);
+    let mut flops = 0u64;
+    for k_row in range {
+        let (i, acols, avals) = a.row_at(k_row);
+        if !probe.enter(i) {
+            continue;
+        }
+        for (&k, aik) in acols.iter().zip(avals) {
+            let (bcols, bvals) = rows.row(k);
+            for (&j, bkj) in bcols.iter().zip(bvals) {
+                if let Some(t) = probe.slot(j) {
+                    flops += 1;
+                    acc.fold(t, s.mul(aik.clone(), bkj.clone()));
+                }
+            }
+        }
+        probe.leave();
+        out.row(i);
+        acc.drain(probe.row, |j, v| {
+            if let Some(w) = Some(v).filter(|v| !s.is_zero(v)).and_then(ep) {
+                out.push(j, w);
+            }
+        });
+    }
+    (out.finish(), flops, A::KIND)
 }
 
 /// Whether a width-proportional accumulator (dense `Vec<Option<T>>` or
 /// the flat scratch) is worth leasing for rows
-/// `start..end`: the column space must be compact (`≤ DENSE_ACC_MAX`)
+/// `range`: the column space must be compact (`≤ DENSE_ACC_MAX`)
 /// **and** the range must carry enough estimated flops both in total
 /// (`width / DENSE_ACC_FLOP_RATIO`) and per row
 /// (`rows · width / DENSE_ACC_ROW_RATIO` — the tall-skinny guard). The
@@ -448,148 +579,27 @@ where
 /// determinism.
 fn dense_acc_pays_off<T: Value, I: IndexType>(
     a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    start: usize,
-    end: usize,
+    rows: &BRows<'_, T, I>,
+    range: Range<usize>,
 ) -> bool {
-    let width = b.ncols();
+    let width = rows.b.ncols();
     if width > DENSE_ACC_MAX {
         return false;
     }
-    let rows = (end - start) as u64;
     let need = (width / DENSE_ACC_FLOP_RATIO)
         .max(1)
-        .max(rows * (width / DENSE_ACC_ROW_RATIO));
+        .max(range.len() as u64 * (width / DENSE_ACC_ROW_RATIO));
     let mut est = 0u64;
-    for k_row in start..end {
+    for k_row in range {
         let (_, acols, _) = a.row_at(k_row);
         for &k in acols {
-            est += b.row(k.to_ix()).0.len() as u64;
+            est += rows.row(k).0.len() as u64;
             if est >= need {
                 return true;
             }
         }
     }
     false
-}
-
-fn multiply_rows_hash_ws<T, I, S, E>(
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    s: S,
-    start: usize,
-    end: usize,
-    scratch: &mut MxmScratch<T>,
-    ep: &E,
-) -> (RowsChunk<T, I>, u64)
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-    E: Fn(T) -> Option<T>,
-{
-    let acc = &mut scratch.hash;
-    let mut out = Vec::new();
-    let mut flops = 0u64;
-    for k_row in start..end {
-        let (i, acols, avals) = a.row_at(k_row);
-        acc.clear();
-        for (&k, aik) in acols.iter().zip(avals) {
-            let (bcols, bvals) = b.row(k.to_ix());
-            for (&j, bkj) in bcols.iter().zip(bvals) {
-                let p = s.mul(aik.clone(), bkj.clone());
-                flops += 1;
-                match acc.entry(j.to_ix()) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        s.add_assign(e.get_mut(), p)
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(p);
-                    }
-                }
-            }
-        }
-        // Order matters: s-zeros are dropped BEFORE the epilogue runs,
-        // so `ep` only ever sees values the two-pass path would store.
-        let mut row: Vec<(I, T)> = acc
-            .drain()
-            .filter_map(|(j, v)| {
-                if s.is_zero(&v) {
-                    None
-                } else {
-                    ep(v).map(|w| (I::from_ix(j), w))
-                }
-            })
-            .collect();
-        if row.is_empty() {
-            continue;
-        }
-        row.sort_by_key(|e| e.0);
-        out.push((i, row));
-    }
-    (out, flops)
-}
-
-fn multiply_rows_dense_ws<T, I, S, E>(
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    s: S,
-    start: usize,
-    end: usize,
-    scratch: &mut MxmScratch<T>,
-    ep: &E,
-) -> (RowsChunk<T, I>, u64)
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-    E: Fn(T) -> Option<T>,
-{
-    let width = b.ncols() as usize;
-    scratch.ensure_dense_width(width);
-    let dense = &mut scratch.dense;
-    let touched = &mut scratch.touched;
-    let mut out = Vec::new();
-    let mut flops = 0u64;
-
-    for k_row in start..end {
-        let (i, acols, avals) = a.row_at(k_row);
-        for (&k, aik) in acols.iter().zip(avals) {
-            let (bcols, bvals) = b.row(k.to_ix());
-            for (&j, bkj) in bcols.iter().zip(bvals) {
-                let p = s.mul(aik.clone(), bkj.clone());
-                flops += 1;
-                match &mut dense[j.as_usize()] {
-                    Some(v) => s.add_assign(v, p),
-                    slot @ None => {
-                        *slot = Some(p);
-                        touched.push(j.to_ix());
-                    }
-                }
-            }
-        }
-        if touched.is_empty() {
-            continue;
-        }
-        touched.sort_unstable();
-        let mut row: Vec<(I, T)> = Vec::with_capacity(touched.len());
-        for &j in touched.iter() {
-            if let Some(v) = dense[j as usize].take() {
-                // Same epilogue contract as the hash path: drop s-zeros
-                // first, then let `ep` transform/prune the survivor.
-                if !s.is_zero(&v) {
-                    if let Some(w) = ep(v) {
-                        row.push((I::from_ix(j), w));
-                    }
-                }
-            }
-        }
-        touched.clear();
-        if !row.is_empty() {
-            out.push((i, row));
-        }
-    }
-    (out, flops)
 }
 
 /// A zero-seeded flat accumulator plus an occupancy bitmap over borrowed
@@ -599,7 +609,8 @@ where
 /// per-product branch); [`FlatAcc::drain`] visits the touched slots in
 /// ascending column order without a sort and returns every slot and
 /// word it consumes to `s.zero()` / `0`, so pooled storage goes back
-/// clean.
+/// clean. Bit-identical to the `Option<T>` path (`tests/hotpath_props.rs`):
+/// only the seed differs (`0 ⊕ p` versus `p`), which the law hides.
 pub(crate) struct FlatAcc<'a, T> {
     flat: &'a mut [T],
     occ: &'a mut [u64],
@@ -650,83 +661,38 @@ impl<'a, T: Value> FlatAcc<'a, T> {
     }
 }
 
-/// Flat-accumulator row multiply for [`Semiring::FLAT_ACC`] semirings.
-/// Products fold in the same visitation order as the `Option<T>` path,
-/// columns drain ascending, and semiring zeros drop before `ep` runs —
-/// so the two are bit-identical (`tests/hotpath_props.rs`). The only
-/// internal divergence is the seed (`0 ⊕ p` versus storing `p`), which
-/// the capability's law makes invisible.
-fn multiply_rows_flat_ws<T, I, S, E>(
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    s: S,
-    start: usize,
-    end: usize,
-    scratch: &mut MxmScratch<T>,
-    ep: &E,
-) -> (RowsChunk<T, I>, u64)
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-    E: Fn(T) -> Option<T>,
-{
-    let width = b.ncols() as usize;
-    scratch.ensure_flat_width(width, s.zero());
-    scratch.ensure_words(width.div_ceil(64));
-    let mut acc = FlatAcc::new(&mut scratch.flat, &mut scratch.words);
-    let mut out = Vec::new();
-    let mut flops = 0u64;
-    for k_row in start..end {
-        let (i, acols, avals) = a.row_at(k_row);
-        for (&k, aik) in acols.iter().zip(avals) {
-            let (bcols, bvals) = b.row(k.to_ix());
-            flops += bcols.len() as u64;
-            for (&j, bkj) in bcols.iter().zip(bvals) {
-                acc.fold(s, j.as_usize(), s.mul(aik.clone(), bkj.clone()));
-            }
-        }
-        let mut row: Vec<(I, T)> = Vec::new();
-        acc.drain(s, |jz, v| {
-            if !s.is_zero(&v) {
-                if let Some(w) = ep(v) {
-                    row.push((I::from_usize(jz), w));
-                }
-            }
-        });
-        if !row.is_empty() {
-            out.push((i, row));
-        }
-    }
-    (out, flops)
-}
-
-/// Hash-accumulator row multiply — `O(flops)` in any column space.
-/// Public for the accumulator ablation bench; use [`mxm_ctx`] otherwise.
+/// Hash-accumulator multiply of `A`'s stored rows `start..end` —
+/// `O(flops)` in any column space. Public for the accumulator ablation
+/// bench; use [`mxm_ctx`] otherwise.
 pub fn multiply_rows_hash_acc<T: Value, I: IndexType, S: Semiring<Value = T>>(
     a: &Dcsr<T, I>,
     b: &Dcsr<T, I>,
     s: S,
     start: usize,
     end: usize,
-) -> RowsChunk<T, I> {
-    let mut scratch = MxmScratch::default();
-    multiply_rows_hash_ws(a, b, s, start, end, &mut scratch, &Some).0
+) -> Dcsr<T, I> {
+    let (rows, mut probe) = (BRows { b, pos: None }, MaskProbe::<T, I>::UNMASKED);
+    let mut map = HashMap::new();
+    let acc = &mut HashAcc(&mut map, Vec::new(), s);
+    gustavson(a, &rows, &mut probe, acc, s, start..end, &Some).0
 }
 
-/// Dense-scratch row multiply — a `Vec<Option<T>>` of width `ncols`,
-/// reset via a touched-columns list so each row costs `O(flops)` too,
-/// with far better constants in compact column spaces. Public for the
-/// accumulator ablation bench; use [`mxm_ctx`] otherwise.
+/// Dense-scratch multiply of `A`'s stored rows `start..end` — a
+/// `Vec<Option<T>>` of width `ncols`, reset via a touched-columns list
+/// so each row costs `O(flops)` too, with far better constants in
+/// compact column spaces. Public for the accumulator ablation bench; use
+/// [`mxm_ctx`] otherwise.
 pub fn multiply_rows_dense_acc<T: Value, I: IndexType, S: Semiring<Value = T>>(
     a: &Dcsr<T, I>,
     b: &Dcsr<T, I>,
     s: S,
     start: usize,
     end: usize,
-) -> RowsChunk<T, I> {
-    let mut scratch = MxmScratch::default();
-    multiply_rows_dense_ws(a, b, s, start, end, &mut scratch, &Some).0
+) -> Dcsr<T, I> {
+    let (rows, mut probe) = (BRows { b, pos: None }, MaskProbe::<T, I>::UNMASKED);
+    let (mut dense, mut touched) = (vec![None; b.ncols() as usize], Vec::new());
+    let acc = &mut DenseAcc(&mut dense, &mut touched, s);
+    gustavson(a, &rows, &mut probe, acc, s, start..end, &Some).0
 }
 
 #[cfg(test)]
@@ -855,8 +821,11 @@ mod tests {
         let a = random_dcsr(64, 64, 400, 41, s);
         let b = random_dcsr(64, 64, 400, 42, s);
         let mut ws = MxmScratch::<f64>::default();
-        let (chunk, _) = multiply_rows_flat_ws(&a, &b, s, 0, a.n_nonempty_rows(), &mut ws, &Some);
-        assert!(!chunk.is_empty());
+        let (rows, n) = (BRows { b: &b, pos: None }, a.n_nonempty_rows());
+        let unmasked = None::<(&Dcsr<f64>, bool)>;
+        let (part, _, acc) = multiply_row_range(&a, &rows, unmasked, s, 0..n, &mut ws, &Some);
+        assert_eq!(acc, Accumulator::Flat);
+        assert!(part.nnz() > 0);
         assert!(ws.words.iter().all(|&w| w == 0), "bitmap left dirty");
         assert!(ws.flat.iter().all(|&v| v == 0.0), "flat acc left dirty");
     }
@@ -1225,5 +1194,29 @@ mod tests {
         assert_eq!(spans.len(), 1, "{spans:?}");
         assert_eq!(spans[0].name, "mxm_masked");
         assert!(spans[0].detail.contains("32×32"), "{:?}", spans[0]);
+    }
+
+    #[test]
+    fn accumulator_counter_names_each_path() {
+        let s = PlusTimes::<f64>::new();
+        let a = random_dcsr(128, 128, 800, 16, s);
+        let b = random_dcsr(128, 128, 800, 17, s);
+        let huge = 1u64 << 50;
+        let mut hyper = Coo::new(huge, huge);
+        hyper.extend([(7, 1 << 40, 2.0), (1 << 40, 123, 3.0)]);
+        let hyper = hyper.build_dcsr(s);
+        let ctx = OpCtx::new().with_threads(1);
+        let count = |acc: Accumulator| ctx.metrics().snapshot().mxm_accumulator_calls[acc as usize];
+        let _ = mxm_ctx(&ctx, &a, &b, s);
+        assert_eq!(count(Accumulator::Flat), 1);
+        let _ = mxm_ctx(&ctx, &a, &b, MinPlus::<f64>::new());
+        assert_eq!(count(Accumulator::Dense), 1);
+        let _ = mxm_ctx(&ctx, &hyper, &hyper, s);
+        assert_eq!(count(Accumulator::Hash), 1);
+        let _ = mxm_masked_ctx(&ctx, &a, &b, &a, false, s);
+        assert_eq!(count(Accumulator::MaskSlot), 1);
+        // A complement mask runs the plain accumulator the input picks.
+        let _ = mxm_masked_ctx(&ctx, &a, &b, &a, true, s);
+        assert_eq!(count(Accumulator::Flat), 2);
     }
 }

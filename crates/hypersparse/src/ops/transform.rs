@@ -11,25 +11,43 @@ use crate::ctx::{par_run, OpCtx};
 use crate::dcsr::{Dcsr, DcsrBuilder};
 use crate::metrics::Kernel;
 use crate::ops::reduce::ROWS_PER_SHARD;
-use crate::radix::radix_sort_by_key;
+use crate::radix::{counting_sort, radix_sort_by_key};
 use crate::Ix;
 
 /// `Aᵀ`: sort the entries by column and emit column-major as new rows.
 /// `a` is row-major already, so a stable sort on the column id alone
-/// leaves each new row's entries in old-row order. `O(nnz)` per varying
-/// column-id byte, without materializing either dimension.
+/// leaves each new row's entries in old-row order: in a compact column
+/// space (`ops::mxm::compact`) one counting pass scattering row ids and
+/// values straight into the output arrays, otherwise the LSD radix sort,
+/// `O(nnz)` per varying column-id byte, materializing neither dimension.
 pub fn transpose_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> Dcsr<T> {
     let _span = ctx.kernel_span(Kernel::Transpose, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
     let start = Instant::now();
-    let mut recs: Vec<(Ix, Ix, &T)> = a.iter().map(|(r, c, v)| (c, r, v)).collect();
-    radix_sort_by_key(&mut recs, &mut Vec::new(), |rec| (0, rec.0));
-    let mut out = DcsrBuilder::with_capacity(a.ncols(), a.nrows(), a.nnz());
-    for (r, c, v) in recs {
-        out.push_entry(r, c, v.clone());
-    }
-    let c = out.finish();
+    let c = match a.iter().next() {
+        Some((_, _, first)) if super::mxm::compact(a.ncols(), a.nnz()) => {
+            let (mut colidx, mut vals) = (vec![0; a.nnz()], vec![first.clone(); a.nnz()]);
+            let bounds = counting_sort(a.ncols() as usize, a.col_ids(), a.iter(), |at, e| {
+                (colidx[at], vals[at]) = (e.0, e.2.clone());
+            });
+            let (mut rows, mut rowptr) = (Vec::new(), vec![0]);
+            for (k, w) in bounds.windows(2).enumerate().filter(|(_, w)| w[1] > w[0]) {
+                rows.push(k as Ix);
+                rowptr.push(w[1]);
+            }
+            Dcsr::from_parts(a.ncols(), a.nrows(), rows, rowptr, colidx, vals)
+        }
+        _ => {
+            let mut recs: Vec<(Ix, Ix, &T)> = a.iter().map(|(r, c, v)| (c, r, v)).collect();
+            radix_sort_by_key(&mut recs, &mut Vec::new(), |rec| (0, rec.0));
+            let mut out = DcsrBuilder::with_capacity(a.ncols(), a.nrows(), a.nnz());
+            for (r, c, v) in recs {
+                out.push_entry(r, c, v.clone());
+            }
+            out.finish()
+        }
+    };
     ctx.metrics().record(
         Kernel::Transpose,
         start.elapsed(),

@@ -71,9 +71,39 @@ pub(crate) fn radix_sort_by_key<R: Copy>(
     }
 }
 
+/// The one-digit case, for keys in a compact space `0..width`: one
+/// stable counting pass. `place(dst, item)` gets each of `items` (keyed
+/// by `keys`, same order) at its sorted position; returns the bounds —
+/// key `k` fills `bounds[k]..bounds[k + 1]`.
+pub(crate) fn counting_sort<P>(
+    width: usize,
+    keys: &[Ix],
+    items: impl Iterator<Item = P>,
+    mut place: impl FnMut(usize, P),
+) -> Vec<usize> {
+    let mut at = vec![0usize; width + 2]; // then at[k + 1]: key k's next slot
+    keys.iter().for_each(|&k| at[k as usize + 2] += 1);
+    (2..at.len()).for_each(|k| at[k] += at[k - 1]);
+    for (&k, item) in keys.iter().zip(items) {
+        place(at[k as usize + 1], item);
+        at[k as usize + 1] += 1;
+    }
+    at.truncate(width + 1);
+    at
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counting_sort_is_stable_and_reports_bounds() {
+        let keys = [3, 0, 3, 1, 0, 3];
+        let mut out = [usize::MAX; 6];
+        let bounds = counting_sort(5, &keys, 0..keys.len(), |dst, i| out[dst] = i);
+        assert_eq!(out, [1, 4, 3, 0, 2, 5]);
+        assert_eq!(bounds, [0, 2, 3, 3, 6, 6]);
+    }
 
     #[test]
     fn sorts_stably_and_skips_constant_bytes() {

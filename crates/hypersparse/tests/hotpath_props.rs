@@ -233,3 +233,133 @@ proptest! {
         }
     }
 }
+
+// ---- kernels that index instead of search ----
+
+/// The same stored entries re-declared in another key space.
+fn respace<T: semiring::traits::Value>(m: &Dcsr<T>, nrows: Ix, ncols: Ix) -> Dcsr<T> {
+    let (_, _, rows, rowptr, colidx, vals) = m.clone().into_parts();
+    Dcsr::from_parts(nrows, ncols, rows, rowptr, colidx, vals)
+}
+
+/// Copies of a draw down the diagonal of a `TILES·N`-square space —
+/// enough non-empty rows (with the `strip`, one entry per row) for the
+/// SpGEMM to shard — with the rows `drop` names left empty.
+const TILES: Ix = 24;
+const BIG: Ix = TILES * N;
+fn tiled<S: Semiring>(
+    t: &Triplets,
+    s: S,
+    cast: impl Fn(i64) -> S::Value,
+    strip: bool,
+    drop: fn(Ix) -> bool,
+) -> Dcsr<S::Value> {
+    let mut c = Coo::new(BIG, BIG);
+    for k in 0..TILES {
+        let block = t
+            .iter()
+            .map(|&(r, col, v)| (r + N * k, col + N * k, cast(v)));
+        c.extend(block.filter(|e| !drop(e.0)));
+    }
+    if strip {
+        c.extend((0..BIG).map(|i| (i, i % N, cast(1))));
+    }
+    c.build_dcsr(s)
+}
+
+/// Masked ≡ unmasked-then-filter ≡ `Plain<S>`, at 1/2/4/8 threads, for
+/// a mask and its complement: with mask rows left empty, `A` columns
+/// whose `B` row is empty, and the same `B` and mask widened past the
+/// compact bound (`2²³` columns: searched mask rows, hash accumulator)
+/// next to the compact originals (scatter slots, mask-slot/flat).
+fn assert_masked_is_filtered<S: Semiring>(
+    s: S,
+    (ta, tb, tm): (&Triplets, &Triplets, &Triplets),
+    cast: impl Fn(i64) -> S::Value + Copy,
+) {
+    let a = tiled(ta, s, cast, true, |_| false);
+    let b = tiled(tb, s, cast, false, |r| r % 4 == 1);
+    let mask = tiled(tm, s, cast, false, |r| r % 3 == 0);
+    let wide = 1 << 23;
+    let (bw, mw) = (respace(&b, BIG, wide), respace(&mask, BIG, wide));
+    let full = ops::mxm_ctx(&OpCtx::new(), &a, &b, s);
+    for complement in [false, true] {
+        let keep = |r, c, _: &S::Value| mask.get(r, c).is_some() != complement;
+        let want = ops::select_ctx(&OpCtx::new(), &full, keep);
+        for threads in [1usize, 2, 4, 8] {
+            let ctx = OpCtx::new().with_threads(threads);
+            let got = ops::mxm_masked_ctx(&ctx, &a, &b, &mask, complement, s);
+            assert!(got == want, "complement={complement} @{threads}");
+            let plain = ops::mxm_masked_ctx(&ctx, &a, &b, &mask, complement, Plain(s));
+            assert!(plain == want, "Plain complement={complement} @{threads}");
+            let searched = ops::mxm_masked_ctx(&ctx, &a, &bw, &mw, complement, s);
+            assert!(
+                respace(&searched, BIG, BIG) == want,
+                "wide complement={complement} @{threads}"
+            );
+        }
+    }
+}
+
+/// `msbfs`'s shape: a few-row frontier against a pattern under the
+/// complement of what each search has visited, over the any-pair
+/// algebra — the masked kernel against the unmasked one filtered.
+fn assert_msbfs_step_is_filtered(ta: &Triplets, tm: &Triplets) {
+    let s = semiring::AnyPair;
+    let pat = tiled(ta, s, |_| 1u8, true, |_| false);
+    let frontier = respace(&tiled(tm, s, |_| 1u8, false, |r| r >= N), N, BIG);
+    let visited = respace(
+        &tiled(tm, s, |_| 1u8, false, |r| r % 2 == 0 || r >= N),
+        N,
+        BIG,
+    );
+    let full = ops::mxm_ctx(&OpCtx::new(), &frontier, &pat, s);
+    let want = ops::select_ctx(&OpCtx::new(), &full, |r, c, _| visited.get(r, c).is_none());
+    for threads in [1usize, 2, 4, 8] {
+        let ctx = OpCtx::new().with_threads(threads);
+        assert_eq!(
+            ops::mxm_masked_ctx(&ctx, &frontier, &pat, &visited, true, s),
+            want
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn masked_products_are_filtered_products(ta in triplets(), tb in triplets(), tm in triplets()) {
+        let t = (&ta[..], &tb[..], &tm[..]);
+        assert_masked_is_filtered(PlusTimes::<f64>::new(), t, |v| v as f64);
+        assert_masked_is_filtered(MinPlus::<f64>::new(), t, |v| v as f64);
+        assert_masked_is_filtered(LorLand, t, |v| v % 3 != 0);
+        assert_msbfs_step_is_filtered(&ta, &tm);
+    }
+
+    /// `B` stored in a 2⁴⁰ row space (its rows found by binary search)
+    /// multiplies exactly like the same entries in the compact space
+    /// (rows found by position), plain, masked and fused-prune.
+    #[test]
+    fn searched_b_rows_equal_indexed_b_rows(ta in triplets(), tb in triplets(), tm in triplets()) {
+        let s = PlusTimes::<f64>::new();
+        let diag: Vec<(Ix, Ix, i64)> = (0..N).map(|i| (i, i, 1)).collect();
+        let a = build_f64(&[&ta[..], &diag].concat());
+        let b = build_f64(&[&tb[..], &diag].concat());
+        let mask = build_f64(&tm);
+        let huge = 1 << 40;
+        let (ah, bh) = (respace(&a, N, huge), respace(&b, huge, N));
+        let ctx = OpCtx::new();
+        prop_assert_eq!(ops::mxm_ctx(&ctx, &ah, &bh, s), ops::mxm_ctx(&ctx, &a, &b, s));
+        for complement in [false, true] {
+            prop_assert_eq!(
+                ops::mxm_masked_ctx(&ctx, &ah, &bh, &mask, complement, s),
+                ops::mxm_masked_ctx(&ctx, &a, &b, &mask, complement, s)
+            );
+        }
+        let relu = FnOp(|x: f64| (x - 3.0).max(0.0));
+        prop_assert_eq!(
+            ops::mxm_apply_prune_ctx(&ctx, &ah, &bh, s, relu, s),
+            ops::mxm_apply_prune_ctx(&ctx, &a, &b, s, relu, s)
+        );
+    }
+}

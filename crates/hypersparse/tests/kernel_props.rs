@@ -618,3 +618,55 @@ fn lorland_pass_through_keeps_an_explicit_false() {
     assert_eq!(word.to_triplets(), want);
     assert_eq!(generic, word);
 }
+
+// ---- transpose: one counting pass in compact column spaces ----
+
+/// The same stored entries re-declared in another key space.
+fn respace<T: semiring::traits::Value>(m: &Dcsr<T>, nrows: Ix, ncols: Ix) -> Dcsr<T> {
+    let (_, _, rows, rowptr, colidx, vals) = m.clone().into_parts();
+    Dcsr::from_parts(nrows, ncols, rows, rowptr, colidx, vals)
+}
+
+/// Past the compact bound (`DENSE_ACC_MAX = 2²²`): transpose radix-sorts.
+const WIDE: Ix = 1 << 23;
+
+proptest! {
+    /// The counting pass (compact column space: the diagonal guarantees
+    /// at least as many entries as columns) ≡ the LSD radix path on the
+    /// same entries widened past the bound ≡ the transpose built through
+    /// `Coo`; and transposing twice is the identity.
+    #[test]
+    fn transpose_counting_pass_equals_radix_and_coo(t in triplets()) {
+        use hypersparse::ops::transpose_ctx;
+        let s = PlusTimes::<i64>::new();
+        let diag: Vec<(Ix, Ix, i64)> = (0..N).map(|i| (i, i, 1)).collect();
+        let ctx = hypersparse::OpCtx::new();
+        for a in [build(&t, s), build(&[&t[..], &diag].concat(), s)] {
+            let counted = transpose_ctx(&ctx, &a);
+            let radix = transpose_ctx(&ctx, &respace(&a, N, WIDE));
+            prop_assert_eq!(respace(&radix, N, N), counted.clone());
+            let mut coo = Coo::new(N, N);
+            coo.extend(a.iter().map(|(r, c, &v)| (c, r, v)));
+            prop_assert_eq!(coo.build_dcsr(s), counted.clone());
+            prop_assert_eq!(transpose_ctx(&ctx, &counted), a);
+        }
+    }
+}
+
+/// `LorLand` values cross a transpose as they stand — an explicit
+/// `false` included — on the counting pass and the radix path alike.
+#[test]
+fn transpose_keeps_an_explicit_false() {
+    let t: Vec<(Ix, Ix, bool)> = (0..N).map(|i| (i, (5 * i + 3) % N, i % 3 != 0)).collect();
+    let mut sorted = t.clone();
+    sorted.sort_by_key(|e| (e.0, e.1));
+    let a = hand_laid(N, N, sorted);
+    let ctx = hypersparse::OpCtx::new();
+    for m in [a.clone(), respace(&a, N, WIDE)] {
+        let at = hypersparse::ops::transpose_ctx(&ctx, &m);
+        assert_eq!(at.nnz(), t.len());
+        for &(r, c, v) in &t {
+            assert_eq!(at.get(c, r), Some(&v), "({r}, {c})");
+        }
+    }
+}

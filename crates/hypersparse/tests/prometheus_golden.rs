@@ -86,6 +86,12 @@ hypersparse_mask_hits_total 0
 # TYPE hypersparse_mxv_direction_calls_total counter
 hypersparse_mxv_direction_calls_total{direction=\"push\"} 0
 hypersparse_mxv_direction_calls_total{direction=\"pull\"} 0
+# HELP hypersparse_mxm_accumulator_calls_total SpGEMM row ranges by the accumulator that ran them.
+# TYPE hypersparse_mxm_accumulator_calls_total counter
+hypersparse_mxm_accumulator_calls_total{acc=\"flat\"} 0
+hypersparse_mxm_accumulator_calls_total{acc=\"dense\"} 0
+hypersparse_mxm_accumulator_calls_total{acc=\"hash\"} 0
+hypersparse_mxm_accumulator_calls_total{acc=\"mask_slot\"} 0
 # HELP hypersparse_workspace_hit_rate Fraction of workspace acquisitions served from the pool.
 # TYPE hypersparse_workspace_hit_rate gauge
 hypersparse_workspace_hit_rate 0.6666666666666666

@@ -144,26 +144,24 @@ fn run_worker<S: Semiring>(
     S::Value: PodValue,
 {
     // Span on the shard's own trace registry; the router's
-    // `trace_report` stitches the per-shard trees together.
+    // `trace_report` stitches the per-shard trees together. The detail
+    // is built only when tracing is on, as `OpCtx::kernel_span` does.
     let trace_ctx = stream.ctx().cloned();
     while let Ok(cmd) = receiver.recv() {
-        let span = |name: &'static str, detail: String| {
-            trace_ctx
-                .as_ref()
-                .map(|ctx| ctx.trace().span(name, || detail))
+        let span = |name: &'static str, detail: &dyn Fn() -> String| {
+            trace_ctx.as_ref().map(|ctx| ctx.trace().span(name, detail))
         };
         match cmd {
             Command::Event(r, c, v) => {
-                let _span = span("shard_merge", format!("shard {index} event"));
+                let _span = span("shard_merge", &|| format!("shard {index} event"));
                 let t = std::time::Instant::now();
                 stream.insert(r, c, v);
                 metrics.record_stage(Stage::ShardMerge, t.elapsed());
             }
             Command::Batch(events) => {
-                let _span = span(
-                    "shard_merge",
-                    format!("shard {index}, {} events", events.len()),
-                );
+                let _span = span("shard_merge", &|| {
+                    format!("shard {index}, {} events", events.len())
+                });
                 let t = std::time::Instant::now();
                 for (r, c, v) in events {
                     stream.insert(r, c, v);
@@ -171,12 +169,12 @@ fn run_worker<S: Semiring>(
                 metrics.record_stage(Stage::ShardMerge, t.elapsed());
             }
             Command::Snapshot { reply } => {
-                let _span = span("shard_fold", format!("shard {index}"));
+                let _span = span("shard_fold", &|| format!("shard {index}"));
                 // Receiver may have given up (timeout); ignore send errors.
                 let _ = reply.send(stream.snapshot());
             }
             Command::SnapshotDelta { reply } => {
-                let _span = span("shard_fold_delta", format!("shard {index}"));
+                let _span = span("shard_fold_delta", &|| format!("shard {index}"));
                 // Delta first: it seals the live levels, after which the
                 // full fold covers exactly the same cut.
                 let delta = stream.delta_snapshot();
@@ -184,7 +182,7 @@ fn run_worker<S: Semiring>(
                 let _ = reply.send((full, delta));
             }
             Command::Rotate { reply } => {
-                let _span = span("shard_rotate", format!("shard {index}"));
+                let _span = span("shard_rotate", &|| format!("shard {index}"));
                 let _ = reply.send(stream.rotate());
             }
             Command::Checkpoint {
@@ -192,10 +190,9 @@ fn run_worker<S: Semiring>(
                 generation,
                 reply,
             } => {
-                let _span = span(
-                    "shard_checkpoint",
-                    format!("shard {index} gen {generation}"),
-                );
+                let _span = span("shard_checkpoint", &|| {
+                    format!("shard {index} gen {generation}")
+                });
                 stream.flush();
                 let bytes = encode_shard(&stream);
                 let meta = write_shard_file(&dir, generation, index, &bytes, stream.inserted());
