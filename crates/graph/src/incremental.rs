@@ -35,6 +35,7 @@
 //! from any prior vector — see [`crate::pagerank::pagerank_refresh`] for
 //! the `Kernel::PageRankRefresh` path these states pair with.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use hypersparse::ops::{
@@ -77,38 +78,60 @@ impl DegreeState {
 
     /// [`DegreeState::apply_delta`] through an explicit execution context.
     pub fn apply_delta_ctx<T: Value>(&mut self, ctx: &OpCtx, delta: &Dcsr<T>) {
+        self.fold(ctx, delta, true);
+    }
+
+    /// Window rotation in one step: what
+    /// [`apply_delta_ctx`](Self::apply_delta_ctx) then
+    /// [`take_degrees`](Self::take_degrees) return, without building the
+    /// pattern `take_degrees` would drop.
+    pub fn close_ctx<T: Value>(
+        &mut self,
+        ctx: &OpCtx,
+        delta: &Dcsr<T>,
+    ) -> (SparseVec<u64>, SparseVec<u64>) {
+        self.fold(ctx, delta, false);
+        self.take_degrees()
+    }
+
+    /// Add the degrees of `delta`'s fresh positions — those the
+    /// accumulated pattern has not seen, the only ones that change a
+    /// distinct-endpoint degree — and, with `keep_pattern`, add them to
+    /// the pattern. While nothing has been seen (the first delta of
+    /// every window) the whole delta is fresh: its degrees become the
+    /// state's, with no lookups against an empty pattern.
+    fn fold<T: Value>(&mut self, ctx: &OpCtx, delta: &Dcsr<T>, keep_pattern: bool) {
         let t = Instant::now();
-        let dpat = delta.pattern(1u64);
-        let (fresh_nnz, fresh_bytes) = if self.pat.nnz() == 0 {
-            // Nothing seen yet (the first delta of every window): every
-            // entry is fresh, so the delta's degrees and pattern are the
-            // state's — no lookups against an empty pattern, no unions.
-            self.fan_out = row_degrees_ctx(ctx, &dpat);
-            self.fan_in = col_degrees_ctx(ctx, &dpat);
-            self.pat = dpat;
-            (self.pat.nnz(), self.pat.bytes())
+        let fresh = if self.pat.nnz() == 0 {
+            self.fan_out = row_degrees_ctx(ctx, delta);
+            self.fan_in = col_degrees_ctx(ctx, delta);
+            Cow::Borrowed(delta)
         } else {
-            // Fresh edges: positions never seen before. Only these
-            // change a distinct-endpoint degree.
             let seen = &self.pat;
-            let fresh = select_ctx(ctx, &dpat, move |r, c, _| seen.get(r, c).is_none());
+            let fresh = select_ctx(ctx, delta, move |r, c, _| seen.get(r, c).is_none());
             if fresh.nnz() > 0 {
-                let dout = row_degrees_ctx(ctx, &fresh);
-                let din = col_degrees_ctx(ctx, &fresh);
-                self.fan_out = self.fan_out.ewise_add(&dout, PlusTimes::<u64>::new());
-                self.fan_in = self.fan_in.ewise_add(&din, PlusTimes::<u64>::new());
-                // Disjoint union — MinFirst's ⊕ is never applied.
-                self.pat = ewise_add_ctx(ctx, &self.pat, &fresh, MinFirst);
+                let plus = PlusTimes::<u64>::new();
+                self.fan_out = self.fan_out.ewise_add(&row_degrees_ctx(ctx, &fresh), plus);
+                self.fan_in = self.fan_in.ewise_add(&col_degrees_ctx(ctx, &fresh), plus);
             }
-            (fresh.nnz(), fresh.bytes())
+            Cow::Owned(fresh)
         };
+        if keep_pattern && fresh.nnz() > 0 {
+            let pat = fresh.pattern(1u64);
+            self.pat = if self.pat.nnz() == 0 {
+                pat
+            } else {
+                // Disjoint union — MinFirst's ⊕ is never applied.
+                ewise_add_ctx(ctx, &self.pat, &pat, MinFirst)
+            };
+        }
         ctx.metrics().record(
             Kernel::DeltaDegree,
             t.elapsed(),
             delta.nnz() as u64,
-            fresh_nnz as u64,
+            fresh.nnz() as u64,
             delta.nnz() as u64,
-            fresh_bytes as u64,
+            fresh.bytes() as u64,
         );
     }
 
@@ -301,6 +324,51 @@ mod tests {
         let snap = ctx.metrics().snapshot();
         assert_eq!(snap.kernel(Kernel::DeltaDegree).calls, 2);
         assert_eq!(snap.kernel(Kernel::DeltaDegree).nnz_out, 2);
+    }
+
+    #[test]
+    fn close_equals_apply_then_take_at_any_thread_count() {
+        let n = 1 << 10;
+        let g = hypersparse::gen::rmat_dcsr(
+            hypersparse::gen::RmatParams {
+                scale: 10,
+                edge_factor: 8,
+                ..Default::default()
+            },
+            13,
+            PlusTimes::<f64>::new(),
+        );
+        let rows = |parity: Ix| select_ctx(&OpCtx::new(), &g, move |r, _, _| r % 2 == parity);
+        let (evens, odds) = (rows(0), rows(1));
+        let empty = Dcsr::<f64>::empty(n, n);
+        // (name, deltas applied first, closing delta)
+        type Case<'a> = (&'a str, &'a [&'a Dcsr<f64>], &'a Dcsr<f64>);
+        let cases: [Case; 6] = [
+            ("empty state", &[], &g),
+            ("empty state, empty delta", &[], &empty),
+            ("prior delta, delta partly seen", &[&evens], &g),
+            ("prior delta, delta all fresh", &[&evens], &odds),
+            ("prior deltas, empty delta", &[&evens, &odds], &empty),
+            ("prior deltas, delta all seen", &[&evens, &odds], &evens),
+        ];
+        for k in [1, 2, 4, 8] {
+            let ctx = OpCtx::new().with_threads(k);
+            for (name, prior, delta) in cases {
+                let mut closed = DegreeState::new(n, n);
+                for d in prior {
+                    closed.apply_delta_ctx(&ctx, d);
+                }
+                let mut applied = closed.clone();
+                let calls = ctx.metrics().snapshot().kernel(Kernel::DeltaDegree).calls;
+                let got = closed.close_ctx(&ctx, delta);
+                let after = ctx.metrics().snapshot().kernel(Kernel::DeltaDegree).calls;
+                assert_eq!(after, calls + 1, "{name}: one DeltaDegree row per close");
+                applied.apply_delta_ctx(&ctx, delta);
+                assert_eq!(got, applied.take_degrees(), "{name} at {k} threads");
+                assert!(closed.fan_out().is_empty() && closed.fan_in().is_empty());
+                assert_eq!(closed.pattern().nnz(), 0, "{name}: the state is left empty");
+            }
+        }
     }
 
     #[test]

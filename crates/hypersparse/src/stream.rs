@@ -41,25 +41,23 @@ use crate::Ix;
 
 /// Tunable hierarchy parameters for a [`StreamingMatrix`].
 ///
-/// `buffer_cap` trades ingest rate against cut latency. A flush sorts
-/// the buffer in place and ⊕-merges it down the hierarchy, so a larger
-/// buffer means fewer, larger merges (each stored entry is re-merged
-/// about `window / buffer_cap` times less often) — but whatever is still
-/// buffered when a snapshot, delta or rotate marker arrives is sorted
-/// on that marker's clock. The cap is a threshold, not a reservation:
-/// buffer and sort scratch grow with use, so a stream that never fills
-/// it never pays for it. `growth` sets how many flushes a level absorbs
-/// before it cascades.
+/// `buffer_cap` is the floor of the flush threshold, which trades
+/// ingest rate against cut latency. A flush sorts the buffer in place
+/// and ⊕-merges it down the hierarchy, so a larger buffer means fewer,
+/// larger merges — but whatever is still buffered when a snapshot,
+/// delta or rotate marker arrives is sorted on that marker's clock. So
+/// the threshold follows the window
+/// ([`StreamingMatrix::flush_threshold`]): a marker sorts at most a
+/// quarter window, about half the work of the fold it runs anyway. The
+/// threshold is not a reservation: buffer and sort scratch grow with
+/// use. `growth` sets how many flushes a level absorbs before it
+/// cascades.
 ///
-/// The defaults (4 096, 8) come from the sweep recorded in
-/// EXPERIMENTS.md, "The ingest floor (PR 24)": every larger buffer
-/// ingests faster on 250 k-event windows (32 768: +33 % events/s, an
-/// eighth of the merge calls) and every one of them closes a
-/// 20 k-event window later, because events a 4 096 buffer had already
-/// folded during ingest are still unsorted at the marker. A deployment
-/// that closes large windows rarely should raise `buffer_cap` through
-/// its `PipelineConfig::with_stream`; 32 768 is the largest whose sort
-/// working set (72 B per buffered event) stays inside a 4 MiB L2.
+/// The defaults (4 096, 8) come from the sweeps in EXPERIMENTS.md, "The
+/// ingest floor" and "The buffer follows the window".
+/// Their ceiling, `level_cap(0)` = 32 768, is the largest buffer whose
+/// sort working set (72 B per buffered event) stays inside a 4 MiB L2;
+/// large windows reach it without raising `buffer_cap`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct StreamConfig {
     /// Capacity of the level-0 insert buffer (events held unsorted
@@ -119,8 +117,10 @@ pub struct StreamingMatrix<S: Semiring> {
     s: S,
     config: StreamConfig,
     buffer: Vec<(Ix, Ix, S::Value)>,
+    /// See [`StreamingMatrix::flush_threshold`].
+    flush_at: usize,
     /// The flush sort's record buffers, kept so a flush allocates only
-    /// its output. Like `buffer` they grow with use, up to `buffer_cap`.
+    /// its output. Like `buffer` they grow with use, up to `flush_at`.
     scratch: SortScratch,
     levels: Vec<Option<Dcsr<S::Value>>>,
     /// Pre-watermark hierarchy: entries already returned by a
@@ -130,6 +130,9 @@ pub struct StreamingMatrix<S: Semiring> {
     inserted: u64,
     /// Value of `inserted` when the watermark last advanced.
     watermark: u64,
+    /// Value of `inserted` when the window opened (construction, restore
+    /// or the last `reset`).
+    window_start: u64,
     ctx: Option<Arc<OpCtx>>,
 }
 
@@ -150,11 +153,13 @@ impl<S: Semiring> StreamingMatrix<S> {
             s,
             config,
             buffer: Vec::new(),
+            flush_at: config.buffer_cap,
             scratch: SortScratch::default(),
             levels: Vec::new(),
             sealed: Vec::new(),
             inserted: 0,
             watermark: 0,
+            window_start: 0,
             ctx: None,
         }
     }
@@ -165,7 +170,11 @@ impl<S: Semiring> StreamingMatrix<S> {
     /// persisting a stream flush it first ([`StreamingMatrix::flush`]).
     /// This is the restore half of checkpointing: a stream rebuilt from
     /// its own [`StreamingMatrix::level_slots`] is observationally
-    /// identical to the original, including future cascade behaviour.
+    /// identical to the original, including future cascade behaviour up
+    /// to its first rotation: the restored window is measured from the
+    /// restore, so it flushes at `buffer_cap` until then. That moves
+    /// only how events are grouped into ⊕-merges, which under an exact
+    /// ⊕ (integer counts, min, max) cannot change a value's bits.
     ///
     /// Panics if a layer's dimensions disagree with the key space.
     pub fn from_levels(
@@ -190,6 +199,7 @@ impl<S: Semiring> StreamingMatrix<S> {
         // first post-restore delta covers everything, so standing views
         // rebuild from a full snapshot rather than a bogus partial Δ.
         stream.watermark = inserted;
+        stream.window_start = inserted;
         stream
     }
 
@@ -257,7 +267,7 @@ impl<S: Semiring> StreamingMatrix<S> {
         assert!(row < self.nrows && col < self.ncols, "key outside space");
         self.buffer.push((row, col, val));
         self.inserted += 1;
-        if self.buffer.len() >= self.config.buffer_cap {
+        if self.buffer.len() >= self.flush_at {
             self.flush_buffer();
         }
     }
@@ -291,13 +301,26 @@ impl<S: Semiring> StreamingMatrix<S> {
         self.buffer.len()
     }
 
+    /// Buffered events at which an insert flushes: `buffer_cap` until the
+    /// first [`reset`](StreamingMatrix::reset), then a quarter of the
+    /// window it closed, clamped to `[buffer_cap, level_cap(0)]` — never
+    /// a function of timing, so neither is a float ⊕'s fold order.
+    pub fn flush_threshold(&self) -> usize {
+        self.flush_at
+    }
+
     /// Drop every stored entry — insert buffer and all hierarchy levels —
     /// returning the stream to empty while keeping its dimensions,
     /// configuration, context, and lifetime [`StreamingMatrix::inserted`]
     /// counter. This is the window-rotation primitive: snapshot the
     /// closing window, then `reset` so subsequent inserts land in a fresh
-    /// window without reallocating the stream.
+    /// window without reallocating the stream. The closing window's size
+    /// sets the next [`flush_threshold`](StreamingMatrix::flush_threshold).
     pub fn reset(&mut self) {
+        let quarter =
+            usize::try_from((self.inserted - self.window_start) / 4).unwrap_or(usize::MAX);
+        self.flush_at = quarter.clamp(self.config.buffer_cap, self.config.level_cap(0));
+        self.window_start = self.inserted;
         self.buffer.clear();
         self.levels.clear();
         self.sealed.clear();
@@ -685,6 +708,61 @@ mod tests {
         let snap = stream.snapshot();
         assert_eq!(snap.nnz(), 100);
         assert_eq!(snap.n_nonempty_rows(), 7);
+    }
+
+    #[test]
+    fn flush_threshold_is_a_clamped_quarter_of_the_last_window() {
+        let s = PlusTimes::<u64>::new();
+        let cfg = StreamConfig::new().with_buffer_cap(16).with_growth(4);
+        let (floor, ceiling) = (cfg.buffer_cap, cfg.level_cap(0));
+        let mut stream = StreamingMatrix::with_config(1 << 20, 1 << 20, s, cfg);
+        assert_eq!(stream.flush_threshold(), floor);
+        // Below the floor, between the bounds, at and above the ceiling,
+        // and back down again.
+        for n in [0u64, 7, 64, 65, 100, 255, 256, 257, 1000, 40] {
+            for i in 0..n {
+                stream.insert(i % 97, i % 89, 1);
+            }
+            stream.rotate();
+            let want = (n as usize / 4).clamp(floor, ceiling);
+            assert_eq!(stream.flush_threshold(), want, "after a {n}-event window");
+        }
+        // A delta cut inside the window does not restart its count.
+        for i in 0..200u64 {
+            stream.insert(i, i, 1);
+            if i % 50 == 0 {
+                stream.delta_snapshot();
+            }
+        }
+        stream.reset();
+        assert_eq!(stream.flush_threshold(), 50);
+    }
+
+    #[test]
+    fn a_stream_that_never_rotated_flushes_at_buffer_cap() {
+        let s = PlusTimes::<u64>::new();
+        let cfg = StreamConfig::new().with_buffer_cap(32).with_growth(2);
+        let mut stream = StreamingMatrix::with_config(1 << 20, 1 << 20, s, cfg);
+        for i in 0..1000u64 {
+            stream.insert(i, i % 7, 1);
+            assert_eq!(stream.buffered(), (i as usize + 1) % 32, "after insert {i}");
+            assert_eq!(stream.flush_threshold(), 32);
+        }
+        // Snapshots and delta cuts do not move the threshold either.
+        stream.snapshot();
+        stream.delta_snapshot();
+        assert_eq!(stream.flush_threshold(), 32);
+        // Nor does a restore: its first window is measured from it.
+        stream.flush();
+        let levels = stream.level_slots().to_vec();
+        let mut restored =
+            StreamingMatrix::from_levels(1 << 20, 1 << 20, s, cfg, levels, stream.inserted());
+        assert_eq!(restored.flush_threshold(), 32);
+        for i in 0..200u64 {
+            restored.insert(i, i, 1);
+        }
+        restored.reset();
+        assert_eq!(restored.flush_threshold(), 50);
     }
 
     #[test]

@@ -266,3 +266,116 @@ proptest! {
         prop_assert_eq!(got, cells.into_iter().collect::<Vec<_>>());
     }
 }
+
+/// Buffer 4, growth 8: the adapted flush threshold ranges over 4 … 32.
+fn window_config() -> StreamConfig {
+    StreamConfig::new().with_buffer_cap(4).with_growth(8)
+}
+
+/// A few windows of 1 … 10 · `level_cap(0)` events each.
+fn windows() -> impl Strategy<Value = Vec<Vec<(Ix, Ix, i64)>>> {
+    let events = proptest::collection::vec((0..40u64, 0..40u64, 1i64..8), 1..321);
+    proptest::collection::vec(events, 1..6)
+}
+
+/// Rotate `m` through `windows`: each window must flush exactly every
+/// `flush_threshold()` inserts, close to the flat build of its own
+/// events, and leave the threshold at its clamped quarter.
+fn rotate_windows<S: Semiring>(
+    m: &mut StreamingMatrix<S>,
+    windows: &[Vec<(Ix, Ix, S::Value)>],
+    s: S,
+) -> Result<(), String>
+where
+    S::Value: PartialEq,
+{
+    let config = m.config();
+    for (w, window) in windows.iter().enumerate() {
+        let at = m.flush_threshold();
+        for (i, (r, c, v)) in window.iter().cloned().enumerate() {
+            m.insert(r, c, v);
+            prop_assert_eq!(m.buffered(), (i + 1) % at, "window {}, insert {}", w, i);
+        }
+        let (closing, _) = m.rotate();
+        let mut flat = Coo::new(N, N);
+        flat.extend(window.iter().cloned());
+        prop_assert_eq!(&closing, &flat.build_dcsr(s), "window {}", w);
+        let want = (window.len() / 4).clamp(config.buffer_cap, config.level_cap(0));
+        prop_assert_eq!(m.flush_threshold(), want, "after window {}", w);
+    }
+    Ok(())
+}
+
+/// `(row, col, value)` triples as comparable bits.
+fn bits(m: &Dcsr<f64>) -> Vec<(Ix, Ix, u64)> {
+    m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect()
+}
+
+proptest! {
+    /// The threshold a window leaves behind never changes what the next
+    /// window holds: under exact ⊕ every rotated window is the flat COO
+    /// build of its own events.
+    #[test]
+    fn rotations_of_any_window_size_match_flat_build_per_window(ws in windows()) {
+        let counts: Vec<Vec<(Ix, Ix, u64)>> = ws
+            .iter()
+            .map(|w| w.iter().map(|&(r, c, v)| (r, c, v as u64)).collect())
+            .collect();
+        let s = PlusTimes::<u64>::new();
+        rotate_windows(&mut StreamingMatrix::with_config(N, N, s, window_config()), &counts, s)?;
+        let s = MinPlus::<i64>::new();
+        rotate_windows(&mut StreamingMatrix::with_config(N, N, s, window_config()), &ws, s)?;
+    }
+
+    /// Order-sensitive `PlusTimes<f64>` (1e16 + 1 − 1e16 is 0 or 1): when
+    /// each cell's events fall inside one flush of the adapted threshold
+    /// — row `i / flush_threshold()` for the window's `i`-th event — the
+    /// rotated window carries the flat build's bits. A flush anywhere
+    /// else would split a cell's fold and change them.
+    #[test]
+    fn adapted_flushes_fold_order_sensitive_floats_like_the_flat_build(
+        ws in proptest::collection::vec(proptest::collection::vec((0..3u64, 0..3usize), 1..321), 1..6),
+    ) {
+        let s = PlusTimes::<f64>::new();
+        let mut m = StreamingMatrix::with_config(N, N, s, window_config());
+        for w in &ws {
+            let at = m.flush_threshold() as u64;
+            let window: Vec<(Ix, Ix, f64)> = (0u64..)
+                .zip(w)
+                .map(|(i, &(c, v))| (i / at, c, [1e16, 1.0, -1e16][v]))
+                .collect();
+            rotate_windows(&mut m, std::slice::from_ref(&window), s)?;
+        }
+    }
+
+    /// Flush points are a function of the insert and marker sequence
+    /// alone: two streams fed the same inserts, delta cuts and rotations
+    /// — one merging on 4 threads — agree bit for bit on an
+    /// order-sensitive float ⊕ at every rotation and at the end.
+    #[test]
+    fn same_insert_and_rotate_sequence_gives_identical_bits(
+        t in proptest::collection::vec((0..6u64, 0..6u64, 0..3usize, 0..150usize), 0..1200),
+    ) {
+        let s = PlusTimes::<f64>::new();
+        let threaded = std::sync::Arc::new(hypersparse::OpCtx::new().with_threads(4));
+        let mut a = StreamingMatrix::with_config(N, N, s, window_config());
+        let mut b = StreamingMatrix::with_config(N, N, s, window_config()).with_ctx(threaded);
+        for &(r, c, v, marker) in &t {
+            for m in [&mut a, &mut b] {
+                m.insert(r, c, [1e16, 1.0, -1e16][v]);
+            }
+            match marker {
+                0 => {
+                    let (ca, da) = a.rotate();
+                    let (cb, db) = b.rotate();
+                    prop_assert_eq!(bits(&ca), bits(&cb));
+                    prop_assert_eq!(da.as_ref().map(bits), db.as_ref().map(bits));
+                    prop_assert_eq!(a.flush_threshold(), b.flush_threshold());
+                }
+                1 => prop_assert_eq!(bits(&a.delta_snapshot()), bits(&b.delta_snapshot())),
+                _ => {}
+            }
+        }
+        prop_assert_eq!(bits(&a.snapshot()), bits(&b.snapshot()));
+    }
+}

@@ -186,11 +186,20 @@ impl StandingView<TrafficSemiring> for StandingDetectors {
     }
 
     fn reset(&self) {
-        // Rotation applied the closing delta (stamping `epoch`) just
-        // before this call: the live degrees are the closed window's.
+        // Called after the closing delta was applied (stamping `epoch`):
+        // the live degrees are the closed window's.
         let mut state = self.lock();
         let (fan_out, fan_in) = state.live.take_degrees();
         state.closed = Some((self.epoch(), fan_out, fan_in));
+    }
+
+    /// Rotation in one step: the closing delta finishes the degrees
+    /// without building the pattern `reset` would drop.
+    fn close(&self, delta: &EpochSnapshot<TrafficSemiring>) {
+        let mut state = self.lock();
+        let (fan_out, fan_in) = state.live.close_ctx(&self.ctx, delta.dcsr());
+        state.closed = Some((delta.epoch(), fan_out, fan_in));
+        self.epoch.store(delta.epoch(), Ordering::Release);
     }
 }
 

@@ -82,6 +82,7 @@ pub struct PipelineMetrics {
     checkpoint_ns: AtomicU64,
     stage_latency: [Histogram; Stage::ALL.len()],
     depth: Vec<AtomicUsize>,
+    flush_threshold: Vec<AtomicUsize>,
 }
 
 impl PipelineMetrics {
@@ -96,6 +97,7 @@ impl PipelineMetrics {
             checkpoint_ns: AtomicU64::new(0),
             stage_latency: std::array::from_fn(|_| Histogram::default()),
             depth: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
+            flush_threshold: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
 
@@ -112,6 +114,11 @@ impl PipelineMetrics {
 
     pub(crate) fn depth_dec(&self, shard: usize) {
         self.depth[shard].fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Set by a shard worker at start-up and after each rotation.
+    pub(crate) fn set_flush_threshold(&self, shard: usize, events: usize) {
+        self.flush_threshold[shard].store(events, Ordering::Relaxed);
     }
 
     pub(crate) fn record_accepted(&self, events: u64) {
@@ -162,6 +169,11 @@ impl PipelineMetrics {
                 .iter()
                 .map(|d| d.load(Ordering::Relaxed))
                 .collect(),
+            flush_thresholds: self
+                .flush_threshold
+                .iter()
+                .map(|t| t.load(Ordering::Relaxed))
+                .collect(),
         }
     }
 }
@@ -189,6 +201,8 @@ pub struct PipelineMetricsSnapshot {
     pub stage_latency: [HistogramSnapshot; Stage::ALL.len()],
     /// Per-shard channel depth gauges at freeze time.
     pub channel_depths: Vec<usize>,
+    /// Per-shard `StreamingMatrix::flush_threshold` gauges.
+    pub flush_thresholds: Vec<usize>,
 }
 
 impl PipelineMetricsSnapshot {
@@ -279,6 +293,15 @@ impl PipelineMetricsSnapshot {
                 .iter()
                 .enumerate()
                 .map(|(shard, depth)| (format!("shard=\"{shard}\""), depth)),
+        );
+        out.family(
+            "pipeline_shard_flush_threshold",
+            "gauge",
+            "Buffered events at which each shard flushes (a quarter of its last window, clamped).",
+            self.flush_thresholds
+                .iter()
+                .enumerate()
+                .map(|(shard, events)| (format!("shard=\"{shard}\""), events)),
         );
         out.histograms(
             "pipeline_stage_latency_seconds",

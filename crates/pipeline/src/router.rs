@@ -267,11 +267,15 @@ where
     /// the cut (monotone across windows), not the per-window count.
     ///
     /// Standing views registered via
-    /// [`Pipeline::register_standing_query`] observe rotation as
-    /// `apply_delta` (the closing window's tail — entries since the last
-    /// marker wave; the closed window itself when no wave cut it)
-    /// followed by `reset`, so every event of the closed window reached
-    /// them exactly once before the state clears.
+    /// [`Pipeline::register_standing_query`] observe rotation as one
+    /// [`StandingView::close`] call carrying the closing delta (the
+    /// closing window's tail — entries since the last marker wave; the
+    /// closed window itself when no wave cut it) — by default
+    /// `apply_delta` followed by `reset` — so every event of the closed
+    /// window reached them exactly once before the state clears.
+    /// Each shard's closing window sets its next flush threshold
+    /// ([`hypersparse::StreamingMatrix::flush_threshold`], exposed as
+    /// the `pipeline_shard_flush_threshold` gauge).
     pub fn rotate(&self) -> Result<EpochSnapshot<S>, PipelineError> {
         let t = Instant::now();
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
@@ -368,8 +372,8 @@ where
 
     /// Register a [`StandingView`] to be maintained incrementally: every
     /// subsequent [`Pipeline::snapshot_incremental`] feeds it the
-    /// epoch's delta, and [`Pipeline::rotate`] feeds it the closing
-    /// delta before calling its `reset`. `name` labels the view's
+    /// epoch's delta, and [`Pipeline::rotate`] hands it the closing
+    /// delta through its `close`. `name` labels the view's
     /// `pipeline_standing_*` metric series.
     pub fn register_standing_query(&self, name: impl Into<String>, view: Arc<dyn StandingView<S>>) {
         self.standing.register(name.into(), view);
@@ -1009,6 +1013,36 @@ mod tests {
         let w3 = p.rotate().unwrap();
         assert_eq!(w3.nnz(), 0);
         assert_eq!(w3.epoch(), 3);
+        p.shutdown().unwrap();
+    }
+
+    #[test]
+    fn flush_threshold_gauge_follows_each_shards_window() {
+        let stream = hypersparse::StreamConfig::new()
+            .with_buffer_cap(32)
+            .with_growth(8);
+        let config = PipelineConfig::new().with_shards(2).with_stream(stream);
+        let p = Pipeline::with_config(1 << 20, 1 << 20, PlusTimes::<f64>::new(), config);
+        assert_eq!(p.metrics_snapshot().flush_thresholds, [32, 32]);
+        // Distinct keys, so a shard's part of the window holds one entry
+        // per event it received.
+        for events in [600u64, 4000, 10] {
+            p.ingest_batch((0..events).map(|i| (i, i, 1.0))).unwrap();
+            let closed = p.rotate().unwrap();
+            let want: Vec<usize> = closed
+                .per_shard_nnz()
+                .iter()
+                .map(|&n| (n / 4).clamp(32, 256))
+                .collect();
+            assert_eq!(
+                p.metrics_snapshot().flush_thresholds,
+                want,
+                "{events} events"
+            );
+        }
+        assert!(p
+            .render_prometheus()
+            .contains("pipeline_shard_flush_threshold{shard=\"1\"} 32"));
         p.shutdown().unwrap();
     }
 

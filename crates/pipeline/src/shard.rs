@@ -5,6 +5,8 @@
 //! whole design deterministic: a shard's contents are a pure function of
 //! the sequence of events *sent to it*, and per-sender FIFO channel
 //! order means that sequence is fixed by the callers, not by scheduling.
+//! So are its flush points (a float ⊕'s fold order follows them): a
+//! rotation sets the threshold from the closing window's event count.
 //!
 //! Snapshots and checkpoints ride the same channel as ingest (marker
 //! messages, Chandy–Lamport style), so a marker cleanly cuts each
@@ -103,6 +105,7 @@ impl<S: Semiring> Shard<S> {
     {
         let ctx = Arc::new(OpCtx::new().with_threads(config.merge_threads));
         let stream = stream.with_ctx(Arc::clone(&ctx));
+        metrics.set_flush_threshold(index, stream.flush_threshold());
         let (sender, receiver) = std::sync::mpsc::sync_channel(config.channel_capacity);
         let handle = std::thread::Builder::new()
             .name(format!("pipeline-shard-{index}"))
@@ -183,7 +186,9 @@ fn run_worker<S: Semiring>(
             }
             Command::Rotate { reply } => {
                 let _span = span("shard_rotate", &|| format!("shard {index}"));
-                let _ = reply.send(stream.rotate());
+                let closed = stream.rotate();
+                metrics.set_flush_threshold(index, stream.flush_threshold());
+                let _ = reply.send(closed);
             }
             Command::Checkpoint {
                 dir,

@@ -16,11 +16,12 @@
 //! kernel expositions.
 //!
 //! Exactly-once contract: every event ingested before a marker wave is
-//! contained in exactly one delta handed to `apply_delta`, and window
-//! rotation delivers the closing delta *before* `reset` — so a view that
-//! ⊕-folds its deltas equals the same computation run from scratch on
-//! the full window, which the `incremental_props` suite proves at 1/2/4
-//! shards.
+//! contained in exactly one delta, handed to `apply_delta` or — for the
+//! wave that rotates the window — through `close`, which absorbs the
+//! closing delta and then drops the state (by default `apply_delta`
+//! then `reset`) — so a view that ⊕-folds its deltas equals the same
+//! computation run from scratch on the full window, which the
+//! `incremental_props` suite proves at 1/2/4 shards.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -47,6 +48,14 @@ pub trait StandingView<S: Semiring>: Send + Sync {
     /// closing delta has already been applied. Subsequent deltas belong
     /// to the fresh window.
     fn reset(&self);
+
+    /// Window rotation, once per rotation in place of that wave's
+    /// `apply_delta`: absorb the closing delta, then drop all state.
+    /// Override it to skip building what `reset` would discard.
+    fn close(&self, delta: &EpochSnapshot<S>) {
+        self.apply_delta(delta);
+        self.reset();
+    }
 }
 
 /// One registered view plus its meters.
@@ -138,27 +147,27 @@ impl<S: Semiring> StandingRegistry<S> {
 
     /// Feed one epoch's delta to every view, metering each application.
     pub(crate) fn apply(&self, delta: &EpochSnapshot<S>) {
-        Self::apply_to(&self.views.lock().unwrap_or_else(|e| e.into_inner()), delta);
+        self.metered(delta, |view| view.apply_delta(delta));
     }
 
-    fn apply_to(views: &[Registered<S>], delta: &EpochSnapshot<S>) {
+    /// Window rotation: hand every view the closing delta through
+    /// [`StandingView::close`], metered as one update. One hold of the
+    /// registration lock covers every view, so no other wave's delta
+    /// can land between a view's last delta and its reset.
+    pub(crate) fn close(&self, delta: &EpochSnapshot<S>) {
+        self.metered(delta, |view| view.close(delta));
+    }
+
+    /// Run `update` on every view under the registration lock, recording
+    /// its latency, `delta`'s epoch and one more update per view.
+    fn metered(&self, delta: &EpochSnapshot<S>, update: impl Fn(&dyn StandingView<S>)) {
+        let views = self.views.lock().unwrap_or_else(|e| e.into_inner());
         for reg in views.iter() {
             let t = Instant::now();
-            reg.view.apply_delta(delta);
+            update(reg.view.as_ref());
             reg.latency.record(t.elapsed());
             reg.epoch.store(delta.epoch(), Ordering::Relaxed);
             reg.updates.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Window rotation: feed every view the closing delta, then reset
-    /// it. One hold of the registration lock covers both, so no other
-    /// wave's delta can land between a view's last delta and its reset.
-    pub(crate) fn close(&self, delta: &EpochSnapshot<S>) {
-        let views = self.views.lock().unwrap_or_else(|e| e.into_inner());
-        Self::apply_to(&views, delta);
-        for reg in views.iter() {
-            reg.view.reset();
         }
     }
 
@@ -239,6 +248,39 @@ mod tests {
         assert!(text.contains("pipeline_standing_updates_total{view=\"nnz\"} 2"));
         assert!(text.contains("pipeline_standing_epoch{view=\"nnz\"} 2"));
         assert!(text.contains("pipeline_standing_update_seconds_bucket{view=\"nnz\""));
+    }
+
+    /// A view that records the calls it receives, in order.
+    #[derive(Default)]
+    struct Recording {
+        calls: Mutex<Vec<(&'static str, u64)>>,
+    }
+
+    impl StandingView<PlusTimes<f64>> for Recording {
+        fn apply_delta(&self, delta: &EpochSnapshot<PlusTimes<f64>>) {
+            self.calls
+                .lock()
+                .unwrap()
+                .push(("apply_delta", delta.epoch()));
+        }
+        fn reset(&self) {
+            self.calls.lock().unwrap().push(("reset", 0));
+        }
+    }
+
+    #[test]
+    fn default_close_is_apply_delta_then_reset_metered_once() {
+        let reg = StandingRegistry::<PlusTimes<f64>>::default();
+        let view = Arc::new(Recording::default());
+        reg.register("rec".into(), Arc::clone(&view) as Arc<dyn StandingView<_>>);
+        reg.close(&delta_of(4, 7));
+        assert_eq!(
+            *view.calls.lock().unwrap(),
+            [("apply_delta", 7), ("reset", 0)]
+        );
+        let stats = reg.stats();
+        assert_eq!((stats[0].updates, stats[0].epoch), (1, 7));
+        assert_eq!(stats[0].latency.count(), 1);
     }
 
     #[test]

@@ -19,6 +19,7 @@ fn service_exposition_is_byte_stable() {
         checkpoints: 1,
         checkpoint_ns: 9_000_000,
         channel_depths: vec![0, 2],
+        flush_thresholds: vec![4096, 31250],
         ..Default::default()
     };
     // Three 5 µs ingests: bucket [4096, 8192) → le = 8192 ns.
@@ -45,6 +46,10 @@ pipeline_checkpoints_total 1
 # TYPE pipeline_channel_depth gauge
 pipeline_channel_depth{shard=\"0\"} 0
 pipeline_channel_depth{shard=\"1\"} 2
+# HELP pipeline_shard_flush_threshold Buffered events at which each shard flushes (a quarter of its last window, clamped).
+# TYPE pipeline_shard_flush_threshold gauge
+pipeline_shard_flush_threshold{shard=\"0\"} 4096
+pipeline_shard_flush_threshold{shard=\"1\"} 31250
 # HELP pipeline_stage_latency_seconds Wall time per pipeline stage execution.
 # TYPE pipeline_stage_latency_seconds histogram
 pipeline_stage_latency_seconds_bucket{stage=\"ingest\",le=\"0.000008192\"} 3
