@@ -31,9 +31,9 @@
 
 use bench::{fmt_dur, quick_time, BenchRecord};
 use hypersparse::gen::{random_dcsr, rmat_dcsr, RmatParams};
-use hypersparse::{ops, Coo, Dcsr, Ix, OpCtx, SparseVec, StreamConfig, StreamingMatrix};
+use hypersparse::{ops, Coo, Dcsr, Direction, Ix, OpCtx, SparseVec, StreamConfig, StreamingMatrix};
 use netflow::gen::{GenConfig, TrafficGen};
-use semiring::{LorLand, Plain, PlusTimes, Semiring, ZeroNorm};
+use semiring::{FnOp, LorLand, MinFirst, Plain, PlusTimes, Semiring, ZeroNorm};
 use std::time::Duration;
 
 fn s() -> PlusTimes<f64> {
@@ -365,6 +365,97 @@ fn main() {
         vec![Row {
             key: "transpose_rmat_ns",
             ns: med(9, || ops::transpose_ctx(&ctx, &r).nnz() as u64),
+        }],
+    );
+
+    // The `kernel_batch` RadiX-Net (1 024 neurons, fan-in 32, bias −0.8,
+    // model seed 0xD17A) on its block batch (1 024 rows, seed 7): the
+    // third layer's fused `relu(Y·W + b)` on the activations the first
+    // two leave, in the `u32` ids `dnn::infer_fused` runs on.
+    let net = dnn::radix_net(
+        dnn::RadixNetParams {
+            n_neurons: 1_024,
+            fanin: 32,
+            depth: 4,
+            bias: -0.8,
+        },
+        0xD17A,
+    );
+    let two = dnn::SparseDnn::new(1_024, net.layers[..2].to_vec(), net.biases[..2].to_vec());
+    let y = dnn::infer_fused(&two, &dnn::input::block_batch(1_024, 1_024, 32, 7));
+    let (y, w, bias) = (
+        y.to_index_width::<u32>().unwrap(),
+        net.layers[2].to_index_width::<u32>().unwrap(),
+        net.biases[2],
+    );
+    let relu = FnOp(move |x: f64| (x + bias).max(0.0));
+    report(
+        &mut rec,
+        "fused DNN layer relu(Y·W + b), kernel_batch RadiX-Net layer 3",
+        vec![Row {
+            key: "mxm_dnn_layer_ns",
+            ns: med(9, || {
+                ops::mxm_apply_prune_ctx(&ctx, &y, &w, s(), relu, s()).nnz() as u64
+            }),
+        }],
+    );
+    // Which drain each shape's flat rows took (DESIGN.md §13): the
+    // density rule the layer's gain rests on, read off a fresh context.
+    let drains = |f: &dyn Fn(&OpCtx)| {
+        let probe = OpCtx::new().with_threads(1);
+        f(&probe);
+        let [scan, bitmap] = probe.metrics().snapshot().mxm_rows;
+        println!("flat rows drained by scan: {scan} of {}", scan + bitmap);
+    };
+    drains(&|c| drop(ops::mxm_apply_prune_ctx(c, &y, &w, s(), relu, s())));
+    drains(&|c| drop(ops::mxm_ctx(c, &a, &b, s())));
+
+    // The largest level a `bfs_parents` from the `kernel_batch` graph's
+    // busiest vertex pulls: MinFirst over its `u64` pattern, the
+    // frontier stamped with its own ids, the visited set as the mask.
+    let pat = graph::pattern_u64(&r);
+    let pat_t = ops::transpose_ctx(&ctx, &pat);
+    let src = (r.iter_rows())
+        .max_by_key(|&(row, cols, _)| (cols.len(), std::cmp::Reverse(row)))
+        .map_or(0, |(row, _, _)| row);
+    let (mut visited, mut front) = (
+        graph::frontier::Visited::with_seed(src),
+        SparseVec::from_entries(pat.nrows(), vec![(src, src + 1)], MinFirst),
+    );
+    let mut largest = None;
+    while !front.is_empty() {
+        if ops::choose_direction(&front, &pat, true) == Direction::Pull
+            && largest
+                .as_ref()
+                .is_none_or(|(f, _): &(SparseVec<u64>, _)| f.nnz() < front.nnz())
+        {
+            largest = Some((front.clone(), visited.clone()));
+        }
+        let next = ops::vxm_opt_ctx(
+            &ctx,
+            &front,
+            &pat,
+            Some(&pat_t),
+            Some(visited.as_slice()),
+            MinFirst,
+        );
+        visited.absorb_sorted(next.indices());
+        front = SparseVec::from_entries(
+            pat.nrows(),
+            next.iter().map(|(v, _)| (v, v + 1)).collect(),
+            MinFirst,
+        );
+    }
+    let (front, visited) = largest.expect("a scale-14 RMAT BFS pulls");
+    report(
+        &mut rec,
+        "masked vxm pull, largest bfs_parents level, RMAT scale 14",
+        vec![Row {
+            key: "vxm_pull_bfs_ns",
+            ns: med(15, || {
+                let mask = Some(visited.as_slice());
+                ops::vxm_opt_ctx(&ctx, &front, &pat, Some(&pat_t), mask, MinFirst).nnz() as u64
+            }),
         }],
     );
 

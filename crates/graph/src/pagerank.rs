@@ -8,7 +8,7 @@
 use std::time::Instant;
 
 use hypersparse::ops::mxv::vxm_dense_pull_ctx;
-use hypersparse::ops::{apply_ctx, transpose_ctx};
+use hypersparse::ops::{apply_ctx, topk, transpose_ctx};
 use hypersparse::{with_default_ctx, Dcsr, Ix, Kernel, OpCtx};
 use semiring::{PlusTimes, ZeroNorm};
 
@@ -154,14 +154,14 @@ fn power_iterate(
     (rank, iters)
 }
 
-/// The `k` highest-ranked vertices as `(vertex, rank)`, descending.
+/// The `k` highest-ranked vertices as `(vertex, rank)`, descending, ties
+/// to the lower id and NaN ranks last — the total order of
+/// [`topk::rank`], so a NaN rank cannot panic the sort.
 pub fn top_k(rank: &[f64], k: usize) -> Vec<(Ix, f64)> {
-    let mut idx: Vec<usize> = (0..rank.len()).collect();
-    idx.sort_by(|&a, &b| rank[b].partial_cmp(&rank[a]).unwrap().then(a.cmp(&b)));
-    idx.into_iter()
-        .take(k)
-        .map(|v| (v as Ix, rank[v]))
-        .collect()
+    let mut ranked: Vec<(Ix, f64)> = (0..).zip(rank.iter().copied()).collect();
+    ranked.sort_by(topk::rank);
+    ranked.truncate(k);
+    ranked
 }
 
 #[cfg(test)]
@@ -193,6 +193,16 @@ mod tests {
         let r = pagerank(&g, PageRankOpts::default());
         let top = top_k(&r, 1)[0].0;
         assert_eq!(top, 3);
+    }
+
+    #[test]
+    fn top_k_ranks_nan_last_instead_of_panicking() {
+        let r = [0.2, f64::NAN, 0.5, 0.2, f64::NAN];
+        let top = top_k(&r, 4);
+        assert_eq!(&top[..3], &[(2, 0.5), (0, 0.2), (3, 0.2)]);
+        assert_eq!(top[3].0, 1);
+        assert!(top[3].1.is_nan());
+        assert_eq!(top_k(&r, 9).len(), 5);
     }
 
     #[test]

@@ -61,6 +61,12 @@ pub struct MxmScratch<T> {
     /// debug builds at lease time), as are the mask scatter `slots`.
     pub words: Vec<u64>,
     pub(crate) slots: Vec<u32>,
+    /// Compaction buffers of a flat row drained by one scan of its span
+    /// (DESIGN.md §13): every slot's column and value are written, and
+    /// the write position advances by whether it is kept. Grown to the
+    /// widest span scanned; their contents mean nothing between rows.
+    pub(crate) scan_cols: Vec<u32>,
+    pub(crate) scan_vals: Vec<T>,
 }
 
 impl<T> Default for MxmScratch<T> {
@@ -73,6 +79,8 @@ impl<T> Default for MxmScratch<T> {
             flat_rest: None,
             words: Vec::new(),
             slots: Vec::new(),
+            scan_cols: Vec::new(),
+            scan_vals: Vec::new(),
         }
     }
 }
@@ -119,7 +127,8 @@ impl<T: Clone + PartialEq> MxmScratch<T> {
 }
 
 /// Type-erased pools of [`MxmScratch`] buffers, keyed by value type,
-/// plus the SpGEMM driver's row-position index (all-zero while parked).
+/// plus the position index of [`OpCtx::with_row_index`] (all-zero while
+/// parked).
 #[derive(Debug, Default)]
 struct Workspace {
     pools: HashMap<TypeId, Vec<Box<dyn Any + Send>>>,
@@ -257,15 +266,29 @@ impl OpCtx {
         }
     }
 
-    /// Lend `f` the pooled row-position index (`len` slots or more, all
-    /// `0`, which `f` leaves `0`), out of the arena for the call.
-    pub(crate) fn with_row_index<R>(&self, len: usize, f: impl FnOnce(&mut [u32]) -> R) -> R {
+    /// Lend `f` the pooled position index over a `len`-wide id space:
+    /// `pos[ids[q]] = q + 1` for each of the (distinct, `< len`) `ids`,
+    /// `0` everywhere else — B's stored rows for SpGEMM, a frontier's
+    /// entries for the vxm pull. Out of the arena for the call; walking
+    /// `ids` again puts it back at rest (all `0`).
+    pub(crate) fn with_row_index<R>(
+        &self,
+        len: usize,
+        ids: impl Iterator<Item = usize> + Clone,
+        f: impl FnOnce(&[u32]) -> R,
+    ) -> R {
         let ws = || self.workspace.lock().expect("workspace mutex");
         let mut index = std::mem::take(&mut ws().row_index);
         if index.len() < len {
             index = vec![0; len];
         }
-        let out = f(&mut index);
+        for (q, i) in ids.clone().enumerate() {
+            index[i] = q as u32 + 1;
+        }
+        let out = f(&index);
+        for i in ids {
+            index[i] = 0;
+        }
         ws().row_index = index;
         out
     }

@@ -313,6 +313,14 @@ impl<T: Value, I: IndexType> DcsrBuilder<T, I> {
         self.vals.extend_from_slice(vals);
     }
 
+    /// Append a run of entries to the open row whose column ids a kernel
+    /// over a compact column space kept as `u32`.
+    pub(crate) fn extend_compact(&mut self, cols: &[u32], vals: &[T]) {
+        self.colidx
+            .extend(cols.iter().map(|&c| I::from_usize(c as usize)));
+        self.vals.extend_from_slice(vals);
+    }
+
     /// Append stored rows `lo..hi` of `src` as they stand — the rows one
     /// operand of a merge holds alone — as four slice copies.
     pub(crate) fn extend_rows(&mut self, src: &Dcsr<T, I>, lo: usize, hi: usize) {

@@ -168,6 +168,11 @@ pub enum Accumulator {
 /// [`Accumulator`] label values, in discriminant order.
 const ACC: [&str; 4] = ["flat", "dense", "hash", "mask_slot"];
 
+/// How a flat-accumulator SpGEMM row drained, in
+/// [`MetricsSnapshot::mxm_rows`] order: one scan of its column span, or
+/// through the occupancy bitmap.
+const DRAIN: [&str; 2] = ["scan", "bitmap"];
+
 /// Live counters for one kernel.
 #[derive(Debug, Default)]
 pub struct KernelStats {
@@ -271,6 +276,7 @@ pub struct MetricsRegistry {
     mask_probes: AtomicU64,
     mask_hits: AtomicU64,
     mxm_acc: [AtomicU64; ACC.len()],
+    mxm_rows: [AtomicU64; DRAIN.len()],
 }
 
 impl MetricsRegistry {
@@ -327,6 +333,14 @@ impl MetricsRegistry {
         self.mxm_acc[acc as usize].fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Count one SpGEMM row range's flat rows, `[by scan, through the
+    /// bitmap]`.
+    pub(crate) fn record_mxm_rows(&self, rows: [u64; 2]) {
+        for (c, n) in self.mxm_rows.iter().zip(rows) {
+            c.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
     /// Freeze every counter into an owned snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -342,6 +356,7 @@ impl MetricsRegistry {
             mask_probes: self.mask_probes.load(Ordering::Relaxed),
             mask_hits: self.mask_hits.load(Ordering::Relaxed),
             mxm_accumulator_calls: self.mxm_acc.each_ref().map(|c| c.load(Ordering::Relaxed)),
+            mxm_rows: self.mxm_rows.each_ref().map(|c| c.load(Ordering::Relaxed)),
         }
     }
 
@@ -359,6 +374,7 @@ impl MetricsRegistry {
         self.mask_hits.store(0, Ordering::Relaxed);
         self.mxm_acc
             .iter()
+            .chain(&self.mxm_rows)
             .for_each(|c| c.store(0, Ordering::Relaxed));
     }
 }
@@ -385,6 +401,9 @@ pub struct MetricsSnapshot {
     /// SpGEMM row ranges by the accumulator that ran them, indexed by
     /// [`Accumulator`].
     pub mxm_accumulator_calls: [u64; 4],
+    /// Flat-accumulator SpGEMM rows by how they drained: `[scan,
+    /// bitmap]` (DESIGN.md §13).
+    pub mxm_rows: [u64; 2],
 }
 
 impl MetricsSnapshot {
@@ -409,6 +428,9 @@ impl MetricsSnapshot {
         self.mask_hits += other.mask_hits;
         for (k, n) in other.mxm_accumulator_calls.into_iter().enumerate() {
             self.mxm_accumulator_calls[k] += n;
+        }
+        for (k, n) in other.mxm_rows.into_iter().enumerate() {
+            self.mxm_rows[k] += n;
         }
     }
 
@@ -578,6 +600,15 @@ impl MetricsSnapshot {
             "SpGEMM row ranges by the accumulator that ran them.",
             acc.into_iter().zip(self.mxm_accumulator_calls),
         );
+        out.family(
+            "hypersparse_mxm_rows_total",
+            "counter",
+            "Flat-accumulator SpGEMM rows by how they drained.",
+            DRAIN
+                .map(|d| format!("drain=\"{d}\""))
+                .into_iter()
+                .zip(self.mxm_rows),
+        );
         for (name, help, v) in [
             (
                 "hypersparse_workspace_hit_rate",
@@ -697,6 +728,7 @@ mod tests {
             mask_probes: 13 * m,
             mask_hits: 17 * m,
             mxm_accumulator_calls: [19 * m, 23 * m, 29 * m, 31 * m],
+            mxm_rows: [37 * m, 41 * m],
         };
         let expected = snap(3, hist(&[10, 20]));
         let mut merged = snap(1, hist(&[10]));

@@ -11,8 +11,11 @@
 //! * **flat scratch** — for a semiring that declares
 //!   [`Semiring::FLAT_ACC`] the dense path is a zero-seeded `Vec<T>`
 //!   folded unconditionally (`slot = slot ⊕ p`, no `Option`
-//!   discriminant) plus an occupancy bitmap drained word-at-a-time;
-//!   bit-identical to the `Option<T>` path (DESIGN.md §13).
+//!   discriminant). An unmasked row whose ⊗ count is at least half its
+//!   column span folds without an occupancy bitmap and drains by one
+//!   scan of that span; sparser rows keep the bitmap, drained
+//!   word-at-a-time. Both are bit-identical to the `Option<T>` path
+//!   (DESIGN.md §13).
 //! * **mask slots** — one per entry of a structural mask's row, drained
 //!   in mask order (no hash, no sort); a complement mask filters instead.
 //!
@@ -79,6 +82,13 @@ const DENSE_ACC_FLOP_RATIO: u64 = 8;
 /// width-proportional drain per row; they now stay on the hash path.
 const DENSE_ACC_ROW_RATIO: u64 = 4096;
 
+/// An unmasked flat row whose ⊗ count is at least `1 / SCAN_DENSITY` of
+/// its column span folds without the occupancy bitmap and drains by one
+/// scan of the span (both numbers read off B's rows before folding): the
+/// scan then visits at most two slots per product, and every product
+/// saves the bitmap's read-modify-write.
+const SCAN_DENSITY: u64 = 2;
+
 /// Below this many non-empty rows of `A`, sharding is never worth it.
 const PAR_MIN_ROWS: usize = 512;
 
@@ -124,7 +134,13 @@ pub fn mxm_ctx<T: Value, I: IndexType, S: Semiring<Value = T>>(
     b: &Dcsr<T, I>,
     s: S,
 ) -> Dcsr<T, I> {
-    spgemm(ctx, "mxm", a, b, None::<(&Dcsr<T, I>, bool)>, s, &Some)
+    spgemm(ctx, "mxm", a, b, None::<(&Dcsr<T, I>, bool)>, s, &keep)
+}
+
+/// The epilogue of a product that has none: every non-zero sum is
+/// stored as it stands.
+fn keep<T>(v: T) -> (T, bool) {
+    (v, true)
 }
 
 /// Fused SpGEMM + prune: `C = prune(op(A ⊕.⊗ B))` in one pass, with no
@@ -156,7 +172,11 @@ where
     SD: Semiring<Value = T>,
     O: UnaryOp<T, T>,
 {
-    let ep = move |v: T| Some(op.apply(v)).filter(|w| !drop.is_zero(w));
+    let ep = move |v: T| {
+        let w = op.apply(v);
+        let keep = !drop.is_zero(&w);
+        (w, keep)
+    };
     spgemm(
         ctx,
         "mxm_apply_prune",
@@ -182,12 +202,15 @@ pub fn mxm_masked_ctx<T: Value, M: Value, I: IndexType, S: Semiring<Value = T>>(
     complement: bool,
     s: S,
 ) -> Dcsr<T, I> {
-    spgemm(ctx, "mxm_masked", a, b, Some((mask, complement)), s, &Some)
+    spgemm(ctx, "mxm_masked", a, b, Some((mask, complement)), s, &keep)
 }
 
 /// The one SpGEMM driver: check, span, B-row locator, shard plan, lease,
 /// assemble, metrics. A `(mask, complement)` makes it [`Kernel::MxmMasked`];
-/// `ep` is the drain-time epilogue (`&Some` when there is none).
+/// `ep` is the drain-time epilogue (`&keep` when there is none), mapping
+/// a non-zero sum to the value to store and whether to store it. It
+/// returns a flag rather than an `Option` so a scanned row can write every
+/// candidate and advance by the flag, with no branch around the write.
 fn spgemm<T, M, I, S, E>(
     ctx: &OpCtx,
     op: &'static str,
@@ -202,7 +225,7 @@ where
     M: Value,
     I: IndexType,
     S: Semiring<Value = T>,
-    E: Fn(T) -> Option<T> + Sync,
+    E: Fn(T) -> (T, bool) + Sync,
 {
     match mask {
         Some((m, _)) => check_mxm_masked(a.shape(), b.shape(), m.shape()),
@@ -220,8 +243,10 @@ where
     let (c, flops) = with_locator(ctx, b, compact(b.nrows(), nnz), |rows| {
         let run = |range: Range<usize>| {
             let mut lease = ctx.lease_mxm_scratch::<T>();
-            let (part, flops, acc) = multiply_row_range(a, rows, mask, s, range, lease.get(), ep);
+            let (part, flops, acc, drains) =
+                multiply_row_range(a, rows, mask, s, range, lease.get(), ep);
             ctx.metrics().record_accumulator(acc);
+            ctx.metrics().record_mxm_rows(drains);
             (part, flops)
         };
         let (nrows_ne, threads) = (a.n_nonempty_rows(), ctx.threads());
@@ -285,7 +310,7 @@ impl<'a, T: Value, I: IndexType> BRows<'a, T, I> {
 }
 
 /// Run `f` with B's row locator — `indexed` on the context's pooled
-/// position array (at rest all zero, cleared by walking B's row ids),
+/// position index ([`OpCtx::with_row_index`] over B's row ids),
 /// searched otherwise.
 fn with_locator<T: Value, I: IndexType, R>(
     ctx: &OpCtx,
@@ -296,15 +321,9 @@ fn with_locator<T: Value, I: IndexType, R>(
     if !indexed {
         return f(&BRows { b, pos: None });
     }
-    ctx.with_row_index(b.nrows() as usize, |pos| {
-        for (k, &r) in b.row_ids().iter().enumerate() {
-            pos[r as usize] = k as u32 + 1;
-        }
-        let out = f(&BRows { b, pos: Some(pos) });
-        for &r in b.row_ids() {
-            pos[r as usize] = 0;
-        }
-        out
+    let ids = b.row_ids().iter().map(|&r| r as usize);
+    ctx.with_row_index(b.nrows() as usize, ids, |pos| {
+        f(&BRows { b, pos: Some(pos) })
     })
 }
 
@@ -370,18 +389,115 @@ impl<'a, M: Value, I: IndexType> MaskProbe<'a, M, I> {
     }
 }
 
+/// Row `i` of `A` against `B` under the open mask probe: the products
+/// every accumulator folds.
+struct Row<'r, T, M, I: IndexType, S> {
+    acols: &'r [I],
+    avals: &'r [T],
+    rows: &'r BRows<'r, T, I>,
+    probe: &'r MaskProbe<'r, M, I>,
+    s: S,
+}
+
+impl<T: Value, M: Value, I: IndexType, S: Semiring<Value = T>> Row<'_, T, M, I, S> {
+    /// Hand `fold` every `A(i,k) ⊗ B(k,j)` with the slot the probe places
+    /// it in, in the one visitation order; the ⊗ count.
+    #[inline(always)]
+    fn fold(&self, mut fold: impl FnMut(Ix, T)) -> u64 {
+        let mut flops = 0u64;
+        for (&k, aik) in self.acols.iter().zip(self.avals) {
+            let (bcols, bvals) = self.rows.row(k);
+            for (&j, bkj) in bcols.iter().zip(bvals) {
+                if let Some(t) = self.probe.slot(j) {
+                    flops += 1;
+                    fold(t, self.s.mul(aik.clone(), bkj.clone()));
+                }
+            }
+        }
+        flops
+    }
+
+    /// The columns `lo..hi` an unmasked row's products land in, when its
+    /// ⊗ count is at least `(hi - lo) / SCAN_DENSITY` — both read off B's
+    /// rows, before any product.
+    fn dense_span(&self) -> Option<Range<usize>> {
+        if self.probe.mask.is_some() {
+            return None;
+        }
+        let (mut flops, mut lo, mut hi) = (0u64, usize::MAX, 0);
+        for &k in self.acols {
+            let (bcols, _) = self.rows.row(k);
+            if let (Some(first), Some(last)) = (bcols.first(), bcols.last()) {
+                flops += bcols.len() as u64;
+                lo = lo.min(first.as_usize());
+                hi = hi.max(last.as_usize() + 1);
+            }
+        }
+        (flops > 0 && flops * SCAN_DENSITY >= (hi - lo) as u64).then_some(lo..hi)
+    }
+}
+
 /// One output row's storage: `fold` ⊕-folds `p` into slot `t`; `drain`
 /// visits `(column, value)` ascending (`mask_row` maps mask slots back to
-/// columns) and leaves the storage at rest.
-trait RowAcc<T, I> {
+/// columns) and leaves the storage at rest; `row` runs one row through
+/// both into `out`.
+trait RowAcc<T: Value, I: IndexType, S: Semiring<Value = T>> {
     const KIND: Accumulator;
     fn fold(&mut self, t: Ix, p: T);
     fn drain(&mut self, mask_row: &[I], visit: impl FnMut(I, T));
+
+    /// Fold row `r` and drain it into `out` through `ep`; its ⊗ count.
+    fn row<M: Value>(
+        &mut self,
+        r: &Row<'_, T, M, I, S>,
+        out: &mut DcsrBuilder<T, I>,
+        ep: &impl Fn(T) -> (T, bool),
+    ) -> u64
+    where
+        Self: Sized,
+    {
+        fold_then_drain(self, r, out, ep)
+    }
+
+    /// Flat rows drained `[by scan, through the bitmap]`.
+    fn drains(&self) -> [u64; 2] {
+        [0, 0]
+    }
+}
+
+/// Every product through [`RowAcc::fold`], every sum through
+/// [`RowAcc::drain`] into `out` unless it is a semiring zero or the
+/// epilogue drops it: `ep` never sees a zero, so it only ever maps values
+/// the two-pass path would store.
+#[inline(always)]
+fn fold_then_drain<T, M, I, S, A>(
+    acc: &mut A,
+    r: &Row<'_, T, M, I, S>,
+    out: &mut DcsrBuilder<T, I>,
+    ep: &impl Fn(T) -> (T, bool),
+) -> u64
+where
+    T: Value,
+    M: Value,
+    I: IndexType,
+    S: Semiring<Value = T>,
+    A: RowAcc<T, I, S>,
+{
+    let flops = r.fold(|t, p| acc.fold(t, p));
+    acc.drain(r.probe.row, |j, v| {
+        if !r.s.is_zero(&v) {
+            let (w, keep) = ep(v);
+            if keep {
+                out.push(j, w);
+            }
+        }
+    });
+    flops
 }
 
 struct HashAcc<'a, T, I, S>(&'a mut HashMap<Ix, T>, Vec<(I, T)>, S);
 
-impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I> for HashAcc<'_, T, I, S> {
+impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I, S> for HashAcc<'_, T, I, S> {
     const KIND: Accumulator = Accumulator::Hash;
     fn fold(&mut self, t: Ix, p: T) {
         match self.0.entry(t) {
@@ -401,7 +517,7 @@ impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I> for HashAcc<'_
 
 struct DenseAcc<'a, T, S>(&'a mut [Option<T>], &'a mut Vec<Ix>, S);
 
-impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I> for DenseAcc<'_, T, S> {
+impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I, S> for DenseAcc<'_, T, S> {
     const KIND: Accumulator = Accumulator::Dense;
     fn fold(&mut self, t: Ix, p: T) {
         match &mut self.0[t as usize] {
@@ -420,14 +536,77 @@ impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I> for DenseAcc<'
     }
 }
 
-impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I> for (FlatAcc<'_, T>, S) {
+/// The flat accumulator of an SpGEMM row range: a row that
+/// [`Row::dense_span`] admits folds into the bare slots and drains by
+/// one scan of its span into the compaction buffers `cols`/`vals`; any
+/// other row goes through `acc`'s occupancy bitmap.
+struct FlatRows<'a, T, S> {
+    acc: FlatAcc<'a, T>,
+    cols: &'a mut Vec<u32>,
+    vals: &'a mut Vec<T>,
+    s: S,
+    drains: [u64; 2],
+}
+
+impl<T: Value, S: Semiring<Value = T>> FlatRows<'_, T, S> {
+    /// Drain columns `span` by one scan: every slot goes back to the zero
+    /// and its candidate is written at the compaction position, which
+    /// advances by the candidate's keep flag — no occupancy word, no
+    /// `Option` to unpack, no branch around the write. The one test left
+    /// is the zero check that keeps `ep` to non-zero sums, as
+    /// [`fold_then_drain`]'s contract asks.
+    fn scan<I: IndexType>(
+        &mut self,
+        span: Range<usize>,
+        out: &mut DcsrBuilder<T, I>,
+        ep: &impl Fn(T) -> (T, bool),
+    ) {
+        let (s, len) = (self.s, span.len());
+        if self.cols.len() < len {
+            self.cols.resize(len, 0);
+            self.vals.resize(len, s.zero());
+        }
+        let (cols, vals) = (&mut self.cols[..len], &mut self.vals[..len]);
+        let mut n = 0;
+        for (j, slot) in span.clone().zip(&mut self.acc.flat[span]) {
+            let v = std::mem::replace(slot, s.zero());
+            let (w, keep) = if s.is_zero(&v) { (v, false) } else { ep(v) };
+            // A flat column space is at most DENSE_ACC_MAX wide.
+            cols[n] = j as u32;
+            vals[n] = w;
+            n += usize::from(keep);
+        }
+        out.extend_compact(&cols[..n], &vals[..n]);
+    }
+}
+
+impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I, S> for FlatRows<'_, T, S> {
     const KIND: Accumulator = Accumulator::Flat;
     #[inline(always)]
     fn fold(&mut self, t: Ix, p: T) {
-        self.0.fold(self.1, t as usize, p);
+        self.acc.fold(self.s, t as usize, p);
     }
     fn drain(&mut self, _: &[I], mut visit: impl FnMut(I, T)) {
-        self.0.drain(self.1, |t, v| visit(I::from_usize(t), v));
+        self.acc.drain(self.s, |t, v| visit(I::from_usize(t), v));
+    }
+    fn row<M: Value>(
+        &mut self,
+        r: &Row<'_, T, M, I, S>,
+        out: &mut DcsrBuilder<T, I>,
+        ep: &impl Fn(T) -> (T, bool),
+    ) -> u64 {
+        let Some(span) = r.dense_span() else {
+            self.drains[1] += 1;
+            return fold_then_drain(self, r, out, ep);
+        };
+        self.drains[0] += 1;
+        let (s, flat) = (self.s, &mut *self.acc.flat);
+        let flops = r.fold(|t, p| s.add_assign(&mut flat[t as usize], p));
+        self.scan(span, out, ep);
+        flops
+    }
+    fn drains(&self) -> [u64; 2] {
+        self.drains
     }
 }
 
@@ -436,7 +615,7 @@ impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I> for (FlatAcc<'
 /// `Option<T>` otherwise; drained in mask order.
 struct MaskSlots<'a, T, S>(&'a mut [T], &'a mut [Option<T>], S);
 
-impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I> for MaskSlots<'_, T, S> {
+impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I, S> for MaskSlots<'_, T, S> {
     const KIND: Accumulator = Accumulator::MaskSlot;
     fn fold(&mut self, t: Ix, p: T) {
         match S::FLAT_ACC {
@@ -458,25 +637,25 @@ impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I> for MaskSlots<
     }
 }
 
-/// Rows `range` of `A ⊕.⊗ B` on workspace `scratch`, their ⊗ count and
-/// the accumulator that ran them: mask slots under a structural mask,
-/// else hash vs width-proportional by [`dense_acc_pays_off`] and flat vs
-/// `Option<T>` by [`Semiring::FLAT_ACC`] (resolved at monomorphisation).
-fn multiply_row_range<T, M, I, S, E>(
+/// Rows `range` of `A ⊕.⊗ B` on workspace `scratch`, their ⊗ count,
+/// the accumulator that ran them and its flat rows by drain (see
+/// [`RowAcc::drains`]): mask slots under a structural mask, else hash vs
+/// width-proportional by [`dense_acc_pays_off`] and flat vs `Option<T>`
+/// by [`Semiring::FLAT_ACC`] (resolved at monomorphisation).
+fn multiply_row_range<T, M, I, S>(
     a: &Dcsr<T, I>,
     rows: &BRows<'_, T, I>,
     mask: Option<(&Dcsr<M, I>, bool)>,
     s: S,
     range: Range<usize>,
     scratch: &mut MxmScratch<T>,
-    ep: &E,
-) -> (Dcsr<T, I>, u64, Accumulator)
+    ep: &impl Fn(T) -> (T, bool),
+) -> (Dcsr<T, I>, u64, Accumulator, [u64; 2])
 where
     T: Value,
     M: Value,
     I: IndexType,
     S: Semiring<Value = T>,
-    E: Fn(T) -> Option<T>,
 {
     let width = rows.b.ncols() as usize;
     let nnz = a.nnz() + rows.b.nnz() + mask.map_or(0, |(m, _)| m.nnz());
@@ -505,7 +684,13 @@ where
         _ if S::FLAT_ACC => {
             scratch.ensure_flat_width(width, s.zero());
             scratch.ensure_words(width.div_ceil(64));
-            let acc = &mut (FlatAcc::new(&mut scratch.flat, &mut scratch.words), s);
+            let acc = &mut FlatRows {
+                acc: FlatAcc::new(&mut scratch.flat, &mut scratch.words),
+                cols: &mut scratch.scan_cols,
+                vals: &mut scratch.scan_vals,
+                s,
+                drains: [0, 0],
+            };
             gustavson(a, rows, &mut probe, acc, s, range, ep)
         }
         _ => {
@@ -518,26 +703,25 @@ where
     out
 }
 
-/// The row loop every product runs: for each row of `A` in `range`, fold
-/// `A(i,k) ⊗ B(k,j)` wherever the probe places it, then drain the row —
-/// semiring zeros dropped *before* `ep` runs, so `ep` only ever sees
-/// values the two-pass path would store. Returns the rows, the ⊗ count
-/// and the accumulator's kind.
-fn gustavson<T, M, I, S, E, A: RowAcc<T, I>>(
+/// The row loop every product runs: for each row of `A` in `range`, the
+/// accumulator folds `A(i,k) ⊗ B(k,j)` wherever the probe places it and
+/// drains the row through `ep` ([`RowAcc::row`]). Returns the rows, the
+/// ⊗ count, the accumulator's kind and its flat rows by drain.
+fn gustavson<T, M, I, S, A>(
     a: &Dcsr<T, I>,
     rows: &BRows<'_, T, I>,
     probe: &mut MaskProbe<'_, M, I>,
     acc: &mut A,
     s: S,
     range: Range<usize>,
-    ep: &E,
-) -> (Dcsr<T, I>, u64, Accumulator)
+    ep: &impl Fn(T) -> (T, bool),
+) -> (Dcsr<T, I>, u64, Accumulator, [u64; 2])
 where
     T: Value,
     M: Value,
     I: IndexType,
     S: Semiring<Value = T>,
-    E: Fn(T) -> Option<T>,
+    A: RowAcc<T, I, S>,
 {
     let mut out = DcsrBuilder::with_capacity(a.nrows(), rows.b.ncols(), 0);
     let mut flops = 0u64;
@@ -546,24 +730,18 @@ where
         if !probe.enter(i) {
             continue;
         }
-        for (&k, aik) in acols.iter().zip(avals) {
-            let (bcols, bvals) = rows.row(k);
-            for (&j, bkj) in bcols.iter().zip(bvals) {
-                if let Some(t) = probe.slot(j) {
-                    flops += 1;
-                    acc.fold(t, s.mul(aik.clone(), bkj.clone()));
-                }
-            }
-        }
-        probe.leave();
         out.row(i);
-        acc.drain(probe.row, |j, v| {
-            if let Some(w) = Some(v).filter(|v| !s.is_zero(v)).and_then(ep) {
-                out.push(j, w);
-            }
-        });
+        let r = Row {
+            acols,
+            avals,
+            rows,
+            probe,
+            s,
+        };
+        flops += acc.row(&r, &mut out, ep);
+        probe.leave();
     }
-    (out.finish(), flops, A::KIND)
+    (out.finish(), flops, A::KIND, acc.drains())
 }
 
 /// Whether a width-proportional accumulator (dense `Vec<Option<T>>` or
@@ -674,7 +852,7 @@ pub fn multiply_rows_hash_acc<T: Value, I: IndexType, S: Semiring<Value = T>>(
     let (rows, mut probe) = (BRows { b, pos: None }, MaskProbe::<T, I>::UNMASKED);
     let mut map = HashMap::new();
     let acc = &mut HashAcc(&mut map, Vec::new(), s);
-    gustavson(a, &rows, &mut probe, acc, s, start..end, &Some).0
+    gustavson(a, &rows, &mut probe, acc, s, start..end, &keep).0
 }
 
 /// Dense-scratch multiply of `A`'s stored rows `start..end` — a
@@ -692,7 +870,7 @@ pub fn multiply_rows_dense_acc<T: Value, I: IndexType, S: Semiring<Value = T>>(
     let (rows, mut probe) = (BRows { b, pos: None }, MaskProbe::<T, I>::UNMASKED);
     let (mut dense, mut touched) = (vec![None; b.ncols() as usize], Vec::new());
     let acc = &mut DenseAcc(&mut dense, &mut touched, s);
-    gustavson(a, &rows, &mut probe, acc, s, start..end, &Some).0
+    gustavson(a, &rows, &mut probe, acc, s, start..end, &keep).0
 }
 
 #[cfg(test)]
@@ -823,7 +1001,7 @@ mod tests {
         let mut ws = MxmScratch::<f64>::default();
         let (rows, n) = (BRows { b: &b, pos: None }, a.n_nonempty_rows());
         let unmasked = None::<(&Dcsr<f64>, bool)>;
-        let (part, _, acc) = multiply_row_range(&a, &rows, unmasked, s, 0..n, &mut ws, &Some);
+        let (part, _, acc, _) = multiply_row_range(&a, &rows, unmasked, s, 0..n, &mut ws, &keep);
         assert_eq!(acc, Accumulator::Flat);
         assert!(part.nnz() > 0);
         assert!(ws.words.iter().all(|&w| w == 0), "bitmap left dirty");

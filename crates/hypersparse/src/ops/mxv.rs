@@ -13,6 +13,12 @@
 //!   accumulator loop — push skips masked products, pull skips masked
 //!   *rows wholesale* — instead of materializing the full product and
 //!   filtering (`SparseVec::without`) afterwards.
+//! * **Indexing instead of searching**: over a compact key space
+//!   (`ops::mxm::compact`) pull finds each in-edge's frontier entry
+//!   through the context's pooled position index, and the mask becomes
+//!   one bitmap per call, which both directions probe, whenever the
+//!   sweep's probes pay for building it; wider spaces binary-search the
+//!   sorted frontier and mask.
 //! * **Deterministic parallelism**: push partitions the frontier into
 //!   *fixed-size* segments (independent of thread count) and ⊕-merges
 //!   the segment partials left-to-right; pull shards output rows by
@@ -39,6 +45,7 @@
 //! plus the chosen [`Direction`] and the mask probe/hit counts.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::time::Instant;
 
 use semiring::traits::{Semiring, Value};
@@ -48,7 +55,7 @@ use crate::dcsr::Dcsr;
 use crate::error::OpError;
 use crate::index::IndexType;
 use crate::metrics::{Direction, Kernel};
-use crate::ops::mxm::FlatAcc;
+use crate::ops::mxm::{compact, FlatAcc};
 use crate::vector::SparseVec;
 use crate::Ix;
 
@@ -104,6 +111,42 @@ pub fn choose_direction<T: Value, I: IndexType>(
 
 /// One push segment's partial: `(entries, flops, mask_hits, mask_total)`.
 type PushPartial<T> = (Vec<(Ix, T)>, u64, u64, u64);
+
+/// A complement mask as the sweeps probe it: one bitmap over the output
+/// space, built once per call, or the sorted ids, binary-searched.
+enum Mask<'a> {
+    Bits(Vec<u64>),
+    Sorted(&'a [Ix]),
+}
+
+impl<'a> Mask<'a> {
+    /// The bitmap when the output space is compact and building it (a
+    /// word per 64 ids, a bit per masked id) costs no more than the
+    /// `probes` searches it replaces — a pull sweep's rows, a push
+    /// sweep's expected edges (frontier × mean row length) — so a narrow
+    /// frontier late in a long traversal keeps its few searches instead
+    /// of paying for the whole visited set.
+    fn new(ids: &'a [Ix], dim: Ix, compact: bool, probes: impl FnOnce() -> u64) -> Self {
+        let search = u64::from(usize::BITS - ids.len().leading_zeros());
+        if !compact || probes() * search < ids.len() as u64 + dim / 64 {
+            return Mask::Sorted(ids);
+        }
+        let mut bits = vec![0u64; (dim as usize).div_ceil(64)];
+        // Sorted: ids past the output space mask nothing.
+        for &j in ids.iter().take_while(|&&j| j < dim) {
+            bits[(j >> 6) as usize] |= 1 << (j & 63);
+        }
+        Mask::Bits(bits)
+    }
+
+    #[inline(always)]
+    fn contains(&self, j: Ix) -> bool {
+        match self {
+            Mask::Bits(bits) => bits[(j >> 6) as usize] >> (j & 63) & 1 == 1,
+            Mask::Sorted(ids) => ids.binary_search(&j).is_ok(),
+        }
+    }
+}
 
 /// Flat-accumulator unmasked push segment for [`Semiring::FLAT_ACC`]
 /// semirings. Returns `None` when the gate says the flat accumulator
@@ -163,7 +206,7 @@ where
 fn push_segment<T, I, S>(
     v: &SparseVec<T, I>,
     rows_of: &Dcsr<T, I>,
-    mask: Option<&[Ix]>,
+    mask: Option<&Mask>,
     flip: bool,
     s: S,
     lo: usize,
@@ -189,7 +232,7 @@ where
             let j = j.to_ix();
             if let Some(m) = mask {
                 probes += 1;
-                if m.binary_search(&j).is_ok() {
+                if m.contains(j) {
                     hits += 1;
                     continue;
                 }
@@ -245,7 +288,7 @@ fn run_push<T, I, S>(
     ctx: &OpCtx,
     v: &SparseVec<T, I>,
     rows_of: &Dcsr<T, I>,
-    mask: Option<&[Ix]>,
+    mask: Option<&Mask>,
     flip: bool,
     s: S,
 ) -> PushPartial<T>
@@ -278,17 +321,20 @@ where
     (merged, flops, probes, hits)
 }
 
-/// One pull shard: gather stored rows `[lo, hi)` of `rows_of` against
-/// `v` by two-pointer intersection. Masked rows are skipped wholesale —
-/// the payoff of fusing the complement mask into the pull direction.
+/// One pull shard: gather stored rows `range` of `rows_of` against `v`.
+/// With `pos` (`pos[i] = 1 + i`'s position in `v`, over a compact key
+/// space) each in-edge finds its frontier entry by one load; without, by
+/// search or two-pointer intersection. Masked rows are skipped
+/// wholesale — the payoff of fusing the complement mask into the pull
+/// direction.
 fn pull_rows<T, I, S>(
     v: &SparseVec<T, I>,
+    pos: Option<&[u32]>,
     rows_of: &Dcsr<T, I>,
-    mask: Option<&[Ix]>,
+    mask: Option<&Mask>,
     flip: bool,
     s: S,
-    lo: usize,
-    hi: usize,
+    range: Range<usize>,
 ) -> PushPartial<T>
 where
     T: Value,
@@ -298,11 +344,11 @@ where
     let mut out = Vec::new();
     let (vidx, vvals) = (v.indices(), v.values());
     let (mut flops, mut probes, mut hits) = (0u64, 0u64, 0u64);
-    for k in lo..hi {
+    for k in range {
         let (j, cols, avals) = rows_of.row_at(k);
         if let Some(m) = mask {
             probes += 1;
-            if m.binary_search(&j).is_ok() {
+            if m.contains(j) {
                 hits += 1;
                 continue;
             }
@@ -320,10 +366,17 @@ where
                 None => acc = Some(t),
             }
         };
-        // Hybrid intersect, order-preserving either way (increasing source
-        // index): when the frontier dwarfs this row, probe it per element
-        // instead of merging past it — O(row·log nnz(v)) vs O(row+nnz(v)).
-        if vidx.len() > 16 * cols.len() {
+        // Every lookup folds in increasing source index. Searched, the
+        // intersect is hybrid: when the frontier dwarfs this row, probe it
+        // per element instead of merging past it — O(row·log nnz(v)) vs
+        // O(row+nnz(v)).
+        if let Some(pos) = pos {
+            for (p, c) in cols.iter().enumerate() {
+                if let Some(q) = (pos[c.as_usize()] as usize).checked_sub(1) {
+                    fold(p, q, &mut flops);
+                }
+            }
+        } else if vidx.len() > 16 * cols.len() {
             for (p, c) in cols.iter().enumerate() {
                 if let Ok(q) = vidx.binary_search(c) {
                     fold(p, q, &mut flops);
@@ -356,8 +409,9 @@ where
 fn run_pull<T, I, S>(
     ctx: &OpCtx,
     v: &SparseVec<T, I>,
+    pos: Option<&[u32]>,
     rows_of: &Dcsr<T, I>,
-    mask: Option<&[Ix]>,
+    mask: Option<&Mask>,
     flip: bool,
     s: S,
 ) -> PushPartial<T>
@@ -368,14 +422,14 @@ where
 {
     let nrows = rows_of.n_nonempty_rows();
     if nrows <= PULL_PAR_MIN_ROWS {
-        return pull_rows(v, rows_of, mask, flip, s, 0, nrows);
+        return pull_rows(v, pos, rows_of, mask, flip, s, 0..nrows);
     }
     let shards = plan_weighted_shards(nrows, ctx.threads() * PULL_SHARD_FACTOR, |k| {
         rows_of.row_len_at(k) as u64
     });
     let parts = par_run(ctx.threads(), shards.len(), |shard| {
         let (lo, hi) = shards[shard];
-        pull_rows(v, rows_of, mask, flip, s, lo, hi)
+        pull_rows(v, pos, rows_of, mask, flip, s, lo..hi)
     });
     let (mut flops, mut probes, mut hits) = (0u64, 0u64, 0u64);
     let mut out = Vec::new();
@@ -423,9 +477,33 @@ where
         (None, Some(_)) => Direction::Pull,
         (None, None) => unreachable!("one operand orientation is always supplied"),
     };
+    let nnz = v.nnz() + mat.nnz() + mask.map_or(0, <[Ix]>::len);
+    let mask = mask.map(|m| {
+        Mask::new(m, out_dim, compact(out_dim, nnz), || {
+            match (dir, push_src, pull_src) {
+                (Direction::Push, Some(a), _) => {
+                    (v.nnz() * a.nnz() / a.n_nonempty_rows().max(1)) as u64
+                }
+                (_, _, at) => at.map_or(0, |at| at.n_nonempty_rows() as u64),
+            }
+        })
+    });
     let (entries, flops, probes, hits) = match dir {
-        Direction::Push => run_push(ctx, v, push_src.expect("push chosen"), mask, flip, s),
-        Direction::Pull => run_pull(ctx, v, pull_src.expect("pull chosen"), mask, flip, s),
+        Direction::Push => {
+            let a = push_src.expect("push chosen");
+            run_push(ctx, v, a, mask.as_ref(), flip, s)
+        }
+        Direction::Pull => {
+            let (at, mask) = (pull_src.expect("pull chosen"), mask.as_ref());
+            if compact(v.dim(), nnz) {
+                let ids = v.indices().iter().map(|i| i.as_usize());
+                ctx.with_row_index(v.dim() as usize, ids, |pos| {
+                    run_pull(ctx, v, Some(pos), at, mask, flip, s)
+                })
+            } else {
+                run_pull(ctx, v, None, at, mask, flip, s)
+            }
+        }
     };
     let mut idx = Vec::with_capacity(entries.len());
     let mut vals = Vec::with_capacity(entries.len());

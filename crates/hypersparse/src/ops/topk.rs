@@ -40,7 +40,9 @@ use crate::Ix;
 /// `1.0 < 9.0`, a NaN landing near the k-boundary could
 /// nondeterministically displace a genuine heavy hitter. Self-comparison
 /// via `partial_cmp` detects incomparables without requiring `T: Float`.
-fn rank<T: Value + PartialOrd>(a: &(Ix, T), b: &(Ix, T)) -> Ordering {
+/// Public so that a ranking held outside a [`SparseVec`] (PageRank's
+/// dense vector) sorts by the same order.
+pub fn rank<T: PartialOrd>(a: &(Ix, T), b: &(Ix, T)) -> Ordering {
     let a_nan = a.1.partial_cmp(&a.1).is_none();
     let b_nan = b.1.partial_cmp(&b.1).is_none();
     match (a_nan, b_nan) {

@@ -363,3 +363,216 @@ proptest! {
         );
     }
 }
+
+// ---- inner loops that neither branch nor search on data ----
+
+/// The same entries compared bit for bit (`NaN` equal to itself, `−0.0`
+/// apart from `0.0`), whatever the value type.
+fn same_bits<'a, T: 'a>(
+    x: impl Iterator<Item = (Ix, Ix, &'a T)>,
+    y: impl Iterator<Item = (Ix, Ix, &'a T)>,
+    bits: fn(&T) -> u64,
+) -> bool {
+    x.map(|(i, j, v)| (i, j, bits(v)))
+        .eq(y.map(|(i, j, v)| (i, j, bits(v))))
+}
+
+/// `A · B` over the tiled draws plus two fixed row blocks past the tiles,
+/// so every product has flat rows on both sides of the scan rule: `A`'s
+/// rows `BIG..BIG+N` each reach one full row of an `N × N` block of `B`
+/// (`N` products over an `N`-column span: scanned; one value per block
+/// row is a zero, so each span holds a slot nothing lands in), and rows
+/// `BIG+N..BIG+2N` each reach one `B` row whose `N` entries sit half at
+/// the start of the space and half at its end (bitmap).
+fn scan_operands<S: Semiring>(
+    (ta, tb): (&Triplets, &Triplets),
+    s: S,
+    cast: impl Fn(i64) -> S::Value,
+) -> (Dcsr<S::Value>, Dcsr<S::Value>) {
+    let dim = BIG + 2 * N;
+    let (mut a, mut b) = (Coo::new(dim, dim), Coo::new(dim, dim));
+    for k in 0..TILES {
+        a.extend(ta.iter().map(|&(r, c, v)| (r + N * k, c + N * k, cast(v))));
+        b.extend(tb.iter().map(|&(r, c, v)| (r + N * k, c + N * k, cast(v))));
+    }
+    for t in 0..N {
+        a.push(BIG + t, BIG + t, cast(1));
+        a.push(BIG + N + t, BIG + N, cast(2));
+        b.extend((0..N).map(|c| (BIG + t, BIG + c, cast(c as i64 - 3))));
+        let far = if t < N / 2 { t } else { dim - N + t };
+        b.push(BIG + N, far, cast(t as i64 + 1));
+    }
+    (a.build_dcsr(s), b.build_dcsr(s))
+}
+
+/// Scan-drained ≡ bitmap-drained ≡ `Plain<S>`, for `mxm_ctx` and
+/// `mxm_apply_prune_ctx`, at 1/2/4/8 threads. The bitmap-drained run is
+/// the same product under a complement mask that masks nothing (masked
+/// rows never scan); the drain counter proves both sides of the rule ran.
+fn assert_scan_is_bitmap<S: Semiring>(
+    s: S,
+    t: (&Triplets, &Triplets),
+    cast: impl Fn(i64) -> S::Value,
+    bump: fn(S::Value) -> S::Value,
+    bits: fn(&S::Value) -> u64,
+) {
+    let (a, b) = scan_operands(t, s, cast);
+    let nothing = Dcsr::<S::Value>::empty(a.nrows(), b.ncols());
+    let same = |x: &Dcsr<S::Value>, y: &Dcsr<S::Value>| same_bits(x.iter(), y.iter(), bits);
+    for threads in [1usize, 2, 4, 8] {
+        let ctx = OpCtx::new().with_threads(threads);
+        let scanned = ops::mxm_ctx(&ctx, &a, &b, s);
+        let [scan, bitmap] = ctx.metrics().snapshot().mxm_rows;
+        assert!(
+            scan > 0 && bitmap > 0,
+            "rows on both sides @{threads}: {scan} / {bitmap}"
+        );
+        let bitmapped = ops::mxm_masked_ctx(&ctx, &a, &b, &nothing, true, s);
+        assert_eq!(
+            ctx.metrics().snapshot().mxm_rows[0],
+            scan,
+            "masked rows never scan"
+        );
+        let plain = ops::mxm_ctx(&ctx, &a, &b, Plain(s));
+        assert!(same(&scanned, &bitmapped), "mxm scan ≢ bitmap @{threads}");
+        assert!(same(&scanned, &plain), "mxm scan ≢ Plain @{threads}");
+
+        let op = FnOp(bump);
+        let fused = ops::mxm_apply_prune_ctx(&ctx, &a, &b, s, op, s);
+        let two_pass = ops::apply_prune_ctx(&ctx, &bitmapped, op, s);
+        let plain = ops::mxm_apply_prune_ctx(&ctx, &a, &b, Plain(s), op, s);
+        assert!(same(&fused, &two_pass), "prune scan ≢ bitmap @{threads}");
+        assert!(same(&fused, &plain), "prune scan ≢ Plain @{threads}");
+    }
+}
+
+/// Integers from the draws, except that `−6`/`8` become `∓1e−300` (whose
+/// product underflows to `−0.0`, a zero the drain must drop) and `9`
+/// becomes `NaN` (stored, and carried through every sum it enters).
+fn special_f64(v: i64) -> f64 {
+    match v {
+        -6 => -1e-300,
+        8 => 1e-300,
+        9 => f64::NAN,
+        v => v as f64,
+    }
+}
+
+/// Frontier, matrix and visited set for the pull laws: `A` is the tiled
+/// draw plus its diagonal (so `Aᵀ` has a row per vertex and the pull
+/// shards), the frontier covers every even vertex (so the
+/// direction-optimized kernel pulls), the mask is the drawn rows.
+fn pull_operands<S: Semiring>(
+    (ta, tv, tm): (&Triplets, &Triplets, &Triplets),
+    s: S,
+    cast: impl Fn(i64) -> S::Value + Copy,
+) -> (Dcsr<S::Value>, SparseVec<S::Value>, Vec<Ix>) {
+    let mut a = Coo::new(BIG, BIG);
+    for k in 0..TILES {
+        a.extend(ta.iter().map(|&(r, c, v)| (r + N * k, c + N * k, cast(v))));
+    }
+    a.extend((0..BIG).map(|i| (i, i, cast(1))));
+    let mut v: Vec<(Ix, S::Value)> = (0..BIG)
+        .step_by(2)
+        .map(|i| (i, cast(1 + (i % 5) as i64)))
+        .collect();
+    let mut mask: Vec<Ix> = (0..BIG).step_by(7).collect();
+    for k in 0..TILES {
+        v.extend(tv.iter().map(|&(i, _, x)| (i + N * k, cast(x))));
+        mask.extend(tm.iter().map(|&(i, _, _)| i + N * k));
+    }
+    mask.sort_unstable();
+    mask.dedup();
+    (a.build_dcsr(s), SparseVec::from_entries(BIG, v, s), mask)
+}
+
+/// Indexed pull ≡ searched pull ≡ forced push, with and without a
+/// complement mask, at 1/2/4/8 threads. The searched side is the same
+/// entries in a 2⁴⁰-wide space, where neither the frontier index nor the
+/// mask bitmap may be built.
+fn assert_pull_is_push<S: Semiring>(
+    s: S,
+    t: (&Triplets, &Triplets, &Triplets),
+    cast: impl Fn(i64) -> S::Value + Copy,
+    bits: fn(&S::Value) -> u64,
+) {
+    let (a, v, mask) = pull_operands(t, s, cast);
+    let at = ops::transpose_ctx(&OpCtx::new(), &a);
+    let wide = 1 << 40;
+    let (aw, atw) = (respace(&a, wide, wide), respace(&at, wide, wide));
+    let vw = SparseVec::from_entries(wide, v.iter().map(|(i, x)| (i, x.clone())).collect(), s);
+    let same = |x: &SparseVec<S::Value>, y: &SparseVec<S::Value>| {
+        same_bits(
+            x.iter().map(|(i, x)| (i, 0, x)),
+            y.iter().map(|(i, y)| (i, 0, y)),
+            bits,
+        )
+    };
+    for threads in [1usize, 2, 4, 8] {
+        let ctx = OpCtx::new().with_threads(threads);
+        for m in [None, Some(mask.as_slice())] {
+            let push = ops::vxm_opt_ctx(&ctx, &v, &a, None, m, s);
+            let pulls = ctx.metrics().snapshot().mv_pull_calls;
+            let indexed = match m {
+                None => ops::vxm_pull_ctx(&ctx, &v, &at, s),
+                Some(_) => ops::vxm_opt_ctx(&ctx, &v, &a, Some(&at), m, s),
+            };
+            let searched = match m {
+                None => ops::vxm_pull_ctx(&ctx, &vw, &atw, s),
+                Some(_) => ops::vxm_opt_ctx(&ctx, &vw, &aw, Some(&atw), m, s),
+            };
+            assert_eq!(
+                ctx.metrics().snapshot().mv_pull_calls,
+                pulls + 2,
+                "both pulled @{threads}"
+            );
+            let label = format!("mask={} @{threads}", m.is_some());
+            assert!(same(&indexed, &push), "indexed pull ≢ push, {label}");
+            assert!(same(&searched, &push), "searched pull ≢ push, {label}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn scanned_rows_equal_bitmap_rows_and_plain(ta in triplets(), tb in triplets()) {
+        let t = (&ta[..], &tb[..]);
+        assert_scan_is_bitmap(PlusTimes::<f64>::new(), t, special_f64, |x| x - 3.0, |x| x.to_bits());
+        assert_scan_is_bitmap(
+            PlusTimes::<f64>::new(), t, special_f64, |x| (x - 3.0).max(0.0), |x| x.to_bits(),
+        );
+        assert_scan_is_bitmap(
+            PlusTimes::<u64>::new(), t, |v| v.unsigned_abs(), |x| x.saturating_sub(3), |&x| x,
+        );
+        assert_scan_is_bitmap(LorLand, t, |v| v % 3 != 0, |x| !x, |&x| u64::from(x));
+    }
+
+    /// The fused epilogue runs exactly once per non-zero accumulation —
+    /// never on a slot the scan passes over untouched or cancelled.
+    #[test]
+    fn fused_op_runs_once_per_nonzero_sum(ta in triplets(), tb in triplets()) {
+        let s = PlusTimes::<f64>::new();
+        let (a, b) = scan_operands((&ta, &tb), s, special_f64);
+        for threads in [1usize, 2, 4, 8] {
+            let ctx = OpCtx::new().with_threads(threads);
+            let calls = std::sync::atomic::AtomicUsize::new(0);
+            let counted = FnOp(|x: f64| {
+                calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                x + 5.0
+            });
+            let _ = ops::mxm_apply_prune_ctx(&ctx, &a, &b, s, counted, s);
+            let sums = ops::mxm_ctx(&ctx, &a, &b, Plain(s)).nnz();
+            prop_assert_eq!(calls.into_inner(), sums, "@{}", threads);
+        }
+    }
+
+    #[test]
+    fn indexed_pull_equals_searched_pull_and_push(ta in triplets(), tv in triplets(), tm in triplets()) {
+        let t = (&ta[..], &tv[..], &tm[..]);
+        assert_pull_is_push(semiring::MinFirst, t, |v| v.unsigned_abs(), |&x| x);
+        assert_pull_is_push(PlusTimes::<f64>::new(), t, special_f64, |x| x.to_bits());
+        assert_pull_is_push(LorLand, t, |v| v % 3 != 0, |&x| u64::from(x));
+    }
+}

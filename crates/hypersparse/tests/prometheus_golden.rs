@@ -92,6 +92,10 @@ hypersparse_mxm_accumulator_calls_total{acc=\"flat\"} 0
 hypersparse_mxm_accumulator_calls_total{acc=\"dense\"} 0
 hypersparse_mxm_accumulator_calls_total{acc=\"hash\"} 0
 hypersparse_mxm_accumulator_calls_total{acc=\"mask_slot\"} 0
+# HELP hypersparse_mxm_rows_total Flat-accumulator SpGEMM rows by how they drained.
+# TYPE hypersparse_mxm_rows_total counter
+hypersparse_mxm_rows_total{drain=\"scan\"} 0
+hypersparse_mxm_rows_total{drain=\"bitmap\"} 0
 # HELP hypersparse_workspace_hit_rate Fraction of workspace acquisitions served from the pool.
 # TYPE hypersparse_workspace_hit_rate gauge
 hypersparse_workspace_hit_rate 0.6666666666666666
