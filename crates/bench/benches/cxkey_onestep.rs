@@ -18,6 +18,7 @@ use bench::{fmt_dur, quick_time, BenchRecord};
 use criterion::Criterion;
 use graph::bfs::{parent_bfs_fused_ctx, parent_bfs_two_step_ctx};
 use graph::pattern::pattern_u64;
+use graph::Graph;
 use hyperspace_core::cxkey::{self, CxPrefix, RollupAxes};
 use hypersparse::ctx::OpCtx;
 use hypersparse::gen::{rmat_dcsr, RmatParams};
@@ -97,9 +98,11 @@ fn shape_report() -> BenchRecord {
     );
     let pat = pattern_u64(&g);
     let ctx = OpCtx::new();
-    let (t_one, one) = quick_time(BFS_ITERS, || parent_bfs_fused_ctx(&ctx, &pat, 0, MinFirst));
+    let (t_one, one) = quick_time(BFS_ITERS, || {
+        parent_bfs_fused_ctx(&ctx, &Graph::new(&pat), 0, MinFirst)
+    });
     let (t_two, two) = quick_time(BFS_ITERS, || {
-        parent_bfs_two_step_ctx(&ctx, &pat, 0, MinFirst)
+        parent_bfs_two_step_ctx(&ctx, &Graph::new(&pat), 0, MinFirst)
     });
     assert_eq!(one, two, "fused and two-step parents diverged");
     rec.set("bfs_one_step_us", micros(t_one));
@@ -144,10 +147,10 @@ fn criterion_benches(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("host_rollup", |b| b.iter(|| host_rollup(&sm)));
     group.bench_function("bfs_one_step", |b| {
-        b.iter(|| parent_bfs_fused_ctx(&ctx, &pat, 0, MinFirst))
+        b.iter(|| parent_bfs_fused_ctx(&ctx, &Graph::new(&pat), 0, MinFirst))
     });
     group.bench_function("bfs_two_step", |b| {
-        b.iter(|| parent_bfs_two_step_ctx(&ctx, &pat, 0, MinFirst))
+        b.iter(|| parent_bfs_two_step_ctx(&ctx, &Graph::new(&pat), 0, MinFirst))
     });
     group.finish();
 }

@@ -14,8 +14,8 @@
 //! collapses into a **single** masked `vᵀA` exactly when the semiring's
 //! ⊕ is selective and order-free and its ⊗ carries the left (frontier)
 //! operand; otherwise the product's values are blends that cannot be
-//! trusted as parents and the level needs **two** products: a cheap
-//! [`AnyPair`] reachability pass for the frontier plus a payload pass
+//! trusted as parents and the level needs **two** products: a
+//! [`MinFirst`] reachability pass for the frontier plus a payload pass
 //! for the folded values. [`parent_bfs_with`] does not hard-code a list
 //! of good semirings — it reads [`Semiring::ONE_STEP`], which a
 //! semiring declares in its own `impl` block and
@@ -29,13 +29,12 @@ use std::time::Instant;
 
 use hypersparse::ctx::OpCtx;
 use hypersparse::metrics::Kernel;
-use hypersparse::ops::mxv::{choose_direction, vxm_opt_ctx};
-use hypersparse::ops::transpose_ctx;
-use hypersparse::{with_default_ctx, Dcsr, Direction, Ix, SparseVec};
+use hypersparse::ops::mxv::vxm_opt_ctx;
+use hypersparse::{with_default_ctx, Dcsr, Ix, SparseVec};
 use semiring::{AnyPair, MinFirst, Semiring};
 
 use crate::frontier::Visited;
-use crate::pattern::pattern_u8;
+use crate::Graph;
 
 /// Which per-level strategy [`parent_bfs_with`] selected for a
 /// semiring — decided by the semiring's declared (and law-checked)
@@ -57,38 +56,31 @@ pub enum BfsVariant {
 /// Each level is one fused masked expansion `(fᵀA) ⊙ ¬visited`
 /// ([`vxm_opt_ctx`]) — direction-optimized once the frontier is
 /// dense enough to justify building the transpose, which then persists
-/// for the remaining levels.
+/// in the [`Graph`].
 pub fn bfs_levels(pat: &Dcsr<u8>, src: Ix) -> Vec<(Ix, u32)> {
+    with_default_ctx(|ctx| bfs_levels_ctx(ctx, &Graph::new(pat), src))
+}
+
+/// [`bfs_levels`] over a [`Graph`] through an explicit execution context.
+pub fn bfs_levels_ctx(ctx: &OpCtx, g: &Graph<u8>, src: Ix) -> Vec<(Ix, u32)> {
     let s = AnyPair;
-    let n = pat.nrows();
+    let pat = g.adjacency();
     let mut out: Vec<(Ix, u32)> = vec![(src, 0)];
     let mut visited = Visited::with_seed(src);
-    let mut frontier = SparseVec::from_entries(n, vec![(src, 1u8)], s);
-    let mut at: Option<Dcsr<u8>> = None;
+    let mut frontier = SparseVec::from_entries(pat.nrows(), vec![(src, 1u8)], s);
     let mut level = 0u32;
-    with_default_ctx(|ctx| {
-        while !frontier.is_empty() {
-            level += 1;
-            if at.is_none() && choose_direction(&frontier, pat, true) == Direction::Pull {
-                at = Some(transpose_ctx(ctx, pat));
-            }
-            // q = (fᵀ A) ⊙ ¬visited — the Fig. 1 array operation, masked
-            // inside the kernel.
-            let next = vxm_opt_ctx(
-                ctx,
-                &frontier,
-                pat,
-                at.as_ref(),
-                Some(visited.as_slice()),
-                s,
-            );
-            for (v, _) in next.iter() {
-                out.push((v, level));
-            }
-            visited.absorb_sorted(next.indices());
-            frontier = next;
+    while !frontier.is_empty() {
+        level += 1;
+        // q = (fᵀ A) ⊙ ¬visited — the Fig. 1 array operation, masked
+        // inside the kernel.
+        let at = g.transpose_for(ctx, &frontier);
+        let next = vxm_opt_ctx(ctx, &frontier, pat, at, Some(visited.as_slice()), s);
+        for (v, _) in next.iter() {
+            out.push((v, level));
         }
-    });
+        visited.absorb_sorted(next.indices());
+        frontier = next;
+    }
     out.sort_by_key(|e| e.0);
     out
 }
@@ -102,27 +94,18 @@ pub fn bfs_levels(pat: &Dcsr<u8>, src: Ix) -> Vec<(Ix, u32)> {
 /// Frontier vertices carry their own 1-shifted id (`v + 1`); returns
 /// `(vertex, payload)` pairs sorted by vertex, `src` seeded with
 /// `src + 1`.
-pub fn parent_bfs_fused_ctx<S>(ctx: &OpCtx, pat: &Dcsr<u64>, src: Ix, s: S) -> Vec<(Ix, u64)>
+pub fn parent_bfs_fused_ctx<S>(ctx: &OpCtx, g: &Graph<u64>, src: Ix, s: S) -> Vec<(Ix, u64)>
 where
     S: Semiring<Value = u64>,
 {
+    let pat = g.adjacency();
     let n = pat.nrows();
     let mut out: Vec<(Ix, u64)> = vec![(src, src + 1)];
     let mut visited = Visited::with_seed(src);
     let mut frontier = SparseVec::from_entries(n, vec![(src, src + 1)], s);
-    let mut at: Option<Dcsr<u64>> = None;
     while !frontier.is_empty() {
-        if at.is_none() && choose_direction(&frontier, pat, true) == Direction::Pull {
-            at = Some(transpose_ctx(ctx, pat));
-        }
-        let next = vxm_opt_ctx(
-            ctx,
-            &frontier,
-            pat,
-            at.as_ref(),
-            Some(visited.as_slice()),
-            s,
-        );
+        let at = g.transpose_for(ctx, &frontier);
+        let next = vxm_opt_ctx(ctx, &frontier, pat, at, Some(visited.as_slice()), s);
         out.extend(next.iter().map(|(v, &payload)| (v, payload)));
         visited.absorb_sorted(next.indices());
         // Re-stamp the new frontier with its own ids for the next hop.
@@ -132,40 +115,30 @@ where
     out
 }
 
-/// The **two-step** fallback: per level, an [`AnyPair`] product over the
-/// `u8` shadow pattern decides reachability (always sound), and a
-/// second product over `s` folds the payloads. A vertex the payload
-/// product cancelled to the semiring `0` is still discovered — it
-/// appears with payload `s.zero()` — which is exactly the case that
-/// makes the fused variant unsound for non-selective ⊕.
-pub fn parent_bfs_two_step_ctx<S>(ctx: &OpCtx, pat: &Dcsr<u64>, src: Ix, s: S) -> Vec<(Ix, u64)>
+/// The **two-step** fallback: per level, a [`MinFirst`] product over a
+/// frontier stamped with `1` decides reachability (always sound: over
+/// a pattern ⊗ carries the stamp and ⊕ selects it, so every reached
+/// vertex holds `1`), and a second product over `s` folds the
+/// payloads. A vertex the payload product cancelled to the semiring `0`
+/// is still discovered — it appears with payload `s.zero()` — which is
+/// exactly the case that makes the fused variant unsound for
+/// non-selective ⊕.
+pub fn parent_bfs_two_step_ctx<S>(ctx: &OpCtx, g: &Graph<u64>, src: Ix, s: S) -> Vec<(Ix, u64)>
 where
     S: Semiring<Value = u64>,
 {
+    let pat = g.adjacency();
     let n = pat.nrows();
-    let pat8 = pattern_u8(pat);
     let mut out: Vec<(Ix, u64)> = vec![(src, src + 1)];
     let mut visited = Visited::with_seed(src);
-    let mut reach = SparseVec::from_entries(n, vec![(src, 1u8)], AnyPair);
+    let mut reach = SparseVec::from_entries(n, vec![(src, 1)], MinFirst);
     let mut stamped = SparseVec::from_entries(n, vec![(src, src + 1)], s);
-    let mut at8: Option<Dcsr<u8>> = None;
-    let mut at: Option<Dcsr<u64>> = None;
     while !reach.is_empty() {
-        if at8.is_none() && choose_direction(&reach, &pat8, true) == Direction::Pull {
-            at8 = Some(transpose_ctx(ctx, &pat8));
-            at = Some(transpose_ctx(ctx, pat));
-        }
-        // Step 1: who is reachable this level (pattern algebra, exact).
-        let next = vxm_opt_ctx(
-            ctx,
-            &reach,
-            &pat8,
-            at8.as_ref(),
-            Some(visited.as_slice()),
-            AnyPair,
-        );
+        let at = g.transpose_for(ctx, &reach);
+        // Step 1: who is reachable this level (exact).
+        let next = vxm_opt_ctx(ctx, &reach, pat, at, Some(visited.as_slice()), MinFirst);
         // Step 2: what the semiring folds onto them.
-        let vals = vxm_opt_ctx(ctx, &stamped, pat, at.as_ref(), Some(visited.as_slice()), s);
+        let vals = vxm_opt_ctx(ctx, &stamped, pat, at, Some(visited.as_slice()), s);
         for (v, _) in next.iter() {
             let payload = vals.get(&v).cloned().unwrap_or_else(|| s.zero());
             out.push((v, payload));
@@ -189,13 +162,13 @@ pub fn parent_bfs_with<S>(pat: &Dcsr<u64>, src: Ix, s: S) -> (Vec<(Ix, u64)>, Bf
 where
     S: Semiring<Value = u64>,
 {
-    with_default_ctx(|ctx| parent_bfs_with_ctx(ctx, pat, src, s))
+    with_default_ctx(|ctx| parent_bfs_with_ctx(ctx, &Graph::new(pat), src, s))
 }
 
-/// [`parent_bfs_with`] against an explicit context.
+/// [`parent_bfs_with`] over a [`Graph`] through an explicit context.
 pub fn parent_bfs_with_ctx<S>(
     ctx: &OpCtx,
-    pat: &Dcsr<u64>,
+    g: &Graph<u64>,
     src: Ix,
     s: S,
 ) -> (Vec<(Ix, u64)>, BfsVariant)
@@ -204,13 +177,11 @@ where
 {
     let start = Instant::now();
     let (out, variant) = if S::ONE_STEP {
-        (parent_bfs_fused_ctx(ctx, pat, src, s), BfsVariant::OneStep)
+        (parent_bfs_fused_ctx(ctx, g, src, s), BfsVariant::OneStep)
     } else {
-        (
-            parent_bfs_two_step_ctx(ctx, pat, src, s),
-            BfsVariant::TwoStep,
-        )
+        (parent_bfs_two_step_ctx(ctx, g, src, s), BfsVariant::TwoStep)
     };
+    let pat = g.adjacency();
     ctx.metrics().record(
         Kernel::BfsParent,
         start.elapsed(),
@@ -231,7 +202,12 @@ where
 /// `ONE_STEP`, so every level is the fused one-step product — with
 /// the 1-shifted payloads unshifted back to parent ids.
 pub fn bfs_parents(pat: &Dcsr<u64>, src: Ix) -> Vec<(Ix, Ix)> {
-    let (out, variant) = parent_bfs_with(pat, src, MinFirst);
+    with_default_ctx(|ctx| bfs_parents_ctx(ctx, &Graph::new(pat), src))
+}
+
+/// [`bfs_parents`] over a [`Graph`] through an explicit context.
+pub fn bfs_parents_ctx(ctx: &OpCtx, g: &Graph<u64>, src: Ix) -> Vec<(Ix, Ix)> {
+    let (out, variant) = parent_bfs_with_ctx(ctx, g, src, MinFirst);
     debug_assert_eq!(variant, BfsVariant::OneStep);
     out.into_iter().map(|(v, p)| (v, p - 1)).collect()
 }
@@ -354,6 +330,7 @@ mod tests {
     #[test]
     fn fused_equals_two_step_where_conditions_hold() {
         let p = pattern_u64(&g());
+        let p = Graph::new(&p);
         let ctx = OpCtx::new();
         assert_eq!(
             parent_bfs_fused_ctx(&ctx, &p, 0, MinFirst),
@@ -369,7 +346,7 @@ mod tests {
     fn parent_bfs_records_kernel_metrics() {
         let ctx = OpCtx::new();
         let p = pattern_u64(&g());
-        let _ = parent_bfs_with_ctx(&ctx, &p, 0, MinFirst);
+        let _ = parent_bfs_with_ctx(&ctx, &Graph::new(&p), 0, MinFirst);
         let snap = ctx.metrics().snapshot();
         assert_eq!(snap.kernel(Kernel::BfsParent).calls, 1);
         assert_eq!(snap.kernel(Kernel::BfsParent).nnz_out, 4);

@@ -5,10 +5,11 @@
 //! [`semiring::MinFirst`] operator bundle. At the fixpoint, every vertex
 //! in a component carries the component's smallest vertex id.
 
-use hypersparse::ops::mxv::{choose_direction, vxm_opt_ctx};
-use hypersparse::ops::transpose_ctx;
-use hypersparse::{with_default_ctx, Dcsr, Direction, Ix, SparseVec};
+use hypersparse::ops::mxv::vxm_opt_ctx;
+use hypersparse::{with_default_ctx, Dcsr, Ix, OpCtx, SparseVec};
 use semiring::MinFirst;
+
+use crate::Graph;
 
 /// Connected components of an *undirected* graph given as a symmetric
 /// `u64` pattern (see [`crate::pattern::pattern_u64`] +
@@ -16,7 +17,14 @@ use semiring::MinFirst;
 /// sorted by vertex, where `component` is the smallest vertex id in the
 /// component. Vertices with no incident edges are not represented.
 pub fn connected_components(pat: &Dcsr<u64>) -> Vec<(Ix, Ix)> {
+    with_default_ctx(|ctx| connected_components_ctx(ctx, &Graph::new(pat)))
+}
+
+/// [`connected_components`] over a [`Graph`] through an explicit
+/// execution context.
+pub fn connected_components_ctx(ctx: &OpCtx, g: &Graph<u64>) -> Vec<(Ix, Ix)> {
     let s = MinFirst;
+    let pat = g.adjacency();
     let n = pat.nrows();
 
     // Initial labels: every incident vertex labels itself (1-shifted so
@@ -30,18 +38,14 @@ pub fn connected_components(pat: &Dcsr<u64>) -> Vec<(Ix, Ix)> {
     // The label vector is dense over incident vertices from the first
     // sweep, so the direction heuristic typically pulls; ⊕ = min makes
     // either direction bit-identical.
-    let mut at: Option<Dcsr<u64>> = None;
-    with_default_ctx(|ctx| loop {
-        if at.is_none() && choose_direction(&labels, pat, true) == Direction::Pull {
-            at = Some(transpose_ctx(ctx, pat));
-        }
-        let prop = vxm_opt_ctx(ctx, &labels, pat, at.as_ref(), None, s);
+    loop {
+        let prop = vxm_opt_ctx(ctx, &labels, pat, g.transpose_for(ctx, &labels), None, s);
         let next = labels.ewise_add(&prop, s);
         if next == labels {
             break;
         }
         labels = next;
-    });
+    }
     labels.iter().map(|(v, &l)| (v, l - 1)).collect()
 }
 

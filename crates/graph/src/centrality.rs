@@ -10,11 +10,11 @@
 use std::collections::HashMap;
 
 use hypersparse::ops::mxv::{mxv_opt_ctx, vxm_opt_ctx};
-use hypersparse::ops::transpose_ctx;
-use hypersparse::{with_default_ctx, Dcsr, Ix, SparseVec};
+use hypersparse::{with_default_ctx, Dcsr, Ix, OpCtx, SparseVec};
 use semiring::PlusTimes;
 
 use crate::frontier::Visited;
+use crate::Graph;
 
 type S = PlusTimes<f64>;
 
@@ -24,72 +24,73 @@ fn s() -> S {
 
 /// Betweenness centrality contributions from the given `sources`
 /// (unnormalized, directed interpretation — run on a symmetrized pattern
-/// for the undirected variant). Pattern values must be 1.0.
+/// for the undirected variant). Weights are ignored.
 ///
 /// Returns a dense score per compact vertex id.
 pub fn betweenness(pat: &Dcsr<f64>, sources: &[Ix]) -> Vec<f64> {
-    let n = usize::try_from(pat.nrows()).expect("betweenness needs compact ids");
     // Path counting needs unit weights regardless of how the pattern was
     // built (e.g. symmetrize sums parallel directions to 2.0).
-    let pat = &with_default_ctx(|ctx| {
-        hypersparse::ops::apply_ctx(ctx, pat, semiring::ZeroNorm(s()), s())
-    });
+    with_default_ctx(|ctx| betweenness_ctx(ctx, &Graph::new(&pat.pattern(1.0)), sources))
+}
+
+/// [`betweenness`] over a [`Graph`] through an explicit execution
+/// context. The graph's values must all be 1.0: they multiply the path
+/// counts.
+pub fn betweenness_ctx(ctx: &OpCtx, g: &Graph<f64>, sources: &[Ix]) -> Vec<f64> {
+    let pat = g.adjacency();
+    let n = usize::try_from(pat.nrows()).expect("betweenness needs compact ids");
     let mut bc = vec![0.0f64; n];
-
-    with_default_ctx(|ctx| {
-        // One transpose serves every source: the pull option of the
-        // forward masked sweeps and the push option of the backward mxv.
-        let at = transpose_ctx(ctx, pat);
-        for &src in sources {
-            // ---- forward: per-level frontiers with path counts σ ----
-            let mut sigma: HashMap<Ix, f64> = HashMap::from([(src, 1.0)]);
-            let mut visited = Visited::with_seed(src);
-            let mut levels: Vec<SparseVec<f64>> =
-                vec![SparseVec::from_entries(pat.nrows(), vec![(src, 1.0)], s())];
-            loop {
-                let frontier = levels.last().expect("nonempty");
-                // path counts into the next level, visited masked off
-                // inside the kernel
-                let next =
-                    vxm_opt_ctx(ctx, frontier, pat, Some(&at), Some(visited.as_slice()), s());
-                if next.is_empty() {
-                    break;
-                }
-                for (v, c) in next.iter() {
-                    sigma.insert(v, *c);
-                }
-                visited.absorb_sorted(next.indices());
-                levels.push(next);
+    // One transpose serves every source: the pull option of the forward
+    // masked sweeps and the push option of the backward mxv.
+    let at = g.transpose(ctx);
+    for &src in sources {
+        // ---- forward: per-level frontiers with path counts σ ----
+        let mut sigma: HashMap<Ix, f64> = HashMap::from([(src, 1.0)]);
+        let mut visited = Visited::with_seed(src);
+        let mut levels: Vec<SparseVec<f64>> =
+            vec![SparseVec::from_entries(pat.nrows(), vec![(src, 1.0)], s())];
+        loop {
+            let frontier = levels.last().expect("nonempty");
+            // path counts into the next level, visited masked off
+            // inside the kernel
+            let next = vxm_opt_ctx(ctx, frontier, pat, Some(at), Some(visited.as_slice()), s());
+            if next.is_empty() {
+                break;
             }
-
-            // ---- backward: dependency accumulation per level ----
-            let mut delta: HashMap<Ix, f64> = HashMap::new();
-            for d in (1..levels.len()).rev() {
-                // t(w) = (1 + δ(w)) / σ(w) for w at depth d
-                let deep = &levels[d];
-                let t = SparseVec::from_entries(
-                    pat.nrows(),
-                    deep.iter()
-                        .map(|(w, &sig)| (w, (1.0 + delta.get(&w).copied().unwrap_or(0.0)) / sig))
-                        .collect(),
-                    s(),
-                );
-                // u(v) = Σ_w A(v, w) t(w) — one mxv per level
-                let u = mxv_opt_ctx(ctx, pat, Some(&at), &t, s());
-                // δ(v) += σ(v) · u(v) for v at depth d−1
-                for (v, &sig) in levels[d - 1].iter() {
-                    if let Some(uv) = u.get(&v) {
-                        *delta.entry(v).or_insert(0.0) += sig * uv;
-                    }
-                }
+            for (v, c) in next.iter() {
+                sigma.insert(v, *c);
             }
-            for (v, dv) in delta {
-                if v != src {
-                    bc[v as usize] += dv;
+            visited.absorb_sorted(next.indices());
+            levels.push(next);
+        }
+
+        // ---- backward: dependency accumulation per level ----
+        let mut delta: HashMap<Ix, f64> = HashMap::new();
+        for d in (1..levels.len()).rev() {
+            // t(w) = (1 + δ(w)) / σ(w) for w at depth d
+            let deep = &levels[d];
+            let t = SparseVec::from_entries(
+                pat.nrows(),
+                deep.iter()
+                    .map(|(w, &sig)| (w, (1.0 + delta.get(&w).copied().unwrap_or(0.0)) / sig))
+                    .collect(),
+                s(),
+            );
+            // u(v) = Σ_w A(v, w) t(w) — one mxv per level
+            let u = mxv_opt_ctx(ctx, pat, Some(at), &t, s());
+            // δ(v) += σ(v) · u(v) for v at depth d−1
+            for (v, &sig) in levels[d - 1].iter() {
+                if let Some(uv) = u.get(&v) {
+                    *delta.entry(v).or_insert(0.0) += sig * uv;
                 }
             }
         }
-    });
+        for (v, dv) in delta {
+            if v != src {
+                bc[v as usize] += dv;
+            }
+        }
+    }
     bc
 }
 

@@ -5,6 +5,9 @@
 //! array multiplication — the fundamental operation of arrays. This crate
 //! realizes both sides of the duality:
 //!
+//! * [`Graph`] — one adjacency array with the arrays the algorithms
+//!   derive from it (transpose, out-degrees, lower triangle), each built
+//!   at most once and read by every algorithm run on it;
 //! * Semiring formulations over [`hypersparse`] matrices:
 //!   [`bfs`] (any-pair / min-first), [`sssp`] (min-plus Bellman–Ford),
 //!   [`cc`] (min-label propagation), [`triangles`] (masked SpGEMM),
@@ -13,7 +16,9 @@
 //!   peeling), [`mis`] (Luby over max.×), [`similarity`] (Jaccard via
 //!   masked SpGEMM), [`closure`] (∨.∧ transitive closure, topological
 //!   levels), [`incremental`] (delta-fold degree and triangle state for
-//!   the pipeline's standing queries);
+//!   the pipeline's standing queries). Each algorithm that reads a
+//!   [`Graph`] property has one `_ctx` body taking `(&OpCtx, &Graph)`;
+//!   its bare name over a `&Dcsr` builds a fresh `Graph` per call;
 //! * Classical pointer-chasing [`baseline`]s (queue BFS, binary-heap
 //!   Dijkstra, union-find components, wedge-check triangles) — the other
 //!   side of the duality, used to validate results and to benchmark the
@@ -32,9 +37,8 @@ pub mod bfs;
 pub mod cc;
 pub mod centrality;
 pub mod closure;
-pub mod coloring;
-pub mod community;
 pub mod frontier;
+mod graph;
 pub mod hyperalgo;
 pub mod hypergraph;
 pub mod incremental;
@@ -49,6 +53,7 @@ pub mod similarity;
 pub mod sssp;
 pub mod triangles;
 
+pub use graph::Graph;
 pub use hypergraph::Hypergraph;
 pub use incremental::{DegreeState, TriangleState};
 pub use pattern::{pattern_f64, pattern_u64, pattern_u8, symmetrize};

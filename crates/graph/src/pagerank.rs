@@ -8,9 +8,11 @@
 use std::time::Instant;
 
 use hypersparse::ops::mxv::vxm_dense_pull_ctx;
-use hypersparse::ops::{apply_ctx, topk, transpose_ctx};
+use hypersparse::ops::topk;
 use hypersparse::{with_default_ctx, Dcsr, Ix, Kernel, OpCtx};
-use semiring::{PlusTimes, ZeroNorm};
+use semiring::PlusTimes;
+
+use crate::Graph;
 
 /// PageRank options.
 #[derive(Copy, Clone, Debug)]
@@ -36,18 +38,20 @@ impl Default for PageRankOpts {
 /// PageRank over a (possibly weighted — weights are ignored) digraph
 /// pattern with compact vertex ids `0..n`. Returns the rank vector.
 pub fn pagerank(pat: &Dcsr<f64>, opts: PageRankOpts) -> Vec<f64> {
-    with_default_ctx(|ctx| pagerank_ctx(ctx, pat, opts))
+    with_default_ctx(|ctx| pagerank_ctx(ctx, &Graph::new(&pat.pattern(1.0)), opts))
 }
 
-/// [`pagerank`] through an explicit execution context.
-pub fn pagerank_ctx(ctx: &OpCtx, pat: &Dcsr<f64>, opts: PageRankOpts) -> Vec<f64> {
+/// [`pagerank`] over a [`Graph`] through an explicit execution context.
+/// The graph's values must all be 1.0: the rank pull multiplies by them.
+pub fn pagerank_ctx(ctx: &OpCtx, g: &Graph<f64>, opts: PageRankOpts) -> Vec<f64> {
+    let pat = g.adjacency();
     let n = usize::try_from(pat.nrows()).expect("pagerank needs compact vertex ids");
     if n == 0 {
         assert_eq!(pat.nrows(), pat.ncols(), "adjacency must be square");
         return Vec::new();
     }
     let seed = vec![1.0 / n as f64; n];
-    power_iterate(ctx, pat, seed, opts).0
+    power_iterate(ctx, g, seed, opts).0
 }
 
 /// PageRank refresh seeded from a prior rank vector.
@@ -62,17 +66,19 @@ pub fn pagerank_ctx(ctx: &OpCtx, pat: &Dcsr<f64>, opts: PageRankOpts) -> Vec<f64
 /// seed only buys speed, never changes the fixed point beyond `tol`.
 /// Cost lands in the [`Kernel::PageRankRefresh`] metrics row.
 pub fn pagerank_refresh(pat: &Dcsr<f64>, prior: &[f64], opts: PageRankOpts) -> Vec<f64> {
-    with_default_ctx(|ctx| pagerank_refresh_ctx(ctx, pat, prior, opts))
+    with_default_ctx(|ctx| pagerank_refresh_ctx(ctx, &Graph::new(&pat.pattern(1.0)), prior, opts))
 }
 
-/// [`pagerank_refresh`] through an explicit execution context.
+/// [`pagerank_refresh`] over a [`Graph`] through an explicit execution
+/// context. The graph's values must all be 1.0, as for [`pagerank_ctx`].
 pub fn pagerank_refresh_ctx(
     ctx: &OpCtx,
-    pat: &Dcsr<f64>,
+    g: &Graph<f64>,
     prior: &[f64],
     opts: PageRankOpts,
 ) -> Vec<f64> {
     let t = Instant::now();
+    let pat = g.adjacency();
     let n = usize::try_from(pat.nrows()).expect("pagerank needs compact vertex ids");
     if n == 0 {
         assert_eq!(pat.nrows(), pat.ncols(), "adjacency must be square");
@@ -88,7 +94,7 @@ pub fn pagerank_refresh_ctx(
     } else {
         seed.fill(1.0 / n as f64);
     }
-    let (rank, iters) = power_iterate(ctx, pat, seed, opts);
+    let (rank, iters) = power_iterate(ctx, g, seed, opts);
     ctx.metrics().record(
         Kernel::PageRankRefresh,
         t.elapsed(),
@@ -104,27 +110,23 @@ pub fn pagerank_refresh_ctx(
 /// the number of iterations run.
 fn power_iterate(
     ctx: &OpCtx,
-    pat: &Dcsr<f64>,
+    g: &Graph<f64>,
     seed: Vec<f64>,
     opts: PageRankOpts,
 ) -> (Vec<f64>, usize) {
     let n = seed.len();
+    let pat = g.adjacency();
     assert_eq!(pat.nrows(), pat.ncols(), "adjacency must be square");
     let d = opts.damping;
     let base = (1.0 - d) / n as f64;
-
-    // Out-degrees for row normalization.
-    let mut outdeg = vec![0usize; n];
-    for (r, cols, _) in pat.iter_rows() {
-        outdeg[r as usize] = cols.len();
-    }
+    let outdeg = g.out_degrees();
 
     let s = PlusTimes::<f64>::new();
-    // Unit-weight transpose, once: the pull kernel gathers each vertex's
-    // in-edges in increasing source order — the exact f64 addition order
-    // of the original row-major scatter loop, so results are
+    // The pull kernel gathers each vertex's in-edges from the unit-weight
+    // transpose in increasing source order — the exact f64 addition
+    // order of the original row-major scatter loop, so results are
     // bit-identical to it at every thread count.
-    let at = transpose_ctx(ctx, &apply_ctx(ctx, pat, ZeroNorm(s), s));
+    let at = g.transpose(ctx);
 
     let mut rank = seed;
     let mut next = vec![0.0f64; n];
@@ -144,7 +146,7 @@ fn power_iterate(
                 d * rank[v] / outdeg[v] as f64
             };
         }
-        vxm_dense_pull_ctx(ctx, &scaled, &at, &mut next, s);
+        vxm_dense_pull_ctx(ctx, &scaled, at, &mut next, s);
         let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
         std::mem::swap(&mut rank, &mut next);
         if delta < opts.tol {
@@ -257,7 +259,7 @@ mod tests {
         let ctx = hypersparse::OpCtx::new();
         let g = mk(&[(0, 1), (1, 0)], 2);
         let prior = pagerank(&g, PageRankOpts::default());
-        let _ = pagerank_refresh_ctx(&ctx, &g, &prior, PageRankOpts::default());
+        let _ = pagerank_refresh_ctx(&ctx, &Graph::new(&g), &prior, PageRankOpts::default());
         let snap = ctx.metrics().snapshot();
         assert_eq!(snap.kernel(Kernel::PageRankRefresh).calls, 1);
         assert!(snap.kernel(Kernel::PageRankRefresh).nnz_in >= 2);

@@ -6,11 +6,12 @@
 //! longest-path (`max.+`), widest-path (`max.min`), or most-reliable-path
 //! (`max.×`) solvers, which [`sssp_generic`] exposes.
 
-use hypersparse::ops::mxv::{choose_direction, vxm_opt_ctx};
-use hypersparse::ops::transpose_ctx;
-use hypersparse::{with_default_ctx, Dcsr, Direction, Ix, SparseVec};
+use hypersparse::ops::mxv::vxm_opt_ctx;
+use hypersparse::{with_default_ctx, Dcsr, Ix, OpCtx, SparseVec};
 use semiring::traits::Semiring;
 use semiring::MinPlus;
+
+use crate::Graph;
 
 /// Shortest distances from `src` over non-negative (or any cycle-safe)
 /// weights. Returns `(vertex, distance)` sorted by vertex; unreachable
@@ -23,28 +24,33 @@ pub fn sssp(w: &Dcsr<f64>, src: Ix) -> Vec<(Ix, f64)> {
 /// with ⊗ and across paths with ⊕; the source starts at the semiring `1`
 /// (the "empty path" value).
 pub fn sssp_generic<S: Semiring<Value = f64>>(w: &Dcsr<f64>, src: Ix, s: S) -> Vec<(Ix, f64)> {
-    let n = w.nrows();
-    let mut dist = SparseVec::from_entries(n, vec![(src, s.one())], s);
+    with_default_ctx(|ctx| sssp_generic_ctx(ctx, &Graph::new(w), src, s))
+}
+
+/// [`sssp_generic`] over a weighted [`Graph`] through an explicit
+/// execution context.
+pub fn sssp_generic_ctx<S: Semiring<Value = f64>>(
+    ctx: &OpCtx,
+    g: &Graph<f64>,
+    src: Ix,
+    s: S,
+) -> Vec<(Ix, f64)> {
+    let w = g.adjacency();
+    let mut dist = SparseVec::from_entries(w.nrows(), vec![(src, s.one())], s);
     // At most |V|−1 sweeps; stop early on fixpoint.
     let max_sweeps = (w.n_nonempty_rows() + 1).max(2);
     // The distance vector only grows, so once it is dense enough to
-    // favor pulling, build the transpose and keep it for all remaining
-    // sweeps. ⊕ = min/max is grouping-exact: either direction and any
-    // thread count produce bit-identical distances.
-    let mut at: Option<Dcsr<f64>> = None;
-    with_default_ctx(|ctx| {
-        for _ in 0..max_sweeps {
-            if at.is_none() && choose_direction(&dist, w, true) == Direction::Pull {
-                at = Some(transpose_ctx(ctx, w));
-            }
-            let relax = vxm_opt_ctx(ctx, &dist, w, at.as_ref(), None, s);
-            let next = dist.ewise_add(&relax, s);
-            if next == dist {
-                break;
-            }
-            dist = next;
+    // favor pulling, the graph builds the transpose and keeps it for all
+    // remaining sweeps. ⊕ = min/max is grouping-exact: either direction
+    // and any thread count produce bit-identical distances.
+    for _ in 0..max_sweeps {
+        let relax = vxm_opt_ctx(ctx, &dist, w, g.transpose_for(ctx, &dist), None, s);
+        let next = dist.ewise_add(&relax, s);
+        if next == dist {
+            break;
         }
-    });
+        dist = next;
+    }
     dist.iter().map(|(v, d)| (v, *d)).collect()
 }
 

@@ -6,78 +6,71 @@
 //! `i > j`, so each triangle is counted exactly once. The fused mask
 //! ([`hypersparse::ops::mxm_masked_ctx`]) is what makes this cheap.
 
-use hypersparse::{Dcsr, Ix, OpCtx};
+use hypersparse::{with_default_ctx, Dcsr, Ix, OpCtx};
+use semiring::traits::Value;
 use semiring::{PlusMonoid, PlusTimes};
 
-/// Strictly-lower-triangular part of a pattern.
-pub fn lower_triangle(pat: &Dcsr<f64>) -> Dcsr<f64> {
-    hypersparse::with_default_ctx(|ctx| lower_triangle_ctx(ctx, pat))
-}
+use crate::Graph;
 
-/// [`lower_triangle`] through an explicit execution context.
-pub fn lower_triangle_ctx(ctx: &OpCtx, pat: &Dcsr<f64>) -> Dcsr<f64> {
+/// Strictly-lower-triangular part of a pattern.
+pub fn lower_triangle_ctx<T: Value>(ctx: &OpCtx, pat: &Dcsr<T>) -> Dcsr<T> {
     hypersparse::ops::select_ctx(ctx, pat, |r, c, _| c < r)
 }
 
 /// Count triangles in an undirected simple graph given as a symmetric
 /// adjacency (weights are ignored — the pattern is normalized first).
 pub fn triangle_count(sym_pat: &Dcsr<f64>) -> u64 {
-    hypersparse::with_default_ctx(|ctx| triangle_count_ctx(ctx, sym_pat))
+    with_default_ctx(|ctx| triangle_count_ctx(ctx, &Graph::new(&sym_pat.pattern(1.0))))
 }
 
-/// [`triangle_count`] through an explicit execution context.
-pub fn triangle_count_ctx(ctx: &OpCtx, sym_pat: &Dcsr<f64>) -> u64 {
-    let s = PlusTimes::<f64>::new();
-    let sym_pat = hypersparse::ops::apply_ctx(ctx, sym_pat, semiring::ZeroNorm(s), s);
-    let l = lower_triangle_ctx(ctx, &sym_pat);
-    let closed = hypersparse::ops::mxm_masked_ctx(ctx, &l, &l, &l, false, s);
+/// [`triangle_count`] over a [`Graph`] through an explicit execution
+/// context. The graph's values must all be 1.0: the count sums them.
+pub fn triangle_count_ctx(ctx: &OpCtx, g: &Graph<f64>) -> u64 {
+    let l = g.lower(ctx);
+    let closed = hypersparse::ops::mxm_masked_ctx(ctx, l, l, l, false, PlusTimes::new());
     hypersparse::ops::reduce_scalar_ctx(ctx, &closed, PlusMonoid::<f64>::default()) as u64
 }
 
 /// Per-edge triangle support (number of triangles through each edge of
-/// the lower triangle) — the building block of k-truss.
+/// the lower triangle) — the building block of k-truss. Weights are
+/// ignored.
 pub fn edge_support(sym_pat: &Dcsr<f64>) -> Dcsr<f64> {
-    let s = PlusTimes::<f64>::new();
-    hypersparse::with_default_ctx(|ctx| {
-        let sym_pat = hypersparse::ops::apply_ctx(ctx, sym_pat, semiring::ZeroNorm(s), s);
-        let l = lower_triangle(&sym_pat);
-        // support(i,j) = |N(i) ∩ N(j)| restricted to existing edges: use the
-        // full symmetric pattern for wedge endpoints, masked by L. Edges in
-        // no triangle produce no entry (support 0 is the semiring zero).
-        hypersparse::ops::mxm_masked_ctx(ctx, &sym_pat, &sym_pat, &l, false, s)
-    })
+    with_default_ctx(|ctx| edge_support_ctx(ctx, &Graph::new(&sym_pat.pattern(1.0))))
+}
+
+/// [`edge_support`] over a [`Graph`] through an explicit execution
+/// context. The graph's values must all be 1.0, as for
+/// [`triangle_count_ctx`].
+pub fn edge_support_ctx(ctx: &OpCtx, g: &Graph<f64>) -> Dcsr<f64> {
+    // support(i,j) = |N(i) ∩ N(j)| restricted to existing edges: use the
+    // full symmetric pattern for wedge endpoints, masked by L. Edges in
+    // no triangle produce no entry (support 0 is the semiring zero).
+    let a = g.adjacency();
+    hypersparse::ops::mxm_masked_ctx(ctx, a, a, g.lower(ctx), false, PlusTimes::new())
 }
 
 /// k-truss: the maximal subgraph in which every edge is supported by at
-/// least `k − 2` triangles. Returns the surviving symmetric pattern.
+/// least `k − 2` triangles. Returns the surviving symmetric pattern, with
+/// 1.0 at every entry.
 pub fn ktruss(sym_pat: &Dcsr<f64>, k: u64) -> Dcsr<f64> {
     assert!(k >= 2, "k-truss defined for k ≥ 2");
-    let s = PlusTimes::<f64>::new();
+    let mut g = sym_pat.pattern(1.0);
     if k == 2 {
         // Every edge trivially has ≥ 0 supporting triangles.
-        return sym_pat.clone();
+        return g;
     }
     let need = (k - 2) as f64;
-    let mut g = sym_pat.clone();
-    loop {
-        let sup = edge_support(&g);
+    with_default_ctx(|ctx| loop {
+        let sup = edge_support_ctx(ctx, &Graph::new(&g));
         // Keep lower-triangle edges with enough support…
-        let keep = hypersparse::with_default_ctx(|ctx| {
-            hypersparse::ops::select_ctx(ctx, &sup, |_, _, v| *v >= need)
-        });
+        let keep = hypersparse::ops::select_ctx(ctx, &sup, |_, _, v| *v >= need);
         // …and rebuild the symmetric pattern from the survivors.
-        let keep_pat = hypersparse::with_default_ctx(|ctx| {
-            hypersparse::ops::apply_ctx(ctx, &keep, semiring::ZeroNorm(s), s)
-        });
-        let next = crate::pattern::symmetrize(&keep_pat, s);
-        if next == g {
-            return g;
-        }
-        if next.nnz() == 0 {
+        let next = crate::pattern::symmetrize_ctx(ctx, &keep.pattern(1.0), PlusTimes::new());
+        if next == g || next.nnz() == 0 {
             return next;
         }
         g = next;
-    }
+    })
 }
 
 /// Vertices of a pattern (sorted union of row and column support).
@@ -155,6 +148,26 @@ mod tests {
         assert_eq!(vertices(&t4), vec![0, 1, 2, 3]); // K4 is a 4-truss
         let t5 = ktruss(&g, 5);
         assert_eq!(t5.nnz(), 0); // nothing survives
+    }
+
+    #[test]
+    fn ktruss_of_a_weighted_graph_is_its_pattern() {
+        let k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
+        let tailed = sym(&[&k4[..], &[(3, 4), (4, 5)]].concat(), 8).pattern(2.5);
+        assert_eq!(ktruss(&tailed, 2), tailed.pattern(1.0));
+        let want = sym(&k4, 8);
+        assert_eq!(ktruss(&tailed, 3), want);
+        assert_eq!(ktruss(&tailed, 4), want);
+        // Nothing leaves a weighted K4 at k = 3: one support round.
+        let masked = || {
+            hypersparse::with_default_ctx(|c| {
+                let snap = c.metrics().snapshot();
+                snap.kernel(hypersparse::Kernel::MxmMasked).calls
+            })
+        };
+        let before = masked();
+        assert_eq!(ktruss(&want.pattern(2.5), 3), want);
+        assert_eq!(masked() - before, 1);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use graph::bfs::{
     bfs_levels, parent_bfs_fused_ctx, parent_bfs_two_step_ctx, parent_bfs_with, BfsVariant,
 };
 use graph::pattern::{pattern_u64, pattern_u8};
+use graph::Graph;
 use hypersparse::ctx::OpCtx;
 use hypersparse::{Coo, Dcsr, Ix};
 use proptest::prelude::*;
@@ -51,8 +52,8 @@ proptest! {
         let p = pattern_u64(&mk(e));
         let ctx = OpCtx::new();
         prop_assert_eq!(
-            parent_bfs_fused_ctx(&ctx, &p, src, MinFirst),
-            parent_bfs_two_step_ctx(&ctx, &p, src, MinFirst)
+            parent_bfs_fused_ctx(&ctx, &Graph::new(&p), src, MinFirst),
+            parent_bfs_two_step_ctx(&ctx, &Graph::new(&p), src, MinFirst)
         );
     }
 
@@ -61,8 +62,8 @@ proptest! {
         let p = pattern_u64(&mk(e));
         let ctx = OpCtx::new();
         prop_assert_eq!(
-            parent_bfs_fused_ctx(&ctx, &p, src, MaxFirst),
-            parent_bfs_two_step_ctx(&ctx, &p, src, MaxFirst)
+            parent_bfs_fused_ctx(&ctx, &Graph::new(&p), src, MaxFirst),
+            parent_bfs_two_step_ctx(&ctx, &Graph::new(&p), src, MaxFirst)
         );
     }
 
@@ -79,13 +80,13 @@ proptest! {
         let ctx = OpCtx::new();
         // Three differently broken algebras: blending ⊕ (PlusTimes),
         // id-mangling ⊗ (MinPlus), wrong-side ⊗ (MinSecond).
-        let pt: Vec<Ix> = parent_bfs_two_step_ctx(&ctx, &p, src, PlusTimes::<u64>::new())
+        let pt: Vec<Ix> = parent_bfs_two_step_ctx(&ctx, &Graph::new(&p), src, PlusTimes::<u64>::new())
             .into_iter().map(|(v, _)| v).collect();
         prop_assert_eq!(&pt, &want);
-        let mp: Vec<Ix> = parent_bfs_two_step_ctx(&ctx, &p, src, MinPlus::<u64>::new())
+        let mp: Vec<Ix> = parent_bfs_two_step_ctx(&ctx, &Graph::new(&p), src, MinPlus::<u64>::new())
             .into_iter().map(|(v, _)| v).collect();
         prop_assert_eq!(&mp, &want);
-        let ms: Vec<Ix> = parent_bfs_two_step_ctx(&ctx, &p, src, MinSecond)
+        let ms: Vec<Ix> = parent_bfs_two_step_ctx(&ctx, &Graph::new(&p), src, MinSecond)
             .into_iter().map(|(v, _)| v).collect();
         prop_assert_eq!(&ms, &want);
     }
@@ -101,7 +102,7 @@ proptest! {
 
         let (fused_out, v) = parent_bfs_with(&p, src, MinFirst);
         prop_assert_eq!(v, BfsVariant::OneStep);
-        prop_assert_eq!(fused_out, parent_bfs_two_step_ctx(&ctx, &p, src, MinFirst));
+        prop_assert_eq!(fused_out, parent_bfs_two_step_ctx(&ctx, &Graph::new(&p), src, MinFirst));
 
         let (_, v) = parent_bfs_with(&p, src, PlusTimes::<u64>::new());
         prop_assert_eq!(v, BfsVariant::TwoStep);

@@ -13,7 +13,6 @@
 //! format-native SpMV (benchmarked in the Fig. 4 harness).
 
 use std::borrow::Cow;
-use std::sync::{Arc, OnceLock};
 
 use semiring::traits::{Monoid, Semiring, UnaryOp, Value};
 
@@ -101,17 +100,10 @@ enum Repr<T> {
 }
 
 /// An opaque matrix that owns its storage-format decision.
-///
-/// Also owns a lazily-built **transpose cache** feeding the pull
-/// direction of [`Matrix::vxm`]/[`Matrix::mxv`]: built on first
-/// [`Matrix::cached_transpose`], shared by clones (the content is
-/// identical), and invalidated by mutation ([`Matrix::set_element`]) or
-/// by any operation that produces a new matrix.
 #[derive(Clone, Debug)]
 pub struct Matrix<T> {
     repr: Repr<T>,
     policy: FormatPolicy,
-    at_cache: Arc<OnceLock<Arc<Dcsr<T>>>>,
 }
 
 impl<T: Value> Matrix<T> {
@@ -120,7 +112,6 @@ impl<T: Value> Matrix<T> {
         Matrix {
             repr: Repr::Dcsr(Dcsr::empty(nrows, ncols)),
             policy: FormatPolicy::default(),
-            at_cache: Arc::new(OnceLock::new()),
         }
     }
 
@@ -155,11 +146,7 @@ impl<T: Value> Matrix<T> {
             Format::Csr => Repr::Csr(Csr::from_dcsr(&d)),
             Format::Dcsr => Repr::Dcsr(d),
         };
-        Matrix {
-            repr,
-            policy,
-            at_cache: Arc::new(OnceLock::new()),
-        }
+        Matrix { repr, policy }
     }
 
     /// Force a specific storage format (for the Fig. 4 and ablation
@@ -173,11 +160,7 @@ impl<T: Value> Matrix<T> {
             Format::Csr => Repr::Csr(Csr::from_dcsr(&d)),
             Format::Dcsr => Repr::Dcsr(d),
         };
-        Matrix {
-            repr,
-            policy,
-            at_cache: Arc::new(OnceLock::new()),
-        }
+        Matrix { repr, policy }
     }
 
     /// Replace the format policy (applies to subsequent operations).
@@ -599,56 +582,7 @@ impl<T: Value> Matrix<T> {
         ops::reduce_scalar_ctx(ctx, &self.as_dcsr(), m)
     }
 
-    // ---- transpose cache (feeds the pull direction of vxm/mxv) ----
-
-    /// The transpose in compute format, built on first use via
-    /// [`ops::transpose_ctx`] and cached until the matrix mutates.
-    /// Clones share the cache (their content is identical); operations
-    /// that produce a *new* matrix start with an empty cache.
-    pub fn cached_transpose_ctx(&self, ctx: &OpCtx) -> Arc<Dcsr<T>> {
-        self.at_cache
-            .get_or_init(|| Arc::new(ops::transpose_ctx(ctx, &self.as_dcsr())))
-            .clone()
-    }
-
-    /// [`Matrix::cached_transpose_ctx`] against the thread-local
-    /// default context.
-    pub fn cached_transpose(&self) -> Arc<Dcsr<T>> {
-        with_default_ctx(|ctx| self.cached_transpose_ctx(ctx))
-    }
-
-    /// Whether the transpose is currently materialized. While it is,
-    /// [`Matrix::vxm`]/[`Matrix::mxv`] direction-optimize per call.
-    pub fn has_cached_transpose(&self) -> bool {
-        self.at_cache.get().is_some()
-    }
-
-    /// Drop this handle's cached transpose (other clones keep theirs).
-    pub fn clear_transpose_cache(&mut self) {
-        self.at_cache = Arc::new(OnceLock::new());
-    }
-
-    /// Set (or, with a semiring zero, delete) one cell, re-running
-    /// format selection and invalidating the transpose cache.
-    pub fn set_element<S: Semiring<Value = T>>(&mut self, row: Ix, col: Ix, val: T, s: S) {
-        assert!(
-            row < self.nrows() && col < self.ncols(),
-            "set_element: index out of bounds"
-        );
-        let mut triplets = self.to_triplets();
-        triplets.retain(|(r, c, _)| !(*r == row && *c == col));
-        if !s.is_zero(&val) {
-            triplets.push((row, col, val));
-        }
-        let mut coo = Coo::new(self.nrows(), self.ncols());
-        coo.extend(triplets);
-        // `from_dcsr_with_policy` starts with a fresh (empty) cache —
-        // this rebuild is the invalidation.
-        *self = Self::from_dcsr_with_policy(coo.build_dcsr(s), s, self.policy);
-    }
-
-    /// `vᵀ A` — one frontier-expansion step. Direction-optimized when
-    /// the transpose is cached, push otherwise.
+    /// `vᵀ A` — one frontier-expansion step, in the push direction.
     pub fn vxm<S: Semiring<Value = T>>(&self, v: &SparseVec<T>, s: S) -> SparseVec<T> {
         with_default_ctx(|ctx| self.try_vxm_ctx(ctx, v, s)).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -662,22 +596,11 @@ impl<T: Value> Matrix<T> {
         s: S,
     ) -> Result<SparseVec<T>, OpError> {
         ops::mxv::check_vxm(v.dim(), self.shape(), None)?;
-        // Use the transpose if someone already paid for it; never build
-        // one mid-multiply.
-        let at = self.at_cache.get().cloned();
-        Ok(ops::vxm_opt_ctx(
-            ctx,
-            v,
-            &self.as_dcsr(),
-            at.as_deref(),
-            None,
-            s,
-        ))
+        Ok(ops::vxm_ctx(ctx, v, &self.as_dcsr(), s))
     }
 
-    /// `A v` — sparse row-dot products. Direction-optimized when the
-    /// transpose is cached; Dense/Bitmap storage uses format-native
-    /// SpMV.
+    /// `A v` — sparse row-dot products; Dense/Bitmap storage uses
+    /// format-native SpMV.
     pub fn mxv<S: Semiring<Value = T>>(&self, v: &SparseVec<T>, s: S) -> SparseVec<T> {
         with_default_ctx(|ctx| self.try_mxv_ctx(ctx, v, s)).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -731,10 +654,7 @@ impl<T: Value> Matrix<T> {
                 SparseVec::from_sorted_parts(m.nrows(), idx, vals)
             }
             // Sparse storage goes through the kernel module instead.
-            Repr::Csr(_) | Repr::Dcsr(_) => {
-                let at = self.at_cache.get().cloned();
-                ops::mxv_opt_ctx(ctx, &self.as_dcsr(), at.as_deref(), v, s)
-            }
+            Repr::Csr(_) | Repr::Dcsr(_) => ops::mxv_ctx(ctx, &self.as_dcsr(), v, s),
         })
     }
 }
@@ -866,59 +786,6 @@ mod tests {
             c.format(),
             c.nnz()
         );
-    }
-
-    #[test]
-    fn transpose_cache_builds_once_and_matches() {
-        let m = Matrix::from_dcsr(random_dcsr(1 << 30, 1 << 30, 200, 11, s()), s());
-        assert!(!m.has_cached_transpose());
-        let at = m.cached_transpose();
-        assert!(m.has_cached_transpose());
-        assert!(
-            std::sync::Arc::ptr_eq(&at, &m.cached_transpose()),
-            "second call must reuse, not rebuild"
-        );
-        assert_eq!(*at, crate::ops::transpose_ctx(&OpCtx::new(), &m.as_dcsr()));
-    }
-
-    #[test]
-    fn mutation_invalidates_transpose_cache() {
-        let mut m = Matrix::from_dcsr(random_dcsr(1 << 30, 1 << 30, 150, 12, s()), s());
-        let _ = m.cached_transpose();
-        assert!(m.has_cached_transpose());
-        m.set_element(3, 5, 9.5, s());
-        assert!(!m.has_cached_transpose(), "set_element must invalidate");
-        assert_eq!(m.get(3, 5), Some(&9.5));
-        // The rebuilt cache reflects the new entry.
-        assert_eq!(m.cached_transpose().get(5, 3), Some(&9.5));
-        // Deleting via a semiring zero also invalidates.
-        m.set_element(3, 5, 0.0, s());
-        assert!(!m.has_cached_transpose());
-        assert_eq!(m.get(3, 5), None);
-    }
-
-    #[test]
-    fn clear_transpose_cache_is_per_handle() {
-        let a = Matrix::from_dcsr(random_dcsr(64, 64, 100, 13, s()), s());
-        let _ = a.cached_transpose();
-        let mut b = a.clone();
-        assert!(b.has_cached_transpose(), "clones share the cache");
-        b.clear_transpose_cache();
-        assert!(!b.has_cached_transpose());
-        assert!(a.has_cached_transpose(), "original keeps its cache");
-    }
-
-    #[test]
-    fn vxm_mxv_agree_with_and_without_cache() {
-        let m = Matrix::from_dcsr(random_dcsr(200, 200, 1800, 14, s()), s());
-        let v = SparseVec::from_entries(200, (0..150).map(|i| (i, 1.0 + i as f64)).collect(), s());
-        let plain_vxm = m.vxm(&v, s());
-        let plain_mxv = m.mxv(&v, s());
-        let _ = m.cached_transpose();
-        // Dense-ish frontier over a cached transpose takes the pull path;
-        // results are identical either way.
-        assert_eq!(m.vxm(&v, s()), plain_vxm);
-        assert_eq!(m.mxv(&v, s()), plain_mxv);
     }
 
     #[test]

@@ -582,8 +582,8 @@ where
     vxm_opt_ctx(ctx, v, a, None, None, s)
 }
 
-/// Direction-optimized, mask-fused `vᵀ A`. Supply `at = Aᵀ` (e.g. from
-/// [`crate::Matrix::cached_transpose_ctx`]) and the kernel picks push or
+/// Direction-optimized, mask-fused `vᵀ A`. Supply `at = Aᵀ` (e.g. the
+/// one `graph::Graph` builds once per graph) and the kernel picks push or
 /// pull per call via [`choose_direction`]. Supply a complement `mask`
 /// (a sorted index slice, e.g. the visited set) and `(vᵀA) ⊙ ¬mask` is
 /// computed *inside* the accumulator loop — equivalent to
