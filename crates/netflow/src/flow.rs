@@ -29,7 +29,7 @@ use hypersparse::ops::{reduce_rows_ctx, top_k_ctx};
 use hypersparse::{Coo, Dcsr, Ix};
 use semiring::traits::AddMonoidOf;
 
-use crate::window::TrafficSemiring;
+use crate::TrafficSemiring;
 
 /// One socket-resolution flow event:
 /// `(src_ip, src_port, dst_ip, dst_port, packets)`.
@@ -96,7 +96,7 @@ pub fn host_rollup_ctx(ctx: &OpCtx, a: &Dcsr<u64>) -> Dcsr<u64> {
         s,
     );
     let port_bits = socket_schema().total_bits() - 32;
-    let mut coo = Coo::new(crate::window::IP_SPACE, crate::window::IP_SPACE);
+    let mut coo = Coo::new(crate::IP_SPACE, crate::IP_SPACE);
     coo.extend(
         hosts
             .iter()
@@ -181,7 +181,7 @@ mod tests {
         // bit-identical to never having keyed by port at all.
         let events = sample_events();
         let rolled = host_rollup(&socket_matrix(&events));
-        let mut coo = Coo::new(crate::window::IP_SPACE, crate::window::IP_SPACE);
+        let mut coo = Coo::new(crate::IP_SPACE, crate::IP_SPACE);
         coo.extend(
             events
                 .iter()
@@ -232,7 +232,7 @@ mod tests {
         assert_eq!(g.socket_window(0), g.socket_window(0));
         // And the rollup equivalence holds on generated traffic too.
         let rolled = host_rollup(&socket_matrix(&sockets));
-        let mut coo = Coo::new(crate::window::IP_SPACE, crate::window::IP_SPACE);
+        let mut coo = Coo::new(crate::IP_SPACE, crate::IP_SPACE);
         coo.extend(hosts.iter().map(|&(s, d, p)| (Ix::from(s), Ix::from(d), p)));
         let direct = coo.build_dcsr(TrafficSemiring::new());
         assert!(rolled.iter().eq(direct.iter()));

@@ -12,9 +12,6 @@
 //!   heavy-tailed endpoint popularity and labelled scan/DDoS attack
 //!   episodes, so detector tests assert zero false negatives against
 //!   ground truth;
-//! * [`window`] — windowed ingest through the sharded
-//!   [`pipeline::Pipeline`], with epoch-aligned window rotation
-//!   (snapshot + reset behind one marker wave);
 //! * [`query`] — the typed detector/analytics query surface
 //!   ([`NetflowQuery`]), answered with the `_ctx` kernel stack:
 //!   heavy hitters via reduce + top-k, scan/DDoS signatures via pattern
@@ -25,7 +22,10 @@
 //!   matrices, an `O(nnz)` port rollup proven equal to host-keyed
 //!   ingest, and per-socket heavy hitters;
 //! * [`service`] — [`NetflowService`]: the handle tying generator
-//!   output, windowed ingest, an embedded [`serve::QueryServer`]
+//!   output, windowed ingest through the sharded [`pipeline::Pipeline`]
+//!   (a window closes by [`pipeline::Pipeline::rotate_shared`]: snapshot
+//!   and reset behind one marker wave, window id = epoch), an embedded
+//!   [`serve::QueryServer`]
 //!   (netflow schema — SQL over flows works too), per-detector latency
 //!   histograms, and a single all-layer Prometheus exposition together.
 //!
@@ -43,7 +43,6 @@ pub mod gen;
 pub mod metrics;
 pub mod query;
 pub mod service;
-pub mod window;
 
 pub use error::NetflowError;
 pub use flow::{SocketFlowEvent, SOCKET_SPACE};
@@ -51,4 +50,10 @@ pub use gen::{Episode, FlowEvent, GenConfig, TrafficGen};
 pub use metrics::{NetflowMetrics, NetflowMetricsSnapshot};
 pub use query::{NetflowBody, NetflowQuery, NetflowQueryClass, NetflowResponse};
 pub use service::{NetflowConfig, NetflowService, WindowReport};
-pub use window::{TrafficSemiring, TrafficWindows, IP_SPACE};
+
+/// The semiring traffic matrices accumulate in: ⊕ = `+` over packet
+/// counts.
+pub type TrafficSemiring = semiring::PlusTimes<u64>;
+
+/// The full IPv4 key space: addresses are the low 32 bits of the index.
+pub const IP_SPACE: hypersparse::Ix = 1 << 32;

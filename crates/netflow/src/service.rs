@@ -2,8 +2,8 @@
 //! detectors → serving, in one handle.
 //!
 //! [`NetflowService`] composes the whole stack the deployment papers
-//! describe: packets stream through the sharded [`TrafficWindows`]
-//! pipeline; closing a window publishes the immutable traffic matrix
+//! describe: packets stream through the sharded [`Pipeline`]; closing a
+//! window (one rotation wave) publishes the immutable traffic matrix
 //! into an embedded [`serve::QueryServer`] (under the
 //! [`serve::ViewSchema::netflow`] schema, so SQL/select/neighbor
 //! queries work over flows); and the typed [`NetflowQuery`] surface
@@ -27,7 +27,7 @@ use graph::netsec::flag_degrees;
 use hyperspace_core::cidr::{self, RollupAxes};
 use hypersparse::ops as kernels;
 use hypersparse::{Exposition, Ix, OpCtx, SparseVec};
-use pipeline::{EpochSnapshot, PipelineConfig, StandingView};
+use pipeline::{EpochSnapshot, Pipeline, PipelineConfig, StandingView};
 use semiring::{PlusMonoid, PlusTimes};
 use serve::{QueryServer, ViewSchema};
 
@@ -35,7 +35,7 @@ use crate::error::NetflowError;
 use crate::gen::FlowEvent;
 use crate::metrics::{NetflowMetrics, NetflowMetricsSnapshot};
 use crate::query::{NetflowBody, NetflowQuery, NetflowQueryClass, NetflowResponse};
-use crate::window::{TrafficSemiring, TrafficWindows, IP_SPACE};
+use crate::{TrafficSemiring, IP_SPACE};
 
 /// Service parameters.
 #[derive(Clone, Debug)]
@@ -205,7 +205,8 @@ impl StandingView<TrafficSemiring> for StandingDetectors {
 
 /// The end-to-end netflow analytics service.
 pub struct NetflowService {
-    windows: TrafficWindows,
+    /// The traffic-matrix stream: its epochs are analysis windows.
+    pipeline: Pipeline<TrafficSemiring>,
     server: Arc<QueryServer<TrafficSemiring>>,
     metrics: NetflowMetrics,
     /// Detector kernels run through this context: one metrics registry
@@ -220,29 +221,26 @@ impl NetflowService {
     /// registry to window closure, and registers the standing detector
     /// state for delta-wave maintenance.
     pub fn new(config: NetflowConfig) -> Self {
-        let windows = TrafficWindows::new(config.pipeline);
+        let pipeline = Pipeline::with_config(IP_SPACE, IP_SPACE, PlusTimes::new(), config.pipeline);
         let server = Arc::new(QueryServer::with_capacity(
             config.retain_windows,
             serve::DEFAULT_CACHE_ENTRIES,
             ViewSchema::netflow(),
         ));
-        server.attach(windows.pipeline());
+        server.attach(&pipeline);
         let ctx = Arc::new(OpCtx::new());
         let standing = Arc::new(StandingDetectors::new(Arc::clone(&ctx)));
-        windows.register_standing_query(
+        pipeline.register_standing_query(
             "detectors",
             Arc::clone(&standing) as Arc<dyn StandingView<TrafficSemiring>>,
         );
         NetflowService {
-            windows,
+            pipeline,
             server,
             metrics: NetflowMetrics::default(),
             ctx,
             standing,
-            config: NetflowConfig {
-                pipeline: config.pipeline,
-                ..config
-            },
+            config,
         }
     }
 
@@ -253,14 +251,18 @@ impl NetflowService {
 
     /// Ingest one batch of flow events into the current window.
     pub fn ingest(&self, events: &[FlowEvent]) -> Result<(), NetflowError> {
-        self.windows.ingest(events)?;
+        self.pipeline.ingest_batch(
+            events
+                .iter()
+                .map(|&(s, d, p)| (Ix::from(s), Ix::from(d), p)),
+        )?;
         Ok(())
     }
 
     /// Close the current window: the immutable traffic matrix publishes
     /// into the serving registry (window id = epoch) and is returned.
     pub fn close_window(&self) -> Result<Arc<EpochSnapshot<TrafficSemiring>>, NetflowError> {
-        let snap = self.windows.close()?;
+        let snap = self.pipeline.rotate_shared()?;
         self.metrics.record_window(snap.nnz() as u64);
         Ok(snap)
     }
@@ -270,7 +272,7 @@ impl NetflowService {
     /// serving registry (queryable like any refresh), the delta folds
     /// into every standing view. Returns `(epoch, delta_nnz)`.
     pub fn refresh(&self) -> Result<(u64, u64), NetflowError> {
-        Ok(self.server.refresh_incremental(self.windows.pipeline())?)
+        Ok(self.server.refresh_incremental(&self.pipeline)?)
     }
 
     /// The embedded query server: SQL / select / neighbor / group-count
@@ -498,7 +500,7 @@ impl NetflowService {
     /// `hypersparse_*` family is declared once), serving counters,
     /// netflow counters and per-detector histograms.
     pub fn render_prometheus(&self) -> String {
-        let pipeline = self.windows.pipeline();
+        let pipeline = &self.pipeline;
         let mut kernels = pipeline.kernel_metrics();
         kernels.merge(&self.kernel_metrics());
         let mut out = Exposition::default();
@@ -511,7 +513,7 @@ impl NetflowService {
 
     /// Graceful shutdown of the pipeline shard workers.
     pub fn shutdown(self) -> Result<(), NetflowError> {
-        self.windows.shutdown()?;
+        self.pipeline.shutdown()?;
         Ok(())
     }
 }

@@ -134,16 +134,25 @@ impl PipelineMetrics {
         self.events.store(events, Ordering::Relaxed);
     }
 
+    /// One snapshot wave: its count, total time and stage latency.
     pub(crate) fn record_snapshot(&self, elapsed: Duration) {
         self.snapshots.fetch_add(1, Ordering::Relaxed);
         self.snapshot_ns
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        self.record_stage(Stage::Snapshot, elapsed);
     }
 
+    /// One checkpoint: its count, total time and stage latency.
     pub(crate) fn record_checkpoint(&self, elapsed: Duration) {
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         self.checkpoint_ns
             .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+        self.record_stage(Stage::Checkpoint, elapsed);
+    }
+
+    /// Events accepted so far: one atomic load, no freeze.
+    pub(crate) fn events_ingested(&self) -> u64 {
+        self.events.load(Ordering::Relaxed)
     }
 
     /// Messages currently queued (sent, not yet fully processed) on one

@@ -6,16 +6,18 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use hypersparse::{Exposition, Ix, MetricsSnapshot, OpCtx, StreamingMatrix, TraceMode};
+use hypersparse::trace::Span;
+use hypersparse::{Dcsr, Exposition, Ix, MetricsSnapshot, OpCtx, StreamingMatrix, TraceMode};
 use semiring::traits::Semiring;
 
 use crate::checkpoint::{
-    commit_manifest, list_generations, load_shard, prune_generations, read_manifest, Manifest,
+    commit_manifest, encode_shard, list_generations, load_shard, prune_generations, read_manifest,
+    write_shard_file, Manifest,
 };
 use crate::config::{shard_of, PipelineConfig};
 use crate::error::PipelineError;
 use crate::metrics::{PipelineMetrics, PipelineMetricsSnapshot, Stage};
-use crate::shard::{Command, Shard};
+use crate::shard::{Command, MarkerWork, Shard};
 use crate::sink::SnapshotSink;
 use crate::snapshot::{EpochSnapshot, IncrementalEpoch};
 use crate::standing::{StandingRegistry, StandingView, StandingViewStats};
@@ -39,6 +41,13 @@ use crate::value::PodValue;
 /// whatever the channel arbitration produced — still a consistent
 /// per-shard prefix at every snapshot, but only ⊕-commutative workloads
 /// (all of Table I) see identical folds across runs.
+///
+/// **One wave at a time.** Snapshots, incremental snapshots, rotations
+/// and checkpoints are marker waves, and they run one at a time: a wave
+/// stamps its epoch, cuts every shard and finishes (assembly, standing
+/// update, sink publication) before the next stamps, so epochs follow
+/// cut order on every shard. A [`SnapshotSink`] or [`StandingView`] must
+/// therefore not start a wave from inside `publish` or `apply`.
 pub struct Pipeline<S: Semiring>
 where
     S::Value: PodValue,
@@ -49,6 +58,8 @@ where
     config: PipelineConfig,
     shards: Vec<Shard<S>>,
     epoch: AtomicU64,
+    /// Held by the one marker wave in flight.
+    waves: Mutex<()>,
     metrics: Arc<PipelineMetrics>,
     /// Context for snapshot assembly (the cross-shard ⊕-fold).
     assemble_ctx: OpCtx,
@@ -100,6 +111,7 @@ where
             config,
             shards,
             epoch: AtomicU64::new(epoch),
+            waves: Mutex::new(()),
             metrics,
             assemble_ctx: OpCtx::new().with_threads(config.merge_threads),
             sinks: Mutex::new(Vec::new()),
@@ -131,19 +143,7 @@ where
     /// stream through `ingest_batch`.
     pub fn ingest(&self, row: Ix, col: Ix, val: S::Value) -> Result<(), PipelineError> {
         let shard = self.check_key(row, col)?;
-        let t = Instant::now();
-        self.metrics.depth_inc(shard);
-        match self.shards[shard].send(shard, Command::Event(row, col, val)) {
-            Ok(()) => {
-                self.metrics.record_accepted(1);
-                self.metrics.record_stage(Stage::Ingest, t.elapsed());
-                Ok(())
-            }
-            Err(e) => {
-                self.metrics.depth_dec(shard);
-                Err(e)
-            }
-        }
+        self.send_events(shard, Command::Event(row, col, val), 1, Shard::send)
     }
 
     /// Append one event **without blocking**: returns
@@ -154,22 +154,7 @@ where
     /// with [`Pipeline::ingest_batch`].
     pub fn try_ingest(&self, row: Ix, col: Ix, val: S::Value) -> Result<(), PipelineError> {
         let shard = self.check_key(row, col)?;
-        let t = Instant::now();
-        self.metrics.depth_inc(shard);
-        match self.shards[shard].try_send(shard, Command::Event(row, col, val)) {
-            Ok(()) => {
-                self.metrics.record_accepted(1);
-                self.metrics.record_stage(Stage::Ingest, t.elapsed());
-                Ok(())
-            }
-            Err(e) => {
-                self.metrics.depth_dec(shard);
-                if matches!(e, PipelineError::Full { .. }) {
-                    self.metrics.record_rejected();
-                }
-                Err(e)
-            }
-        }
+        self.send_events(shard, Command::Event(row, col, val), 1, Shard::try_send)
     }
 
     /// Route a batch: one channel message per shard touched (amortizes
@@ -193,25 +178,124 @@ where
             routed[shard].push((row, col, val));
         }
         for (shard, batch) in routed.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let n = batch.len() as u64;
-            let send_t = Instant::now();
-            self.metrics.depth_inc(shard);
-            match self.shards[shard].send(shard, Command::Batch(batch)) {
-                Ok(()) => {
-                    self.metrics.record_accepted(n);
-                    self.metrics.record_stage(Stage::Ingest, send_t.elapsed());
-                }
-                Err(e) => {
-                    self.metrics.depth_dec(shard);
-                    return Err(e);
-                }
+            if !batch.is_empty() {
+                let n = batch.len() as u64;
+                self.send_events(shard, Command::Batch(batch), n, Shard::send)?;
             }
         }
         self.metrics.record_stage(Stage::Route, t.elapsed());
         Ok(())
+    }
+
+    /// Hand one message carrying `events` events to a shard through
+    /// `send` (blocking or not), metering the send as [`Stage::Ingest`].
+    fn send_events(
+        &self,
+        shard: usize,
+        cmd: Command<S>,
+        events: u64,
+        send: impl Fn(&Shard<S>, usize, Command<S>) -> Result<(), PipelineError>,
+    ) -> Result<(), PipelineError> {
+        let t = Instant::now();
+        self.metrics.depth_inc(shard);
+        let sent = send(&self.shards[shard], shard, cmd);
+        match &sent {
+            Ok(()) => {
+                self.metrics.record_accepted(events);
+                self.metrics.record_stage(Stage::Ingest, t.elapsed());
+            }
+            Err(e) => {
+                self.metrics.depth_dec(shard);
+                if matches!(e, PipelineError::Full { .. }) {
+                    self.metrics.record_rejected();
+                }
+            }
+        }
+        sent
+    }
+
+    // -- marker waves ---------------------------------------------------
+
+    /// Run one marker wave. Under the wave lock, held until `finish`
+    /// returns: stamp the next epoch, read the accepted-event count, send
+    /// every shard a marker that runs `cut` on its stream, collect the
+    /// replies in shard order, and hand `finish` the epoch, the count and
+    /// the replies (for the assembly, standing update or sink
+    /// publication). So waves run one at a time, and epochs follow cut
+    /// order on every shard.
+    fn wave<R: Send + 'static, T>(
+        &self,
+        name: &'static str,
+        shard_span: &'static str,
+        cut: impl FnOnce(usize, &mut StreamingMatrix<S>) -> R + Clone + Send + 'static,
+        finish: impl FnOnce(u64, u64, Vec<R>) -> Result<T, PipelineError>,
+    ) -> Result<T, PipelineError> {
+        // Recover, don't propagate, poisoning: the lock guards no data,
+        // and a sink that panicked mid-publish must not stop every later
+        // wave.
+        let _one_at_a_time = self.waves.lock().unwrap_or_else(|e| e.into_inner());
+        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        let _span = self
+            .assemble_ctx
+            .trace()
+            .span(name, || format!("epoch {epoch}"));
+        let events = self.metrics.events_ingested();
+        // Send every marker before collecting any reply, so shards cut
+        // their streams concurrently.
+        let sending = self.span("wave_send");
+        let mut replies = Vec::with_capacity(self.shards.len());
+        for (i, shard) in self.shards.iter().enumerate() {
+            let (tx, rx) = mpsc::channel();
+            let cut = cut.clone();
+            let work: MarkerWork<S> = Box::new(move |i, stream| {
+                // The wave may have failed on another shard; ignore.
+                let _ = tx.send(cut(i, stream));
+            });
+            let marker = Command::Marker {
+                span: shard_span,
+                work,
+            };
+            self.metrics.depth_inc(i);
+            if let Err(e) = shard.send(i, marker) {
+                self.metrics.depth_dec(i);
+                return Err(e);
+            }
+            replies.push(rx);
+        }
+        drop(sending);
+        let waiting = self.span("wave_wait");
+        let parts = replies
+            .into_iter()
+            .enumerate()
+            .map(|(i, rx)| {
+                rx.recv()
+                    .map_err(|_| PipelineError::ShardTerminated { shard: i })
+            })
+            .collect::<Result<_, _>>()?;
+        drop(waiting);
+        finish(epoch, events, parts)
+    }
+
+    /// A child span of the running wave's span.
+    fn span(&self, name: &'static str) -> Span<'_> {
+        self.assemble_ctx.trace().span(name, String::new)
+    }
+
+    /// ⊕-fold per-shard parts (disjoint row sets) into one snapshot.
+    fn assemble(&self, epoch: u64, events: u64, parts: Vec<Dcsr<S::Value>>) -> EpochSnapshot<S> {
+        EpochSnapshot::assemble(epoch, events, &self.assemble_ctx, parts, self.s)
+    }
+
+    /// Hand `snap` to every registered sink.
+    fn publish(&self, snap: Arc<EpochSnapshot<S>>) -> Arc<EpochSnapshot<S>> {
+        // Recover, don't propagate, poisoning: the registry Vec is
+        // always structurally valid, and a sink that panicked mid-publish
+        // must not take down every later publication.
+        let sinks = self.sinks.lock().unwrap_or_else(|e| e.into_inner());
+        for sink in sinks.iter() {
+            sink.publish(&snap);
+        }
+        snap
     }
 
     // -- query ----------------------------------------------------------
@@ -223,36 +307,24 @@ where
     /// appear in the result, and everything this thread enqueued before
     /// the call is guaranteed in.
     pub fn snapshot(&self) -> Result<EpochSnapshot<S>, PipelineError> {
+        self.snapshot_wave(|snap| snap)
+    }
+
+    /// The [`Pipeline::snapshot`] wave; `then` is its last step.
+    fn snapshot_wave<T>(
+        &self,
+        then: impl FnOnce(EpochSnapshot<S>) -> T,
+    ) -> Result<T, PipelineError> {
         let t = Instant::now();
-        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        let _span = self
-            .assemble_ctx
-            .trace()
-            .span("snapshot", || format!("epoch {epoch}"));
-        let events = self.metrics.snapshot().events_ingested;
-        // Send every marker before collecting any reply, so shards fold
-        // their hierarchies concurrently.
-        let mut replies = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.iter().enumerate() {
-            let (tx, rx) = mpsc::channel();
-            self.metrics.depth_inc(i);
-            if let Err(e) = shard.send(i, Command::Snapshot { reply: tx }) {
-                self.metrics.depth_dec(i);
-                return Err(e);
-            }
-            replies.push(rx);
-        }
-        let mut parts = Vec::with_capacity(replies.len());
-        for (i, rx) in replies.into_iter().enumerate() {
-            parts.push(
-                rx.recv()
-                    .map_err(|_| PipelineError::ShardTerminated { shard: i })?,
-            );
-        }
-        let snap = EpochSnapshot::assemble(epoch, events, &self.assemble_ctx, parts, self.s);
-        self.metrics.record_snapshot(t.elapsed());
-        self.metrics.record_stage(Stage::Snapshot, t.elapsed());
-        Ok(snap)
+        let fold = |_, stream: &mut StreamingMatrix<S>| stream.snapshot();
+        self.wave("snapshot", "shard_fold", fold, |epoch, events, parts| {
+            let snap = {
+                let _span = self.span("assemble");
+                self.assemble(epoch, events, parts)
+            };
+            self.metrics.record_snapshot(t.elapsed());
+            Ok(then(snap))
+        })
     }
 
     /// Close the current analytics window: send a rotate-marker wave
@@ -277,70 +349,56 @@ where
     /// ([`hypersparse::StreamingMatrix::flush_threshold`], exposed as
     /// the `pipeline_shard_flush_threshold` gauge).
     pub fn rotate(&self) -> Result<EpochSnapshot<S>, PipelineError> {
-        let t = Instant::now();
-        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        let _span = self
-            .assemble_ctx
-            .trace()
-            .span("rotate", || format!("epoch {epoch}"));
-        let events = self.metrics.snapshot().events_ingested;
-        let mut replies = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.iter().enumerate() {
-            let (tx, rx) = mpsc::channel();
-            self.metrics.depth_inc(i);
-            if let Err(e) = shard.send(i, Command::Rotate { reply: tx }) {
-                self.metrics.depth_dec(i);
-                return Err(e);
-            }
-            replies.push(rx);
-        }
-        let mut parts = Vec::with_capacity(replies.len());
-        let mut deltas = Vec::with_capacity(replies.len());
-        for (i, rx) in replies.into_iter().enumerate() {
-            let (closing, delta) = rx
-                .recv()
-                .map_err(|_| PipelineError::ShardTerminated { shard: i })?;
-            parts.push(closing);
-            deltas.push(delta);
-        }
-        // When no delta wave cut the window on any shard the closing
-        // delta is the closing window itself, assembled once below.
-        // Otherwise an uncut shard's whole window is its delta.
-        let standing = !self.standing.is_empty();
-        let ut = Instant::now();
-        let cut_delta = (standing && deltas.iter().any(Option::is_some)).then(|| {
-            let delta_parts = deltas
-                .into_iter()
-                .zip(&parts)
-                .map(|(delta, closing)| delta.unwrap_or_else(|| closing.clone()))
-                .collect();
-            EpochSnapshot::assemble(epoch, events, &self.assemble_ctx, delta_parts, self.s)
-        });
-        let delta_assembly = ut.elapsed();
-        let snap = EpochSnapshot::assemble(epoch, events, &self.assemble_ctx, parts, self.s);
-        if standing {
-            let ut = Instant::now();
-            self.standing.close(cut_delta.as_ref().unwrap_or(&snap));
-            self.metrics
-                .record_stage(Stage::StandingUpdate, delta_assembly + ut.elapsed());
-        }
-        self.metrics.record_stage(Stage::Rotate, t.elapsed());
-        Ok(snap)
+        self.rotate_wave(|snap| snap)
     }
 
     /// [`Pipeline::rotate`], wrapped in an `Arc` and published to every
     /// registered [`SnapshotSink`] — the window-closing twin of
     /// [`Pipeline::snapshot_shared`].
     pub fn rotate_shared(&self) -> Result<Arc<EpochSnapshot<S>>, PipelineError> {
-        let snap = Arc::new(self.rotate()?);
-        // Recover, don't propagate, poisoning: the registry Vec is
-        // always structurally valid, and a sink that panicked mid-publish
-        // must not take down every later rotation.
-        let sinks = self.sinks.lock().unwrap_or_else(|e| e.into_inner());
-        for sink in sinks.iter() {
-            sink.publish(&snap);
-        }
-        Ok(snap)
+        self.rotate_wave(|snap| self.publish(Arc::new(snap)))
+    }
+
+    /// The [`Pipeline::rotate`] wave; `then` is its last step.
+    fn rotate_wave<T>(&self, then: impl FnOnce(EpochSnapshot<S>) -> T) -> Result<T, PipelineError> {
+        let t = Instant::now();
+        let metrics = Arc::clone(&self.metrics);
+        let close = move |shard, stream: &mut StreamingMatrix<S>| {
+            let closed = stream.rotate();
+            // Set before the reply: a caller reads the new threshold as
+            // soon as `rotate` returns.
+            metrics.set_flush_threshold(shard, stream.flush_threshold());
+            closed
+        };
+        self.wave("rotate", "shard_rotate", close, |epoch, events, parts| {
+            let (parts, deltas): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+            let standing = !self.standing.is_empty();
+            let assembly = self.span("assemble");
+            // When no delta wave cut the window on any shard the closing
+            // delta is the closing window itself, assembled once below.
+            // Otherwise an uncut shard's whole window is its delta.
+            let ut = Instant::now();
+            let cut_delta = (standing && deltas.iter().any(Option::is_some)).then(|| {
+                let delta_parts = deltas
+                    .into_iter()
+                    .zip(&parts)
+                    .map(|(delta, closing)| delta.unwrap_or_else(|| closing.clone()))
+                    .collect();
+                self.assemble(epoch, events, delta_parts)
+            });
+            let delta_assembly = ut.elapsed();
+            let snap = self.assemble(epoch, events, parts);
+            drop(assembly);
+            if standing {
+                let _span = self.span("standing");
+                let ut = Instant::now();
+                self.standing.close(cut_delta.as_ref().unwrap_or(&snap));
+                self.metrics
+                    .record_stage(Stage::StandingUpdate, delta_assembly + ut.elapsed());
+            }
+            self.metrics.record_stage(Stage::Rotate, t.elapsed());
+            Ok(then(snap))
+        })
     }
 
     /// Subscribe a [`SnapshotSink`] to snapshot publication. Every
@@ -360,12 +418,7 @@ where
     /// assembled epoch, so long-lived registries never block or copy for
     /// concurrent readers.
     pub fn snapshot_shared(&self) -> Result<Arc<EpochSnapshot<S>>, PipelineError> {
-        let snap = Arc::new(self.snapshot()?);
-        let sinks = self.sinks.lock().unwrap_or_else(|e| e.into_inner());
-        for sink in sinks.iter() {
-            sink.publish(&snap);
-        }
-        Ok(snap)
+        self.snapshot_wave(|snap| self.publish(Arc::new(snap)))
     }
 
     // -- standing queries ----------------------------------------------
@@ -399,58 +452,37 @@ where
     /// computation run from scratch on `full`.
     pub fn snapshot_incremental(&self) -> Result<IncrementalEpoch<S>, PipelineError> {
         let t = Instant::now();
-        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        let _span = self
-            .assemble_ctx
-            .trace()
-            .span("snapshot_delta", || format!("epoch {epoch}"));
-        let events = self.metrics.snapshot().events_ingested;
-        let mut replies = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.iter().enumerate() {
-            let (tx, rx) = mpsc::channel();
-            self.metrics.depth_inc(i);
-            if let Err(e) = shard.send(i, Command::SnapshotDelta { reply: tx }) {
-                self.metrics.depth_dec(i);
-                return Err(e);
-            }
-            replies.push(rx);
-        }
-        let mut full_parts = Vec::with_capacity(replies.len());
-        let mut delta_parts = Vec::with_capacity(replies.len());
-        for (i, rx) in replies.into_iter().enumerate() {
-            let (full, delta) = rx
-                .recv()
-                .map_err(|_| PipelineError::ShardTerminated { shard: i })?;
-            full_parts.push(full);
-            delta_parts.push(delta);
-        }
-        let full = Arc::new(EpochSnapshot::assemble(
-            epoch,
-            events,
-            &self.assemble_ctx,
-            full_parts,
-            self.s,
-        ));
-        let delta = Arc::new(EpochSnapshot::assemble(
-            epoch,
-            events,
-            &self.assemble_ctx,
-            delta_parts,
-            self.s,
-        ));
-        self.metrics.record_snapshot(t.elapsed());
-        self.metrics.record_stage(Stage::Snapshot, t.elapsed());
-
-        let ut = Instant::now();
-        self.standing.apply(&delta);
-        self.metrics
-            .record_stage(Stage::StandingUpdate, ut.elapsed());
-
-        let sinks = self.sinks.lock().unwrap_or_else(|e| e.into_inner());
-        for sink in sinks.iter() {
-            sink.publish(&full);
-        }
-        Ok(IncrementalEpoch { full, delta })
+        let fold = |_, stream: &mut StreamingMatrix<S>| {
+            // Delta first: it seals the live levels, after which the
+            // full fold covers exactly the same cut.
+            let delta = stream.delta_snapshot();
+            (stream.snapshot(), delta)
+        };
+        self.wave(
+            "snapshot_delta",
+            "shard_fold_delta",
+            fold,
+            |epoch, events, parts| {
+                let (full, delta): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+                let (full, delta) = {
+                    let _span = self.span("assemble");
+                    (
+                        Arc::new(self.assemble(epoch, events, full)),
+                        Arc::new(self.assemble(epoch, events, delta)),
+                    )
+                };
+                self.metrics.record_snapshot(t.elapsed());
+                {
+                    let _span = self.span("standing");
+                    let ut = Instant::now();
+                    self.standing.apply(&delta);
+                    self.metrics
+                        .record_stage(Stage::StandingUpdate, ut.elapsed());
+                }
+                let full = self.publish(full);
+                Ok(IncrementalEpoch { full, delta })
+            },
+        )
     }
 
     // -- checkpoint / restore -------------------------------------------
@@ -464,51 +496,33 @@ where
         let t = Instant::now();
         std::fs::create_dir_all(dir).map_err(|e| PipelineError::io("creating", dir, e))?;
         let generation = list_generations(dir)?.last().copied().unwrap_or(0) + 1;
-        let _span = self
-            .assemble_ctx
-            .trace()
-            .span("checkpoint", || format!("generation {generation}"));
-        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        let events = self.metrics.snapshot().events_ingested;
-
-        let mut replies = Vec::with_capacity(self.shards.len());
-        for (i, shard) in self.shards.iter().enumerate() {
-            let (tx, rx) = mpsc::channel();
-            self.metrics.depth_inc(i);
-            if let Err(e) = shard.send(
-                i,
-                Command::Checkpoint {
-                    dir: dir.to_path_buf(),
-                    generation,
-                    reply: tx,
-                },
-            ) {
-                self.metrics.depth_dec(i);
-                return Err(e);
-            }
-            replies.push(rx);
-        }
-        let mut shard_meta = Vec::with_capacity(replies.len());
-        for (i, rx) in replies.into_iter().enumerate() {
-            shard_meta.push(
-                rx.recv()
-                    .map_err(|_| PipelineError::ShardTerminated { shard: i })??,
-            );
-        }
-        let manifest = Manifest {
-            generation,
-            epoch,
-            value_tag: <S::Value as PodValue>::TAG,
-            nrows: self.nrows,
-            ncols: self.ncols,
-            events,
-            shards: shard_meta,
+        let shard_dir = dir.to_path_buf();
+        let write = move |shard, stream: &mut StreamingMatrix<S>| {
+            stream.flush();
+            let bytes = encode_shard(stream);
+            write_shard_file(&shard_dir, generation, shard, &bytes, stream.inserted())
         };
-        commit_manifest(dir, &manifest)?;
-        prune_generations(dir, self.config.keep_generations);
-        self.metrics.record_checkpoint(t.elapsed());
-        self.metrics.record_stage(Stage::Checkpoint, t.elapsed());
-        Ok(manifest)
+        self.wave(
+            "checkpoint",
+            "shard_checkpoint",
+            write,
+            |epoch, events, shards| {
+                let _span = self.span("assemble");
+                let manifest = Manifest {
+                    generation,
+                    epoch,
+                    value_tag: <S::Value as PodValue>::TAG,
+                    nrows: self.nrows,
+                    ncols: self.ncols,
+                    events,
+                    shards: shards.into_iter().collect::<Result<_, _>>()?,
+                };
+                commit_manifest(dir, &manifest)?;
+                prune_generations(dir, self.config.keep_generations);
+                self.metrics.record_checkpoint(t.elapsed());
+                Ok(manifest)
+            },
+        )
     }
 
     /// Restore from the newest committed generation under `dir`.
@@ -656,7 +670,7 @@ where
 
     /// Events accepted so far (enqueued; possibly not yet merged).
     pub fn events_ingested(&self) -> u64 {
-        self.metrics.snapshot().events_ingested
+        self.metrics.events_ingested()
     }
 
     /// Live service counters (ingest volume, rejections, depths,
@@ -1074,6 +1088,57 @@ mod tests {
             per_shard,
             merged.kernel(hypersparse::Kernel::StreamMerge).calls
         );
+        p.shutdown().unwrap();
+    }
+
+    /// A windowed traffic matrix: packet counts over the 2³² address
+    /// space, a window closed by each rotation.
+    fn traffic(shards: usize) -> Pipeline<PlusTimes<u64>> {
+        let config = PipelineConfig::new().with_shards(shards);
+        Pipeline::with_config(1 << 32, 1 << 32, PlusTimes::new(), config)
+    }
+
+    #[test]
+    fn events_land_in_exactly_one_window() {
+        let p = traffic(2);
+        p.ingest_batch([(10, 20, 1), (10, 20, 2), (30, 40, 5)])
+            .unwrap();
+        let first = p.rotate_shared().unwrap();
+        assert_eq!(first.nnz(), 2);
+        assert_eq!(first.get(10, 20), Some(&3));
+
+        p.ingest_batch([(10, 20, 7)]).unwrap();
+        let second = p.rotate_shared().unwrap();
+        assert_eq!(second.get(10, 20), Some(&7), "window reset between epochs");
+        assert_eq!(second.nnz(), 1);
+        assert_eq!(second.epoch(), first.epoch() + 1);
+        p.shutdown().unwrap();
+    }
+
+    #[test]
+    fn refresh_reports_deltas_without_closing() {
+        let p = traffic(2);
+        p.ingest_batch([(1, 2, 1), (3, 4, 1)]).unwrap();
+        let first = p.snapshot_incremental().unwrap();
+        assert_eq!(first.full.nnz(), 2);
+        assert_eq!(first.delta.nnz(), 2, "first delta covers everything");
+        p.ingest_batch([(5, 6, 1)]).unwrap();
+        let second = p.snapshot_incremental().unwrap();
+        assert_eq!(second.full.nnz(), 3);
+        assert_eq!(second.delta.nnz(), 1, "later deltas see only new entries");
+        // The window never closed: everything lands in one rotation.
+        assert_eq!(p.rotate_shared().unwrap().nnz(), 3);
+        p.shutdown().unwrap();
+    }
+
+    #[test]
+    fn peek_observes_without_closing() {
+        let p = traffic(1);
+        p.ingest_batch([(1, 2, 1)]).unwrap();
+        assert_eq!(p.snapshot_shared().unwrap().nnz(), 1);
+        p.ingest_batch([(3, 4, 1)]).unwrap();
+        // The window kept accumulating across the peek.
+        assert_eq!(p.rotate_shared().unwrap().nnz(), 2);
         p.shutdown().unwrap();
     }
 }

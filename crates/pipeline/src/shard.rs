@@ -8,35 +8,28 @@
 //! So are its flush points (a float ⊕'s fold order follows them): a
 //! rotation sets the threshold from the closing window's event count.
 //!
-//! Snapshots and checkpoints ride the same channel as ingest (marker
-//! messages, Chandy–Lamport style), so a marker cleanly cuts each
-//! shard's event stream: everything enqueued before it is in, everything
-//! after is out — while ingest keeps flowing behind the marker.
+//! Marker waves (snapshots, rotations, checkpoints) ride the same
+//! channel as ingest (Chandy–Lamport style), so a marker cleanly cuts
+//! each shard's event stream: everything enqueued before it is in,
+//! everything after is out — while ingest keeps flowing behind the
+//! marker. A marker carries its work as a closure the router built, so
+//! the worker knows one marker command, not one per kind of wave.
 
-use std::path::PathBuf;
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use hypersparse::{Dcsr, Ix, OpCtx, StreamingMatrix};
+use hypersparse::{Ix, OpCtx, StreamingMatrix};
 use semiring::traits::Semiring;
 
-use crate::checkpoint::{encode_shard, write_shard_file, ShardFileMeta};
 use crate::config::PipelineConfig;
 use crate::error::PipelineError;
 use crate::metrics::{PipelineMetrics, Stage};
 use crate::value::PodValue;
 
-/// Reply payload for marker commands that cut a delta: the shard's
-/// complete fold paired with the entries since the previous watermark.
-pub(crate) type FullAndDelta<S> = (Dcsr<<S as Semiring>::Value>, Dcsr<<S as Semiring>::Value>);
-
-/// Reply payload of a rotation marker: the closing window's fold and,
-/// when it differs from it, the closing delta.
-pub(crate) type ClosingAndDelta<S> = (
-    Dcsr<<S as Semiring>::Value>,
-    Option<Dcsr<<S as Semiring>::Value>>,
-);
+/// A marker's work on one shard: called with the shard index and its
+/// stream, it owns the sender its reply travels on.
+pub(crate) type MarkerWork<S> = Box<dyn FnOnce(usize, &mut StreamingMatrix<S>) + Send>;
 
 /// One message on a shard's command channel.
 pub(crate) enum Command<S: Semiring> {
@@ -44,43 +37,13 @@ pub(crate) enum Command<S: Semiring> {
     Event(Ix, Ix, S::Value),
     /// A pre-routed batch of events for this shard.
     Batch(Vec<(Ix, Ix, S::Value)>),
-    /// Snapshot marker: fold the hierarchy as of this point in the
-    /// stream and reply. Ingest enqueued behind the marker is excluded.
-    Snapshot {
-        /// Where to deliver the fold.
-        reply: Sender<Dcsr<S::Value>>,
-    },
-    /// Incremental snapshot marker: advance the shard's delta watermark
-    /// and reply with `(full, delta)` — the complete fold *and* the
-    /// entries inserted since the previous watermark, cut at the same
-    /// point in the stream so `full(t) = full(t−1) ⊕ delta(t)` holds
-    /// across marker waves.
-    SnapshotDelta {
-        /// Where to deliver `(full fold, delta fold)`.
-        reply: Sender<FullAndDelta<S>>,
-    },
-    /// Window-rotation marker: fold the hierarchy as of this point in
-    /// the stream, reply with the fold, and **reset** the shard to empty
-    /// so subsequent ingest starts the next window. The reply pairs the
-    /// closing window's contents with the closing *delta* (entries since
-    /// the last watermark), so standing views can absorb the window's
-    /// tail before resetting — `None` when no delta wave cut this
-    /// shard's window, i.e. the closing delta *is* the closing window
-    /// ([`StreamingMatrix::rotate`]). Everything enqueued behind the
-    /// marker lands in the new window.
-    Rotate {
-        /// Where to deliver `(closing window fold, closing delta)`.
-        reply: Sender<ClosingAndDelta<S>>,
-    },
-    /// Checkpoint marker: flush, serialize the hierarchy, write the
-    /// shard file, reply with its manifest record.
-    Checkpoint {
-        /// Checkpoint directory root.
-        dir: PathBuf,
-        /// Generation being committed.
-        generation: u64,
-        /// Reply with the written file's metadata (or the I/O error).
-        reply: Sender<Result<ShardFileMeta, PipelineError>>,
+    /// One shard's part of a marker wave: run `work` on the stream as
+    /// of this point, inside a span named `span`. Ingest enqueued behind
+    /// the marker is not seen by it. What a wave does (fold, delta cut,
+    /// rotation, checkpoint) is decided by the router that built `work`.
+    Marker {
+        span: &'static str,
+        work: MarkerWork<S>,
     },
 }
 
@@ -171,37 +134,9 @@ fn run_worker<S: Semiring>(
                 }
                 metrics.record_stage(Stage::ShardMerge, t.elapsed());
             }
-            Command::Snapshot { reply } => {
-                let _span = span("shard_fold", &|| format!("shard {index}"));
-                // Receiver may have given up (timeout); ignore send errors.
-                let _ = reply.send(stream.snapshot());
-            }
-            Command::SnapshotDelta { reply } => {
-                let _span = span("shard_fold_delta", &|| format!("shard {index}"));
-                // Delta first: it seals the live levels, after which the
-                // full fold covers exactly the same cut.
-                let delta = stream.delta_snapshot();
-                let full = stream.snapshot();
-                let _ = reply.send((full, delta));
-            }
-            Command::Rotate { reply } => {
-                let _span = span("shard_rotate", &|| format!("shard {index}"));
-                let closed = stream.rotate();
-                metrics.set_flush_threshold(index, stream.flush_threshold());
-                let _ = reply.send(closed);
-            }
-            Command::Checkpoint {
-                dir,
-                generation,
-                reply,
-            } => {
-                let _span = span("shard_checkpoint", &|| {
-                    format!("shard {index} gen {generation}")
-                });
-                stream.flush();
-                let bytes = encode_shard(&stream);
-                let meta = write_shard_file(&dir, generation, index, &bytes, stream.inserted());
-                let _ = reply.send(meta);
+            Command::Marker { span: name, work } => {
+                let _span = span(name, &|| format!("shard {index}"));
+                work(index, &mut stream);
             }
         }
         metrics.depth_dec(index);

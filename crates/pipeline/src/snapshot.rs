@@ -94,11 +94,6 @@ impl<S: Semiring> EpochSnapshot<S> {
         Matrix::from_dcsr(self.folded.clone(), self.s)
     }
 
-    /// Consume the snapshot into a [`Matrix`] without copying.
-    pub fn into_matrix(self) -> Matrix<S::Value> {
-        Matrix::from_dcsr(self.folded, self.s)
-    }
-
     /// The snapshot as an associative array, re-keying raw `u64`
     /// coordinates through `key` (e.g. a hostname dictionary). Only keys
     /// that actually occur are materialized, so huge key spaces stay

@@ -1,11 +1,14 @@
 //! Pipeline-level observability: the service Prometheus exposition, the
 //! stage latency histograms, and span tracing across shard workers.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use hypersparse::trace::bucket_of;
 use hypersparse::TraceMode;
-use pipeline::{Pipeline, PipelineConfig, PipelineMetricsSnapshot, Stage};
+use pipeline::{
+    EpochSnapshot, Pipeline, PipelineConfig, PipelineMetricsSnapshot, Stage, StandingView,
+};
 use semiring::PlusTimes;
 
 #[test]
@@ -134,6 +137,41 @@ fn live_pipeline_records_stages_and_spans() {
     assert_eq!(restored.metrics_snapshot().stage(Stage::Restore).count(), 1);
     restored.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A standing view that keeps nothing: it only makes rotation run views.
+struct Noop;
+
+impl StandingView<PlusTimes<f64>> for Noop {
+    fn apply_delta(&self, _: &EpochSnapshot<PlusTimes<f64>>) {}
+    fn reset(&self) {}
+}
+
+#[test]
+fn rotate_wave_splits_into_child_spans() {
+    let config = PipelineConfig::new().with_shards(2);
+    let p = Pipeline::with_config(1 << 16, 1 << 16, PlusTimes::<f64>::new(), config);
+    p.register_standing_query("noop", Arc::new(Noop));
+    p.set_trace_mode(TraceMode::Full);
+    p.ingest_batch((0..500u64).map(|i| (i % 101, i % 103, 1.0)))
+        .unwrap();
+    let _ = p.rotate().unwrap();
+
+    // The assembler's tree: the wave span, its children one level in.
+    let report = p.trace_report();
+    let assembler: Vec<&str> = report.split("shard 0:").next().unwrap().lines().collect();
+    let at = assembler
+        .iter()
+        .position(|l| l.starts_with("rotate"))
+        .unwrap_or_else(|| panic!("no rotate span in:\n{report}"));
+    for needle in ["  wave_send", "  wave_wait", "  assemble", "  standing"] {
+        assert!(
+            assembler[at + 1..].iter().any(|l| l.starts_with(needle)),
+            "missing {needle:?} under rotate in:\n{report}"
+        );
+    }
+    assert!(report.contains("shard_rotate"), "{report}");
+    p.shutdown().unwrap();
 }
 
 #[test]

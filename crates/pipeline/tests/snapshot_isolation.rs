@@ -8,12 +8,16 @@
 //!    drained snapshot equals the single-threaded flat reference build
 //!    exactly, at every shard count and merge-thread count, on every
 //!    run, regardless of worker interleaving.
+//! 3. **Cut order** — concurrent marker waves run one at a time, so a
+//!    later epoch never holds fewer events than an earlier one, and
+//!    standing views receive epochs in order.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 use hypersparse::{Coo, Dcsr, Ix, StreamConfig};
-use pipeline::{Pipeline, PipelineConfig};
+use pipeline::{shard_of, EpochSnapshot, Pipeline, PipelineConfig, StandingView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use semiring::{MinPlus, PlusTimes};
@@ -235,4 +239,147 @@ fn graph_layer_queries_live_data_through_matrix_view() {
     let d = m.as_dcsr();
     assert_eq!(d.row(0).0, &[1]);
     p.shutdown().unwrap();
+}
+
+/// Event `k` of a unit-valued feed over ~4 k keys: a cut's ⊕-mass is
+/// the number of events it holds.
+fn unit_event(k: u64) -> (Ix, Ix, u64) {
+    (k % 61, k % 67, 1)
+}
+
+fn mass(snap: &EpochSnapshot<PlusTimes<u64>>) -> u64 {
+    snap.dcsr().iter().map(|(_, _, v)| *v).sum()
+}
+
+/// Feed `unit_event`s in batches of 64 until `stop`; returns the count.
+fn feed(p: &Arc<Pipeline<PlusTimes<u64>>>, stop: &Arc<AtomicBool>) -> JoinHandle<u64> {
+    let (p, stop) = (Arc::clone(p), Arc::clone(stop));
+    std::thread::spawn(move || {
+        let mut sent = 0u64;
+        while !stop.load(Ordering::Relaxed) {
+            p.ingest_batch((sent..sent + 64).map(unit_event)).unwrap();
+            sent += 64;
+        }
+        sent
+    })
+}
+
+fn unit_pipeline() -> Arc<Pipeline<PlusTimes<u64>>> {
+    let config = PipelineConfig::new().with_shards(2);
+    Arc::new(Pipeline::with_config(N, N, PlusTimes::new(), config))
+}
+
+#[test]
+fn concurrent_snapshots_stamp_epochs_in_cut_order() {
+    let p = unit_pipeline();
+    let stop = Arc::new(AtomicBool::new(false));
+    let feeder = feed(&p, &stop);
+    let takers: Vec<_> = (0..4)
+        .map(|_| {
+            let p = Arc::clone(&p);
+            std::thread::spawn(move || {
+                (0..200)
+                    .map(|_| {
+                        let snap = p.snapshot().unwrap();
+                        let mut held = [0u64; 2];
+                        for (r, _, v) in snap.dcsr().iter() {
+                            held[shard_of(r, 2)] += v;
+                        }
+                        (snap.epoch(), held)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let mut cuts: Vec<(u64, [u64; 2])> =
+        takers.into_iter().flat_map(|t| t.join().unwrap()).collect();
+    stop.store(true, Ordering::Relaxed);
+    feeder.join().unwrap();
+    cuts.sort_unstable();
+    assert!(cuts.iter().map(|c| c.0).eq(1..=800), "one epoch per wave");
+    // Snapshots holding, on some shard, fewer events than an earlier
+    // epoch did there.
+    let mut most = [0u64; 2];
+    let inversions = cuts
+        .iter()
+        .filter(|(_, held)| {
+            let inverted = (0..2).any(|i| held[i] < most[i]);
+            for i in 0..2 {
+                most[i] = most[i].max(held[i]);
+            }
+            inverted
+        })
+        .count();
+    assert_eq!(inversions, 0, "epochs out of cut order");
+}
+
+/// A standing view that logs the epochs it receives and, per closed
+/// window, the ⊕-mass of the deltas it folded into it.
+#[derive(Default)]
+struct WindowLog {
+    epochs: Mutex<Vec<u64>>,
+    open: Mutex<u64>,
+    closed: Mutex<Vec<(u64, u64)>>,
+}
+
+impl StandingView<PlusTimes<u64>> for WindowLog {
+    fn apply_delta(&self, delta: &EpochSnapshot<PlusTimes<u64>>) {
+        self.epochs.lock().unwrap().push(delta.epoch());
+        *self.open.lock().unwrap() += mass(delta);
+    }
+
+    fn reset(&self) {
+        let epoch = *self.epochs.lock().unwrap().last().unwrap();
+        let folded = std::mem::take(&mut *self.open.lock().unwrap());
+        self.closed.lock().unwrap().push((epoch, folded));
+    }
+}
+
+#[test]
+fn concurrent_rotations_and_delta_waves_reach_views_in_epoch_order() {
+    let p = unit_pipeline();
+    let view = Arc::new(WindowLog::default());
+    p.register_standing_query("log", Arc::clone(&view) as Arc<dyn StandingView<_>>);
+    let stop = Arc::new(AtomicBool::new(false));
+    let feeder = feed(&p, &stop);
+    let rotator = {
+        let p = Arc::clone(&p);
+        std::thread::spawn(move || (0..50).map(|_| p.rotate().unwrap()).collect::<Vec<_>>())
+    };
+    let refreshers: Vec<_> = (0..2)
+        .map(|_| {
+            let p = Arc::clone(&p);
+            std::thread::spawn(move || {
+                for _ in 0..100 {
+                    p.snapshot_incremental().unwrap();
+                }
+            })
+        })
+        .collect();
+    let mut windows = rotator.join().unwrap();
+    for r in refreshers {
+        r.join().unwrap();
+    }
+    stop.store(true, Ordering::Relaxed);
+    let sent = feeder.join().unwrap();
+    windows.push(p.rotate().unwrap());
+
+    let epochs = view.epochs.lock().unwrap().clone();
+    assert_eq!(epochs.len(), 251, "every wave reached the view once");
+    assert!(
+        epochs.windows(2).all(|e| e[0] < e[1]),
+        "view saw epochs out of order: {epochs:?}"
+    );
+    // Each window's deltas folded into that window's state, no other.
+    let want: Vec<(u64, u64)> = windows.iter().map(|w| (w.epoch(), mass(w))).collect();
+    assert_eq!(*view.closed.lock().unwrap(), want);
+    // The closed windows ⊕ to the flat fold of everything sent.
+    let mut union = Coo::new(N, N);
+    for w in &windows {
+        union.extend(w.dcsr().iter().map(|(r, c, v)| (r, c, *v)));
+    }
+    let mut flat = Coo::new(N, N);
+    flat.extend((0..sent).map(unit_event));
+    let s = PlusTimes::<u64>::new();
+    assert_eq!(union.build_dcsr(s), flat.build_dcsr(s));
 }
