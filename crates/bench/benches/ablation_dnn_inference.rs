@@ -6,7 +6,7 @@
 //! * **seed two-pass** — the pre-refactor shape: one `mxm` materializing
 //!   the full `Y W` product, then a separate bias+ReLU prune pass
 //!   (`infer_two_semiring`, driven through the default ctx);
-//! * **ctx fused** — `DnnCtx` driving `mxm_apply_prune_ctx`, which folds
+//! * **ctx fused** — one `OpCtx` driving `mxm_apply_prune_ctx`, which folds
 //!   `max(x + b, 0)` and zero-dropping into the accumulator drain so the
 //!   intermediate product never materializes;
 //! * **dense** — sparse weights against a dense activation panel.
@@ -19,8 +19,8 @@ use criterion::Criterion;
 use dnn::infer::{equivalent, infer_dense, infer_two_semiring};
 use dnn::input::sparse_batch;
 use dnn::radix::{radix_net, RadixNetParams};
-use dnn::{DnnCtx, SparseDnn};
-use hypersparse::{with_default_ctx, Dcsr, DenseMat};
+use dnn::{try_infer_fused_ctx, try_infer_two_semiring_ctx, SparseDnn};
+use hypersparse::{with_default_ctx, Dcsr, DenseMat, OpCtx};
 use semiring::PlusTimes;
 
 const N: u64 = 1024;
@@ -48,7 +48,7 @@ fn shape_report() {
     println!("(RadiX-Net {N}×{FANIN}×{DEPTH}, batch {BATCH})");
     println!("| threads | seed two-pass | ctx fused  | dense      | fused/seed |");
 
-    let reference = DnnCtx::with_threads(1).infer(&net, &y0);
+    let reference = try_infer_fused_ctx(&OpCtx::new().with_threads(1), &net, &y0).unwrap();
     let dense_in = DenseMat::from_dcsr(&y0, PlusTimes::<f64>::new());
 
     for &threads in &[1usize, 2, 4, 8] {
@@ -57,9 +57,9 @@ fn shape_report() {
         let (t_seed, out_seed) = quick_time(5, || infer_two_semiring(&net, &y0));
         with_default_ctx(|ctx| ctx.set_threads(0));
 
-        // Tentpole path: DnnCtx driving the fused bias+ReLU prune kernel.
-        let driver = DnnCtx::with_threads(threads);
-        let (t_fused, out_fused) = quick_time(5, || driver.infer(&net, &y0));
+        // Tentpole path: one context driving the fused bias+ReLU prune kernel.
+        let ctx = OpCtx::new().with_threads(threads);
+        let (t_fused, out_fused) = quick_time(5, || try_infer_fused_ctx(&ctx, &net, &y0).unwrap());
 
         assert_eq!(
             out_seed, reference,
@@ -81,11 +81,11 @@ fn shape_report() {
     }
     println!("✓ bit-identical outputs at 1/2/4/8 threads, fused and two-pass");
 
-    // Per-layer observability: the driver's registry must show one
+    // Per-layer observability: the context's registry must show one
     // dnn_layer record per layer per inference.
-    let driver = DnnCtx::new();
-    driver.infer(&net, &y0);
-    let prom = driver.metrics().render_prometheus();
+    let ctx = OpCtx::new();
+    try_infer_fused_ctx(&ctx, &net, &y0).unwrap();
+    let prom = ctx.metrics().snapshot().render_prometheus();
     assert!(
         prom.contains(&format!(
             "hypersparse_kernel_calls_total{{kernel=\"dnn_layer\"}} {DEPTH}"
@@ -100,12 +100,12 @@ fn criterion_benches(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/dnn_inference");
     group.sample_size(10);
     for &threads in &[1usize, 4] {
-        let driver = DnnCtx::with_threads(threads);
+        let ctx = OpCtx::new().with_threads(threads);
         group.bench_function(format!("fused_t{threads}"), |b| {
-            b.iter(|| driver.infer(&net, &y0))
+            b.iter(|| try_infer_fused_ctx(&ctx, &net, &y0).unwrap())
         });
         group.bench_function(format!("two_pass_t{threads}"), |b| {
-            b.iter(|| driver.infer_two_semiring(&net, &y0))
+            b.iter(|| try_infer_two_semiring_ctx(&ctx, &net, &y0).unwrap())
         });
     }
     group.finish();

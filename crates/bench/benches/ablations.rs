@@ -31,9 +31,10 @@ fn shape_report() {
         let v = SparseVec::from_entries(n, (0..256).map(|i| (i * 131 % n, 1.0)).collect(), s());
         let csr = auto.clone().with_format(Format::Csr, s());
         let dcsr = auto.clone().with_format(Format::Dcsr, s());
-        let (t_csr, _) = quick_time(5, || csr.mxv(&v, s()));
-        let (t_dcsr, _) = quick_time(5, || dcsr.mxv(&v, s()));
-        let (t_auto, _) = quick_time(5, || auto.mxv(&v, s()));
+        let ctx = OpCtx::new();
+        let (t_csr, _) = quick_time(5, || csr.mxv_ctx(&ctx, &v, s()));
+        let (t_dcsr, _) = quick_time(5, || dcsr.mxv_ctx(&ctx, &v, s()));
+        let (t_auto, _) = quick_time(5, || auto.mxv_ctx(&ctx, &v, s()));
         println!(
             "| {:<12} | {:>10} | {:>11} | {:>10} | {:?} |",
             label,

@@ -7,13 +7,14 @@
 //! * fixed `N = 2¹²`, growing `nnz` — the automatic format policy should
 //!   walk DCSR → CSR → bitmap → dense as occupancy rises.
 //!
-//! SpMV is timed per materializable format; the policy's chosen format is
-//! asserted to match the figure's regime at each point.
+//! SpMV is timed per materializable format, each in its own storage (no
+//! conversion to DCSR inside the timed call); the policy's chosen format
+//! is asserted to match the figure's regime at each point.
 
 use bench::{fmt_bytes, fmt_dur, quick_time};
 use criterion::Criterion;
 use hypersparse::gen::random_dcsr;
-use hypersparse::{Format, Ix, Matrix, SparseVec};
+use hypersparse::{Format, Ix, Matrix, OpCtx, SparseVec};
 use semiring::PlusTimes;
 
 fn s() -> PlusTimes<f64> {
@@ -66,10 +67,11 @@ fn shape_report() {
         let d = random_dcsr(n, n, nnz, 4, s());
         let auto = Matrix::from_dcsr(d, s());
         let v = vec_for(n);
+        let ctx = OpCtx::new();
         let mut cells = Vec::new();
         for fmt in [Format::Dense, Format::Bitmap, Format::Csr, Format::Dcsr] {
             let m = auto.clone().with_format(fmt, s());
-            let (t, _) = quick_time(3, || m.mxv(&v, s()));
+            let (t, _) = quick_time(3, || m.mxv_ctx(&ctx, &v, s()));
             cells.push(fmt_dur(t));
         }
         println!(
@@ -101,6 +103,7 @@ fn shape_report() {
 fn criterion_benches(c: &mut Criterion) {
     let n: Ix = 4096;
     let v = vec_for(n);
+    let ctx = OpCtx::new();
     for &(label, nnz) in &[
         ("hypersparse_1k", 1_000usize),
         ("sparse_40k", 40_000),
@@ -111,7 +114,7 @@ fn criterion_benches(c: &mut Criterion) {
         group.sample_size(20);
         for fmt in [Format::Dense, Format::Bitmap, Format::Csr, Format::Dcsr] {
             let m = auto.clone().with_format(fmt, s());
-            group.bench_function(format!("{fmt:?}"), |b| b.iter(|| m.mxv(&v, s())));
+            group.bench_function(format!("{fmt:?}"), |b| b.iter(|| m.mxv_ctx(&ctx, &v, s())));
         }
         group.finish();
     }

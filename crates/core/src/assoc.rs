@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use hypersparse::{Coo, Dcsr, Ix, Matrix, SparseVec};
+use hypersparse::{ops, with_default_ctx, Coo, Dcsr, Ix, Matrix, SparseVec};
 use semiring::traits::{Monoid, Semiring, UnaryOp, Value};
 use semiring::ZeroNorm;
 
@@ -183,7 +183,9 @@ impl<K1: Key, K2: Key, T: Value> Assoc<K1, K2, T> {
         Assoc {
             row_keys: self.col_keys.clone(),
             col_keys: self.row_keys.clone(),
-            mat: self.mat.transpose(s),
+            mat: with_default_ctx(|ctx| {
+                self.mat.compute_ctx(ctx, s, |a| ops::transpose_ctx(ctx, a))
+            }),
         }
     }
 
@@ -200,7 +202,10 @@ impl<K1: Key, K2: Key, T: Value> Assoc<K1, K2, T> {
         Assoc {
             row_keys: self.row_keys.clone(),
             col_keys: self.col_keys.clone(),
-            mat: self.mat.apply(op, s),
+            mat: with_default_ctx(|ctx| {
+                self.mat
+                    .compute_ctx(ctx, s, |a| ops::apply_ctx(ctx, a, op, s))
+            }),
         }
     }
 
@@ -215,9 +220,11 @@ impl<K1: Key, K2: Key, T: Value> Assoc<K1, K2, T> {
         Assoc {
             row_keys: self.row_keys.clone(),
             col_keys: self.col_keys.clone(),
-            mat: self
-                .mat
-                .select(|r, c, v| keep(&rk[r as usize], &ck[c as usize], v), s),
+            mat: with_default_ctx(|ctx| {
+                self.mat.compute_ctx(ctx, s, |a| {
+                    ops::select_ctx(ctx, a, |r, c, v| keep(&rk[r as usize], &ck[c as usize], v))
+                })
+            }),
         }
     }
 
@@ -244,9 +251,8 @@ impl<K1: Key, K2: Key, T: Value> Assoc<K1, K2, T> {
                 col_slot.push(slot as Ix);
             }
         }
-        let sub = hypersparse::with_default_ctx(|ctx| {
-            hypersparse::ops::extract_ctx(ctx, &self.mat.as_dcsr(), &row_pos, &col_pos)
-        });
+        let sub =
+            with_default_ctx(|ctx| ops::extract_ctx(ctx, &self.mat.as_dcsr(), &row_pos, &col_pos));
         // `sub` is indexed by position within row_pos/col_pos; remap those
         // positions to the requested-dictionary slots.
         let remapped = remap(
@@ -273,9 +279,7 @@ impl<K1: Key, K2: Key, T: Value> Assoc<K1, K2, T> {
             row_keys: Arc::new(rk),
             col_keys: Arc::new(ck),
             mat: Matrix::from_dcsr(
-                hypersparse::with_default_ctx(|ctx| {
-                    hypersparse::ops::ewise_add_ctx(ctx, &a, &b, s)
-                }),
+                with_default_ctx(|ctx| ops::ewise_add_ctx(ctx, &a, &b, s)),
                 s,
             ),
         }
@@ -288,9 +292,7 @@ impl<K1: Key, K2: Key, T: Value> Assoc<K1, K2, T> {
             row_keys: Arc::new(rk),
             col_keys: Arc::new(ck),
             mat: Matrix::from_dcsr(
-                hypersparse::with_default_ctx(|ctx| {
-                    hypersparse::ops::ewise_mul_ctx(ctx, &a, &b, s)
-                }),
+                with_default_ctx(|ctx| ops::ewise_mul_ctx(ctx, &a, &b, s)),
                 s,
             ),
         }
@@ -328,10 +330,7 @@ impl<K1: Key, K2: Key, T: Value> Assoc<K1, K2, T> {
         Assoc {
             row_keys: self.row_keys.clone(),
             col_keys: other.col_keys.clone(),
-            mat: Matrix::from_dcsr(
-                hypersparse::with_default_ctx(|ctx| hypersparse::ops::mxm_ctx(ctx, &a, &b, s)),
-                s,
-            ),
+            mat: Matrix::from_dcsr(with_default_ctx(|ctx| ops::mxm_ctx(ctx, &a, &b, s)), s),
         }
     }
 
@@ -339,17 +338,19 @@ impl<K1: Key, K2: Key, T: Value> Assoc<K1, K2, T> {
 
     /// `out(k₁) = ⊕_{k₂} A(k₁, k₂)` as key/value pairs.
     pub fn reduce_rows<M: Monoid<T>>(&self, m: M) -> Vec<(K1, T)> {
-        vec_to_keyed(&self.mat.reduce_rows(m), &self.row_keys)
+        let v = with_default_ctx(|ctx| ops::reduce_rows_ctx(ctx, &self.mat.as_dcsr(), m));
+        vec_to_keyed(&v, &self.row_keys)
     }
 
     /// `out(k₂) = ⊕_{k₁} A(k₁, k₂)` as key/value pairs.
     pub fn reduce_cols<M: Monoid<T>>(&self, m: M) -> Vec<(K2, T)> {
-        vec_to_keyed(&self.mat.reduce_cols(m), &self.col_keys)
+        let v = with_default_ctx(|ctx| ops::reduce_cols_ctx(ctx, &self.mat.as_dcsr(), m));
+        vec_to_keyed(&v, &self.col_keys)
     }
 
     /// Fold every entry into one scalar.
     pub fn reduce_scalar<M: Monoid<T>>(&self, m: M) -> T {
-        self.mat.reduce_scalar(m)
+        with_default_ctx(|ctx| ops::reduce_scalar_ctx(ctx, &self.mat.as_dcsr(), m))
     }
 
     /// Drop rows and columns whose keys carry no entries (compaction

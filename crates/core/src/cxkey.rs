@@ -204,11 +204,6 @@ impl CxSchema {
         self.total_bits
     }
 
-    /// The full-resolution prefix (`/total_bits`): every component kept.
-    pub fn full_prefix(&self) -> CxPrefix {
-        CxPrefix::full_fields(self.fields.len())
-    }
-
     /// How many leading bits `prefix` retains.
     ///
     /// # Panics
@@ -317,11 +312,6 @@ impl CxSchema {
             }
         }
         out
-    }
-
-    /// The string key of a packed index.
-    pub fn key_of(&self, ix: Ix) -> String {
-        self.key(&self.unpack(ix))
     }
 
     /// The key for a rolled-up block: the masked tuple plus an explicit

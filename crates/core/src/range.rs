@@ -145,6 +145,16 @@ mod tests {
     }
 
     #[test]
+    fn row_prefix_extraction() {
+        let a = table();
+        let r0 = extract_row_prefix(&a, "r0", s());
+        assert_eq!(r0.nnz(), 3);
+        assert_eq!(r0.row_keys().len(), 3);
+        assert!(r0.get(&"r10".to_string(), &"port|80".to_string()).is_none());
+        assert!(extract_row_prefix(&a, "zzz", s()).row_keys().is_empty());
+    }
+
+    #[test]
     fn col_prefix_extraction_is_field_scan() {
         let a = table();
         let srcs = extract_col_prefix(&a, "src|", s());

@@ -448,4 +448,71 @@ mod tests {
         // The negative bias keeps activations from densifying completely.
         assert!(out.nnz() < 4 * 256, "output fully dense: {}", out.nnz());
     }
+
+    #[test]
+    fn ctx_matches_free_function_and_records_layers() {
+        let net = small_net();
+        let y0 = sparse_batch(8, 64, 0.2, 7);
+        let ctx = OpCtx::new().with_threads(1);
+        let out = try_infer_fused_ctx(&ctx, &net, &y0).unwrap();
+        assert_eq!(out, infer_fused(&net, &y0));
+        let snap = ctx.metrics().snapshot();
+        let layer = snap.kernel(Kernel::DnnLayer);
+        assert_eq!(layer.calls, net.depth() as u64);
+        assert!(layer.nnz_in > 0 && layer.nnz_out > 0);
+        assert_eq!(snap.kernel(Kernel::Mxm).calls, net.depth() as u64);
+    }
+
+    #[test]
+    fn prometheus_exposes_dnn_layer_counters() {
+        let net = small_net();
+        let y0 = sparse_batch(8, 64, 0.2, 9);
+        let ctx = OpCtx::new();
+        let _ = try_infer_fused_ctx(&ctx, &net, &y0).unwrap();
+        let prom = ctx.metrics().snapshot().render_prometheus();
+        assert!(
+            prom.contains("hypersparse_kernel_calls_total{kernel=\"dnn_layer\"} 6"),
+            "{prom}"
+        );
+        assert!(
+            prom.contains("hypersparse_kernel_nnz_out_total{kernel=\"dnn_layer\"}"),
+            "{prom}"
+        );
+    }
+
+    #[test]
+    fn workspace_is_reused_across_layers_and_batches() {
+        let net = small_net();
+        let ctx = OpCtx::new().with_threads(1);
+        for seed in 0..4 {
+            let y0 = sparse_batch(8, 64, 0.2, seed);
+            let _ = try_infer_fused_ctx(&ctx, &net, &y0).unwrap();
+        }
+        let snap = ctx.metrics().snapshot();
+        // 4 batches × 6 layers = 24 scratch leases; only the first one
+        // may allocate.
+        assert_eq!(snap.workspace_misses, 1, "{:?}", snap);
+        assert_eq!(snap.workspace_hits, 23);
+    }
+
+    #[test]
+    fn try_infer_reports_batch_mismatch() {
+        let net = small_net();
+        let bad = sparse_batch(8, 32, 0.2, 7); // 32-wide batch, 64-wide net
+        let ctx = OpCtx::new();
+        let e = try_infer_fused_ctx(&ctx, &net, &bad).unwrap_err();
+        assert!(
+            matches!(
+                e,
+                OpError::DimensionMismatch {
+                    op: "dnn_infer_fused",
+                    rule: "batch width mismatch",
+                    ..
+                }
+            ),
+            "{e:?}"
+        );
+        let e = try_infer_two_semiring_ctx(&ctx, &net, &bad).unwrap_err();
+        assert!(e.to_string().contains("batch width mismatch"), "{e}");
+    }
 }

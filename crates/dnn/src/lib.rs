@@ -23,11 +23,11 @@
 //!   layer), `infer_two_semiring` (the literal S₁/S₂ oscillation), and
 //!   `infer_dense` (row-major `Vec` baseline) — each sparse path as
 //!   one fallible, ctx-explicit body (`try_*_ctx`) plus the bare name
-//!   on the thread's default context;
-//! * [`ctx::DnnCtx`] — the serving driver: one
-//!   [`hypersparse::OpCtx`] owned for the model's lifetime, so SpGEMM
-//!   scratch pools across layers *and* batches, with per-layer
-//!   `dnn_layer` metrics/trace spans and Prometheus exposition;
+//!   on the thread's default context. A server keeps one
+//!   [`hypersparse::OpCtx`] for the model's lifetime and passes it to
+//!   every `try_*_ctx` call, so SpGEMM scratch pools across layers *and*
+//!   batches, with per-layer `dnn_layer` metrics/trace spans and
+//!   Prometheus exposition;
 //! * [`input`] — sparse batch generators;
 //! * [`bias`] — the paper's explicit bias replication `B = b|Y𝟙|₀`,
 //!   supporting per-neuron (even positive) bias vectors;
@@ -38,14 +38,12 @@
 #![warn(missing_docs)]
 
 pub mod bias;
-pub mod ctx;
 pub mod infer;
 pub mod input;
 pub mod network;
 pub mod neuron;
 pub mod radix;
 
-pub use ctx::DnnCtx;
 pub use infer::{
     densify_weights, infer_dense, infer_dense_full, infer_fused, infer_two_semiring,
     try_infer_fused_ctx, try_infer_two_semiring_ctx,

@@ -2,10 +2,13 @@
 //! fused sparse ≡ two-semiring oscillation ≡ dense baseline, on random
 //! RadiX-Net and unstructured networks with random sparse batches.
 
-use dnn::infer::{categories, equivalent, infer_dense, infer_fused, infer_two_semiring};
+use dnn::infer::{
+    categories, equivalent, infer_dense, infer_fused, infer_two_semiring, try_infer_fused_ctx,
+    try_infer_two_semiring_ctx,
+};
 use dnn::input::sparse_batch;
 use dnn::radix::{radix_net, random_net, RadixNetParams};
-use hypersparse::DenseMat;
+use hypersparse::{DenseMat, OpCtx};
 use proptest::prelude::*;
 use semiring::PlusTimes;
 
@@ -90,17 +93,17 @@ proptest! {
         );
         let y0 = sparse_batch(8, n, 0.3, seed ^ 0xD00D);
 
-        let single = dnn::DnnCtx::with_threads(1);
-        let fused_1 = single.infer(&net, &y0);
-        let pair_1 = single.infer_two_semiring(&net, &y0);
+        let single = OpCtx::new().with_threads(1);
+        let fused_1 = try_infer_fused_ctx(&single, &net, &y0).unwrap();
+        let pair_1 = try_infer_two_semiring_ctx(&single, &net, &y0).unwrap();
         prop_assert_eq!(&fused_1, &pair_1);
 
         for threads in [2usize, 4] {
-            let driver = dnn::DnnCtx::with_threads(threads);
-            let fused_t = driver.infer(&net, &y0);
+            let ctx = OpCtx::new().with_threads(threads);
+            let fused_t = try_infer_fused_ctx(&ctx, &net, &y0).unwrap();
             // Bit-identical: Dcsr equality is exact on values.
             prop_assert_eq!(&fused_t, &fused_1, "fused @ {} threads", threads);
-            let pair_t = driver.infer_two_semiring(&net, &y0);
+            let pair_t = try_infer_two_semiring_ctx(&ctx, &net, &y0).unwrap();
             prop_assert_eq!(&pair_t, &pair_1, "two-semiring @ {} threads", threads);
         }
 

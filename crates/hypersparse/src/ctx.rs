@@ -19,7 +19,7 @@
 //! Kernels take `&OpCtx`; the context is [`Sync`], so one context can
 //! serve parallel shards (scratch leases go through a mutex that is
 //! touched once per shard, not per row). The bare conveniences on
-//! [`crate::Matrix`] / [`crate::SparseVec`] and in the upper crates run
+//! [`crate::SparseVec`] and in the upper crates run
 //! on a **thread-local default context** ([`with_default_ctx`]), so
 //! their callers get workspace reuse too.
 

@@ -1,9 +1,8 @@
 //! The one error type of the fallible operations.
 //!
-//! A precondition of a kernel lives once, in a `pub(crate) check_*`
-//! beside it that returns an [`OpError`]. Serving layers that must
-//! survive arbitrary inputs call the `try_*_ctx` methods on
-//! [`crate::Matrix`] and get that value back; the bare methods and the
+//! A precondition of a kernel lives once, in a `pub fn check_*` beside
+//! it that returns an [`OpError`]. A caller that must survive arbitrary
+//! inputs calls the check first and gets that value back; the
 //! `ops::*_ctx` kernels `panic!("{err}")` with it — so a misuse has one
 //! message whichever way it is reached, and the legacy phrases the
 //! `should_panic` contracts match live in `Display` below

@@ -19,7 +19,7 @@
 //!   `O(nnz)` independent of the row dimension. This is what lets
 //!   associative arrays live in ~2⁶⁰-sized key spaces.
 //! * [`Matrix`] — the opaque wrapper that picks a format automatically
-//!   ([`FormatPolicy`]) and re-evaluates the choice after each operation;
+//!   ([`Format::decide`]) and re-decides it for each result;
 //! * [`StreamingMatrix`] — hierarchical (LSM-style) ⊕-merged layers for
 //!   O(1)-amortized streaming inserts, after the paper's cited
 //!   "75 billion inserts/second" hierarchical hypersparse design.
@@ -34,11 +34,13 @@
 //! ([`metrics::MetricsSnapshot`]). One calling convention holds
 //! everywhere (DESIGN.md §7): `_ctx` ⇔ the first parameter is an
 //! [`OpCtx`], `try_` ⇔ the result is a `Result<_, OpError>`, and a bare
-//! name runs on the thread's default context ([`with_default_ctx`]) and
-//! panics with that [`OpError`]'s `Display`. The kernels in [`ops`] are
-//! `*_ctx` only; a [`Matrix`] operation has one body (`try_op_ctx` if
-//! it can be misused, `op_ctx` if not) plus the bare `op`.
-//!
+//! name runs on the thread's default context ([`with_default_ctx`]).
+//! The kernels in [`ops`] are `*_ctx` only; each precondition is one
+//! `pub fn check_*` beside its kernel, whose [`OpError`] the kernel
+//! panics with. [`Matrix`] stores and [`ops`] computes: an operation on
+//! a `Matrix` is a kernel run on its hypersparse view through
+//! [`Matrix::compute_ctx`], the one place a result's format is decided.
+
 //! Index space is `u64` throughout — dimensions are *key-space sizes*,
 //! not allocation sizes; only materialized formats (dense, bitmap, CSR)
 //! constrain them. The *physical* column-id width is a per-container
@@ -47,7 +49,7 @@
 //! loops when both dims fit in 32 bits — see DESIGN.md §13.
 //!
 //! ```
-//! use hypersparse::{Matrix, SparseVec};
+//! use hypersparse::{ops, Matrix, OpCtx, SparseVec};
 //! use semiring::{PlusTimes, MinPlus};
 //!
 //! // A tiny weighted digraph in a huge (2^40) key space.
@@ -60,9 +62,15 @@
 //! assert_eq!(a.nnz(), 3);
 //!
 //! // One min-plus step from vertex 0: shortest one-hop distances.
+//! let ctx = OpCtx::new();
 //! let front = SparseVec::from_entries(n, vec![(0, 0.0)], MinPlus::<f64>::new());
-//! let d = a.vxm(&front, MinPlus::<f64>::new());
+//! let d = ops::vxm_ctx(&ctx, &front, &a.as_dcsr(), MinPlus::<f64>::new());
 //! assert_eq!(d.get(&7).copied(), Some(1.5));
+//!
+//! // A kernel that returns a matrix runs through `compute_ctx`, which
+//! // stores the result in the format its occupancy calls for.
+//! let at = a.compute_ctx(&ctx, PlusTimes::<f64>::new(), |d| ops::transpose_ctx(&ctx, d));
+//! assert_eq!(at.get(7, 0), Some(&1.5));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -93,7 +101,7 @@ pub use dcsr::Dcsr;
 pub use dense::DenseMat;
 pub use error::{Axis, OpError};
 pub use index::IndexType;
-pub use matrix::{Format, FormatPolicy, Matrix};
+pub use matrix::{Format, Matrix};
 pub use metrics::{Direction, Kernel, KernelSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use stream::{StreamConfig, StreamingMatrix};
 pub use trace::{

@@ -4,26 +4,28 @@
 //! "sparse, hypersparse, bitmap, and full" representations and switching
 //! between them "automatically, with little or no involvement from the
 //! user application". [`Matrix`] reproduces that: it wraps one of the
-//! four storage formats and re-evaluates the choice ([`FormatPolicy`])
-//! after every operation, based on the occupancy statistics of the
-//! result.
+//! four storage formats and re-decides the choice ([`Format::decide`])
+//! for the result of every operation, from its occupancy statistics.
 //!
-//! Computation happens in the hypersparse compute format ([`Dcsr`]);
-//! dense/bitmap/CSR are *storage* formats with cheap conversions and
-//! format-native SpMV (benchmarked in the Fig. 4 harness).
+//! `Matrix` *stores*; [`crate::ops`] *computes*. An operation is an
+//! `ops::*_ctx` kernel run on the hypersparse view through
+//! [`Matrix::compute_ctx`], the one place a result's format is decided
+//! and a change of format is counted. Dense/bitmap/CSR are storage
+//! formats with cheap conversions; the one operation they run natively
+//! is SpMV ([`Matrix::mxv_ctx`], benchmarked in the Fig. 4 harness).
 
 use std::borrow::Cow;
 
-use semiring::traits::{Monoid, Semiring, UnaryOp, Value};
+use semiring::traits::{Semiring, Value};
 
 use crate::bitmap::Bitmap;
 use crate::coo::Coo;
 use crate::csr::Csr;
-use crate::ctx::{with_default_ctx, OpCtx};
+use crate::ctx::OpCtx;
 use crate::dcsr::Dcsr;
 use crate::dense::DenseMat;
-use crate::error::{Axis, OpError};
 use crate::ops;
+use crate::ops::mxv::intersect_sorted;
 use crate::vector::SparseVec;
 use crate::Ix;
 
@@ -40,50 +42,35 @@ pub enum Format {
     Dcsr,
 }
 
-/// Automatic format-selection thresholds, mirroring SuiteSparse's
-/// `hyper_switch`/`bitmap_switch` controls.
-#[derive(Copy, Clone, Debug)]
-pub struct FormatPolicy {
-    /// Occupancy (`nnz / cells`) at or above which full storage wins.
-    pub dense_switch: f64,
-    /// Occupancy at or above which bitmap storage wins.
-    pub bitmap_switch: f64,
-    /// Fraction of non-empty rows below which CSR degrades to DCSR.
-    pub hyper_switch: f64,
-    /// Never materialize dense/bitmap beyond this many cells.
-    pub max_cells: u64,
-    /// Never materialize a CSR row-pointer array beyond this many rows.
-    pub max_rows: u64,
-}
+// Format-selection thresholds, after SuiteSparse's `hyper_switch` /
+// `bitmap_switch` controls.
+/// Occupancy (`nnz / cells`) at or above which full storage wins.
+const DENSE_SWITCH: f64 = 0.5;
+/// Occupancy at or above which bitmap storage wins.
+const BITMAP_SWITCH: f64 = 0.05;
+/// Fraction of non-empty rows below which CSR degrades to DCSR.
+const HYPER_SWITCH: f64 = 1.0 / 16.0;
+/// Never materialize dense/bitmap beyond this many cells.
+const MAX_CELLS: u128 = 1 << 24;
+/// Never materialize a CSR row-pointer array beyond this many rows.
+const MAX_ROWS: Ix = 1 << 26;
 
-impl Default for FormatPolicy {
-    fn default() -> Self {
-        FormatPolicy {
-            dense_switch: 0.5,
-            bitmap_switch: 0.05,
-            hyper_switch: 1.0 / 16.0,
-            max_cells: 1 << 24,
-            max_rows: 1 << 26,
-        }
-    }
-}
-
-impl FormatPolicy {
+impl Format {
     /// Pick a format for a matrix with the given statistics.
-    pub fn decide(&self, nrows: Ix, ncols: Ix, nnz: usize, nonempty_rows: usize) -> Format {
+    pub fn decide(nrows: Ix, ncols: Ix, nnz: usize, nonempty_rows: usize) -> Format {
         let cells = (nrows as u128) * (ncols as u128);
-        if cells > 0 && cells <= self.max_cells as u128 {
+        if cells > 0 && cells <= MAX_CELLS {
             let occupancy = nnz as f64 / cells as f64;
-            if occupancy >= self.dense_switch {
+            if occupancy >= DENSE_SWITCH {
                 return Format::Dense;
             }
-            if occupancy >= self.bitmap_switch {
+            if occupancy >= BITMAP_SWITCH {
                 return Format::Bitmap;
             }
         }
-        if nrows <= self.max_rows && nrows > 0 {
+        if nrows <= MAX_ROWS && nrows > 0 {
             let row_fill = nonempty_rows as f64 / nrows as f64;
-            if row_fill >= self.hyper_switch {
+            if row_fill >= HYPER_SWITCH {
                 return Format::Csr;
             }
         }
@@ -103,7 +90,6 @@ enum Repr<T> {
 #[derive(Clone, Debug)]
 pub struct Matrix<T> {
     repr: Repr<T>,
-    policy: FormatPolicy,
 }
 
 impl<T: Value> Matrix<T> {
@@ -111,7 +97,6 @@ impl<T: Value> Matrix<T> {
     pub fn empty(nrows: Ix, ncols: Ix) -> Self {
         Matrix {
             repr: Repr::Dcsr(Dcsr::empty(nrows, ncols)),
-            policy: FormatPolicy::default(),
         }
     }
 
@@ -127,32 +112,19 @@ impl<T: Value> Matrix<T> {
         Self::from_dcsr(coo.build_dcsr(s), s)
     }
 
-    /// Wrap a hypersparse matrix, letting the default policy choose the
-    /// storage format (the semiring provides the dense fill value).
+    /// Wrap a hypersparse matrix in the format [`Format::decide`] picks
+    /// (the semiring provides the dense fill value).
     pub fn from_dcsr<S: Semiring<Value = T>>(d: Dcsr<T>, s: S) -> Self {
-        Self::from_dcsr_with_policy(d, s, FormatPolicy::default())
-    }
-
-    /// As [`Matrix::from_dcsr`] with an explicit policy.
-    pub fn from_dcsr_with_policy<S: Semiring<Value = T>>(
-        d: Dcsr<T>,
-        s: S,
-        policy: FormatPolicy,
-    ) -> Self {
-        let fmt = policy.decide(d.nrows(), d.ncols(), d.nnz(), d.n_nonempty_rows());
-        let repr = match fmt {
-            Format::Dense => Repr::Dense(DenseMat::from_dcsr(&d, s)),
-            Format::Bitmap => Repr::Bitmap(Bitmap::from_dcsr(&d, s)),
-            Format::Csr => Repr::Csr(Csr::from_dcsr(&d)),
-            Format::Dcsr => Repr::Dcsr(d),
-        };
-        Matrix { repr, policy }
+        let fmt = Format::decide(d.nrows(), d.ncols(), d.nnz(), d.n_nonempty_rows());
+        Matrix {
+            repr: Repr::Dcsr(d),
+        }
+        .with_format(fmt, s)
     }
 
     /// Force a specific storage format (for the Fig. 4 and ablation
-    /// studies; production callers should let the policy decide).
+    /// studies; production callers should let [`Format::decide`] pick).
     pub fn with_format<S: Semiring<Value = T>>(self, fmt: Format, s: S) -> Self {
-        let policy = self.policy;
         let d = self.into_dcsr();
         let repr = match fmt {
             Format::Dense => Repr::Dense(DenseMat::from_dcsr(&d, s)),
@@ -160,13 +132,7 @@ impl<T: Value> Matrix<T> {
             Format::Csr => Repr::Csr(Csr::from_dcsr(&d)),
             Format::Dcsr => Repr::Dcsr(d),
         };
-        Matrix { repr, policy }
-    }
-
-    /// Replace the format policy (applies to subsequent operations).
-    pub fn with_policy(mut self, policy: FormatPolicy) -> Self {
-        self.policy = policy;
-        self
+        Matrix { repr }
     }
 
     /// The current storage format.
@@ -258,405 +224,86 @@ impl<T: Value> Matrix<T> {
         self.as_dcsr().to_triplets()
     }
 
-    /// Re-run format selection on an operation result, counting the
-    /// storage-format change (if any) in the context's metrics.
-    fn wrap_ctx<S: Semiring<Value = T>>(&self, ctx: &OpCtx, d: Dcsr<T>, s: S) -> Self {
-        let out = Self::from_dcsr_with_policy(d, s, self.policy);
+    /// The one way to compute on a `Matrix`: run `op` — an
+    /// `ops::*_ctx` kernel on `ctx` — on the hypersparse view, let
+    /// [`Format::decide`] store the result, and count a storage-format
+    /// change (if any) in `ctx`'s metrics. Preconditions are the
+    /// kernel's: it panics with its `check_*`'s error, which a caller
+    /// that must not panic calls first.
+    pub fn compute_ctx<S: Semiring<Value = T>>(
+        &self,
+        ctx: &OpCtx,
+        s: S,
+        op: impl FnOnce(&Dcsr<T>) -> Dcsr<T>,
+    ) -> Self {
+        let out = Self::from_dcsr(op(&self.as_dcsr()), s);
         if out.format() != self.format() {
             ctx.metrics().record_format_switch();
         }
         out
     }
 
-    // ---- semiring operations (each re-runs format selection) ----
-    //
-    // Calling convention (DESIGN.md §7): an operation that can be
-    // misused has one body, `try_op_ctx` — explicit `OpCtx`, returns
-    // `Result<_, OpError>` — plus the bare `op`, which runs it on the
-    // thread's default context and panics with that error's `Display`.
-    // An operation that cannot fail has `op_ctx` plus the bare `op`.
-
-    /// `(nrows, ncols)`, as the kernels' `check_*` functions take it.
-    pub(crate) fn shape(&self) -> (Ix, Ix) {
-        (self.nrows(), self.ncols())
-    }
-
-    /// Array multiplication `C = A ⊕.⊗ B`.
-    pub fn mxm<S: Semiring<Value = T>>(&self, other: &Self, s: S) -> Self {
-        with_default_ctx(|ctx| self.try_mxm_ctx(ctx, other, s)).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Matrix::mxm`] through an explicit execution context:
-    /// dimension mismatch becomes an error.
-    pub fn try_mxm_ctx<S: Semiring<Value = T>>(
-        &self,
-        ctx: &OpCtx,
-        other: &Self,
-        s: S,
-    ) -> Result<Self, OpError> {
-        ops::mxm::check_mxm("mxm", self.shape(), other.shape())?;
-        Ok(self.wrap_ctx(
-            ctx,
-            ops::mxm_ctx(ctx, &self.as_dcsr(), &other.as_dcsr(), s),
-            s,
-        ))
-    }
-
-    /// Masked array multiplication (see [`ops::mxm_masked_ctx`]).
-    pub fn mxm_masked<S: Semiring<Value = T>, M: Value>(
-        &self,
-        other: &Self,
-        mask: &Matrix<M>,
-        complement: bool,
-        s: S,
-    ) -> Self {
-        with_default_ctx(|ctx| self.try_mxm_masked_ctx(ctx, other, mask, complement, s))
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Matrix::mxm_masked`] through an explicit context:
-    /// dimension mismatch (inner dimensions or the mask's key space)
-    /// becomes an error.
-    pub fn try_mxm_masked_ctx<S: Semiring<Value = T>, M: Value>(
-        &self,
-        ctx: &OpCtx,
-        other: &Self,
-        mask: &Matrix<M>,
-        complement: bool,
-        s: S,
-    ) -> Result<Self, OpError> {
-        ops::mxm::check_mxm_masked(self.shape(), other.shape(), mask.shape())?;
-        Ok(self.wrap_ctx(
-            ctx,
-            ops::mxm_masked_ctx(
-                ctx,
-                &self.as_dcsr(),
-                &other.as_dcsr(),
-                &mask.as_dcsr(),
-                complement,
-                s,
-            ),
-            s,
-        ))
-    }
-
-    /// Element-wise addition `C = A ⊕ B` (pattern union).
-    pub fn ewise_add<S: Semiring<Value = T>>(&self, other: &Self, s: S) -> Self {
-        with_default_ctx(|ctx| self.try_ewise_add_ctx(ctx, other, s))
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Matrix::ewise_add`] through an explicit context.
-    pub fn try_ewise_add_ctx<S: Semiring<Value = T>>(
-        &self,
-        ctx: &OpCtx,
-        other: &Self,
-        s: S,
-    ) -> Result<Self, OpError> {
-        ops::ewise::check_same_space("ewise_add", self.shape(), other.shape())?;
-        Ok(self.wrap_ctx(
-            ctx,
-            ops::ewise_add_ctx(ctx, &self.as_dcsr(), &other.as_dcsr(), s),
-            s,
-        ))
-    }
-
-    /// Element-wise multiplication `C = A ⊗ B` (pattern intersection).
-    pub fn ewise_mul<S: Semiring<Value = T>>(&self, other: &Self, s: S) -> Self {
-        with_default_ctx(|ctx| self.try_ewise_mul_ctx(ctx, other, s))
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Matrix::ewise_mul`] through an explicit context.
-    pub fn try_ewise_mul_ctx<S: Semiring<Value = T>>(
-        &self,
-        ctx: &OpCtx,
-        other: &Self,
-        s: S,
-    ) -> Result<Self, OpError> {
-        ops::ewise::check_same_space("ewise_mul", self.shape(), other.shape())?;
-        Ok(self.wrap_ctx(
-            ctx,
-            ops::ewise_mul_ctx(ctx, &self.as_dcsr(), &other.as_dcsr(), s),
-            s,
-        ))
-    }
-
-    /// Transpose.
-    pub fn transpose<S: Semiring<Value = T>>(&self, s: S) -> Self {
-        with_default_ctx(|ctx| self.transpose_ctx(ctx, s))
-    }
-
-    /// [`Matrix::transpose`] through an explicit execution context.
-    pub fn transpose_ctx<S: Semiring<Value = T>>(&self, ctx: &OpCtx, s: S) -> Self {
-        self.wrap_ctx(ctx, ops::transpose_ctx(ctx, &self.as_dcsr()), s)
-    }
-
-    /// Apply a unary operator to every stored value.
-    pub fn apply<S: Semiring<Value = T>, O: UnaryOp<T, T>>(&self, op: O, s: S) -> Self {
-        with_default_ctx(|ctx| self.apply_ctx(ctx, op, s))
-    }
-
-    /// [`Matrix::apply`] through an explicit execution context.
-    pub fn apply_ctx<S: Semiring<Value = T>, O: UnaryOp<T, T>>(
-        &self,
-        ctx: &OpCtx,
-        op: O,
-        s: S,
-    ) -> Self {
-        self.wrap_ctx(ctx, ops::apply_ctx(ctx, &self.as_dcsr(), op, s), s)
-    }
-
-    /// Keep entries satisfying `keep(row, col, value)`.
-    pub fn select<S: Semiring<Value = T>, F: Fn(Ix, Ix, &T) -> bool>(&self, keep: F, s: S) -> Self {
-        with_default_ctx(|ctx| self.select_ctx(ctx, keep, s))
-    }
-
-    /// [`Matrix::select`] through an explicit execution context.
-    pub fn select_ctx<S: Semiring<Value = T>, F: Fn(Ix, Ix, &T) -> bool>(
-        &self,
-        ctx: &OpCtx,
-        keep: F,
-        s: S,
-    ) -> Self {
-        self.wrap_ctx(ctx, ops::select_ctx(ctx, &self.as_dcsr(), keep), s)
-    }
-
-    /// Submatrix extraction with reindexing. **Permissive**, unlike the
-    /// other bare names: out-of-range selector indices address empty
-    /// key-space rows/columns and contribute nothing instead of
-    /// panicking; [`Matrix::try_extract_ctx`] treats them as errors.
-    pub fn extract<S: Semiring<Value = T>>(&self, rows: &[Ix], cols: &[Ix], s: S) -> Self {
-        with_default_ctx(|ctx| {
-            self.wrap_ctx(ctx, ops::extract_ctx(ctx, &self.as_dcsr(), rows, cols), s)
-        })
-    }
-
-    /// Strict [`Matrix::extract`] through an explicit context: selector
-    /// indices must lie inside the key space.
-    pub fn try_extract_ctx<S: Semiring<Value = T>>(
-        &self,
-        ctx: &OpCtx,
-        rows: &[Ix],
-        cols: &[Ix],
-        s: S,
-    ) -> Result<Self, OpError> {
-        if let Some(&bad) = rows.iter().find(|&&r| r >= self.nrows()) {
-            return Err(OpError::IndexOutOfBounds {
-                axis: Axis::Rows,
-                index: bad,
-                bound: self.nrows(),
-            });
-        }
-        if let Some(&bad) = cols.iter().find(|&&c| c >= self.ncols()) {
-            return Err(OpError::IndexOutOfBounds {
-                axis: Axis::Cols,
-                index: bad,
-                bound: self.ncols(),
-            });
-        }
-        Ok(self.wrap_ctx(ctx, ops::extract_ctx(ctx, &self.as_dcsr(), rows, cols), s))
-    }
-
-    /// Kronecker product.
-    pub fn kron<S: Semiring<Value = T>>(&self, other: &Self, s: S) -> Self {
-        with_default_ctx(|ctx| self.kron_ctx(ctx, other, s))
-    }
-
-    /// [`Matrix::kron`] through an explicit execution context.
-    pub fn kron_ctx<S: Semiring<Value = T>>(&self, ctx: &OpCtx, other: &Self, s: S) -> Self {
-        self.wrap_ctx(
-            ctx,
-            ops::kron_ctx(ctx, &self.as_dcsr(), &other.as_dcsr(), s),
-            s,
-        )
-    }
-
-    /// Submatrix assignment `A(rows, cols) = B` (see [`ops::assign_ctx`]).
-    pub fn assign<S: Semiring<Value = T>>(&self, rows: &[Ix], cols: &[Ix], b: &Self, s: S) -> Self {
-        with_default_ctx(|ctx| self.assign_ctx(ctx, rows, cols, b, s))
-    }
-
-    /// [`Matrix::assign`] through an explicit execution context.
-    pub fn assign_ctx<S: Semiring<Value = T>>(
-        &self,
-        ctx: &OpCtx,
-        rows: &[Ix],
-        cols: &[Ix],
-        b: &Self,
-        s: S,
-    ) -> Self {
-        self.wrap_ctx(
-            ctx,
-            ops::assign_ctx(ctx, &self.as_dcsr(), rows, cols, &b.as_dcsr()),
-            s,
-        )
-    }
-
-    /// Stack `self` on top of `other`.
-    pub fn concat_rows<S: Semiring<Value = T>>(&self, other: &Self, s: S) -> Self {
-        with_default_ctx(|ctx| self.try_concat_rows_ctx(ctx, other, s))
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Matrix::concat_rows`] through an explicit context:
-    /// column mismatch or row-space overflow become errors.
-    pub fn try_concat_rows_ctx<S: Semiring<Value = T>>(
-        &self,
-        ctx: &OpCtx,
-        other: &Self,
-        s: S,
-    ) -> Result<Self, OpError> {
-        ops::structure::check_concat(Axis::Rows, self.shape(), other.shape())?;
-        Ok(self.wrap_ctx(
-            ctx,
-            ops::concat_rows_ctx(ctx, &self.as_dcsr(), &other.as_dcsr()),
-            s,
-        ))
-    }
-
-    /// Place `self` to the left of `other`.
-    pub fn concat_cols<S: Semiring<Value = T>>(&self, other: &Self, s: S) -> Self {
-        with_default_ctx(|ctx| self.try_concat_cols_ctx(ctx, other, s))
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Matrix::concat_cols`] through an explicit context:
-    /// row mismatch or column-space overflow become errors.
-    pub fn try_concat_cols_ctx<S: Semiring<Value = T>>(
-        &self,
-        ctx: &OpCtx,
-        other: &Self,
-        s: S,
-    ) -> Result<Self, OpError> {
-        ops::structure::check_concat(Axis::Cols, self.shape(), other.shape())?;
-        Ok(self.wrap_ctx(
-            ctx,
-            ops::concat_cols_ctx(ctx, &self.as_dcsr(), &other.as_dcsr()),
-            s,
-        ))
-    }
-
-    /// The main diagonal as a sparse vector.
-    pub fn diag(&self) -> SparseVec<T> {
-        ops::diag_of(&self.as_dcsr())
-    }
-
-    /// `A^k` over a semiring (`k ≥ 1`).
-    pub fn power<S: Semiring<Value = T>>(&self, k: u32, s: S) -> Self {
-        with_default_ctx(|ctx| self.power_ctx(ctx, k, s))
-    }
-
-    /// [`Matrix::power`] through an explicit execution context.
-    pub fn power_ctx<S: Semiring<Value = T>>(&self, ctx: &OpCtx, k: u32, s: S) -> Self {
-        self.wrap_ctx(ctx, ops::matrix_power_ctx(ctx, &self.as_dcsr(), k, s), s)
-    }
-
-    /// Row reduction `out(i) = ⊕_j A(i,j)` (the `A ⊕.⊗ 𝟙` projection).
-    pub fn reduce_rows<M: Monoid<T>>(&self, m: M) -> SparseVec<T> {
-        with_default_ctx(|ctx| self.reduce_rows_ctx(ctx, m))
-    }
-
-    /// [`Matrix::reduce_rows`] through an explicit execution context.
-    pub fn reduce_rows_ctx<M: Monoid<T>>(&self, ctx: &OpCtx, m: M) -> SparseVec<T> {
-        ops::reduce_rows_ctx(ctx, &self.as_dcsr(), m)
-    }
-
-    /// Column reduction `out(j) = ⊕_i A(i,j)` (the `𝟙 ⊕.⊗ A` projection).
-    pub fn reduce_cols<M: Monoid<T>>(&self, m: M) -> SparseVec<T> {
-        with_default_ctx(|ctx| self.reduce_cols_ctx(ctx, m))
-    }
-
-    /// [`Matrix::reduce_cols`] through an explicit execution context.
-    pub fn reduce_cols_ctx<M: Monoid<T>>(&self, ctx: &OpCtx, m: M) -> SparseVec<T> {
-        ops::reduce_cols_ctx(ctx, &self.as_dcsr(), m)
-    }
-
-    /// Reduce every entry to one scalar.
-    pub fn reduce_scalar<M: Monoid<T>>(&self, m: M) -> T {
-        with_default_ctx(|ctx| self.reduce_scalar_ctx(ctx, m))
-    }
-
-    /// [`Matrix::reduce_scalar`] through an explicit execution context.
-    pub fn reduce_scalar_ctx<M: Monoid<T>>(&self, ctx: &OpCtx, m: M) -> T {
-        ops::reduce_scalar_ctx(ctx, &self.as_dcsr(), m)
-    }
-
-    /// `vᵀ A` — one frontier-expansion step, in the push direction.
-    pub fn vxm<S: Semiring<Value = T>>(&self, v: &SparseVec<T>, s: S) -> SparseVec<T> {
-        with_default_ctx(|ctx| self.try_vxm_ctx(ctx, v, s)).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Matrix::vxm`] through an explicit execution context:
-    /// dimension mismatch becomes an error.
-    pub fn try_vxm_ctx<S: Semiring<Value = T>>(
+    /// `A v` in the storage format: Dense and Bitmap dot each row with
+    /// `v`'s entries, CSR intersects each row with `v` (no conversion,
+    /// no kernel call — what Fig. 4 times per format); DCSR runs
+    /// [`ops::mxv_ctx`]. Panics with
+    /// [`ops::mxv::check_mxv`]'s error on a dimension mismatch.
+    pub fn mxv_ctx<S: Semiring<Value = T>>(
         &self,
         ctx: &OpCtx,
         v: &SparseVec<T>,
         s: S,
-    ) -> Result<SparseVec<T>, OpError> {
-        ops::mxv::check_vxm(v.dim(), self.shape(), None)?;
-        Ok(ops::vxm_ctx(ctx, v, &self.as_dcsr(), s))
-    }
-
-    /// `A v` — sparse row-dot products; Dense/Bitmap storage uses
-    /// format-native SpMV.
-    pub fn mxv<S: Semiring<Value = T>>(&self, v: &SparseVec<T>, s: S) -> SparseVec<T> {
-        with_default_ctx(|ctx| self.try_mxv_ctx(ctx, v, s)).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Matrix::mxv`] through an explicit execution context:
-    /// dimension mismatch becomes an error.
-    pub fn try_mxv_ctx<S: Semiring<Value = T>>(
-        &self,
-        ctx: &OpCtx,
-        v: &SparseVec<T>,
-        s: S,
-    ) -> Result<SparseVec<T>, OpError> {
-        ops::mxv::check_mxv(self.shape(), None, v.dim())?;
-        Ok(match &self.repr {
-            // Format-native SpMV for the full formats (no conversion).
-            Repr::Dense(m) => {
-                let mut idx = Vec::new();
-                let mut vals = Vec::new();
-                for r in 0..m.nrows() {
-                    let mut acc = s.zero();
-                    for (i, x) in v.iter() {
-                        let a = m.get(r, i);
-                        if a != m.zero_value() {
-                            let t = s.mul(a.clone(), x.clone());
-                            s.add_assign(&mut acc, t);
-                        }
-                    }
-                    if !s.is_zero(&acc) {
-                        idx.push(r);
-                        vals.push(acc);
+    ) -> SparseVec<T> {
+        ops::mxv::check_mxv((self.nrows(), self.ncols()), None, v.dim())
+            .unwrap_or_else(|e| panic!("{e}"));
+        match &self.repr {
+            Repr::Dense(m) => row_dots(m.nrows(), s, |r, emit| {
+                let row = m.row(r);
+                for (c, x) in v.iter() {
+                    let a = &row[c as usize];
+                    if a != m.zero_value() {
+                        emit(a, x);
                     }
                 }
-                SparseVec::from_sorted_parts(m.nrows(), idx, vals)
-            }
-            Repr::Bitmap(m) => {
-                let mut idx = Vec::new();
-                let mut vals = Vec::new();
-                for r in 0..m.nrows() {
-                    let mut acc = s.zero();
-                    for (i, x) in v.iter() {
-                        if let Some(a) = m.get(r, i) {
-                            let t = s.mul(a.clone(), x.clone());
-                            s.add_assign(&mut acc, t);
-                        }
-                    }
-                    if !s.is_zero(&acc) {
-                        idx.push(r);
-                        vals.push(acc);
+            }),
+            Repr::Bitmap(m) => row_dots(m.nrows(), s, |r, emit| {
+                for (c, x) in v.iter() {
+                    if let Some(a) = m.get(r, c) {
+                        emit(a, x);
                     }
                 }
-                SparseVec::from_sorted_parts(m.nrows(), idx, vals)
-            }
-            // Sparse storage goes through the kernel module instead.
-            Repr::Csr(_) | Repr::Dcsr(_) => ops::mxv_ctx(ctx, &self.as_dcsr(), v, s),
-        })
+            }),
+            // The row ∩ `v` walk of the DCSR kernel's pull.
+            Repr::Csr(m) => row_dots(m.nrows(), s, |r, emit| {
+                let (cols, vals) = m.row(r);
+                let vx = v.values();
+                intersect_sorted(cols, v.indices(), |p, q| emit(&vals[p], &vx[q]));
+            }),
+            Repr::Dcsr(m) => ops::mxv_ctx(ctx, m, v, s),
+        }
     }
+}
+
+/// `out(r) = ⊕ A(r,c) ⊗ v(c)` over every row of a materialized format;
+/// `products(r, emit)` emits row `r`'s `(A(r,c), v(c))` pairs where both
+/// are stored, in increasing column order.
+fn row_dots<T: Value, S: Semiring<Value = T>>(
+    nrows: Ix,
+    s: S,
+    products: impl Fn(Ix, &mut dyn FnMut(&T, &T)),
+) -> SparseVec<T> {
+    let (mut idx, mut vals) = (Vec::new(), Vec::new());
+    for r in 0..nrows {
+        let mut acc = s.zero();
+        products(r, &mut |a, x| {
+            s.add_assign(&mut acc, s.mul(a.clone(), x.clone()))
+        });
+        if !s.is_zero(&acc) {
+            idx.push(r);
+            vals.push(acc);
+        }
+    }
+    SparseVec::from_sorted_parts(nrows, idx, vals)
 }
 
 impl<T: Value> PartialEq for Matrix<T> {
@@ -673,6 +320,7 @@ impl<T: Value> PartialEq for Matrix<T> {
 mod tests {
     use super::*;
     use crate::gen::random_dcsr;
+    use crate::metrics::Kernel;
     use semiring::{PlusMonoid, PlusTimes};
 
     fn s() -> PlusTimes<f64> {
@@ -681,17 +329,19 @@ mod tests {
 
     #[test]
     fn policy_picks_fig4_regimes() {
-        let p = FormatPolicy::default();
         // nnz ≈ N²: dense.
-        assert_eq!(p.decide(64, 64, 3000, 64), Format::Dense);
+        assert_eq!(Format::decide(64, 64, 3000, 64), Format::Dense);
         // moderate density: bitmap.
-        assert_eq!(p.decide(64, 64, 300, 64), Format::Bitmap);
+        assert_eq!(Format::decide(64, 64, 300, 64), Format::Bitmap);
         // nnz ≈ N with most rows occupied: CSR.
-        assert_eq!(p.decide(100_000, 100_000, 100_000, 60_000), Format::Csr);
+        assert_eq!(
+            Format::decide(100_000, 100_000, 100_000, 60_000),
+            Format::Csr
+        );
         // nnz ≪ N: hypersparse.
-        assert_eq!(p.decide(100_000, 100_000, 50, 50), Format::Dcsr);
+        assert_eq!(Format::decide(100_000, 100_000, 50, 50), Format::Dcsr);
         // Huge key space: only DCSR is even possible.
-        assert_eq!(p.decide(1 << 60, 1 << 60, 1000, 900), Format::Dcsr);
+        assert_eq!(Format::decide(1 << 60, 1 << 60, 1000, 900), Format::Dcsr);
     }
 
     #[test]
@@ -716,16 +366,25 @@ mod tests {
 
     #[test]
     fn ops_agree_across_all_format_pairs() {
+        let ctx = OpCtx::new();
+        let mxm = |a: &Matrix<f64>, b: &Matrix<f64>| {
+            a.compute_ctx(&ctx, s(), |a| ops::mxm_ctx(&ctx, a, &b.as_dcsr(), s()))
+        };
+        let add = |a: &Matrix<f64>, b: &Matrix<f64>| {
+            a.compute_ctx(&ctx, s(), |a| {
+                ops::ewise_add_ctx(&ctx, a, &b.as_dcsr(), s())
+            })
+        };
         let a0 = Matrix::from_dcsr(random_dcsr(24, 24, 150, 4, s()), s());
         let b0 = Matrix::from_dcsr(random_dcsr(24, 24, 150, 5, s()), s());
-        let want_mxm = a0.mxm(&b0, s());
-        let want_add = a0.ewise_add(&b0, s());
+        let want_mxm = mxm(&a0, &b0);
+        let want_add = add(&a0, &b0);
         for fa in [Format::Dense, Format::Bitmap, Format::Csr, Format::Dcsr] {
             for fb in [Format::Dense, Format::Bitmap, Format::Csr, Format::Dcsr] {
                 let a = a0.clone().with_format(fa, s());
                 let b = b0.clone().with_format(fb, s());
-                assert_eq!(a.mxm(&b, s()), want_mxm, "{fa:?}·{fb:?}");
-                assert_eq!(a.ewise_add(&b, s()), want_add, "{fa:?}+{fb:?}");
+                assert_eq!(mxm(&a, &b), want_mxm, "{fa:?}·{fb:?}");
+                assert_eq!(add(&a, &b), want_add, "{fa:?}+{fb:?}");
             }
         }
     }
@@ -734,14 +393,30 @@ mod tests {
     fn mxv_native_formats_agree() {
         let m = Matrix::from_dcsr(random_dcsr(32, 32, 300, 6, s()), s());
         let v = SparseVec::from_entries(32, vec![(0, 1.0), (7, 2.0), (31, 3.0)], s());
-        let want = m.clone().with_format(Format::Dcsr, s()).mxv(&v, s());
+        let mxv_calls = |ctx: &OpCtx| ctx.metrics().snapshot().kernel(Kernel::Mxv).calls;
+        let ctx = OpCtx::new();
+        let want = m
+            .clone()
+            .with_format(Format::Dcsr, s())
+            .mxv_ctx(&ctx, &v, s());
+        assert_eq!(mxv_calls(&ctx), 1, "DCSR runs the kernel");
         for fmt in [Format::Dense, Format::Bitmap, Format::Csr] {
-            let got = m.clone().with_format(fmt, s()).mxv(&v, s());
+            let ctx = OpCtx::new();
+            let got = m.clone().with_format(fmt, s()).mxv_ctx(&ctx, &v, s());
+            assert_eq!(mxv_calls(&ctx), 0, "{fmt:?} runs in its own format");
             assert_eq!(got.indices(), want.indices(), "{fmt:?}");
             for (g, w) in got.values().iter().zip(want.values()) {
                 assert!((g - w).abs() < 1e-9);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "mxv: dimension mismatch")]
+    fn mxv_ctx_checks_before_the_native_arms() {
+        let m = Matrix::from_dcsr(random_dcsr(10, 12, 30, 15, s()), s())
+            .with_format(Format::Dense, s());
+        m.mxv_ctx(&OpCtx::new(), &SparseVec::empty(11), s());
     }
 
     #[test]
@@ -767,37 +442,48 @@ mod tests {
     #[test]
     fn reductions_and_bytes() {
         let m = Matrix::from_triplets(8, 8, vec![(0, 1, 2.0), (0, 2, 3.0)], s());
-        let r = m.reduce_rows(PlusMonoid::<f64>::default());
+        let ctx = OpCtx::new();
+        let r = ops::reduce_rows_ctx(&ctx, &m.as_dcsr(), PlusMonoid::<f64>::default());
         assert_eq!(r.get(&0), Some(&5.0));
-        assert_eq!(m.reduce_scalar(PlusMonoid::<f64>::default()), 5.0);
+        let total = ops::reduce_scalar_ctx(&ctx, &m.as_dcsr(), PlusMonoid::<f64>::default());
+        assert_eq!(total, 5.0);
         assert!(m.bytes() > 0);
     }
 
     #[test]
     fn format_switch_after_densifying_product() {
-        // Two moderately sparse operands whose product is dense enough to
-        // flip the result's storage to bitmap/dense automatically.
+        // Two moderately sparse (bitmap) operands whose product is dense
+        // enough to flip the result's storage to full automatically: one
+        // switch is counted. A transpose keeps the occupancy, so the
+        // format stays and nothing is counted.
+        let switches = |ctx: &OpCtx| ctx.metrics().snapshot().format_switches;
         let a = Matrix::from_dcsr(random_dcsr(32, 32, 256, 8, s()), s());
         let b = Matrix::from_dcsr(random_dcsr(32, 32, 256, 9, s()), s());
-        let c = a.mxm(&b, s());
-        assert!(
-            matches!(c.format(), Format::Dense | Format::Bitmap),
-            "product of 25%-dense operands should densify, got {:?} at nnz {}",
+        assert_eq!(a.format(), Format::Bitmap);
+        let ctx = OpCtx::new();
+        let c = a.compute_ctx(&ctx, s(), |a| ops::mxm_ctx(&ctx, a, &b.as_dcsr(), s()));
+        assert_eq!(
             c.format(),
+            Format::Dense,
+            "product of 25%-dense operands should densify, got nnz {}",
             c.nnz()
         );
+        assert_eq!(switches(&ctx), 1);
+        let ctx = OpCtx::new();
+        let t = a.compute_ctx(&ctx, s(), |a| ops::transpose_ctx(&ctx, a));
+        assert_eq!(t.format(), a.format());
+        assert_eq!(switches(&ctx), 0);
     }
 
     #[test]
     fn try_vxm_mxv_dimension_errors() {
         let m = Matrix::from_dcsr(random_dcsr(10, 12, 30, 15, s()), s());
-        let bad = SparseVec::<f64>::empty(11);
-        let ctx = OpCtx::new();
-        let e = m.try_vxm_ctx(&ctx, &bad, s()).unwrap_err();
+        let shape = (m.nrows(), m.ncols());
+        let e = ops::mxv::check_vxm(11, shape, None).unwrap_err();
         assert!(e.to_string().contains("vxm: dimension mismatch"), "{e}");
-        let e = m.try_mxv_ctx(&ctx, &bad, s()).unwrap_err();
+        let e = ops::mxv::check_mxv(shape, None, 11).unwrap_err();
         assert!(e.to_string().contains("mxv: dimension mismatch"), "{e}");
-        assert!(m.try_vxm_ctx(&ctx, &SparseVec::empty(10), s()).is_ok());
-        assert!(m.try_mxv_ctx(&ctx, &SparseVec::empty(12), s()).is_ok());
+        assert!(ops::mxv::check_vxm(10, shape, None).is_ok());
+        assert!(ops::mxv::check_mxv(shape, None, 12).is_ok());
     }
 }

@@ -530,7 +530,7 @@ fn bool_intersect<I: IndexType>(a: &Dcsr<bool, I>, b: &Dcsr<bool, I>) -> (Dcsr<b
 }
 
 /// Element-wise conformance: both operands span one key space.
-pub(crate) fn check_same_space(op: &'static str, a: (Ix, Ix), b: (Ix, Ix)) -> Result<(), OpError> {
+pub fn check_same_space(op: &'static str, a: (Ix, Ix), b: (Ix, Ix)) -> Result<(), OpError> {
     if a != b {
         return Err(OpError::DimensionMismatch {
             op,

@@ -98,7 +98,7 @@ const SHARD_FACTOR: usize = 4;
 
 /// `A ⊕.⊗ B` conformance, shared by the plain, fused-prune and masked
 /// multiplies (they differ only in the `op` the error names).
-pub(crate) fn check_mxm(op: &'static str, a: (Ix, Ix), b: (Ix, Ix)) -> Result<(), OpError> {
+pub fn check_mxm(op: &'static str, a: (Ix, Ix), b: (Ix, Ix)) -> Result<(), OpError> {
     if a.1 != b.0 {
         return Err(OpError::DimensionMismatch {
             op,
@@ -112,7 +112,7 @@ pub(crate) fn check_mxm(op: &'static str, a: (Ix, Ix), b: (Ix, Ix)) -> Result<()
 
 /// Masked-multiply conformance: [`check_mxm`] plus a mask over the
 /// result's key space.
-pub(crate) fn check_mxm_masked(a: (Ix, Ix), b: (Ix, Ix), mask: (Ix, Ix)) -> Result<(), OpError> {
+pub fn check_mxm_masked(a: (Ix, Ix), b: (Ix, Ix), mask: (Ix, Ix)) -> Result<(), OpError> {
     check_mxm("mxm_masked", a, b)?;
     if mask != (a.0, b.1) {
         return Err(OpError::DimensionMismatch {
@@ -1188,14 +1188,7 @@ mod tests {
 
     #[test]
     fn try_masked_reports_typed_errors() {
-        use crate::matrix::Matrix;
-        let s = PlusTimes::<f64>::new();
-        let ctx = OpCtx::new();
-        let empty = |nrows, ncols| Matrix::from_dcsr(Dcsr::<f64>::empty(nrows, ncols), s);
-        let a = empty(3, 4);
-        let b = empty(5, 3);
-        let mask = empty(3, 3);
-        let e = a.try_mxm_masked_ctx(&ctx, &b, &mask, false, s).unwrap_err();
+        let e = check_mxm_masked((3, 4), (5, 3), (3, 3)).unwrap_err();
         assert!(
             matches!(
                 e,
@@ -1207,16 +1200,14 @@ mod tests {
             ),
             "{e:?}"
         );
-        let b = empty(4, 6);
-        let e = a.try_mxm_masked_ctx(&ctx, &b, &mask, false, s).unwrap_err();
+        let e = check_mxm_masked((3, 4), (4, 6), (3, 3)).unwrap_err();
         let msg = e.to_string();
         assert!(
             msg.contains("mask must share the result's key space"),
             "{msg}"
         );
         assert!(msg.contains("3×6 vs 3×3"), "{msg}");
-        let mask = empty(3, 6);
-        assert!(a.try_mxm_masked_ctx(&ctx, &b, &mask, false, s).is_ok());
+        assert!(check_mxm_masked((3, 4), (4, 6), (3, 6)).is_ok());
     }
 
     #[test]

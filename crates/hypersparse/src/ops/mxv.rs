@@ -366,41 +366,46 @@ where
                 None => acc = Some(t),
             }
         };
-        // Every lookup folds in increasing source index. Searched, the
-        // intersect is hybrid: when the frontier dwarfs this row, probe it
-        // per element instead of merging past it — O(row·log nnz(v)) vs
-        // O(row+nnz(v)).
+        // Every lookup folds in increasing source index.
         if let Some(pos) = pos {
             for (p, c) in cols.iter().enumerate() {
                 if let Some(q) = (pos[c.as_usize()] as usize).checked_sub(1) {
                     fold(p, q, &mut flops);
                 }
             }
-        } else if vidx.len() > 16 * cols.len() {
-            for (p, c) in cols.iter().enumerate() {
-                if let Ok(q) = vidx.binary_search(c) {
-                    fold(p, q, &mut flops);
-                }
-            }
         } else {
-            let (mut p, mut q) = (0usize, 0usize);
-            while p < cols.len() && q < vidx.len() {
-                match cols[p].cmp(&vidx[q]) {
-                    std::cmp::Ordering::Less => p += 1,
-                    std::cmp::Ordering::Greater => q += 1,
-                    std::cmp::Ordering::Equal => {
-                        fold(p, q, &mut flops);
-                        p += 1;
-                        q += 1;
-                    }
-                }
-            }
+            intersect_sorted(cols, vidx, |p, q| fold(p, q, &mut flops));
         }
         if let Some(val) = acc {
             out.push((j, val));
         }
     }
     (out, flops, probes, hits)
+}
+
+/// Calls `hit(p, q)` for every `a[p] == b[q]` of two increasing lists,
+/// in increasing order. Hybrid: when `b` dwarfs `a`, probe it per element
+/// instead of merging past it — O(|a|·log|b|) vs O(|a|+|b|).
+pub(crate) fn intersect_sorted<I: Ord>(a: &[I], b: &[I], mut hit: impl FnMut(usize, usize)) {
+    if b.len() > 16 * a.len() {
+        for (p, x) in a.iter().enumerate() {
+            if let Ok(q) = b.binary_search(x) {
+                hit(p, q);
+            }
+        }
+        return;
+    }
+    let (mut p, mut q) = (0, 0);
+    while p < a.len() && q < b.len() {
+        match a[p].cmp(&b[q]) {
+            std::cmp::Ordering::Less => p += 1,
+            std::cmp::Ordering::Greater => q += 1,
+            std::cmp::Ordering::Equal => {
+                hit(p, q);
+                (p, q) = (p + 1, q + 1);
+            }
+        }
+    }
 }
 
 /// Pull sweep sharded by stored output rows (merge-path weighted) —
@@ -542,7 +547,7 @@ fn check_transpose(op: &'static str, a: (Ix, Ix), at: Option<(Ix, Ix)>) -> Resul
 
 /// `vᵀ A` conformance: `v` spans the rows of `a` (an `nrows × ncols`
 /// shape), and a supplied transpose has the transposed shape.
-pub(crate) fn check_vxm(v_dim: Ix, a: (Ix, Ix), at: Option<(Ix, Ix)>) -> Result<(), OpError> {
+pub fn check_vxm(v_dim: Ix, a: (Ix, Ix), at: Option<(Ix, Ix)>) -> Result<(), OpError> {
     if v_dim != a.0 {
         return Err(OpError::DimensionMismatch {
             op: "vxm",
@@ -556,7 +561,7 @@ pub(crate) fn check_vxm(v_dim: Ix, a: (Ix, Ix), at: Option<(Ix, Ix)>) -> Result<
 
 /// `A v` conformance: `v` spans the columns of `a`, and a supplied
 /// transpose has the transposed shape.
-pub(crate) fn check_mxv(a: (Ix, Ix), at: Option<(Ix, Ix)>, v_dim: Ix) -> Result<(), OpError> {
+pub fn check_mxv(a: (Ix, Ix), at: Option<(Ix, Ix)>, v_dim: Ix) -> Result<(), OpError> {
     if v_dim != a.1 {
         return Err(OpError::DimensionMismatch {
             op: "mxv",

@@ -72,7 +72,7 @@ pub fn assign_ctx<T: Value>(
 
 /// Concatenation conformance along `axis`: the other axis must match and
 /// the stacked extent must fit the index space. Returns that extent.
-pub(crate) fn check_concat(axis: Axis, a: (Ix, Ix), b: (Ix, Ix)) -> Result<Ix, OpError> {
+pub fn check_concat(axis: Axis, a: (Ix, Ix), b: (Ix, Ix)) -> Result<Ix, OpError> {
     let (op, rule, conforms, extents) = match axis {
         Axis::Rows => (
             "concat_rows",

@@ -9,6 +9,7 @@ use semiring::traits::{Semiring, UnaryOp, Value};
 
 use crate::ctx::{par_run, OpCtx};
 use crate::dcsr::{Dcsr, DcsrBuilder};
+use crate::error::{Axis, OpError};
 use crate::metrics::Kernel;
 use crate::ops::reduce::ROWS_PER_SHARD;
 use crate::radix::{counting_sort, radix_sort_by_key};
@@ -190,16 +191,29 @@ pub fn select_ctx<T: Value, F: Fn(Ix, Ix, &T) -> bool>(
     c
 }
 
+/// Extraction bounds: every selector index lies inside `a`'s
+/// `(nrows, ncols)` key space; the first one outside is the error.
+pub fn check_extract(a: (Ix, Ix), rows: &[Ix], cols: &[Ix]) -> Result<(), OpError> {
+    for (axis, sel, bound) in [(Axis::Rows, rows, a.0), (Axis::Cols, cols, a.1)] {
+        if let Some(&index) = sel.iter().find(|&&i| i >= bound) {
+            return Err(OpError::IndexOutOfBounds { axis, index, bound });
+        }
+    }
+    Ok(())
+}
+
 /// `A(rows, cols)` — submatrix extraction with *reindexing*: output
 /// position `(i, j)` is `A(rows[i], cols[j])`. Selector slices must be
 /// strictly increasing (GraphBLAS allows duplicates; the associative
-/// array layer never produces them, so we keep the stronger contract).
+/// array layer never produces them, so we keep the stronger contract)
+/// and inside the key space ([`check_extract`]).
 pub fn extract_ctx<T: Value>(
     ctx: &OpCtx,
     a: &Dcsr<T>,
     rows_sel: &[Ix],
     cols_sel: &[Ix],
 ) -> Dcsr<T> {
+    check_extract(a.shape(), rows_sel, cols_sel).unwrap_or_else(|e| panic!("{e}"));
     debug_assert!(rows_sel.windows(2).all(|w| w[0] < w[1]));
     debug_assert!(cols_sel.windows(2).all(|w| w[0] < w[1]));
     let _span = ctx.kernel_span(Kernel::Extract, || {

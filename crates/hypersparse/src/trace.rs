@@ -155,11 +155,6 @@ impl HistogramSnapshot {
         }
         u64::MAX
     }
-
-    /// Mean observation, in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count()).unwrap_or(0)
-    }
 }
 
 /// The one Prometheus text-format (0.0.4) writer: every layer's
@@ -446,11 +441,6 @@ impl TraceRegistry {
         } else {
             spans.push(rec);
         }
-    }
-
-    /// Take every retained span, clearing the registry.
-    pub fn take_spans(&self) -> Vec<SpanRecord> {
-        std::mem::take(&mut *self.spans.lock().expect("trace mutex"))
     }
 
     /// Clone of every retained span.

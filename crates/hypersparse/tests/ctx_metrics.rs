@@ -1,6 +1,6 @@
 //! Integration tests for the execution-context layer: per-kernel
 //! metrics, workspace-arena reuse, thread-cap determinism, and the
-//! fallible `try_*_ctx` API.
+//! typed errors of the kernels' `check_*` preconditions.
 
 use hypersparse::gen::random_dcsr;
 use hypersparse::ops;
@@ -99,9 +99,9 @@ fn matrix_level_ctx_calls_share_one_registry() {
     let a = Matrix::from_triplets(64, 64, vec![(0, 1, 1.0), (1, 2, 2.0)], s);
     let b = Matrix::from_triplets(64, 64, vec![(1, 0, 3.0), (2, 1, 4.0)], s);
 
-    let _ = a.try_mxm_ctx(&ctx, &b, s).unwrap();
-    let _ = a.try_ewise_add_ctx(&ctx, &b, s).unwrap();
-    let _ = a.transpose_ctx(&ctx, s);
+    let _ = a.compute_ctx(&ctx, s, |a| ops::mxm_ctx(&ctx, a, &b.as_dcsr(), s));
+    let _ = a.compute_ctx(&ctx, s, |a| ops::ewise_add_ctx(&ctx, a, &b.as_dcsr(), s));
+    let _ = a.compute_ctx(&ctx, s, |a| ops::transpose_ctx(&ctx, a));
 
     let snap = ctx.metrics().snapshot();
     assert_eq!(snap.kernel(Kernel::Mxm).calls, 1);
@@ -114,11 +114,7 @@ fn matrix_level_ctx_calls_share_one_registry() {
 
 #[test]
 fn try_mxm_reports_dimension_mismatch() {
-    let s = PlusTimes::<f64>::new();
-    let ctx = OpCtx::new();
-    let a = Matrix::from_triplets(3, 4, vec![(0, 0, 1.0)], s);
-    let b = Matrix::from_triplets(5, 3, vec![(0, 0, 1.0)], s);
-    match a.try_mxm_ctx(&ctx, &b, s) {
+    match ops::mxm::check_mxm("mxm", (3, 4), (5, 3)) {
         Err(OpError::DimensionMismatch { op, a, b, rule }) => {
             assert_eq!(op, "mxm");
             assert_eq!(a, (3, 4));
@@ -127,31 +123,24 @@ fn try_mxm_reports_dimension_mismatch() {
         }
         other => panic!("expected DimensionMismatch, got {other:?}"),
     }
-    // And the conforming product still works through the same API.
-    let ok = Matrix::from_triplets(4, 2, vec![(0, 0, 2.0)], s);
-    assert!(a.try_mxm_ctx(&ctx, &ok, s).is_ok());
+    // And the conforming shapes pass the same check.
+    assert!(ops::mxm::check_mxm("mxm", (3, 4), (4, 2)).is_ok());
 }
 
 #[test]
 #[should_panic(expected = "inner dimensions differ")]
 fn panicking_mxm_keeps_its_message() {
     let s = PlusTimes::<f64>::new();
+    let ctx = OpCtx::new();
     let a = Matrix::from_triplets(3, 4, vec![(0, 0, 1.0)], s);
     let b = Matrix::from_triplets(5, 3, vec![(0, 0, 1.0)], s);
-    let _ = a.mxm(&b, s);
+    let _ = a.compute_ctx(&ctx, s, |a| ops::mxm_ctx(&ctx, a, &b.as_dcsr(), s));
 }
 
 #[test]
 fn try_ewise_ops_report_key_space_mismatch() {
-    let s = PlusTimes::<f64>::new();
-    let ctx = OpCtx::new();
-    let a = Matrix::from_triplets(4, 4, vec![(0, 0, 1.0)], s);
-    let b = Matrix::from_triplets(4, 5, vec![(0, 0, 1.0)], s);
-    for (name, res) in [
-        ("ewise_add", a.try_ewise_add_ctx(&ctx, &b, s)),
-        ("ewise_mul", a.try_ewise_mul_ctx(&ctx, &b, s)),
-    ] {
-        match res {
+    for name in ["ewise_add", "ewise_mul"] {
+        match ops::ewise::check_same_space(name, (4, 4), (4, 5)) {
             Err(OpError::DimensionMismatch { op, rule, .. }) => {
                 assert_eq!(op, name);
                 assert_eq!(rule, "element-wise operands must share a key space");
@@ -163,20 +152,17 @@ fn try_ewise_ops_report_key_space_mismatch() {
 
 #[test]
 fn try_concat_reports_mismatch_and_overflow() {
-    let s = PlusTimes::<f64>::new();
-    let ctx = OpCtx::new();
-    let a = Matrix::from_triplets(4, 4, vec![(0, 0, 1.0)], s);
-    let wide = Matrix::from_triplets(4, 5, vec![(0, 0, 1.0)], s);
+    use ops::structure::check_concat;
+    let a = (4, 4);
     assert!(matches!(
-        a.try_concat_rows_ctx(&ctx, &wide, s),
+        check_concat(Axis::Rows, a, (4, 5)),
         Err(OpError::DimensionMismatch {
             op: "concat_rows",
             ..
         })
     ));
-    let tall = Matrix::from_triplets(5, 4, vec![(0, 0, 1.0)], s);
     assert!(matches!(
-        a.try_concat_cols_ctx(&ctx, &tall, s),
+        check_concat(Axis::Cols, a, (5, 4)),
         Err(OpError::DimensionMismatch {
             op: "concat_cols",
             ..
@@ -184,8 +170,7 @@ fn try_concat_reports_mismatch_and_overflow() {
     ));
 
     // Row/col arithmetic past u64::MAX is an error, not a panic.
-    let huge = Matrix::<f64>::empty(u64::MAX, 4);
-    match huge.try_concat_rows_ctx(&ctx, &a, s) {
+    match check_concat(Axis::Rows, (u64::MAX, 4), a) {
         Err(OpError::TooLargeToMaterialize { op, axis, extents }) => {
             assert_eq!(op, "concat_rows");
             assert_eq!(axis, Axis::Rows);
@@ -193,9 +178,8 @@ fn try_concat_reports_mismatch_and_overflow() {
         }
         other => panic!("expected TooLargeToMaterialize, got {other:?}"),
     }
-    let vast = Matrix::<f64>::empty(4, u64::MAX);
     assert!(matches!(
-        vast.try_concat_cols_ctx(&ctx, &a, s),
+        check_concat(Axis::Cols, (4, u64::MAX), a),
         Err(OpError::TooLargeToMaterialize {
             axis: Axis::Cols,
             ..
@@ -204,12 +188,13 @@ fn try_concat_reports_mismatch_and_overflow() {
 }
 
 #[test]
-fn try_extract_validates_selectors_extract_does_not() {
+fn extract_validates_selectors() {
+    use ops::transform::check_extract;
     let s = PlusTimes::<f64>::new();
-    let ctx = OpCtx::new();
     let a = Matrix::from_triplets(10, 10, vec![(1, 1, 1.0)], s);
+    let shape = (a.nrows(), a.ncols());
 
-    match a.try_extract_ctx(&ctx, &[1, 99], &[1], s) {
+    match check_extract(shape, &[1, 99], &[1]) {
         Err(OpError::IndexOutOfBounds { axis, index, bound }) => {
             assert_eq!(axis, Axis::Rows);
             assert_eq!(index, 99);
@@ -218,7 +203,7 @@ fn try_extract_validates_selectors_extract_does_not() {
         other => panic!("expected IndexOutOfBounds, got {other:?}"),
     }
     assert!(matches!(
-        a.try_extract_ctx(&ctx, &[1], &[10], s),
+        check_extract(shape, &[1], &[10]),
         Err(OpError::IndexOutOfBounds {
             axis: Axis::Cols,
             index: 10,
@@ -226,11 +211,7 @@ fn try_extract_validates_selectors_extract_does_not() {
         })
     ));
 
-    let ok = a.try_extract_ctx(&ctx, &[1], &[1], s).unwrap();
+    assert!(check_extract(shape, &[1], &[1]).is_ok());
+    let ok = ops::extract_ctx(&OpCtx::new(), &a.as_dcsr(), &[1], &[1]);
     assert_eq!(ok.nnz(), 1);
-
-    // The classic extract keeps its permissive contract: out-of-range
-    // selectors address empty key-space slices.
-    let permissive = a.extract(&[1, 99], &[1], s);
-    assert_eq!(permissive.nnz(), 1);
 }

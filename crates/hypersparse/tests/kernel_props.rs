@@ -1,7 +1,7 @@
 //! Property-based kernel verification against naive oracles, plus
 //! format-independence of every operation.
 
-use hypersparse::{Coo, Dcsr, Format, Ix, Matrix};
+use hypersparse::{ops, Coo, Dcsr, Format, Ix, Matrix, OpCtx, SparseVec};
 use proptest::prelude::*;
 use semiring::{MinPlus, PlusTimes, Semiring};
 
@@ -108,14 +108,21 @@ proptest! {
     #[test]
     fn every_format_preserves_every_op(ta in triplets(), tb in triplets()) {
         let s = PlusTimes::<i64>::new();
+        let ctx = OpCtx::new();
         let a0 = Matrix::from_dcsr(build(&ta, s), s);
         let b0 = Matrix::from_dcsr(build(&tb, s), s);
-        let want = a0.mxm(&b0, s);
-        let want_add = a0.ewise_add(&b0, s);
+        let b = b0.as_dcsr();
+        let mxm = |a: &Matrix<i64>| a.compute_ctx(&ctx, s, |a| ops::mxm_ctx(&ctx, a, &b, s));
+        let add = |a: &Matrix<i64>| a.compute_ctx(&ctx, s, |a| ops::ewise_add_ctx(&ctx, a, &b, s));
+        let want = mxm(&a0);
+        let want_add = add(&a0);
+        let v = SparseVec::from_entries(N, tb.iter().map(|&(_, c, x)| (c, x)).collect(), s);
+        let want_mxv = ops::mxv_ctx(&ctx, &a0.as_dcsr(), &v, s);
         for fa in [Format::Dense, Format::Bitmap, Format::Csr, Format::Dcsr] {
             let a = a0.clone().with_format(fa, s);
-            prop_assert_eq!(a.mxm(&b0, s), want.clone());
-            prop_assert_eq!(a.ewise_add(&b0, s), want_add.clone());
+            prop_assert_eq!(mxm(&a), want.clone());
+            prop_assert_eq!(add(&a), want_add.clone());
+            prop_assert_eq!(a.mxv_ctx(&ctx, &v, s), want_mxv.clone());
             prop_assert_eq!(a.nnz(), a0.nnz());
         }
     }

@@ -1,7 +1,7 @@
 //! The §V.C / Fig. 8 scenario: sparse DNN inference as a linear system
 //! oscillating between the `+.×` and `max.+` semirings, validated
-//! against a dense baseline and timed — driven through [`dnn::DnnCtx`]
-//! so every layer lands in the kernel metrics/trace registries.
+//! against a dense baseline and timed — both sparse readings run on one
+//! `OpCtx`, so every layer lands in its kernel metrics/trace registries.
 //!
 //! ```sh
 //! cargo run --release --example sparse_dnn
@@ -12,8 +12,8 @@ use std::time::Instant;
 use dnn::infer::{categories, equivalent, infer_dense};
 use dnn::input::sparse_batch;
 use dnn::radix::{radix_net, RadixNetParams};
-use dnn::DnnCtx;
-use hypersparse::DenseMat;
+use dnn::{try_infer_fused_ctx, try_infer_two_semiring_ctx};
+use hypersparse::{DenseMat, OpCtx};
 use semiring::PlusTimes;
 
 fn main() {
@@ -37,16 +37,16 @@ fn main() {
     println!("batch: {} samples, {} active features", batch, y0.nnz());
 
     // The engineering formulation: one fused mxm+bias+ReLU+prune kernel
-    // per layer, scratch reused across layers by the driver.
-    let driver = DnnCtx::new();
+    // per layer, scratch reused across layers through one context.
+    let ctx = OpCtx::new();
     let t = Instant::now();
-    let fused = driver.infer(&net, &y0);
+    let fused = try_infer_fused_ctx(&ctx, &net, &y0).expect("batch width matches the net");
     let t_fused = t.elapsed();
 
     // The paper's S₁/S₂ oscillation, scalar-for-scalar through the
     // semiring objects.
     let t = Instant::now();
-    let pair = driver.infer_two_semiring(&net, &y0);
+    let pair = try_infer_two_semiring_ctx(&ctx, &net, &y0).expect("batch width matches the net");
     let t_pair = t.elapsed();
     assert_eq!(
         fused, pair,
@@ -76,9 +76,9 @@ fn main() {
     );
 
     // Per-layer observability: both inferences above ran on this
-    // driver's registries.
+    // context's registries.
     println!("\nkernel metrics (Prometheus exposition):");
-    for line in driver.metrics().render_prometheus().lines() {
+    for line in ctx.metrics().snapshot().render_prometheus().lines() {
         if line.contains("kernel_calls_total") {
             println!("  {line}");
         }

@@ -14,6 +14,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use hyperspace::hypersparse::ops;
 use hyperspace::prelude::*;
 use hyperspace::semiring::PlusMonoid;
 
@@ -102,7 +103,7 @@ fn main() {
     let snap = p.snapshot().unwrap();
     assert_eq!(snap.events(), ingested);
     let m = snap.to_matrix();
-    let traffic = m.reduce_rows(PlusMonoid::<f64>::default());
+    let traffic = ops::reduce_rows_ctx(&OpCtx::new(), &m.as_dcsr(), PlusMonoid::<f64>::default());
     let (hub, hub_bytes) = traffic
         .iter()
         .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())

@@ -7,7 +7,7 @@ use graph::baseline::{bfs_queue, AdjList};
 use graph::bfs::bfs_levels;
 use graph::pattern::{pattern_u8, symmetrize};
 use hyperspace_core::Assoc;
-use hypersparse::{Format, Ix, Matrix};
+use hypersparse::{ops, Format, Ix, Matrix, OpCtx};
 use semiring::{MinPlus, PlusMonoid, PlusTimes, UnionIntersect};
 
 fn sample_flows() -> Vec<(String, db::Record)> {
@@ -133,13 +133,15 @@ fn format_switching_survives_a_full_workflow() {
     // Build hypersparse → densifying product → selection back to sparse,
     // checking the opaque wrapper re-decides the format at each step.
     let s = PlusTimes::<f64>::new();
+    let ctx = OpCtx::new();
     let a = Matrix::from_dcsr(hypersparse::gen::random_dcsr(48, 48, 500, 5, s), s);
-    let dense_product = a.mxm(&a, s);
+    let dense_product = a.compute_ctx(&ctx, s, |d| ops::mxm_ctx(&ctx, d, d, s));
     assert!(matches!(
         dense_product.format(),
         Format::Dense | Format::Bitmap
     ));
-    let sparse_again = dense_product.select(|r, c, _| r + 1 == c, s);
+    let sparse_again =
+        dense_product.compute_ctx(&ctx, s, |d| ops::select_ctx(&ctx, d, |r, c, _| r + 1 == c));
     assert!(matches!(sparse_again.format(), Format::Csr | Format::Dcsr));
     // Mathematical equality is format-independent throughout.
     assert_eq!(
