@@ -392,23 +392,6 @@ impl<K1: Key, K2: Key, T: Value> Assoc<K1, K2, T> {
             s,
         )
     }
-
-    /// The `k` largest-value entries of each row (ties by column key),
-    /// as a filtered associative array. Requires `T: PartialOrd`.
-    pub fn top_k_per_row<S: Semiring<Value = T>>(&self, k: usize, s: S) -> Self
-    where
-        T: PartialOrd,
-    {
-        let mut keep = Vec::new();
-        for k1 in self.row_keys() {
-            let mut row = self.row(k1);
-            row.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-            for (k2, v) in row.into_iter().take(k) {
-                keep.push((k1.clone(), k2, v));
-            }
-        }
-        Assoc::from_triplets(keep, s)
-    }
 }
 
 impl<K: Key, T: Value> Assoc<K, K, T> {
@@ -666,24 +649,6 @@ mod tests {
         let stripped = a.map_col_keys(|c| c[4..].to_string(), s());
         assert_eq!(stripped.get(&"r", &"a".to_string()), Some(1.0));
         assert_eq!(stripped.col_keys(), &["a".to_string(), "b".to_string()]);
-    }
-
-    #[test]
-    fn top_k_per_row_keeps_largest() {
-        let a = Assoc::from_triplets(
-            vec![
-                ("r", "a", 1.0),
-                ("r", "b", 5.0),
-                ("r", "c", 3.0),
-                ("q", "a", 2.0),
-            ],
-            s(),
-        );
-        let top = a.top_k_per_row(2, s());
-        assert_eq!(top.get(&"r", &"b"), Some(5.0));
-        assert_eq!(top.get(&"r", &"c"), Some(3.0));
-        assert_eq!(top.get(&"r", &"a"), None);
-        assert_eq!(top.get(&"q", &"a"), Some(2.0)); // short rows survive whole
     }
 
     #[test]

@@ -109,24 +109,6 @@ pub fn random_net(
     SparseDnn::new(n_neurons, layers, vec![bias; depth])
 }
 
-/// Dense layer stack (every connection present) — the Fig. 8 baseline's
-/// model as a [`SparseDnn`], for apples-to-apples correctness checks.
-pub fn dense_net(n_neurons: u64, depth: usize, bias: f64, seed: u64) -> SparseDnn {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let layers = (0..depth)
-        .map(|_| {
-            let mut c = Coo::new(n_neurons, n_neurons);
-            for i in 0..n_neurons {
-                for j in 0..n_neurons {
-                    c.push(i, j, rng.gen::<f64>() / n_neurons as f64);
-                }
-            }
-            c.build_dcsr(PlusTimes::<f64>::new())
-        })
-        .collect();
-    SparseDnn::new(n_neurons, layers, vec![bias; depth])
-}
-
 /// Extract a [`Dcsr`] copy of one layer (bench helper).
 pub fn layer(net: &SparseDnn, l: usize) -> &Dcsr<f64> {
     &net.layers[l]
@@ -180,11 +162,5 @@ mod tests {
         };
         let net = radix_net(p, 3);
         assert!((net.density() - 16.0 / 128.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dense_net_is_full() {
-        let net = dense_net(8, 2, 0.0, 1);
-        assert_eq!(net.n_weights(), 2 * 64);
     }
 }

@@ -12,20 +12,19 @@
 //!   [`bfs`] (any-pair / min-first), [`sssp`] (min-plus Bellman–Ford),
 //!   [`cc`] (min-label propagation), [`triangles`] (masked SpGEMM),
 //!   [`pagerank`] (plus-times power iteration), [`centrality`]
-//!   (Brandes betweenness as per-level vxm/mxv), [`kcore`] (algebraic
-//!   peeling), [`mis`] (Luby over max.×), [`similarity`] (Jaccard via
-//!   masked SpGEMM), [`closure`] (∨.∧ transitive closure, topological
-//!   levels), [`incremental`] (delta-fold degree and triangle state for
-//!   the pipeline's standing queries). Each algorithm that reads a
-//!   [`Graph`] property has one `_ctx` body taking `(&OpCtx, &Graph)`;
-//!   its bare name over a `&Dcsr` builds a fresh `Graph` per call;
+//!   (Brandes betweenness as per-level vxm/mxv), [`incremental`]
+//!   (delta-fold degree and triangle state for the pipeline's standing
+//!   queries). Each algorithm that reads a [`Graph`] property has one
+//!   `_ctx` body taking `(&OpCtx, &Graph)`; its bare name over a
+//!   `&Dcsr` builds a fresh `Graph` per call;
 //! * Classical pointer-chasing [`baseline`]s (queue BFS, binary-heap
 //!   Dijkstra, union-find components, wedge-check triangles) — the other
 //!   side of the duality, used to validate results and to benchmark the
 //!   Fig. 1 comparison;
 //! * [`hypergraph`] — incidence (edge) arrays `E_out`/`E_in` with hyper-
 //!   and multi-edges (Fig. 2) and the projection
-//!   `A = E_outᵀ ⊕.⊗ E_in` (Fig. 3);
+//!   `A = E_outᵀ ⊕.⊗ E_in` (Fig. 3), and [`hyperalgo`] — BFS and
+//!   components run directly on the incidence arrays;
 //! * [`setops`] — graph union/intersection as element-wise ⊕/⊗ (Fig. 5),
 //!   next to hash-set baselines.
 
@@ -36,20 +35,16 @@ pub mod baseline;
 pub mod bfs;
 pub mod cc;
 pub mod centrality;
-pub mod closure;
 pub mod frontier;
 mod graph;
 pub mod hyperalgo;
 pub mod hypergraph;
 pub mod incremental;
-pub mod kcore;
-pub mod mis;
 pub mod msbfs;
 pub mod netsec;
 pub mod pagerank;
 pub mod pattern;
 pub mod setops;
-pub mod similarity;
 pub mod sssp;
 pub mod triangles;
 

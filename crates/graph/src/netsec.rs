@@ -12,14 +12,13 @@
 //! Both reduce to degree distributions of the sparsity *pattern*, read
 //! from the matrix structure ([`row_degrees_ctx`]/[`col_degrees_ctx`] —
 //! what `+` over an all-ones pattern would sum to, without building
-//! it), followed by a threshold mask. The follow-up
-//! question — "show me everything a flagged endpoint did" — is a masked
-//! row/column extraction ([`select_ctx`]) against the same epoch
-//! snapshot. Everything here runs through `_ctx` kernels, so detector
-//! cost shows up in the kernel metrics and trace spans like any other
-//! workload, and everything is deterministic: results are sorted by
-//! degree descending with ascending-key tie-breaks, independent of
-//! thread and shard counts.
+//! it), followed by a threshold mask. The follow-up question — "show me
+//! everything a flagged source did" — is a masked row extraction
+//! ([`select_ctx`]) against the same epoch snapshot. Everything here
+//! runs through `_ctx` kernels, so detector cost shows up in the kernel
+//! metrics and trace spans like any other workload, and everything is
+//! deterministic: results are sorted by degree descending with
+//! ascending-key tie-breaks, independent of thread and shard counts.
 
 use hypersparse::ops::{col_degrees_ctx, row_degrees_ctx, select_ctx};
 use hypersparse::{with_default_ctx, Dcsr, Ix, OpCtx, SparseVec};
@@ -100,19 +99,6 @@ pub fn suspect_traffic_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>, rows: &[Ix]) -> D
     select_ctx(ctx, a, move |r, _, _| keep.binary_search(&r).is_ok())
 }
 
-/// Masked column query: the full traffic aimed at the flagged
-/// destination columns (drill-down after [`ddos_victims`]).
-pub fn victim_traffic<T: Value>(a: &Dcsr<T>, cols: &[Ix]) -> Dcsr<T> {
-    with_default_ctx(|ctx| victim_traffic_ctx(ctx, a, cols))
-}
-
-/// [`victim_traffic`] through an explicit execution context.
-pub fn victim_traffic_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>, cols: &[Ix]) -> Dcsr<T> {
-    let mut keep = cols.to_vec();
-    keep.sort_unstable();
-    select_ctx(ctx, a, move |_, c, _| keep.binary_search(&c).is_ok())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,10 +155,7 @@ mod tests {
         assert_eq!(scans.nnz(), 20);
         assert!(scans.iter().all(|(r, _, _)| r == 7));
         assert_eq!(scans.get(7, 100).copied(), Some(4)); // 1 + 3 merged at build
-        let hits = victim_traffic(&a, &[99]);
-        assert_eq!(hits.nnz(), 15);
-        assert!(hits.iter().all(|(_, c, _)| c == 99));
-        // Unsorted mask input is fine.
+                                                         // Unsorted mask input is fine.
         let both = suspect_traffic(&a, &[3, 1]);
         assert_eq!(both.nnz(), 3);
     }

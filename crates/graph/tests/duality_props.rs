@@ -5,6 +5,7 @@
 use graph::baseline::{bfs_queue, cc_union_find, dijkstra, triangles_wedge, AdjList};
 use graph::bfs::{bfs_levels, bfs_parents};
 use graph::cc::connected_components;
+use graph::hyperalgo::{hyper_bfs, hyper_components, incidence_patterns};
 use graph::hypergraph::{incidence_to_adjacency, incidence_to_adjacency_baseline, Hypergraph};
 use graph::pattern::{pattern_u64, pattern_u8, symmetrize};
 use graph::sssp::sssp;
@@ -33,6 +34,36 @@ fn mk(e: Vec<(Ix, Ix, f64)>) -> Dcsr<f64> {
         }
     }
     c.build_dcsr(PlusTimes::<f64>::new())
+}
+
+fn sorted_unique(mut v: Vec<Ix>) -> Vec<Ix> {
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+/// Random hyper-multi-graphs over `N` vertices: ordinary edges, each
+/// added once to three times (multi-edges, and self-loops when
+/// `a == b`); hyperedges whose tail and head sets may share vertices
+/// (self-incidence); and the last four vertices never incident.
+fn hypergraphs() -> impl Strategy<Value = Hypergraph> {
+    let members = || proptest::collection::vec(0..N - 4, 1..4);
+    (
+        proptest::collection::vec((0..N - 4, 0..N - 4, 1..4usize), 0..24),
+        proptest::collection::vec((members(), members()), 0..6),
+    )
+        .prop_map(|(simple, hyper)| {
+            let mut h = Hypergraph::new(N);
+            for (a, b, copies) in simple {
+                for _ in 0..copies {
+                    h.add_edge(a, b, 1.0);
+                }
+            }
+            for (srcs, dsts) in hyper {
+                h.add_hyperedge(&sorted_unique(srcs), &sorted_unique(dsts), 1.0);
+            }
+            h
+        })
 }
 
 proptest! {
@@ -133,5 +164,38 @@ proptest! {
         let got: Vec<(Ix, Ix, f64)> = a.iter().map(|(i, j, &v)| (i, j, v)).collect();
         let want = incidence_to_adjacency_baseline(&h.e_out(), &h.e_in());
         prop_assert_eq!(got, want);
+    }
+
+    /// Fig. 2's traversal is Fig. 3's: hyper-BFS on the incidence
+    /// arrays reaches every vertex at the level BFS on the projected
+    /// adjacency's pattern does.
+    #[test]
+    fn hyper_bfs_matches_bfs_on_projection(h in hypergraphs(), src in 0..N) {
+        let a = h.adjacency(PlusTimes::<f64>::new());
+        prop_assert_eq!(
+            hyper_bfs(&incidence_patterns(&h), src),
+            bfs_levels(&pattern_u8(&a), src)
+        );
+    }
+
+    /// Hyper-components label each incident vertex with the smallest
+    /// vertex it shares a chain of hyperedges with, which is union-find's
+    /// representative over hyperedge co-membership (tails and heads
+    /// alike); vertices with no incidence get no label.
+    #[test]
+    fn hyper_components_match_union_find(h in hypergraphs()) {
+        let (e_out, e_in) = (h.e_out(), h.e_in());
+        let mut members: Vec<Vec<Ix>> = vec![Vec::new(); h.n_edges as usize];
+        for (k, v, _) in e_out.iter().chain(e_in.iter()) {
+            members[k as usize].push(v);
+        }
+        let co_membership: Vec<(Ix, Ix)> = members
+            .iter()
+            .flat_map(|m| m.iter().map(move |&v| (m[0], v)))
+            .collect();
+        let uf = cc_union_find(N as usize, &co_membership);
+        let incident = sorted_unique(members.concat());
+        let want: Vec<(Ix, Ix)> = incident.iter().map(|&v| (v, uf[v as usize] as Ix)).collect();
+        prop_assert_eq!(hyper_components(&h), want);
     }
 }

@@ -53,7 +53,7 @@ pub mod prelude {
     };
     pub use pipeline::{
         EpochSnapshot, IncrementalEpoch, Pipeline, PipelineConfig, PipelineError, SnapshotSink,
-        Stage, StandingView, StandingViewStats,
+        Stage, StandingView,
     };
     pub use semiring::{
         AnyPair, LorLand, MaxMin, MaxPlus, MaxTimes, MinMax, MinPlus, MinTimes, Monoid, PSet,

@@ -299,12 +299,6 @@ impl OpCtx {
         let ws = self.workspace.lock().expect("workspace mutex");
         ws.pools.values().map(|p| p.len()).sum()
     }
-
-    /// Drop every pooled scratch buffer (e.g. after a one-off huge
-    /// multiply whose dense accumulator should not stay resident).
-    pub fn trim_workspace(&self) {
-        *self.workspace.lock().expect("workspace mutex") = Workspace::default();
-    }
 }
 
 thread_local! {
@@ -447,8 +441,6 @@ mod tests {
         }
         assert_eq!(ctx.pooled_buffers(), 2);
         assert_eq!(ctx.metrics().snapshot().workspace_misses, 2);
-        ctx.trim_workspace();
-        assert_eq!(ctx.pooled_buffers(), 0);
     }
 
     #[test]

@@ -260,43 +260,6 @@ impl<T: Value, I: IndexType> SparseVec<T, I> {
         }
         SparseVec::from_sorted_parts(sel.len() as Ix, idx, vals)
     }
-
-    /// The stored entry with the ⊕-maximal value under a total-order
-    /// comparison of values, if any (`argmax`-style readout; ties go to
-    /// the smallest index).
-    pub fn arg_best<F: Fn(&T, &T) -> std::cmp::Ordering>(&self, cmp: F) -> Option<(Ix, &T)> {
-        self.iter().reduce(|best, cand| {
-            if cmp(cand.1, best.1) == std::cmp::Ordering::Greater {
-                cand
-            } else {
-                best
-            }
-        })
-    }
-
-    /// Materialize as a dense `Vec` with `zero` in absent slots. Panics if
-    /// the dimension cannot be materialized.
-    pub fn to_dense(&self, zero: T) -> Vec<T> {
-        let n = usize::try_from(self.dim).expect("dense vector dimension");
-        let mut out = vec![zero; n];
-        for (i, v) in self.iter() {
-            out[i as usize] = v.clone();
-        }
-        out
-    }
-
-    /// Build from a dense slice, dropping semiring zeros.
-    pub fn from_dense<S: Semiring<Value = T>>(dense: &[T], s: S) -> Self {
-        let mut idx = Vec::new();
-        let mut vals = Vec::new();
-        for (i, v) in dense.iter().enumerate() {
-            if !s.is_zero(v) {
-                idx.push(I::from_usize(i));
-                vals.push(v.clone());
-            }
-        }
-        SparseVec::from_sorted_parts(dense.len() as Ix, idx, vals)
-    }
 }
 
 #[cfg(test)]
@@ -397,25 +360,6 @@ mod tests {
         assert_eq!(sub.get(&0), Some(&2.0)); // old index 2
         assert_eq!(sub.get(&1), None); // old index 3 was absent
         assert_eq!(sub.get(&2), Some(&9.0));
-    }
-
-    #[test]
-    fn arg_best_finds_max() {
-        let v: SparseVec<f64> =
-            SparseVec::from_entries(10, vec![(2, 2.0), (5, 9.0), (7, 9.0)], pt());
-        let (i, x) = v.arg_best(|a, b| a.partial_cmp(b).unwrap()).unwrap();
-        assert_eq!((i, *x), (5, 9.0)); // tie → smallest index
-        assert!(SparseVec::<f64>::empty(4)
-            .arg_best(|a, b| a.partial_cmp(b).unwrap())
-            .is_none());
-    }
-
-    #[test]
-    fn dense_round_trip() {
-        let v: SparseVec<f64> = SparseVec::from_entries(5, vec![(1, 1.0), (4, 4.0)], pt());
-        let d = v.to_dense(0.0);
-        assert_eq!(d, vec![0.0, 1.0, 0.0, 0.0, 4.0]);
-        assert_eq!(SparseVec::from_dense(&d, pt()), v);
     }
 
     #[test]

@@ -79,15 +79,6 @@ impl NetflowQuery {
             NetflowQuery::StandingDdosVictims { .. } => NetflowQueryClass::StandingDdos,
         }
     }
-
-    /// Whether this query answers from standing (incrementally
-    /// maintained) state rather than a window snapshot.
-    pub fn is_standing(&self) -> bool {
-        matches!(
-            self,
-            NetflowQuery::StandingScanSuspects { .. } | NetflowQuery::StandingDdosVictims { .. }
-        )
-    }
 }
 
 /// Per-detector latency buckets (the Prometheus `detector` label),
@@ -228,8 +219,6 @@ mod tests {
             NetflowQueryClass::Rollup
         );
         let standing = NetflowQuery::StandingDdosVictims { min_fanin: 3 };
-        assert!(standing.is_standing());
         assert_eq!(standing.class(), NetflowQueryClass::StandingDdos);
-        assert!(!NetflowQuery::TopTalkers { k: 1 }.is_standing());
     }
 }

@@ -18,6 +18,8 @@
 //! a fixed event order at any shard count — so detector output is too
 //! (the property suite proves it at 1/2/4 shards).
 
+use std::convert::Infallible;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -29,7 +31,7 @@ use hypersparse::ops as kernels;
 use hypersparse::{Exposition, Ix, OpCtx, SparseVec};
 use pipeline::{EpochSnapshot, Pipeline, PipelineConfig, StandingView};
 use semiring::{PlusMonoid, PlusTimes};
-use serve::{QueryServer, ViewSchema};
+use serve::{EpochView, QueryServer, ServeError, ViewSchema};
 
 use crate::error::NetflowError;
 use crate::gen::FlowEvent;
@@ -285,27 +287,18 @@ impl NetflowService {
     /// Standing-query classes answer from maintained state and need no
     /// published window at all.
     pub fn query(&self, q: &NetflowQuery) -> Result<NetflowResponse, NetflowError> {
-        if let Some(resp) = self.answer_standing(q) {
-            return Ok(resp);
-        }
-        let view = self
-            .server
-            .pin_latest()
-            .inspect_err(|_| self.metrics.record_error())?;
-        Ok(self.query_snapshot(view.snapshot(), q))
+        self.respond(q, || self.pinned(self.server.pin_latest()))
     }
 
     /// Answer a typed netflow query against a specific retained window.
+    /// Standing-query classes answer from maintained state whatever
+    /// `epoch` names.
     pub fn query_window(
         &self,
         epoch: u64,
         q: &NetflowQuery,
     ) -> Result<NetflowResponse, NetflowError> {
-        let view = self
-            .server
-            .pin_epoch(epoch)
-            .inspect_err(|_| self.metrics.record_error())?;
-        Ok(self.query_snapshot(view.snapshot(), q))
+        self.respond(q, || self.pinned(self.server.pin_epoch(epoch)))
     }
 
     /// Answer a typed netflow query against an already-held window
@@ -313,41 +306,116 @@ impl NetflowService {
     /// The two window detectors read the last closed window's verdict
     /// from the degree state rotation already built; any other snapshot
     /// (an older retained window, a `refresh()` cut) is rescanned.
+    /// Standing-query classes answer from maintained state, as from
+    /// [`NetflowService::query`].
     pub fn query_snapshot(
         &self,
         snap: &Arc<EpochSnapshot<TrafficSemiring>>,
         q: &NetflowQuery,
     ) -> NetflowResponse {
-        if let Some(resp) = self.answer_standing(q) {
-            return resp;
-        }
-        let t = Instant::now();
-        let body = self.answer(snap, q);
-        let flagged = body.as_flagged().map_or(0, |v| v.len() as u64);
-        self.metrics.record_query(q.class(), t.elapsed(), flagged);
-        NetflowResponse {
-            epoch: snap.epoch(),
-            body,
-        }
+        let Ok(resp) = self.respond(q, || Ok::<_, Infallible>(&**snap));
+        resp
     }
 
-    /// Answer the standing detector classes from maintained state (no
-    /// window snapshot involved; the epoch stamp is the last delta
-    /// wave's). Returns `None` for snapshot-backed queries.
-    fn answer_standing(&self, q: &NetflowQuery) -> Option<NetflowResponse> {
+    /// The pinned window's snapshot, counting a failed pin as an error.
+    fn pinned(
+        &self,
+        view: Result<Arc<EpochView<TrafficSemiring>>, ServeError>,
+    ) -> Result<Arc<EpochSnapshot<TrafficSemiring>>, NetflowError> {
+        let view = view.inspect_err(|_| self.metrics.record_error())?;
+        Ok(Arc::clone(view.snapshot()))
+    }
+
+    /// The one query dispatch: one arm per class, every arm running
+    /// `_ctx` kernels on the service's detector context. The standing
+    /// classes threshold the open window's maintained degrees under one
+    /// lock; they never call `held`, so no window is pinned, and the
+    /// answer carries the last delta wave's epoch. Every other class
+    /// answers against the window `held` returns and carries its epoch.
+    /// Each answer records one sample in its class's histogram.
+    fn respond<W, E>(
+        &self,
+        q: &NetflowQuery,
+        held: impl FnOnce() -> Result<W, E>,
+    ) -> Result<NetflowResponse, E>
+    where
+        W: Deref<Target = EpochSnapshot<TrafficSemiring>>,
+    {
         let t = Instant::now();
-        let (axis, threshold) = match *q {
-            NetflowQuery::StandingScanSuspects { min_fanout } => (Axis::FanOut, min_fanout),
-            NetflowQuery::StandingDdosVictims { min_fanin } => (Axis::FanIn, min_fanin),
-            _ => return None,
+        let ip = |i: Ix| cidr::ip_key(i as u32);
+        let (epoch, body) = match *q {
+            NetflowQuery::StandingScanSuspects { min_fanout } => (
+                self.standing.epoch(),
+                NetflowBody::Flagged(self.flag(Axis::FanOut, min_fanout, None)),
+            ),
+            NetflowQuery::StandingDdosVictims { min_fanin } => (
+                self.standing.epoch(),
+                NetflowBody::Flagged(self.flag(Axis::FanIn, min_fanin, None)),
+            ),
+            NetflowQuery::ScanSuspects { min_fanout } => {
+                let snap = held()?;
+                let flagged = self.flag(Axis::FanOut, min_fanout, Some(&*snap));
+                (snap.epoch(), NetflowBody::Flagged(flagged))
+            }
+            NetflowQuery::DdosVictims { min_fanin } => {
+                let snap = held()?;
+                let flagged = self.flag(Axis::FanIn, min_fanin, Some(&*snap));
+                (snap.epoch(), NetflowBody::Flagged(flagged))
+            }
+            NetflowQuery::TopTalkers { k } => {
+                let snap = held()?;
+                let top = kernels::top_k_rows_ctx(&self.ctx, snap.dcsr(), k, PlusMonoid::default());
+                let top = top.into_iter().map(|(i, v)| (ip(i), v)).collect();
+                (snap.epoch(), NetflowBody::Volumes(top))
+            }
+            NetflowQuery::TopListeners { k } => {
+                let snap = held()?;
+                let top = kernels::top_k_cols_ctx(&self.ctx, snap.dcsr(), k, PlusMonoid::default());
+                let top = top.into_iter().map(|(i, v)| (ip(i), v)).collect();
+                (snap.epoch(), NetflowBody::Volumes(top))
+            }
+            NetflowQuery::SuspectTraffic { ref sources } => {
+                let snap = held()?;
+                let rows: Vec<Ix> = sources.iter().map(|&s| Ix::from(s)).collect();
+                let flows = graph::netsec::suspect_traffic_ctx(&self.ctx, snap.dcsr(), &rows)
+                    .iter()
+                    .map(|(r, c, &v)| (ip(r), ip(c), v))
+                    .collect();
+                (snap.epoch(), NetflowBody::Flows(flows))
+            }
+            NetflowQuery::Rollup { prefix, k } => {
+                let snap = held()?;
+                let rolled = cidr::rollup_ctx(
+                    &self.ctx,
+                    snap.dcsr(),
+                    prefix,
+                    RollupAxes::Both,
+                    PlusTimes::new(),
+                );
+                let mut blocks: Vec<(Ix, Ix, u64)> =
+                    rolled.iter().map(|(r, c, &v)| (r, c, v)).collect();
+                blocks.sort_by(|x, y| {
+                    y.2.cmp(&x.2)
+                        .then_with(|| x.0.cmp(&y.0))
+                        .then_with(|| x.1.cmp(&y.1))
+                });
+                blocks.truncate(k);
+                let blocks = blocks
+                    .into_iter()
+                    .map(|(r, c, v)| {
+                        (
+                            cidr::cidr_key(r as u32, prefix),
+                            cidr::cidr_key(c as u32, prefix),
+                            v,
+                        )
+                    })
+                    .collect();
+                (snap.epoch(), NetflowBody::Blocks(blocks))
+            }
         };
-        let flagged = self.flag(axis, threshold, None);
-        self.metrics
-            .record_query(q.class(), t.elapsed(), flagged.len() as u64);
-        Some(NetflowResponse {
-            epoch: self.standing.epoch(),
-            body: NetflowBody::Flagged(flagged),
-        })
+        let flagged = body.as_flagged().map_or(0, |v| v.len() as u64);
+        self.metrics.record_query(q.class(), t.elapsed(), flagged);
+        Ok(NetflowResponse { epoch, body })
     }
 
     /// One detector, one path: the flagged `(endpoint, degree)` pairs of
@@ -379,72 +447,6 @@ impl NetflowService {
         hits.into_iter()
             .map(|(i, d)| (cidr::ip_key(i as u32), d))
             .collect()
-    }
-
-    /// The kernel dispatch: every arm runs `_ctx` kernels on the
-    /// service's detector context.
-    fn answer(&self, snap: &EpochSnapshot<TrafficSemiring>, q: &NetflowQuery) -> NetflowBody {
-        let a = snap.dcsr();
-        let ip = |i: Ix| cidr::ip_key(i as u32);
-        match *q {
-            NetflowQuery::TopTalkers { k } => NetflowBody::Volumes(
-                kernels::top_k_rows_ctx(&self.ctx, a, k, PlusMonoid::<u64>::default())
-                    .into_iter()
-                    .map(|(i, v)| (ip(i), v))
-                    .collect(),
-            ),
-            NetflowQuery::TopListeners { k } => NetflowBody::Volumes(
-                kernels::top_k_cols_ctx(&self.ctx, a, k, PlusMonoid::<u64>::default())
-                    .into_iter()
-                    .map(|(i, v)| (ip(i), v))
-                    .collect(),
-            ),
-            NetflowQuery::ScanSuspects { min_fanout } => {
-                NetflowBody::Flagged(self.flag(Axis::FanOut, min_fanout, Some(snap)))
-            }
-            NetflowQuery::DdosVictims { min_fanin } => {
-                NetflowBody::Flagged(self.flag(Axis::FanIn, min_fanin, Some(snap)))
-            }
-            NetflowQuery::StandingScanSuspects { min_fanout } => {
-                NetflowBody::Flagged(self.flag(Axis::FanOut, min_fanout, None))
-            }
-            NetflowQuery::StandingDdosVictims { min_fanin } => {
-                NetflowBody::Flagged(self.flag(Axis::FanIn, min_fanin, None))
-            }
-            NetflowQuery::SuspectTraffic { ref sources } => {
-                let rows: Vec<Ix> = sources.iter().map(|&s| Ix::from(s)).collect();
-                NetflowBody::Flows(
-                    graph::netsec::suspect_traffic_ctx(&self.ctx, a, &rows)
-                        .iter()
-                        .map(|(r, c, &v)| (ip(r), ip(c), v))
-                        .collect(),
-                )
-            }
-            NetflowQuery::Rollup { prefix, k } => {
-                let rolled =
-                    cidr::rollup_ctx(&self.ctx, a, prefix, RollupAxes::Both, PlusTimes::new());
-                let mut blocks: Vec<(Ix, Ix, u64)> =
-                    rolled.iter().map(|(r, c, &v)| (r, c, v)).collect();
-                blocks.sort_by(|x, y| {
-                    y.2.cmp(&x.2)
-                        .then_with(|| x.0.cmp(&y.0))
-                        .then_with(|| x.1.cmp(&y.1))
-                });
-                blocks.truncate(k);
-                NetflowBody::Blocks(
-                    blocks
-                        .into_iter()
-                        .map(|(r, c, v)| {
-                            (
-                                cidr::cidr_key(r as u32, prefix),
-                                cidr::cidr_key(c as u32, prefix),
-                                v,
-                            )
-                        })
-                        .collect(),
-                )
-            }
-        }
     }
 
     /// Run both default-threshold detectors against the newest window.
@@ -752,6 +754,55 @@ mod tests {
         let text = svc.render_prometheus();
         assert!(text.contains("pipeline_standing_updates_total{view=\"detectors\"}"));
         assert!(text.contains("detector=\"standing_scan\""));
+        svc.shutdown().unwrap();
+    }
+
+    #[test]
+    fn standing_classes_answer_alike_through_every_entry_point() {
+        let svc = NetflowService::new(
+            NetflowConfig::new()
+                .with_pipeline(PipelineConfig::new().with_shards(2))
+                .with_thresholds(3, 3),
+        );
+        svc.ingest(&[(7, 100, 1), (7, 101, 1), (7, 102, 1)])
+            .unwrap();
+        let closed = svc.close_window().unwrap();
+        svc.ingest(&[(3, 50, 1), (4, 50, 1), (5, 50, 1), (7, 100, 1)])
+            .unwrap();
+        let (epoch, _) = svc.refresh().unwrap();
+        assert_ne!(epoch, closed.epoch());
+        for (q, want) in [
+            (
+                NetflowQuery::StandingScanSuspects { min_fanout: 1 },
+                NetflowBody::Flagged(vec![
+                    ("000.000.000.003".to_string(), 1),
+                    ("000.000.000.004".to_string(), 1),
+                    ("000.000.000.005".to_string(), 1),
+                    ("000.000.000.007".to_string(), 1),
+                ]),
+            ),
+            (
+                NetflowQuery::StandingDdosVictims { min_fanin: 3 },
+                NetflowBody::Flagged(vec![("000.000.000.050".to_string(), 3)]),
+            ),
+        ] {
+            let samples = || svc.metrics().class(q.class()).count();
+            let before = samples();
+            let answers = [
+                svc.query(&q).unwrap(),
+                // The open window's state answers whatever epoch is
+                // named, retained or not.
+                svc.query_window(closed.epoch(), &q).unwrap(),
+                svc.query_window(u64::MAX, &q).unwrap(),
+                svc.query_snapshot(&closed, &q),
+            ];
+            for resp in &answers {
+                assert_eq!(resp.epoch, epoch, "{q:?}");
+                assert_eq!(resp.body, want, "{q:?}");
+            }
+            assert_eq!(samples() - before, answers.len() as u64, "{q:?}");
+        }
+        assert_eq!(svc.metrics().errors, 0);
         svc.shutdown().unwrap();
     }
 

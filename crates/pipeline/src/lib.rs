@@ -81,5 +81,5 @@ pub use metrics::{PipelineMetrics, PipelineMetricsSnapshot, Stage};
 pub use router::Pipeline;
 pub use sink::SnapshotSink;
 pub use snapshot::{EpochSnapshot, IncrementalEpoch};
-pub use standing::{StandingView, StandingViewStats};
+pub use standing::StandingView;
 pub use value::PodValue;

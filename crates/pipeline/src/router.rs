@@ -432,12 +432,6 @@ where
         self.standing.register(name.into(), view);
     }
 
-    /// Per-view meters (update counts, last epoch, latency), in
-    /// registration order.
-    pub fn standing_stats(&self) -> Vec<StandingViewStats> {
-        self.standing.stats()
-    }
-
     /// Take an incremental snapshot: one marker wave yields, per shard,
     /// both the full fold and the **delta** (entries inserted since the
     /// previous delta cut) at the same point in the stream. The two are
@@ -682,12 +676,6 @@ where
     /// Frozen service counters.
     pub fn metrics_snapshot(&self) -> PipelineMetricsSnapshot {
         self.metrics.snapshot()
-    }
-
-    /// One shard's kernel registry (its `stream_merge` / `ewise_add`
-    /// traffic).
-    pub fn shard_kernel_metrics(&self, shard: usize) -> MetricsSnapshot {
-        self.shards[shard].ctx.metrics().snapshot()
     }
 
     /// Kernel counters summed across every shard plus the snapshot
@@ -967,7 +955,7 @@ mod tests {
         assert_eq!(closed.nnz(), 4);
         assert_eq!(view.resets.load(Ordering::Relaxed), 1);
         assert_eq!(*view.sum.lock().unwrap(), 0.0);
-        assert_eq!(p.standing_stats()[0].updates, 3, "two waves + one rotation");
+        assert_eq!(p.standing.stats()[0].updates, 3, "two waves + one rotation");
 
         // The fresh window's deltas start from zero again.
         p.ingest(1, 1, 2.5).unwrap();
@@ -1079,7 +1067,10 @@ mod tests {
         );
         let per_shard: u64 = (0..2)
             .map(|i| {
-                p.shard_kernel_metrics(i)
+                p.shards[i]
+                    .ctx
+                    .metrics()
+                    .snapshot()
                     .kernel(hypersparse::Kernel::StreamMerge)
                     .calls
             })

@@ -69,7 +69,7 @@ struct Registered<S: Semiring> {
 
 /// Frozen per-view meters, in registration order.
 #[derive(Clone, Debug)]
-pub struct StandingViewStats {
+pub(crate) struct StandingViewStats {
     /// The name the view registered under.
     pub name: String,
     /// Last epoch whose delta was applied (0 before the first).

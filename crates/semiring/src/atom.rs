@@ -14,8 +14,8 @@ pub type Atom = u64;
 
 /// A bidirectional string ↔ atom table.
 ///
-/// Atoms are handed out densely from 0 in first-intern order, so an
-/// `AtomTable` of *n* strings supports O(1) reverse lookup by index.
+/// Atoms are handed out densely from 0 in first-intern order, and
+/// [`AtomTable::iter`] yields the names back in that order.
 #[derive(Default, Debug, Clone)]
 pub struct AtomTable {
     by_name: HashMap<Arc<str>, Atom>,
@@ -43,11 +43,6 @@ impl AtomTable {
     /// Look up an already-interned string without inserting.
     pub fn get(&self, s: &str) -> Option<Atom> {
         self.by_name.get(s).copied()
-    }
-
-    /// Reverse lookup.
-    pub fn resolve(&self, a: Atom) -> Option<&str> {
-        self.by_atom.get(a as usize).map(|s| s.as_ref())
     }
 
     /// Number of interned strings.
@@ -95,8 +90,9 @@ mod tests {
     fn resolve_round_trips() {
         let mut t = AtomTable::new();
         let a = t.intern("src|10.0.0.1");
-        assert_eq!(t.resolve(a), Some("src|10.0.0.1"));
-        assert_eq!(t.resolve(999), None);
+        let resolve = |a: Atom| t.iter().find(|&(x, _)| x == a).map(|(_, s)| s);
+        assert_eq!(resolve(a), Some("src|10.0.0.1"));
+        assert_eq!(resolve(999), None);
         assert_eq!(t.get("src|10.0.0.1"), Some(a));
         assert_eq!(t.get("absent"), None);
     }

@@ -78,15 +78,6 @@ impl ServeMetricsSnapshot {
         &self.latency[class.index()]
     }
 
-    /// All classes merged into one histogram (whole-service quantiles).
-    pub fn merged_latency(&self) -> HistogramSnapshot {
-        let mut out = HistogramSnapshot::default();
-        for h in &self.latency {
-            out.merge(h);
-        }
-        out
-    }
-
     /// The serving families: `serve_*` counters plus
     /// `serve_query_latency_seconds{class="..."}` histograms.
     pub fn expose(&self, out: &mut Exposition) {
@@ -138,7 +129,6 @@ mod tests {
         assert_eq!(s.class(QueryClass::Sql).count(), 2);
         assert_eq!(s.class(QueryClass::Point).count(), 1);
         assert_eq!(s.class(QueryClass::Neighbors).count(), 0);
-        assert_eq!(s.merged_latency().count(), 3);
     }
 
     #[test]

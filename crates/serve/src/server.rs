@@ -128,12 +128,6 @@ where
         self.query_pinned(&view, req)
     }
 
-    /// Answer `req` against a specific retained epoch.
-    pub fn query_at(&self, epoch: u64, req: &QueryRequest) -> Result<QueryResponse, ServeError> {
-        let view = self.pin_epoch(epoch)?;
-        self.query_pinned(&view, req)
-    }
-
     /// Answer `req` against an already-pinned epoch. This is the core
     /// path: trace span, cache probe, compute on miss, per-class
     /// latency record.
@@ -388,11 +382,17 @@ mod tests {
         p.ingest(9, 9, 1.0).unwrap();
         srv.refresh(&p).unwrap();
         let old = srv
-            .query_at(1, &QueryRequest::Point { row: 9, col: 9 })
+            .query_pinned(
+                &srv.pin_epoch(1).unwrap(),
+                &QueryRequest::Point { row: 9, col: 9 },
+            )
             .unwrap();
         assert_eq!(old.body.as_cell().unwrap(), None, "epoch 1 predates 9,9");
         let new = srv
-            .query_at(2, &QueryRequest::Point { row: 9, col: 9 })
+            .query_pinned(
+                &srv.pin_epoch(2).unwrap(),
+                &QueryRequest::Point { row: 9, col: 9 },
+            )
             .unwrap();
         assert_eq!(new.body.as_cell().unwrap(), Some("1"));
         p.shutdown().unwrap();
