@@ -8,15 +8,26 @@
 //! 2. fused complement-masked vxm vs unfused-then-filter on the
 //!    BFS-shaped workload (mid-traversal frontier, visited mask);
 //! 3. parallel vs sequential vxm at 4 threads on a ≥100k-edge input —
-//!    bit-identical by construction, so the outputs are asserted equal.
+//!    bit-identical by construction, so the outputs are asserted equal;
+//! 4. one whole parent BFS (`min.first`, one masked vxm per level) from
+//!    the busiest vertex: push-only, direction-optimized paying for the
+//!    transpose at its first pull-worthy level, direction-optimized with
+//!    a prebuilt transpose, and `graph::Graph`'s break-even rule on a
+//!    fresh and on a reused graph — the numbers `Graph::transpose_for`
+//!    rests on. Every row's tree is asserted equal to push-only's.
+
+use std::cell::OnceCell;
 
 use bench::{fmt_dur, quick_time};
 use criterion::Criterion;
+use graph::bfs::bfs_parents_ctx;
+use graph::frontier::Visited;
+use graph::{pattern_u64, Graph};
 use hypersparse::gen::{ring_dcsr, rmat_dcsr, RmatParams};
 use hypersparse::ops::mxv::{choose_direction, vxm_ctx, vxm_opt_ctx, vxm_pull_ctx};
 use hypersparse::ops::transpose_ctx;
-use hypersparse::{Dcsr, Ix, OpCtx, SparseVec};
-use semiring::PlusTimes;
+use hypersparse::{Dcsr, Direction, Ix, Kernel, OpCtx, SparseVec};
+use semiring::{MinFirst, PlusTimes};
 
 fn s() -> PlusTimes<f64> {
     PlusTimes::new()
@@ -71,6 +82,108 @@ fn bfs_shape(
         frontier = next;
     }
     (frontier, visited)
+}
+
+/// One fused parent BFS from `src` over pattern `p`: per level, the
+/// frontier (stamped with its own 1-shifted ids) times `p` under
+/// `min.first`, the visited set masked off inside the kernel, with the
+/// transpose `at_for` hands out for that frontier. Returns the
+/// `(vertex, parent + 1)` pairs in discovery order.
+fn parent_bfs<'t>(
+    ctx: &OpCtx,
+    p: &Dcsr<u64>,
+    src: Ix,
+    mut at_for: impl FnMut(&SparseVec<u64>) -> Option<&'t Dcsr<u64>>,
+) -> Vec<(Ix, u64)> {
+    let n = p.nrows();
+    let mut out = vec![(src, src + 1)];
+    let mut visited = Visited::with_seed(src);
+    let mut frontier = SparseVec::from_entries(n, vec![(src, src + 1)], MinFirst);
+    while !frontier.is_empty() {
+        let at = at_for(&frontier);
+        let next = vxm_opt_ctx(ctx, &frontier, p, at, Some(visited.as_slice()), MinFirst);
+        out.extend(next.iter().map(|(v, &parent)| (v, parent)));
+        visited.absorb_sorted(next.indices());
+        let stamped = next.iter().map(|(v, _)| (v, v + 1)).collect();
+        frontier = SparseVec::from_entries(n, stamped, MinFirst);
+    }
+    out.sort_unstable();
+    out
+}
+
+/// Section 4: one traversal under each transpose policy.
+fn traversal_table(g: &Dcsr<f64>) {
+    let p = pattern_u64(g);
+    let src = p
+        .iter_rows()
+        .max_by_key(|(_, cols, _)| cols.len())
+        .map(|(r, _, _)| r)
+        .unwrap_or(0);
+    let ctx = OpCtx::new().with_threads(1);
+    let transposes = || ctx.metrics().snapshot().kernel(Kernel::Transpose).calls;
+    let pt = transpose_ctx(&ctx, &p);
+    let (t_build, _) = quick_time(5, || transpose_ctx(&ctx, &p));
+    let want = parent_bfs(&ctx, &p, src, |_| None);
+    // Traverse until the graph's pushes have bought its transpose.
+    let reused = Graph::new(&p);
+    let before = transposes();
+    while transposes() == before {
+        bfs_parents_ctx(&ctx, &reused, src);
+    }
+    let as_pairs = |tree: Vec<(Ix, Ix)>| -> Vec<(Ix, u64)> {
+        tree.into_iter()
+            .map(|(v, parent)| (v, parent + 1))
+            .collect()
+    };
+    type Row<'r> = (&'r str, Box<dyn Fn() -> Vec<(Ix, u64)> + 'r>);
+    let rows: [Row; 5] = [
+        (
+            "push only",
+            Box::new(|| parent_bfs(&ctx, &p, src, |_| None)),
+        ),
+        (
+            "optimized, pays the build",
+            Box::new(|| {
+                let at = OnceCell::new();
+                parent_bfs(&ctx, &p, src, |f| {
+                    let pull = choose_direction(f, &p, true) == Direction::Pull;
+                    (at.get().is_some() || pull).then(|| at.get_or_init(|| transpose_ctx(&ctx, &p)))
+                })
+            }),
+        ),
+        (
+            "optimized, prebuilt Aᵀ",
+            Box::new(|| parent_bfs(&ctx, &p, src, |_| Some(&pt))),
+        ),
+        (
+            "Graph, one-shot",
+            Box::new(|| as_pairs(bfs_parents_ctx(&ctx, &Graph::new(&p), src))),
+        ),
+        (
+            "Graph, reused",
+            Box::new(|| as_pairs(bfs_parents_ctx(&ctx, &reused, src))),
+        ),
+    ];
+    println!(
+        "--- one parent BFS from the busiest vertex ({} edges, transpose {}) ---",
+        p.nnz(),
+        fmt_dur(t_build)
+    );
+    println!("| policy                    | traversal  | transposes | pull levels |");
+    for (name, run) in &rows {
+        let (t0, pulls0) = (transposes(), ctx.metrics().snapshot().mv_pull_calls);
+        let tree = run();
+        let (built, pulled) = (
+            transposes() - t0,
+            ctx.metrics().snapshot().mv_pull_calls - pulls0,
+        );
+        assert_eq!(tree, want, "{name}: tree differs from push-only");
+        let (t, _) = quick_time(9, run);
+        println!(
+            "| {name:<25} | {:>10} | {built:>10} | {pulled:>11} |",
+            fmt_dur(t)
+        );
+    }
 }
 
 fn direction_table(name: &str, g: &Dcsr<f64>, gt: &Dcsr<f64>) {
@@ -149,6 +262,9 @@ fn shape_report() {
         t_seq.as_secs_f64() / t_par.as_secs_f64(),
     );
     println!("✓ push ≡ pull on pattern; fused ≡ unfused and seq ≡ par bit-for-bit");
+
+    traversal_table(&g);
+    println!("✓ every transpose policy grows the same BFS tree");
 
     // --- tracing overhead on the hot kernel loop ---
     // Every vxm call opens a span; disabled mode must price that at one

@@ -62,23 +62,6 @@ fn prefix_of(prefix: PrefixLen) -> CxPrefix {
     CxPrefix::partial(0, u32::from(prefix))
 }
 
-/// The netmask for a prefix length: high `p` bits set.
-#[inline]
-pub fn netmask(prefix: PrefixLen) -> u32 {
-    assert!(prefix <= 32, "IPv4 prefix length must be ≤ 32");
-    if prefix == 0 {
-        0
-    } else {
-        u32::MAX << (32 - prefix)
-    }
-}
-
-/// Zero the host bits of an address: `10.2.3.4` at `/16` → `10.2.0.0`.
-#[inline]
-pub fn mask_ip(ip: u32, prefix: PrefixLen) -> u32 {
-    ip & netmask(prefix)
-}
-
 /// Zero the host bits of a matrix index. Addresses live in the low 32
 /// bits of the `u64` key space; any high bits (tenant / protocol tags)
 /// pass through untouched. Monotone non-decreasing in `ix`, which is
@@ -203,6 +186,22 @@ mod tests {
     use hypersparse::coo::Coo;
     use hypersparse::metrics::Kernel;
     use semiring::PlusTimes;
+
+    /// The netmask for a prefix length: high `p` bits set.
+    fn netmask(prefix: PrefixLen) -> u32 {
+        assert!(prefix <= 32, "IPv4 prefix length must be ≤ 32");
+        if prefix == 0 {
+            0
+        } else {
+            u32::MAX << (32 - prefix)
+        }
+    }
+
+    /// Zero the host bits of an address with plain bit math: `10.2.3.4`
+    /// at `/16` → `10.2.0.0`. The oracle [`mask_ix`] is held to.
+    fn mask_ip(ip: u32, prefix: PrefixLen) -> u32 {
+        ip & netmask(prefix)
+    }
 
     #[test]
     fn keys_sort_numerically_and_round_trip() {

@@ -54,9 +54,9 @@ pub enum BfsVariant {
 /// sorted by vertex, `src` at level 0; unreachable vertices are absent.
 ///
 /// Each level is one fused masked expansion `(fᵀA) ⊙ ¬visited`
-/// ([`vxm_opt_ctx`]) — direction-optimized once the frontier is
-/// dense enough to justify building the transpose, which then persists
-/// in the [`Graph`].
+/// ([`vxm_opt_ctx`]). A one-shot call pushes every level; a [`Graph`]
+/// reused across traversals buys its transpose once its pushes have
+/// paid for it and pulls the dense levels from then on.
 pub fn bfs_levels(pat: &Dcsr<u8>, src: Ix) -> Vec<(Ix, u32)> {
     with_default_ctx(|ctx| bfs_levels_ctx(ctx, &Graph::new(pat), src))
 }

@@ -35,9 +35,10 @@ pub fn connected_components_ctx(ctx: &OpCtx, g: &Graph<u64>) -> Vec<(Ix, Ix)> {
     verts.dedup();
     let mut labels = SparseVec::from_entries(n, verts.iter().map(|&v| (v, v + 1)).collect(), s);
 
-    // The label vector is dense over incident vertices from the first
-    // sweep, so the direction heuristic typically pulls; ⊕ = min makes
-    // either direction bit-identical.
+    // The label vector is dense over incident vertices, so the first
+    // sweep pushes every edge (paying for the transpose) and later
+    // sweeps typically pull; ⊕ = min makes either direction
+    // bit-identical.
     loop {
         let prop = vxm_opt_ctx(ctx, &labels, pat, g.transpose_for(ctx, &labels), None, s);
         let next = labels.ewise_add(&prop, s);

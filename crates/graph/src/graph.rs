@@ -6,7 +6,17 @@
 //! object. It borrows the caller's matrix and never changes, so a
 //! property, once built, stays right: there is nothing to invalidate. A
 //! new adjacency (the next streaming epoch) is a new `Graph`.
+//!
+//! The transpose is bought by a break-even (ski-rental) rule rather than
+//! on first use: building `Aᵀ` is one counting pass over `nnz` entries,
+//! so a `Graph` builds it only once the push sweeps run through it have
+//! touched `nnz` edges, and then only at a level the direction heuristic
+//! would pull. One traversal expands each vertex once and so pushes at
+//! most `nnz` edges: a one-shot call never builds. A `Graph` that serves
+//! a second traversal, components or SSSP has paid for one transpose in
+//! pushes, builds it at its next pull-worthy level and keeps it.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use hypersparse::ops::mxv::choose_direction;
@@ -17,11 +27,16 @@ use semiring::traits::Value;
 use crate::triangles::lower_triangle_ctx;
 
 /// An adjacency matrix `A` and its lazily built properties: `Aᵀ`, the
-/// out-degrees and the strict lower triangle. Each is computed on first
-/// use, on the context that asked for it, and shared by every later call.
+/// out-degrees and the strict lower triangle. Each is computed on the
+/// context that asked for it (the transpose by the break-even rule of
+/// the module docs, the others on first use) and shared by every later
+/// call.
 pub struct Graph<'a, T> {
     a: &'a Dcsr<T>,
     at: OnceLock<Dcsr<T>>,
+    /// Edges the push sweeps [`Graph::transpose_for`] sent out without
+    /// a transpose have touched; counted until it reaches `nnz`.
+    pushed: AtomicU64,
     out_degrees: OnceLock<Vec<usize>>,
     lower: OnceLock<Dcsr<T>>,
 }
@@ -32,6 +47,7 @@ impl<'a, T: Value> Graph<'a, T> {
         Graph {
             a,
             at: OnceLock::new(),
+            pushed: AtomicU64::new(0),
             out_degrees: OnceLock::new(),
             lower: OnceLock::new(),
         }
@@ -47,13 +63,28 @@ impl<'a, T: Value> Graph<'a, T> {
         self.at.get_or_init(|| transpose_ctx(ctx, self.a))
     }
 
-    /// `Aᵀ` for the product `vᵀA`: the transpose if it exists, else built
-    /// now if [`choose_direction`] would pull `v` with it, else `None`.
-    /// A traversal asks once per level, so the transpose is paid for only
-    /// once some frontier is dense enough to pull, and then kept.
+    /// `Aᵀ` for the product `vᵀA`, or `None` to push `v` without it. Once
+    /// the transpose exists it is returned. Before that it is built now
+    /// only if the pushes so far have touched `nnz` edges and
+    /// [`choose_direction`] would pull `v` with it; while they have not,
+    /// `v`'s edges are counted as pushed. A traversal asks once per
+    /// level.
     pub(crate) fn transpose_for(&self, ctx: &OpCtx, v: &SparseVec<T>) -> Option<&Dcsr<T>> {
-        (self.at.get().is_some() || choose_direction(v, self.a, true) == Direction::Pull)
-            .then(|| self.transpose(ctx))
+        if self.at.get().is_none() {
+            if self.pushed.load(Ordering::Relaxed) < self.a.nnz() as u64 {
+                let edges: u64 = v
+                    .indices()
+                    .iter()
+                    .map(|&i| self.a.row(i).0.len() as u64)
+                    .sum();
+                self.pushed.fetch_add(edges, Ordering::Relaxed);
+                return None;
+            }
+            if choose_direction(v, self.a, true) == Direction::Push {
+                return None;
+            }
+        }
+        Some(self.transpose(ctx))
     }
 
     /// Stored entries per row, dense over the compact vertex ids

@@ -7,7 +7,8 @@
 //!
 //! * [`Graph`] — one adjacency array with the arrays the algorithms
 //!   derive from it (transpose, out-degrees, lower triangle), each built
-//!   at most once and read by every algorithm run on it;
+//!   at most once and read by every algorithm run on it — the transpose
+//!   only once the graph's pushes have paid for it;
 //! * Semiring formulations over [`hypersparse`] matrices:
 //!   [`bfs`] (any-pair / min-first), [`sssp`] (min-plus Bellman–Ford),
 //!   [`cc`] (min-label propagation), [`triangles`] (masked SpGEMM),

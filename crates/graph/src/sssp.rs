@@ -34,10 +34,12 @@ pub fn sssp_generic_ctx<S: Semiring<Value = f64>>(
     let mut dist = SparseVec::from_entries(w.nrows(), vec![(src, s.one())], s);
     // At most |V|−1 sweeps; stop early on fixpoint.
     let max_sweeps = (w.n_nonempty_rows() + 1).max(2);
-    // The distance vector only grows, so once it is dense enough to
-    // favor pulling, the graph builds the transpose and keeps it for all
-    // remaining sweeps. ⊕ = min/max is grouping-exact: either direction
-    // and any thread count produce bit-identical distances.
+    // Every sweep pushes the whole (only growing) distance vector, so the
+    // pushes soon reach `nnz` edges; from then on, once the vector is
+    // dense enough to favor pulling, the graph builds the transpose and
+    // keeps it for all remaining sweeps. ⊕ = min/max is grouping-exact:
+    // either direction and any thread count produce bit-identical
+    // distances.
     for _ in 0..max_sweeps {
         let relax = vxm_opt_ctx(ctx, &dist, w, g.transpose_for(ctx, &dist), None, s);
         let next = dist.ewise_add(&relax, s);

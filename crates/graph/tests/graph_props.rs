@@ -1,4 +1,5 @@
-//! `graph::Graph`: each derived array is built at most once, and an
+//! `graph::Graph`: each derived array is built at most once (the
+//! transpose only once the graph's pushes have paid for it), and an
 //! algorithm gives the same bits whichever way it is called — on a
 //! reused graph, on a fresh graph per call, or through its bare `&Dcsr`
 //! spelling — at any thread count.
@@ -12,8 +13,9 @@ use graph::sssp::{sssp, sssp_generic_ctx};
 use graph::triangles::{edge_support, edge_support_ctx, triangle_count, triangle_count_ctx};
 use graph::Graph;
 use hypersparse::gen::{rmat_dcsr, RmatParams};
-use hypersparse::{with_default_ctx, Coo, Dcsr, Ix, Kernel, OpCtx};
-use semiring::{MinPlus, PlusTimes};
+use hypersparse::ops::mxv::choose_direction;
+use hypersparse::{with_default_ctx, Coo, Dcsr, Direction, Ix, Kernel, OpCtx, SparseVec};
+use semiring::{MinFirst, MinPlus, PlusTimes};
 
 const SOURCES: usize = 4;
 
@@ -188,6 +190,92 @@ fn bare_transposes<R>(f: impl FnOnce() -> R) -> u64 {
     let before = with_default_ctx(transposes);
     f();
     with_default_ctx(transposes) - before
+}
+
+/// A directed scale-12 RMAT pattern and its busiest vertex.
+fn rmat12() -> (Dcsr<u64>, Ix) {
+    let params = RmatParams {
+        scale: 12,
+        edge_factor: 8,
+        ..Default::default()
+    };
+    let p = pattern_u64(&rmat_dcsr(params, 7, PlusTimes::<f64>::new()));
+    let src = busiest(&p);
+    (p, src)
+}
+
+fn busiest(p: &Dcsr<u64>) -> Ix {
+    let (r, _, _) = p.iter_rows().max_by_key(|(_, cols, _)| cols.len()).unwrap();
+    r
+}
+
+/// The levels of a BFS from `src` whose frontier [`choose_direction`]
+/// would pull, given a transpose — where the traversal would build one
+/// if a transpose were bought on first need.
+fn pull_worthy_levels(p: &Dcsr<u64>, src: Ix) -> Vec<u32> {
+    let levels = bfs_levels(&pattern_u8(p), src);
+    let depth = levels.iter().map(|&(_, l)| l).max().unwrap_or(0);
+    (0..=depth)
+        .filter(|&l| {
+            let ids = levels.iter().filter(|e| e.1 == l).map(|&(v, _)| (v, v + 1));
+            let frontier = SparseVec::from_entries(p.nrows(), ids.collect(), MinFirst);
+            choose_direction(&frontier, p, true) == Direction::Pull
+        })
+        .collect()
+}
+
+#[test]
+fn one_shot_traversals_build_no_transpose() {
+    let (p, src) = rmat12();
+    assert!(
+        !pull_worthy_levels(&p, src).is_empty(),
+        "some level pulls once a transpose exists"
+    );
+    let p8 = pattern_u8(&p);
+    assert_eq!(bare_transposes(|| bfs_parents(&p, src)), 0);
+    assert_eq!(bare_transposes(|| bfs_levels(&p8, src)), 0);
+    let ctx = OpCtx::new();
+    bfs_parents_ctx(&ctx, &Graph::new(&p), src);
+    bfs_levels_ctx(&ctx, &Graph::new(&p8), src);
+    assert_eq!(transposes(&ctx), 0);
+    assert_eq!(
+        ctx.metrics().snapshot().mv_pull_calls,
+        0,
+        "every level pushed"
+    );
+}
+
+#[test]
+fn a_graph_buys_its_transpose_once_its_pushes_reach_nnz() {
+    // Symmetric RMAT plus a ring through every vertex: one traversal
+    // reaches and expands every vertex, so its pushes touch exactly
+    // `nnz` edges.
+    let (p, _) = rmat12();
+    let pt = PlusTimes::<f64>::new();
+    let mut c = Coo::new(p.nrows(), p.ncols());
+    c.extend(p.iter().map(|(r, col, _)| (r, col, 1.0)));
+    c.extend((0..p.nrows()).map(|v| (v, (v + 1) % p.nrows(), 1.0)));
+    let sym = pattern_u64(&symmetrize(&c.build_dcsr(pt), pt));
+    let src = busiest(&sym);
+    let pulls = pull_worthy_levels(&sym, src).len() as u64;
+    assert!(pulls > 0);
+
+    let ctx = OpCtx::new();
+    let g = Graph::new(&sym);
+    let want = bfs_parents(&sym, src);
+    let counts = |ctx: &OpCtx| (transposes(ctx), ctx.metrics().snapshot().mv_pull_calls);
+    assert_eq!(bfs_parents_ctx(&ctx, &g, src), want);
+    assert_eq!(counts(&ctx), (0, 0), "first traversal pays in pushes");
+    // The pushes have reached `nnz`: the second traversal builds at its
+    // first pull-worthy level and pulls at every pull-worthy level.
+    assert_eq!(bfs_parents_ctx(&ctx, &g, src), want);
+    assert_eq!(
+        counts(&ctx),
+        (1, pulls),
+        "built once, at the first pull-worthy level"
+    );
+    assert_eq!(bfs_parents_ctx(&ctx, &g, src), want);
+    assert_eq!(counts(&ctx), (1, 2 * pulls), "and never again");
 }
 
 #[test]

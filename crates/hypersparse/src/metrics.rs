@@ -168,6 +168,10 @@ pub enum Accumulator {
 /// [`Accumulator`] label values, in discriminant order.
 const ACC: [&str; 4] = ["flat", "dense", "hash", "mask_slot"];
 
+/// The accumulator a matrix–vector push segment folded into, in
+/// [`MetricsSnapshot::mv_push_segments`] order ([`mod@crate::ops::mxv`]).
+const PUSH_ACC: [&str; 2] = ["flat", "hash"];
+
 /// How a flat-accumulator SpGEMM row drained, in
 /// [`MetricsSnapshot::mxm_rows`] order: one scan of its column span, or
 /// through the occupancy bitmap.
@@ -277,6 +281,7 @@ pub struct MetricsRegistry {
     mask_hits: AtomicU64,
     mxm_acc: [AtomicU64; ACC.len()],
     mxm_rows: [AtomicU64; DRAIN.len()],
+    mv_push_segments: [AtomicU64; PUSH_ACC.len()],
 }
 
 impl MetricsRegistry {
@@ -333,6 +338,12 @@ impl MetricsRegistry {
         self.mxm_acc[acc as usize].fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Count one matrix–vector push segment by its accumulator: the
+    /// flat one, or the hash scatter.
+    pub(crate) fn record_push_segment(&self, flat: bool) {
+        self.mv_push_segments[usize::from(!flat)].fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Count one SpGEMM row range's flat rows, `[by scan, through the
     /// bitmap]`.
     pub(crate) fn record_mxm_rows(&self, rows: [u64; 2]) {
@@ -357,6 +368,10 @@ impl MetricsRegistry {
             mask_hits: self.mask_hits.load(Ordering::Relaxed),
             mxm_accumulator_calls: self.mxm_acc.each_ref().map(|c| c.load(Ordering::Relaxed)),
             mxm_rows: self.mxm_rows.each_ref().map(|c| c.load(Ordering::Relaxed)),
+            mv_push_segments: self
+                .mv_push_segments
+                .each_ref()
+                .map(|c| c.load(Ordering::Relaxed)),
         }
     }
 
@@ -375,6 +390,7 @@ impl MetricsRegistry {
         self.mxm_acc
             .iter()
             .chain(&self.mxm_rows)
+            .chain(&self.mv_push_segments)
             .for_each(|c| c.store(0, Ordering::Relaxed));
     }
 }
@@ -404,6 +420,9 @@ pub struct MetricsSnapshot {
     /// Flat-accumulator SpGEMM rows by how they drained: `[scan,
     /// bitmap]` (DESIGN.md §13).
     pub mxm_rows: [u64; 2],
+    /// Matrix–vector push segments by the accumulator they folded
+    /// into: `[flat, hash]` (DESIGN.md §13).
+    pub mv_push_segments: [u64; 2],
 }
 
 impl MetricsSnapshot {
@@ -431,6 +450,9 @@ impl MetricsSnapshot {
         }
         for (k, n) in other.mxm_rows.into_iter().enumerate() {
             self.mxm_rows[k] += n;
+        }
+        for (k, n) in other.mv_push_segments.into_iter().enumerate() {
+            self.mv_push_segments[k] += n;
         }
     }
 
@@ -609,6 +631,15 @@ impl MetricsSnapshot {
                 .into_iter()
                 .zip(self.mxm_rows),
         );
+        out.family(
+            "hypersparse_mv_push_segments_total",
+            "counter",
+            "Matrix-vector push segments by the accumulator they folded into.",
+            PUSH_ACC
+                .map(|a| format!("acc=\"{a}\""))
+                .into_iter()
+                .zip(self.mv_push_segments),
+        );
         for (name, help, v) in [
             (
                 "hypersparse_workspace_hit_rate",
@@ -729,6 +760,7 @@ mod tests {
             mask_hits: 17 * m,
             mxm_accumulator_calls: [19 * m, 23 * m, 29 * m, 31 * m],
             mxm_rows: [37 * m, 41 * m],
+            mv_push_segments: [43 * m, 47 * m],
         };
         let expected = snap(3, hist(&[10, 20]));
         let mut merged = snap(1, hist(&[10]));

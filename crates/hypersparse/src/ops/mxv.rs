@@ -8,7 +8,10 @@
 //!   a *pull* sweep gathers into each output slot over a row of `Aᵀ`
 //!   (`O(nnz)` but mask-skippable per output). A density heuristic
 //!   ([`choose_direction`]) picks per call whenever a transpose is
-//!   available; dense frontiers pull, sparse frontiers push.
+//!   supplied; dense frontiers pull, sparse frontiers push. Whether to
+//!   supply one is the caller's choice: `graph::Graph` buys `Aᵀ` only
+//!   once its pushes have touched `nnz` edges, one transpose's worth of
+//!   work, so a one-shot traversal pushes every level.
 //! * **Complement-mask fusion**: `(vᵀA) ⊙ ¬mask` is computed inside the
 //!   accumulator loop — push skips masked products, pull skips masked
 //!   *rows wholesale* — instead of materializing the full product and
@@ -33,13 +36,16 @@
 //! indistinguishable for the exact semirings graph algorithms use
 //! (min/max/any ⊕), and ulp-level for floating-point ⊕.
 //!
-//! Under a semiring that declares [`Semiring::FLAT_ACC`] an unmasked
-//! push segment in a compact, busy column space scatters into a
-//! **flat accumulator** (zero-seeded slots folded unconditionally plus
-//! an occupancy bitmap drained word-at-a-time) instead of the `HashMap`.
-//! That is the one fold that does start from `s.zero()`; the
-//! capability's law (`0 ⊕ p` is `p` to the bit) makes the seed, and so
-//! the choice of accumulator, unobservable (DESIGN.md §13).
+//! Under a semiring that declares [`Semiring::FLAT_ACC`] a push segment,
+//! masked or not, in a column space at most `FLAT_PUSH_MAX_WIDTH` wide
+//! folds into a **flat accumulator** leased from the context (zero-seeded
+//! slots folded unconditionally plus an occupancy bitmap drained
+//! word-at-a-time, which leaves both at rest) instead of a `HashMap`,
+//! probing the complement mask inline. That is the one fold that does
+//! start from `s.zero()`; the capability's law (`0 ⊕ p` is `p` to the
+//! bit) makes the seed, and so the choice of accumulator, unobservable
+//! (DESIGN.md §13). Wider spaces and semirings that declare nothing keep
+//! the hash scatter.
 //!
 //! Every entry point records [`Kernel::Vxm`]/[`Kernel::Mxv`] metrics
 //! plus the chosen [`Direction`] and the mask probe/hit counts.
@@ -73,14 +79,9 @@ const PULL_SHARD_FACTOR: usize = 4;
 /// than `nnz / PULL_ALPHA` edges.
 const PULL_ALPHA: u64 = 8;
 
-/// Column spaces at most this wide may take the flat push path (a
+/// Column spaces at most this wide take the flat push path (a
 /// width-sized flat accumulator must be allocatable).
 const FLAT_PUSH_MAX_WIDTH: u64 = 1 << 22;
-
-/// A flat push segment must carry at least `width /
-/// FLAT_PUSH_EDGE_RATIO` edges to amortize zero-initializing the flat
-/// accumulator; sparser segments stay on the hash scatter.
-const FLAT_PUSH_EDGE_RATIO: u64 = 8;
 
 /// Edges a push sweep would touch: `Σ_{i ∈ v} |rows_of(i,:)|`.
 fn frontier_edges<T: Value, I: IndexType>(v: &SparseVec<T, I>, rows_of: &Dcsr<T, I>) -> u64 {
@@ -148,84 +149,28 @@ impl<'a> Mask<'a> {
     }
 }
 
-/// Flat-accumulator unmasked push segment for [`Semiring::FLAT_ACC`]
-/// semirings. Returns `None` when the gate says the flat accumulator
-/// doesn't pay off. Zeros are *kept*, exactly like the hash scatter —
-/// the cross-segment merge must see them.
-fn push_segment_flat<T, I, S>(
-    v: &SparseVec<T, I>,
-    rows_of: &Dcsr<T, I>,
-    flip: bool,
-    s: S,
-    lo: usize,
-    hi: usize,
-) -> Option<PushPartial<T>>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-{
-    let width = rows_of.ncols();
-    if width > FLAT_PUSH_MAX_WIDTH {
-        return None;
-    }
-    let (idx, vals) = (v.indices(), v.values());
-    let est: u64 = (lo..hi)
-        .map(|k| rows_of.row(idx[k].to_ix()).0.len() as u64)
-        .sum();
-    if est < (width / FLAT_PUSH_EDGE_RATIO).max(1) {
-        return None;
-    }
-    let width = width as usize;
-    let mut flat = vec![s.zero(); width];
-    let mut occ = vec![0u64; width.div_ceil(64)];
-    let mut acc = FlatAcc::new(&mut flat, &mut occ);
-    for k in lo..hi {
-        let x = &vals[k];
-        let (cols, avals) = rows_of.row(idx[k].to_ix());
-        for (&j, aij) in cols.iter().zip(avals) {
-            // Operand order mirrors the hash scatter exactly, so the
-            // partials match it bit for bit.
-            let p = if flip {
-                s.mul(aij.clone(), x.clone())
-            } else {
-                s.mul(x.clone(), aij.clone())
-            };
-            acc.fold(s, j.as_usize(), p);
-        }
-    }
-    let mut out = Vec::new();
-    acc.drain(s, |jz, val| out.push((jz as Ix, val)));
-    Some((out, est, 0, 0))
-}
-
-/// One push segment: scatter frontier entries `[lo, hi)` along their
-/// rows, ⊕-folding collisions in increasing source order. Returns
-/// sorted `(index, value)` partials (zeros *kept* — they are filtered
-/// once, after the cross-segment merge) plus flop/mask counters.
-fn push_segment<T, I, S>(
+/// Walk the frontier entries `segment` along their rows in increasing
+/// source order, probe the complement mask inline, and hand each
+/// surviving product to `fold(j, p)`. Returns `(flops, mask_probes,
+/// mask_hits)`. Operand order is the same for every accumulator, so the
+/// partials match bit for bit.
+fn scatter<T, I, S>(
     v: &SparseVec<T, I>,
     rows_of: &Dcsr<T, I>,
     mask: Option<&Mask>,
     flip: bool,
     s: S,
-    lo: usize,
-    hi: usize,
-) -> PushPartial<T>
+    segment: Range<usize>,
+    mut fold: impl FnMut(Ix, T),
+) -> (u64, u64, u64)
 where
     T: Value,
     I: IndexType,
     S: Semiring<Value = T>,
 {
-    if S::FLAT_ACC && mask.is_none() {
-        if let Some(res) = push_segment_flat(v, rows_of, flip, s, lo, hi) {
-            return res;
-        }
-    }
-    let mut acc: HashMap<Ix, T> = HashMap::new();
     let (idx, vals) = (v.indices(), v.values());
     let (mut flops, mut probes, mut hits) = (0u64, 0u64, 0u64);
-    for k in lo..hi {
+    for k in segment {
         let x = &vals[k];
         let (cols, avals) = rows_of.row(idx[k].to_ix());
         for (&j, aij) in cols.iter().zip(avals) {
@@ -243,6 +188,55 @@ where
                 s.mul(x.clone(), aij.clone())
             };
             flops += 1;
+            fold(j, p);
+        }
+    }
+    (flops, probes, hits)
+}
+
+/// One push segment: scatter the frontier entries `segment` along their
+/// rows, ⊕-folding collisions in increasing source order. Returns
+/// sorted `(index, value)` partials (zeros *kept* — they are filtered
+/// once, after the cross-segment merge) plus flop/mask counters.
+///
+/// A [`Semiring::FLAT_ACC`] semiring over a column space at most
+/// [`FLAT_PUSH_MAX_WIDTH`] wide folds into the context's pooled flat
+/// accumulator, which the drain leaves at rest, so a small segment pays
+/// only for the slots it touches; every other segment scatters into a
+/// `HashMap` and sorts.
+fn push_segment<T, I, S>(
+    ctx: &OpCtx,
+    v: &SparseVec<T, I>,
+    rows_of: &Dcsr<T, I>,
+    mask: Option<&Mask>,
+    flip: bool,
+    s: S,
+    segment: Range<usize>,
+) -> PushPartial<T>
+where
+    T: Value,
+    I: IndexType,
+    S: Semiring<Value = T>,
+{
+    let width = rows_of.ncols();
+    let flat = S::FLAT_ACC && width <= FLAT_PUSH_MAX_WIDTH;
+    ctx.metrics().record_push_segment(flat);
+    let mut out = Vec::new();
+    let (flops, probes, hits) = if flat {
+        let width = width as usize;
+        let mut lease = ctx.lease_mxm_scratch::<T>();
+        let scratch = lease.get();
+        scratch.ensure_flat_width(width, s.zero());
+        scratch.ensure_words(width.div_ceil(64));
+        let mut acc = FlatAcc::new(&mut scratch.flat, &mut scratch.words);
+        let counts = scatter(v, rows_of, mask, flip, s, segment, |j, p| {
+            acc.fold(s, j as usize, p)
+        });
+        acc.drain(s, |jz, val| out.push((jz as Ix, val)));
+        counts
+    } else {
+        let mut acc: HashMap<Ix, T> = HashMap::new();
+        let counts = scatter(v, rows_of, mask, flip, s, segment, |j, p| {
             match acc.entry(j) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
                     s.add_assign(e.get_mut(), p);
@@ -251,10 +245,11 @@ where
                     e.insert(p);
                 }
             }
-        }
-    }
-    let mut out: Vec<(Ix, T)> = acc.into_iter().collect();
-    out.sort_by_key(|e| e.0);
+        });
+        out.extend(acc);
+        out.sort_by_key(|e| e.0);
+        counts
+    };
     (out, flops, probes, hits)
 }
 
@@ -300,11 +295,11 @@ where
     let n = v.nnz();
     let nsegs = n.div_ceil(PUSH_SEG).max(1);
     if nsegs == 1 {
-        return push_segment(v, rows_of, mask, flip, s, 0, n);
+        return push_segment(ctx, v, rows_of, mask, flip, s, 0..n);
     }
     let parts = par_run(ctx.threads(), nsegs, |seg| {
         let lo = seg * PUSH_SEG;
-        push_segment(v, rows_of, mask, flip, s, lo, (lo + PUSH_SEG).min(n))
+        push_segment(ctx, v, rows_of, mask, flip, s, lo..(lo + PUSH_SEG).min(n))
     });
     let (mut flops, mut probes, mut hits) = (0u64, 0u64, 0u64);
     let mut merged: Vec<(Ix, T)> = Vec::new();

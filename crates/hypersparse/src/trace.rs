@@ -26,7 +26,7 @@
 //! (measured <2% on `pipeline_throughput`; see `EXPERIMENTS.md`).
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -319,14 +319,13 @@ pub struct TraceRegistry {
     slow_ns: AtomicU64,
     next_id: AtomicU64,
     dropped: AtomicU64,
-    max_spans: AtomicUsize,
     spans: Mutex<Vec<SpanRecord>>,
     origin: Instant,
 }
 
 /// Retained spans are capped (oldest kept) so a forgotten `Full` trace
 /// cannot grow without bound; `dropped()` reports the overflow.
-const DEFAULT_MAX_SPANS: usize = 1 << 16;
+const MAX_SPANS: usize = 1 << 16;
 
 impl Default for TraceRegistry {
     fn default() -> Self {
@@ -335,7 +334,6 @@ impl Default for TraceRegistry {
             slow_ns: AtomicU64::new(u64::MAX),
             next_id: AtomicU64::new(1),
             dropped: AtomicU64::new(0),
-            max_spans: AtomicUsize::new(DEFAULT_MAX_SPANS),
             spans: Mutex::new(Vec::new()),
             origin: Instant::now(),
         }
@@ -361,11 +359,6 @@ impl TraceRegistry {
             threshold.map_or(u64::MAX, |d| d.as_nanos() as u64),
             Ordering::Relaxed,
         );
-    }
-
-    /// Cap on retained spans (further spans are counted, not kept).
-    pub fn set_max_spans(&self, max: usize) {
-        self.max_spans.store(max, Ordering::Relaxed);
     }
 
     /// Spans discarded because the retention cap was hit.
@@ -436,7 +429,7 @@ impl TraceRegistry {
 
     fn push(&self, rec: SpanRecord) {
         let mut spans = self.spans.lock().expect("trace mutex");
-        if spans.len() >= self.max_spans.load(Ordering::Relaxed) {
+        if spans.len() >= MAX_SPANS {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         } else {
             spans.push(rec);
@@ -715,11 +708,10 @@ mod tests {
     fn span_cap_bounds_memory() {
         let reg = TraceRegistry::default();
         reg.set_mode(TraceMode::Full);
-        reg.set_max_spans(3);
-        for _ in 0..5 {
+        for _ in 0..MAX_SPANS + 2 {
             let _s = reg.span("k", String::new);
         }
-        assert_eq!(reg.spans().len(), 3);
+        assert_eq!(reg.spans().len(), MAX_SPANS);
         assert_eq!(reg.dropped(), 2);
         reg.clear();
         assert_eq!(reg.dropped(), 0);

@@ -576,3 +576,111 @@ proptest! {
         assert_pull_is_push(LorLand, t, |v| v % 3 != 0, |&x| u64::from(x));
     }
 }
+
+// ---- masked push folds flat ----
+
+/// Tiles down the diagonal for the masked-push law: `PUSH_TILES · N`
+/// vertices, so a frontier over three quarters of them spans three
+/// fixed push segments (1 024 entries each).
+const PUSH_TILES: Ix = 160;
+const PUSH_DIM: Ix = PUSH_TILES * N;
+
+/// Masked push under `S` (the flat accumulator, the mask probed inline)
+/// ≡ `Plain<S>` (the hash scatter) ≡ the unmasked push filtered, bit for
+/// bit, at 1/2/4/8 threads: a frontier spanning three segments, an empty
+/// frontier, a drawn mask, a mask covering every output and no mask;
+/// and the same entries in a 2⁴⁰-wide space, where both run the hash
+/// scatter. The segment counter proves which accumulator ran.
+fn assert_masked_push_is_plain<S: Semiring>(
+    s: S,
+    (ta, tv, tm): (&Triplets, &Triplets, &Triplets),
+    cast: impl Fn(i64) -> S::Value + Copy,
+    bits: fn(&S::Value) -> u64,
+) {
+    let mut a = Coo::new(PUSH_DIM, PUSH_DIM);
+    let mut v: Vec<(Ix, S::Value)> = (0..PUSH_DIM)
+        .filter(|i| i % 4 != 3)
+        .map(|i| (i, cast(1 + (i % 5) as i64)))
+        .collect();
+    let mut drawn: Vec<Ix> = (0..PUSH_DIM).step_by(7).collect();
+    for k in 0..PUSH_TILES {
+        a.extend(ta.iter().map(|&(r, c, x)| (r + N * k, c + N * k, cast(x))));
+        v.extend(tv.iter().map(|&(i, _, x)| (i + N * k, cast(x))));
+        drawn.extend(tm.iter().map(|&(i, _, _)| i + N * k));
+    }
+    a.extend((0..PUSH_DIM).map(|i| (i, (i + 1) % PUSH_DIM, cast(1))));
+    drawn.sort_unstable();
+    drawn.dedup();
+    let every: Vec<Ix> = (0..PUSH_DIM).collect();
+    let a = a.build_dcsr(s);
+    let wide = 1 << 40;
+    let aw = respace(&a, wide, wide);
+    let same = |x: &SparseVec<S::Value>, y: &SparseVec<S::Value>| {
+        same_bits(
+            x.iter().map(|(i, x)| (i, 0, x)),
+            y.iter().map(|(i, y)| (i, 0, y)),
+            bits,
+        )
+    };
+    for entries in [v, Vec::new()] {
+        let f = SparseVec::from_entries(PUSH_DIM, entries.clone(), s);
+        let fw = SparseVec::from_entries(wide, entries, s);
+        assert!(f.is_empty() || f.nnz() > 2 * 1024, "three segments");
+        for threads in [1usize, 2, 4, 8] {
+            let ctx = OpCtx::new().with_threads(threads);
+            let unmasked = ops::vxm_ctx(&ctx, &f, &a, Plain(s));
+            for m in [None, Some(drawn.as_slice()), Some(every.as_slice())] {
+                let label = format!("nnz={} mask={:?} @{threads}", f.nnz(), m.map(<[Ix]>::len));
+                let before = ctx.metrics().snapshot().mv_push_segments;
+                let flat = ops::vxm_opt_ctx(&ctx, &f, &a, None, m, s);
+                let [fl, hs] = ctx.metrics().snapshot().mv_push_segments;
+                assert!(fl > before[0] && hs == before[1], "flat ran, {label}");
+                let hash = ops::vxm_opt_ctx(&ctx, &f, &a, None, m, Plain(s));
+                assert_eq!(ctx.metrics().snapshot().mv_push_segments[0], fl, "{label}");
+                let filtered = match m {
+                    Some(ids) => {
+                        let keep: Vec<_> = unmasked
+                            .iter()
+                            .filter(|(i, _)| ids.binary_search(i).is_err())
+                            .map(|(i, x)| (i, x.clone()))
+                            .collect();
+                        SparseVec::from_entries(PUSH_DIM, keep, s)
+                    }
+                    None => unmasked.clone(),
+                };
+                assert!(same(&flat, &hash), "flat ≢ hash, {label}");
+                assert!(same(&flat, &filtered), "flat ≢ filtered, {label}");
+                if m.is_some_and(|ids| ids.len() == every.len()) {
+                    assert!(flat.is_empty(), "fully masked, {label}");
+                }
+                let before = ctx.metrics().snapshot().mv_push_segments;
+                let searched = ops::vxm_opt_ctx(&ctx, &fw, &aw, None, m, s);
+                let [fl, hs] = ctx.metrics().snapshot().mv_push_segments;
+                assert!(
+                    fl == before[0] && hs > before[1],
+                    "2⁴⁰ wide hashes, {label}"
+                );
+                assert!(
+                    searched
+                        .iter()
+                        .map(|(i, x)| (i, bits(x)))
+                        .eq(flat.iter().map(|(i, x)| (i, bits(x)))),
+                    "2⁴⁰ wide ≢ compact, {label}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn masked_push_folds_flat_as_the_hash_scatter_does(ta in triplets(), tv in triplets(), tm in triplets()) {
+        let t = (&ta[..], &tv[..], &tm[..]);
+        assert_masked_push_is_plain(semiring::MinFirst, t, |v| v.unsigned_abs(), |&x| x);
+        assert_masked_push_is_plain(semiring::AnyPair, t, |v| u8::from(v % 3 != 0), |&x| u64::from(x));
+        assert_masked_push_is_plain(LorLand, t, |v| v % 3 != 0, |&x| u64::from(x));
+        assert_masked_push_is_plain(PlusTimes::<f64>::new(), t, special_f64, |x| x.to_bits());
+    }
+}

@@ -33,6 +33,7 @@ fn metrics_exposition_is_byte_stable() {
     // snapshot fields are public, so pin them for the golden.
     snap.workspace_hits = 2;
     snap.workspace_misses = 1;
+    snap.mv_push_segments = [3, 1];
     // 5 µs = 5000 ns lands in bucket [4096, 8192) → le = 8192 ns;
     // 100 ns lands in [64, 128) → le = 128 ns. Cumulative counts and
     // sums follow directly.
@@ -96,6 +97,10 @@ hypersparse_mxm_accumulator_calls_total{acc=\"mask_slot\"} 0
 # TYPE hypersparse_mxm_rows_total counter
 hypersparse_mxm_rows_total{drain=\"scan\"} 0
 hypersparse_mxm_rows_total{drain=\"bitmap\"} 0
+# HELP hypersparse_mv_push_segments_total Matrix-vector push segments by the accumulator they folded into.
+# TYPE hypersparse_mv_push_segments_total counter
+hypersparse_mv_push_segments_total{acc=\"flat\"} 3
+hypersparse_mv_push_segments_total{acc=\"hash\"} 1
 # HELP hypersparse_workspace_hit_rate Fraction of workspace acquisitions served from the pool.
 # TYPE hypersparse_workspace_hit_rate gauge
 hypersparse_workspace_hit_rate 0.6666666666666666

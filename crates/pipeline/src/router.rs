@@ -248,8 +248,9 @@ where
             let (tx, rx) = mpsc::channel();
             let cut = cut.clone();
             let work: MarkerWork<S> = Box::new(move |i, stream| {
+                let part = cut(i, stream);
                 // The wave may have failed on another shard; ignore.
-                let _ = tx.send(cut(i, stream));
+                Box::new(move || drop(tx.send(part)))
             });
             let marker = Command::Marker {
                 span: shard_span,

@@ -28,8 +28,10 @@ use crate::metrics::{PipelineMetrics, Stage};
 use crate::value::PodValue;
 
 /// A marker's work on one shard: called with the shard index and its
-/// stream, it owns the sender its reply travels on.
-pub(crate) type MarkerWork<S> = Box<dyn FnOnce(usize, &mut StreamingMatrix<S>) + Send>;
+/// stream, it cuts the stream and returns the send of its reply, which
+/// the shard runs once the marker's span is closed.
+pub(crate) type MarkerWork<S> =
+    Box<dyn FnOnce(usize, &mut StreamingMatrix<S>) -> Box<dyn FnOnce() + Send> + Send>;
 
 /// One message on a shard's command channel.
 pub(crate) enum Command<S: Semiring> {
@@ -135,8 +137,13 @@ fn run_worker<S: Semiring>(
                 metrics.record_stage(Stage::ShardMerge, t.elapsed());
             }
             Command::Marker { span: name, work } => {
-                let _span = span(name, &|| format!("shard {index}"));
-                work(index, &mut stream);
+                // Reply only after the span is recorded, so the wave's
+                // trace holds every shard's span once all have replied.
+                let reply = {
+                    let _span = span(name, &|| format!("shard {index}"));
+                    work(index, &mut stream)
+                };
+                reply();
             }
         }
         metrics.depth_dec(index);

@@ -191,12 +191,15 @@ impl Semiring for XorAnd {
 /// `min.first` over ids shifted by one: `0` is the semiring zero
 /// ("no value"), ids are `1..`. `mul(a, _) = a` carries the *source*
 /// value through, `add = min` picks a deterministic winner — the parent
-/// tracking semiring for BFS trees.
+/// tracking semiring for BFS trees. Its ⊕ returns the other operand
+/// when one side is `0`, so `0 ⊕ p` is `p` to the bit and it
+/// accumulates flat.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct MinFirst;
 
 impl Semiring for MinFirst {
     type Value = u64;
+    const FLAT_ACC: bool = true;
     const ONE_STEP: bool = true;
 
     #[inline(always)]
@@ -299,12 +302,13 @@ impl Semiring for MinSecond {
 /// `any.pair` (GraphBLAS `GxB_ANY_PAIR`) over `u8` flags: every product is
 /// `1`, sums pick either operand. The cheapest possible reachability
 /// semiring — no value is even read. Deterministic: `add` keeps the left
-/// non-zero operand.
+/// non-zero operand, so `0 ⊕ p` is `p` and it accumulates flat.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct AnyPair;
 
 impl Semiring for AnyPair {
     type Value = u8;
+    const FLAT_ACC: bool = true;
     const ONE_STEP: bool = true;
 
     #[inline(always)]

@@ -246,6 +246,42 @@ fn flat_acc_declarations_hold_on_the_edges_of_each_domain() {
     for p in [false, true] {
         assert_flat_seed_invisible(LorLand, p, |v| u64::from(*v));
     }
+    for p in [0, 1, 2, 1 << 32, u64::MAX - 1, u64::MAX] {
+        assert_flat_seed_invisible(MinFirst, p, |v| *v);
+    }
+    for p in [0, 1, 2, u8::MAX] {
+        assert_flat_seed_invisible(AnyPair, p, |v| u64::from(*v));
+    }
+}
+
+/// `min` over ids with `0` as "no value" but without `MinFirst`'s
+/// absent-operand rule: `0 ⊕ p = min(0, p) = 0`, so a zero-seeded slot
+/// swallows every product. Its `FLAT_ACC` claim is wrong.
+#[derive(Copy, Clone, Debug, Default)]
+struct BareMinFirst;
+
+impl Semiring for BareMinFirst {
+    type Value = u64;
+    const FLAT_ACC: bool = true;
+    fn zero(&self) -> u64 {
+        0
+    }
+    fn one(&self) -> u64 {
+        u64::MAX
+    }
+    fn add(&self, a: u64, b: u64) -> u64 {
+        a.min(b)
+    }
+    fn mul(&self, a: u64, b: u64) -> u64 {
+        MinFirst.mul(a, b)
+    }
+}
+
+#[test]
+#[should_panic(expected = "0 ⊕ 5 = 0")]
+fn flat_acc_law_rejects_a_wrong_declaration() {
+    assert_flat_seed_invisible(BareMinFirst, 0, |v| *v);
+    assert_flat_seed_invisible(BareMinFirst, 5, |v| *v);
 }
 
 proptest! {
@@ -260,5 +296,7 @@ proptest! {
         }
         assert_flat_seed_invisible(PlusTimes::<u64>::new(), n, |v| *v);
         assert_flat_seed_invisible(LorLand, b, |v| u64::from(*v));
+        assert_flat_seed_invisible(MinFirst, n, |v| *v);
+        assert_flat_seed_invisible(AnyPair, n as u8, |v| u64::from(*v));
     }
 }
