@@ -31,7 +31,9 @@
 
 use bench::{fmt_dur, quick_time, BenchRecord};
 use hypersparse::gen::{random_dcsr, rmat_dcsr, RmatParams};
-use hypersparse::{ops, Coo, Dcsr, Direction, Ix, OpCtx, SparseVec, StreamConfig, StreamingMatrix};
+use hypersparse::{
+    ops, Coo, Dcsr, Decision, Direction, Ix, OpCtx, SparseVec, StreamConfig, StreamingMatrix,
+};
 use netflow::gen::{GenConfig, TrafficGen};
 use semiring::{FnOp, LorLand, MinFirst, Plain, PlusTimes, Semiring, ZeroNorm};
 use std::time::Duration;
@@ -404,7 +406,8 @@ fn main() {
     let drains = |f: &dyn Fn(&OpCtx)| {
         let probe = OpCtx::new().with_threads(1);
         f(&probe);
-        let [scan, bitmap] = probe.metrics().snapshot().mxm_rows;
+        let snap = probe.metrics().snapshot();
+        let [scan, bitmap] = [Decision::DrainScan, Decision::DrainBitmap].map(|d| snap.decision(d));
         println!("flat rows drained by scan: {scan} of {}", scan + bitmap);
     };
     drains(&|c| drop(ops::mxm_apply_prune_ctx(c, &y, &w, s(), relu, s())));

@@ -28,7 +28,7 @@
 use std::time::Instant;
 
 use hypersparse::ctx::OpCtx;
-use hypersparse::metrics::Kernel;
+use hypersparse::metrics::{Decision, Kernel};
 use hypersparse::ops::mxv::vxm_opt_ctx;
 use hypersparse::{with_default_ctx, Dcsr, Ix, SparseVec};
 use semiring::{AnyPair, MinFirst, Semiring};
@@ -177,8 +177,10 @@ where
 {
     let start = Instant::now();
     let (out, variant) = if S::ONE_STEP {
+        ctx.metrics().record_decision(Decision::BfsOneStep, 1);
         (parent_bfs_fused_ctx(ctx, g, src, s), BfsVariant::OneStep)
     } else {
+        ctx.metrics().record_decision(Decision::BfsTwoStep, 1);
         (parent_bfs_two_step_ctx(ctx, g, src, s), BfsVariant::TwoStep)
     };
     let pat = g.adjacency();

@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 
 use hypersparse::ops::mxv::choose_direction;
 use hypersparse::ops::transpose_ctx;
-use hypersparse::{Dcsr, Direction, OpCtx, SparseVec};
+use hypersparse::{Dcsr, Decision, Direction, OpCtx, SparseVec};
 use semiring::traits::Value;
 
 use crate::triangles::lower_triangle_ctx;
@@ -68,19 +68,27 @@ impl<'a, T: Value> Graph<'a, T> {
     /// only if the pushes so far have touched `nnz` edges and
     /// [`choose_direction`] would pull `v` with it; while they have not,
     /// `v`'s edges are counted as pushed. A traversal asks once per
-    /// level.
+    /// level; each ask made before the transpose exists counts the
+    /// `graph_transpose` decision, `built` or `deferred`.
     pub(crate) fn transpose_for(&self, ctx: &OpCtx, v: &SparseVec<T>) -> Option<&Dcsr<T>> {
         if self.at.get().is_none() {
-            if self.pushed.load(Ordering::Relaxed) < self.a.nnz() as u64 {
+            let paid = self.pushed.load(Ordering::Relaxed) >= self.a.nnz() as u64;
+            if !paid {
                 let edges: u64 = v
                     .indices()
                     .iter()
                     .map(|&i| self.a.row(i).0.len() as u64)
                     .sum();
                 self.pushed.fetch_add(edges, Ordering::Relaxed);
-                return None;
             }
-            if choose_direction(v, self.a, true) == Direction::Push {
+            let build = paid && choose_direction(v, self.a, true) == Direction::Pull;
+            let d = if build {
+                Decision::GraphTransposeBuilt
+            } else {
+                Decision::GraphTransposeDeferred
+            };
+            ctx.metrics().record_decision(d, 1);
+            if !build {
                 return None;
             }
         }

@@ -102,7 +102,7 @@ pub use dense::DenseMat;
 pub use error::{Axis, OpError};
 pub use index::IndexType;
 pub use matrix::{Format, Matrix};
-pub use metrics::{Direction, Kernel, KernelSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Decision, Direction, Kernel, KernelSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use stream::{StreamConfig, StreamingMatrix};
 pub use trace::{
     Exposition, Histogram, HistogramSnapshot, Span, SpanRecord, TraceMode, TraceRegistry,

@@ -24,6 +24,7 @@ use crate::csr::Csr;
 use crate::ctx::OpCtx;
 use crate::dcsr::Dcsr;
 use crate::dense::DenseMat;
+use crate::metrics::Decision;
 use crate::ops;
 use crate::ops::mxv::intersect_sorted;
 use crate::vector::SparseVec;
@@ -227,9 +228,9 @@ impl<T: Value> Matrix<T> {
     /// The one way to compute on a `Matrix`: run `op` — an
     /// `ops::*_ctx` kernel on `ctx` — on the hypersparse view, let
     /// [`Format::decide`] store the result, and count a storage-format
-    /// change (if any) in `ctx`'s metrics. Preconditions are the
-    /// kernel's: it panics with its `check_*`'s error, which a caller
-    /// that must not panic calls first.
+    /// change (if any) in `ctx`'s metrics as the `format` decision.
+    /// Preconditions are the kernel's: it panics with its `check_*`'s
+    /// error, which a caller that must not panic calls first.
     pub fn compute_ctx<S: Semiring<Value = T>>(
         &self,
         ctx: &OpCtx,
@@ -238,7 +239,13 @@ impl<T: Value> Matrix<T> {
     ) -> Self {
         let out = Self::from_dcsr(op(&self.as_dcsr()), s);
         if out.format() != self.format() {
-            ctx.metrics().record_format_switch();
+            let d = match out.format() {
+                Format::Dense => Decision::FormatDense,
+                Format::Bitmap => Decision::FormatBitmap,
+                Format::Csr => Decision::FormatCsr,
+                Format::Dcsr => Decision::FormatDcsr,
+            };
+            ctx.metrics().record_decision(d, 1);
         }
         out
     }

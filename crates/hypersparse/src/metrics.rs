@@ -1,15 +1,20 @@
 //! Per-kernel observability counters.
 //!
 //! SuiteSparse:GraphBLAS owes much of its production debuggability to
-//! `GxB_*` introspection: you can ask the library what its kernels did.
-//! This module is that layer for the hypersparse engine. Every
-//! computational kernel routed through an [`crate::ctx::OpCtx`] records a
-//! [`Kernel`]-keyed row of counters — calls, input/output nnz, flops
-//! (semiring ⊗ applications, or combiner applications for merges),
-//! bytes touched (operand + result heap footprint, the bandwidth the
-//! narrow-index formats halve), and elapsed wall time — plus
-//! engine-wide counters for storage-format switches and workspace-arena
-//! hits/misses.
+//! `GxB_*` introspection: you can ask the library what its kernels did,
+//! and its "burble" says which method each operation chose. This module
+//! is that layer for the hypersparse engine. Every computational kernel
+//! routed through an [`crate::ctx::OpCtx`] records a [`Kernel`]-keyed
+//! row of counters — calls, input/output nnz, flops (semiring ⊗
+//! applications, or combiner applications for merges), bytes touched
+//! (operand + result heap footprint, the bandwidth the narrow-index
+//! formats halve), and elapsed wall time. Every choice between
+//! equivalent ways to evaluate the same algebra (storage format,
+//! push or pull, accumulator, locator, …) is one [`Decision`], a
+//! `(site, choice)` line of one table, counted by one
+//! [`MetricsRegistry::record_decision`] and exposed as one family,
+//! `hypersparse_decisions_total{site,choice}`. Engine-wide counters for
+//! workspace-arena hits/misses and complement-mask probes complete it.
 //!
 //! All counters are relaxed atomics: recording from parallel shards is
 //! race-free, and reading while kernels run yields a consistent-enough
@@ -154,28 +159,75 @@ impl Direction {
     }
 }
 
-/// The Gustavson accumulator an SpGEMM row range ran on
-/// ([`mod@crate::ops::mxm`]); indexes [`MetricsSnapshot::mxm_accumulator_calls`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum Accumulator {
-    Flat,
-    Dense,
-    Hash,
-    MaskSlot,
+/// Declares [`Decision`] and [`Decision::LABELS`] from one list of
+/// `Variant = "site", "choice";` lines, so a new choice is one line.
+macro_rules! decisions {
+    ($($d:ident = $site:literal, $choice:literal;)*) => {
+        /// One dispatch decision: which of the equivalent ways to evaluate
+        /// the same algebra a kernel took, as a `(site, choice)` line of
+        /// [`Decision::LABELS`] (the discriminant is its counter index). A
+        /// kernel records each once per call, row range or segment — never
+        /// per product (DESIGN.md §10).
+        #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+        #[allow(missing_docs)]
+        pub enum Decision {
+            $($d,)*
+        }
+
+        impl Decision {
+            /// The one label table: every decision with its `site` and
+            /// `choice` labels, in discriminant order.
+            pub const LABELS: [(Decision, &'static str, &'static str); [$($site),*].len()] =
+                [$((Decision::$d, $site, $choice)),*];
+        }
+    };
 }
 
-/// [`Accumulator`] label values, in discriminant order.
-const ACC: [&str; 4] = ["flat", "dense", "hash", "mask_slot"];
-
-/// The accumulator a matrix–vector push segment folded into, in
-/// [`MetricsSnapshot::mv_push_segments`] order ([`mod@crate::ops::mxv`]).
-const PUSH_ACC: [&str; 2] = ["flat", "hash"];
-
-/// How a flat-accumulator SpGEMM row drained, in
-/// [`MetricsSnapshot::mxm_rows`] order: one scan of its column span, or
-/// through the occupancy bitmap.
-const DRAIN: [&str; 2] = ["scan", "bitmap"];
+decisions! {
+    // `Matrix::compute_ctx`: the format `Format::decide` switched to.
+    FormatDense = "format", "dense";
+    FormatBitmap = "format", "bitmap";
+    FormatCsr = "format", "csr";
+    FormatDcsr = "format", "dcsr";
+    // Per `vxm`/`mxv` call: `choose_direction`, or the one operand given.
+    MvPush = "mv_direction", "push";
+    MvPull = "mv_direction", "pull";
+    // Per SpGEMM row range: mask slots, else `dense_acc_pays_off`, `FLAT_ACC`.
+    MxmFlat = "mxm_accumulator", "flat";
+    MxmDense = "mxm_accumulator", "dense";
+    MxmHash = "mxm_accumulator", "hash";
+    MxmMaskSlot = "mxm_accumulator", "mask_slot";
+    // Per flat SpGEMM row, counted per row range: `Row::dense_span`.
+    DrainScan = "mxm_drain", "scan";
+    DrainBitmap = "mxm_drain", "bitmap";
+    // Per push segment: `FLAT_ACC` and a column space ≤ `DENSE_ACC_MAX`.
+    PushFlat = "mv_push_accumulator", "flat";
+    PushHash = "mv_push_accumulator", "hash";
+    // Per SpGEMM call: `compact` over B's row space.
+    MxmRowsIndexed = "mxm_b_rows", "indexed";
+    MxmRowsSearched = "mxm_b_rows", "searched";
+    // Per masked SpGEMM call: `compact` over the mask's column space.
+    MxmMaskScatter = "mxm_mask", "scatter";
+    MxmMaskSearch = "mxm_mask", "search";
+    // Per pull sweep: `compact` over the frontier's key space.
+    PullIndexed = "mv_pull_frontier", "indexed";
+    PullSearched = "mv_pull_frontier", "searched";
+    // Per masked `vxm`/`mxv` call: `compact` and probes that pay for bits.
+    MvMaskBitmap = "mv_mask", "bitmap";
+    MvMaskSorted = "mv_mask", "sorted";
+    // Per transpose: `compact` over the column space.
+    TransposeCounting = "transpose", "counting";
+    TransposeRadix = "transpose", "radix";
+    // Per colliding bool row pair, counted per call: `word_merge_pays_off`.
+    EwiseWord = "ewise_bool_rows", "word";
+    EwiseGeneric = "ewise_bool_rows", "generic";
+    // Per `Graph::transpose_for` with no transpose yet: the break-even rule.
+    GraphTransposeBuilt = "graph_transpose", "built";
+    GraphTransposeDeferred = "graph_transpose", "deferred";
+    // Per parent BFS: `Semiring::ONE_STEP`.
+    BfsOneStep = "parent_bfs", "one_step";
+    BfsTwoStep = "parent_bfs", "two_step";
+}
 
 /// Live counters for one kernel.
 #[derive(Debug, Default)]
@@ -272,16 +324,11 @@ impl KernelSnapshot {
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     stats: [KernelStats; Kernel::ALL.len()],
-    format_switches: AtomicU64,
+    decisions: [AtomicU64; Decision::LABELS.len()],
     ws_hits: AtomicU64,
     ws_misses: AtomicU64,
-    mv_push: AtomicU64,
-    mv_pull: AtomicU64,
     mask_probes: AtomicU64,
     mask_hits: AtomicU64,
-    mxm_acc: [AtomicU64; ACC.len()],
-    mxm_rows: [AtomicU64; DRAIN.len()],
-    mv_push_segments: [AtomicU64; PUSH_ACC.len()],
 }
 
 impl MetricsRegistry {
@@ -306,9 +353,10 @@ impl MetricsRegistry {
             .record(elapsed, nnz_in, nnz_out, flops, bytes);
     }
 
-    /// Count one automatic storage-format change on a result matrix.
-    pub fn record_format_switch(&self) {
-        self.format_switches.fetch_add(1, Ordering::Relaxed);
+    /// Count `n` instances of dispatch decision `d`: once per call, row
+    /// range or segment, with `n` the rows or segments it covered.
+    pub fn record_decision(&self, d: Decision, n: u64) {
+        self.decisions[d as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Count one workspace-arena acquisition served from the pool.
@@ -321,58 +369,30 @@ impl MetricsRegistry {
         self.ws_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record the direction a matrix–vector kernel chose, plus its mask
-    /// activity: `probes` complement-mask lookups of which `hits` found
-    /// the index masked off (and skipped the work).
-    pub fn record_mv_direction(&self, direction: Direction, probes: u64, hits: u64) {
-        match direction {
-            Direction::Push => self.mv_push.fetch_add(1, Ordering::Relaxed),
-            Direction::Pull => self.mv_pull.fetch_add(1, Ordering::Relaxed),
-        };
+    /// Record a fused kernel's mask activity: `probes` complement-mask
+    /// lookups of which `hits` found the index masked off (and skipped
+    /// the work).
+    pub fn record_mask_probes(&self, probes: u64, hits: u64) {
         self.mask_probes.fetch_add(probes, Ordering::Relaxed);
         self.mask_hits.fetch_add(hits, Ordering::Relaxed);
     }
 
-    /// Count one SpGEMM row range run on `acc`.
-    pub(crate) fn record_accumulator(&self, acc: Accumulator) {
-        self.mxm_acc[acc as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one matrix–vector push segment by its accumulator: the
-    /// flat one, or the hash scatter.
-    pub(crate) fn record_push_segment(&self, flat: bool) {
-        self.mv_push_segments[usize::from(!flat)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one SpGEMM row range's flat rows, `[by scan, through the
-    /// bitmap]`.
-    pub(crate) fn record_mxm_rows(&self, rows: [u64; 2]) {
-        for (c, n) in self.mxm_rows.iter().zip(rows) {
-            c.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
     /// Freeze every counter into an owned snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
+        let mut snap = MetricsSnapshot {
             kernels: Kernel::ALL
                 .iter()
                 .map(|&k| self.kernel(k).snapshot(k))
                 .collect(),
-            format_switches: self.format_switches.load(Ordering::Relaxed),
+            decisions: self.decisions.each_ref().map(|c| c.load(Ordering::Relaxed)),
             workspace_hits: self.ws_hits.load(Ordering::Relaxed),
             workspace_misses: self.ws_misses.load(Ordering::Relaxed),
-            mv_push_calls: self.mv_push.load(Ordering::Relaxed),
-            mv_pull_calls: self.mv_pull.load(Ordering::Relaxed),
             mask_probes: self.mask_probes.load(Ordering::Relaxed),
             mask_hits: self.mask_hits.load(Ordering::Relaxed),
-            mxm_accumulator_calls: self.mxm_acc.each_ref().map(|c| c.load(Ordering::Relaxed)),
-            mxm_rows: self.mxm_rows.each_ref().map(|c| c.load(Ordering::Relaxed)),
-            mv_push_segments: self
-                .mv_push_segments
-                .each_ref()
-                .map(|c| c.load(Ordering::Relaxed)),
-        }
+            ..Default::default()
+        };
+        snap.project();
+        snap
     }
 
     /// Zero every counter.
@@ -380,17 +400,10 @@ impl MetricsRegistry {
         for s in &self.stats {
             s.reset();
         }
-        self.format_switches.store(0, Ordering::Relaxed);
-        self.ws_hits.store(0, Ordering::Relaxed);
-        self.ws_misses.store(0, Ordering::Relaxed);
-        self.mv_push.store(0, Ordering::Relaxed);
-        self.mv_pull.store(0, Ordering::Relaxed);
-        self.mask_probes.store(0, Ordering::Relaxed);
-        self.mask_hits.store(0, Ordering::Relaxed);
-        self.mxm_acc
+        self.decisions
             .iter()
-            .chain(&self.mxm_rows)
-            .chain(&self.mv_push_segments)
+            .chain([&self.ws_hits, &self.ws_misses])
+            .chain([&self.mask_probes, &self.mask_hits])
             .for_each(|c| c.store(0, Ordering::Relaxed));
     }
 }
@@ -400,29 +413,24 @@ impl MetricsRegistry {
 pub struct MetricsSnapshot {
     /// One row per kernel, in [`Kernel::ALL`] order.
     pub kernels: Vec<KernelSnapshot>,
-    /// Automatic storage-format changes recorded by the `Matrix` layer.
+    /// Dispatch decisions, indexed by [`Decision`] (read with
+    /// [`MetricsSnapshot::decision`]).
+    pub decisions: [u64; Decision::LABELS.len()],
+    /// Projection of `decisions`: the `format` site's sum, i.e. automatic
+    /// storage-format changes recorded by the `Matrix` layer.
     pub format_switches: u64,
+    /// Projection of `decisions`: [`Decision::MvPush`].
+    pub mv_push_calls: u64,
+    /// Projection of `decisions`: [`Decision::MvPull`].
+    pub mv_pull_calls: u64,
     /// Workspace acquisitions served by pooled scratch.
     pub workspace_hits: u64,
     /// Workspace acquisitions that had to allocate fresh scratch.
     pub workspace_misses: u64,
-    /// Matrix–vector kernel invocations that ran in push direction.
-    pub mv_push_calls: u64,
-    /// Matrix–vector kernel invocations that ran in pull direction.
-    pub mv_pull_calls: u64,
     /// Complement-mask lookups performed inside fused kernels.
     pub mask_probes: u64,
     /// Mask lookups that found the index masked off (work skipped).
     pub mask_hits: u64,
-    /// SpGEMM row ranges by the accumulator that ran them, indexed by
-    /// [`Accumulator`].
-    pub mxm_accumulator_calls: [u64; 4],
-    /// Flat-accumulator SpGEMM rows by how they drained: `[scan,
-    /// bitmap]` (DESIGN.md §13).
-    pub mxm_rows: [u64; 2],
-    /// Matrix–vector push segments by the accumulator they folded
-    /// into: `[flat, hash]` (DESIGN.md §13).
-    pub mv_push_segments: [u64; 2],
 }
 
 impl MetricsSnapshot {
@@ -438,22 +446,32 @@ impl MetricsSnapshot {
                 t.merge(p);
             }
         }
-        self.format_switches += other.format_switches;
+        for (t, n) in self.decisions.iter_mut().zip(other.decisions) {
+            *t += n;
+        }
         self.workspace_hits += other.workspace_hits;
         self.workspace_misses += other.workspace_misses;
-        self.mv_push_calls += other.mv_push_calls;
-        self.mv_pull_calls += other.mv_pull_calls;
         self.mask_probes += other.mask_probes;
         self.mask_hits += other.mask_hits;
-        for (k, n) in other.mxm_accumulator_calls.into_iter().enumerate() {
-            self.mxm_accumulator_calls[k] += n;
-        }
-        for (k, n) in other.mxm_rows.into_iter().enumerate() {
-            self.mxm_rows[k] += n;
-        }
-        for (k, n) in other.mv_push_segments.into_iter().enumerate() {
-            self.mv_push_segments[k] += n;
-        }
+        self.project();
+    }
+
+    /// Set the projections (`format_switches`, `mv_push_calls`,
+    /// `mv_pull_calls`) from `decisions`; the end-to-end benchmark
+    /// (`crates/bench/src/bin/e2e`) reads them.
+    fn project(&mut self) {
+        self.format_switches = Decision::LABELS
+            .iter()
+            .filter(|(_, site, _)| *site == "format")
+            .map(|&(d, _, _)| self.decision(d))
+            .sum();
+        self.mv_push_calls = self.decision(Decision::MvPush);
+        self.mv_pull_calls = self.decision(Decision::MvPull);
+    }
+
+    /// How many times decision `d` was taken.
+    pub fn decision(&self, d: Decision) -> u64 {
+        self.decisions[d as usize]
     }
 
     /// Fraction of complement-mask probes that skipped work
@@ -509,19 +527,20 @@ impl MetricsSnapshot {
         }
         let _ = writeln!(
             out,
-            "format switches: {} · workspace: {} hits / {} misses",
-            self.format_switches, self.workspace_hits, self.workspace_misses
+            "workspace: {} hits / {} misses · mask: {} hits / {} probes ({:.0}%)",
+            self.workspace_hits,
+            self.workspace_misses,
+            self.mask_hits,
+            self.mask_probes,
+            self.mask_hit_rate() * 100.0
         );
-        if self.mv_push_calls + self.mv_pull_calls > 0 {
-            let _ = writeln!(
-                out,
-                "mxv direction: {} push / {} pull · mask: {} hits / {} probes ({:.0}%)",
-                self.mv_push_calls,
-                self.mv_pull_calls,
-                self.mask_hits,
-                self.mask_probes,
-                self.mask_hit_rate() * 100.0
-            );
+        let taken: Vec<String> = Decision::LABELS
+            .iter()
+            .filter(|&&(d, _, _)| self.decision(d) > 0)
+            .map(|&(d, site, choice)| format!("{site}={choice} {}", self.decision(d)))
+            .collect();
+        if !taken.is_empty() {
+            let _ = writeln!(out, "decisions: {}", taken.join(", "));
         }
         out
     }
@@ -577,12 +596,18 @@ impl MetricsSnapshot {
             "Per-invocation kernel latency.",
             active().map(|k| (label(k), &k.latency)),
         );
+        out.family(
+            "hypersparse_decisions_total",
+            "counter",
+            "Dispatch decisions by site and the method chosen.",
+            Decision::LABELS.iter().map(|&(d, site, choice)| {
+                (
+                    format!("site=\"{site}\",choice=\"{choice}\""),
+                    self.decision(d),
+                )
+            }),
+        );
         for (name, help, v) in [
-            (
-                "hypersparse_format_switches_total",
-                "Automatic storage-format changes.",
-                self.format_switches,
-            ),
             (
                 "hypersparse_workspace_hits_total",
                 "Workspace acquisitions served from the pooled arena.",
@@ -606,40 +631,6 @@ impl MetricsSnapshot {
         ] {
             out.family(name, "counter", help, [("", v)]);
         }
-        out.family(
-            "hypersparse_mxv_direction_calls_total",
-            "counter",
-            "Matrix-vector kernel invocations by chosen direction.",
-            [
-                ("direction=\"push\"", self.mv_push_calls),
-                ("direction=\"pull\"", self.mv_pull_calls),
-            ],
-        );
-        let acc = ACC.map(|a| format!("acc=\"{a}\""));
-        out.family(
-            "hypersparse_mxm_accumulator_calls_total",
-            "counter",
-            "SpGEMM row ranges by the accumulator that ran them.",
-            acc.into_iter().zip(self.mxm_accumulator_calls),
-        );
-        out.family(
-            "hypersparse_mxm_rows_total",
-            "counter",
-            "Flat-accumulator SpGEMM rows by how they drained.",
-            DRAIN
-                .map(|d| format!("drain=\"{d}\""))
-                .into_iter()
-                .zip(self.mxm_rows),
-        );
-        out.family(
-            "hypersparse_mv_push_segments_total",
-            "counter",
-            "Matrix-vector push segments by the accumulator they folded into.",
-            PUSH_ACC
-                .map(|a| format!("acc=\"{a}\""))
-                .into_iter()
-                .zip(self.mv_push_segments),
-        );
         for (name, help, v) in [
             (
                 "hypersparse_workspace_hit_rate",
@@ -674,7 +665,7 @@ mod tests {
         reg.record(Kernel::Mxm, Duration::from_micros(5), 10, 4, 30, 200);
         reg.record(Kernel::Mxm, Duration::from_micros(5), 10, 4, 30, 200);
         reg.record(Kernel::EwiseAdd, Duration::from_nanos(100), 7, 7, 3, 50);
-        reg.record_format_switch();
+        reg.record_decision(Decision::FormatCsr, 1);
         let snap = reg.snapshot();
         let m = snap.kernel(Kernel::Mxm);
         assert_eq!(m.calls, 2);
@@ -691,6 +682,7 @@ mod tests {
         assert!(report.contains("mxm"));
         assert!(report.contains("ewise_add"));
         assert!(!report.contains("kron"), "idle kernels stay out:\n{report}");
+        assert!(report.contains("decisions: format=csr 1\n"), "{report}");
     }
 
     #[test]
@@ -707,20 +699,26 @@ mod tests {
     #[test]
     fn direction_and_mask_counters() {
         let reg = MetricsRegistry::default();
-        reg.record_mv_direction(Direction::Push, 10, 4);
-        reg.record_mv_direction(Direction::Pull, 6, 6);
+        reg.record_decision(Decision::MvPush, 1);
+        reg.record_mask_probes(10, 4);
+        reg.record_decision(Decision::MvPull, 1);
+        reg.record_mask_probes(6, 6);
         let snap = reg.snapshot();
         assert_eq!(snap.mv_push_calls, 1);
         assert_eq!(snap.mv_pull_calls, 1);
         assert_eq!(snap.mask_probes, 16);
         assert_eq!(snap.mask_hits, 10);
         assert!((snap.mask_hit_rate() - 10.0 / 16.0).abs() < 1e-12);
-        assert!(snap.report().contains("mxv direction"), "{}", snap.report());
+        let report = snap.report();
+        assert!(
+            report.contains("decisions: mv_direction=push 1, mv_direction=pull 1\n"),
+            "{report}"
+        );
         reg.reset();
         let snap = reg.snapshot();
         assert_eq!(snap.mv_push_calls, 0);
         assert_eq!(snap.mask_hit_rate(), 0.0);
-        assert!(!snap.report().contains("mxv direction"));
+        assert!(!snap.report().contains("decisions:"));
     }
 
     #[test]
@@ -740,6 +738,15 @@ mod tests {
         // Exhaustive literals (no `..Default::default()`): a new field
         // must be given a value here, and so a line in `merge`. Each
         // field carries its own weight, so a cross-wired sum shows too.
+        // Every decision gets a distinct prime weight; the projections
+        // carry their sums over `decisions`, as `snapshot()` sets them.
+        let primes: Vec<u64> = (2u64..)
+            .filter(|n| (2..*n).all(|d| n % d != 0))
+            .skip(8)
+            .take(Decision::LABELS.len())
+            .collect();
+        let decisions = |m: u64| std::array::from_fn(|d| primes[d] * m);
+        let fmt = |m: u64| (0..4).map(|d| primes[d] * m).sum::<u64>();
         let snap = |m: u64, latency: HistogramSnapshot| MetricsSnapshot {
             kernels: vec![KernelSnapshot {
                 kernel: Kernel::Mxm,
@@ -751,21 +758,22 @@ mod tests {
                 bytes_touched: 100_000 * m,
                 latency,
             }],
-            format_switches: 2 * m,
+            decisions: decisions(m),
+            format_switches: fmt(m),
+            mv_push_calls: decisions(m)[Decision::MvPush as usize],
+            mv_pull_calls: decisions(m)[Decision::MvPull as usize],
             workspace_hits: 3 * m,
             workspace_misses: 5 * m,
-            mv_push_calls: 7 * m,
-            mv_pull_calls: 11 * m,
             mask_probes: 13 * m,
             mask_hits: 17 * m,
-            mxm_accumulator_calls: [19 * m, 23 * m, 29 * m, 31 * m],
-            mxm_rows: [37 * m, 41 * m],
-            mv_push_segments: [43 * m, 47 * m],
         };
         let expected = snap(3, hist(&[10, 20]));
         let mut merged = snap(1, hist(&[10]));
         merged.merge(&snap(2, hist(&[20])));
         assert_eq!(merged, expected);
+        assert_eq!(merged.format_switches, fmt(3));
+        assert_eq!(merged.mv_push_calls, merged.decision(Decision::MvPush));
+        assert_eq!(merged.mv_pull_calls, merged.decision(Decision::MvPull));
         // The empty snapshot is the identity on either side.
         merged.merge(&MetricsSnapshot::default());
         assert_eq!(merged, expected);
@@ -778,5 +786,15 @@ mod tests {
     fn every_kernel_has_a_distinct_name() {
         let names: std::collections::HashSet<_> = Kernel::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), Kernel::ALL.len());
+    }
+
+    #[test]
+    fn every_decision_has_a_distinct_label_pair_in_table_order() {
+        for (i, &(d, _, _)) in Decision::LABELS.iter().enumerate() {
+            assert_eq!(d as usize, i, "{d:?} out of table order");
+        }
+        let pairs: std::collections::HashSet<_> =
+            Decision::LABELS.iter().map(|&(_, s, c)| (s, c)).collect();
+        assert_eq!(pairs.len(), Decision::LABELS.len());
     }
 }

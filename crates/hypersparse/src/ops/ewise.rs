@@ -33,7 +33,7 @@ use crate::ctx::OpCtx;
 use crate::dcsr::{Dcsr, DcsrBuilder};
 use crate::error::OpError;
 use crate::index::IndexType;
-use crate::metrics::Kernel;
+use crate::metrics::{Decision, Kernel};
 use crate::Ix;
 
 /// The semiring's ⊕ as a [`BinaryOp`] combiner.
@@ -106,7 +106,7 @@ where
     });
     let start = Instant::now();
     if TypeId::of::<O>() == TypeId::of::<AddOf<LorLand>>() {
-        if let Some((c, flops)) = try_bool_union(a, b) {
+        if let Some((c, flops)) = try_bool_union(ctx, a, b) {
             record_ewise(ctx, Kernel::EwiseAdd, start, a, b, &c, flops);
             return c;
         }
@@ -141,7 +141,7 @@ where
     });
     let start = Instant::now();
     if TypeId::of::<O>() == TypeId::of::<MulOf<LorLand>>() {
-        if let Some((c, flops)) = try_bool_intersect(a, b) {
+        if let Some((c, flops)) = try_bool_intersect(ctx, a, b) {
             record_ewise(ctx, Kernel::EwiseMul, start, a, b, &c, flops);
             return c;
         }
@@ -441,15 +441,29 @@ fn word_merge_pays_off(nw: usize, na: usize, nb: usize) -> bool {
     nw <= na + nb
 }
 
+/// Count a bool merge's colliding row pairs by how they merged:
+/// `[word-at-a-time, generic]`.
+fn record_bool_rows(ctx: &OpCtx, [word, generic]: [u64; 2]) {
+    ctx.metrics().record_decision(Decision::EwiseWord, word);
+    ctx.metrics()
+        .record_decision(Decision::EwiseGeneric, generic);
+}
+
+/// A bool merge's result, its collision count and its colliding row
+/// pairs `[word-at-a-time, generic]`.
+type BoolMerge<I> = (Dcsr<bool, I>, u64, [u64; 2]);
+
 /// Downcast to the concrete boolean matrices and run the monomorphic
 /// union; `None` when `T` is not `bool` (the generic loop handles it).
 fn try_bool_union<T: Value, I: IndexType>(
+    ctx: &OpCtx,
     a: &Dcsr<T, I>,
     b: &Dcsr<T, I>,
 ) -> Option<(Dcsr<T, I>, u64)> {
     let ab = (a as &dyn Any).downcast_ref::<Dcsr<bool, I>>()?;
     let bb = (b as &dyn Any).downcast_ref::<Dcsr<bool, I>>()?;
-    let (c, flops) = bool_union(ab, bb);
+    let (c, flops, rows) = bool_union(ab, bb);
+    record_bool_rows(ctx, rows);
     let boxed: Box<dyn Any> = Box::new(c);
     Some((*boxed.downcast::<Dcsr<T, I>>().ok()?, flops))
 }
@@ -457,15 +471,17 @@ fn try_bool_union<T: Value, I: IndexType>(
 /// Monomorphic `LorLand` union. Pass-through entries (rows or columns in
 /// one operand only) keep their stored value — even an explicit `false`
 /// — exactly like the generic loop; collisions OR and drop `false`.
-fn bool_union<I: IndexType>(a: &Dcsr<bool, I>, b: &Dcsr<bool, I>) -> (Dcsr<bool, I>, u64) {
+fn bool_union<I: IndexType>(a: &Dcsr<bool, I>, b: &Dcsr<bool, I>) -> BoolMerge<I> {
     let nw_full = (a.ncols() as usize).div_ceil(64);
     let mut words = BoolWords::default();
-    let mut flops = 0u64;
+    let (mut flops, mut rows) = (0u64, [0u64; 2]);
     let c = union_rows(a, b, |out, (acols, avals), (bcols, bvals)| {
         if !word_merge_pays_off(nw_full, acols.len(), bcols.len()) {
+            rows[1] += 1;
             flops += union_row(out, (acols, avals), (bcols, bvals), AddOf(LorLand), LorLand);
             return;
         }
+        rows[0] += 1;
         words.ensure(nw_full);
         words.load(acols, avals, bcols, bvals);
         for w in 0..nw_full {
@@ -485,33 +501,37 @@ fn bool_union<I: IndexType>(a: &Dcsr<bool, I>, b: &Dcsr<bool, I>) -> (Dcsr<bool,
         }
         words.clear(nw_full);
     });
-    (c, flops)
+    (c, flops, rows)
 }
 
 /// Downcast to the concrete boolean matrices and run the monomorphic
 /// intersection; `None` when `T` is not `bool`.
 fn try_bool_intersect<T: Value, I: IndexType>(
+    ctx: &OpCtx,
     a: &Dcsr<T, I>,
     b: &Dcsr<T, I>,
 ) -> Option<(Dcsr<T, I>, u64)> {
     let ab = (a as &dyn Any).downcast_ref::<Dcsr<bool, I>>()?;
     let bb = (b as &dyn Any).downcast_ref::<Dcsr<bool, I>>()?;
-    let (c, flops) = bool_intersect(ab, bb);
+    let (c, flops, rows) = bool_intersect(ab, bb);
+    record_bool_rows(ctx, rows);
     let boxed: Box<dyn Any> = Box::new(c);
     Some((*boxed.downcast::<Dcsr<T, I>>().ok()?, flops))
 }
 
 /// Monomorphic `LorLand` intersection: survivors are exactly the columns
 /// present *and true* on both sides (`false ⊗ x` is the semiring zero).
-fn bool_intersect<I: IndexType>(a: &Dcsr<bool, I>, b: &Dcsr<bool, I>) -> (Dcsr<bool, I>, u64) {
+fn bool_intersect<I: IndexType>(a: &Dcsr<bool, I>, b: &Dcsr<bool, I>) -> BoolMerge<I> {
     let nw_full = (a.ncols() as usize).div_ceil(64);
     let mut words = BoolWords::default();
-    let mut flops = 0u64;
+    let (mut flops, mut rows) = (0u64, [0u64; 2]);
     let c = intersect_rows(a, b, |out, (acols, avals), (bcols, bvals)| {
         if !word_merge_pays_off(nw_full, acols.len(), bcols.len()) {
+            rows[1] += 1;
             flops += intersect_row(out, (acols, avals), (bcols, bvals), MulOf(LorLand), LorLand);
             return;
         }
+        rows[0] += 1;
         words.ensure(nw_full);
         words.load(acols, avals, bcols, bvals);
         for w in 0..nw_full {
@@ -526,7 +546,7 @@ fn bool_intersect<I: IndexType>(a: &Dcsr<bool, I>, b: &Dcsr<bool, I>) -> (Dcsr<b
         }
         words.clear(nw_full);
     });
-    (c, flops)
+    (c, flops, rows)
 }
 
 /// Element-wise conformance: both operands span one key space.

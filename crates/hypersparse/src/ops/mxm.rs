@@ -49,13 +49,15 @@ use crate::ctx::{par_run, plan_weighted_shards, MxmScratch, OpCtx};
 use crate::dcsr::{Dcsr, DcsrBuilder};
 use crate::error::OpError;
 use crate::index::IndexType;
-use crate::metrics::{Accumulator, Kernel};
+use crate::metrics::{Decision, Kernel};
 use crate::Ix;
 
 /// Column spaces at most this wide *may* use the dense scratch
 /// accumulator — provided the row range also carries enough estimated
-/// flops (see [`dense_acc_pays_off`]).
-const DENSE_ACC_MAX: u64 = 1 << 22;
+/// flops (see [`dense_acc_pays_off`]) — and bound every id-indexed
+/// array ([`compact`]) and the vxm flat push: the widest the pooled
+/// `MxmScratch::flat` grows.
+pub(crate) const DENSE_ACC_MAX: u64 = 1 << 22;
 
 /// Whether an id space `width` wide is **compact** for operands holding
 /// `nnz` entries between them: narrow enough for an id-indexed array and
@@ -216,7 +218,7 @@ fn spgemm<T, M, I, S, E>(
     op: &'static str,
     a: &Dcsr<T, I>,
     b: &Dcsr<T, I>,
-    mask: Option<(&Dcsr<M, I>, bool)>,
+    mask: MaskOf<'_, M, I>,
     s: S,
     ep: &E,
 ) -> Dcsr<T, I>
@@ -240,13 +242,35 @@ where
     });
     let start = Instant::now();
     let nnz = a.nnz() + b.nnz() + mask_nnz;
-    let (c, flops) = with_locator(ctx, b, compact(b.nrows(), nnz), |rows| {
+    let indexed = compact(b.nrows(), nnz);
+    let scatter = mask.is_some() && compact(b.ncols(), nnz);
+    let m = ctx.metrics();
+    m.record_decision(
+        if indexed {
+            Decision::MxmRowsIndexed
+        } else {
+            Decision::MxmRowsSearched
+        },
+        1,
+    );
+    if mask.is_some() {
+        m.record_decision(
+            if scatter {
+                Decision::MxmMaskScatter
+            } else {
+                Decision::MxmMaskSearch
+            },
+            1,
+        );
+    }
+    let (c, flops) = with_locator(ctx, b, indexed, |rows| {
         let run = |range: Range<usize>| {
             let mut lease = ctx.lease_mxm_scratch::<T>();
-            let (part, flops, acc, drains) =
-                multiply_row_range(a, rows, mask, s, range, lease.get(), ep);
-            ctx.metrics().record_accumulator(acc);
-            ctx.metrics().record_mxm_rows(drains);
+            let (part, flops, acc, [scan, bitmap]) =
+                multiply_row_range(a, rows, (mask, scatter), s, range, lease.get(), ep);
+            m.record_decision(acc, 1);
+            m.record_decision(Decision::DrainScan, scan);
+            m.record_decision(Decision::DrainBitmap, bitmap);
             (part, flops)
         };
         let (nrows_ne, threads) = (a.n_nonempty_rows(), ctx.threads());
@@ -327,13 +351,16 @@ fn with_locator<T: Value, I: IndexType, R>(
     })
 }
 
+/// A structural mask and whether it is complemented.
+type MaskOf<'a, M, I> = Option<(&'a Dcsr<M, I>, bool)>;
+
 /// Where a row's products fold: unmasked, in their own column's slot;
 /// under a mask, in their mask entry's slot `t` (`slot[j] = t + 1` over
 /// a compact column space, cleared by walking the row; else a
 /// `binary_search` of the row); under a complement, in their own slot
 /// when off the row.
 struct MaskProbe<'a, M, I: IndexType> {
-    mask: Option<(&'a Dcsr<M, I>, bool)>,
+    mask: MaskOf<'a, M, I>,
     scatter: bool,
     slot: Vec<u32>,
     row: &'a [I],
@@ -442,7 +469,7 @@ impl<T: Value, M: Value, I: IndexType, S: Semiring<Value = T>> Row<'_, T, M, I, 
 /// columns) and leaves the storage at rest; `row` runs one row through
 /// both into `out`.
 trait RowAcc<T: Value, I: IndexType, S: Semiring<Value = T>> {
-    const KIND: Accumulator;
+    const KIND: Decision;
     fn fold(&mut self, t: Ix, p: T);
     fn drain(&mut self, mask_row: &[I], visit: impl FnMut(I, T));
 
@@ -498,7 +525,7 @@ where
 struct HashAcc<'a, T, I, S>(&'a mut HashMap<Ix, T>, Vec<(I, T)>, S);
 
 impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I, S> for HashAcc<'_, T, I, S> {
-    const KIND: Accumulator = Accumulator::Hash;
+    const KIND: Decision = Decision::MxmHash;
     fn fold(&mut self, t: Ix, p: T) {
         match self.0.entry(t) {
             Entry::Occupied(mut e) => self.2.add_assign(e.get_mut(), p),
@@ -518,7 +545,7 @@ impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I, S> for HashAcc
 struct DenseAcc<'a, T, S>(&'a mut [Option<T>], &'a mut Vec<Ix>, S);
 
 impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I, S> for DenseAcc<'_, T, S> {
-    const KIND: Accumulator = Accumulator::Dense;
+    const KIND: Decision = Decision::MxmDense;
     fn fold(&mut self, t: Ix, p: T) {
         match &mut self.0[t as usize] {
             Some(v) => self.2.add_assign(v, p),
@@ -581,7 +608,7 @@ impl<T: Value, S: Semiring<Value = T>> FlatRows<'_, T, S> {
 }
 
 impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I, S> for FlatRows<'_, T, S> {
-    const KIND: Accumulator = Accumulator::Flat;
+    const KIND: Decision = Decision::MxmFlat;
     #[inline(always)]
     fn fold(&mut self, t: Ix, p: T) {
         self.acc.fold(self.s, t as usize, p);
@@ -616,7 +643,7 @@ impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I, S> for FlatRow
 struct MaskSlots<'a, T, S>(&'a mut [T], &'a mut [Option<T>], S);
 
 impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I, S> for MaskSlots<'_, T, S> {
-    const KIND: Accumulator = Accumulator::MaskSlot;
+    const KIND: Decision = Decision::MxmMaskSlot;
     fn fold(&mut self, t: Ix, p: T) {
         match S::FLAT_ACC {
             true => self.2.add_assign(&mut self.0[t as usize], p),
@@ -641,16 +668,17 @@ impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I, S> for MaskSlo
 /// the accumulator that ran them and its flat rows by drain (see
 /// [`RowAcc::drains`]): mask slots under a structural mask, else hash vs
 /// width-proportional by [`dense_acc_pays_off`] and flat vs `Option<T>`
-/// by [`Semiring::FLAT_ACC`] (resolved at monomorphisation).
+/// by [`Semiring::FLAT_ACC`] (resolved at monomorphisation). `scatter`
+/// says whether a mask row is scattered into id-indexed slots.
 fn multiply_row_range<T, M, I, S>(
     a: &Dcsr<T, I>,
     rows: &BRows<'_, T, I>,
-    mask: Option<(&Dcsr<M, I>, bool)>,
+    (mask, scatter): (MaskOf<'_, M, I>, bool),
     s: S,
     range: Range<usize>,
     scratch: &mut MxmScratch<T>,
     ep: &impl Fn(T) -> (T, bool),
-) -> (Dcsr<T, I>, u64, Accumulator, [u64; 2])
+) -> (Dcsr<T, I>, u64, Decision, [u64; 2])
 where
     T: Value,
     M: Value,
@@ -658,8 +686,6 @@ where
     S: Semiring<Value = T>,
 {
     let width = rows.b.ncols() as usize;
-    let nnz = a.nnz() + rows.b.nnz() + mask.map_or(0, |(m, _)| m.nnz());
-    let scatter = mask.is_some() && compact(width as Ix, nnz);
     let mut slot = std::mem::take(&mut scratch.slots);
     if scatter && slot.len() < width {
         slot = vec![0; width];
@@ -715,7 +741,7 @@ fn gustavson<T, M, I, S, A>(
     s: S,
     range: Range<usize>,
     ep: &impl Fn(T) -> (T, bool),
-) -> (Dcsr<T, I>, u64, Accumulator, [u64; 2])
+) -> (Dcsr<T, I>, u64, Decision, [u64; 2])
 where
     T: Value,
     M: Value,
@@ -1000,9 +1026,9 @@ mod tests {
         let b = random_dcsr(64, 64, 400, 42, s);
         let mut ws = MxmScratch::<f64>::default();
         let (rows, n) = (BRows { b: &b, pos: None }, a.n_nonempty_rows());
-        let unmasked = None::<(&Dcsr<f64>, bool)>;
+        let unmasked = (None::<(&Dcsr<f64>, bool)>, false);
         let (part, _, acc, _) = multiply_row_range(&a, &rows, unmasked, s, 0..n, &mut ws, &keep);
-        assert_eq!(acc, Accumulator::Flat);
+        assert_eq!(acc, Decision::MxmFlat);
         assert!(part.nnz() > 0);
         assert!(ws.words.iter().all(|&w| w == 0), "bitmap left dirty");
         assert!(ws.flat.iter().all(|&v| v == 0.0), "flat acc left dirty");
@@ -1375,17 +1401,17 @@ mod tests {
         hyper.extend([(7, 1 << 40, 2.0), (1 << 40, 123, 3.0)]);
         let hyper = hyper.build_dcsr(s);
         let ctx = OpCtx::new().with_threads(1);
-        let count = |acc: Accumulator| ctx.metrics().snapshot().mxm_accumulator_calls[acc as usize];
+        let count = |acc: Decision| ctx.metrics().snapshot().decision(acc);
         let _ = mxm_ctx(&ctx, &a, &b, s);
-        assert_eq!(count(Accumulator::Flat), 1);
+        assert_eq!(count(Decision::MxmFlat), 1);
         let _ = mxm_ctx(&ctx, &a, &b, MinPlus::<f64>::new());
-        assert_eq!(count(Accumulator::Dense), 1);
+        assert_eq!(count(Decision::MxmDense), 1);
         let _ = mxm_ctx(&ctx, &hyper, &hyper, s);
-        assert_eq!(count(Accumulator::Hash), 1);
+        assert_eq!(count(Decision::MxmHash), 1);
         let _ = mxm_masked_ctx(&ctx, &a, &b, &a, false, s);
-        assert_eq!(count(Accumulator::MaskSlot), 1);
+        assert_eq!(count(Decision::MxmMaskSlot), 1);
         // A complement mask runs the plain accumulator the input picks.
         let _ = mxm_masked_ctx(&ctx, &a, &b, &a, true, s);
-        assert_eq!(count(Accumulator::Flat), 2);
+        assert_eq!(count(Decision::MxmFlat), 2);
     }
 }

@@ -37,7 +37,7 @@
 //! (min/max/any ⊕), and ulp-level for floating-point ⊕.
 //!
 //! Under a semiring that declares [`Semiring::FLAT_ACC`] a push segment,
-//! masked or not, in a column space at most `FLAT_PUSH_MAX_WIDTH` wide
+//! masked or not, in a column space at most `DENSE_ACC_MAX` (2²²) wide
 //! folds into a **flat accumulator** leased from the context (zero-seeded
 //! slots folded unconditionally plus an occupancy bitmap drained
 //! word-at-a-time, which leaves both at rest) instead of a `HashMap`,
@@ -47,8 +47,10 @@
 //! (DESIGN.md §13). Wider spaces and semirings that declare nothing keep
 //! the hash scatter.
 //!
-//! Every entry point records [`Kernel::Vxm`]/[`Kernel::Mxv`] metrics
-//! plus the chosen [`Direction`] and the mask probe/hit counts.
+//! Every entry point records [`Kernel::Vxm`]/[`Kernel::Mxv`] metrics,
+//! the mask probe/hit counts and its [`Decision`]s: the direction, per
+//! push segment its accumulator, a pull's frontier locator and a
+//! complement mask's bitmap or sorted probe.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -60,8 +62,8 @@ use crate::ctx::{par_run, plan_weighted_shards, OpCtx};
 use crate::dcsr::Dcsr;
 use crate::error::OpError;
 use crate::index::IndexType;
-use crate::metrics::{Direction, Kernel};
-use crate::ops::mxm::{compact, FlatAcc};
+use crate::metrics::{Decision, Direction, Kernel};
+use crate::ops::mxm::{compact, FlatAcc, DENSE_ACC_MAX};
 use crate::vector::SparseVec;
 use crate::Ix;
 
@@ -78,10 +80,6 @@ const PULL_SHARD_FACTOR: usize = 4;
 /// Beamer-style crossover: pull when the push sweep would touch more
 /// than `nnz / PULL_ALPHA` edges.
 const PULL_ALPHA: u64 = 8;
-
-/// Column spaces at most this wide take the flat push path (a
-/// width-sized flat accumulator must be allocatable).
-const FLAT_PUSH_MAX_WIDTH: u64 = 1 << 22;
 
 /// Edges a push sweep would touch: `Σ_{i ∈ v} |rows_of(i,:)|`.
 fn frontier_edges<T: Value, I: IndexType>(v: &SparseVec<T, I>, rows_of: &Dcsr<T, I>) -> u64 {
@@ -200,7 +198,7 @@ where
 /// once, after the cross-segment merge) plus flop/mask counters.
 ///
 /// A [`Semiring::FLAT_ACC`] semiring over a column space at most
-/// [`FLAT_PUSH_MAX_WIDTH`] wide folds into the context's pooled flat
+/// [`DENSE_ACC_MAX`] wide folds into the context's pooled flat
 /// accumulator, which the drain leaves at rest, so a small segment pays
 /// only for the slots it touches; every other segment scatters into a
 /// `HashMap` and sorts.
@@ -219,8 +217,13 @@ where
     S: Semiring<Value = T>,
 {
     let width = rows_of.ncols();
-    let flat = S::FLAT_ACC && width <= FLAT_PUSH_MAX_WIDTH;
-    ctx.metrics().record_push_segment(flat);
+    let flat = S::FLAT_ACC && width <= DENSE_ACC_MAX;
+    let d = if flat {
+        Decision::PushFlat
+    } else {
+        Decision::PushHash
+    };
+    ctx.metrics().record_decision(d, 1);
     let mut out = Vec::new();
     let (flops, probes, hits) = if flat {
         let width = width as usize;
@@ -496,11 +499,13 @@ where
         Direction::Pull => {
             let (at, mask) = (pull_src.expect("pull chosen"), mask.as_ref());
             if compact(v.dim(), nnz) {
+                ctx.metrics().record_decision(Decision::PullIndexed, 1);
                 let ids = v.indices().iter().map(|i| i.as_usize());
                 ctx.with_row_index(v.dim() as usize, ids, |pos| {
                     run_pull(ctx, v, Some(pos), at, mask, flip, s)
                 })
             } else {
+                ctx.metrics().record_decision(Decision::PullSearched, 1);
                 run_pull(ctx, v, None, at, mask, flip, s)
             }
         }
@@ -523,7 +528,20 @@ where
         flops,
         (v.bytes() + mat.bytes() + out.bytes()) as u64,
     );
-    ctx.metrics().record_mv_direction(dir, probes, hits);
+    let m = ctx.metrics();
+    let d = match dir {
+        Direction::Push => Decision::MvPush,
+        Direction::Pull => Decision::MvPull,
+    };
+    m.record_decision(d, 1);
+    m.record_mask_probes(probes, hits);
+    if let Some(mask) = &mask {
+        let d = match mask {
+            Mask::Bits(_) => Decision::MvMaskBitmap,
+            Mask::Sorted(_) => Decision::MvMaskSorted,
+        };
+        m.record_decision(d, 1);
+    }
     out
 }
 
@@ -698,7 +716,7 @@ where
         flops,
         (std::mem::size_of::<T>() * (v.len() + out.len()) + at.bytes()) as u64,
     );
-    ctx.metrics().record_mv_direction(Direction::Pull, 0, 0);
+    ctx.metrics().record_decision(Decision::MvPull, 1);
 }
 
 // ---- mxv family ----

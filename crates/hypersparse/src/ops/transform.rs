@@ -10,7 +10,7 @@ use semiring::traits::{Semiring, UnaryOp, Value};
 use crate::ctx::{par_run, OpCtx};
 use crate::dcsr::{Dcsr, DcsrBuilder};
 use crate::error::{Axis, OpError};
-use crate::metrics::Kernel;
+use crate::metrics::{Decision, Kernel};
 use crate::ops::reduce::ROWS_PER_SHARD;
 use crate::radix::{counting_sort, radix_sort_by_key};
 use crate::Ix;
@@ -28,6 +28,8 @@ pub fn transpose_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> Dcsr<T> {
     let start = Instant::now();
     let c = match a.iter().next() {
         Some((_, _, first)) if super::mxm::compact(a.ncols(), a.nnz()) => {
+            ctx.metrics()
+                .record_decision(Decision::TransposeCounting, 1);
             let (mut colidx, mut vals) = (vec![0; a.nnz()], vec![first.clone(); a.nnz()]);
             let bounds = counting_sort(a.ncols() as usize, a.col_ids(), a.iter(), |at, e| {
                 (colidx[at], vals[at]) = (e.0, e.2.clone());
@@ -40,6 +42,7 @@ pub fn transpose_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> Dcsr<T> {
             Dcsr::from_parts(a.ncols(), a.nrows(), rows, rowptr, colidx, vals)
         }
         _ => {
+            ctx.metrics().record_decision(Decision::TransposeRadix, 1);
             let mut recs: Vec<(Ix, Ix, &T)> = a.iter().map(|(r, c, v)| (c, r, v)).collect();
             radix_sort_by_key(&mut recs, &mut Vec::new(), |rec| (0, rec.0));
             let mut out = DcsrBuilder::with_capacity(a.ncols(), a.nrows(), a.nnz());

@@ -11,7 +11,7 @@
 //! storage width.
 
 use hypersparse::gen::{rmat_dcsr, RmatParams};
-use hypersparse::{ops, Coo, Dcsr, Ix, OpCtx, SparseVec};
+use hypersparse::{ops, Coo, Dcsr, Decision, Ix, OpCtx, SparseVec};
 use proptest::prelude::*;
 use semiring::{FnOp, LorLand, MinPlus, Numeric, Plain, PlusTimes, Semiring};
 
@@ -422,14 +422,15 @@ fn assert_scan_is_bitmap<S: Semiring>(
     for threads in [1usize, 2, 4, 8] {
         let ctx = OpCtx::new().with_threads(threads);
         let scanned = ops::mxm_ctx(&ctx, &a, &b, s);
-        let [scan, bitmap] = ctx.metrics().snapshot().mxm_rows;
+        let snap = ctx.metrics().snapshot();
+        let [scan, bitmap] = [Decision::DrainScan, Decision::DrainBitmap].map(|d| snap.decision(d));
         assert!(
             scan > 0 && bitmap > 0,
             "rows on both sides @{threads}: {scan} / {bitmap}"
         );
         let bitmapped = ops::mxm_masked_ctx(&ctx, &a, &b, &nothing, true, s);
         assert_eq!(
-            ctx.metrics().snapshot().mxm_rows[0],
+            ctx.metrics().snapshot().decision(Decision::DrainScan),
             scan,
             "masked rows never scan"
         );
@@ -622,6 +623,10 @@ fn assert_masked_push_is_plain<S: Semiring>(
             bits,
         )
     };
+    let segments = |ctx: &OpCtx| {
+        let snap = ctx.metrics().snapshot();
+        [Decision::PushFlat, Decision::PushHash].map(|d| snap.decision(d))
+    };
     for entries in [v, Vec::new()] {
         let f = SparseVec::from_entries(PUSH_DIM, entries.clone(), s);
         let fw = SparseVec::from_entries(wide, entries, s);
@@ -631,12 +636,12 @@ fn assert_masked_push_is_plain<S: Semiring>(
             let unmasked = ops::vxm_ctx(&ctx, &f, &a, Plain(s));
             for m in [None, Some(drawn.as_slice()), Some(every.as_slice())] {
                 let label = format!("nnz={} mask={:?} @{threads}", f.nnz(), m.map(<[Ix]>::len));
-                let before = ctx.metrics().snapshot().mv_push_segments;
+                let before = segments(&ctx);
                 let flat = ops::vxm_opt_ctx(&ctx, &f, &a, None, m, s);
-                let [fl, hs] = ctx.metrics().snapshot().mv_push_segments;
+                let [fl, hs] = segments(&ctx);
                 assert!(fl > before[0] && hs == before[1], "flat ran, {label}");
                 let hash = ops::vxm_opt_ctx(&ctx, &f, &a, None, m, Plain(s));
-                assert_eq!(ctx.metrics().snapshot().mv_push_segments[0], fl, "{label}");
+                assert_eq!(segments(&ctx)[0], fl, "{label}");
                 let filtered = match m {
                     Some(ids) => {
                         let keep: Vec<_> = unmasked
@@ -653,9 +658,9 @@ fn assert_masked_push_is_plain<S: Semiring>(
                 if m.is_some_and(|ids| ids.len() == every.len()) {
                     assert!(flat.is_empty(), "fully masked, {label}");
                 }
-                let before = ctx.metrics().snapshot().mv_push_segments;
+                let before = segments(&ctx);
                 let searched = ops::vxm_opt_ctx(&ctx, &fw, &aw, None, m, s);
-                let [fl, hs] = ctx.metrics().snapshot().mv_push_segments;
+                let [fl, hs] = segments(&ctx);
                 assert!(
                     fl == before[0] && hs > before[1],
                     "2⁴⁰ wide hashes, {label}"

@@ -10,19 +10,22 @@
 use std::time::Duration;
 
 use hypersparse::{
-    Histogram, HistogramSnapshot, Kernel, MetricsRegistry, MetricsSnapshot, TraceMode,
+    Decision, Histogram, HistogramSnapshot, Kernel, MetricsRegistry, MetricsSnapshot, TraceMode,
     TraceRegistry,
 };
 use proptest::prelude::*;
 
 /// Build a registry with a fixed, hand-computable history: two 5 µs mxm
-/// calls and one 100 ns ewise_add.
+/// calls and one 100 ns ewise_add, one format switch and four push
+/// segments.
 fn fixed_registry() -> MetricsRegistry {
     let reg = MetricsRegistry::default();
     reg.record(Kernel::Mxm, Duration::from_micros(5), 10, 4, 30, 200);
     reg.record(Kernel::Mxm, Duration::from_micros(5), 12, 6, 34, 240);
     reg.record(Kernel::EwiseAdd, Duration::from_nanos(100), 7, 7, 3, 56);
-    reg.record_format_switch();
+    reg.record_decision(Decision::FormatDense, 1);
+    reg.record_decision(Decision::PushFlat, 3);
+    reg.record_decision(Decision::PushHash, 1);
     reg
 }
 
@@ -33,7 +36,6 @@ fn metrics_exposition_is_byte_stable() {
     // snapshot fields are public, so pin them for the golden.
     snap.workspace_hits = 2;
     snap.workspace_misses = 1;
-    snap.mv_push_segments = [3, 1];
     // 5 µs = 5000 ns lands in bucket [4096, 8192) → le = 8192 ns;
     // 100 ns lands in [64, 128) → le = 128 ns. Cumulative counts and
     // sums follow directly.
@@ -68,9 +70,38 @@ hypersparse_kernel_latency_seconds_bucket{kernel=\"ewise_add\",le=\"0.000000128\
 hypersparse_kernel_latency_seconds_bucket{kernel=\"ewise_add\",le=\"+Inf\"} 1
 hypersparse_kernel_latency_seconds_sum{kernel=\"ewise_add\"} 0.0000001
 hypersparse_kernel_latency_seconds_count{kernel=\"ewise_add\"} 1
-# HELP hypersparse_format_switches_total Automatic storage-format changes.
-# TYPE hypersparse_format_switches_total counter
-hypersparse_format_switches_total 1
+# HELP hypersparse_decisions_total Dispatch decisions by site and the method chosen.
+# TYPE hypersparse_decisions_total counter
+hypersparse_decisions_total{site=\"format\",choice=\"dense\"} 1
+hypersparse_decisions_total{site=\"format\",choice=\"bitmap\"} 0
+hypersparse_decisions_total{site=\"format\",choice=\"csr\"} 0
+hypersparse_decisions_total{site=\"format\",choice=\"dcsr\"} 0
+hypersparse_decisions_total{site=\"mv_direction\",choice=\"push\"} 0
+hypersparse_decisions_total{site=\"mv_direction\",choice=\"pull\"} 0
+hypersparse_decisions_total{site=\"mxm_accumulator\",choice=\"flat\"} 0
+hypersparse_decisions_total{site=\"mxm_accumulator\",choice=\"dense\"} 0
+hypersparse_decisions_total{site=\"mxm_accumulator\",choice=\"hash\"} 0
+hypersparse_decisions_total{site=\"mxm_accumulator\",choice=\"mask_slot\"} 0
+hypersparse_decisions_total{site=\"mxm_drain\",choice=\"scan\"} 0
+hypersparse_decisions_total{site=\"mxm_drain\",choice=\"bitmap\"} 0
+hypersparse_decisions_total{site=\"mv_push_accumulator\",choice=\"flat\"} 3
+hypersparse_decisions_total{site=\"mv_push_accumulator\",choice=\"hash\"} 1
+hypersparse_decisions_total{site=\"mxm_b_rows\",choice=\"indexed\"} 0
+hypersparse_decisions_total{site=\"mxm_b_rows\",choice=\"searched\"} 0
+hypersparse_decisions_total{site=\"mxm_mask\",choice=\"scatter\"} 0
+hypersparse_decisions_total{site=\"mxm_mask\",choice=\"search\"} 0
+hypersparse_decisions_total{site=\"mv_pull_frontier\",choice=\"indexed\"} 0
+hypersparse_decisions_total{site=\"mv_pull_frontier\",choice=\"searched\"} 0
+hypersparse_decisions_total{site=\"mv_mask\",choice=\"bitmap\"} 0
+hypersparse_decisions_total{site=\"mv_mask\",choice=\"sorted\"} 0
+hypersparse_decisions_total{site=\"transpose\",choice=\"counting\"} 0
+hypersparse_decisions_total{site=\"transpose\",choice=\"radix\"} 0
+hypersparse_decisions_total{site=\"ewise_bool_rows\",choice=\"word\"} 0
+hypersparse_decisions_total{site=\"ewise_bool_rows\",choice=\"generic\"} 0
+hypersparse_decisions_total{site=\"graph_transpose\",choice=\"built\"} 0
+hypersparse_decisions_total{site=\"graph_transpose\",choice=\"deferred\"} 0
+hypersparse_decisions_total{site=\"parent_bfs\",choice=\"one_step\"} 0
+hypersparse_decisions_total{site=\"parent_bfs\",choice=\"two_step\"} 0
 # HELP hypersparse_workspace_hits_total Workspace acquisitions served from the pooled arena.
 # TYPE hypersparse_workspace_hits_total counter
 hypersparse_workspace_hits_total 2
@@ -83,24 +114,6 @@ hypersparse_mask_probes_total 0
 # HELP hypersparse_mask_hits_total Mask lookups that skipped work.
 # TYPE hypersparse_mask_hits_total counter
 hypersparse_mask_hits_total 0
-# HELP hypersparse_mxv_direction_calls_total Matrix-vector kernel invocations by chosen direction.
-# TYPE hypersparse_mxv_direction_calls_total counter
-hypersparse_mxv_direction_calls_total{direction=\"push\"} 0
-hypersparse_mxv_direction_calls_total{direction=\"pull\"} 0
-# HELP hypersparse_mxm_accumulator_calls_total SpGEMM row ranges by the accumulator that ran them.
-# TYPE hypersparse_mxm_accumulator_calls_total counter
-hypersparse_mxm_accumulator_calls_total{acc=\"flat\"} 0
-hypersparse_mxm_accumulator_calls_total{acc=\"dense\"} 0
-hypersparse_mxm_accumulator_calls_total{acc=\"hash\"} 0
-hypersparse_mxm_accumulator_calls_total{acc=\"mask_slot\"} 0
-# HELP hypersparse_mxm_rows_total Flat-accumulator SpGEMM rows by how they drained.
-# TYPE hypersparse_mxm_rows_total counter
-hypersparse_mxm_rows_total{drain=\"scan\"} 0
-hypersparse_mxm_rows_total{drain=\"bitmap\"} 0
-# HELP hypersparse_mv_push_segments_total Matrix-vector push segments by the accumulator they folded into.
-# TYPE hypersparse_mv_push_segments_total counter
-hypersparse_mv_push_segments_total{acc=\"flat\"} 3
-hypersparse_mv_push_segments_total{acc=\"hash\"} 1
 # HELP hypersparse_workspace_hit_rate Fraction of workspace acquisitions served from the pool.
 # TYPE hypersparse_workspace_hit_rate gauge
 hypersparse_workspace_hit_rate 0.6666666666666666
@@ -191,8 +204,9 @@ proptest! {
                 let kernel = Kernel::ALL[k];
                 reg.record(kernel, Duration::from_nanos(ns), nnz, nnz / 2, nnz * 3, nnz * 16);
                 if switch {
-                    reg.record_format_switch();
-                    reg.record_mv_direction(hypersparse::Direction::Pull, nnz, nnz / 3);
+                    reg.record_decision(Decision::FormatDense, 1);
+                    reg.record_decision(Decision::MvPull, 1);
+                    reg.record_mask_probes(nnz, nnz / 3);
                 }
             }
             reg.snapshot()
