@@ -30,8 +30,6 @@
 //! is idempotent and composes downward (`/a ∘ /ab = /a`), which the
 //! `cxkey_props` suite pins over random schemas and data.
 
-use std::time::Instant;
-
 use hypersparse::coo::Coo;
 use hypersparse::ctx::{with_default_ctx, OpCtx};
 use hypersparse::dcsr::Dcsr;
@@ -469,14 +467,13 @@ where
     T: Value,
     S: Semiring<Value = T>,
 {
-    let _span = ctx.kernel_span(Kernel::Rollup, || {
+    let run = ctx.kernel(Kernel::Rollup, || {
         format!(
             "/{} {axes:?} over {} nnz",
             schema.prefix_bits(prefix),
             a.nnz()
         )
     });
-    let start = Instant::now();
     let (mask_r, mask_c) = match axes {
         RollupAxes::Rows => (true, false),
         RollupAxes::Cols => (false, true),
@@ -491,9 +488,7 @@ where
         )
     }));
     let out = coo.build_dcsr(s);
-    ctx.metrics().record(
-        Kernel::Rollup,
-        start.elapsed(),
+    run.done(
         a.nnz() as u64,
         out.nnz() as u64,
         a.nnz() as u64,

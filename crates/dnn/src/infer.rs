@@ -23,8 +23,6 @@
 //! Batches are `batch × neurons` matrices; activations stay hypersparse
 //! between layers, which is where the Fig. 8 speedups come from.
 
-use std::time::Instant;
-
 use hypersparse::{ops, with_default_ctx, Dcsr, DenseMat, IndexType, Kernel, OpCtx, OpError};
 use semiring::semilink::DnnSemiringPair;
 use semiring::{FnOp, MaxPlus, PlusTimes, Semiring};
@@ -95,10 +93,9 @@ fn fused_layer<I: IndexType>(
     w: &Dcsr<f64, I>,
     b: f64,
 ) -> Dcsr<f64, I> {
-    let _span = ctx.kernel_span(Kernel::DnnLayer, || {
+    let run = ctx.kernel(Kernel::DnnLayer, || {
         format!("layer {k}: {} act · {} wt", y.nnz(), w.nnz())
     });
-    let start = Instant::now();
     let nnz_in = (y.nnz() + w.nnz()) as u64;
     // One pass: Z = Y W in S₁ with the bias+ReLU epilogue applied as
     // each accumulator drains; entries pruned to the S₁ zero never
@@ -106,14 +103,7 @@ fn fused_layer<I: IndexType>(
     let s1 = S1::new();
     let y = ops::mxm_apply_prune_ctx(ctx, &y, w, s1, FnOp(move |x: f64| (x + b).max(0.0)), s1);
     let bytes = (y.bytes() + w.bytes()) as u64;
-    ctx.metrics().record(
-        Kernel::DnnLayer,
-        start.elapsed(),
-        nnz_in,
-        y.nnz() as u64,
-        0,
-        bytes,
-    );
+    run.done(nnz_in, y.nnz() as u64, 0, bytes);
     y
 }
 
@@ -151,10 +141,9 @@ pub fn try_infer_two_semiring_ctx(
     let s2: MaxPlus<f64> = pair.select;
     let mut y = y0.clone();
     for (k, (w, &b)) in net.layers.iter().zip(&net.biases).enumerate() {
-        let _span = ctx.kernel_span(Kernel::DnnLayer, || {
+        let run = ctx.kernel(Kernel::DnnLayer, || {
             format!("layer {k}: {} act · {} wt", y.nnz(), w.nnz())
         });
-        let start = Instant::now();
         let nnz_in = (y.nnz() + w.nnz()) as u64;
         // S₁: correlation.
         let z = ops::mxm_ctx(ctx, &y, w, pair.correlate);
@@ -166,14 +155,7 @@ pub fn try_infer_two_semiring_ctx(
             pair.correlate,
         );
         let bytes = (y.bytes() + w.bytes()) as u64;
-        ctx.metrics().record(
-            Kernel::DnnLayer,
-            start.elapsed(),
-            nnz_in,
-            y.nnz() as u64,
-            0,
-            bytes,
-        );
+        run.done(nnz_in, y.nnz() as u64, 0, bytes);
     }
     Ok(y)
 }

@@ -25,8 +25,6 @@
 //! `tests/onestep_props.rs` proves the two variants agree wherever the
 //! conditions admit the fused form.
 
-use std::time::Instant;
-
 use hypersparse::ctx::OpCtx;
 use hypersparse::metrics::{Decision, Kernel};
 use hypersparse::ops::mxv::vxm_opt_ctx;
@@ -175,7 +173,10 @@ pub fn parent_bfs_with_ctx<S>(
 where
     S: Semiring<Value = u64>,
 {
-    let start = Instant::now();
+    let pat = g.adjacency();
+    let run = ctx.kernel(Kernel::BfsParent, || {
+        format!("{} nnz, src {src}", pat.nnz())
+    });
     let (out, variant) = if S::ONE_STEP {
         ctx.metrics().record_decision(Decision::BfsOneStep, 1);
         (parent_bfs_fused_ctx(ctx, g, src, s), BfsVariant::OneStep)
@@ -183,10 +184,7 @@ where
         ctx.metrics().record_decision(Decision::BfsTwoStep, 1);
         (parent_bfs_two_step_ctx(ctx, g, src, s), BfsVariant::TwoStep)
     };
-    let pat = g.adjacency();
-    ctx.metrics().record(
-        Kernel::BfsParent,
-        start.elapsed(),
+    run.done(
         pat.nnz() as u64,
         out.len() as u64,
         out.len() as u64,

@@ -36,7 +36,6 @@
 //! the `Kernel::PageRankRefresh` path these states pair with.
 
 use std::borrow::Cow;
-use std::time::Instant;
 
 use hypersparse::ops::{
     col_degrees_ctx, ewise_add_ctx, mxm_masked_ctx, reduce_scalar_ctx, row_degrees_ctx, select_ctx,
@@ -101,7 +100,9 @@ impl DegreeState {
     /// every window) the whole delta is fresh: its degrees become the
     /// state's, with no lookups against an empty pattern.
     fn fold<T: Value>(&mut self, ctx: &OpCtx, delta: &Dcsr<T>, keep_pattern: bool) {
-        let t = Instant::now();
+        let run = ctx.kernel(Kernel::DeltaDegree, || {
+            format!("{} delta nnz over {} seen", delta.nnz(), self.pat.nnz())
+        });
         let fresh = if self.pat.nnz() == 0 {
             self.fan_out = row_degrees_ctx(ctx, delta);
             self.fan_in = col_degrees_ctx(ctx, delta);
@@ -125,9 +126,7 @@ impl DegreeState {
                 ewise_add_ctx(ctx, &self.pat, &pat, MinFirst)
             };
         }
-        ctx.metrics().record(
-            Kernel::DeltaDegree,
-            t.elapsed(),
+        run.done(
             delta.nnz() as u64,
             fresh.nnz() as u64,
             delta.nnz() as u64,
@@ -209,7 +208,9 @@ impl TriangleState {
 
     /// [`TriangleState::apply_delta`] through an explicit execution context.
     pub fn apply_delta_ctx<T: Value>(&mut self, ctx: &OpCtx, delta: &Dcsr<T>) {
-        let t = Instant::now();
+        let run = ctx.kernel(Kernel::DeltaTri, || {
+            format!("{} delta nnz over {} sym", delta.nnz(), self.sym.nnz())
+        });
         let s = PlusTimes::<f64>::new();
         // Normalize the batch to a unit-valued symmetric pattern (the
         // symmetrizing ⊕ can produce 2s where both directions arrived).
@@ -237,9 +238,7 @@ impl TriangleState {
             self.sym = ewise_add_ctx(ctx, &self.sym, &fresh, s);
             self.low = ewise_add_ctx(ctx, &self.low, &fresh_l, s);
         }
-        ctx.metrics().record(
-            Kernel::DeltaTri,
-            t.elapsed(),
+        run.done(
             delta.nnz() as u64,
             fresh.nnz() as u64,
             flops,

@@ -5,8 +5,6 @@
 //! purely linear-algebraic loop over the hypersparse engine. Vertex ids
 //! must be compact (`n` is materialized as the rank vector's length).
 
-use std::time::Instant;
-
 use hypersparse::ops::mxv::vxm_dense_pull_ctx;
 use hypersparse::ops::topk;
 use hypersparse::{with_default_ctx, Dcsr, Ix, Kernel, OpCtx};
@@ -77,13 +75,15 @@ pub fn pagerank_refresh_ctx(
     prior: &[f64],
     opts: PageRankOpts,
 ) -> Vec<f64> {
-    let t = Instant::now();
     let pat = g.adjacency();
     let n = usize::try_from(pat.nrows()).expect("pagerank needs compact vertex ids");
     if n == 0 {
         assert_eq!(pat.nrows(), pat.ncols(), "adjacency must be square");
         return Vec::new();
     }
+    let run = ctx.kernel(Kernel::PageRankRefresh, || {
+        format!("{n}×{n}, {} nnz, warm", pat.nnz())
+    });
     let mut seed = vec![0.0f64; n];
     for (dst, src) in seed.iter_mut().zip(prior) {
         *dst = src.max(0.0);
@@ -95,9 +95,7 @@ pub fn pagerank_refresh_ctx(
         seed.fill(1.0 / n as f64);
     }
     let (rank, iters) = power_iterate(ctx, g, seed, opts);
-    ctx.metrics().record(
-        Kernel::PageRankRefresh,
-        t.elapsed(),
+    run.done(
         pat.nnz() as u64,
         n as u64,
         iters as u64 * pat.nnz() as u64,

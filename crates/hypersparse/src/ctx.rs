@@ -13,8 +13,11 @@
 //!   forces sequential execution, `n` shards rows across `n` OS threads,
 //!   `auto` (the default) uses the machine's available parallelism —
 //!   results are bit-for-bit identical at every setting;
-//! * the **metrics registry** ([`crate::metrics`]) every `*_ctx` kernel
-//!   reports into.
+//! * the **metrics registry** ([`crate::metrics`]) and **span
+//!   registry** ([`crate::trace`]) every kernel reports into, through
+//!   one [`KernelRun`] per call: [`OpCtx::kernel`] opens it, and
+//!   [`KernelRun::done`] hands one measured time to the kernel's row,
+//!   its latency histogram and its span.
 //!
 //! Kernels take `&OpCtx`; the context is [`Sync`], so one context can
 //! serve parallel shards (scratch leases go through a mutex that is
@@ -27,6 +30,7 @@ use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
 use semiring::traits::Value;
 
@@ -160,7 +164,8 @@ impl<T: Value> Drop for ScratchLease<'_, T> {
     }
 }
 
-/// Execution context: workspace arena + parallelism control + metrics.
+/// Execution context: workspace arena + parallelism control + metrics
+/// and spans.
 ///
 /// See the [module docs](self) for the design; see
 /// [`crate::ops::mxm_ctx`] for the canonical kernel entry point.
@@ -214,12 +219,20 @@ impl OpCtx {
         &self.trace
     }
 
-    /// Open a span named after `kernel`. Every `*_ctx` kernel calls this
-    /// on entry; `detail` (operand shapes) is evaluated only when
-    /// tracing is enabled, so the disabled-mode cost is one atomic load.
+    /// Start one metered call of `kernel`: every kernel opens
+    /// its run on entry and hands it its counts with
+    /// [`KernelRun::done`]. `detail` (operand shapes) is evaluated only
+    /// when tracing is enabled, so the disabled-mode cost of the span is
+    /// one atomic load.
     #[inline]
-    pub fn kernel_span(&self, kernel: Kernel, detail: impl FnOnce() -> String) -> Span<'_> {
-        self.trace.span(kernel.name(), detail)
+    pub fn kernel(&self, kernel: Kernel, detail: impl FnOnce() -> String) -> KernelRun<'_> {
+        let mut span = self.trace.open(kernel.name(), detail);
+        span.start = Instant::now();
+        KernelRun {
+            ctx: self,
+            kernel,
+            span,
+        }
     }
 
     /// Zero every metrics counter (workspace contents are kept).
@@ -298,6 +311,32 @@ impl OpCtx {
     pub fn pooled_buffers(&self) -> usize {
         let ws = self.workspace.lock().expect("workspace mutex");
         ws.pools.values().map(|p| p.len()).sum()
+    }
+}
+
+/// One metered kernel call, opened by [`OpCtx::kernel`]: its span and
+/// its clock. The clock is read once at each end, and
+/// [`KernelRun::done`] hands the one elapsed time to the kernel's
+/// [`MetricsRegistry`] row, its latency histogram and its span, so the
+/// three cannot disagree on name or time. A run dropped without `done`
+/// (a kernel that panicked) records no row; its span closes on drop.
+#[must_use = "a kernel run records nothing until `done`"]
+pub struct KernelRun<'a> {
+    ctx: &'a OpCtx,
+    kernel: Kernel,
+    span: Span<'a>,
+}
+
+impl KernelRun<'_> {
+    /// Close the run: one completed call with its input and output nnz,
+    /// its flops and `bytes`, the heap footprint of operands plus result
+    /// (see [`crate::metrics::KernelStats::record`]).
+    pub fn done(self, nnz_in: u64, nnz_out: u64, flops: u64, bytes: u64) {
+        let elapsed = self.span.start.elapsed();
+        self.ctx
+            .metrics()
+            .record(self.kernel, elapsed, nnz_in, nnz_out, flops, bytes);
+        self.span.close(elapsed);
     }
 }
 

@@ -96,7 +96,7 @@ pub mod vector;
 pub use bitmap::Bitmap;
 pub use coo::Coo;
 pub use csr::Csr;
-pub use ctx::{with_default_ctx, OpCtx};
+pub use ctx::{with_default_ctx, KernelRun, OpCtx};
 pub use dcsr::Dcsr;
 pub use dense::DenseMat;
 pub use error::{Axis, OpError};

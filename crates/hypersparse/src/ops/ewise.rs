@@ -24,12 +24,11 @@
 
 use std::any::{Any, TypeId};
 use std::cmp::Ordering;
-use std::time::Instant;
 
 use semiring::traits::{BinaryOp, Semiring, Value};
 use semiring::LorLand;
 
-use crate::ctx::OpCtx;
+use crate::ctx::{KernelRun, OpCtx};
 use crate::dcsr::{Dcsr, DcsrBuilder};
 use crate::error::OpError;
 use crate::index::IndexType;
@@ -101,19 +100,18 @@ where
     O: BinaryOp<T, T, T> + 'static,
 {
     check_same_space("ewise_add", a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
-    let _span = ctx.kernel_span(Kernel::EwiseAdd, || {
+    let run = ctx.kernel(Kernel::EwiseAdd, || {
         format!("{}×{}, {}+{} nnz", a.nrows(), a.ncols(), a.nnz(), b.nnz())
     });
-    let start = Instant::now();
     if TypeId::of::<O>() == TypeId::of::<AddOf<LorLand>>() {
         if let Some((c, flops)) = try_bool_union(ctx, a, b) {
-            record_ewise(ctx, Kernel::EwiseAdd, start, a, b, &c, flops);
+            done_merge(run, a, b, &c, flops);
             return c;
         }
     }
     let mut flops = 0u64;
     let c = union_rows(a, b, |out, ra, rb| flops += union_row(out, ra, rb, op, s));
-    record_ewise(ctx, Kernel::EwiseAdd, start, a, b, &c, flops);
+    done_merge(run, a, b, &c, flops);
     c
 }
 
@@ -136,13 +134,12 @@ where
     O: BinaryOp<T, T, T> + 'static,
 {
     check_same_space("ewise_mul", a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
-    let _span = ctx.kernel_span(Kernel::EwiseMul, || {
+    let run = ctx.kernel(Kernel::EwiseMul, || {
         format!("{}×{}, {}+{} nnz", a.nrows(), a.ncols(), a.nnz(), b.nnz())
     });
-    let start = Instant::now();
     if TypeId::of::<O>() == TypeId::of::<MulOf<LorLand>>() {
         if let Some((c, flops)) = try_bool_intersect(ctx, a, b) {
-            record_ewise(ctx, Kernel::EwiseMul, start, a, b, &c, flops);
+            done_merge(run, a, b, &c, flops);
             return c;
         }
     }
@@ -150,7 +147,7 @@ where
     let c = intersect_rows(a, b, |out, ra, rb| {
         flops += intersect_row(out, ra, rb, op, s)
     });
-    record_ewise(ctx, Kernel::EwiseMul, start, a, b, &c, flops);
+    done_merge(run, a, b, &c, flops);
     c
 }
 
@@ -175,10 +172,9 @@ where
     O: BinaryOp<T, T, T>,
 {
     check_same_space("ewise_union", a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
-    let _span = ctx.kernel_span(Kernel::EwiseUnion, || {
+    let run = ctx.kernel(Kernel::EwiseUnion, || {
         format!("{}×{}, {}+{} nnz", a.nrows(), a.ncols(), a.nnz(), b.nnz())
     });
-    let start = Instant::now();
     let mut flops = 0u64;
     let mut out = DcsrBuilder::with_capacity(a.nrows(), a.ncols(), a.nnz() + b.nnz());
     // Every cell goes through `op`; a side with no entry there lends its
@@ -230,7 +226,7 @@ where
         }
     }
     let c = out.finish();
-    record_ewise(ctx, Kernel::EwiseUnion, start, a, b, &c, flops);
+    done_merge(run, a, b, &c, flops);
     c
 }
 
@@ -372,18 +368,15 @@ fn intersect_row<T: Value, I: IndexType, S: Semiring<Value = T>, O: BinaryOp<T, 
     flops
 }
 
-fn record_ewise<T: Value, I: IndexType>(
-    ctx: &OpCtx,
-    kernel: Kernel,
-    start: Instant,
+/// Close a merge's run: both operands in, `c` out.
+fn done_merge<T: Value, I: IndexType>(
+    run: KernelRun,
     a: &Dcsr<T, I>,
     b: &Dcsr<T, I>,
     c: &Dcsr<T, I>,
     flops: u64,
 ) {
-    ctx.metrics().record(
-        kernel,
-        start.elapsed(),
+    run.done(
         (a.nnz() + b.nnz()) as u64,
         c.nnz() as u64,
         flops,

@@ -41,7 +41,6 @@
 
 use std::collections::{hash_map::Entry, HashMap};
 use std::ops::Range;
-use std::time::Instant;
 
 use semiring::traits::{Semiring, UnaryOp, Value};
 
@@ -236,11 +235,10 @@ where
     .unwrap_or_else(|e| panic!("{e}"));
     let kernel = mask.map_or(Kernel::Mxm, |_| Kernel::MxmMasked);
     let (mask_nnz, mask_bytes) = mask.map_or((0, 0), |(m, _)| (m.nnz(), m.bytes()));
-    let _span = ctx.kernel_span(kernel, || {
+    let run = ctx.kernel(kernel, || {
         let (ar, ac, br, bc) = (a.nrows(), a.ncols(), b.nrows(), b.ncols());
         format!("{ar}×{ac} · {br}×{bc} nnz {}+{}", a.nnz(), b.nnz())
     });
-    let start = Instant::now();
     let nnz = a.nnz() + b.nnz() + mask_nnz;
     let indexed = compact(b.nrows(), nnz);
     let scatter = mask.is_some() && compact(b.ncols(), nnz);
@@ -284,9 +282,7 @@ where
         let flops = parts.iter().map(|(_, f)| f).sum();
         (assemble(parts.into_iter().map(|(c, _)| c).collect()), flops)
     });
-    ctx.metrics().record(
-        kernel,
-        start.elapsed(),
+    run.done(
         nnz as u64,
         c.nnz() as u64,
         flops,

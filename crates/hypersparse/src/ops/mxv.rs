@@ -54,7 +54,6 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::time::Instant;
 
 use semiring::traits::{Semiring, Value};
 
@@ -470,10 +469,9 @@ where
 {
     debug_assert!(mask.is_none_or(|m| m.windows(2).all(|w| w[0] < w[1])));
     let mat = push_src.or(pull_src).expect("some operand");
-    let _span = ctx.kernel_span(kernel, || {
+    let run = ctx.kernel(kernel, || {
         format!("{}×{} mat, {} nnz v", mat.nrows(), mat.ncols(), v.nnz())
     });
-    let start = Instant::now();
     let dir = match (push_src, pull_src) {
         (Some(a), Some(_)) => choose_direction(v, a, true),
         (Some(_), None) => Direction::Push,
@@ -520,9 +518,7 @@ where
     }
     let out = SparseVec::from_sorted_parts(out_dim, idx, vals);
     let mat = push_src.or(pull_src).expect("some operand");
-    ctx.metrics().record(
-        kernel,
-        start.elapsed(),
+    run.done(
         (v.nnz() + mat.nnz()) as u64,
         out.nnz() as u64,
         flops,
@@ -665,10 +661,9 @@ where
 {
     assert_eq!(v.len() as Ix, at.ncols(), "dimension mismatch");
     assert_eq!(out.len() as Ix, at.nrows(), "dimension mismatch");
-    let _span = ctx.kernel_span(Kernel::Vxm, || {
+    let run = ctx.kernel(Kernel::Vxm, || {
         format!("dense-pull {}×{}, {} nnz", at.nrows(), at.ncols(), at.nnz())
     });
-    let start = Instant::now();
     let nrows = at.n_nonempty_rows();
     let shards = if nrows <= PULL_PAR_MIN_ROWS {
         vec![(0, nrows)]
@@ -708,9 +703,7 @@ where
             out[j] = val;
         }
     }
-    ctx.metrics().record(
-        Kernel::Vxm,
-        start.elapsed(),
+    run.done(
         (v.len() + at.nnz()) as u64,
         touched,
         flops,

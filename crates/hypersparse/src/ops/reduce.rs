@@ -7,7 +7,6 @@
 //! is asserted in the `hyperspace-core` semilink tests.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use semiring::traits::{Monoid, Value};
 
@@ -26,10 +25,9 @@ pub(crate) const ROWS_PER_SHARD: usize = 512;
 
 /// Fold each non-empty row with the monoid: `out(i) = ⊕_j A(i, j)`.
 pub fn reduce_rows_ctx<T: Value, M: Monoid<T>>(ctx: &OpCtx, a: &Dcsr<T>, m: M) -> SparseVec<T> {
-    let _span = ctx.kernel_span(Kernel::ReduceRows, || {
+    let run = ctx.kernel(Kernel::ReduceRows, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
-    let start = Instant::now();
     let nrows = a.n_nonempty_rows();
     let nshards = nrows.div_ceil(ROWS_PER_SHARD).max(1);
     let fold_rows = |lo: usize, hi: usize| {
@@ -64,9 +62,7 @@ pub fn reduce_rows_ctx<T: Value, M: Monoid<T>>(ctx: &OpCtx, a: &Dcsr<T>, m: M) -
         (idx, vals)
     };
     let out = SparseVec::from_sorted_parts(a.nrows(), idx, vals);
-    ctx.metrics().record(
-        Kernel::ReduceRows,
-        start.elapsed(),
+    run.done(
         a.nnz() as u64,
         out.nnz() as u64,
         a.nnz() as u64, // one combine per stored entry
@@ -77,10 +73,9 @@ pub fn reduce_rows_ctx<T: Value, M: Monoid<T>>(ctx: &OpCtx, a: &Dcsr<T>, m: M) -
 
 /// Fold each non-empty column: `out(j) = ⊕_i A(i, j)`.
 pub fn reduce_cols_ctx<T: Value, M: Monoid<T>>(ctx: &OpCtx, a: &Dcsr<T>, m: M) -> SparseVec<T> {
-    let _span = ctx.kernel_span(Kernel::ReduceCols, || {
+    let run = ctx.kernel(Kernel::ReduceCols, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
-    let start = Instant::now();
     let mut acc: HashMap<Ix, T> = HashMap::new();
     for (_r, c, v) in a.iter() {
         match acc.entry(c) {
@@ -97,9 +92,7 @@ pub fn reduce_cols_ctx<T: Value, M: Monoid<T>>(ctx: &OpCtx, a: &Dcsr<T>, m: M) -
     entries.sort_by_key(|e| e.0);
     let (idx, vals) = entries.into_iter().unzip();
     let out = SparseVec::from_sorted_parts(a.ncols(), idx, vals);
-    ctx.metrics().record(
-        Kernel::ReduceCols,
-        start.elapsed(),
+    run.done(
         a.nnz() as u64,
         out.nnz() as u64,
         a.nnz() as u64,
@@ -113,17 +106,14 @@ pub fn reduce_cols_ctx<T: Value, M: Monoid<T>>(ctx: &OpCtx, a: &Dcsr<T>, m: M) -
 /// over the all-ones pattern of `a`, without building that pattern or
 /// touching a value; recorded on the same [`Kernel::ReduceRows`] row.
 pub fn row_degrees_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> SparseVec<u64> {
-    let _span = ctx.kernel_span(Kernel::ReduceRows, || {
+    let run = ctx.kernel(Kernel::ReduceRows, || {
         format!("{}×{}, {} nnz, structural", a.nrows(), a.ncols(), a.nnz())
     });
-    let start = Instant::now();
     let degrees = (0..a.n_nonempty_rows())
         .map(|k| a.row_len_at(k) as u64)
         .collect();
     let out = SparseVec::from_sorted_parts(a.nrows(), a.row_ids().to_vec(), degrees);
-    ctx.metrics().record(
-        Kernel::ReduceRows,
-        start.elapsed(),
+    run.done(
         a.nnz() as u64,
         out.nnz() as u64,
         out.nnz() as u64, // one extent subtraction per stored row
@@ -137,10 +127,9 @@ pub fn row_degrees_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> SparseVec<u64> {
 /// [`reduce_cols_ctx`] with `+` over the all-ones pattern of `a`;
 /// recorded on the same [`Kernel::ReduceCols`] row.
 pub fn col_degrees_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> SparseVec<u64> {
-    let _span = ctx.kernel_span(Kernel::ReduceCols, || {
+    let run = ctx.kernel(Kernel::ReduceCols, || {
         format!("{}×{}, {} nnz, structural", a.nrows(), a.ncols(), a.nnz())
     });
-    let start = Instant::now();
     let mut cols = a.col_ids().to_vec();
     radix_sort_by_key(&mut cols, &mut Vec::new(), |&c| (0, c));
     let (idx, degrees) = cols
@@ -148,9 +137,7 @@ pub fn col_degrees_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> SparseVec<u64> {
         .map(|run| (run[0], run.len() as u64))
         .unzip();
     let out = SparseVec::from_sorted_parts(a.ncols(), idx, degrees);
-    ctx.metrics().record(
-        Kernel::ReduceCols,
-        start.elapsed(),
+    run.done(
         a.nnz() as u64,
         out.nnz() as u64,
         a.nnz() as u64, // one count per stored entry
@@ -161,17 +148,14 @@ pub fn col_degrees_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> SparseVec<u64> {
 
 /// Fold every stored entry into one value.
 pub fn reduce_scalar_ctx<T: Value, M: Monoid<T>>(ctx: &OpCtx, a: &Dcsr<T>, m: M) -> T {
-    let _span = ctx.kernel_span(Kernel::ReduceScalar, || {
+    let run = ctx.kernel(Kernel::ReduceScalar, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
-    let start = Instant::now();
     let mut acc = m.identity();
     for (_, _, v) in a.iter() {
         acc = m.combine(acc, v.clone());
     }
-    ctx.metrics().record(
-        Kernel::ReduceScalar,
-        start.elapsed(),
+    run.done(
         a.nnz() as u64,
         1,
         a.nnz() as u64,

@@ -4,8 +4,6 @@
 //! The heavyweight kernels take an [`OpCtx`] and record into its
 //! metrics; `diag`/`diag_of` are plain constructors.
 
-use std::time::Instant;
-
 use semiring::traits::{Semiring, Value};
 
 use crate::ctx::OpCtx;
@@ -30,10 +28,9 @@ pub fn assign_ctx<T: Value>(
     debug_assert!(cols_sel.windows(2).all(|w| w[0] < w[1]));
     assert_eq!(b.nrows(), rows_sel.len() as Ix, "assign row conformance");
     assert_eq!(b.ncols(), cols_sel.len() as Ix, "assign col conformance");
-    let _span = ctx.kernel_span(Kernel::Assign, || {
+    let run = ctx.kernel(Kernel::Assign, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
-    let start = Instant::now();
 
     let row_set: std::collections::HashSet<Ix> = rows_sel.iter().copied().collect();
     let col_set: std::collections::HashSet<Ix> = cols_sel.iter().copied().collect();
@@ -59,9 +56,7 @@ pub fn assign_ctx<T: Value>(
         out.push_entry(r, c, v.clone());
     }
     let c = out.finish();
-    ctx.metrics().record(
-        Kernel::Assign,
-        start.elapsed(),
+    run.done(
         (a.nnz() + b.nnz()) as u64,
         c.nnz() as u64,
         0,
@@ -99,10 +94,9 @@ pub fn check_concat(axis: Axis, a: (Ix, Ix), b: (Ix, Ix)) -> Result<Ix, OpError>
 /// Stack `a` on top of `b` (column dimensions must match).
 pub fn concat_rows_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>, b: &Dcsr<T>) -> Dcsr<T> {
     let nrows = check_concat(Axis::Rows, a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
-    let _span = ctx.kernel_span(Kernel::ConcatRows, || {
+    let run = ctx.kernel(Kernel::ConcatRows, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
-    let start = Instant::now();
     let mut out = DcsrBuilder::with_capacity(nrows, a.ncols(), a.nnz() + b.nnz());
     out.extend_rows(a, 0, a.n_nonempty_rows());
     for (r, cols, vs) in b.iter_rows() {
@@ -110,9 +104,7 @@ pub fn concat_rows_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>, b: &Dcsr<T>) -> Dcsr<
         out.extend(cols, vs);
     }
     let c = out.finish();
-    ctx.metrics().record(
-        Kernel::ConcatRows,
-        start.elapsed(),
+    run.done(
         (a.nnz() + b.nnz()) as u64,
         c.nnz() as u64,
         0,
@@ -124,10 +116,9 @@ pub fn concat_rows_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>, b: &Dcsr<T>) -> Dcsr<
 /// Place `a` to the left of `b` (row dimensions must match).
 pub fn concat_cols_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>, b: &Dcsr<T>) -> Dcsr<T> {
     let ncols = check_concat(Axis::Cols, a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
-    let _span = ctx.kernel_span(Kernel::ConcatCols, || {
+    let run = ctx.kernel(Kernel::ConcatCols, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
-    let start = Instant::now();
     let shift = a.ncols();
 
     // Merge per row: a's columns first (unchanged), then b's shifted.
@@ -155,9 +146,7 @@ pub fn concat_cols_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>, b: &Dcsr<T>) -> Dcsr<
         }
     }
     let c = out.finish();
-    ctx.metrics().record(
-        Kernel::ConcatCols,
-        start.elapsed(),
+    run.done(
         (a.nnz() + b.nnz()) as u64,
         c.nnz() as u64,
         0,
@@ -204,10 +193,9 @@ pub fn matrix_power_ctx<T: Value, S: Semiring<Value = T>>(
 ) -> Dcsr<T> {
     assert!(k >= 1, "matrix_power requires k ≥ 1");
     assert_eq!(a.nrows(), a.ncols(), "power of a square matrix");
-    let _span = ctx.kernel_span(Kernel::Power, || {
+    let run = ctx.kernel(Kernel::Power, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
-    let start = Instant::now();
     let mut result: Option<Dcsr<T>> = None;
     let mut base = a.clone();
     let mut kk = k;
@@ -224,9 +212,7 @@ pub fn matrix_power_ctx<T: Value, S: Semiring<Value = T>>(
         }
     }
     let c = result.expect("k ≥ 1");
-    ctx.metrics().record(
-        Kernel::Power,
-        start.elapsed(),
+    run.done(
         a.nnz() as u64,
         c.nnz() as u64,
         0,

@@ -17,7 +17,6 @@
 //! so flame-graphs and Prometheus keep the two costs separate.
 
 use std::cmp::Ordering;
-use std::time::Instant;
 
 use semiring::traits::{Monoid, Value};
 
@@ -65,8 +64,7 @@ pub fn top_k_ctx<T: Value + PartialOrd, I: IndexType>(
     v: &SparseVec<T, I>,
     k: usize,
 ) -> Vec<(Ix, T)> {
-    let _span = ctx.kernel_span(Kernel::TopK, || format!("k={k} of {} nnz", v.nnz()));
-    let start = Instant::now();
+    let run = ctx.kernel(Kernel::TopK, || format!("k={k} of {} nnz", v.nnz()));
     let mut entries: Vec<(Ix, T)> = v.iter().map(|(i, val)| (i, val.clone())).collect();
     if k < entries.len() {
         // O(n) boundary selection, then sort only the surviving prefix.
@@ -74,9 +72,7 @@ pub fn top_k_ctx<T: Value + PartialOrd, I: IndexType>(
         entries.truncate(k);
     }
     entries.sort_by(rank);
-    ctx.metrics().record(
-        Kernel::TopK,
-        start.elapsed(),
+    run.done(
         v.nnz() as u64,
         entries.len() as u64,
         v.nnz() as u64, // comparison work is linear in stored entries

@@ -3,7 +3,6 @@
 //! Each kernel records calls/nnz/flops into its [`OpCtx`]'s metrics.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use semiring::traits::{Semiring, UnaryOp, Value};
 
@@ -22,10 +21,9 @@ use crate::Ix;
 /// values straight into the output arrays, otherwise the LSD radix sort,
 /// `O(nnz)` per varying column-id byte, materializing neither dimension.
 pub fn transpose_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> Dcsr<T> {
-    let _span = ctx.kernel_span(Kernel::Transpose, || {
+    let run = ctx.kernel(Kernel::Transpose, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
-    let start = Instant::now();
     let c = match a.iter().next() {
         Some((_, _, first)) if super::mxm::compact(a.ncols(), a.nnz()) => {
             ctx.metrics()
@@ -52,9 +50,7 @@ pub fn transpose_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> Dcsr<T> {
             out.finish()
         }
     };
-    ctx.metrics().record(
-        Kernel::Transpose,
-        start.elapsed(),
+    run.done(
         a.nnz() as u64,
         c.nnz() as u64,
         0,
@@ -100,10 +96,9 @@ where
     S: Semiring<Value = T>,
     O: UnaryOp<T, T>,
 {
-    let _span = ctx.kernel_span(kernel, || {
+    let run = ctx.kernel(kernel, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
-    let start = Instant::now();
     let nrows = a.n_nonempty_rows();
     let nshards = nrows.div_ceil(ROWS_PER_SHARD).max(1);
     // Each shard maps its stored rows independently, recording row ends
@@ -151,9 +146,7 @@ where
         vals.extend(vs);
     }
     let c = Dcsr::from_parts(a.nrows(), a.ncols(), rows, rowptr, colidx, vals);
-    ctx.metrics().record(
-        kernel,
-        start.elapsed(),
+    run.done(
         a.nnz() as u64,
         c.nnz() as u64,
         a.nnz() as u64, // one operator application per stored entry
@@ -169,10 +162,9 @@ pub fn select_ctx<T: Value, F: Fn(Ix, Ix, &T) -> bool>(
     a: &Dcsr<T>,
     keep: F,
 ) -> Dcsr<T> {
-    let _span = ctx.kernel_span(Kernel::Select, || {
+    let run = ctx.kernel(Kernel::Select, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
-    let start = Instant::now();
     let mut out = DcsrBuilder::with_capacity(a.nrows(), a.ncols(), 0);
     for (r, cols, vs) in a.iter_rows() {
         out.row(r);
@@ -183,9 +175,7 @@ pub fn select_ctx<T: Value, F: Fn(Ix, Ix, &T) -> bool>(
         }
     }
     let c = out.finish();
-    ctx.metrics().record(
-        Kernel::Select,
-        start.elapsed(),
+    run.done(
         a.nnz() as u64,
         c.nnz() as u64,
         a.nnz() as u64, // one predicate evaluation per stored entry
@@ -219,10 +209,9 @@ pub fn extract_ctx<T: Value>(
     check_extract(a.shape(), rows_sel, cols_sel).unwrap_or_else(|e| panic!("{e}"));
     debug_assert!(rows_sel.windows(2).all(|w| w[0] < w[1]));
     debug_assert!(cols_sel.windows(2).all(|w| w[0] < w[1]));
-    let _span = ctx.kernel_span(Kernel::Extract, || {
+    let run = ctx.kernel(Kernel::Extract, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
-    let start = Instant::now();
     let col_pos: HashMap<Ix, Ix> = cols_sel
         .iter()
         .enumerate()
@@ -240,9 +229,7 @@ pub fn extract_ctx<T: Value>(
         }
     }
     let c = out.finish();
-    ctx.metrics().record(
-        Kernel::Extract,
-        start.elapsed(),
+    run.done(
         a.nnz() as u64,
         c.nnz() as u64,
         0,
@@ -269,10 +256,9 @@ pub fn kron_ctx<T: Value, S: Semiring<Value = T>>(
         .ncols()
         .checked_mul(b.ncols())
         .expect("kron cols overflow");
-    let _span = ctx.kernel_span(Kernel::Kron, || {
+    let run = ctx.kernel(Kernel::Kron, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
-    let start = Instant::now();
     let mut flops = 0u64;
 
     let mut out = DcsrBuilder::with_capacity(nrows, ncols, a.nnz() * b.nnz());
@@ -294,9 +280,7 @@ pub fn kron_ctx<T: Value, S: Semiring<Value = T>>(
         }
     }
     let c = out.finish();
-    ctx.metrics().record(
-        Kernel::Kron,
-        start.elapsed(),
+    run.done(
         (a.nnz() + b.nnz()) as u64,
         c.nnz() as u64,
         flops,

@@ -27,7 +27,6 @@
 //! in `O(Δ)` instead of recomputing per epoch.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use semiring::traits::Semiring;
 
@@ -221,44 +220,29 @@ impl<S: Semiring> StreamingMatrix<S> {
         self.config
     }
 
-    /// ⊕-merge two layers under the attached context (or the
-    /// thread-local default when none is attached), recording the merge
-    /// as [`Kernel::StreamMerge`] traffic on top of the underlying ewise
+    /// Run `f` on the attached context, or on the thread-local default
+    /// when none is attached.
+    fn on_ctx<R>(&self, f: impl FnOnce(&OpCtx) -> R) -> R {
+        match &self.ctx {
+            Some(ctx) => f(ctx),
+            None => with_default_ctx(f),
+        }
+    }
+
+    /// ⊕-merge two layers, recording the merge as
+    /// [`Kernel::StreamMerge`] traffic on top of the underlying ewise
     /// kernel's own row (flops = combiner applications, i.e. the key
     /// overlap the merge collapsed).
     fn merge(&self, a: &Dcsr<S::Value>, b: &Dcsr<S::Value>) -> Dcsr<S::Value> {
-        let t = Instant::now();
-        let out = match &self.ctx {
-            Some(ctx) => {
-                let _span = ctx.kernel_span(Kernel::StreamMerge, || {
-                    format!("{}+{} nnz layers", a.nnz(), b.nnz())
-                });
-                ewise_add_ctx(ctx, a, b, self.s)
-            }
-            None => with_default_ctx(|ctx| {
-                let _span = ctx.kernel_span(Kernel::StreamMerge, || {
-                    format!("{}+{} nnz layers", a.nnz(), b.nnz())
-                });
-                ewise_add_ctx(ctx, a, b, self.s)
-            }),
-        };
-        let nnz_in = (a.nnz() + b.nnz()) as u64;
-        let flops = nnz_in.saturating_sub(out.nnz() as u64);
-        let record = |ctx: &OpCtx| {
-            ctx.metrics().record(
-                Kernel::StreamMerge,
-                t.elapsed(),
-                nnz_in,
-                out.nnz() as u64,
-                flops,
-                out.bytes() as u64,
-            )
-        };
-        match &self.ctx {
-            Some(ctx) => record(ctx),
-            None => with_default_ctx(|ctx| record(ctx)),
-        }
-        out
+        self.on_ctx(|ctx| {
+            let run = ctx.kernel(Kernel::StreamMerge, || {
+                format!("{}+{} nnz layers", a.nnz(), b.nnz())
+            });
+            let out = ewise_add_ctx(ctx, a, b, self.s);
+            let (nnz_in, nnz_out) = ((a.nnz() + b.nnz()) as u64, out.nnz() as u64);
+            run.done(nnz_in, nnz_out, nnz_in - nnz_out, out.bytes() as u64);
+            out
+        })
     }
 
     /// Append one event. `O(1)` amortized: a buffer push, with an
@@ -359,7 +343,7 @@ impl<S: Semiring> StreamingMatrix<S> {
         }
         // Sorted and folded where it lies: `insert` has already checked
         // every key against the space.
-        let mut carry = fold_entries(
+        let carry = fold_entries(
             self.nrows,
             self.ncols,
             &mut self.buffer,
@@ -367,28 +351,33 @@ impl<S: Semiring> StreamingMatrix<S> {
             self.s,
         );
 
-        let mut k = 0usize;
-        loop {
-            if self.levels.len() <= k {
-                self.levels.push(None);
+        let levels = std::mem::take(&mut self.levels);
+        self.levels = self.cascade(levels, carry);
+    }
+
+    /// ⊕ `carry` into a hierarchy under the geometric cap: a level that
+    /// would overflow `level_cap(k)` is left empty and the merged result
+    /// moves one level down. `flush_buffer` cascades into the live
+    /// levels, `delta_snapshot` into the sealed ones.
+    fn cascade(
+        &self,
+        mut levels: Vec<Option<Dcsr<S::Value>>>,
+        mut carry: Dcsr<S::Value>,
+    ) -> Vec<Option<Dcsr<S::Value>>> {
+        for k in 0.. {
+            if levels.len() <= k {
+                levels.push(None);
             }
-            match self.levels[k].take() {
-                None => {
-                    self.levels[k] = Some(carry);
-                    break;
-                }
-                Some(existing) => {
-                    carry = self.merge(&existing, &carry);
-                    if carry.nnz() <= self.config.level_cap(k) {
-                        self.levels[k] = Some(carry);
-                        break;
-                    }
-                    // Level overflows: leave it empty and push the merged
-                    // result one level down the hierarchy.
-                    k += 1;
+            if let Some(existing) = levels[k].take() {
+                carry = self.merge(&existing, &carry);
+                if carry.nnz() > self.config.level_cap(k) {
+                    continue;
                 }
             }
+            levels[k] = Some(carry);
+            break;
         }
+        levels
     }
 
     /// ⊕-fold `rest` onto `first`, in order. A stored layer holds no
@@ -422,27 +411,22 @@ impl<S: Semiring> StreamingMatrix<S> {
     /// stream, the first one by move. Recorded as [`Kernel::DeltaFold`].
     fn fold_live(&mut self) -> Dcsr<S::Value> {
         self.flush_buffer();
-        let t = Instant::now();
-        let mut live = std::mem::take(&mut self.levels).into_iter().flatten();
-        let first = live.next();
-        let rest: Vec<_> = live.collect();
-        let nnz_in = first.iter().chain(&rest).map(Dcsr::nnz).sum::<usize>() as u64;
-        let delta = self.fold_layers(first, rest.iter());
-        let record = |ctx: &OpCtx| {
-            ctx.metrics().record(
-                Kernel::DeltaFold,
-                t.elapsed(),
-                nnz_in,
-                delta.nnz() as u64,
-                nnz_in.saturating_sub(delta.nnz() as u64),
-                delta.bytes() as u64,
-            )
-        };
-        match &self.ctx {
-            Some(ctx) => record(ctx),
-            None => with_default_ctx(|ctx| record(ctx)),
-        }
-        delta
+        let live: Vec<_> = std::mem::take(&mut self.levels)
+            .into_iter()
+            .flatten()
+            .collect();
+        let nnz_in = live.iter().map(Dcsr::nnz).sum::<usize>() as u64;
+        self.on_ctx(|ctx| {
+            let run = ctx.kernel(Kernel::DeltaFold, || {
+                format!("{} live layers, {nnz_in} nnz", live.len())
+            });
+            let mut live = live.into_iter();
+            let first = live.next();
+            let delta = self.fold_layers(first, live.as_slice().iter());
+            let nnz_out = delta.nnz() as u64;
+            run.done(nnz_in, nnz_out, nnz_in - nnz_out, delta.bytes() as u64);
+            delta
+        })
     }
 
     /// Fold the entries inserted since the previous delta (or since
@@ -457,7 +441,8 @@ impl<S: Semiring> StreamingMatrix<S> {
     pub fn delta_snapshot(&mut self) -> Dcsr<S::Value> {
         let delta = self.fold_live();
         if delta.nnz() > 0 {
-            self.seal(delta.clone());
+            let sealed = std::mem::take(&mut self.sealed);
+            self.sealed = self.cascade(sealed, delta.clone());
         }
         self.watermark = self.inserted;
         delta
@@ -480,32 +465,6 @@ impl<S: Semiring> StreamingMatrix<S> {
         let closing = self.snapshot();
         self.reset();
         (closing, Some(delta))
-    }
-
-    /// Cascade a freshly sealed delta into the pre-watermark hierarchy,
-    /// mirroring `flush_buffer`'s cap discipline so sealing stays
-    /// amortized-geometric rather than one ever-growing ⊕-merge.
-    fn seal(&mut self, mut carry: Dcsr<S::Value>) {
-        let mut k = 0usize;
-        loop {
-            if self.sealed.len() <= k {
-                self.sealed.push(None);
-            }
-            match self.sealed[k].take() {
-                None => {
-                    self.sealed[k] = Some(carry);
-                    break;
-                }
-                Some(existing) => {
-                    carry = self.merge(&existing, &carry);
-                    if carry.nnz() <= self.config.level_cap(k) {
-                        self.sealed[k] = Some(carry);
-                        break;
-                    }
-                    k += 1;
-                }
-            }
-        }
     }
 
     /// Point lookup across the hierarchy: ⊕-folds every layer's entry

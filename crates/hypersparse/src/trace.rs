@@ -12,11 +12,14 @@
 //!   is element-wise add, hence associative and commutative). p50/p95/p99
 //!   fall out of the cumulative buckets ([`HistogramSnapshot::quantile`]).
 //! * [`TraceRegistry`] / [`Span`] — RAII span guards forming a
-//!   per-context hierarchical timing tree. Every `*_ctx` kernel and every
-//!   pipeline stage enters a span; nesting is tracked per thread, so a
-//!   `snapshot` span owns the `stream_merge`/`ewise_add` kernel spans its
-//!   ⊕-fold triggers. A configurable **slow-op threshold** flags spans
-//!   that overran it, carrying the operand shapes the kernel recorded.
+//!   per-context hierarchical timing tree. Every kernel's
+//!   [`KernelRun`](crate::ctx::KernelRun) carries a span, closed with
+//!   the same elapsed time its metrics row records; pipeline stages
+//!   other than `ingest` and `route` open one of their own, timed on
+//!   drop. Nesting is tracked per thread, so a `snapshot` span owns the
+//!   `stream_merge`/`ewise_add` kernel spans its ⊕-fold triggers. A
+//!   configurable **slow-op threshold** flags spans that overran it,
+//!   carrying the operand shapes the kernel recorded.
 //! * [`Exposition`] — the one Prometheus text writer; every layer's
 //!   `expose` writes its families into it and a scrape body is composed
 //!   by handing it down the layers.
@@ -371,6 +374,19 @@ impl TraceRegistry {
     /// guard records the span on drop.
     #[inline]
     pub fn span(&self, name: &'static str, detail: impl FnOnce() -> String) -> Span<'_> {
+        let mut span = self.open(name, detail);
+        if span.reg.is_some() {
+            span.start = Instant::now();
+        }
+        span
+    }
+
+    /// [`TraceRegistry::span`] without its clock read: the span starts
+    /// at the registry's origin until its owner sets `start`. A
+    /// [`KernelRun`](crate::ctx::KernelRun) sets it to the one instant
+    /// it reads for the kernel's row.
+    #[inline]
+    pub(crate) fn open(&self, name: &'static str, detail: impl FnOnce() -> String) -> Span<'_> {
         let mode = self.mode();
         if mode == TraceMode::Disabled {
             return Span {
@@ -400,7 +416,7 @@ impl TraceRegistry {
             parent,
             name,
             detail: detail(),
-            start: Instant::now(),
+            start: self.origin,
         }
     }
 
@@ -516,13 +532,20 @@ pub struct Span<'a> {
     parent: Option<u64>,
     name: &'static str,
     detail: String,
-    start: Instant,
+    pub(crate) start: Instant,
 }
 
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        let Some(reg) = self.reg else { return };
-        let elapsed_ns = self.start.elapsed().as_nanos() as u64;
+impl Span<'_> {
+    /// Record the span as lasting `elapsed`, a time its owner has
+    /// already measured from `start`, instead of reading the clock on
+    /// drop.
+    pub(crate) fn close(mut self, elapsed: Duration) {
+        self.finish(Some(elapsed));
+    }
+
+    fn finish(&mut self, elapsed: Option<Duration>) {
+        let Some(reg) = self.reg.take() else { return };
+        let elapsed_ns = elapsed.unwrap_or_else(|| self.start.elapsed()).as_nanos() as u64;
         let mode = reg.mode();
         if mode == TraceMode::Full {
             let key = reg as *const TraceRegistry as usize;
@@ -549,6 +572,12 @@ impl Drop for Span<'_> {
             elapsed_ns,
             slow,
         });
+    }
+}
+
+impl Drop for Span<'_> {
+    fn drop(&mut self) {
+        self.finish(None);
     }
 }
 

@@ -113,7 +113,7 @@ fn run_worker<S: Semiring>(
 {
     // Span on the shard's own trace registry; the router's
     // `trace_report` stitches the per-shard trees together. The detail
-    // is built only when tracing is on, as `OpCtx::kernel_span` does.
+    // is built only when tracing is on, as it is for an `OpCtx::kernel` run.
     let trace_ctx = stream.ctx().cloned();
     while let Ok(cmd) = receiver.recv() {
         let span = |name: &'static str, detail: &dyn Fn() -> String| {
