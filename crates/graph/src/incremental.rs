@@ -12,7 +12,8 @@
 //!   edges) bump a degree; a [`select`](hypersparse::ops::select_ctx)
 //!   against the accumulated pattern isolates them and two sparse-vector
 //!   ⊕-folds do the rest.
-//! * [`TriangleState`] — triangle counts by *delta* masked SpGEMM.
+//! * [`TriangleState`] — triangle counts by *delta* masked counts
+//!   ([`mxm_masked_count_ctx`], no product built).
 //!   Writing `A` for the old symmetric pattern and `D` for the fresh
 //!   symmetric delta (`D ∩ A = ∅`), every new triangle has exactly 1, 2,
 //!   or 3 fresh edges and is counted exactly once by
@@ -22,14 +23,14 @@
 //!   have one old closing edge (term 2 only), three fresh edges are the
 //!   classic Sandia count inside `D` (term 3 only).
 //!
-//! Both states use exact integer-valued arithmetic (u64 degrees, f64
-//! pattern values that are small whole numbers), so results are
-//! bit-identical however the deltas were sharded or batched — the
-//! determinism contract the pipeline's standing queries rely on. Delta
-//! application cost lands in the [`Kernel::DeltaDegree`] and
-//! [`Kernel::DeltaTri`] metrics rows; the from-scratch rescans they
-//! replace would bill `O(window)` to `reduce_rows`/`mxm_masked` every
-//! epoch instead.
+//! Both states use exact integer arithmetic (u64 degrees, u64 counts of
+//! closed wedges), so results are bit-identical however the deltas were
+//! sharded or batched — the determinism contract the pipeline's standing
+//! queries rely on. Delta application cost lands in the
+//! [`Kernel::DeltaDegree`] and [`Kernel::DeltaTri`] metrics rows
+//! (`DeltaTri`'s `flops` are the closed wedges its three counts add); the
+//! from-scratch rescans they replace would bill `O(window)` to
+//! `reduce_rows`/`mxm_masked` every epoch instead.
 //!
 //! PageRank does not decompose edge-wise, but power iteration warm-starts
 //! from any prior vector — see [`crate::pagerank::pagerank_refresh`] for
@@ -38,11 +39,11 @@
 use std::borrow::Cow;
 
 use hypersparse::ops::{
-    col_degrees_ctx, ewise_add_ctx, mxm_masked_ctx, reduce_scalar_ctx, row_degrees_ctx, select_ctx,
+    col_degrees_ctx, ewise_add_ctx, mxm_masked_count_ctx, row_degrees_ctx, select_ctx,
 };
 use hypersparse::{with_default_ctx, Dcsr, Ix, Kernel, OpCtx, SparseVec};
 use semiring::traits::Value;
-use semiring::{MinFirst, PlusMonoid, PlusTimes, ZeroNorm};
+use semiring::{MinFirst, PlusTimes, ZeroNorm};
 
 use crate::netsec::flag_degrees;
 use crate::pattern::{pattern_f64, symmetrize_ctx};
@@ -220,28 +221,23 @@ impl TriangleState {
         // is what makes the three-term count exact.
         let seen = &self.sym;
         let fresh = select_ctx(ctx, &dsym, move |r, c, _| seen.get(r, c).is_none());
-        let mut flops = 0u64;
+        let mut closed = 0u64;
         if fresh.nnz() > 0 {
             let fresh_l = lower_triangle_ctx(ctx, &fresh);
-            let plus = PlusMonoid::<f64>::default();
-            // 1 fresh edge: old wedges (A⊕.⊗A) closed by a fresh edge.
-            let t1 = mxm_masked_ctx(ctx, &self.sym, &self.sym, &fresh_l, false, s);
-            // 2 fresh edges: fresh wedges closed by an old edge.
-            let t2 = mxm_masked_ctx(ctx, &fresh, &fresh, &self.low, false, s);
+            // 1 fresh edge: old wedges (A⊕.⊗A) closed by a fresh edge;
+            // 2 fresh edges: fresh wedges closed by an old edge;
             // 3 fresh edges: Sandia count entirely inside D.
-            let t3 = mxm_masked_ctx(ctx, &fresh_l, &fresh_l, &fresh_l, false, s);
-            let dt = reduce_scalar_ctx(ctx, &t1, plus)
-                + reduce_scalar_ctx(ctx, &t2, plus)
-                + reduce_scalar_ctx(ctx, &t3, plus);
-            flops = (t1.nnz() + t2.nnz() + t3.nnz()) as u64;
-            self.count += dt as u64;
+            closed = mxm_masked_count_ctx(ctx, &self.sym, &self.sym, &fresh_l)
+                + mxm_masked_count_ctx(ctx, &fresh, &fresh, &self.low)
+                + mxm_masked_count_ctx(ctx, &fresh_l, &fresh_l, &fresh_l);
+            self.count += closed;
             self.sym = ewise_add_ctx(ctx, &self.sym, &fresh, s);
             self.low = ewise_add_ctx(ctx, &self.low, &fresh_l, s);
         }
         run.done(
             delta.nnz() as u64,
             fresh.nnz() as u64,
-            flops,
+            closed,
             fresh.bytes() as u64,
         );
     }

@@ -1,14 +1,17 @@
-//! Triangle counting by masked SpGEMM (the "Sandia" LAGraph kernel).
+//! Triangle counting by a masked count (the "Sandia" LAGraph kernel).
 //!
 //! With `L` the strictly-lower-triangular part of a symmetric adjacency
-//! pattern, `ntri = Σ ((L ⊕.⊗ L) ⊙ L)` over `+.×`: the product counts
-//! wedges `i > k > j`, the mask keeps only wedges closed by an edge
-//! `i > j`, so each triangle is counted exactly once. The fused mask
-//! ([`hypersparse::ops::mxm_masked_ctx`]) is what makes this cheap.
+//! pattern, `ntri = Σ ((L plus.pair L) ⊙ L)`: the product counts wedges
+//! `i > k > j`, the mask keeps only wedges closed by an edge `i > j`, so
+//! each triangle is counted exactly once.
+//! [`hypersparse::ops::mxm_masked_count_ctx`] counts the closed wedges
+//! without building the product and reads no value, so a weighted graph
+//! counts as its pattern. [`edge_support`] needs each edge's count, so it
+//! builds the masked product ([`hypersparse::ops::mxm_masked_ctx`]).
 
 use hypersparse::{with_default_ctx, Dcsr, Ix, OpCtx};
 use semiring::traits::Value;
-use semiring::{PlusMonoid, PlusTimes};
+use semiring::PlusTimes;
 
 use crate::Graph;
 
@@ -18,17 +21,16 @@ pub fn lower_triangle_ctx<T: Value>(ctx: &OpCtx, pat: &Dcsr<T>) -> Dcsr<T> {
 }
 
 /// Count triangles in an undirected simple graph given as a symmetric
-/// adjacency (weights are ignored — the pattern is normalized first).
+/// adjacency (weights are ignored: only stored positions count).
 pub fn triangle_count(sym_pat: &Dcsr<f64>) -> u64 {
-    with_default_ctx(|ctx| triangle_count_ctx(ctx, &Graph::new(&sym_pat.pattern(1.0))))
+    with_default_ctx(|ctx| triangle_count_ctx(ctx, &Graph::new(sym_pat)))
 }
 
 /// [`triangle_count`] over a [`Graph`] through an explicit execution
-/// context. The graph's values must all be 1.0: the count sums them.
-pub fn triangle_count_ctx(ctx: &OpCtx, g: &Graph<f64>) -> u64 {
+/// context, whatever its values.
+pub fn triangle_count_ctx<T: Value>(ctx: &OpCtx, g: &Graph<T>) -> u64 {
     let l = g.lower(ctx);
-    let closed = hypersparse::ops::mxm_masked_ctx(ctx, l, l, l, false, PlusTimes::new());
-    hypersparse::ops::reduce_scalar_ctx(ctx, &closed, PlusMonoid::<f64>::default()) as u64
+    hypersparse::ops::mxm_masked_count_ctx(ctx, l, l, l)
 }
 
 /// Per-edge triangle support (number of triangles through each edge of
@@ -39,8 +41,7 @@ pub fn edge_support(sym_pat: &Dcsr<f64>) -> Dcsr<f64> {
 }
 
 /// [`edge_support`] over a [`Graph`] through an explicit execution
-/// context. The graph's values must all be 1.0, as for
-/// [`triangle_count_ctx`].
+/// context. The graph's values must all be 1.0: the support sums them.
 pub fn edge_support_ctx(ctx: &OpCtx, g: &Graph<f64>) -> Dcsr<f64> {
     // support(i,j) = |N(i) ∩ N(j)| restricted to existing edges: use the
     // full symmetric pattern for wedge endpoints, masked by L. Edges in

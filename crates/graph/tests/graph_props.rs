@@ -4,6 +4,7 @@
 //! reused graph, on a fresh graph per call, or through its bare `&Dcsr`
 //! spelling — at any thread count.
 
+use graph::baseline::{triangles_wedge, AdjList};
 use graph::bfs::{bfs_levels, bfs_levels_ctx, bfs_parents, bfs_parents_ctx};
 use graph::cc::{connected_components, connected_components_ctx};
 use graph::centrality::{betweenness, betweenness_ctx};
@@ -319,4 +320,21 @@ fn weight_blind_kernels_read_only_the_pattern() {
         bits(&betweenness(&w, &src)),
         bits(&betweenness(&unit, &src))
     );
+}
+
+/// The triangle count reads only the pattern and builds no product: on a
+/// fresh context, a graph weighted 2.5 counts its wedge-baseline
+/// triangles through one masked count, metered as one `MxmMasked` call
+/// whose flops are the count, with nothing summed after it.
+#[test]
+fn triangle_count_is_one_masked_count_of_the_pattern() {
+    let w = weighted().pattern(2.5);
+    let ctx = OpCtx::new();
+    let count = triangle_count_ctx(&ctx, &Graph::new(&w));
+    assert_eq!(count, triangles_wedge(&AdjList::from_pattern(&w)));
+    assert!(count > 0);
+    let snap = ctx.metrics().snapshot();
+    assert_eq!(snap.kernel(Kernel::ReduceScalar).calls, 0);
+    let masked = snap.kernel(Kernel::MxmMasked);
+    assert_eq!((masked.calls, masked.flops), (1, count));
 }

@@ -58,6 +58,9 @@ pub enum Kernel {
     Rollup,
     DeltaFold,
     DeltaDegree,
+    /// `graph::incremental::TriangleState` folding one delta; its `flops`
+    /// are the closed wedges its three masked counts add (the new
+    /// triangles), not the entries of a product.
     DeltaTri,
     PageRankRefresh,
     BfsParent,

@@ -30,7 +30,7 @@ pub mod transform;
 pub use ewise::{
     ewise_add_ctx, ewise_add_op_ctx, ewise_mul_ctx, ewise_mul_op_ctx, ewise_union_ctx,
 };
-pub use mxm::{mxm_apply_prune_ctx, mxm_ctx, mxm_masked_ctx};
+pub use mxm::{mxm_apply_prune_ctx, mxm_ctx, mxm_masked_count_ctx, mxm_masked_ctx};
 pub use mxv::{
     choose_direction, mxv_ctx, mxv_opt_ctx, vxm_ctx, vxm_dense_pull_ctx, vxm_opt_ctx, vxm_pull_ctx,
 };

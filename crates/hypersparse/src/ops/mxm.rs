@@ -21,11 +21,13 @@
 //!
 //! [`mxm_ctx`], [`mxm_apply_prune_ctx`] and [`mxm_masked_ctx`] are one
 //! driver with mask, complement and epilogue as arguments (the GraphBLAS
-//! C API's `mxm`). It picks hash vs width-proportional from the input
-//! (the `ablation_accumulator` bench measures the crossover) and flat vs
-//! `Option<T>` from the semiring's type; in `compact` id spaces B's
-//! rows and mask entries are indexed, not searched. Accumulator scratch
-//! is **leased from the context's workspace arena**
+//! C API's `mxm`); [`mxm_masked_count_ctx`] runs its frame to count a
+//! masked product's ⊗ without building it. It picks hash vs
+//! width-proportional from the input (the `ablation_accumulator` bench
+//! measures the crossover) and flat vs `Option<T>` from the semiring's
+//! type; in `compact` id spaces B's rows and mask entries are indexed,
+//! not searched. Accumulator scratch is **leased from the context's
+//! workspace arena**
 //! ([`OpCtx::lease_mxm_scratch`]) so repeated multiplies on a hot path
 //! stop allocating per call, and parallelism is governed by the
 //! context's thread cap: rows of `A` are sharded by
@@ -192,7 +194,7 @@ where
 /// Masked SpGEMM through an explicit context: `C = (A ⊕.⊗ B) ⊙ mask`
 /// (structural mask, i.e. only positions stored in `mask` are
 /// computed/kept; `complement` inverts the selection). Fusing the mask
-/// into the accumulator loop is what makes masked triangle counting
+/// into the accumulator loop is what makes edge support and k-truss
 /// `O(flops into the mask)` instead of `O(all flops)`; `flops` counts
 /// only the ⊗ that land in the selection.
 pub fn mxm_masked_ctx<T: Value, M: Value, I: IndexType, S: Semiring<Value = T>>(
@@ -206,7 +208,40 @@ pub fn mxm_masked_ctx<T: Value, M: Value, I: IndexType, S: Semiring<Value = T>>(
     spgemm(ctx, "mxm_masked", a, b, Some((mask, complement)), s, &keep)
 }
 
-/// The one SpGEMM driver: check, span, B-row locator, shard plan, lease,
+/// The masked-product count: how many `(i, k, j)` have `A(i,k)`,
+/// `B(k,j)` and `mask(i,j)` all stored — `Σ (A plus.pair B)⟨mask⟩`, the
+/// ⊗ count [`mxm_masked_ctx`] records as `flops` for the same operands,
+/// without building the product it would sum. No value is read, so each
+/// operand may have its own value type, and each probe adds its hit flag
+/// instead of branching on it. It runs the masked driver's check,
+/// B-row locator, mask decision and weighted shards (integer partial
+/// counts, so the sum is the same at any thread count) on the
+/// value-free scratch, and meters as [`Kernel::MxmMasked`] with `flops`
+/// = the count. Triangle counting's `Σ (L ⊕.⊗ L) ⊙ L` is this count.
+pub fn mxm_masked_count_ctx<A: Value, B: Value, M: Value, I: IndexType>(
+    ctx: &OpCtx,
+    a: &Dcsr<A, I>,
+    b: &Dcsr<B, I>,
+    mask: &Dcsr<M, I>,
+) -> u64 {
+    check_mxm_masked(a.shape(), b.shape(), mask.shape()).unwrap_or_else(|e| panic!("{e}"));
+    let run = ctx.kernel(Kernel::MxmMasked, || detail(a, b));
+    let nnz = a.nnz() + b.nnz() + mask.nnz();
+    let parts = drive(ctx, a, b, nnz, true, |rows, scatter, range| {
+        let mut lease = ctx.lease_mxm_scratch::<()>();
+        let width = b.ncols() as usize;
+        let mut probe = MaskProbe::open(Some((mask, false)), scatter, width, lease.get());
+        let count = count_rows(a, rows, &mut probe, range);
+        lease.get().slots = probe.slot;
+        count
+    });
+    let count = parts.iter().sum();
+    let bytes = a.bytes() + b.bytes() + mask.bytes() + std::mem::size_of::<u64>();
+    run.done(nnz as u64, 1, count, bytes as u64);
+    count
+}
+
+/// The one SpGEMM driver: check, span, shard frame ([`drive`]), lease,
 /// assemble, metrics. A `(mask, complement)` makes it [`Kernel::MxmMasked`];
 /// `ep` is the drain-time epilogue (`&keep` when there is none), mapping
 /// a non-zero sum to the value to store and whether to store it. It
@@ -235,13 +270,56 @@ where
     .unwrap_or_else(|e| panic!("{e}"));
     let kernel = mask.map_or(Kernel::Mxm, |_| Kernel::MxmMasked);
     let (mask_nnz, mask_bytes) = mask.map_or((0, 0), |(m, _)| (m.nnz(), m.bytes()));
-    let run = ctx.kernel(kernel, || {
-        let (ar, ac, br, bc) = (a.nrows(), a.ncols(), b.nrows(), b.ncols());
-        format!("{ar}×{ac} · {br}×{bc} nnz {}+{}", a.nnz(), b.nnz())
-    });
+    let run = ctx.kernel(kernel, || detail(a, b));
     let nnz = a.nnz() + b.nnz() + mask_nnz;
+    let m = ctx.metrics();
+    let parts = drive(ctx, a, b, nnz, mask.is_some(), |rows, scatter, range| {
+        let mut lease = ctx.lease_mxm_scratch::<T>();
+        let (part, flops, acc, [scan, bitmap]) =
+            multiply_row_range(a, rows, (mask, scatter), s, range, lease.get(), ep);
+        m.record_decision(acc, 1);
+        m.record_decision(Decision::DrainScan, scan);
+        m.record_decision(Decision::DrainBitmap, bitmap);
+        (part, flops)
+    });
+    let flops = parts.iter().map(|(_, f)| f).sum();
+    let c = assemble(parts.into_iter().map(|(c, _)| c).collect());
+    run.done(
+        nnz as u64,
+        c.nnz() as u64,
+        flops,
+        (a.bytes() + b.bytes() + mask_bytes + c.bytes()) as u64,
+    );
+    c
+}
+
+/// A product's span detail: operand shapes and entries.
+fn detail<A: Value, B: Value, I: IndexType>(a: &Dcsr<A, I>, b: &Dcsr<B, I>) -> String {
+    let (ar, ac, br, bc) = (a.nrows(), a.ncols(), b.nrows(), b.ncols());
+    format!("{ar}×{ac} · {br}×{bc} nnz {}+{}", a.nnz(), b.nnz())
+}
+
+/// The frame of every SpGEMM call: the `mxm_b_rows` decision and, when
+/// `masked`, the `mxm_mask` one (each [`compact`] over the operands'
+/// `nnz`), B's row locator, and `job(rows, scatter, range)` over A's
+/// stored rows — one range at one thread or below [`PAR_MIN_ROWS`]
+/// rows, merge-path weighted shards otherwise — its results in row order.
+fn drive<A, B, I, R>(
+    ctx: &OpCtx,
+    a: &Dcsr<A, I>,
+    b: &Dcsr<B, I>,
+    nnz: usize,
+    masked: bool,
+    job: impl Fn(&BRows<'_, B, I>, bool, Range<usize>) -> R + Sync,
+) -> Vec<R>
+where
+    A: Value,
+    B: Value,
+    I: IndexType,
+    R: Send,
+{
     let indexed = compact(b.nrows(), nnz);
-    let scatter = mask.is_some() && compact(b.ncols(), nnz);
+    let scatter = masked && compact(b.ncols(), nnz);
     let m = ctx.metrics();
     m.record_decision(
         if indexed {
@@ -251,7 +329,7 @@ where
         },
         1,
     );
-    if mask.is_some() {
+    if masked {
         m.record_decision(
             if scatter {
                 Decision::MxmMaskScatter
@@ -261,34 +339,17 @@ where
             1,
         );
     }
-    let (c, flops) = with_locator(ctx, b, indexed, |rows| {
-        let run = |range: Range<usize>| {
-            let mut lease = ctx.lease_mxm_scratch::<T>();
-            let (part, flops, acc, [scan, bitmap]) =
-                multiply_row_range(a, rows, (mask, scatter), s, range, lease.get(), ep);
-            m.record_decision(acc, 1);
-            m.record_decision(Decision::DrainScan, scan);
-            m.record_decision(Decision::DrainBitmap, bitmap);
-            (part, flops)
-        };
+    with_locator(ctx, b, indexed, |rows| {
         let (nrows_ne, threads) = (a.n_nonempty_rows(), ctx.threads());
-        let parts = if threads == 1 || nrows_ne < PAR_MIN_ROWS {
-            vec![run(0..nrows_ne)]
-        } else {
-            let shards =
-                plan_weighted_shards(nrows_ne, threads * SHARD_FACTOR, |k| a.row_len_at(k) as u64);
-            par_run(threads, shards.len(), |k| run(shards[k].0..shards[k].1))
-        };
-        let flops = parts.iter().map(|(_, f)| f).sum();
-        (assemble(parts.into_iter().map(|(c, _)| c).collect()), flops)
-    });
-    run.done(
-        nnz as u64,
-        c.nnz() as u64,
-        flops,
-        (a.bytes() + b.bytes() + mask_bytes + c.bytes()) as u64,
-    );
-    c
+        if threads == 1 || nrows_ne < PAR_MIN_ROWS {
+            return vec![job(rows, scatter, 0..nrows_ne)];
+        }
+        let shards =
+            plan_weighted_shards(nrows_ne, threads * SHARD_FACTOR, |k| a.row_len_at(k) as u64);
+        par_run(threads, shards.len(), |k| {
+            job(rows, scatter, shards[k].0..shards[k].1)
+        })
+    })
 }
 
 /// Concatenate per-range results (in row order) as slice copies; a lone
@@ -370,6 +431,26 @@ impl<'a, M: Value, I: IndexType> MaskProbe<'a, M, I> {
         row: &[],
     };
 
+    /// A probe for `mask` on `scratch`'s slots, grown to `width` when
+    /// `scatter`; the caller hands `slot` back to `scratch.slots`.
+    fn open<T>(
+        mask: MaskOf<'a, M, I>,
+        scatter: bool,
+        width: usize,
+        scratch: &mut MxmScratch<T>,
+    ) -> Self {
+        let mut slot = std::mem::take(&mut scratch.slots);
+        if scatter && slot.len() < width {
+            slot = vec![0; width];
+        }
+        MaskProbe {
+            mask,
+            scatter,
+            slot,
+            row: &[],
+        }
+    }
+
     /// Open row `i`; `false` when nothing of it can survive the mask.
     fn enter(&mut self, i: Ix) -> bool {
         let Some((mask, complement)) = self.mask else {
@@ -399,6 +480,21 @@ impl<'a, M: Value, I: IndexType> MaskProbe<'a, M, I> {
             (Some(t), false) => Some(t),
             (None, true) => Some(j.to_ix()),
             _ => None,
+        }
+    }
+
+    /// How many of `cols` the open mask row holds (uncomplemented): each
+    /// probe's hit flag is added, not branched on.
+    #[inline(always)]
+    fn hits(&self, cols: &[I]) -> u64 {
+        if self.scatter {
+            cols.iter()
+                .map(|&j| u64::from(self.slot[j.as_usize()] != 0))
+                .sum()
+        } else {
+            cols.iter()
+                .map(|j| u64::from(self.row.binary_search(j).is_ok()))
+                .sum()
         }
     }
 
@@ -682,12 +778,7 @@ where
     S: Semiring<Value = T>,
 {
     let width = rows.b.ncols() as usize;
-    let mut slot = std::mem::take(&mut scratch.slots);
-    if scatter && slot.len() < width {
-        slot = vec![0; width];
-    }
-    let mut probe = MaskProbe::UNMASKED;
-    (probe.mask, probe.scatter, probe.slot) = (mask, scatter, slot);
+    let mut probe = MaskProbe::open(mask, scatter, width, scratch);
     let out = match mask {
         Some((m, false)) => {
             let most = m.iter_rows().map(|(_, cols, _)| cols.len()).max();
@@ -764,6 +855,35 @@ where
         probe.leave();
     }
     (out.finish(), flops, A::KIND, acc.drains())
+}
+
+/// Rows `range` of `A` against `B` under `probe`'s mask: how many
+/// `B(k,j)` reached through a stored `A(i,k)` land on a stored
+/// `mask(i,j)` ([`MaskProbe::hits`]).
+fn count_rows<A, B, M, I>(
+    a: &Dcsr<A, I>,
+    rows: &BRows<'_, B, I>,
+    probe: &mut MaskProbe<'_, M, I>,
+    range: Range<usize>,
+) -> u64
+where
+    A: Value,
+    B: Value,
+    M: Value,
+    I: IndexType,
+{
+    let mut count = 0;
+    for k_row in range {
+        let (i, acols, _) = a.row_at(k_row);
+        if probe.enter(i) {
+            count += acols
+                .iter()
+                .map(|&k| probe.hits(rows.row(k).0))
+                .sum::<u64>();
+            probe.leave();
+        }
+    }
+    count
 }
 
 /// Whether a width-proportional accumulator (dense `Vec<Option<T>>` or
@@ -1385,6 +1505,19 @@ mod tests {
         assert_eq!(spans.len(), 1, "{spans:?}");
         assert_eq!(spans[0].name, "mxm_masked");
         assert!(spans[0].detail.contains("32×32"), "{:?}", spans[0]);
+    }
+
+    #[test]
+    fn masked_count_hands_its_flag_scratch_back_at_rest() {
+        let s = PlusTimes::<f64>::new();
+        let a = random_dcsr(64, 64, 500, 71, s);
+        let mask = random_dcsr(64, 64, 300, 73, s);
+        let ctx = OpCtx::new().with_threads(1);
+        let count = mxm_masked_count_ctx(&ctx, &a, &a, &mask);
+        assert!(count > 0);
+        let mut lease = ctx.lease_mxm_scratch::<()>();
+        assert_eq!(lease.get().slots.len(), 64, "the mask was scattered");
+        assert!(lease.get().slots.iter().all(|&t| t == 0), "flags left set");
     }
 
     #[test]
