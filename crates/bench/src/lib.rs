@@ -1,15 +1,13 @@
-//! Shared helpers for the table/figure benchmark harness.
+//! Shared helpers for the gated benches and the paper-artifact examples.
 //!
-//! Each bench target has two halves:
+//! The benches under `benches/` write the `BENCH_*.json` records that
+//! [`gate`] judges. Every table and figure of the paper is a root
+//! example (`examples/`, a dev-dependency of the `hyperspace` facade)
+//! that prints the rows the paper shows, recorded in `EXPERIMENTS.md`.
 //!
-//! 1. a **shape report** printed before Criterion runs — the rows/series
-//!    the paper's table or figure shows, regenerated from this
-//!    implementation (recorded in `EXPERIMENTS.md`);
-//! 2. Criterion measurements of the competing formulations.
-//!
-//! [`quick_time`] drives the shape reports: median of a few warm
-//! iterations, good enough for "who wins and by roughly what factor"
-//! without Criterion's full statistics.
+//! [`quick_time`] times those rows: median of a few warm iterations,
+//! good enough for "who wins and by roughly what factor" without
+//! Criterion's full statistics.
 
 pub mod gate;
 pub mod record;

@@ -8,9 +8,12 @@
 //! projected adjacency cannot do — the practical payoff of Fig. 2's
 //! incidence representation.
 
-use hypersparse::{Dcsr, Ix, SparseVec};
+use hypersparse::ops::mxv::{vxm_ctx, vxm_opt_ctx};
+use hypersparse::ops::transpose_ctx;
+use hypersparse::{with_default_ctx, Dcsr, Ix, SparseVec};
 use semiring::AnyPair;
 
+use crate::frontier::Visited;
 use crate::hypergraph::Hypergraph;
 
 /// Pattern views of a hypergraph's incidence arrays in the any-pair
@@ -24,18 +27,9 @@ pub struct IncidencePatterns {
 
 /// Build the traversal patterns once per hypergraph.
 pub fn incidence_patterns(h: &Hypergraph) -> IncidencePatterns {
-    let to_u8 = |m: &Dcsr<f64>| {
-        let mut c = hypersparse::Coo::new(m.nrows(), m.ncols());
-        for (r, col, _) in m.iter() {
-            c.push(r, col, 1u8);
-        }
-        c.build_dcsr(AnyPair)
-    };
     IncidencePatterns {
-        out_t: hypersparse::with_default_ctx(|ctx| {
-            hypersparse::ops::transpose_ctx(ctx, &to_u8(&h.e_out()))
-        }),
-        in_: to_u8(&h.e_in()),
+        out_t: with_default_ctx(|ctx| transpose_ctx(ctx, &h.e_out().pattern(1u8))),
+        in_: h.e_in().pattern(1u8),
     }
 }
 
@@ -43,22 +37,22 @@ pub fn incidence_patterns(h: &Hypergraph) -> IncidencePatterns {
 /// hop. Returns `(vertex, level)` sorted by vertex.
 pub fn hyper_bfs(p: &IncidencePatterns, src: Ix) -> Vec<(Ix, u32)> {
     let s = AnyPair;
-    let nv = p.out_t.nrows();
     let mut out = vec![(src, 0u32)];
-    let mut visited = SparseVec::from_entries(nv, vec![(src, 1u8)], s);
-    let mut frontier = visited.clone();
+    let mut visited = Visited::with_seed(src);
+    let mut frontier = SparseVec::from_entries(p.out_t.nrows(), vec![(src, 1u8)], s);
     let mut level = 0u32;
-    while !frontier.is_empty() {
-        level += 1;
-        // vertices → active out-edges → delivered head vertices
-        let active_edges = frontier.vxm(&p.out_t, s);
-        let delivered = active_edges.vxm(&p.in_, s).without(&visited);
-        for (v, _) in delivered.iter() {
-            out.push((v, level));
+    with_default_ctx(|ctx| {
+        while !frontier.is_empty() {
+            level += 1;
+            // vertices → active out-edges → delivered head vertices, the
+            // visited set masked off inside the head hop.
+            let edges = vxm_ctx(ctx, &frontier, &p.out_t, s);
+            let next = vxm_opt_ctx(ctx, &edges, &p.in_, None, Some(visited.as_slice()), s);
+            out.extend(next.iter().map(|(v, _)| (v, level)));
+            visited.absorb_sorted(next.indices());
+            frontier = next;
         }
-        visited = visited.ewise_add(&delivered, s);
-        frontier = delivered;
-    }
+    });
     out.sort_by_key(|e| e.0);
     out
 }
@@ -81,7 +75,6 @@ pub fn hyper_components(h: &Hypergraph) -> Vec<(Ix, Ix)> {
         }
         c.build_dcsr(s)
     };
-    let inc_t = hypersparse::with_default_ctx(|ctx| hypersparse::ops::transpose_ctx(ctx, &inc));
 
     // Vertex labels (1-shifted); iterate v→e→v min-label exchange.
     let verts: Vec<Ix> = {
@@ -92,15 +85,18 @@ pub fn hyper_components(h: &Hypergraph) -> Vec<(Ix, Ix)> {
     };
     let mut labels =
         SparseVec::from_entries(h.n_vertices, verts.iter().map(|&v| (v, v + 1)).collect(), s);
-    loop {
-        let edge_min = labels.vxm(&inc_t, s); // per-edge min member label
-        let back = edge_min.vxm(&inc, s); // delivered to every member
-        let next = labels.ewise_add(&back, s);
-        if next == labels {
-            break;
+    with_default_ctx(|ctx| {
+        let inc_t = transpose_ctx(ctx, &inc);
+        loop {
+            let edge_min = vxm_ctx(ctx, &labels, &inc_t, s); // per-edge min member label
+            let back = vxm_ctx(ctx, &edge_min, &inc, s); // delivered to every member
+            let next = labels.ewise_add(&back, s);
+            if next == labels {
+                break;
+            }
+            labels = next;
         }
-        labels = next;
-    }
+    });
     labels.iter().map(|(v, &l)| (v, l - 1)).collect()
 }
 

@@ -235,8 +235,6 @@ decisions! {
 /// Live counters for one kernel.
 #[derive(Debug, Default)]
 pub struct KernelStats {
-    calls: AtomicU64,
-    elapsed_ns: AtomicU64,
     nnz_in: AtomicU64,
     nnz_out: AtomicU64,
     flops: AtomicU64,
@@ -249,9 +247,6 @@ impl KernelStats {
     /// is the heap footprint of operands plus result — the bandwidth
     /// proxy narrow indices shrink.
     pub fn record(&self, elapsed: Duration, nnz_in: u64, nnz_out: u64, flops: u64, bytes: u64) {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.elapsed_ns
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
         self.nnz_in.fetch_add(nnz_in, Ordering::Relaxed);
         self.nnz_out.fetch_add(nnz_out, Ordering::Relaxed);
         self.flops.fetch_add(flops, Ordering::Relaxed);
@@ -259,22 +254,23 @@ impl KernelStats {
         self.latency.record(elapsed);
     }
 
+    /// Freeze the counters; `calls` and `elapsed_ns` are the latency
+    /// histogram's count and sum, which every call already records.
     fn snapshot(&self, kernel: Kernel) -> KernelSnapshot {
+        let latency = self.latency.snapshot();
         KernelSnapshot {
             kernel,
-            calls: self.calls.load(Ordering::Relaxed),
-            elapsed_ns: self.elapsed_ns.load(Ordering::Relaxed),
+            calls: latency.count(),
+            elapsed_ns: latency.sum_ns,
             nnz_in: self.nnz_in.load(Ordering::Relaxed),
             nnz_out: self.nnz_out.load(Ordering::Relaxed),
             flops: self.flops.load(Ordering::Relaxed),
             bytes_touched: self.bytes_touched.load(Ordering::Relaxed),
-            latency: self.latency.snapshot(),
+            latency,
         }
     }
 
     fn reset(&self) {
-        self.calls.store(0, Ordering::Relaxed);
-        self.elapsed_ns.store(0, Ordering::Relaxed);
         self.nnz_in.store(0, Ordering::Relaxed);
         self.nnz_out.store(0, Ordering::Relaxed);
         self.flops.store(0, Ordering::Relaxed);

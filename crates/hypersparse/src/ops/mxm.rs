@@ -23,8 +23,8 @@
 //! driver with mask, complement and epilogue as arguments (the GraphBLAS
 //! C API's `mxm`); [`mxm_masked_count_ctx`] runs its frame to count a
 //! masked product's ⊗ without building it. It picks hash vs
-//! width-proportional from the input (the `ablation_accumulator` bench
-//! measures the crossover) and flat vs `Option<T>` from the semiring's
+//! width-proportional from the input (EXPERIMENTS.md records the
+//! crossover) and flat vs `Option<T>` from the semiring's
 //! type; in `compact` id spaces B's rows and mask entries are indexed,
 //! not searched. Accumulator scratch is **leased from the context's
 //! workspace arena**
@@ -424,13 +424,6 @@ struct MaskProbe<'a, M, I: IndexType> {
 }
 
 impl<'a, M: Value, I: IndexType> MaskProbe<'a, M, I> {
-    const UNMASKED: Self = MaskProbe {
-        mask: None,
-        scatter: false,
-        slot: Vec::new(),
-        row: &[],
-    };
-
     /// A probe for `mask` on `scratch`'s slots, grown to `width` when
     /// `scatter`; the caller hands `slot` back to `scratch.slots`.
     fn open<T>(
@@ -981,40 +974,6 @@ impl<'a, T: Value> FlatAcc<'a, T> {
     }
 }
 
-/// Hash-accumulator multiply of `A`'s stored rows `start..end` —
-/// `O(flops)` in any column space. Public for the accumulator ablation
-/// bench; use [`mxm_ctx`] otherwise.
-pub fn multiply_rows_hash_acc<T: Value, I: IndexType, S: Semiring<Value = T>>(
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    s: S,
-    start: usize,
-    end: usize,
-) -> Dcsr<T, I> {
-    let (rows, mut probe) = (BRows { b, pos: None }, MaskProbe::<T, I>::UNMASKED);
-    let mut map = HashMap::new();
-    let acc = &mut HashAcc(&mut map, Vec::new(), s);
-    gustavson(a, &rows, &mut probe, acc, s, start..end, &keep).0
-}
-
-/// Dense-scratch multiply of `A`'s stored rows `start..end` — a
-/// `Vec<Option<T>>` of width `ncols`, reset via a touched-columns list
-/// so each row costs `O(flops)` too, with far better constants in
-/// compact column spaces. Public for the accumulator ablation bench; use
-/// [`mxm_ctx`] otherwise.
-pub fn multiply_rows_dense_acc<T: Value, I: IndexType, S: Semiring<Value = T>>(
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    s: S,
-    start: usize,
-    end: usize,
-) -> Dcsr<T, I> {
-    let (rows, mut probe) = (BRows { b, pos: None }, MaskProbe::<T, I>::UNMASKED);
-    let (mut dense, mut touched) = (vec![None; b.ncols() as usize], Vec::new());
-    let acc = &mut DenseAcc(&mut dense, &mut touched, s);
-    gustavson(a, &rows, &mut probe, acc, s, start..end, &keep).0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1208,12 +1167,22 @@ mod tests {
 
     #[test]
     fn hash_and_dense_accumulators_agree() {
-        let s = PlusTimes::<f64>::new();
-        let a = random_dcsr(128, 128, 800, 5, s);
-        let b = random_dcsr(128, 128, 800, 6, s);
-        let h = multiply_rows_hash_acc(&a, &b, s, 0, a.n_nonempty_rows());
-        let d = multiply_rows_dense_acc(&a, &b, s, 0, a.n_nonempty_rows());
-        assert_eq!(h, d);
+        // MinPlus does not declare FLAT_ACC, so a compact busy column
+        // space takes the dense `Option<T>` accumulator; the same entries
+        // with B's columns widened past DENSE_ACC_MAX take the hash one.
+        let (gen, s) = (PlusTimes::<f64>::new(), MinPlus::<f64>::new());
+        let a = random_dcsr(128, 128, 800, 5, gen);
+        let b = random_dcsr(128, 128, 800, 6, gen);
+        let (nr, _, rows, rowptr, colidx, vals) = b.clone().into_parts();
+        let wide = Dcsr::from_parts(nr, 2 * DENSE_ACC_MAX, rows, rowptr, colidx, vals);
+        let ctx = OpCtx::new().with_threads(1);
+        let d = mxm_ctx(&ctx, &a, &b, s);
+        let h = mxm_ctx(&ctx, &a, &wide, s);
+        assert!(d.nnz() > 0);
+        assert!(d.iter().eq(h.iter()));
+        let snap = ctx.metrics().snapshot();
+        assert_eq!(snap.decision(Decision::MxmDense), 1);
+        assert_eq!(snap.decision(Decision::MxmHash), 1);
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use semiring::traits::{Monoid, Semiring, UnaryOp, Value};
 
-use crate::ctx::with_default_ctx;
-use crate::dcsr::Dcsr;
 use crate::index::IndexType;
 use crate::Ix;
 
@@ -187,23 +185,6 @@ impl<T: Value, I: IndexType> SparseVec<T, I> {
             .fold(m.identity(), |acc, v| m.combine(acc, v.clone()))
     }
 
-    /// Row-vector × matrix over a semiring: `(vᵀ A)(j) = ⊕_i v(i) ⊗ A(i,j)`.
-    ///
-    /// This is one BFS/SSSP step: scatter each frontier entry along its
-    /// row of `A`, ⊕-merging collisions. `O(Σ_{i ∈ v} |A(i,:)|)` — cost
-    /// proportional to the edges touched, independent of dimension.
-    /// [`crate::ops::mxv::vxm_ctx`] on the thread's default context.
-    pub fn vxm<S: Semiring<Value = T>>(&self, a: &Dcsr<T, I>, s: S) -> Self {
-        with_default_ctx(|ctx| crate::ops::mxv::vxm_ctx(ctx, self, a, s))
-    }
-
-    /// Matrix × column-vector: `(A v)(i) = ⊕_j A(i,j) ⊗ v(j)` — a sparse
-    /// dot product of each stored row with `v`.
-    /// [`crate::ops::mxv::mxv_ctx`] on the thread's default context.
-    pub fn mxv<S: Semiring<Value = T>>(a: &Dcsr<T, I>, v: &Self, s: S) -> Self {
-        with_default_ctx(|ctx| crate::ops::mxv::mxv_ctx(ctx, a, v, s))
-    }
-
     /// Restrict to indices where `keep` returns `false` → entry removed.
     pub fn select<F: Fn(Ix, &T) -> bool>(&self, keep: F) -> Self {
         let mut idx = Vec::new();
@@ -266,6 +247,8 @@ impl<T: Value, I: IndexType> SparseVec<T, I> {
 mod tests {
     use super::*;
     use crate::coo::Coo;
+    use crate::ops::mxv::{mxv_ctx, vxm_ctx};
+    use crate::OpCtx;
     use semiring::{MinPlus, PlusTimes, Relu};
 
     fn pt() -> PlusTimes<f64> {
@@ -308,11 +291,12 @@ mod tests {
         c.extend([(0, 1, 1.5), (0, 2, 2.0), (1, 2, 0.1)]);
         let a = c.build_dcsr(MinPlus::<f64>::new());
         let f = SparseVec::from_entries(3, vec![(0, 0.0)], MinPlus::<f64>::new());
-        let d1 = f.vxm(&a, MinPlus::<f64>::new());
+        let ctx = OpCtx::new();
+        let d1 = vxm_ctx(&ctx, &f, &a, MinPlus::<f64>::new());
         assert_eq!(d1.get(&1), Some(&1.5));
         assert_eq!(d1.get(&2), Some(&2.0));
         // Second hop: min(2.0 direct, 1.5 + 0.1 via 1) = 1.6.
-        let d2 = d1.vxm(&a, MinPlus::<f64>::new());
+        let d2 = vxm_ctx(&ctx, &d1, &a, MinPlus::<f64>::new());
         assert_eq!(d2.get(&2), Some(&1.6));
     }
 
@@ -322,8 +306,9 @@ mod tests {
         c.extend([(0, 1, 2.0), (1, 0, 2.0), (1, 2, 3.0), (2, 1, 3.0)]);
         let a = c.build_dcsr(pt());
         let v = SparseVec::from_entries(3, vec![(0, 1.0), (2, 1.0)], pt());
-        let av = SparseVec::mxv(&a, &v, pt());
-        let va = v.vxm(&a, pt());
+        let ctx = OpCtx::new();
+        let av = mxv_ctx(&ctx, &a, &v, pt());
+        let va = vxm_ctx(&ctx, &v, &a, pt());
         assert_eq!(av, va); // A symmetric ⇒ Av = vᵀA
     }
 

@@ -76,10 +76,6 @@ pub struct PipelineMetrics {
     events: AtomicU64,
     batches: AtomicU64,
     full_rejections: AtomicU64,
-    snapshots: AtomicU64,
-    snapshot_ns: AtomicU64,
-    checkpoints: AtomicU64,
-    checkpoint_ns: AtomicU64,
     stage_latency: [Histogram; Stage::ALL.len()],
     depth: Vec<AtomicUsize>,
     flush_threshold: Vec<AtomicUsize>,
@@ -91,10 +87,6 @@ impl PipelineMetrics {
             events: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             full_rejections: AtomicU64::new(0),
-            snapshots: AtomicU64::new(0),
-            snapshot_ns: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            checkpoint_ns: AtomicU64::new(0),
             stage_latency: std::array::from_fn(|_| Histogram::default()),
             depth: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
             flush_threshold: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
@@ -134,22 +126,6 @@ impl PipelineMetrics {
         self.events.store(events, Ordering::Relaxed);
     }
 
-    /// One snapshot wave: its count, total time and stage latency.
-    pub(crate) fn record_snapshot(&self, elapsed: Duration) {
-        self.snapshots.fetch_add(1, Ordering::Relaxed);
-        self.snapshot_ns
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        self.record_stage(Stage::Snapshot, elapsed);
-    }
-
-    /// One checkpoint: its count, total time and stage latency.
-    pub(crate) fn record_checkpoint(&self, elapsed: Duration) {
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
-        self.checkpoint_ns
-            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        self.record_stage(Stage::Checkpoint, elapsed);
-    }
-
     /// Events accepted so far: one atomic load, no freeze.
     pub(crate) fn events_ingested(&self) -> u64 {
         self.events.load(Ordering::Relaxed)
@@ -162,17 +138,24 @@ impl PipelineMetrics {
         self.depth[shard].load(Ordering::Relaxed)
     }
 
-    /// Freeze every counter.
+    /// Freeze every counter. The snapshot and checkpoint counts and
+    /// totals are their stage histograms' count and sum.
     pub fn snapshot(&self) -> PipelineMetricsSnapshot {
+        let stage_latency: [HistogramSnapshot; Stage::ALL.len()] =
+            std::array::from_fn(|i| self.stage_latency[i].snapshot());
+        let (snap, ckpt) = (
+            stage_latency[Stage::Snapshot as usize],
+            stage_latency[Stage::Checkpoint as usize],
+        );
         PipelineMetricsSnapshot {
             events_ingested: self.events.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             full_rejections: self.full_rejections.load(Ordering::Relaxed),
-            snapshots: self.snapshots.load(Ordering::Relaxed),
-            snapshot_ns: self.snapshot_ns.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            checkpoint_ns: self.checkpoint_ns.load(Ordering::Relaxed),
-            stage_latency: std::array::from_fn(|i| self.stage_latency[i].snapshot()),
+            snapshots: snap.count(),
+            snapshot_ns: snap.sum_ns,
+            checkpoints: ckpt.count(),
+            checkpoint_ns: ckpt.sum_ns,
+            stage_latency,
             channel_depths: self
                 .depth
                 .iter()
@@ -343,7 +326,7 @@ mod tests {
         m.record_accepted(5);
         m.depth_dec(1);
         m.record_rejected();
-        m.record_snapshot(Duration::from_millis(2));
+        m.record_stage(Stage::Snapshot, Duration::from_millis(2));
         let snap = m.snapshot();
         assert_eq!(snap.events_ingested, 15);
         assert_eq!(snap.batches, 2);

@@ -323,7 +323,7 @@ where
                 let _span = self.span("assemble");
                 self.assemble(epoch, events, parts)
             };
-            self.metrics.record_snapshot(t.elapsed());
+            self.metrics.record_stage(Stage::Snapshot, t.elapsed());
             Ok(then(snap))
         })
     }
@@ -466,7 +466,7 @@ where
                         Arc::new(self.assemble(epoch, events, delta)),
                     )
                 };
-                self.metrics.record_snapshot(t.elapsed());
+                self.metrics.record_stage(Stage::Snapshot, t.elapsed());
                 {
                     let _span = self.span("standing");
                     let ut = Instant::now();
@@ -514,7 +514,7 @@ where
                 };
                 commit_manifest(dir, &manifest)?;
                 prune_generations(dir, self.config.keep_generations);
-                self.metrics.record_checkpoint(t.elapsed());
+                self.metrics.record_stage(Stage::Checkpoint, t.elapsed());
                 Ok(manifest)
             },
         )

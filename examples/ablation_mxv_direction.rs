@@ -15,11 +15,14 @@
 //!    a prebuilt transpose, and `graph::Graph`'s break-even rule on a
 //!    fresh and on a reused graph — the numbers `Graph::transpose_for`
 //!    rests on. Every row's tree is asserted equal to push-only's.
+//!
+//! ```sh
+//! cargo run --release --example ablation_mxv_direction
+//! ```
 
 use std::cell::OnceCell;
 
 use bench::{fmt_dur, quick_time};
-use criterion::Criterion;
 use graph::bfs::bfs_parents_ctx;
 use graph::frontier::Visited;
 use graph::{pattern_u64, Graph};
@@ -212,7 +215,7 @@ fn direction_table(name: &str, g: &Dcsr<f64>, gt: &Dcsr<f64>) {
     }
 }
 
-fn shape_report() {
+fn main() {
     let g = rmat();
     let gt = transpose_ctx(&OpCtx::new(), &g);
     let ring = ring_dcsr(1 << 14, s());
@@ -327,42 +330,4 @@ fn shape_report() {
         );
     }
     println!("✓ masked SpGEMM parallel ≡ sequential bit-for-bit");
-}
-
-fn criterion_benches(c: &mut Criterion) {
-    let g = rmat();
-    let gt = transpose_ctx(&OpCtx::new(), &g);
-    let ctx = OpCtx::new();
-    let sparse = frontier_of(&g, 16);
-    let dense = frontier_of(&g, usize::MAX);
-    let (frontier, visited) = bfs_shape(&ctx, &g, &gt, 2);
-
-    let mut group = c.benchmark_group("ablation/mxv_direction");
-    group.sample_size(10);
-    group.bench_function("push_sparse_frontier", |b| {
-        b.iter(|| vxm_ctx(&ctx, &sparse, &g, s()))
-    });
-    group.bench_function("pull_sparse_frontier", |b| {
-        b.iter(|| vxm_pull_ctx(&ctx, &sparse, &gt, s()))
-    });
-    group.bench_function("push_dense_frontier", |b| {
-        b.iter(|| vxm_ctx(&ctx, &dense, &g, s()))
-    });
-    group.bench_function("pull_dense_frontier", |b| {
-        b.iter(|| vxm_pull_ctx(&ctx, &dense, &gt, s()))
-    });
-    group.bench_function("masked_fused", |b| {
-        b.iter(|| vxm_opt_ctx(&ctx, &frontier, &g, Some(&gt), Some(visited.indices()), s()))
-    });
-    group.bench_function("masked_unfused_then_filter", |b| {
-        b.iter(|| vxm_opt_ctx(&ctx, &frontier, &g, Some(&gt), None, s()).without(&visited))
-    });
-    group.finish();
-}
-
-fn main() {
-    shape_report();
-    let mut c = Criterion::default().configure_from_args();
-    criterion_benches(&mut c);
-    c.final_summary();
 }

@@ -3,13 +3,16 @@
 //! BFS performed "on a graph" (queue + adjacency lists) and "on an
 //! adjacency array" (frontier `vᵀA` over the any-pair semiring) across
 //! RMAT scales. The two sides must produce identical level sets; the
-//! bench reports how the duality trades off in time as the graph grows.
+//! example reports how the duality trades off in time as the graph grows.
+//!
+//! ```sh
+//! cargo run --release --example fig1_bfs_duality
+//! ```
 
 use bench::{fmt_dur, quick_time};
-use criterion::Criterion;
 use graph::baseline::{bfs_queue, AdjList};
-use graph::bfs::{bfs_levels, bfs_parents};
-use graph::pattern::{pattern_u64, pattern_u8};
+use graph::bfs::bfs_levels;
+use graph::pattern::pattern_u8;
 use hypersparse::gen::{rmat_dcsr, RmatParams};
 use hypersparse::{Dcsr, Ix};
 use semiring::PlusTimes;
@@ -26,7 +29,7 @@ fn rmat(scale: u32) -> Dcsr<f64> {
     )
 }
 
-fn shape_report() {
+fn main() {
     println!("=== Fig. 1: BFS duality — array multiplication vs queue ===");
     println!("| scale | N      | nnz      | reached | array BFS  | queue BFS  |");
     for scale in [10u32, 12, 14, 16] {
@@ -57,26 +60,4 @@ fn shape_report() {
         );
     }
     println!("✓ identical BFS level sets on both sides of the duality at every scale");
-}
-
-fn criterion_benches(c: &mut Criterion) {
-    for scale in [12u32, 14] {
-        let g = rmat(scale);
-        let pat8 = pattern_u8(&g);
-        let pat64 = pattern_u64(&g);
-        let adj = AdjList::from_pattern(&g);
-        let mut group = c.benchmark_group(format!("fig1/scale{scale}"));
-        group.sample_size(10);
-        group.bench_function("array_bfs_levels", |b| b.iter(|| bfs_levels(&pat8, 0)));
-        group.bench_function("array_bfs_parents", |b| b.iter(|| bfs_parents(&pat64, 0)));
-        group.bench_function("queue_bfs", |b| b.iter(|| bfs_queue(&adj, 0)));
-        group.finish();
-    }
-}
-
-fn main() {
-    shape_report();
-    let mut c = Criterion::default().configure_from_args();
-    criterion_benches(&mut c);
-    c.final_summary();
 }

@@ -5,11 +5,21 @@
 //! projection against a direct hash-accumulation baseline, asserting
 //! equal results, and reports how hyper-edges (arity 2–8) inflate the
 //! projected adjacency.
+//!
+//! Then the execution-context ablation (DESIGN.md §OpCtx) on the same
+//! projection: a **fresh** `OpCtx` per iteration (every SpGEMM allocates
+//! its accumulator scratch from cold) vs one **warm** `OpCtx` reused
+//! across iterations (scratch comes from the arena after the first
+//! call). Warm must equal fresh bit for bit.
+//!
+//! ```sh
+//! cargo run --release --example fig3_incidence_projection
+//! ```
 
 use bench::{fmt_dur, quick_time};
-use criterion::Criterion;
 use graph::hypergraph::{incidence_to_adjacency, incidence_to_adjacency_baseline, Hypergraph};
-use hypersparse::Ix;
+use hypersparse::ops::{mxm_ctx, transpose_ctx};
+use hypersparse::{Dcsr, Ix, OpCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use semiring::PlusTimes;
@@ -46,7 +56,7 @@ fn sample_distinct(rng: &mut StdRng, k: usize) -> Vec<Ix> {
     set.into_iter().collect()
 }
 
-fn shape_report() {
+fn main() {
     println!("=== Fig. 3: A = E_outᵀ ⊕.⊗ E_in — SpGEMM vs hash baseline ===");
     println!("| edges   | hyper% | nnz(E)   | nnz(A)   | SpGEMM     | hash       |");
     for &edges in &[10_000usize, 100_000, 300_000] {
@@ -75,28 +85,44 @@ fn shape_report() {
     }
     println!("✓ SpGEMM projection ≡ hash baseline at every point");
     println!("  (hyper-edges inflate nnz(A): each event implies |out|×|in| pairs — Fig. 2)");
+    ctx_reuse();
 }
 
-fn criterion_benches(c: &mut Criterion) {
-    let s = PlusTimes::<f64>::new();
-    for &frac in &[0.0, 0.3] {
-        let h = build(100_000, frac, 7);
+/// One projection under `ctx`: `A = E_outᵀ ⊕.⊗ E_in`.
+fn project(ctx: &OpCtx, e_out: &Dcsr<f64>, e_in: &Dcsr<f64>) -> Dcsr<f64> {
+    let et = transpose_ctx(ctx, e_out);
+    mxm_ctx(ctx, &et, e_in, PlusTimes::<f64>::new())
+}
+
+fn ctx_reuse() {
+    println!("\n=== Ablation: OpCtx workspace reuse (Fig. 3 projection) ===");
+    println!("| edges   | hyper% | fresh ctx  | warm ctx   | warm/fresh |");
+    for &(edges, frac) in &[(30_000usize, 0.0), (100_000, 0.0), (100_000, 0.3)] {
+        let h = build(edges, frac, 7);
         let (e_out, e_in) = (h.e_out(), h.e_in());
-        let mut group = c.benchmark_group(format!("fig3/hyper{:.0}pct", frac * 100.0));
-        group.sample_size(10);
-        group.bench_function("spgemm_projection", |b| {
-            b.iter(|| incidence_to_adjacency(&e_out, &e_in, s))
-        });
-        group.bench_function("hash_baseline", |b| {
-            b.iter(|| incidence_to_adjacency_baseline(&e_out, &e_in))
-        });
-        group.finish();
-    }
-}
 
-fn main() {
-    shape_report();
-    let mut c = Criterion::default().configure_from_args();
-    criterion_benches(&mut c);
-    c.final_summary();
+        let (t_fresh, a_fresh) = quick_time(5, || project(&OpCtx::new(), &e_out, &e_in));
+        let warm = OpCtx::new();
+        let _ = project(&warm, &e_out, &e_in); // prime the arena
+        let (t_warm, a_warm) = quick_time(5, || project(&warm, &e_out, &e_in));
+
+        assert_eq!(a_fresh, a_warm, "ctx reuse changed the projection");
+        println!(
+            "| {:>7} | {:>5.0}% | {:>10} | {:>10} | {:>9.2}x |",
+            edges,
+            frac * 100.0,
+            fmt_dur(t_fresh),
+            fmt_dur(t_warm),
+            t_fresh.as_secs_f64() / t_warm.as_secs_f64(),
+        );
+
+        let snap = warm.metrics().snapshot();
+        println!(
+            "    warm arena: {} hits / {} misses, {} pooled buffer(s)",
+            snap.workspace_hits,
+            snap.workspace_misses,
+            warm.pooled_buffers(),
+        );
+    }
+    println!("✓ warm ≡ fresh bit-for-bit; reuse trades allocation for arena hits");
 }

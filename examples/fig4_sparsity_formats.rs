@@ -10,9 +10,16 @@
 //! SpMV is timed per materializable format, each in its own storage (no
 //! conversion to DCSR inside the timed call); the policy's chosen format
 //! is asserted to match the figure's regime at each point.
+//!
+//! Then the format ablation (DESIGN.md §3): forcing CSR vs DCSR vs
+//! trusting the automatic policy on an `N = 2¹⁶` SpMV from each regime —
+//! auto should track the better hand-picked format.
+//!
+//! ```sh
+//! cargo run --release --example fig4_sparsity_formats
+//! ```
 
 use bench::{fmt_bytes, fmt_dur, quick_time};
-use criterion::Criterion;
 use hypersparse::gen::random_dcsr;
 use hypersparse::{Format, Ix, Matrix, OpCtx, SparseVec};
 use semiring::PlusTimes;
@@ -21,11 +28,7 @@ fn s() -> PlusTimes<f64> {
     PlusTimes::new()
 }
 
-fn vec_for(n: Ix) -> SparseVec<f64> {
-    SparseVec::from_entries(n, (0..64.min(n)).map(|i| (i, 1.0)).collect(), s())
-}
-
-fn shape_report() {
+fn main() {
     println!("=== Fig. 4: storage by regime (fixed nnz = 65536, growing N) ===");
     println!("| N        | dense bytes | bitmap     | CSR        | DCSR       | auto format |");
     for log_n in [8u32, 10, 12, 16, 20, 24, 40] {
@@ -66,7 +69,7 @@ fn shape_report() {
     for &nnz in &[1_000usize, 40_000, 1_000_000, 8_000_000] {
         let d = random_dcsr(n, n, nnz, 4, s());
         let auto = Matrix::from_dcsr(d, s());
-        let v = vec_for(n);
+        let v = SparseVec::from_entries(n, (0..64).map(|i| (i, 1.0)).collect(), s());
         let ctx = OpCtx::new();
         let mut cells = Vec::new();
         for fmt in [Format::Dense, Format::Bitmap, Format::Csr, Format::Dcsr] {
@@ -98,31 +101,30 @@ fn shape_report() {
         dense.format()
     );
     println!("✓ automatic format policy reproduces the Fig. 4 regimes");
-}
 
-fn criterion_benches(c: &mut Criterion) {
-    let n: Ix = 4096;
-    let v = vec_for(n);
-    let ctx = OpCtx::new();
+    println!("\n=== Ablation 1: storage format choice per regime (SpMV) ===");
+    println!("| regime       | forced CSR | forced DCSR | auto       | auto picked |");
+    let n = 1u64 << 16;
     for &(label, nnz) in &[
-        ("hypersparse_1k", 1_000usize),
-        ("sparse_40k", 40_000),
-        ("dense_4m", 4_000_000),
+        ("hypersparse", 2_000usize),
+        ("sparse", 65_000),
+        ("denser", 500_000),
     ] {
-        let auto = Matrix::from_dcsr(random_dcsr(n, n, nnz, 8, s()), s());
-        let mut group = c.benchmark_group(format!("fig4/spmv_{label}"));
-        group.sample_size(20);
-        for fmt in [Format::Dense, Format::Bitmap, Format::Csr, Format::Dcsr] {
-            let m = auto.clone().with_format(fmt, s());
-            group.bench_function(format!("{fmt:?}"), |b| b.iter(|| m.mxv_ctx(&ctx, &v, s())));
-        }
-        group.finish();
+        let auto = Matrix::from_dcsr(random_dcsr(n, n, nnz, 1, s()), s());
+        let v = SparseVec::from_entries(n, (0..256).map(|i| (i * 131 % n, 1.0)).collect(), s());
+        let csr = auto.clone().with_format(Format::Csr, s());
+        let dcsr = auto.clone().with_format(Format::Dcsr, s());
+        let ctx = OpCtx::new();
+        let (t_csr, _) = quick_time(5, || csr.mxv_ctx(&ctx, &v, s()));
+        let (t_dcsr, _) = quick_time(5, || dcsr.mxv_ctx(&ctx, &v, s()));
+        let (t_auto, _) = quick_time(5, || auto.mxv_ctx(&ctx, &v, s()));
+        println!(
+            "| {:<12} | {:>10} | {:>11} | {:>10} | {:?} |",
+            label,
+            fmt_dur(t_csr),
+            fmt_dur(t_dcsr),
+            fmt_dur(t_auto),
+            auto.format(),
+        );
     }
-}
-
-fn main() {
-    shape_report();
-    let mut c = Criterion::default().configure_from_args();
-    criterion_benches(&mut c);
-    c.final_summary();
 }

@@ -4,9 +4,12 @@
 //! element-wise array kernels vs hash-set baselines, results asserted
 //! equal, sizes reported (union shrinks toward one operand and
 //! intersection grows with overlap — the figure's two panels).
+//!
+//! ```sh
+//! cargo run --release --example fig5_union_intersection
+//! ```
 
 use bench::{fmt_dur, quick_time};
-use criterion::Criterion;
 use graph::setops::{graph_intersection, graph_union, intersection_baseline, union_baseline};
 use hypersparse::{Coo, Dcsr, Ix};
 use rand::rngs::StdRng;
@@ -56,7 +59,7 @@ fn pair(overlap: f64, seed: u64) -> (Dcsr<f64>, Dcsr<f64>) {
     (ca.build_dcsr(s()), cb.build_dcsr(s()))
 }
 
-fn shape_report() {
+fn main() {
     println!("=== Fig. 5: graph union (⊕) and intersection (⊗) vs hash baselines ===");
     println!(
         "| overlap | nnz(A∪B) | nnz(A∩B) | ⊕ ewise    | ∪ hash     | ⊗ ewise    | ∩ hash     |"
@@ -87,32 +90,4 @@ fn shape_report() {
     }
     println!("✓ ⊕/⊗ kernels ≡ hash-set union/intersection at every overlap");
     println!("  (intersection grows and union shrinks with overlap — Fig. 5's panels)");
-}
-
-fn criterion_benches(c: &mut Criterion) {
-    let (a, b) = pair(0.5, 11);
-    let at = a.to_triplets();
-    let bt = b.to_triplets();
-    let mut group = c.benchmark_group("fig5/overlap50");
-    group.sample_size(20);
-    group.bench_function("union_ewise_add", |bch| {
-        bch.iter(|| graph_union(&a, &b, s()))
-    });
-    group.bench_function("union_hash", |bch| {
-        bch.iter(|| union_baseline(&at, &bt, s()))
-    });
-    group.bench_function("intersection_ewise_mul", |bch| {
-        bch.iter(|| graph_intersection(&a, &b, s()))
-    });
-    group.bench_function("intersection_hash", |bch| {
-        bch.iter(|| intersection_baseline(&at, &bt, s()))
-    });
-    group.finish();
-}
-
-fn main() {
-    shape_report();
-    let mut c = Criterion::default().configure_from_args();
-    criterion_benches(&mut c);
-    c.final_summary();
 }

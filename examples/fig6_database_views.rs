@@ -5,20 +5,29 @@
 //! array (whose adjacency projection is the graph view). The query
 //! *"find 1.1.1.1's nearest neighbors"* runs in every representation,
 //! is asserted identical, and is timed; the §V.B semilink select is
-//! cross-validated against a direct scan on the same data.
+//! cross-validated against a direct scan on the same data. On the
+//! smallest dataset the graph view answers the same query from its
+//! adjacency array, and the port group-by and top talkers are computed
+//! algebraically and checked against the row store.
+//!
+//! ```sh
+//! cargo run --release --example fig6_database_views
+//! ```
+
+use std::collections::BTreeSet;
 
 use bench::{fmt_dur, quick_time};
-use criterion::Criterion;
 use db::gen::{flows, FlowParams};
-use db::{AssocTable, RowTable, TripleStore};
+use db::{AssocTable, Record, RowTable, TripleStore};
 use hyperspace_core::select::{select_direct, select_semilink};
-use semiring::UnionIntersect;
+use semiring::{PlusMonoid, PlusTimes, UnionIntersect};
 
 const HOST: &str = "1.1.1.1";
 
-fn shape_report() {
+fn main() {
     println!("=== Fig. 6: the neighbor query across representations ===");
     println!("| records | SQL scan   | NoSQL index | assoc algebra | neighbors |");
+    let mut smallest = None;
     for &n in &[10_000usize, 100_000, 500_000] {
         let records = flows(
             FlowParams {
@@ -30,7 +39,7 @@ fn shape_report() {
         );
         let sql = RowTable::from_records(records.clone());
         let nosql = TripleStore::from_records(records.clone());
-        let d4m = AssocTable::from_records(records);
+        let d4m = AssocTable::from_records(records.clone());
 
         let (t_sql, n_sql) = quick_time(3, || sql.neighbors(HOST));
         let (t_nosql, n_nosql) = quick_time(3, || nosql.neighbors(HOST));
@@ -48,8 +57,11 @@ fn shape_report() {
             fmt_dur(t_d4m),
             n_sql.len(),
         );
+        smallest.get_or_insert((records, sql, d4m, n_sql));
     }
     println!("✓ identical neighbor sets across SQL, NoSQL, and associative-array views");
+    let (records, sql, d4m, neighbors) = smallest.expect("three datasets");
+    graph_view_and_analytics(&records, &sql, &d4m, &neighbors);
 
     println!("\n=== §V.B: semilink select vs direct scan ===");
     println!("| records | semilink formula | direct scan | matches |");
@@ -80,36 +92,54 @@ fn shape_report() {
     println!("✓ |((A ∪.∩ 𝕀(k)) ∩ v) ∪.∩ 𝟙|₀ ∩ A ≡ direct select");
 }
 
-fn criterion_benches(c: &mut Criterion) {
-    let records = flows(
-        FlowParams {
-            n_records: 100_000,
-            n_hosts: 500,
-            skew: 1.1,
-        },
-        2026,
+/// The fourth view and the analytics, on the smallest dataset: the graph reading
+/// of the neighbor query, a semilink select on the host, the port
+/// group-by and the top talkers, each checked against another view.
+fn graph_view_and_analytics(
+    records: &[(String, Record)],
+    sql: &RowTable,
+    d4m: &AssocTable,
+    neighbors: &BTreeSet<String>,
+) {
+    // The pure-graph reading: row + column support of the adjacency array.
+    let adj = d4m.adjacency("src", "dst");
+    let host = HOST.to_string();
+    let graph_neighbors: BTreeSet<String> = adj
+        .row(&host)
+        .into_iter()
+        .chain(adj.transpose(PlusTimes::<f64>::new()).row(&host))
+        .map(|(k, _)| k)
+        .collect();
+    assert_eq!(&graph_neighbors, neighbors);
+    println!(
+        "graph view (adjacency row ∪ column support): the same {} neighbors",
+        neighbors.len()
     );
-    let sql = RowTable::from_records(records.clone());
-    let nosql = TripleStore::from_records(records.clone());
-    let d4m = AssocTable::from_records(records.clone());
 
-    let mut group = c.benchmark_group("fig6/neighbors_100k");
-    group.sample_size(10);
-    group.bench_function("sql_scan", |b| b.iter(|| sql.neighbors(HOST)));
-    group.bench_function("nosql_index", |b| b.iter(|| nosql.neighbors(HOST)));
-    group.bench_function("assoc_algebra", |b| b.iter(|| d4m.neighbors(HOST)));
-    group.finish();
+    let (set_view, mut atoms) = AssocTable::set_view(records);
+    let v = atoms.intern(HOST);
+    let by_formula = select_semilink(&set_view, &"src".to_string(), v).prune(UnionIntersect);
+    assert_eq!(by_formula, select_direct(&set_view, &"src".to_string(), v));
+    println!(
+        "semilink select src = {HOST}: {} records, identical to the direct scan",
+        hyperspace_core::semilink::support_rows(&by_formula).len()
+    );
 
-    let mut group = c.benchmark_group("fig6/analytics_100k");
-    group.sample_size(10);
-    group.bench_function("group_count_sql", |b| b.iter(|| sql.group_count("port")));
-    group.bench_function("group_count_assoc", |b| b.iter(|| d4m.group_count("port")));
-    group.finish();
-}
+    let mut ports = d4m.group_count("port");
+    ports.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+    let sql_ports = sql.group_count("port");
+    for (p, c) in &ports {
+        assert_eq!(sql_ports[p], *c);
+    }
+    println!("flows by port (assoc ≡ SQL group-by): {ports:?}");
 
-fn main() {
-    shape_report();
-    let mut c = Criterion::default().configure_from_args();
-    criterion_benches(&mut c);
-    c.final_summary();
+    let mut talkers = d4m
+        .field_subarray("src")
+        .reduce_cols(PlusMonoid::<f64>::default());
+    talkers.sort_by(|a, b| b.1.total_cmp(&a.1));
+    assert_eq!(
+        talkers[0].0, HOST,
+        "the skewed generator makes {HOST} the hub"
+    );
+    println!("top talkers: {:?}", &talkers[..5]);
 }

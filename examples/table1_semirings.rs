@@ -3,32 +3,23 @@
 //! Regenerates the table's rows (set, ⊕, ⊗, 0, 1) from the running
 //! implementation, then demonstrates the paper's claim that *the same
 //! array operations run over every semiring*: one RMAT graph, one SpMV
-//! and one SpGEMM per Table I row, timed by Criterion. Topology-only
-//! rows (the paper's §V.A point) are asserted to produce identical
-//! sparsity patterns.
+//! and one SpGEMM per Table I row. Topology-only rows (the paper's §V.A
+//! point) are asserted to produce identical sparsity patterns.
+//!
+//! ```sh
+//! cargo run --release --example table1_semirings
+//! ```
 
 use bench::{fmt_dur, quick_time};
-use criterion::Criterion;
 use hypersparse::gen::{rmat_dcsr, RmatParams};
-use hypersparse::{Dcsr, OpCtx, SparseVec};
+use hypersparse::ops::mxv::vxm_ctx;
+use hypersparse::{OpCtx, SparseVec};
 use semiring::{
     MaxMin, MaxPlus, MaxTimes, MinMax, MinPlus, MinTimes, PSet, PlusTimes, Semiring, UnionIntersect,
 };
 
 const SCALE: u32 = 13;
 const EDGE_FACTOR: usize = 8;
-
-fn graph() -> Dcsr<f64> {
-    rmat_dcsr(
-        RmatParams {
-            scale: SCALE,
-            edge_factor: EDGE_FACTOR,
-            ..Default::default()
-        },
-        1,
-        PlusTimes::<f64>::new(),
-    )
-}
 
 fn frontier<S: Semiring<Value = f64>>(n: u64, s: S) -> SparseVec<f64> {
     // Seed the frontier with the semiring 1 ("already here" for paths),
@@ -47,7 +38,7 @@ where
     );
 }
 
-fn shape_report() {
+fn main() {
     println!("=== Table I: selected semirings (regenerated) ===");
     println!("| set            | ⊕    | ⊗    | 0        | 1        |");
     print_table_row("ℝ", "+", "×", &PlusTimes::<f64>::new());
@@ -59,8 +50,14 @@ fn shape_report() {
     print_table_row("𝕍 ∪ −∞", "max", "min", &MaxMin::<f64>::new());
     print_table_row("𝕍 ∪ +∞", "min", "max", &MinMax::<f64>::new());
 
-    let g = graph();
+    let params = RmatParams {
+        scale: SCALE,
+        edge_factor: EDGE_FACTOR,
+        ..Default::default()
+    };
+    let g = rmat_dcsr(params, 1, PlusTimes::<f64>::new());
     let n = g.nrows();
+    let ctx = OpCtx::new();
     println!(
         "\nworkload: RMAT scale {SCALE} (N = {n}, nnz = {}), SpMV frontier 64, SpGEMM A·A",
         g.nnz()
@@ -71,8 +68,7 @@ fn shape_report() {
         ($name:expr, $s:expr) => {{
             let s = $s;
             let f = frontier(n, s);
-            let (t_spmv, _) = quick_time(5, || f.vxm(&g, s));
-            let ctx = OpCtx::new();
+            let (t_spmv, _) = quick_time(5, || vxm_ctx(&ctx, &f, &g, s));
             let (t_mxm, c) = quick_time(3, || hypersparse::ops::mxm_ctx(&ctx, &g, &g, s));
             println!(
                 "| {:<9} | {:>10} | {:>10} | {:>10} |",
@@ -113,7 +109,7 @@ fn shape_report() {
     }
     let gs = coo.build_dcsr(UnionIntersect);
     let (t, c8) = quick_time(1, || {
-        hypersparse::ops::mxm_ctx(&OpCtx::new(), &gs, &gs, UnionIntersect)
+        hypersparse::ops::mxm_ctx(&ctx, &gs, &gs, UnionIntersect)
     });
     println!(
         "| {:<9} | {:>10} | {:>10} | {:>10} |  (set-valued)",
@@ -125,49 +121,4 @@ fn shape_report() {
     let pat8: Vec<(u64, u64)> = c8.iter().map(|(r, c, _)| (r, c)).collect();
     assert_eq!(pat[0], pat8, "∪.∩ changed the topology!");
     println!("✓ ∪.∩ SpGEMM matches the numeric pattern too");
-}
-
-fn criterion_benches(c: &mut Criterion) {
-    let g = graph();
-    let n = g.nrows();
-    let mut group = c.benchmark_group("table1/spmv");
-    group.sample_size(20);
-    macro_rules! spmv {
-        ($name:expr, $s:expr) => {{
-            let s = $s;
-            let f = frontier(n, s);
-            group.bench_function($name, |b| b.iter(|| f.vxm(&g, s)));
-        }};
-    }
-    spmv!("plus_times", PlusTimes::<f64>::new());
-    spmv!("max_plus", MaxPlus::<f64>::new());
-    spmv!("min_plus", MinPlus::<f64>::new());
-    spmv!("max_times", MaxTimes::<f64>::new());
-    spmv!("min_times", MinTimes::<f64>::new());
-    spmv!("max_min", MaxMin::<f64>::new());
-    spmv!("min_max", MinMax::<f64>::new());
-    group.finish();
-
-    let mut group = c.benchmark_group("table1/spgemm");
-    group.sample_size(10);
-    macro_rules! mxm {
-        ($name:expr, $s:expr) => {{
-            let s = $s;
-            let ctx = OpCtx::new();
-            group.bench_function($name, |b| {
-                b.iter(|| hypersparse::ops::mxm_ctx(&ctx, &g, &g, s))
-            });
-        }};
-    }
-    mxm!("plus_times", PlusTimes::<f64>::new());
-    mxm!("min_plus", MinPlus::<f64>::new());
-    mxm!("max_min", MaxMin::<f64>::new());
-    group.finish();
-}
-
-fn main() {
-    shape_report();
-    let mut c = Criterion::default().configure_from_args();
-    criterion_benches(&mut c);
-    c.final_summary();
 }

@@ -3,9 +3,12 @@
 //! Verifies each algebraic law at benchmark scale, then times every
 //! Table II operation on random string-keyed associative arrays across
 //! three sizes.
+//!
+//! ```sh
+//! cargo run --release --example table2_assoc_ops
+//! ```
 
 use bench::{fmt_dur, quick_time};
-use criterion::Criterion;
 use hyperspace_core::Assoc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,7 +36,7 @@ fn random_assoc(nnz: usize, seed: u64) -> A {
     Assoc::from_triplets(trips, s())
 }
 
-fn shape_report() {
+fn main() {
     println!("=== Table II: associative array operations (regenerated) ===");
     let a = random_assoc(100_000, 1);
     let b = random_assoc(100_000, 2);
@@ -92,27 +95,4 @@ fn shape_report() {
     op_row!("identity", |a: &A, _b: &A| {
         Assoc::<String, String, f64>::identity(a.row_keys().to_vec(), s())
     });
-}
-
-fn criterion_benches(c: &mut Criterion) {
-    let a = random_assoc(10_000, 5);
-    let b = random_assoc(10_000, 6);
-    let mut g = c.benchmark_group("table2/ops_10k");
-    g.sample_size(20);
-    g.bench_function("ewise_add", |bch| bch.iter(|| a.ewise_add(&b, s())));
-    g.bench_function("ewise_mul", |bch| bch.iter(|| a.ewise_mul(&b, s())));
-    g.bench_function("matmul", |bch| bch.iter(|| a.matmul(&b, s())));
-    g.bench_function("transpose", |bch| bch.iter(|| a.transpose(s())));
-    g.bench_function("zero_norm", |bch| bch.iter(|| a.zero_norm(s())));
-    g.bench_function("reduce_rows", |bch| {
-        bch.iter(|| a.reduce_rows(PlusMonoid::<f64>::default()))
-    });
-    g.finish();
-}
-
-fn main() {
-    shape_report();
-    let mut c = Criterion::default().configure_from_args();
-    criterion_benches(&mut c);
-    c.final_summary();
 }
