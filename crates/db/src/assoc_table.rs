@@ -117,18 +117,14 @@ impl AssocTable {
         e_src.transpose(s()).matmul(&e_dst, s())
     }
 
-    /// Fig. 6's query, purely algebraically: neighbors of `host` are the
-    /// column support of `host`'s adjacency row plus the row support of
-    /// its adjacency column.
+    /// Fig. 6's query, purely algebraically: the neighbors of `host` are
+    /// the `dst` values of the records whose `src` is `host` plus the
+    /// `src` values of those whose `dst` is — the column support of
+    /// `host`'s [`AssocTable::adjacency`] row and the row support of its
+    /// column, read off two selections instead of the whole projection.
     pub fn neighbors(&self, host: &str) -> BTreeSet<String> {
-        let adj = self.adjacency("src", "dst");
-        let mut out: BTreeSet<String> = adj
-            .row(&host.to_string())
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        let adj_t = adj.transpose(s());
-        out.extend(adj_t.row(&host.to_string()).into_iter().map(|(k, _)| k));
+        let mut out = self.select_project("src", host, "dst");
+        out.extend(self.select_project("dst", host, "src"));
         out
     }
 

@@ -8,7 +8,7 @@ use graph::pattern::{pattern_u64, pattern_u8, symmetrize};
 use graph::Graph;
 use hypersparse::gen::{random_dcsr, rmat_dcsr, RmatParams};
 use hypersparse::{ops, Coo, Dcsr, Decision, Format, Ix, Matrix, OpCtx, SparseVec};
-use semiring::{LorLand, MinFirst, MinPlus, PlusTimes};
+use semiring::{LorLand, MinFirst, MinPlus, PlusMonoid, PlusTimes};
 
 const WIDE: Ix = 1 << 40;
 
@@ -121,6 +121,15 @@ fn graphs(ctx: &OpCtx) {
     let _ = parent_bfs_with_ctx(ctx, &g, 0, PlusTimes::<u64>::new()); // two step
 }
 
+/// The thread rule: every call above at a cap of 1 stays on one thread;
+/// a reduce over two chunks of entries at a cap of 2 fans out.
+fn fan_out(ctx: &OpCtx) {
+    ctx.set_threads(2);
+    let big = random_dcsr(4096, 4096, 40_000, 9, pt());
+    let _ = ops::reduce_rows_ctx(ctx, &big, PlusMonoid::<f64>::default()); // many
+    ctx.set_threads(1);
+}
+
 #[test]
 fn fixed_inputs_reach_every_decision() {
     let ctx = OpCtx::new().with_threads(1);
@@ -129,6 +138,7 @@ fn fixed_inputs_reach_every_decision() {
     traversals(&ctx);
     transposes_and_bool_rows(&ctx);
     graphs(&ctx);
+    fan_out(&ctx);
     let snap = ctx.metrics().snapshot();
     let missed: Vec<String> = Decision::LABELS
         .iter()

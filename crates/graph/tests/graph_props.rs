@@ -15,7 +15,7 @@ use graph::triangles::{edge_support, edge_support_ctx, triangle_count, triangle_
 use graph::Graph;
 use hypersparse::gen::{rmat_dcsr, RmatParams};
 use hypersparse::ops::mxv::choose_direction;
-use hypersparse::{with_default_ctx, Coo, Dcsr, Direction, Ix, Kernel, OpCtx, SparseVec};
+use hypersparse::{with_default_ctx, Coo, Dcsr, Decision, Direction, Ix, Kernel, OpCtx, SparseVec};
 use semiring::{MinFirst, MinPlus, PlusTimes};
 
 const SOURCES: usize = 4;
@@ -292,6 +292,8 @@ fn reused_fresh_and_bare_give_the_same_bits_at_any_thread_count() {
     for k in [1, 2, 4, 8] {
         ctx.set_threads(k);
         with_default_ctx(|c| c.set_threads(k));
+        let many = || ctx.metrics().snapshot().decision(Decision::FanOutMany);
+        let before = many();
         let routes = [
             ("reused", on_graphs(&ctx, &reused, &src)),
             ("fresh", on_graphs(&ctx, &Graphs::new(&p, &w), &src)),
@@ -300,6 +302,7 @@ fn reused_fresh_and_bare_give_the_same_bits_at_any_thread_count() {
         for (route, got) in &routes {
             assert_eq!(got, &want, "{route} differs at {k} threads");
         }
+        assert_eq!(many() > before, k > 1, "fan_out=many iff {k} > 1");
     }
     with_default_ctx(|c| c.set_threads(0));
 }

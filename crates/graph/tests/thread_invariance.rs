@@ -3,7 +3,9 @@
 //! be byte-identical at every thread count.
 //!
 //! The graph entry points are ctx-free, so the thread cap is varied
-//! through the thread-local default context.
+//! through the thread-local default context. Every run at more than one
+//! thread must fan out at least one kernel call (`fan_out=many`), so
+//! each comparison is between sharded and unsharded runs.
 
 use graph::bfs::{bfs_levels, bfs_parents};
 use graph::cc::connected_components;
@@ -11,12 +13,15 @@ use graph::pagerank::{pagerank, PageRankOpts};
 use graph::pattern::{pattern_u64, pattern_u8, symmetrize};
 use graph::sssp::sssp;
 use hypersparse::gen::{rmat_dcsr, RmatParams};
-use hypersparse::with_default_ctx;
+use hypersparse::{with_default_ctx, Decision};
 use semiring::PlusTimes;
 
 fn with_threads<R>(k: usize, f: impl FnOnce() -> R) -> R {
     with_default_ctx(|c| c.set_threads(k));
+    let many = || with_default_ctx(|c| c.metrics().snapshot().decision(Decision::FanOutMany));
+    let before = many();
     let r = f();
+    assert_eq!(many() > before, k > 1, "fan_out=many iff {k} > 1");
     with_default_ctx(|c| c.set_threads(0)); // back to auto
     r
 }
@@ -24,11 +29,12 @@ fn with_threads<R>(k: usize, f: impl FnOnce() -> R) -> R {
 #[test]
 fn bfs_pagerank_sssp_identical_at_any_thread_count() {
     // Big enough that BFS frontiers span multiple push segments and the
-    // pull side shards: scale 12 × 8 ≈ 32k edges over 4096 vertices.
+    // pull side shards: scale 12 × 16 ≈ 51k edges over 4096 vertices,
+    // past two chunks of work.
     let g = rmat_dcsr(
         RmatParams {
             scale: 12,
-            edge_factor: 8,
+            edge_factor: 16,
             ..Default::default()
         },
         7,
@@ -79,7 +85,7 @@ fn bfs_pagerank_sssp_identical_at_any_thread_count() {
 #[test]
 fn triangle_counts_identical_at_any_thread_count() {
     // triangle_count / edge_support run on the masked SpGEMM, which
-    // shards by row above ~512 non-empty rows — scale 12 clears that.
+    // shards by row once its ⊗ count reaches two chunks of work.
     let g = symmetrize(
         &rmat_dcsr(
             RmatParams {
@@ -111,11 +117,12 @@ fn triangle_counts_identical_at_any_thread_count() {
 
 #[test]
 fn connected_components_identical_at_any_thread_count() {
+    // ≈ 53k symmetric edges: each label sweep carries two chunks of work.
     let g = symmetrize(
         &rmat_dcsr(
             RmatParams {
-                scale: 10,
-                edge_factor: 4,
+                scale: 12,
+                edge_factor: 8,
                 ..Default::default()
             },
             3,
@@ -137,7 +144,7 @@ fn connected_components_identical_at_any_thread_count() {
 #[test]
 fn msbfs_levels_identical_at_any_thread_count() {
     // Every level is one complement-masked SpGEMM (frontier ⊕.⊗ A under
-    // ¬visited); 600 sources clear the ~512-row bar where it shards.
+    // ¬visited); from 600 sources some level carries two chunks of work.
     let g = rmat_dcsr(
         RmatParams {
             scale: 10,

@@ -9,10 +9,13 @@
 //! * a **workspace arena** pooling SpGEMM scratch (dense accumulator +
 //!   touched list + hash accumulator, per value type) so hot paths that
 //!   repeat same-shaped multiplies stop allocating per call;
-//! * a **thread cap** (there is no separate sequential kernel): `1`
-//!   forces sequential execution, `n` shards rows across `n` OS threads,
-//!   `auto` (the default) uses the machine's available parallelism —
-//!   results are bit-for-bit identical at every setting;
+//! * a **thread cap** (`1` sequential, `n`, or auto: the machine's
+//!   parallelism, read once when the context is made) and **one thread
+//!   rule**, SuiteSparse's: a call that will touch `work` entries runs
+//!   on `min(cap, work / CHUNK)` threads, at least one. Row-sharded
+//!   kernels fan out through `par_rows` (one range at one thread,
+//!   merge-path weighted shards otherwise), counting `fan_out=one|many`
+//!   ([`Decision`]); results are bit-for-bit identical at every cap;
 //! * the **metrics registry** ([`crate::metrics`]) and **span
 //!   registry** ([`crate::trace`]) every kernel reports into, through
 //!   one [`KernelRun`] per call: [`OpCtx::kernel`] opens it, and
@@ -28,15 +31,27 @@
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use semiring::traits::Value;
 
-use crate::metrics::{Kernel, MetricsRegistry};
+use crate::dcsr::Dcsr;
+use crate::index::IndexType;
+use crate::metrics::{Decision, Kernel, MetricsRegistry};
 use crate::trace::{Span, TraceRegistry};
 use crate::Ix;
+
+/// Work (entries swept, or a product's ⊗ count) a call must carry per
+/// thread it starts: a two-thread scope's cost (58.7 µs) over the dense
+/// pull's per-entry cost (3.66 ns), measured on a 2-core host (EXPERIMENTS.md).
+const CHUNK: u64 = 1 << 14;
+
+/// Weighted shards per thread: oversubscribe the merge-path plan so the
+/// atomic job queue can still balance residual skew between shards.
+const TASKS_PER_THREAD: usize = 4;
 
 /// Reusable Gustavson-accumulator scratch for SpGEMM over value type `T`.
 ///
@@ -169,13 +184,34 @@ impl<T: Value> Drop for ScratchLease<'_, T> {
 ///
 /// See the [module docs](self) for the design; see
 /// [`crate::ops::mxm_ctx`] for the canonical kernel entry point.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct OpCtx {
-    /// Requested thread cap; `0` means "auto" (available parallelism).
+    /// The resolved thread cap (≥ 1).
     threads: AtomicUsize,
     workspace: Mutex<Workspace>,
     metrics: MetricsRegistry,
     trace: TraceRegistry,
+}
+
+impl Default for OpCtx {
+    fn default() -> Self {
+        OpCtx {
+            threads: AtomicUsize::new(resolve(0)),
+            workspace: Mutex::default(),
+            metrics: MetricsRegistry::default(),
+            trace: TraceRegistry::default(),
+        }
+    }
+}
+
+/// A thread cap, `0` resolved to the machine's available parallelism: a
+/// call that re-reads the CPU affinity and the cgroup quota (~20 µs),
+/// so a context makes it only when it is made or set to auto.
+fn resolve(threads: usize) -> usize {
+    match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
 }
 
 impl OpCtx {
@@ -191,21 +227,65 @@ impl OpCtx {
     }
 
     /// Cap kernel parallelism: `1` forces sequential execution, `n` uses
-    /// at most `n` OS threads, `0` restores auto (machine parallelism).
-    /// Takes `&self` so a cap can be adjusted mid-flight on a shared
-    /// context.
+    /// at most `n` OS threads, `0` restores auto (the machine's
+    /// parallelism, read now). Takes `&self` so a cap can be adjusted
+    /// mid-flight on a shared context.
     pub fn set_threads(&self, threads: usize) {
-        self.threads.store(threads, Ordering::Relaxed);
+        self.threads.store(resolve(threads), Ordering::Relaxed);
     }
 
-    /// The resolved thread count (≥ 1) kernels will use right now.
+    /// The resolved thread cap (≥ 1).
     pub fn threads(&self) -> usize {
-        match self.threads.load(Ordering::Relaxed) {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
+        self.threads.load(Ordering::Relaxed)
+    }
+
+    /// The thread rule: a call that will touch `work` entries pays for
+    /// `work / CHUNK` threads and gets that many up to the cap, at least 1.
+    pub(crate) fn threads_for(&self, work: u64) -> usize {
+        let paid = usize::try_from(work / CHUNK).unwrap_or(usize::MAX);
+        self.threads().min(paid).max(1)
+    }
+
+    /// The least work at which the rule gives the whole cap (`0` at a cap
+    /// of one), where a caller whose estimate is a walk can stop counting.
+    pub(crate) fn work_to_fill(&self) -> u64 {
+        let t = self.threads() as u64;
+        u64::from(t > 1) * t * CHUNK
+    }
+
+    /// Count the rule's outcome, then run `jobs` on up to `threads`,
+    /// results in job order (the push sweep runs its fixed segments,
+    /// which fix its ⊕ grouping, on [`OpCtx::threads_for`] this way).
+    pub(crate) fn fan_out<R: Send>(
+        &self,
+        threads: usize,
+        jobs: usize,
+        job: impl Fn(usize) -> R + Sync,
+    ) -> Vec<R> {
+        let many = usize::from(threads.min(jobs) > 1);
+        let d = [Decision::FanOutOne, Decision::FanOutMany][many];
+        self.metrics.record_decision(d, 1);
+        par_run(threads, jobs, job)
+    }
+
+    /// Run `job` over `a`'s stored rows for a call that will touch `work`
+    /// entries, results in row order: one range at one thread, else
+    /// merge-path shards weighted by row length ([`plan_weighted_shards`]).
+    /// Rows never split, so the concatenated results are the same bits at
+    /// any cap.
+    pub(crate) fn par_rows<T: Value, I: IndexType, R: Send>(
+        &self,
+        work: u64,
+        a: &Dcsr<T, I>,
+        job: impl Fn(Range<usize>) -> R + Sync,
+    ) -> Vec<R> {
+        let rows = a.n_nonempty_rows();
+        let threads = self.threads_for(work).min(rows.max(1));
+        let shards = match threads {
+            1 => vec![(0, rows)],
+            t => plan_weighted_shards(rows, t * TASKS_PER_THREAD, |k| a.row_len_at(k) as u64),
+        };
+        self.fan_out(threads, shards.len(), |k| job(shards[k].0..shards[k].1))
     }
 
     /// The context's metrics registry.
@@ -367,7 +447,7 @@ pub fn with_default_ctx<R>(f: impl FnOnce(&OpCtx) -> R) -> R {
 /// never on scheduling — and every output row is computed wholly inside
 /// one shard, so any boundary choice yields bit-identical results after
 /// the in-order concat (DESIGN.md §13).
-pub(crate) fn plan_weighted_shards(
+fn plan_weighted_shards(
     rows: usize,
     target: usize,
     weight: impl Fn(usize) -> u64,
@@ -403,7 +483,7 @@ pub(crate) fn plan_weighted_shards(
 /// completion order. Jobs are claimed from a shared atomic counter, so
 /// skewed job costs balance; determinism comes from indexing results by
 /// job id, never from scheduling.
-pub(crate) fn par_run<R, F>(threads: usize, jobs: usize, job: F) -> Vec<R>
+fn par_run<R, F>(threads: usize, jobs: usize, job: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -446,6 +526,39 @@ mod tests {
         assert_eq!(ctx.threads(), 1);
         ctx.set_threads(0);
         assert!(ctx.threads() >= 1);
+    }
+
+    #[test]
+    fn thread_rule_pays_a_thread_per_chunk_up_to_the_cap() {
+        let ctx = OpCtx::new().with_threads(4);
+        assert_eq!(ctx.threads_for(0), 1);
+        assert_eq!(ctx.threads_for(CHUNK - 1), 1);
+        assert_eq!(ctx.threads_for(2 * CHUNK), 2);
+        assert_eq!(ctx.threads_for(u64::MAX), 4, "never above the cap");
+        assert_eq!(ctx.threads_for(ctx.work_to_fill()), 4);
+        assert_eq!(ctx.threads_for(ctx.work_to_fill() - 1), 3);
+        // Below one chunk: one range, recorded as `fan_out=one`.
+        let s = semiring::PlusTimes::<f64>::new();
+        let a = crate::gen::random_dcsr(5000, 5000, 20_000, 1, s);
+        let rows = a.n_nonempty_rows();
+        assert_eq!(ctx.par_rows(CHUNK - 1, &a, |r| r), vec![0..rows]);
+        // Two chunks: two threads, contiguous shards covering every row.
+        let ranges = ctx.par_rows(2 * CHUNK, &a, |r| r);
+        assert!(ranges.len() > 1 && ranges.len() <= 2 * TASKS_PER_THREAD);
+        assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+        assert_eq!((ranges[0].start, ranges.last().unwrap().end), (0, rows));
+        // No rows: still one (empty) range for the caller to assemble.
+        let empty = Dcsr::<f64>::empty(8, 8);
+        assert_eq!(ctx.par_rows(u64::MAX, &empty, |r| r), vec![0..0]);
+        let snap = ctx.metrics().snapshot();
+        assert_eq!(snap.decision(Decision::FanOutOne), 2);
+        assert_eq!(snap.decision(Decision::FanOutMany), 1);
+        // A cap of one never fans out, whatever the work.
+        ctx.set_threads(1);
+        assert_eq!(ctx.work_to_fill(), 0);
+        let jobs = ctx.fan_out(ctx.threads_for(u64::MAX), 8, |i| i);
+        assert_eq!(jobs, (0..8).collect::<Vec<_>>());
+        assert_eq!(ctx.metrics().snapshot().decision(Decision::FanOutOne), 3);
     }
 
     #[test]

@@ -230,6 +230,9 @@ decisions! {
     // Per parent BFS: `Semiring::ONE_STEP`.
     BfsOneStep = "parent_bfs", "one_step";
     BfsTwoStep = "parent_bfs", "two_step";
+    // Per reduce, apply, SpGEMM, pull or push call: `OpCtx`'s thread rule.
+    FanOutOne = "fan_out", "one";
+    FanOutMany = "fan_out", "many";
 }
 
 /// Live counters for one kernel.

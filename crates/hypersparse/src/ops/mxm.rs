@@ -46,7 +46,7 @@ use std::ops::Range;
 
 use semiring::traits::{Semiring, UnaryOp, Value};
 
-use crate::ctx::{par_run, plan_weighted_shards, MxmScratch, OpCtx};
+use crate::ctx::{MxmScratch, OpCtx};
 use crate::dcsr::{Dcsr, DcsrBuilder};
 use crate::error::OpError;
 use crate::index::IndexType;
@@ -91,13 +91,6 @@ const DENSE_ACC_ROW_RATIO: u64 = 4096;
 /// scan then visits at most two slots per product, and every product
 /// saves the bitmap's read-modify-write.
 const SCAN_DENSITY: u64 = 2;
-
-/// Below this many non-empty rows of `A`, sharding is never worth it.
-const PAR_MIN_ROWS: usize = 512;
-
-/// Weighted shards per thread: oversubscribe the merge-path plan so the
-/// atomic job queue can still balance residual skew between shards.
-const SHARD_FACTOR: usize = 4;
 
 /// `A ⊕.⊗ B` conformance, shared by the plain, fused-prune and masked
 /// multiplies (they differ only in the `op` the error names).
@@ -302,8 +295,8 @@ fn detail<A: Value, B: Value, I: IndexType>(a: &Dcsr<A, I>, b: &Dcsr<B, I>) -> S
 /// The frame of every SpGEMM call: the `mxm_b_rows` decision and, when
 /// `masked`, the `mxm_mask` one (each [`compact`] over the operands'
 /// `nnz`), B's row locator, and `job(rows, scatter, range)` over A's
-/// stored rows — one range at one thread or below [`PAR_MIN_ROWS`]
-/// rows, merge-path weighted shards otherwise — its results in row order.
+/// stored rows, planned by [`OpCtx::par_rows`] on the product's ⊗ count
+/// ([`flops_up_to`]) — its results in row order.
 fn drive<A, B, I, R>(
     ctx: &OpCtx,
     a: &Dcsr<A, I>,
@@ -321,35 +314,39 @@ where
     let indexed = compact(b.nrows(), nnz);
     let scatter = masked && compact(b.ncols(), nnz);
     let m = ctx.metrics();
-    m.record_decision(
-        if indexed {
-            Decision::MxmRowsIndexed
-        } else {
-            Decision::MxmRowsSearched
-        },
-        1,
-    );
+    let rows_d = [Decision::MxmRowsSearched, Decision::MxmRowsIndexed];
+    m.record_decision(rows_d[usize::from(indexed)], 1);
     if masked {
-        m.record_decision(
-            if scatter {
-                Decision::MxmMaskScatter
-            } else {
-                Decision::MxmMaskSearch
-            },
-            1,
-        );
+        let mask_d = [Decision::MxmMaskSearch, Decision::MxmMaskScatter];
+        m.record_decision(mask_d[usize::from(scatter)], 1);
     }
     with_locator(ctx, b, indexed, |rows| {
-        let (nrows_ne, threads) = (a.n_nonempty_rows(), ctx.threads());
-        if threads == 1 || nrows_ne < PAR_MIN_ROWS {
-            return vec![job(rows, scatter, 0..nrows_ne)];
-        }
-        let shards =
-            plan_weighted_shards(nrows_ne, threads * SHARD_FACTOR, |k| a.row_len_at(k) as u64);
-        par_run(threads, shards.len(), |k| {
-            job(rows, scatter, shards[k].0..shards[k].1)
-        })
+        let work = flops_up_to(a, rows, 0..a.n_nonempty_rows(), ctx.work_to_fill());
+        ctx.par_rows(work, a, |range| job(rows, scatter, range))
     })
+}
+
+/// The ⊗ count of A's stored rows `range` against B — each of their
+/// entries meets `|B.row(k)|` entries of B — counted only until it
+/// reaches `enough`, so a hypersparse range answers after touching only
+/// its own nnz. A product's work for the thread rule, and the estimate
+/// behind [`dense_acc_pays_off`].
+fn flops_up_to<A: Value, B: Value, I: IndexType>(
+    a: &Dcsr<A, I>,
+    rows: &BRows<'_, B, I>,
+    range: Range<usize>,
+    enough: u64,
+) -> u64 {
+    let mut flops = 0u64;
+    for k_row in range {
+        for &k in a.row_at(k_row).1 {
+            if flops >= enough {
+                return flops;
+            }
+            flops += rows.row(k).0.len() as u64;
+        }
+    }
+    flops
 }
 
 /// Concatenate per-range results (in row order) as slice copies; a lone
@@ -884,12 +881,9 @@ where
 /// `range`: the column space must be compact (`≤ DENSE_ACC_MAX`)
 /// **and** the range must carry enough estimated flops both in total
 /// (`width / DENSE_ACC_FLOP_RATIO`) and per row
-/// (`rows · width / DENSE_ACC_ROW_RATIO` — the tall-skinny guard). The
-/// estimate walks `A`'s entries summing `|B.row(k)|` (the exact ⊗
-/// count) and early-exits at the threshold, so hypersparse ranges
-/// answer "no" after touching only their own nnz. Either accumulator
-/// yields identical output, so this per-range choice never affects
-/// determinism.
+/// (`rows · width / DENSE_ACC_ROW_RATIO` — the tall-skinny guard), as
+/// [`flops_up_to`] counts them. Either accumulator yields identical
+/// output, so this per-range choice never affects determinism.
 fn dense_acc_pays_off<T: Value, I: IndexType>(
     a: &Dcsr<T, I>,
     rows: &BRows<'_, T, I>,
@@ -902,17 +896,7 @@ fn dense_acc_pays_off<T: Value, I: IndexType>(
     let need = (width / DENSE_ACC_FLOP_RATIO)
         .max(1)
         .max(range.len() as u64 * (width / DENSE_ACC_ROW_RATIO));
-    let mut est = 0u64;
-    for k_row in range {
-        let (_, acols, _) = a.row_at(k_row);
-        for &k in acols {
-            est += rows.row(k).0.len() as u64;
-            if est >= need {
-                return true;
-            }
-        }
-    }
-    false
+    flops_up_to(a, rows, range, need) >= need
 }
 
 /// A zero-seeded flat accumulator plus an occupancy bitmap over borrowed
@@ -1047,13 +1031,16 @@ mod tests {
     #[test]
     fn parallel_equals_sequential() {
         let s = PlusTimes::<f64>::new();
-        // Big enough to trigger the parallel path (>512 non-empty rows).
+        // Two chunks of operand entries: the thread rule fans out.
         let a = random_dcsr(2000, 2000, 20_000, 3, s);
         let b = random_dcsr(2000, 2000, 20_000, 4, s);
+        let auto = OpCtx::new();
         assert_eq!(
-            mxm_ctx(&OpCtx::new(), &a, &b, s),
+            mxm_ctx(&auto, &a, &b, s),
             mxm_ctx(&OpCtx::new().with_threads(1), &a, &b, s)
         );
+        let many = auto.metrics().snapshot().decision(Decision::FanOutMany);
+        assert_eq!(many == 1, auto.threads() > 1, "fans out iff the cap allows");
     }
 
     #[test]
@@ -1066,6 +1053,8 @@ mod tests {
         for threads in [2, 4, 8] {
             let ctxn = OpCtx::new().with_threads(threads);
             assert_eq!(mxm_ctx(&ctxn, &a, &b, s), reference);
+            let many = ctxn.metrics().snapshot().decision(Decision::FanOutMany);
+            assert_eq!(many, 1, "one thread at {threads}");
         }
     }
 
@@ -1074,15 +1063,17 @@ mod tests {
         // Deliberately skewed rows: the weighted plan's boundaries move
         // with the thread count, the answer must not.
         let s = PlusTimes::<f64>::new();
-        let a = crate::gen::rmat_dcsr(crate::gen::RmatParams::default(), 35, s);
-        let b = crate::gen::rmat_dcsr(crate::gen::RmatParams::default(), 36, s);
-        assert!(
-            a.n_nonempty_rows() >= PAR_MIN_ROWS,
-            "must take the sharded path"
-        );
+        let p = crate::gen::RmatParams {
+            scale: 12,
+            ..Default::default()
+        };
+        let a = crate::gen::rmat_dcsr(p, 35, s);
+        let b = crate::gen::rmat_dcsr(p, 36, s);
         let seq = OpCtx::new().with_threads(1);
         let par = OpCtx::new().with_threads(4);
         assert_eq!(mxm_ctx(&par, &a, &b, s), mxm_ctx(&seq, &a, &b, s));
+        let many = par.metrics().snapshot().decision(Decision::FanOutMany);
+        assert_eq!(many, 1, "must take the sharded path");
     }
 
     #[test]
@@ -1323,7 +1314,7 @@ mod tests {
 
     #[test]
     fn masked_parallel_equals_sequential_all_semirings() {
-        // Big enough to trigger the sharded path (>512 non-empty rows).
+        // ~200 k flops: past two chunks of work, so the product shards.
         let gen = PlusTimes::<f64>::new();
         let a = random_dcsr(2000, 2000, 20_000, 13, gen);
         let b = random_dcsr(2000, 2000, 20_000, 14, gen);
@@ -1344,6 +1335,8 @@ mod tests {
                     want_mp,
                     "MinPlus complement={complement} threads={threads}"
                 );
+                let many = ctxn.metrics().snapshot().decision(Decision::FanOutMany);
+                assert_eq!(many, 2, "both products shard at {threads}");
             }
         }
     }
@@ -1429,7 +1422,7 @@ mod tests {
     fn fused_prune_is_thread_invariant() {
         use semiring::FnOp;
         let s = PlusTimes::<f64>::new();
-        // Big enough to trigger the sharded path (>512 non-empty rows).
+        // ~200 k flops: past two chunks of work, so the product shards.
         let a = random_dcsr(2000, 2000, 20_000, 33, s);
         let b = random_dcsr(2000, 2000, 20_000, 34, s);
         // Product entries are sums of ~1–3 terms from [1,4), so a -3.0
@@ -1441,6 +1434,8 @@ mod tests {
         for threads in [2, 4, 8] {
             let ctxn = OpCtx::new().with_threads(threads);
             assert_eq!(mxm_apply_prune_ctx(&ctxn, &a, &b, s, op, s), reference);
+            let many = ctxn.metrics().snapshot().decision(Decision::FanOutMany);
+            assert_eq!(many, 1, "sharded at {threads}");
         }
     }
 

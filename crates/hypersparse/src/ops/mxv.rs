@@ -57,7 +57,7 @@ use std::ops::Range;
 
 use semiring::traits::{Semiring, Value};
 
-use crate::ctx::{par_run, plan_weighted_shards, OpCtx};
+use crate::ctx::OpCtx;
 use crate::dcsr::Dcsr;
 use crate::error::OpError;
 use crate::index::IndexType;
@@ -67,14 +67,9 @@ use crate::vector::SparseVec;
 use crate::Ix;
 
 /// Frontier entries per push segment. Fixed (not derived from the
-/// thread count) so the ⊕-merge tree is identical at any parallelism.
+/// thread count) so the ⊕-merge tree is identical at any parallelism:
+/// a determinism constant, not a parallelism gate.
 const PUSH_SEG: usize = 1024;
-
-/// At or below this many stored transpose rows, pull never shards.
-const PULL_PAR_MIN_ROWS: usize = 512;
-
-/// Weighted pull shards per thread (merge-path oversubscription).
-const PULL_SHARD_FACTOR: usize = 4;
 
 /// Beamer-style crossover: pull when the push sweep would touch more
 /// than `nnz / PULL_ALPHA` edges.
@@ -97,18 +92,19 @@ pub fn choose_direction<T: Value, I: IndexType>(
     a: &Dcsr<T, I>,
     have_transpose: bool,
 ) -> Direction {
-    if !have_transpose {
-        return Direction::Push;
-    }
-    if frontier_edges(v, a).saturating_mul(PULL_ALPHA) > a.nnz() as u64 {
+    if have_transpose && frontier_edges(v, a).saturating_mul(PULL_ALPHA) > a.nnz() as u64 {
         Direction::Pull
     } else {
         Direction::Push
     }
 }
 
-/// One push segment's partial: `(entries, flops, mask_hits, mask_total)`.
-type PushPartial<T> = (Vec<(Ix, T)>, u64, u64, u64);
+/// Sorted `(output index, value)` entries of one push segment or pull range.
+type Entries<T> = Vec<(Ix, T)>;
+
+/// One push segment's or pull range's partial: `(entries, flops,
+/// mask_probes, mask_hits)`.
+type PushPartial<T> = (Entries<T>, u64, u64, u64);
 
 /// A complement mask as the sweeps probe it: one bitmap over the output
 /// space, built once per call, or the sorted ids, binary-searched.
@@ -280,7 +276,8 @@ where
     out
 }
 
-/// Push sweep over fixed frontier segments, fanned out via [`par_run`].
+/// Push sweep over fixed frontier segments, on the threads the context's
+/// rule gives an expected `edges` touched.
 fn run_push<T, I, S>(
     ctx: &OpCtx,
     v: &SparseVec<T, I>,
@@ -288,6 +285,7 @@ fn run_push<T, I, S>(
     mask: Option<&Mask>,
     flip: bool,
     s: S,
+    edges: u64,
 ) -> PushPartial<T>
 where
     T: Value,
@@ -296,26 +294,24 @@ where
 {
     let n = v.nnz();
     let nsegs = n.div_ceil(PUSH_SEG).max(1);
-    if nsegs == 1 {
-        return push_segment(ctx, v, rows_of, mask, flip, s, 0..n);
-    }
-    let parts = par_run(ctx.threads(), nsegs, |seg| {
+    let parts = ctx.fan_out(ctx.threads_for(edges), nsegs, |seg| {
         let lo = seg * PUSH_SEG;
         push_segment(ctx, v, rows_of, mask, flip, s, lo..(lo + PUSH_SEG).min(n))
     });
-    let (mut flops, mut probes, mut hits) = (0u64, 0u64, 0u64);
-    let mut merged: Vec<(Ix, T)> = Vec::new();
-    for (seg, (part, f, p, h)) in parts.into_iter().enumerate() {
-        flops += f;
-        probes += p;
-        hits += h;
-        merged = if seg == 0 {
-            part
-        } else {
-            merge_partials(merged, part, s)
-        };
-    }
-    (merged, flops, probes, hits)
+    combine(parts, |left, right| merge_partials(left, right, s))
+}
+
+/// Fold per-range partials (at least one) in order: `join` their
+/// entries, sum their counters.
+fn combine<T>(
+    parts: Vec<PushPartial<T>>,
+    join: impl Fn(Entries<T>, Entries<T>) -> Entries<T>,
+) -> PushPartial<T> {
+    let mut parts = parts.into_iter();
+    let first = parts.next().expect("one range at least");
+    parts.fold(first, |(e, f, p, h), (e2, f2, p2, h2)| {
+        (join(e, e2), f + f2, p + p2, h + h2)
+    })
 }
 
 /// One pull shard: gather stored rows `range` of `rows_of` against `v`.
@@ -341,8 +337,9 @@ where
     let mut out = Vec::new();
     let (vidx, vvals) = (v.indices(), v.values());
     let (mut flops, mut probes, mut hits) = (0u64, 0u64, 0u64);
+    let (first, last) = (vidx.first(), vidx.last());
     for k in range {
-        let (j, cols, avals) = rows_of.row_at(k);
+        let (j, mut cols, mut avals) = rows_of.row_at(k);
         if let Some(m) = mask {
             probes += 1;
             if m.contains(j) {
@@ -350,6 +347,17 @@ where
                 continue;
             }
         }
+        // Columns outside `v`'s extent find no entry: clip them off,
+        // searching only a side that sticks out.
+        let lo = match first {
+            Some(f) if cols.first() < first => cols.partition_point(|c| c < f),
+            _ => 0,
+        };
+        let hi = match last {
+            Some(l) if cols.last() > last => cols.partition_point(|c| c <= l),
+            _ => cols.len(),
+        };
+        (cols, avals) = (&cols[lo..hi], &avals[lo..hi]);
         let mut acc: Option<T> = None;
         let mut fold = |p: usize, q: usize, flops: &mut u64| {
             let t = if flip {
@@ -422,26 +430,13 @@ where
     I: IndexType,
     S: Semiring<Value = T>,
 {
-    let nrows = rows_of.n_nonempty_rows();
-    if nrows <= PULL_PAR_MIN_ROWS {
-        return pull_rows(v, pos, rows_of, mask, flip, s, 0..nrows);
-    }
-    let shards = plan_weighted_shards(nrows, ctx.threads() * PULL_SHARD_FACTOR, |k| {
-        rows_of.row_len_at(k) as u64
+    let parts = ctx.par_rows(rows_of.nnz() as u64, rows_of, |r| {
+        pull_rows(v, pos, rows_of, mask, flip, s, r)
     });
-    let parts = par_run(ctx.threads(), shards.len(), |shard| {
-        let (lo, hi) = shards[shard];
-        pull_rows(v, pos, rows_of, mask, flip, s, lo..hi)
-    });
-    let (mut flops, mut probes, mut hits) = (0u64, 0u64, 0u64);
-    let mut out = Vec::new();
-    for (part, f, p, h) in parts {
-        flops += f;
-        probes += p;
-        hits += h;
-        out.extend(part);
-    }
-    (out, flops, probes, hits)
+    combine(parts, |mut left, right| {
+        left.extend(right);
+        left
+    })
 }
 
 /// Shared driver: pick a direction, sweep, filter zeros, record metrics.
@@ -479,12 +474,12 @@ where
         (None, None) => unreachable!("one operand orientation is always supplied"),
     };
     let nnz = v.nnz() + mat.nnz() + mask.map_or(0, <[Ix]>::len);
+    // A push's expected edges: frontier × mean row length.
+    let edges = |a: &Dcsr<T, I>| (v.nnz() * a.nnz() / a.n_nonempty_rows().max(1)) as u64;
     let mask = mask.map(|m| {
         Mask::new(m, out_dim, compact(out_dim, nnz), || {
             match (dir, push_src, pull_src) {
-                (Direction::Push, Some(a), _) => {
-                    (v.nnz() * a.nnz() / a.n_nonempty_rows().max(1)) as u64
-                }
+                (Direction::Push, Some(a), _) => edges(a),
                 (_, _, at) => at.map_or(0, |at| at.n_nonempty_rows() as u64),
             }
         })
@@ -492,7 +487,7 @@ where
     let (entries, flops, probes, hits) = match dir {
         Direction::Push => {
             let a = push_src.expect("push chosen");
-            run_push(ctx, v, a, mask.as_ref(), flip, s)
+            run_push(ctx, v, a, mask.as_ref(), flip, s, edges(a))
         }
         Direction::Pull => {
             let (at, mask) = (pull_src.expect("pull chosen"), mask.as_ref());
@@ -517,7 +512,6 @@ where
         }
     }
     let out = SparseVec::from_sorted_parts(out_dim, idx, vals);
-    let mat = push_src.or(pull_src).expect("some operand");
     run.done(
         (v.nnz() + mat.nnz()) as u64,
         out.nnz() as u64,
@@ -664,38 +658,23 @@ where
     let run = ctx.kernel(Kernel::Vxm, || {
         format!("dense-pull {}×{}, {} nnz", at.nrows(), at.ncols(), at.nnz())
     });
-    let nrows = at.n_nonempty_rows();
-    let shards = if nrows <= PULL_PAR_MIN_ROWS {
-        vec![(0, nrows)]
-    } else {
-        plan_weighted_shards(nrows, ctx.threads() * PULL_SHARD_FACTOR, |k| {
-            at.row_len_at(k) as u64
-        })
-    };
-    let sweep = |lo: usize, hi: usize, out: &[T]| -> (Vec<(usize, T)>, u64) {
-        let mut updates = Vec::with_capacity(hi - lo);
-        let mut flops = 0u64;
-        for k in lo..hi {
+    // Ranges only *read* `out` (their rows are disjoint); writes land
+    // after the fan-out completes.
+    let parts = ctx.par_rows(at.nnz() as u64, at, |range| {
+        let (mut updates, mut flops) = (Vec::with_capacity(range.len()), 0u64);
+        for k in range {
             let (j, cols, avals) = at.row_at(k);
             let j = j as usize;
             let mut acc = out[j].clone();
+            flops += cols.len() as u64;
             for (&i, aji) in cols.iter().zip(avals) {
-                let t = s.mul(v[i.as_usize()].clone(), aji.clone());
-                flops += 1;
-                s.add_assign(&mut acc, t);
+                s.add_assign(&mut acc, s.mul(v[i.as_usize()].clone(), aji.clone()));
             }
             updates.push((j, acc));
         }
         (updates, flops)
-    };
-    // Shards only *read* `out` (their rows are disjoint); writes land
-    // after the fan-out completes.
-    let parts = par_run(ctx.threads(), shards.len(), |shard| {
-        let (lo, hi) = shards[shard];
-        sweep(lo, hi, out)
     });
-    let mut flops = 0u64;
-    let mut touched = 0u64;
+    let (mut flops, mut touched) = (0u64, 0u64);
     for (updates, f) in parts {
         flops += f;
         touched += updates.len() as u64;
@@ -875,11 +854,12 @@ mod tests {
 
     #[test]
     fn parallel_equals_sequential_across_thread_counts() {
-        // Frontier spans several PUSH_SEG segments; min-plus ⊕ is exact
-        // under regrouping, so every thread count is bit-identical.
+        // Frontier spans several PUSH_SEG segments and every sweep two
+        // chunks of entries; min-plus ⊕ is exact under regrouping, so
+        // every thread count is bit-identical.
         let s = MinPlus::<f64>::new();
         let n = 6000;
-        let a = random_dcsr(n, n, 40_000, 21, s);
+        let a = random_dcsr(n, n, 80_000, 21, s);
         let at = transpose_ctx(&OpCtx::new(), &a);
         let v = frontier(n, 3000, 7);
         let base = {
@@ -895,6 +875,25 @@ mod tests {
             assert_eq!(vxm_ctx(&ctx, &v, &a, s), base.0, "push @{threads}");
             assert_eq!(vxm_pull_ctx(&ctx, &v, &at, s), base.1, "pull @{threads}");
             assert_eq!(mxv_ctx(&ctx, &a, &v, s), base.2, "mxv @{threads}");
+            let many = ctx.metrics().snapshot().decision(Decision::FanOutMany);
+            assert_eq!(many, 3, "every sweep fans out @{threads}");
+        }
+        // Frontiers narrower than the rows: the pull clips each row to
+        // `v`'s extent and still equals the push, which never clips.
+        let seq = OpCtx::new().with_threads(1);
+        let narrow = (2000..2600).map(|i| (i, 1.0 + (i % 7) as f64)).collect();
+        for v in [
+            SparseVec::from_entries(n, narrow, s),
+            SparseVec::from_entries(n, vec![(4321, 2.0)], s),
+            SparseVec::from_entries(n, Vec::new(), s),
+        ] {
+            let (want_vxm, want_mxv) = (vxm_ctx(&seq, &v, &a, s), vxm_ctx(&seq, &v, &at, s));
+            for threads in [1, 2, 4, 8] {
+                let ctx = OpCtx::new().with_threads(threads);
+                let pull = vxm_pull_ctx(&ctx, &v, &at, s);
+                assert_eq!(pull, want_vxm, "clipped pull @{threads}");
+                assert_eq!(mxv_ctx(&ctx, &a, &v, s), want_mxv, "clipped mxv @{threads}");
+            }
         }
     }
 

@@ -10,57 +10,35 @@ use std::collections::HashMap;
 
 use semiring::traits::{Monoid, Value};
 
-use crate::ctx::{par_run, OpCtx};
+use crate::ctx::OpCtx;
 use crate::dcsr::Dcsr;
 use crate::metrics::Kernel;
 use crate::radix::radix_sort_by_key;
 use crate::vector::SparseVec;
 use crate::Ix;
 
-/// Stored rows per shard when fanning row-wise kernels out over
-/// [`par_run`]. Every row's fold happens wholly inside one shard and
-/// shards concatenate in row order, so the output is bit-identical at
-/// any thread count.
-pub(crate) const ROWS_PER_SHARD: usize = 512;
-
 /// Fold each non-empty row with the monoid: `out(i) = ⊕_j A(i, j)`.
 pub fn reduce_rows_ctx<T: Value, M: Monoid<T>>(ctx: &OpCtx, a: &Dcsr<T>, m: M) -> SparseVec<T> {
     let run = ctx.kernel(Kernel::ReduceRows, || {
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
-    let nrows = a.n_nonempty_rows();
-    let nshards = nrows.div_ceil(ROWS_PER_SHARD).max(1);
-    let fold_rows = |lo: usize, hi: usize| {
-        let mut idx = Vec::with_capacity(hi - lo);
-        let mut vals = Vec::with_capacity(hi - lo);
-        for k in lo..hi {
+    // Every row folds wholly inside one range and ranges concatenate in
+    // row order, so the output is bit-identical at any thread count.
+    let parts = ctx.par_rows(a.nnz() as u64, a, |range| {
+        let mut out = Vec::with_capacity(range.len());
+        for k in range {
             let (r, _cols, vs) = a.row_at(k);
             let mut acc = m.identity();
             for v in vs {
                 acc = m.combine(acc, v.clone());
             }
             if !m.is_identity(&acc) {
-                idx.push(r);
-                vals.push(acc);
+                out.push((r, acc));
             }
         }
-        (idx, vals)
-    };
-    let (idx, vals) = if nshards == 1 {
-        fold_rows(0, nrows)
-    } else {
-        let parts = par_run(ctx.threads(), nshards, |shard| {
-            let lo = shard * ROWS_PER_SHARD;
-            fold_rows(lo, (lo + ROWS_PER_SHARD).min(nrows))
-        });
-        let mut idx = Vec::with_capacity(nrows);
-        let mut vals = Vec::with_capacity(nrows);
-        for (i, v) in parts {
-            idx.extend(i);
-            vals.extend(v);
-        }
-        (idx, vals)
-    };
+        out
+    });
+    let (idx, vals) = parts.into_iter().flatten().unzip();
     let out = SparseVec::from_sorted_parts(a.nrows(), idx, vals);
     run.done(
         a.nnz() as u64,
@@ -168,6 +146,7 @@ pub fn reduce_scalar_ctx<T: Value, M: Monoid<T>>(ctx: &OpCtx, a: &Dcsr<T>, m: M)
 mod tests {
     use super::*;
     use crate::coo::Coo;
+    use crate::metrics::Decision;
     use semiring::{MaxMonoid, MinMonoid, PlusMonoid};
 
     fn m(t: &[(Ix, Ix, f64)]) -> Dcsr<f64> {
@@ -246,9 +225,8 @@ mod tests {
 
     #[test]
     fn parallel_reduce_rows_is_bit_identical() {
-        // Enough non-empty rows to span several shards.
-        let a = crate::gen::random_dcsr(4000, 4000, 20_000, 31, semiring::PlusTimes::<f64>::new());
-        assert!(a.n_nonempty_rows() > 2 * ROWS_PER_SHARD);
+        // Two chunks of entries: the thread rule fans out at a cap ≥ 2.
+        let a = crate::gen::random_dcsr(4000, 4000, 40_000, 31, semiring::PlusTimes::<f64>::new());
         let base = {
             let ctx = crate::ctx::OpCtx::new().with_threads(1);
             reduce_rows_ctx(&ctx, &a, PlusMonoid::<f64>::default())
@@ -257,6 +235,8 @@ mod tests {
             let ctx = crate::ctx::OpCtx::new().with_threads(threads);
             let got = reduce_rows_ctx(&ctx, &a, PlusMonoid::<f64>::default());
             assert!(got == base, "reduce_rows differs at {threads} threads");
+            let many = ctx.metrics().snapshot().decision(Decision::FanOutMany);
+            assert_eq!(many, 1, "reduce_rows ran on one thread at {threads}");
         }
     }
 }

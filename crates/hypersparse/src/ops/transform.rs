@@ -6,11 +6,10 @@ use std::collections::HashMap;
 
 use semiring::traits::{Semiring, UnaryOp, Value};
 
-use crate::ctx::{par_run, OpCtx};
+use crate::ctx::OpCtx;
 use crate::dcsr::{Dcsr, DcsrBuilder};
 use crate::error::{Axis, OpError};
 use crate::metrics::{Decision, Kernel};
-use crate::ops::reduce::ROWS_PER_SHARD;
 use crate::radix::{counting_sort, radix_sort_by_key};
 use crate::Ix;
 
@@ -100,16 +99,15 @@ where
         format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
     let nrows = a.n_nonempty_rows();
-    let nshards = nrows.div_ceil(ROWS_PER_SHARD).max(1);
-    // Each shard maps its stored rows independently, recording row ends
+    // Each range maps its stored rows independently, recording row ends
     // relative to its own output; stitching adds the running offset.
     // Row order (and so the output) is identical at any thread count.
-    let map_rows = |lo: usize, hi: usize| {
-        let mut rows = Vec::with_capacity(hi - lo);
-        let mut ends = Vec::with_capacity(hi - lo);
+    let parts = ctx.par_rows(a.nnz() as u64, a, |range| {
+        let mut rows = Vec::with_capacity(range.len());
+        let mut ends = Vec::with_capacity(range.len());
         let mut colidx = Vec::new();
         let mut vals = Vec::new();
-        for k in lo..hi {
+        for k in range {
             let (r, cols, vs) = a.row_at(k);
             let rstart = colidx.len();
             for (&c, v) in cols.iter().zip(vs) {
@@ -125,15 +123,7 @@ where
             }
         }
         (rows, ends, colidx, vals)
-    };
-    let parts = if nshards == 1 {
-        vec![map_rows(0, nrows)]
-    } else {
-        par_run(ctx.threads(), nshards, |shard| {
-            let lo = shard * ROWS_PER_SHARD;
-            map_rows(lo, (lo + ROWS_PER_SHARD).min(nrows))
-        })
-    };
+    });
     let mut rows = Vec::with_capacity(nrows);
     let mut rowptr = vec![0usize];
     let mut colidx = Vec::with_capacity(a.nnz());
@@ -469,9 +459,10 @@ mod tests {
     #[test]
     fn parallel_apply_is_bit_identical() {
         let s = PlusTimes::<f64>::new();
-        // Enough non-empty rows to span several shards, plus values that
-        // Relu will drop (negated half) so row patterns shrink.
-        let a0 = random_dcsr(4000, 4000, 20_000, 33, s);
+        // Two chunks of entries, so the thread rule fans out at a cap ≥ 2,
+        // plus values that Relu will drop (negated half) so row patterns
+        // shrink.
+        let a0 = random_dcsr(4000, 4000, 40_000, 33, s);
         let trips: Vec<(Ix, Ix, f64)> = a0
             .iter()
             .map(|(r, c, v)| (r, c, if (r + c) % 2 == 0 { *v } else { -v }))
@@ -479,7 +470,6 @@ mod tests {
         let mut coo = Coo::new(4000, 4000);
         coo.extend(trips);
         let a = coo.build_dcsr(s);
-        assert!(a.n_nonempty_rows() > 2 * ROWS_PER_SHARD);
         let base = {
             let ctx = crate::ctx::OpCtx::new().with_threads(1);
             apply_ctx(&ctx, &a, Relu(0.0), s)
@@ -490,6 +480,8 @@ mod tests {
                 apply_ctx(&ctx, &a, Relu(0.0), s) == base,
                 "apply differs at {threads} threads"
             );
+            let many = ctx.metrics().snapshot().decision(Decision::FanOutMany);
+            assert_eq!(many, 1, "apply ran on one thread at {threads}");
         }
     }
 }

@@ -4,7 +4,7 @@
 
 use hypersparse::gen::random_dcsr;
 use hypersparse::ops;
-use hypersparse::{Axis, Kernel, Matrix, OpCtx, OpError};
+use hypersparse::{Axis, Decision, Kernel, Matrix, OpCtx, OpError};
 use semiring::PlusTimes;
 
 fn workload(seed: u64) -> (hypersparse::Dcsr<f64>, hypersparse::Dcsr<f64>) {
@@ -78,7 +78,13 @@ fn arena_does_not_grow_across_repeated_same_shape_calls() {
 #[test]
 fn thread_cap_one_and_many_agree_bit_for_bit() {
     let s = PlusTimes::<f64>::new();
-    let (a, b) = workload(37);
+    // Hypersparse like `workload`, but ~62 k flops (256 k² / 2²⁰): past
+    // two chunks of work, so every cap above one shards the product.
+    let n = 1u64 << 20;
+    let (a, b) = (
+        random_dcsr(n, n, 256_000, 37, s),
+        random_dcsr(n, n, 256_000, 38, s),
+    );
 
     let seq_ctx = OpCtx::new().with_threads(1);
     let reference = ops::mxm_ctx(&seq_ctx, &a, &b, s);
@@ -89,6 +95,8 @@ fn thread_cap_one_and_many_agree_bit_for_bit() {
             reference,
             "thread cap {threads} changed the result"
         );
+        let many = par_ctx.metrics().snapshot().decision(Decision::FanOutMany);
+        assert_eq!(many, 1, "sharded at {threads}");
     }
 }
 

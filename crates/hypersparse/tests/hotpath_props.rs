@@ -206,12 +206,13 @@ proptest! {
     /// graph at 2/4/8 threads are bit-identical to `with_threads(1)`.
     /// RMAT edge weights are arbitrary f64s, so this holds only because
     /// rows never split across shards and shards concatenate in order —
-    /// the determinism argument of DESIGN.md §13.
+    /// the determinism argument of DESIGN.md §13. Both products carry
+    /// more than two chunks of work, so both fan out.
     #[test]
     fn merge_path_sharding_is_thread_invariant(seed in 0u64..1_000) {
         let s = PlusTimes::<f64>::new();
         let p = RmatParams {
-            scale: 7,
+            scale: 12,
             edge_factor: 8,
             probs: (0.57, 0.19, 0.19, 0.05),
         };
@@ -219,7 +220,7 @@ proptest! {
         let n = a.nrows();
         let v = SparseVec::from_entries(
             n,
-            (0..n).step_by(3).map(|i| (i, 1.0 + i as f64)).collect(),
+            (0..n).map(|i| (i, 1.0 + i as f64)).collect(),
             s,
         );
 
@@ -230,6 +231,7 @@ proptest! {
             let weighted = OpCtx::new().with_threads(threads);
             prop_assert_eq!(&ops::mxm_ctx(&weighted, &a, &a, s), &base_mxm);
             prop_assert_eq!(&ops::vxm_ctx(&weighted, &v, &a, s), &base_vxm);
+            prop_assert_eq!(weighted.metrics().snapshot().decision(Decision::FanOutMany), 2);
         }
     }
 }

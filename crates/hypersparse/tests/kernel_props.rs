@@ -1,7 +1,7 @@
 //! Property-based kernel verification against naive oracles, plus
 //! format-independence of every operation.
 
-use hypersparse::{ops, Coo, Dcsr, Format, Ix, Matrix, OpCtx, SparseVec};
+use hypersparse::{ops, Coo, Dcsr, Decision, Format, Ix, Matrix, OpCtx, SparseVec};
 use proptest::prelude::*;
 use semiring::{MinPlus, PlusTimes, Semiring};
 
@@ -169,13 +169,16 @@ proptest! {
     fn parallel_masked_mxm_equals_sequential_and_filter(
         ta in triplets(), tb in triplets(), tm in triplets(),
     ) {
-        // Tile each 16×16 draw down a block diagonal and add a 640-row
-        // strip, so every case clears the ≥512 non-empty-row bar where
-        // the masked SpGEMM switches to its row-sharded parallel path.
+        // Tile each 16×16 draw down a block diagonal and add a 640-row,
+        // 8-column strip: A's strip alone meets 640 · 8 · 8 = 40 960 of
+        // B's entries, past the two chunks of work at which the masked
+        // SpGEMM shards its rows, whatever the draws.
         const TILE: Ix = 40;
         const BIG: Ix = 16 * TILE;
+        const STRIP: Ix = 8;
         fn tile(t: &[(Ix, Ix, i64)]) -> Vec<(Ix, Ix, i64)> {
-            let mut out: Vec<(Ix, Ix, i64)> = (0..BIG).map(|i| (i, i % 16, 1i64)).collect();
+            let mut out: Vec<(Ix, Ix, i64)> =
+                (0..BIG).flat_map(|i| (0..STRIP).map(move |j| (i, j, 1i64))).collect();
             for k in 0..TILE {
                 out.extend(t.iter().map(|&(r, c, v)| (r + 16 * k, c + 16 * k, v)));
             }
@@ -205,10 +208,12 @@ proptest! {
                     let expect = hypersparse::ops::select_ctx(&hypersparse::OpCtx::new(), &full, |r, c, _| mask.get(r, c).is_some() != complement);
                     prop_assert_eq!(&seq, &expect);
                     for threads in [2usize, 4, 8] {
+                        let ctx = hypersparse::OpCtx::new().with_threads(threads);
                         let par = hypersparse::ops::mxm_masked_ctx(
-                            &hypersparse::OpCtx::new().with_threads(threads),
-                            &a, &b, &mask, complement, s);
+                            &ctx, &a, &b, &mask, complement, s);
                         prop_assert_eq!(&par, &seq);
+                        let many = ctx.metrics().snapshot().decision(Decision::FanOutMany);
+                        prop_assert_eq!(many, 1, "sharded at {} threads", threads);
                     }
                 }
             }};

@@ -130,9 +130,12 @@ fn compact_and_wide_spaces_take_their_own_decisions() {
 /// 4 and 8 threads, equal to the product's recorded flops.
 #[test]
 fn sharded_counts_are_thread_invariant() {
-    let g = rmat_dcsr(RmatParams::default(), 5, PlusTimes::<f64>::new());
+    let p = RmatParams {
+        scale: 12,
+        ..Default::default()
+    };
+    let g = rmat_dcsr(p, 5, PlusTimes::<f64>::new());
     let l = ops::select_ctx(&OpCtx::new(), &g, |r, c, _| c < r);
-    assert!(l.n_nonempty_rows() >= 512, "must take the sharded path");
     let one = OpCtx::new().with_threads(1);
     let (_, flops) = references(&one, &l, &l, &l.pattern(1u8));
     assert!(flops > 0);
@@ -143,6 +146,8 @@ fn sharded_counts_are_thread_invariant() {
             flops,
             "{threads} threads"
         );
+        let many = ctx.metrics().snapshot().decision(Decision::FanOutMany);
+        assert_eq!(many, u64::from(threads > 1), "sharded at {threads} threads");
     }
 }
 

@@ -102,6 +102,8 @@ hypersparse_decisions_total{site=\"graph_transpose\",choice=\"built\"} 0
 hypersparse_decisions_total{site=\"graph_transpose\",choice=\"deferred\"} 0
 hypersparse_decisions_total{site=\"parent_bfs\",choice=\"one_step\"} 0
 hypersparse_decisions_total{site=\"parent_bfs\",choice=\"two_step\"} 0
+hypersparse_decisions_total{site=\"fan_out\",choice=\"one\"} 0
+hypersparse_decisions_total{site=\"fan_out\",choice=\"many\"} 0
 # HELP hypersparse_workspace_hits_total Workspace acquisitions served from the pooled arena.
 # TYPE hypersparse_workspace_hits_total counter
 hypersparse_workspace_hits_total 2

@@ -5,10 +5,10 @@ use hypersparse::StreamConfig;
 /// Tunable parameters for a [`crate::Pipeline`].
 ///
 /// Defaults are deterministic (never derived from the machine): 4
-/// shards, 1024-message channels, default stream hierarchy, sequential
-/// per-shard merges. The shard count is part of the pipeline's identity
-/// — the same event sequence at the same shard count yields bit-identical
-/// snapshots, and checkpoints restore only at their recorded shard count.
+/// shards, 1024-message channels, default stream hierarchy. The shard
+/// count is part of the pipeline's identity — the same event sequence at
+/// the same shard count yields bit-identical snapshots, and checkpoints
+/// restore only at their recorded shard count.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Number of shards = worker threads. Events hash-partition by row
@@ -22,11 +22,6 @@ pub struct PipelineConfig {
     pub channel_capacity: usize,
     /// Hierarchy parameters for each shard's `StreamingMatrix`.
     pub stream: StreamConfig,
-    /// Thread cap for each shard's internal ⊕-merges (its `OpCtx`).
-    /// Shards are themselves the parallelism axis, so `1` (sequential
-    /// merges) is the default; raise it only for few-shard deployments
-    /// with huge layers.
-    pub merge_threads: usize,
     /// Checkpoint generations kept on disk. Older generations are pruned
     /// after a successful commit; keeping ≥ 2 preserves a fallback if
     /// the newest generation is later found corrupt. Must be ≥ 1.
@@ -39,7 +34,6 @@ impl Default for PipelineConfig {
             shards: 4,
             channel_capacity: 1024,
             stream: StreamConfig::default(),
-            merge_threads: 1,
             keep_generations: 2,
         }
     }
@@ -68,13 +62,6 @@ impl PipelineConfig {
     /// Builder-style stream hierarchy parameters.
     pub fn with_stream(mut self, stream: StreamConfig) -> Self {
         self.stream = stream;
-        self
-    }
-
-    /// Builder-style merge-thread cap.
-    pub fn with_merge_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "merge_threads must be ≥ 1");
-        self.merge_threads = threads;
         self
     }
 

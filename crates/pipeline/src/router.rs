@@ -113,7 +113,8 @@ where
             epoch: AtomicU64::new(epoch),
             waves: Mutex::new(()),
             metrics,
-            assemble_ctx: OpCtx::new().with_threads(config.merge_threads),
+            // Shards are the parallelism axis; assembly runs on one thread.
+            assemble_ctx: OpCtx::new().with_threads(1),
             sinks: Mutex::new(Vec::new()),
             standing: StandingRegistry::default(),
         }

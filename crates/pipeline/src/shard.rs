@@ -68,7 +68,8 @@ impl<S: Semiring> Shard<S> {
     where
         S::Value: PodValue,
     {
-        let ctx = Arc::new(OpCtx::new().with_threads(config.merge_threads));
+        // Shards are the parallelism axis: a shard's merges never fan out.
+        let ctx = Arc::new(OpCtx::new().with_threads(1));
         let stream = stream.with_ctx(Arc::clone(&ctx));
         metrics.set_flush_threshold(index, stream.flush_threshold());
         let (sender, receiver) = std::sync::mpsc::sync_channel(config.channel_capacity);

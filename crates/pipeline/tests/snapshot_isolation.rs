@@ -48,22 +48,15 @@ fn drained_snapshot_equals_flat_build_at_every_shard_count() {
     let events = workload(30_000, 42);
     let reference = flat_reference(&events);
     for shards in [1, 2, 4] {
-        for merge_threads in [1, 2] {
-            let config = PipelineConfig::new()
-                .with_shards(shards)
-                .with_merge_threads(merge_threads)
-                .with_stream(StreamConfig::new().with_buffer_cap(512));
-            let p = Pipeline::with_config(N, N, PlusTimes::<f64>::new(), config);
-            p.ingest_batch(events.iter().copied()).unwrap();
-            let snap = p.snapshot().unwrap();
-            assert_eq!(
-                snap.dcsr(),
-                &reference,
-                "shards={shards} merge_threads={merge_threads}"
-            );
-            assert_eq!(snap.per_shard_nnz().len(), shards);
-            p.shutdown().unwrap();
-        }
+        let config = PipelineConfig::new()
+            .with_shards(shards)
+            .with_stream(StreamConfig::new().with_buffer_cap(512));
+        let p = Pipeline::with_config(N, N, PlusTimes::<f64>::new(), config);
+        p.ingest_batch(events.iter().copied()).unwrap();
+        let snap = p.snapshot().unwrap();
+        assert_eq!(snap.dcsr(), &reference, "shards={shards}");
+        assert_eq!(snap.per_shard_nnz().len(), shards);
+        p.shutdown().unwrap();
     }
 }
 

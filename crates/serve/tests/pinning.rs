@@ -57,7 +57,11 @@ fn pinned_readers_see_bit_identical_epochs_during_rotation() {
             let pinned = Arc::clone(&pinned);
             let frozen = frozen.clone();
             thread::spawn(move || {
-                for _ in 0..200 {
+                // At least 200 reads, and on until the writer has
+                // published past epoch 2 (or 10 s pass), so the reads
+                // overlap rotation however fast a read is.
+                let start = std::time::Instant::now();
+                for reads in 1.. {
                     // The pinned handle is immutable: identical matrix
                     // every single read, mid-rotation or not.
                     assert_eq!(pinned.snapshot().dcsr(), &frozen);
@@ -69,6 +73,10 @@ fn pinned_readers_see_bit_identical_epochs_during_rotation() {
                     // Fresh pins always name the epoch they answer at.
                     let latest = srv.query(&QueryRequest::Point { row: 0, col: 1 }).unwrap();
                     assert!(latest.epoch >= 1);
+                    let waited = start.elapsed() > std::time::Duration::from_secs(10);
+                    if reads >= 200 && (latest.epoch > 2 || waited) {
+                        break;
+                    }
                 }
             })
         })
