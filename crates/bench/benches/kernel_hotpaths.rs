@@ -383,11 +383,12 @@ fn main() {
         },
         0xD17A,
     );
-    let two = dnn::SparseDnn::new(1_024, net.layers[..2].to_vec(), net.biases[..2].to_vec());
+    let first_two = net.layers[..2].iter().map(|w| w.to_index_width().unwrap());
+    let two = dnn::SparseDnn::new(1_024, first_two.collect(), net.biases[..2].to_vec());
     let y = dnn::infer_fused(&two, &dnn::input::block_batch(1_024, 1_024, 32, 7));
     let (y, w, bias) = (
         y.to_index_width::<u32>().unwrap(),
-        net.layers[2].to_index_width::<u32>().unwrap(),
+        net.layers[2].clone(),
         net.biases[2],
     );
     let relu = FnOp(move |x: f64| (x + bias).max(0.0));
@@ -422,7 +423,7 @@ fn main() {
         .max_by_key(|&(row, cols, _)| (cols.len(), std::cmp::Reverse(row)))
         .map_or(0, |(row, _, _)| row);
     let (mut visited, mut front) = (
-        graph::frontier::Visited::with_seed(src),
+        graph::frontier::Visited::new(pat.nrows(), pat.nnz(), src, ()),
         SparseVec::from_entries(pat.nrows(), vec![(src, src + 1)], MinFirst),
     );
     let mut largest = None;
@@ -439,10 +440,10 @@ fn main() {
             &front,
             &pat,
             Some(&pat_t),
-            Some(visited.as_slice()),
+            Some(visited.mask()),
             MinFirst,
         );
-        visited.absorb_sorted(next.indices());
+        visited.absorb(next.indices(), vec![(); next.nnz()]);
         front = SparseVec::from_entries(
             pat.nrows(),
             next.iter().map(|(v, _)| (v, v + 1)).collect(),
@@ -456,7 +457,7 @@ fn main() {
         vec![Row {
             key: "vxm_pull_bfs_ns",
             ns: med(15, || {
-                let mask = Some(visited.as_slice());
+                let mask = Some(visited.mask());
                 ops::vxm_opt_ctx(&ctx, &front, &pat, Some(&pat_t), mask, MinFirst).nnz() as u64
             }),
         }],

@@ -164,11 +164,12 @@ mod tests {
         let b: Vec<f64> = (0..32)
             .map(|j| if j % 3 == 0 { 0.2 } else { -0.1 })
             .collect();
-        let got: Vec<_> = layer_with_bias_vector(&y, &net.layers[0], &b)
+        let w: Dcsr<f64> = net.layers[0].to_index_width().unwrap();
+        let got: Vec<_> = layer_with_bias_vector(&y, &w, &b)
             .iter()
             .map(|(r, c, &v)| (r, c, v))
             .collect();
-        let want = layer_oracle(&y, &net.layers[0], &b);
+        let want = layer_oracle(&y, &w, &b);
         assert_eq!(got.len(), want.len());
         for ((gr, gc, gv), (wr, wc, wv)) in got.iter().zip(&want) {
             assert_eq!((gr, gc), (wr, wc));
@@ -189,7 +190,10 @@ mod tests {
         );
         let y0 = sparse_batch(4, 64, 0.2, 9);
         let biases: Vec<Vec<f64>> = (0..net.depth()).map(|_| vec![-0.05; 64]).collect();
-        let explicit = infer_with_bias_vectors(&net.layers, &biases, &y0);
+        let layers: Vec<Dcsr<f64>> = (net.layers.iter())
+            .map(|w| w.to_index_width().unwrap())
+            .collect();
+        let explicit = infer_with_bias_vectors(&layers, &biases, &y0);
         let fused = infer_fused(&net, &y0);
         assert_eq!(explicit, fused);
     }

@@ -10,20 +10,23 @@
 //! * [`infer_dense`]: a row-major `Vec<f64>` baseline with no sparse
 //!   machinery at all.
 //!
-//! Every sparse path runs on the execution-context stack: the
+//! Every sparse path runs on the execution-context stack, over the
+//! `u32` neuron ids the model's layers are stored in: the batch is
+//! re-stored at them once per call. The
 //! `try_*_ctx` entry points thread one [`OpCtx`] through all layers (SpGEMM scratch
 //! is leased from its arena and reused layer to layer, parallelism
 //! follows its thread cap, and each layer records a
 //! [`Kernel::DnnLayer`] metrics row plus a trace span). Each sparse
 //! reading has one body, `try_*_ctx`, returning
 //! [`OpError::DimensionMismatch`] on a batch whose width disagrees with
-//! the network, plus the bare name, which runs it on the thread's
-//! default context and panics with that error.
+//! the network or whose rows do not fit a 32-bit id, plus the bare
+//! name, which runs it on the thread's default context and panics with
+//! that error.
 //!
 //! Batches are `batch × neurons` matrices; activations stay hypersparse
 //! between layers, which is where the Fig. 8 speedups come from.
 
-use hypersparse::{ops, with_default_ctx, Dcsr, DenseMat, IndexType, Kernel, OpCtx, OpError};
+use hypersparse::{ops, with_default_ctx, Dcsr, DenseMat, Kernel, OpCtx, OpError};
 use semiring::semilink::DnnSemiringPair;
 use semiring::{FnOp, MaxPlus, PlusTimes, Semiring};
 
@@ -31,17 +34,26 @@ use crate::network::SparseDnn;
 
 type S1 = PlusTimes<f64>;
 
-/// Batch width must equal the network width for `Y W` to conform.
-fn check_batch(op: &'static str, net: &SparseDnn, y0: &Dcsr<f64>) -> Result<(), OpError> {
+/// The batch re-stored at the layers' `u32` ids (an `O(nnz)` pass; the
+/// SpGEMM inner loops it feeds stream half the index bytes). Its width
+/// must equal the network's for `Y W` to conform, and its rows must fit
+/// a 32-bit id.
+fn narrow_batch(
+    op: &'static str,
+    net: &SparseDnn,
+    y0: &Dcsr<f64>,
+) -> Result<Dcsr<f64, u32>, OpError> {
+    let mismatch = |rule| OpError::DimensionMismatch {
+        op,
+        a: (y0.nrows(), y0.ncols()),
+        b: (net.n_neurons, net.n_neurons),
+        rule,
+    };
     if y0.ncols() != net.n_neurons {
-        return Err(OpError::DimensionMismatch {
-            op,
-            a: (y0.nrows(), y0.ncols()),
-            b: (net.n_neurons, net.n_neurons),
-            rule: "batch width mismatch",
-        });
+        return Err(mismatch("batch width mismatch"));
     }
-    Ok(())
+    y0.to_index_width()
+        .ok_or_else(|| mismatch("batch rows exceed a 32-bit id"))
 }
 
 /// Fused sparse inference: `Y ← relu(Y W + b)` with one fused
@@ -61,50 +73,21 @@ pub fn try_infer_fused_ctx(
     net: &SparseDnn,
     y0: &Dcsr<f64>,
 ) -> Result<Dcsr<f64>, OpError> {
-    check_batch("dnn_infer_fused", net, y0)?;
-    // Narrow-index auto-selection (DESIGN.md §13): when the batch key
-    // space fits 32-bit column ids — and therefore the square weight
-    // layers do too — re-store activations once and each layer's weights
-    // on the fly, and run the whole fused loop over `u32` ids. The
-    // O(nnz) re-stores are linear passes; the SpGEMM inner loops they
-    // feed stream half the index bytes per multiply.
-    if let Some(mut y) = y0.to_index_width::<u32>() {
-        for (k, (w, &b)) in net.layers.iter().zip(&net.biases).enumerate() {
-            let w32 = w
-                .to_index_width::<u32>()
-                .expect("layer dims equal checked batch dims");
-            y = fused_layer(ctx, k, y, &w32, b);
-        }
-        return Ok(y.to_index_width().expect("widening always fits"));
-    }
-    let mut y = y0.clone();
+    let mut y = narrow_batch("dnn_infer_fused", net, y0)?;
     for (k, (w, &b)) in net.layers.iter().zip(&net.biases).enumerate() {
-        y = fused_layer(ctx, k, y, w, b);
+        let run = ctx.kernel(Kernel::DnnLayer, || {
+            format!("layer {k}: {} act · {} wt", y.nnz(), w.nnz())
+        });
+        let nnz_in = (y.nnz() + w.nnz()) as u64;
+        // One pass: Z = Y W in S₁ with the bias+ReLU epilogue applied as
+        // each accumulator drains; entries pruned to the S₁ zero never
+        // reach the output. (⊗ counts land on the Mxm row.)
+        let s1 = S1::new();
+        y = ops::mxm_apply_prune_ctx(ctx, &y, w, s1, FnOp(move |x: f64| (x + b).max(0.0)), s1);
+        let bytes = (y.bytes() + w.bytes()) as u64;
+        run.done(nnz_in, y.nnz() as u64, 0, bytes);
     }
-    Ok(y)
-}
-
-/// One fused layer step `relu(Y W + b)`, generic over the physical
-/// index width so the narrow and wide inference loops share one body.
-fn fused_layer<I: IndexType>(
-    ctx: &OpCtx,
-    k: usize,
-    y: Dcsr<f64, I>,
-    w: &Dcsr<f64, I>,
-    b: f64,
-) -> Dcsr<f64, I> {
-    let run = ctx.kernel(Kernel::DnnLayer, || {
-        format!("layer {k}: {} act · {} wt", y.nnz(), w.nnz())
-    });
-    let nnz_in = (y.nnz() + w.nnz()) as u64;
-    // One pass: Z = Y W in S₁ with the bias+ReLU epilogue applied as
-    // each accumulator drains; entries pruned to the S₁ zero never
-    // reach the output. (⊗ counts land on the Mxm row.)
-    let s1 = S1::new();
-    let y = ops::mxm_apply_prune_ctx(ctx, &y, w, s1, FnOp(move |x: f64| (x + b).max(0.0)), s1);
-    let bytes = (y.bytes() + w.bytes()) as u64;
-    run.done(nnz_in, y.nnz() as u64, 0, bytes);
-    y
+    Ok(y.to_index_width().expect("widening always fits"))
 }
 
 /// The literal two-semiring oscillation of §V.C:
@@ -136,10 +119,9 @@ pub fn try_infer_two_semiring_ctx(
     net: &SparseDnn,
     y0: &Dcsr<f64>,
 ) -> Result<Dcsr<f64>, OpError> {
-    check_batch("dnn_infer_two_semiring", net, y0)?;
+    let mut y = narrow_batch("dnn_infer_two_semiring", net, y0)?;
     let pair = DnnSemiringPair::default();
     let s2: MaxPlus<f64> = pair.select;
-    let mut y = y0.clone();
     for (k, (w, &b)) in net.layers.iter().zip(&net.biases).enumerate() {
         let run = ctx.kernel(Kernel::DnnLayer, || {
             format!("layer {k}: {} act · {} wt", y.nnz(), w.nnz())
@@ -157,7 +139,7 @@ pub fn try_infer_two_semiring_ctx(
         let bytes = (y.bytes() + w.bytes()) as u64;
         run.done(nnz_in, y.nnz() as u64, 0, bytes);
     }
-    Ok(y)
+    Ok(y.to_index_width().expect("widening always fits"))
 }
 
 /// Dense baseline: full `batch × n` activation rows, no sparsity.
@@ -354,20 +336,22 @@ mod tests {
     }
 
     #[test]
-    fn narrow_auto_selection_matches_wide_loop() {
-        // 64 neurons < 2³², so the public entry takes the u32 loop;
-        // drive the shared layer body at wide indices and compare.
+    fn u32_model_matches_the_same_layers_at_wide_ids() {
+        // The stored u32 layers, widened back and run through the same
+        // kernel at 64-bit ids, give the same bits.
         let net = small_net();
         let y0 = sparse_batch(8, 64, 0.2, 99);
-        let auto = infer_fused(&net, &y0);
+        let narrow = infer_fused(&net, &y0);
         let wide = with_default_ctx(|ctx| {
             let mut y = y0.clone();
-            for (k, (w, &b)) in net.layers.iter().zip(&net.biases).enumerate() {
-                y = fused_layer(ctx, k, y, w, b);
+            for (w, &b) in net.layers.iter().zip(&net.biases) {
+                let w: Dcsr<f64> = w.to_index_width().unwrap();
+                let relu = FnOp(move |x: f64| (x + b).max(0.0));
+                y = ops::mxm_apply_prune_ctx(ctx, &y, &w, S1::new(), relu, S1::new());
             }
             y
         });
-        assert_eq!(auto, wide, "u32 layer loop must be bit-identical to wide");
+        assert_eq!(narrow, wide, "u32 layer loop must be bit-identical to wide");
     }
 
     #[test]
@@ -496,5 +480,12 @@ mod tests {
         );
         let e = try_infer_two_semiring_ctx(&ctx, &net, &bad).unwrap_err();
         assert!(e.to_string().contains("batch width mismatch"), "{e}");
+        // A batch taller than 32-bit row ids cannot meet the u32 layers.
+        let tall = Dcsr::<f64>::empty((1 << 32) + 1, 64);
+        let e = try_infer_fused_ctx(&ctx, &net, &tall).unwrap_err();
+        assert!(
+            e.to_string().contains("batch rows exceed a 32-bit id"),
+            "{e}"
+        );
     }
 }

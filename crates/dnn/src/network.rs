@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use hypersparse::index::dims_fit;
 use hypersparse::Dcsr;
 
 /// Why a [`SparseDnn`] could not be assembled.
@@ -40,6 +41,12 @@ pub enum DnnError {
         /// The bias value.
         bias: f64,
     },
+    /// The network is wider than the 32-bit neuron ids its layers are
+    /// stored in.
+    TooWide {
+        /// The requested width.
+        n_neurons: u64,
+    },
 }
 
 impl fmt::Display for DnnError {
@@ -61,6 +68,9 @@ impl fmt::Display for DnnError {
                 f,
                 "layer {layer} bias {bias} > 0 breaks sparse/dense equivalence"
             ),
+            DnnError::TooWide { n_neurons } => {
+                write!(f, "{n_neurons} neurons exceed a 32-bit neuron id")
+            }
         }
     }
 }
@@ -74,8 +84,10 @@ impl std::error::Error for DnnError {}
 pub struct SparseDnn {
     /// Neurons per layer (all layers equal width, as in the Challenge).
     pub n_neurons: u64,
-    /// Weight matrices, one per layer (`n_neurons × n_neurons`).
-    pub layers: Vec<Dcsr<f64>>,
+    /// Weight matrices, one per layer (`n_neurons × n_neurons`), stored
+    /// once at the `u32` neuron ids every inference runs on (DESIGN.md
+    /// §13).
+    pub layers: Vec<Dcsr<f64, u32>>,
     /// Per-layer scalar bias, applied to every active neuron.
     ///
     /// Must be ≤ 0: a non-positive bias keeps the sparse formulation
@@ -94,9 +106,11 @@ impl SparseDnn {
     }
 
     /// Assemble a network, returning a typed [`DnnError`] instead of
-    /// panicking when the layer count, a layer shape, or a bias sign is
-    /// wrong. `bias ≤ 0` is a *validity* condition, not a convention:
-    /// see [`DnnError::PositiveBias`].
+    /// panicking when the layer count, a layer shape, a bias sign or the
+    /// width is wrong. `bias ≤ 0` is a *validity* condition, not a
+    /// convention: see [`DnnError::PositiveBias`]. The layers are
+    /// re-stored at `u32` neuron ids here, once for the model's
+    /// lifetime; a network too wide for them is [`DnnError::TooWide`].
     pub fn try_new(
         n_neurons: u64,
         layers: Vec<Dcsr<f64>>,
@@ -122,6 +136,13 @@ impl SparseDnn {
                 return Err(DnnError::PositiveBias { layer: i, bias: *b });
             }
         }
+        if !dims_fit::<u32>(n_neurons, n_neurons) {
+            return Err(DnnError::TooWide { n_neurons });
+        }
+        let layers = layers
+            .iter()
+            .map(|w| w.to_index_width().expect("width checked"))
+            .collect();
         Ok(SparseDnn {
             n_neurons,
             layers,
@@ -210,6 +231,20 @@ mod tests {
 
         // Boundary: bias = 0.0 is valid (relu(0 + 0) = 0 = "not stored").
         assert!(SparseDnn::try_new(4, vec![w(4, &[(0, 1, 1.0)])], vec![0.0]).is_ok());
+
+        // Exactly 2³² neurons still fit 32-bit ids; one more does not.
+        for (n, fits) in [(1 << 32, true), ((1 << 32) + 1, false)] {
+            let got = SparseDnn::try_new(n, vec![w(n, &[(0, n - 1, 1.0)])], vec![0.0]);
+            assert_eq!(got.is_ok(), fits, "{n}");
+        }
+        let e = SparseDnn::try_new((1 << 32) + 1, vec![], vec![]).unwrap_err();
+        assert_eq!(
+            e,
+            DnnError::TooWide {
+                n_neurons: (1 << 32) + 1
+            }
+        );
+        assert!(e.to_string().contains("32-bit"), "{e}");
     }
 
     #[test]

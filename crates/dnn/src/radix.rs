@@ -8,7 +8,7 @@
 //! for mixing, seeded weights — without the original's TensorFlow
 //! tooling (substitution documented in DESIGN.md).
 
-use hypersparse::{Coo, Dcsr};
+use hypersparse::Coo;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use semiring::PlusTimes;
@@ -107,11 +107,6 @@ pub fn random_net(
         })
         .collect();
     SparseDnn::new(n_neurons, layers, vec![bias; depth])
-}
-
-/// Extract a [`Dcsr`] copy of one layer (bench helper).
-pub fn layer(net: &SparseDnn, l: usize) -> &Dcsr<f64> {
-    &net.layers[l]
 }
 
 #[cfg(test)]

@@ -27,8 +27,9 @@
 
 use hypersparse::ctx::OpCtx;
 use hypersparse::metrics::{Decision, Kernel};
-use hypersparse::ops::mxv::vxm_opt_ctx;
+use hypersparse::ops::mxv::{vxm_opt_ctx, Mask};
 use hypersparse::{with_default_ctx, Dcsr, Ix, SparseVec};
+use semiring::traits::Value;
 use semiring::{AnyPair, MinFirst, Semiring};
 
 use crate::frontier::Visited;
@@ -47,6 +48,40 @@ pub enum BfsVariant {
     TwoStep,
 }
 
+/// The one traversal body behind every BFS here. The frontier starts
+/// as `src` stamped `stamp(src)`, the visited set as `src` with payload
+/// `seed`. Each level asks `g` for the transpose the frontier pays for,
+/// and `expand` turns frontier, transpose and the visited set (as the
+/// complement mask, in the form [`Visited`] keeps it) into the level's
+/// newly reached vertices, ascending, and their payloads. They join the
+/// visited set and, stamped, become the next frontier. Returns every
+/// reached vertex with its payload, in vertex order.
+fn traverse<T, P>(
+    ctx: &OpCtx,
+    g: &Graph<T>,
+    src: Ix,
+    seed: P,
+    stamp: impl Fn(Ix) -> T,
+    mut expand: impl FnMut(&SparseVec<T>, Option<&Dcsr<T>>, Mask<'_>) -> (Vec<Ix>, Vec<P>),
+) -> Vec<(Ix, P)>
+where
+    T: Value,
+    P: Clone,
+{
+    let pat = g.adjacency();
+    let n = pat.nrows();
+    let mut visited = Visited::new(n, pat.nnz(), src, seed);
+    let mut frontier = SparseVec::from_sorted_parts(n, vec![src], vec![stamp(src)]);
+    while !frontier.is_empty() {
+        let at = g.transpose_for(ctx, &frontier);
+        let (ids, payloads) = expand(&frontier, at, visited.mask());
+        visited.absorb(&ids, payloads);
+        let stamps = ids.iter().map(|&v| stamp(v)).collect();
+        frontier = SparseVec::from_sorted_parts(n, ids, stamps);
+    }
+    visited.into_sorted()
+}
+
 /// BFS levels from `src` over a `u8` pattern (see
 /// [`crate::pattern::pattern_u8`]). Returns `(vertex, level)` pairs
 /// sorted by vertex, `src` at level 0; unreachable vertices are absent.
@@ -61,26 +96,24 @@ pub fn bfs_levels(pat: &Dcsr<u8>, src: Ix) -> Vec<(Ix, u32)> {
 
 /// [`bfs_levels`] over a [`Graph`] through an explicit execution context.
 pub fn bfs_levels_ctx(ctx: &OpCtx, g: &Graph<u8>, src: Ix) -> Vec<(Ix, u32)> {
-    let s = AnyPair;
     let pat = g.adjacency();
-    let mut out: Vec<(Ix, u32)> = vec![(src, 0)];
-    let mut visited = Visited::with_seed(src);
-    let mut frontier = SparseVec::from_entries(pat.nrows(), vec![(src, 1u8)], s);
     let mut level = 0u32;
-    while !frontier.is_empty() {
-        level += 1;
-        // q = (fᵀ A) ⊙ ¬visited — the Fig. 1 array operation, masked
-        // inside the kernel.
-        let at = g.transpose_for(ctx, &frontier);
-        let next = vxm_opt_ctx(ctx, &frontier, pat, at, Some(visited.as_slice()), s);
-        for (v, _) in next.iter() {
-            out.push((v, level));
-        }
-        visited.absorb_sorted(next.indices());
-        frontier = next;
-    }
-    out.sort_by_key(|e| e.0);
-    out
+    traverse(
+        ctx,
+        g,
+        src,
+        0,
+        |_| 1,
+        |frontier, at, visited| {
+            level += 1;
+            // q = (fᵀ A) ⊙ ¬visited — the Fig. 1 array operation, masked
+            // inside the kernel.
+            let next = vxm_opt_ctx(ctx, frontier, pat, at, Some(visited), AnyPair);
+            let (ids, _) = next.into_parts();
+            let levels = vec![level; ids.len()];
+            (ids, levels)
+        },
+    )
 }
 
 /// The fused **one-step** parent BFS: one masked `vᵀA` over `s` per
@@ -97,56 +130,50 @@ where
     S: Semiring<Value = u64>,
 {
     let pat = g.adjacency();
-    let n = pat.nrows();
-    let mut out: Vec<(Ix, u64)> = vec![(src, src + 1)];
-    let mut visited = Visited::with_seed(src);
-    let mut frontier = SparseVec::from_entries(n, vec![(src, src + 1)], s);
-    while !frontier.is_empty() {
-        let at = g.transpose_for(ctx, &frontier);
-        let next = vxm_opt_ctx(ctx, &frontier, pat, at, Some(visited.as_slice()), s);
-        out.extend(next.iter().map(|(v, &payload)| (v, payload)));
-        visited.absorb_sorted(next.indices());
-        // Re-stamp the new frontier with its own ids for the next hop.
-        frontier = SparseVec::from_entries(n, next.iter().map(|(v, _)| (v, v + 1)).collect(), s);
-    }
-    out.sort_by_key(|e| e.0);
-    out
+    traverse(
+        ctx,
+        g,
+        src,
+        src + 1,
+        |v| v + 1,
+        |frontier, at, visited| vxm_opt_ctx(ctx, frontier, pat, at, Some(visited), s).into_parts(),
+    )
 }
 
-/// The **two-step** fallback: per level, a [`MinFirst`] product over a
-/// frontier stamped with `1` decides reachability (always sound: over
-/// a pattern ⊗ carries the stamp and ⊕ selects it, so every reached
-/// vertex holds `1`), and a second product over `s` folds the
-/// payloads. A vertex the payload product cancelled to the semiring `0`
-/// is still discovered — it appears with payload `s.zero()` — which is
-/// exactly the case that makes the fused variant unsound for
-/// non-selective ⊕.
+/// The **two-step** fallback: per level, a [`MinFirst`] product decides
+/// reachability (always sound: over a pattern ⊗ carries the frontier's
+/// nonzero stamp and ⊕ selects one, so every reached vertex holds a
+/// nonzero), and a second product over `s` folds the payloads. A vertex
+/// the payload product cancelled to the semiring `0` is still
+/// discovered — it appears with payload `s.zero()` — which is exactly
+/// the case that makes the fused variant unsound for non-selective ⊕.
 pub fn parent_bfs_two_step_ctx<S>(ctx: &OpCtx, g: &Graph<u64>, src: Ix, s: S) -> Vec<(Ix, u64)>
 where
     S: Semiring<Value = u64>,
 {
     let pat = g.adjacency();
-    let n = pat.nrows();
-    let mut out: Vec<(Ix, u64)> = vec![(src, src + 1)];
-    let mut visited = Visited::with_seed(src);
-    let mut reach = SparseVec::from_entries(n, vec![(src, 1)], MinFirst);
-    let mut stamped = SparseVec::from_entries(n, vec![(src, src + 1)], s);
-    while !reach.is_empty() {
-        let at = g.transpose_for(ctx, &reach);
-        // Step 1: who is reachable this level (exact).
-        let next = vxm_opt_ctx(ctx, &reach, pat, at, Some(visited.as_slice()), MinFirst);
-        // Step 2: what the semiring folds onto them.
-        let vals = vxm_opt_ctx(ctx, &stamped, pat, at, Some(visited.as_slice()), s);
-        for (v, _) in next.iter() {
-            let payload = vals.get(&v).cloned().unwrap_or_else(|| s.zero());
-            out.push((v, payload));
-        }
-        visited.absorb_sorted(next.indices());
-        stamped = SparseVec::from_entries(n, next.iter().map(|(v, _)| (v, v + 1)).collect(), s);
-        reach = next;
-    }
-    out.sort_by_key(|e| e.0);
-    out
+    traverse(
+        ctx,
+        g,
+        src,
+        src + 1,
+        |v| v + 1,
+        |frontier, at, visited| {
+            // Step 1: who is reachable this level (exact).
+            let next = vxm_opt_ctx(ctx, frontier, pat, at, Some(visited), MinFirst);
+            let (ids, _) = next.into_parts();
+            // Step 2: what the semiring folds onto them — stored only where
+            // step 1 reached, both ascending.
+            let vals = vxm_opt_ctx(ctx, frontier, pat, at, Some(visited), s);
+            let mut vals = vals.iter().peekable();
+            let payloads = ids
+                .iter()
+                .map(|&v| vals.next_if(|&(u, _)| u == v).map_or(s.zero(), |(_, &x)| x))
+                .collect();
+            debug_assert!(vals.next().is_none(), "a payload off the reached set");
+            (ids, payloads)
+        },
+    )
 }
 
 /// Parent-style BFS from `src` over a `u64` pattern, with the per-level

@@ -46,21 +46,21 @@ pub fn betweenness_ctx(ctx: &OpCtx, g: &Graph<f64>, sources: &[Ix]) -> Vec<f64> 
     for &src in sources {
         // ---- forward: per-level frontiers with path counts σ ----
         let mut sigma: HashMap<Ix, f64> = HashMap::from([(src, 1.0)]);
-        let mut visited = Visited::with_seed(src);
+        let mut visited = Visited::new(pat.nrows(), pat.nnz(), src, ());
         let mut levels: Vec<SparseVec<f64>> =
             vec![SparseVec::from_entries(pat.nrows(), vec![(src, 1.0)], s())];
         loop {
             let frontier = levels.last().expect("nonempty");
             // path counts into the next level, visited masked off
             // inside the kernel
-            let next = vxm_opt_ctx(ctx, frontier, pat, Some(at), Some(visited.as_slice()), s());
+            let next = vxm_opt_ctx(ctx, frontier, pat, Some(at), Some(visited.mask()), s());
             if next.is_empty() {
                 break;
             }
             for (v, c) in next.iter() {
                 sigma.insert(v, *c);
             }
-            visited.absorb_sorted(next.indices());
+            visited.absorb(next.indices(), vec![(); next.nnz()]);
             levels.push(next);
         }
 

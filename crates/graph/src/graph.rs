@@ -19,7 +19,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use hypersparse::ops::mxv::choose_direction;
+use hypersparse::ops::mxv::{choose_direction, frontier_edges};
 use hypersparse::ops::transpose_ctx;
 use hypersparse::{Dcsr, Decision, Direction, OpCtx, SparseVec};
 use semiring::traits::Value;
@@ -67,18 +67,15 @@ impl<'a, T: Value> Graph<'a, T> {
     /// the transpose exists it is returned. Before that it is built now
     /// only if the pushes so far have touched `nnz` edges and
     /// [`choose_direction`] would pull `v` with it; while they have not,
-    /// `v`'s edges are counted as pushed. A traversal asks once per
+    /// `v`'s edges are counted as pushed, each frontier row found by
+    /// [`frontier_edges`]' forward cursor. A traversal asks once per
     /// level; each ask made before the transpose exists counts the
     /// `graph_transpose` decision, `built` or `deferred`.
     pub(crate) fn transpose_for(&self, ctx: &OpCtx, v: &SparseVec<T>) -> Option<&Dcsr<T>> {
         if self.at.get().is_none() {
             let paid = self.pushed.load(Ordering::Relaxed) >= self.a.nnz() as u64;
             if !paid {
-                let edges: u64 = v
-                    .indices()
-                    .iter()
-                    .map(|&i| self.a.row(i).0.len() as u64)
-                    .sum();
+                let edges = frontier_edges(v, self.a);
                 self.pushed.fetch_add(edges, Ordering::Relaxed);
             }
             let build = paid && choose_direction(v, self.a, true) == Direction::Pull;

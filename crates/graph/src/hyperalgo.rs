@@ -37,8 +37,7 @@ pub fn incidence_patterns(h: &Hypergraph) -> IncidencePatterns {
 /// hop. Returns `(vertex, level)` sorted by vertex.
 pub fn hyper_bfs(p: &IncidencePatterns, src: Ix) -> Vec<(Ix, u32)> {
     let s = AnyPair;
-    let mut out = vec![(src, 0u32)];
-    let mut visited = Visited::with_seed(src);
+    let mut visited = Visited::new(p.in_.ncols(), p.in_.nnz(), src, 0u32);
     let mut frontier = SparseVec::from_entries(p.out_t.nrows(), vec![(src, 1u8)], s);
     let mut level = 0u32;
     with_default_ctx(|ctx| {
@@ -47,14 +46,12 @@ pub fn hyper_bfs(p: &IncidencePatterns, src: Ix) -> Vec<(Ix, u32)> {
             // vertices → active out-edges → delivered head vertices, the
             // visited set masked off inside the head hop.
             let edges = vxm_ctx(ctx, &frontier, &p.out_t, s);
-            let next = vxm_opt_ctx(ctx, &edges, &p.in_, None, Some(visited.as_slice()), s);
-            out.extend(next.iter().map(|(v, _)| (v, level)));
-            visited.absorb_sorted(next.indices());
+            let next = vxm_opt_ctx(ctx, &edges, &p.in_, None, Some(visited.mask()), s);
+            visited.absorb(next.indices(), vec![level; next.nnz()]);
             frontier = next;
         }
     });
-    out.sort_by_key(|e| e.0);
-    out
+    visited.into_sorted()
 }
 
 /// Connected components of the *undirected reading* of a hypergraph

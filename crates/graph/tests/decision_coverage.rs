@@ -76,13 +76,17 @@ fn traversals(ctx: &OpCtx) {
     let _ = ops::vxm_ctx(ctx, &v, &a, s); // push, flat
     let _ = ops::vxm_ctx(ctx, &v, &a, MinPlus::<f64>::new()); // hash
     let _ = ops::vxm_pull_ctx(ctx, &v, &at, s); // pull, indexed
-    let mask: Vec<Ix> = (0..256).step_by(3).collect();
-    let _ = ops::vxm_opt_ctx(ctx, &v, &a, Some(&at), Some(&mask), s); // bitmap
+    let mut mask = [0u64; 4]; // every third id
+    for j in (0..256).step_by(3) {
+        mask[j / 64] |= 1 << (j % 64);
+    }
+    let _ = ops::vxm_opt_ctx(ctx, &v, &a, Some(&at), Some(ops::Mask::Bits(&mask)), s); // bitmap
     let wide = mat(WIDE, WIDE, [(1, 2), (2, 3), (3, 1)]);
     let wide_t = ops::transpose_ctx(ctx, &wide);
     let w = SparseVec::from_entries(WIDE, vec![(1, 1.0), (2, 1.0)], s);
     let _ = ops::vxm_pull_ctx(ctx, &w, &wide_t, s); // searched
-    let _ = ops::vxm_opt_ctx(ctx, &w, &wide, None, Some(&[3][..]), s); // sorted
+    let _ = ops::vxm_opt_ctx(ctx, &w, &wide, None, Some(ops::Mask::Sorted(&[3])), s);
+    // sorted
 }
 
 /// Transpose by counting pass and by radix sort; bool rows merged a

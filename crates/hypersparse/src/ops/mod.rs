@@ -30,9 +30,10 @@ pub mod transform;
 pub use ewise::{
     ewise_add_ctx, ewise_add_op_ctx, ewise_mul_ctx, ewise_mul_op_ctx, ewise_union_ctx,
 };
-pub use mxm::{mxm_apply_prune_ctx, mxm_ctx, mxm_masked_count_ctx, mxm_masked_ctx};
+pub use mxm::{compact, mxm_apply_prune_ctx, mxm_ctx, mxm_masked_count_ctx, mxm_masked_ctx};
 pub use mxv::{
-    choose_direction, mxv_ctx, mxv_opt_ctx, vxm_ctx, vxm_dense_pull_ctx, vxm_opt_ctx, vxm_pull_ctx,
+    choose_direction, frontier_edges, gallop, mxv_ctx, mxv_opt_ctx, vxm_ctx, vxm_dense_pull_ctx,
+    vxm_opt_ctx, vxm_pull_ctx, Mask,
 };
 pub use reduce::{
     col_degrees_ctx, reduce_cols_ctx, reduce_rows_ctx, reduce_scalar_ctx, row_degrees_ctx,

@@ -66,7 +66,7 @@ pub(crate) const DENSE_ACC_MAX: u64 = 1 << 22;
 /// clearing that array costs no more than one pass over the operands.
 /// The one rule for direct addressing (B-row locator, mask scatter
 /// slots, transpose's counting pass); wider spaces search and radix-sort.
-pub(crate) fn compact(width: Ix, nnz: usize) -> bool {
+pub fn compact(width: Ix, nnz: usize) -> bool {
     width <= DENSE_ACC_MAX && width <= nnz as Ix
 }
 

@@ -18,10 +18,13 @@
 //!   filtering (`SparseVec::without`) afterwards.
 //! * **Indexing instead of searching**: over a compact key space
 //!   (`ops::mxm::compact`) pull finds each in-edge's frontier entry
-//!   through the context's pooled position index, and the mask becomes
-//!   one bitmap per call, which both directions probe, whenever the
-//!   sweep's probes pay for building it; wider spaces binary-search the
-//!   sorted frontier and mask.
+//!   through the context's pooled position index; wider spaces
+//!   binary-search the sorted frontier. Push finds each frontier
+//!   vertex's row by [`gallop`]ing a cursor forward through `A`'s stored
+//!   row ids — frontier ids ascend, so a level costs its frontier's
+//!   edges, not a search over every row per vertex. The complement
+//!   [`Mask`] arrives in the form its owner keeps across calls: a bitmap
+//!   over a compact output space, or sorted ids.
 //! * **Deterministic parallelism**: push partitions the frontier into
 //!   *fixed-size* segments (independent of thread count) and ⊕-merges
 //!   the segment partials left-to-right; pull shards output rows by
@@ -75,11 +78,51 @@ const PUSH_SEG: usize = 1024;
 /// than `nnz / PULL_ALPHA` edges.
 const PULL_ALPHA: u64 = 8;
 
-/// Edges a push sweep would touch: `Σ_{i ∈ v} |rows_of(i,:)|`.
-fn frontier_edges<T: Value, I: IndexType>(v: &SparseVec<T, I>, rows_of: &Dcsr<T, I>) -> u64 {
+/// The partition point of a monotone `pred` over `0..n` — the first
+/// index where it fails — given that it holds on `0..from`. Steps
+/// 1, 2, 4, … past `from`, then binary-searches the last step, so a
+/// point `d` past `from` costs `O(log d)` probes: a cursor moving
+/// forward through sorted ids pays for the distance it moves, not for
+/// the length of the list.
+pub fn gallop(n: usize, from: usize, pred: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut probe, mut step) = (from, from, 1usize);
+    let mut hi = loop {
+        if probe >= n {
+            break n;
+        }
+        if !pred(probe) {
+            break probe;
+        }
+        lo = probe + 1;
+        probe = probe.saturating_add(step);
+        step = step.saturating_mul(2);
+    };
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Position of row `i` among the sorted stored row ids `rows`, galloping
+/// the cursor `at` forward from where a smaller id left it.
+fn seek_row(rows: &[Ix], at: &mut usize, i: Ix) -> Option<usize> {
+    *at = gallop(rows.len(), *at, |k| rows[k] < i);
+    (rows.get(*at) == Some(&i)).then_some(*at)
+}
+
+/// Edges a push sweep would touch: `Σ_{i ∈ v} |rows_of(i,:)|`, each row
+/// found by one forward cursor over `rows_of`'s stored row ids.
+pub fn frontier_edges<T: Value, I: IndexType>(v: &SparseVec<T, I>, rows_of: &Dcsr<T, I>) -> u64 {
+    let (rows, mut at) = (rows_of.row_ids(), 0);
     v.indices()
         .iter()
-        .map(|&i| rows_of.row(i.to_ix()).0.len() as u64)
+        .filter_map(|&i| seek_row(rows, &mut at, i.to_ix()))
+        .map(|k| rows_of.row_len_at(k) as u64)
         .sum()
 }
 
@@ -106,37 +149,28 @@ type Entries<T> = Vec<(Ix, T)>;
 /// mask_probes, mask_hits)`.
 type PushPartial<T> = (Entries<T>, u64, u64, u64);
 
-/// A complement mask as the sweeps probe it: one bitmap over the output
-/// space, built once per call, or the sorted ids, binary-searched.
-enum Mask<'a> {
-    Bits(Vec<u64>),
+/// A complement mask in the form its owner keeps it between calls — a
+/// traversal's visited set, say — handed to the sweeps as it stands.
+#[derive(Clone, Copy, Debug)]
+pub enum Mask<'a> {
+    /// One bit per output id, id `j` at bit `j % 64` of word `j / 64`;
+    /// ids past the last word are unmasked. The form for a compact
+    /// output space ([`crate::ops::compact`]).
+    Bits(&'a [u64]),
+    /// Strictly increasing ids, binary-searched: the only form that
+    /// reaches into a wide key space.
     Sorted(&'a [Ix]),
 }
 
-impl<'a> Mask<'a> {
-    /// The bitmap when the output space is compact and building it (a
-    /// word per 64 ids, a bit per masked id) costs no more than the
-    /// `probes` searches it replaces — a pull sweep's rows, a push
-    /// sweep's expected edges (frontier × mean row length) — so a narrow
-    /// frontier late in a long traversal keeps its few searches instead
-    /// of paying for the whole visited set.
-    fn new(ids: &'a [Ix], dim: Ix, compact: bool, probes: impl FnOnce() -> u64) -> Self {
-        let search = u64::from(usize::BITS - ids.len().leading_zeros());
-        if !compact || probes() * search < ids.len() as u64 + dim / 64 {
-            return Mask::Sorted(ids);
-        }
-        let mut bits = vec![0u64; (dim as usize).div_ceil(64)];
-        // Sorted: ids past the output space mask nothing.
-        for &j in ids.iter().take_while(|&&j| j < dim) {
-            bits[(j >> 6) as usize] |= 1 << (j & 63);
-        }
-        Mask::Bits(bits)
-    }
-
+impl Mask<'_> {
+    /// Whether `j` is masked off.
     #[inline(always)]
-    fn contains(&self, j: Ix) -> bool {
-        match self {
-            Mask::Bits(bits) => bits[(j >> 6) as usize] >> (j & 63) & 1 == 1,
+    pub fn contains(&self, j: Ix) -> bool {
+        match *self {
+            Mask::Bits(bits) => usize::try_from(j >> 6)
+                .ok()
+                .and_then(|w| bits.get(w))
+                .is_some_and(|w| w >> (j & 63) & 1 == 1),
             Mask::Sorted(ids) => ids.binary_search(&j).is_ok(),
         }
     }
@@ -150,7 +184,7 @@ impl<'a> Mask<'a> {
 fn scatter<T, I, S>(
     v: &SparseVec<T, I>,
     rows_of: &Dcsr<T, I>,
-    mask: Option<&Mask>,
+    mask: Option<Mask>,
     flip: bool,
     s: S,
     segment: Range<usize>,
@@ -162,10 +196,13 @@ where
     S: Semiring<Value = T>,
 {
     let (idx, vals) = (v.indices(), v.values());
+    let (rows, mut at) = (rows_of.row_ids(), 0);
     let (mut flops, mut probes, mut hits) = (0u64, 0u64, 0u64);
     for k in segment {
-        let x = &vals[k];
-        let (cols, avals) = rows_of.row(idx[k].to_ix());
+        let Some(r) = seek_row(rows, &mut at, idx[k].to_ix()) else {
+            continue;
+        };
+        let (x, (_, cols, avals)) = (&vals[k], rows_of.row_at(r));
         for (&j, aij) in cols.iter().zip(avals) {
             let j = j.to_ix();
             if let Some(m) = mask {
@@ -201,7 +238,7 @@ fn push_segment<T, I, S>(
     ctx: &OpCtx,
     v: &SparseVec<T, I>,
     rows_of: &Dcsr<T, I>,
-    mask: Option<&Mask>,
+    mask: Option<Mask>,
     flip: bool,
     s: S,
     segment: Range<usize>,
@@ -282,7 +319,7 @@ fn run_push<T, I, S>(
     ctx: &OpCtx,
     v: &SparseVec<T, I>,
     rows_of: &Dcsr<T, I>,
-    mask: Option<&Mask>,
+    mask: Option<Mask>,
     flip: bool,
     s: S,
     edges: u64,
@@ -324,7 +361,7 @@ fn pull_rows<T, I, S>(
     v: &SparseVec<T, I>,
     pos: Option<&[u32]>,
     rows_of: &Dcsr<T, I>,
-    mask: Option<&Mask>,
+    mask: Option<Mask>,
     flip: bool,
     s: S,
     range: Range<usize>,
@@ -348,14 +385,16 @@ where
             }
         }
         // Columns outside `v`'s extent find no entry: clip them off,
-        // searching only a side that sticks out.
+        // galloping in from a side that sticks out (past its end entry,
+        // which is known to), so dropping `k` entries costs `O(log k)`.
+        let n = cols.len();
         let lo = match first {
-            Some(f) if cols.first() < first => cols.partition_point(|c| c < f),
+            Some(f) if cols.first() < first => gallop(n, 1, |p| cols[p] < *f),
             _ => 0,
         };
         let hi = match last {
-            Some(l) if cols.last() > last => cols.partition_point(|c| c <= l),
-            _ => cols.len(),
+            Some(l) if cols.last() > last => n - gallop(n, 1, |p| cols[n - 1 - p] > *l),
+            _ => n,
         };
         (cols, avals) = (&cols[lo..hi], &avals[lo..hi]);
         let mut acc: Option<T> = None;
@@ -415,13 +454,16 @@ pub(crate) fn intersect_sorted<I: Ord>(a: &[I], b: &[I], mut hit: impl FnMut(usi
 
 /// Pull sweep sharded by stored output rows (merge-path weighted) —
 /// each output is computed wholly inside one shard, so determinism is
-/// structural.
+/// structural. Its work for the thread rule is the share of
+/// `rows_of`'s entries that `v`'s extent covers, the ones left after
+/// [`pull_rows`] clips each row: O(1), and a frontier spanning a sliver
+/// of the column space does not fan out for work it never does.
 fn run_pull<T, I, S>(
     ctx: &OpCtx,
     v: &SparseVec<T, I>,
     pos: Option<&[u32]>,
     rows_of: &Dcsr<T, I>,
-    mask: Option<&Mask>,
+    mask: Option<Mask>,
     flip: bool,
     s: S,
 ) -> PushPartial<T>
@@ -430,7 +472,12 @@ where
     I: IndexType,
     S: Semiring<Value = T>,
 {
-    let parts = ctx.par_rows(rows_of.nnz() as u64, rows_of, |r| {
+    let extent = match (v.indices().first(), v.indices().last()) {
+        (Some(f), Some(l)) => l.to_ix() - f.to_ix() + 1,
+        _ => 0,
+    };
+    let work = rows_of.nnz() as u128 * u128::from(extent) / u128::from(v.dim().max(1));
+    let parts = ctx.par_rows(work as u64, rows_of, |r| {
         pull_rows(v, pos, rows_of, mask, flip, s, r)
     });
     combine(parts, |mut left, right| {
@@ -452,7 +499,7 @@ fn run_mv<T, I, S>(
     v: &SparseVec<T, I>,
     push_src: Option<&Dcsr<T, I>>,
     pull_src: Option<&Dcsr<T, I>>,
-    mask: Option<&[Ix]>,
+    mask: Option<Mask>,
     flip: bool,
     out_dim: Ix,
     s: S,
@@ -462,7 +509,10 @@ where
     I: IndexType,
     S: Semiring<Value = T>,
 {
-    debug_assert!(mask.is_none_or(|m| m.windows(2).all(|w| w[0] < w[1])));
+    debug_assert!(match mask {
+        Some(Mask::Sorted(m)) => m.windows(2).all(|w| w[0] < w[1]),
+        _ => true,
+    });
     let mat = push_src.or(pull_src).expect("some operand");
     let run = ctx.kernel(kernel, || {
         format!("{}×{} mat, {} nnz v", mat.nrows(), mat.ncols(), v.nnz())
@@ -473,25 +523,16 @@ where
         (None, Some(_)) => Direction::Pull,
         (None, None) => unreachable!("one operand orientation is always supplied"),
     };
-    let nnz = v.nnz() + mat.nnz() + mask.map_or(0, <[Ix]>::len);
-    // A push's expected edges: frontier × mean row length.
-    let edges = |a: &Dcsr<T, I>| (v.nnz() * a.nnz() / a.n_nonempty_rows().max(1)) as u64;
-    let mask = mask.map(|m| {
-        Mask::new(m, out_dim, compact(out_dim, nnz), || {
-            match (dir, push_src, pull_src) {
-                (Direction::Push, Some(a), _) => edges(a),
-                (_, _, at) => at.map_or(0, |at| at.n_nonempty_rows() as u64),
-            }
-        })
-    });
     let (entries, flops, probes, hits) = match dir {
         Direction::Push => {
             let a = push_src.expect("push chosen");
-            run_push(ctx, v, a, mask.as_ref(), flip, s, edges(a))
+            // Expected edges: frontier × mean row length.
+            let edges = (v.nnz() * a.nnz() / a.n_nonempty_rows().max(1)) as u64;
+            run_push(ctx, v, a, mask, flip, s, edges)
         }
         Direction::Pull => {
-            let (at, mask) = (pull_src.expect("pull chosen"), mask.as_ref());
-            if compact(v.dim(), nnz) {
+            let at = pull_src.expect("pull chosen");
+            if compact(v.dim(), v.nnz() + mat.nnz()) {
                 ctx.metrics().record_decision(Decision::PullIndexed, 1);
                 let ids = v.indices().iter().map(|i| i.as_usize());
                 ctx.with_row_index(v.dim() as usize, ids, |pos| {
@@ -525,7 +566,7 @@ where
     };
     m.record_decision(d, 1);
     m.record_mask_probes(probes, hits);
-    if let Some(mask) = &mask {
+    if let Some(mask) = mask {
         let d = match mask {
             Mask::Bits(_) => Decision::MvMaskBitmap,
             Mask::Sorted(_) => Decision::MvMaskSorted,
@@ -592,17 +633,18 @@ where
 
 /// Direction-optimized, mask-fused `vᵀ A`. Supply `at = Aᵀ` (e.g. the
 /// one `graph::Graph` builds once per graph) and the kernel picks push or
-/// pull per call via [`choose_direction`]. Supply a complement `mask`
-/// (a sorted index slice, e.g. the visited set) and `(vᵀA) ⊙ ¬mask` is
-/// computed *inside* the accumulator loop — equivalent to
-/// `vxm_ctx(..).without(mask)` without materializing the masked-off
-/// work; in pull direction a masked output skips its whole gather row.
+/// pull per call via [`choose_direction`]. Supply a complement [`Mask`]
+/// (e.g. a traversal's visited set, bitmap or sorted ids) and
+/// `(vᵀA) ⊙ ¬mask` is computed *inside* the accumulator loop —
+/// equivalent to `vxm_ctx(..).without(mask)` without materializing the
+/// masked-off work; in pull direction a masked output skips its whole
+/// gather row.
 pub fn vxm_opt_ctx<T, I, S>(
     ctx: &OpCtx,
     v: &SparseVec<T, I>,
     a: &Dcsr<T, I>,
     at: Option<&Dcsr<T, I>>,
-    mask: Option<&[Ix]>,
+    mask: Option<Mask>,
     s: S,
 ) -> SparseVec<T, I>
 where
@@ -822,13 +864,44 @@ mod tests {
         let v = frontier(200, 30, 1);
         let mask: Vec<Ix> = (0..200).step_by(3).collect();
         let mask_vec = SparseVec::from_entries(200, mask.iter().map(|&i| (i, 1.0)).collect(), pt());
-        let fused = vxm_opt_ctx(&ctx, &v, &a, None, Some(&mask), pt());
+        let fused = vxm_opt_ctx(&ctx, &v, &a, None, Some(Mask::Sorted(&mask)), pt());
         let unfused = vxm_ctx(&ctx, &v, &a, pt()).without(&mask_vec);
         assert_eq!(fused, unfused);
         // And the pull direction agrees too.
         let at = transpose_ctx(&ctx, &a);
-        let pulled = vxm_opt_ctx(&ctx, &v, &a, Some(&at), Some(&mask), pt());
+        let pulled = vxm_opt_ctx(&ctx, &v, &a, Some(&at), Some(Mask::Sorted(&mask)), pt());
         assert_eq!(pulled, unfused);
+        // The same set as a bitmap masks the same outputs, both ways.
+        let mut bits = vec![0u64; 4];
+        for &j in &mask {
+            bits[(j / 64) as usize] |= 1 << (j % 64);
+        }
+        for at in [None, Some(&at)] {
+            let got = vxm_opt_ctx(&ctx, &v, &a, at, Some(Mask::Bits(&bits)), pt());
+            assert_eq!(got, unfused);
+        }
+        let snap = ctx.metrics().snapshot();
+        assert_eq!(snap.decision(Decision::MvMaskBitmap), 2);
+        assert_eq!(snap.decision(Decision::MvMaskSorted), 2);
+    }
+
+    #[test]
+    fn pull_work_is_the_extent_of_v_it_reads() {
+        // Fig. 4's SpMV: 40 000 entries over 4 096 columns, `v` on the
+        // first 64. The clipped rows hold ~1.6 % of the entries, which
+        // pays for one thread; a `v` spanning every column fans out.
+        let a = random_dcsr(4096, 4096, 40_000, 4, pt());
+        let sliver = SparseVec::from_entries(4096, (0..64).map(|i| (i, 1.0)).collect(), pt());
+        let spread = SparseVec::from_entries(4096, vec![(0, 1.0), (4095, 1.0)], pt());
+        let fan = |v: &SparseVec<f64>| {
+            let ctx = OpCtx::new().with_threads(2);
+            let got = mxv_ctx(&ctx, &a, v, pt());
+            assert_eq!(got, mxv_ctx(&OpCtx::new().with_threads(1), &a, v, pt()));
+            let snap = ctx.metrics().snapshot();
+            [Decision::FanOutOne, Decision::FanOutMany].map(|d| snap.decision(d))
+        };
+        assert_eq!(fan(&sliver), [1, 0]);
+        assert_eq!(fan(&spread), [0, 1]);
     }
 
     #[test]
@@ -1005,7 +1078,14 @@ mod tests {
         assert!(snap.kernel(Kernel::Vxm).bytes_touched > 0);
 
         let mask: Vec<Ix> = (0..100).collect(); // everything masked
-        let masked = vxm_opt_ctx(&ctx, &dense_v, &a, Some(&at), Some(&mask), pt());
+        let masked = vxm_opt_ctx(
+            &ctx,
+            &dense_v,
+            &a,
+            Some(&at),
+            Some(Mask::Sorted(&mask)),
+            pt(),
+        );
         assert!(masked.is_empty());
         let snap = ctx.metrics().snapshot();
         assert!(snap.mask_probes > 0);

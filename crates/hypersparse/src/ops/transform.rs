@@ -9,6 +9,7 @@ use semiring::traits::{Semiring, UnaryOp, Value};
 use crate::ctx::OpCtx;
 use crate::dcsr::{Dcsr, DcsrBuilder};
 use crate::error::{Axis, OpError};
+use crate::index::IndexType;
 use crate::metrics::{Decision, Kernel};
 use crate::radix::{counting_sort, radix_sort_by_key};
 use crate::Ix;
@@ -60,7 +61,12 @@ pub fn transpose_ctx<T: Value>(ctx: &OpCtx, a: &Dcsr<T>) -> Dcsr<T> {
 
 /// Apply a unary operator to every stored value; results equal to the
 /// semiring zero are dropped (so `apply` can only shrink the pattern).
-pub fn apply_ctx<T: Value, S, O>(ctx: &OpCtx, a: &Dcsr<T>, op: O, s: S) -> Dcsr<T>
+pub fn apply_ctx<T: Value, I: IndexType, S, O>(
+    ctx: &OpCtx,
+    a: &Dcsr<T, I>,
+    op: O,
+    s: S,
+) -> Dcsr<T, I>
 where
     S: Semiring<Value = T>,
     O: UnaryOp<T, T>,
@@ -80,7 +86,12 @@ where
 /// `0.0` — the *PlusTimes* zero, not MaxPlus's `−∞`) need that choice
 /// explicit in the signature. Recorded under
 /// [`crate::metrics::Kernel::ApplyPrune`].
-pub fn apply_prune_ctx<T: Value, SD, O>(ctx: &OpCtx, a: &Dcsr<T>, op: O, drop: SD) -> Dcsr<T>
+pub fn apply_prune_ctx<T: Value, I: IndexType, SD, O>(
+    ctx: &OpCtx,
+    a: &Dcsr<T, I>,
+    op: O,
+    drop: SD,
+) -> Dcsr<T, I>
 where
     SD: Semiring<Value = T>,
     O: UnaryOp<T, T>,
@@ -90,7 +101,13 @@ where
 
 /// Shared body of [`apply_ctx`] / [`apply_prune_ctx`]: the semiring
 /// argument is used *only* for its zero test on op outputs.
-fn apply_sharded<T: Value, S, O>(ctx: &OpCtx, a: &Dcsr<T>, op: O, s: S, kernel: Kernel) -> Dcsr<T>
+fn apply_sharded<T: Value, I: IndexType, S, O>(
+    ctx: &OpCtx,
+    a: &Dcsr<T, I>,
+    op: O,
+    s: S,
+    kernel: Kernel,
+) -> Dcsr<T, I>
 where
     S: Semiring<Value = T>,
     O: UnaryOp<T, T>,

@@ -65,6 +65,12 @@ impl<T: Value, I: IndexType> SparseVec<T, I> {
         SparseVec { dim, idx, vals }
     }
 
+    /// The sorted indices and their values, the inverse of
+    /// [`SparseVec::from_sorted_parts`].
+    pub fn into_parts(self) -> (Vec<I>, Vec<T>) {
+        (self.idx, self.vals)
+    }
+
     /// Dimension of the key space.
     pub fn dim(&self) -> Ix {
         self.dim

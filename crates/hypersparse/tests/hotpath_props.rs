@@ -11,6 +11,7 @@
 //! storage width.
 
 use hypersparse::gen::{rmat_dcsr, RmatParams};
+use hypersparse::ops::Mask;
 use hypersparse::{ops, Coo, Dcsr, Decision, Ix, OpCtx, SparseVec};
 use proptest::prelude::*;
 use semiring::{FnOp, LorLand, MinPlus, Numeric, Plain, PlusTimes, Semiring};
@@ -239,6 +240,15 @@ proptest! {
 // ---- kernels that index instead of search ----
 
 /// The same stored entries re-declared in another key space.
+/// Sorted ids below `dim` as the bitmap mask form.
+fn bitmap(ids: &[Ix], dim: Ix) -> Vec<u64> {
+    let mut words = vec![0; dim.div_ceil(64) as usize];
+    for &i in ids {
+        words[(i / 64) as usize] |= 1 << (i % 64);
+    }
+    words
+}
+
 fn respace<T: semiring::traits::Value>(m: &Dcsr<T>, nrows: Ix, ncols: Ix) -> Dcsr<T> {
     let (_, _, rows, rowptr, colidx, vals) = m.clone().into_parts();
     Dcsr::from_parts(nrows, ncols, rows, rowptr, colidx, vals)
@@ -511,18 +521,22 @@ fn assert_pull_is_push<S: Semiring>(
             bits,
         )
     };
+    let words = bitmap(&mask, BIG);
     for threads in [1usize, 2, 4, 8] {
         let ctx = OpCtx::new().with_threads(threads);
         for m in [None, Some(mask.as_slice())] {
-            let push = ops::vxm_opt_ctx(&ctx, &v, &a, None, m, s);
+            // The compact side masks with the bitmap, the 2⁴⁰-wide side
+            // with the sorted ids.
+            let (mb, ms) = (m.map(|_| Mask::Bits(&words)), m.map(Mask::Sorted));
+            let push = ops::vxm_opt_ctx(&ctx, &v, &a, None, mb, s);
             let pulls = ctx.metrics().snapshot().mv_pull_calls;
             let indexed = match m {
                 None => ops::vxm_pull_ctx(&ctx, &v, &at, s),
-                Some(_) => ops::vxm_opt_ctx(&ctx, &v, &a, Some(&at), m, s),
+                Some(_) => ops::vxm_opt_ctx(&ctx, &v, &a, Some(&at), mb, s),
             };
             let searched = match m {
                 None => ops::vxm_pull_ctx(&ctx, &vw, &atw, s),
-                Some(_) => ops::vxm_opt_ctx(&ctx, &vw, &aw, Some(&atw), m, s),
+                Some(_) => ops::vxm_opt_ctx(&ctx, &vw, &aw, Some(&atw), ms, s),
             };
             assert_eq!(
                 ctx.metrics().snapshot().mv_pull_calls,
@@ -638,11 +652,13 @@ fn assert_masked_push_is_plain<S: Semiring>(
             let unmasked = ops::vxm_ctx(&ctx, &f, &a, Plain(s));
             for m in [None, Some(drawn.as_slice()), Some(every.as_slice())] {
                 let label = format!("nnz={} mask={:?} @{threads}", f.nnz(), m.map(<[Ix]>::len));
+                let words = m.map(|ids| bitmap(ids, PUSH_DIM));
+                let (mb, ms) = (words.as_deref().map(Mask::Bits), m.map(Mask::Sorted));
                 let before = segments(&ctx);
-                let flat = ops::vxm_opt_ctx(&ctx, &f, &a, None, m, s);
+                let flat = ops::vxm_opt_ctx(&ctx, &f, &a, None, mb, s);
                 let [fl, hs] = segments(&ctx);
                 assert!(fl > before[0] && hs == before[1], "flat ran, {label}");
-                let hash = ops::vxm_opt_ctx(&ctx, &f, &a, None, m, Plain(s));
+                let hash = ops::vxm_opt_ctx(&ctx, &f, &a, None, mb, Plain(s));
                 assert_eq!(segments(&ctx)[0], fl, "{label}");
                 let filtered = match m {
                     Some(ids) => {
@@ -661,7 +677,7 @@ fn assert_masked_push_is_plain<S: Semiring>(
                     assert!(flat.is_empty(), "fully masked, {label}");
                 }
                 let before = segments(&ctx);
-                let searched = ops::vxm_opt_ctx(&ctx, &fw, &aw, None, m, s);
+                let searched = ops::vxm_opt_ctx(&ctx, &fw, &aw, None, ms, s);
                 let [fl, hs] = segments(&ctx);
                 assert!(
                     fl == before[0] && hs > before[1],

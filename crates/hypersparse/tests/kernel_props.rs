@@ -11,6 +11,11 @@ fn triplets() -> impl Strategy<Value = Vec<(Ix, Ix, i64)>> {
     proptest::collection::vec((0..N, 0..N, 1i64..10), 0..60)
 }
 
+/// A sorted id set over `0..N` as the one-word bitmap mask form.
+fn bitmap(ids: &[Ix]) -> [u64; 1] {
+    [ids.iter().fold(0, |w, &i| w | 1 << i)]
+}
+
 fn build<S: Semiring<Value = i64>>(t: &[(Ix, Ix, i64)], s: S) -> Dcsr<i64> {
     let mut c = Coo::new(N, N);
     c.extend(t.iter().copied());
@@ -232,10 +237,13 @@ proptest! {
         let mask_vec = hypersparse::SparseVec::from_entries(
             N, tm.iter().map(|&(i, _, _)| (i, 1i64)).collect(), s);
         let mask: Vec<Ix> = mask_vec.indices().to_vec();
-        let fused = hypersparse::ops::vxm_opt_ctx(
-            &hypersparse::OpCtx::new(), &v, &a, None, Some(&mask), s);
+        let bits = bitmap(&mask);
         let unfused = hypersparse::ops::vxm_ctx(&hypersparse::OpCtx::new(), &v, &a, s).without(&mask_vec);
-        prop_assert_eq!(fused, unfused);
+        for m in [ops::Mask::Sorted(&mask), ops::Mask::Bits(&bits)] {
+            let fused = hypersparse::ops::vxm_opt_ctx(
+                &hypersparse::OpCtx::new(), &v, &a, None, Some(m), s);
+            prop_assert_eq!(&fused, &unfused);
+        }
     }
 
     #[test]
@@ -260,12 +268,18 @@ proptest! {
             let plain = hypersparse::ops::vxm_ctx(&ctx, &v, &a, s);
             for transpose in [None, Some(&at)] {
                 for mask in masks {
-                    let got = hypersparse::ops::vxm_opt_ctx(
-                        &ctx, &v, &a, transpose, mask.map(|m| m.indices()), s);
+                    let bits = mask.map(|m| bitmap(m.indices()));
                     let want = mask.map_or(plain.clone(), |m| plain.without(m));
-                    prop_assert_eq!(
-                        got, want, "threads={} at={} mask={:?}",
-                        threads, transpose.is_some(), mask.map(|m| m.nnz()));
+                    let forms = [
+                        mask.map(|m| ops::Mask::Sorted(m.indices())),
+                        bits.as_ref().map(|b| ops::Mask::Bits(b)),
+                    ];
+                    for form in forms {
+                        let got = hypersparse::ops::vxm_opt_ctx(&ctx, &v, &a, transpose, form, s);
+                        prop_assert_eq!(
+                            &got, &want, "threads={} at={} mask={:?}",
+                            threads, transpose.is_some(), form);
+                    }
                 }
             }
         }
@@ -680,5 +694,23 @@ fn transpose_keeps_an_explicit_false() {
         for &(r, c, v) in &t {
             assert_eq!(at.get(c, r), Some(&v), "({r}, {c})");
         }
+    }
+}
+
+proptest! {
+    /// The traversal cursor's search: from any start at or before the
+    /// partition point, galloping forward lands exactly where
+    /// `partition_point` does.
+    #[test]
+    fn gallop_is_partition_point(
+        drawn in proptest::collection::vec(0u64..400, 0..200),
+        x in 0u64..420,
+        at in 0usize..1000,
+    ) {
+        let mut ids = drawn;
+        ids.sort_unstable();
+        let want = ids.partition_point(|&e| e < x);
+        let from = at % (want + 1);
+        prop_assert_eq!(ops::gallop(ids.len(), from, |k| ids[k] < x), want);
     }
 }

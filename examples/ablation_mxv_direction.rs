@@ -62,36 +62,39 @@ fn frontier_of(g: &Dcsr<f64>, k: usize) -> SparseVec<f64> {
 }
 
 /// Expand a BFS `depth` levels from the busiest vertex; returns the
-/// frontier at that depth and the visited set behind it.
+/// frontier at that depth and the visited set behind it, as a vector
+/// and as the traversal state the fused kernel masks with.
 fn bfs_shape(
     ctx: &OpCtx,
     g: &Dcsr<f64>,
     gt: &Dcsr<f64>,
     depth: usize,
-) -> (SparseVec<f64>, SparseVec<f64>) {
+) -> (SparseVec<f64>, SparseVec<f64>, Visited<()>) {
     let src = g
         .iter_rows()
         .max_by_key(|(_, cols, _)| cols.len())
         .map(|(r, _, _)| r)
         .unwrap_or(0);
+    let mut seen = Visited::new(g.nrows(), g.nnz(), src, ());
     let mut visited = SparseVec::from_entries(g.nrows(), vec![(src, 1.0)], s());
     let mut frontier = visited.clone();
     for _ in 0..depth {
-        let next = vxm_opt_ctx(ctx, &frontier, g, Some(gt), Some(visited.indices()), s());
+        let next = vxm_opt_ctx(ctx, &frontier, g, Some(gt), Some(seen.mask()), s());
         if next.is_empty() {
             break;
         }
+        seen.absorb(next.indices(), vec![(); next.nnz()]);
         visited = visited.ewise_add(&next, s());
         frontier = next;
     }
-    (frontier, visited)
+    (frontier, visited, seen)
 }
 
 /// One fused parent BFS from `src` over pattern `p`: per level, the
 /// frontier (stamped with its own 1-shifted ids) times `p` under
 /// `min.first`, the visited set masked off inside the kernel, with the
 /// transpose `at_for` hands out for that frontier. Returns the
-/// `(vertex, parent + 1)` pairs in discovery order.
+/// `(vertex, parent + 1)` pairs in vertex order.
 fn parent_bfs<'t>(
     ctx: &OpCtx,
     p: &Dcsr<u64>,
@@ -99,19 +102,17 @@ fn parent_bfs<'t>(
     mut at_for: impl FnMut(&SparseVec<u64>) -> Option<&'t Dcsr<u64>>,
 ) -> Vec<(Ix, u64)> {
     let n = p.nrows();
-    let mut out = vec![(src, src + 1)];
-    let mut visited = Visited::with_seed(src);
-    let mut frontier = SparseVec::from_entries(n, vec![(src, src + 1)], MinFirst);
+    let mut visited = Visited::new(n, p.nnz(), src, src + 1);
+    let mut frontier = SparseVec::from_sorted_parts(n, vec![src], vec![src + 1]);
     while !frontier.is_empty() {
         let at = at_for(&frontier);
-        let next = vxm_opt_ctx(ctx, &frontier, p, at, Some(visited.as_slice()), MinFirst);
-        out.extend(next.iter().map(|(v, &parent)| (v, parent)));
-        visited.absorb_sorted(next.indices());
-        let stamped = next.iter().map(|(v, _)| (v, v + 1)).collect();
-        frontier = SparseVec::from_entries(n, stamped, MinFirst);
+        let next = vxm_opt_ctx(ctx, &frontier, p, at, Some(visited.mask()), MinFirst);
+        let (ids, parents) = next.into_parts();
+        visited.absorb(&ids, parents);
+        let stamps = ids.iter().map(|&v| v + 1).collect();
+        frontier = SparseVec::from_sorted_parts(n, ids, stamps);
     }
-    out.sort_unstable();
-    out
+    visited.into_sorted()
 }
 
 /// Section 4: one traversal under each transpose policy.
@@ -233,9 +234,9 @@ fn main() {
 
     // --- fused masked vs unfused-then-filter, BFS-shaped ---
     let ctx = OpCtx::new();
-    let (frontier, visited) = bfs_shape(&ctx, &g, &gt, 2);
+    let (frontier, visited, seen) = bfs_shape(&ctx, &g, &gt, 2);
     let (t_fused, r_fused) = quick_time(5, || {
-        vxm_opt_ctx(&ctx, &frontier, &g, Some(&gt), Some(visited.indices()), s())
+        vxm_opt_ctx(&ctx, &frontier, &g, Some(&gt), Some(seen.mask()), s())
     });
     let (t_unfused, r_unfused) = quick_time(5, || {
         vxm_opt_ctx(&ctx, &frontier, &g, Some(&gt), None, s()).without(&visited)

@@ -21,7 +21,7 @@
 
 use bench::{fmt_bytes, fmt_dur, quick_time};
 use hypersparse::gen::random_dcsr;
-use hypersparse::{Format, Ix, Matrix, OpCtx, SparseVec};
+use hypersparse::{Decision, Format, Ix, Matrix, OpCtx, SparseVec};
 use semiring::PlusTimes;
 
 fn s() -> PlusTimes<f64> {
@@ -88,6 +88,22 @@ fn main() {
             auto.format(),
         );
     }
+
+    // The DCSR SpMV pulls every row clipped to `v`'s 64 columns, so the
+    // 40 000-entry matrix is ~600 entries of work: one thread at any cap.
+    let dcsr =
+        Matrix::from_dcsr(random_dcsr(n, n, 40_000, 4, s()), s()).with_format(Format::Dcsr, s());
+    let v = SparseVec::from_entries(n, (0..64).map(|i| (i, 1.0)).collect(), s());
+    let probe = OpCtx::new().with_threads(2);
+    let _ = dcsr.mxv_ctx(&probe, &v, s());
+    let snap = probe.metrics().snapshot();
+    let fan = [Decision::FanOutOne, Decision::FanOutMany].map(|d| snap.decision(d));
+    assert_eq!(
+        fan,
+        [1, 0],
+        "a clipped pull fans out for work it never does"
+    );
+    println!("✓ the 40 000-entry DCSR SpMV clipped to v's extent runs on one thread");
 
     // Regime assertions: the policy tracks the figure.
     let hyper = Matrix::from_dcsr(random_dcsr(1 << 40, 1 << 40, 1000, 5, s()), s());
