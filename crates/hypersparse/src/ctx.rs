@@ -253,26 +253,11 @@ impl OpCtx {
         u64::from(t > 1) * t * CHUNK
     }
 
-    /// Count the rule's outcome, then run `jobs` on up to `threads`,
-    /// results in job order (the push sweep runs its fixed segments,
-    /// which fix its ⊕ grouping, on [`OpCtx::threads_for`] this way).
-    pub(crate) fn fan_out<R: Send>(
-        &self,
-        threads: usize,
-        jobs: usize,
-        job: impl Fn(usize) -> R + Sync,
-    ) -> Vec<R> {
-        let many = usize::from(threads.min(jobs) > 1);
-        let d = [Decision::FanOutOne, Decision::FanOutMany][many];
-        self.metrics.record_decision(d, 1);
-        par_run(threads, jobs, job)
-    }
-
     /// Run `job` over `a`'s stored rows for a call that will touch `work`
     /// entries, results in row order: one range at one thread, else
     /// merge-path shards weighted by row length ([`plan_weighted_shards`]).
-    /// Rows never split, so the concatenated results are the same bits at
-    /// any cap.
+    /// Counts the rule's outcome, `fan_out=one|many`. Rows never split,
+    /// so the concatenated results are the same bits at any cap.
     pub(crate) fn par_rows<T: Value, I: IndexType, R: Send>(
         &self,
         work: u64,
@@ -285,7 +270,10 @@ impl OpCtx {
             1 => vec![(0, rows)],
             t => plan_weighted_shards(rows, t * TASKS_PER_THREAD, |k| a.row_len_at(k) as u64),
         };
-        self.fan_out(threads, shards.len(), |k| job(shards[k].0..shards[k].1))
+        let many = usize::from(threads.min(shards.len()) > 1);
+        let d = [Decision::FanOutOne, Decision::FanOutMany][many];
+        self.metrics.record_decision(d, 1);
+        par_run(threads, shards.len(), |k| job(shards[k].0..shards[k].1))
     }
 
     /// The context's metrics registry.
@@ -556,8 +544,7 @@ mod tests {
         // A cap of one never fans out, whatever the work.
         ctx.set_threads(1);
         assert_eq!(ctx.work_to_fill(), 0);
-        let jobs = ctx.fan_out(ctx.threads_for(u64::MAX), 8, |i| i);
-        assert_eq!(jobs, (0..8).collect::<Vec<_>>());
+        assert_eq!(ctx.par_rows(u64::MAX, &a, |r| r), vec![0..rows]);
         assert_eq!(ctx.metrics().snapshot().decision(Decision::FanOutOne), 3);
     }
 

@@ -169,8 +169,8 @@ macro_rules! decisions {
         /// One dispatch decision: which of the equivalent ways to evaluate
         /// the same algebra a kernel took, as a `(site, choice)` line of
         /// [`Decision::LABELS`] (the discriminant is its counter index). A
-        /// kernel records each once per call, row range or segment — never
-        /// per product (DESIGN.md §10).
+        /// kernel records each once per call or row range — never per
+        /// product (DESIGN.md §10).
         #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
         #[allow(missing_docs)]
         pub enum Decision {
@@ -203,7 +203,7 @@ decisions! {
     // Per flat SpGEMM row, counted per row range: `Row::dense_span`.
     DrainScan = "mxm_drain", "scan";
     DrainBitmap = "mxm_drain", "bitmap";
-    // Per push segment: `FLAT_ACC` and a column space ≤ `DENSE_ACC_MAX`.
+    // Per push call: `FLAT_ACC` and a column space ≤ `DENSE_ACC_MAX`.
     PushFlat = "mv_push_accumulator", "flat";
     PushHash = "mv_push_accumulator", "hash";
     // Per SpGEMM call: `compact` over B's row space.
@@ -212,7 +212,8 @@ decisions! {
     // Per masked SpGEMM call: `compact` over the mask's column space.
     MxmMaskScatter = "mxm_mask", "scatter";
     MxmMaskSearch = "mxm_mask", "search";
-    // Per pull sweep: `compact` over the frontier's key space.
+    // Per pull sweep, a CSR `Matrix::mxv_ctx` included: `compact` over the
+    // frontier's key space.
     PullIndexed = "mv_pull_frontier", "indexed";
     PullSearched = "mv_pull_frontier", "searched";
     // Per masked `vxm`/`mxv` call: `compact` and probes that pay for bits.
@@ -355,8 +356,8 @@ impl MetricsRegistry {
             .record(elapsed, nnz_in, nnz_out, flops, bytes);
     }
 
-    /// Count `n` instances of dispatch decision `d`: once per call, row
-    /// range or segment, with `n` the rows or segments it covered.
+    /// Count `n` instances of dispatch decision `d`: once per call or row
+    /// range, with `n` the rows it covered.
     pub fn record_decision(&self, d: Decision, n: u64) {
         self.decisions[d as usize].fetch_add(n, Ordering::Relaxed);
     }

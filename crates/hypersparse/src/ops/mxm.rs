@@ -901,7 +901,7 @@ fn dense_acc_pays_off<T: Value, I: IndexType>(
 
 /// A zero-seeded flat accumulator plus an occupancy bitmap over borrowed
 /// storage — the shared core of the [`Semiring::FLAT_ACC`] kernels
-/// (SpGEMM rows here, the vxm push segment in `ops::mxv`). Folds are
+/// (SpGEMM rows here, the vxm push in `ops::mxv`). Folds are
 /// unconditional (`slot = slot ⊕ p`: no `Option` discriminant, no
 /// per-product branch); [`FlatAcc::drain`] visits the touched slots in
 /// ascending column order without a sort and returns every slot and

@@ -1,7 +1,7 @@
 //! Direction-optimized, mask-fused matrix–vector kernels — the engine
 //! behind every graph traversal (Fig. 1's `vᵀA`).
 //!
-//! Three ideas, composable per call:
+//! Four ideas, composable per call:
 //!
 //! * **Direction optimization** (Beamer-style): a *push* sweep scatters
 //!   each frontier entry along its row of `A` (`O(Σ_{i∈v} |A(i,:)|)`),
@@ -19,27 +19,26 @@
 //! * **Indexing instead of searching**: over a compact key space
 //!   (`ops::mxm::compact`) pull finds each in-edge's frontier entry
 //!   through the context's pooled position index; wider spaces
-//!   binary-search the sorted frontier. Push finds each frontier
+//!   intersect each row with the sorted frontier. Push finds each frontier
 //!   vertex's row by [`gallop`]ing a cursor forward through `A`'s stored
 //!   row ids — frontier ids ascend, so a level costs its frontier's
 //!   edges, not a search over every row per vertex. The complement
 //!   [`Mask`] arrives in the form its owner keeps across calls: a bitmap
 //!   over a compact output space, or sorted ids.
-//! * **Deterministic parallelism**: push partitions the frontier into
-//!   *fixed-size* segments (independent of thread count) and ⊕-merges
-//!   the segment partials left-to-right; pull shards output rows by
-//!   merge-path nnz weighting. Both yield bit-identical results at every
-//!   thread count, and a 1-thread run *is* the same segmented algorithm
-//!   — sequential ≡ parallel.
+//! * **One body per direction**: a push is one scatter of the whole
+//!   frontier into one accumulator and one drain in column order,
+//!   dropping zeros as it drains, on the calling thread. A pull is one
+//!   row body (`pull_row`: clip, gather or intersect, fold) per output
+//!   row, sharded by merge-path nnz weighting; `Matrix`'s CSR storage
+//!   pulls its rows through the same body.
 //!
-//! Within one accumulator slot, products fold in increasing source-index
-//! order starting from the first product (never from `s.zero()`), so
-//! push and pull apply the exact same ⊕ chain per output. Only the
-//! *grouping* differs once a push frontier spans multiple segments —
-//! indistinguishable for the exact semirings graph algorithms use
-//! (min/max/any ⊕), and ulp-level for floating-point ⊕.
+//! Every output folds its products in increasing source-index order
+//! starting from the first product, whatever the direction, the thread
+//! cap or the sparse format. So push ≡ pull and CSR ≡ DCSR hold bit for
+//! bit under every semiring, floating-point ⊕ included, and every
+//! thread count gives the same bits.
 //!
-//! Under a semiring that declares [`Semiring::FLAT_ACC`] a push segment,
+//! Under a semiring that declares [`Semiring::FLAT_ACC`] a push,
 //! masked or not, in a column space at most `DENSE_ACC_MAX` (2²²) wide
 //! folds into a **flat accumulator** leased from the context (zero-seeded
 //! slots folded unconditionally plus an occupancy bitmap drained
@@ -51,9 +50,9 @@
 //! the hash scatter.
 //!
 //! Every entry point records [`Kernel::Vxm`]/[`Kernel::Mxv`] metrics,
-//! the mask probe/hit counts and its [`Decision`]s: the direction, per
-//! push segment its accumulator, a pull's frontier locator and a
-//! complement mask's bitmap or sorted probe.
+//! the mask probe/hit counts and its [`Decision`]s: the direction, a
+//! push's accumulator, a pull's frontier locator and a complement
+//! mask's bitmap or sorted probe.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -68,11 +67,6 @@ use crate::metrics::{Decision, Direction, Kernel};
 use crate::ops::mxm::{compact, FlatAcc, DENSE_ACC_MAX};
 use crate::vector::SparseVec;
 use crate::Ix;
-
-/// Frontier entries per push segment. Fixed (not derived from the
-/// thread count) so the ⊕-merge tree is identical at any parallelism:
-/// a determinism constant, not a parallelism gate.
-const PUSH_SEG: usize = 1024;
 
 /// Beamer-style crossover: pull when the push sweep would touch more
 /// than `nnz / PULL_ALPHA` edges.
@@ -142,12 +136,9 @@ pub fn choose_direction<T: Value, I: IndexType>(
     }
 }
 
-/// Sorted `(output index, value)` entries of one push segment or pull range.
-type Entries<T> = Vec<(Ix, T)>;
-
-/// One push segment's or pull range's partial: `(entries, flops,
-/// mask_probes, mask_hits)`.
-type PushPartial<T> = (Entries<T>, u64, u64, u64);
+/// A sweep's output, in increasing index order with zeros dropped, and
+/// its `[flops, mask_probes, mask_hits]`.
+type Swept<T, I> = (Vec<I>, Vec<T>, [u64; 3]);
 
 /// A complement mask in the form its owner keeps it between calls — a
 /// traversal's visited set, say — handed to the sweeps as it stands.
@@ -176,39 +167,36 @@ impl Mask<'_> {
     }
 }
 
-/// Walk the frontier entries `segment` along their rows in increasing
-/// source order, probe the complement mask inline, and hand each
-/// surviving product to `fold(j, p)`. Returns `(flops, mask_probes,
-/// mask_hits)`. Operand order is the same for every accumulator, so the
-/// partials match bit for bit.
+/// Walk the whole frontier along its rows in increasing source order,
+/// probe the complement mask inline, and hand each surviving product to
+/// `fold(j, p)`. Returns `[flops, mask_probes, mask_hits]`. Operand order
+/// is the same for every accumulator, so their outputs match bit for bit.
 fn scatter<T, I, S>(
     v: &SparseVec<T, I>,
     rows_of: &Dcsr<T, I>,
     mask: Option<Mask>,
     flip: bool,
     s: S,
-    segment: Range<usize>,
     mut fold: impl FnMut(Ix, T),
-) -> (u64, u64, u64)
+) -> [u64; 3]
 where
     T: Value,
     I: IndexType,
     S: Semiring<Value = T>,
 {
-    let (idx, vals) = (v.indices(), v.values());
     let (rows, mut at) = (rows_of.row_ids(), 0);
-    let (mut flops, mut probes, mut hits) = (0u64, 0u64, 0u64);
-    for k in segment {
-        let Some(r) = seek_row(rows, &mut at, idx[k].to_ix()) else {
+    let mut counts = [0u64; 3];
+    for (i, x) in v.indices().iter().zip(v.values()) {
+        let Some(r) = seek_row(rows, &mut at, i.to_ix()) else {
             continue;
         };
-        let (x, (_, cols, avals)) = (&vals[k], rows_of.row_at(r));
+        let (_, cols, avals) = rows_of.row_at(r);
         for (&j, aij) in cols.iter().zip(avals) {
             let j = j.to_ix();
             if let Some(m) = mask {
-                probes += 1;
+                counts[1] += 1;
                 if m.contains(j) {
-                    hits += 1;
+                    counts[2] += 1;
                     continue;
                 }
             }
@@ -217,104 +205,22 @@ where
             } else {
                 s.mul(x.clone(), aij.clone())
             };
-            flops += 1;
+            counts[0] += 1;
             fold(j, p);
         }
     }
-    (flops, probes, hits)
+    counts
 }
 
-/// One push segment: scatter the frontier entries `segment` along their
-/// rows, ⊕-folding collisions in increasing source order. Returns
-/// sorted `(index, value)` partials (zeros *kept* — they are filtered
-/// once, after the cross-segment merge) plus flop/mask counters.
+/// Push sweep: the whole frontier scatters into one accumulator,
+/// ⊕-folding each output's products in increasing source order, and
+/// drains once in column order, dropping zeros as it drains.
 ///
 /// A [`Semiring::FLAT_ACC`] semiring over a column space at most
 /// [`DENSE_ACC_MAX`] wide folds into the context's pooled flat
-/// accumulator, which the drain leaves at rest, so a small segment pays
-/// only for the slots it touches; every other segment scatters into a
+/// accumulator, which the drain leaves at rest, so a small frontier pays
+/// only for the slots it touches; every other push scatters into a
 /// `HashMap` and sorts.
-fn push_segment<T, I, S>(
-    ctx: &OpCtx,
-    v: &SparseVec<T, I>,
-    rows_of: &Dcsr<T, I>,
-    mask: Option<Mask>,
-    flip: bool,
-    s: S,
-    segment: Range<usize>,
-) -> PushPartial<T>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-{
-    let width = rows_of.ncols();
-    let flat = S::FLAT_ACC && width <= DENSE_ACC_MAX;
-    let d = if flat {
-        Decision::PushFlat
-    } else {
-        Decision::PushHash
-    };
-    ctx.metrics().record_decision(d, 1);
-    let mut out = Vec::new();
-    let (flops, probes, hits) = if flat {
-        let width = width as usize;
-        let mut lease = ctx.lease_mxm_scratch::<T>();
-        let scratch = lease.get();
-        scratch.ensure_flat_width(width, s.zero());
-        scratch.ensure_words(width.div_ceil(64));
-        let mut acc = FlatAcc::new(&mut scratch.flat, &mut scratch.words);
-        let counts = scatter(v, rows_of, mask, flip, s, segment, |j, p| {
-            acc.fold(s, j as usize, p)
-        });
-        acc.drain(s, |jz, val| out.push((jz as Ix, val)));
-        counts
-    } else {
-        let mut acc: HashMap<Ix, T> = HashMap::new();
-        let counts = scatter(v, rows_of, mask, flip, s, segment, |j, p| {
-            match acc.entry(j) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    s.add_assign(e.get_mut(), p);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(p);
-                }
-            }
-        });
-        out.extend(acc);
-        out.sort_by_key(|e| e.0);
-        counts
-    };
-    (out, flops, probes, hits)
-}
-
-/// ⊕-merge two sorted segment partials; `left` holds the earlier
-/// frontier segment, so `s.add(left, right)` preserves the sequential
-/// fold order. Zeros stay until the final assembly.
-fn merge_partials<T, S>(left: Vec<(Ix, T)>, right: Vec<(Ix, T)>, s: S) -> Vec<(Ix, T)>
-where
-    T: Value,
-    S: Semiring<Value = T>,
-{
-    let mut out = Vec::with_capacity(left.len() + right.len());
-    let mut r = right.into_iter().peekable();
-    for (li, lv) in left {
-        while r.peek().is_some_and(|(ri, _)| *ri < li) {
-            out.push(r.next().expect("peeked"));
-        }
-        if r.peek().is_some_and(|(ri, _)| *ri == li) {
-            let (_, rv) = r.next().expect("peeked");
-            out.push((li, s.add(lv, rv)));
-        } else {
-            out.push((li, lv));
-        }
-    }
-    out.extend(r);
-    out
-}
-
-/// Push sweep over fixed frontier segments, on the threads the context's
-/// rule gives an expected `edges` touched.
 fn run_push<T, I, S>(
     ctx: &OpCtx,
     v: &SparseVec<T, I>,
@@ -322,117 +228,124 @@ fn run_push<T, I, S>(
     mask: Option<Mask>,
     flip: bool,
     s: S,
-    edges: u64,
-) -> PushPartial<T>
+) -> Swept<T, I>
 where
     T: Value,
     I: IndexType,
     S: Semiring<Value = T>,
 {
-    let n = v.nnz();
-    let nsegs = n.div_ceil(PUSH_SEG).max(1);
-    let parts = ctx.fan_out(ctx.threads_for(edges), nsegs, |seg| {
-        let lo = seg * PUSH_SEG;
-        push_segment(ctx, v, rows_of, mask, flip, s, lo..(lo + PUSH_SEG).min(n))
-    });
-    combine(parts, |left, right| merge_partials(left, right, s))
+    let width = rows_of.ncols();
+    let flat = S::FLAT_ACC && width <= DENSE_ACC_MAX;
+    let d = [Decision::PushHash, Decision::PushFlat][usize::from(flat)];
+    ctx.metrics().record_decision(d, 1);
+    let (mut idx, mut vals) = (Vec::new(), Vec::new());
+    let mut keep = |j: Ix, x: T| {
+        if !s.is_zero(&x) {
+            idx.push(I::from_ix(j));
+            vals.push(x);
+        }
+    };
+    let counts = if flat {
+        let width = width as usize;
+        let mut lease = ctx.lease_mxm_scratch::<T>();
+        let scratch = lease.get();
+        scratch.ensure_flat_width(width, s.zero());
+        scratch.ensure_words(width.div_ceil(64));
+        let mut acc = FlatAcc::new(&mut scratch.flat, &mut scratch.words);
+        let counts = scatter(v, rows_of, mask, flip, s, |j, p| acc.fold(s, j as usize, p));
+        acc.drain(s, |jz, x| keep(jz as Ix, x));
+        counts
+    } else {
+        let mut acc: HashMap<Ix, T> = HashMap::new();
+        let counts = scatter(v, rows_of, mask, flip, s, |j, p| match acc.entry(j) {
+            std::collections::hash_map::Entry::Occupied(mut e) => s.add_assign(e.get_mut(), p),
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(p);
+            }
+        });
+        let mut entries: Vec<_> = acc.into_iter().collect();
+        entries.sort_unstable_by_key(|e| e.0);
+        entries.into_iter().for_each(|(j, x)| keep(j, x));
+        counts
+    };
+    (idx, vals, counts)
 }
 
-/// Fold per-range partials (at least one) in order: `join` their
-/// entries, sum their counters.
-fn combine<T>(
-    parts: Vec<PushPartial<T>>,
-    join: impl Fn(Entries<T>, Entries<T>) -> Entries<T>,
-) -> PushPartial<T> {
-    let mut parts = parts.into_iter();
-    let first = parts.next().expect("one range at least");
-    parts.fold(first, |(e, f, p, h), (e2, f2, p2, h2)| {
-        (join(e, e2), f + f2, p + p2, h + h2)
-    })
-}
-
-/// One pull shard: gather stored rows `range` of `rows_of` against `v`.
-/// With `pos` (`pos[i] = 1 + i`'s position in `v`, over a compact key
-/// space) each in-edge finds its frontier entry by one load; without, by
-/// search or two-pointer intersection. Masked rows are skipped
-/// wholesale — the payoff of fusing the complement mask into the pull
-/// direction.
-fn pull_rows<T, I, S>(
+/// One output of a pull: `⊕ row(p) ⊗ v(q)` over the columns a stored
+/// row shares with `v`, folded in increasing column order from the first
+/// product (never from `s.zero()`), or `None` when they share none or
+/// the sum is zero. `flip` puts the row's value on the left of ⊗. CSR
+/// and DCSR rows both pull through here, so the two formats give the
+/// same bits.
+///
+/// Columns below `v`'s first index find no entry: a row that starts
+/// below it gallops past them, so dropping `k` costs `O(log k)`. Above
+/// `v`'s last index the walk stops at the first column past it. Then
+/// `pos` (`pos[i] = 1 + i`'s position in `v`, over a compact key space)
+/// finds each column's entry by one load; without it the row intersects
+/// `v`'s sorted indices.
+// Inlined into both row loops: as a call, the CSR arm's per-row cost on
+// a mostly empty row space doubled (EXPERIMENTS, "One body per direction").
+#[inline(always)]
+pub(crate) fn pull_row<T, I, S>(
     v: &SparseVec<T, I>,
     pos: Option<&[u32]>,
-    rows_of: &Dcsr<T, I>,
-    mask: Option<Mask>,
+    cols: &[I],
+    avals: &[T],
     flip: bool,
     s: S,
-    range: Range<usize>,
-) -> PushPartial<T>
+    flops: &mut u64,
+) -> Option<T>
 where
     T: Value,
     I: IndexType,
     S: Semiring<Value = T>,
 {
-    let mut out = Vec::new();
     let (vidx, vvals) = (v.indices(), v.values());
-    let (mut flops, mut probes, mut hits) = (0u64, 0u64, 0u64);
-    let (first, last) = (vidx.first(), vidx.last());
-    for k in range {
-        let (j, mut cols, mut avals) = rows_of.row_at(k);
-        if let Some(m) = mask {
-            probes += 1;
-            if m.contains(j) {
-                hits += 1;
-                continue;
-            }
+    let (c0, first, last) = (cols.first()?, vidx.first()?, vidx.last()?);
+    let lo = if c0 < first {
+        gallop(cols.len(), 1, |p| cols[p] < *first)
+    } else {
+        0
+    };
+    let (cols, avals) = (&cols[lo..], &avals[lo..]);
+    let mut acc: Option<T> = None;
+    let mut fold = |p: usize, q: usize| {
+        let t = if flip {
+            s.mul(avals[p].clone(), vvals[q].clone())
+        } else {
+            s.mul(vvals[q].clone(), avals[p].clone())
+        };
+        *flops += 1;
+        match acc.as_mut() {
+            Some(a) => s.add_assign(a, t),
+            None => acc = Some(t),
         }
-        // Columns outside `v`'s extent find no entry: clip them off,
-        // galloping in from a side that sticks out (past its end entry,
-        // which is known to), so dropping `k` entries costs `O(log k)`.
-        let n = cols.len();
-        let lo = match first {
-            Some(f) if cols.first() < first => gallop(n, 1, |p| cols[p] < *f),
-            _ => 0,
-        };
-        let hi = match last {
-            Some(l) if cols.last() > last => n - gallop(n, 1, |p| cols[n - 1 - p] > *l),
-            _ => n,
-        };
-        (cols, avals) = (&cols[lo..hi], &avals[lo..hi]);
-        let mut acc: Option<T> = None;
-        let mut fold = |p: usize, q: usize, flops: &mut u64| {
-            let t = if flip {
-                s.mul(avals[p].clone(), vvals[q].clone())
-            } else {
-                s.mul(vvals[q].clone(), avals[p].clone())
-            };
-            *flops += 1;
-            match acc.as_mut() {
-                Some(a) => s.add_assign(a, t),
-                None => acc = Some(t),
-            }
-        };
-        // Every lookup folds in increasing source index.
-        if let Some(pos) = pos {
+    };
+    match pos {
+        Some(pos) => {
             for (p, c) in cols.iter().enumerate() {
+                if c > last {
+                    break;
+                }
                 if let Some(q) = (pos[c.as_usize()] as usize).checked_sub(1) {
-                    fold(p, q, &mut flops);
+                    fold(p, q);
                 }
             }
-        } else {
-            intersect_sorted(cols, vidx, |p, q| fold(p, q, &mut flops));
         }
-        if let Some(val) = acc {
-            out.push((j, val));
-        }
+        None => intersect_sorted(cols, vidx, fold),
     }
-    (out, flops, probes, hits)
+    acc.filter(|x| !s.is_zero(x))
 }
 
 /// Calls `hit(p, q)` for every `a[p] == b[q]` of two increasing lists,
-/// in increasing order. Hybrid: when `b` dwarfs `a`, probe it per element
-/// instead of merging past it — O(|a|·log|b|) vs O(|a|+|b|).
-pub(crate) fn intersect_sorted<I: Ord>(a: &[I], b: &[I], mut hit: impl FnMut(usize, usize)) {
+/// in increasing order, stopping once `a` passes `b`'s end. Hybrid: when
+/// `b` dwarfs `a`, probe it per element instead of merging past it —
+/// O(|a|·log|b|) vs O(|a|+|b|).
+fn intersect_sorted<I: Ord>(a: &[I], b: &[I], mut hit: impl FnMut(usize, usize)) {
     if b.len() > 16 * a.len() {
-        for (p, x) in a.iter().enumerate() {
+        let Some(last) = b.last() else { return };
+        for (p, x) in a.iter().take_while(|&x| x <= last).enumerate() {
             if let Ok(q) = b.binary_search(x) {
                 hit(p, q);
             }
@@ -452,11 +365,47 @@ pub(crate) fn intersect_sorted<I: Ord>(a: &[I], b: &[I], mut hit: impl FnMut(usi
     }
 }
 
+/// One pull shard: each stored row in `range` of `rows_of` not masked
+/// off pulls its output through [`pull_row`]. Masked rows are skipped
+/// wholesale — the payoff of fusing the complement mask into the pull
+/// direction.
+fn pull_rows<T, I, S>(
+    v: &SparseVec<T, I>,
+    pos: Option<&[u32]>,
+    rows_of: &Dcsr<T, I>,
+    mask: Option<Mask>,
+    flip: bool,
+    s: S,
+    range: Range<usize>,
+) -> Swept<T, I>
+where
+    T: Value,
+    I: IndexType,
+    S: Semiring<Value = T>,
+{
+    let (mut idx, mut vals, mut counts) = (Vec::new(), Vec::new(), [0u64; 3]);
+    for k in range {
+        let (j, cols, avals) = rows_of.row_at(k);
+        if let Some(m) = mask {
+            counts[1] += 1;
+            if m.contains(j) {
+                counts[2] += 1;
+                continue;
+            }
+        }
+        if let Some(x) = pull_row(v, pos, cols, avals, flip, s, &mut counts[0]) {
+            idx.push(I::from_ix(j));
+            vals.push(x);
+        }
+    }
+    (idx, vals, counts)
+}
+
 /// Pull sweep sharded by stored output rows (merge-path weighted) —
 /// each output is computed wholly inside one shard, so determinism is
 /// structural. Its work for the thread rule is the share of
 /// `rows_of`'s entries that `v`'s extent covers, the ones left after
-/// [`pull_rows`] clips each row: O(1), and a frontier spanning a sliver
+/// [`pull_row`] clips each row: O(1), and a frontier spanning a sliver
 /// of the column space does not fan out for work it never does.
 fn run_pull<T, I, S>(
     ctx: &OpCtx,
@@ -466,7 +415,7 @@ fn run_pull<T, I, S>(
     mask: Option<Mask>,
     flip: bool,
     s: S,
-) -> PushPartial<T>
+) -> Swept<T, I>
 where
     T: Value,
     I: IndexType,
@@ -477,16 +426,44 @@ where
         _ => 0,
     };
     let work = rows_of.nnz() as u128 * u128::from(extent) / u128::from(v.dim().max(1));
-    let parts = ctx.par_rows(work as u64, rows_of, |r| {
-        pull_rows(v, pos, rows_of, mask, flip, s, r)
-    });
-    combine(parts, |mut left, right| {
-        left.extend(right);
-        left
+    let mut parts = ctx
+        .par_rows(work as u64, rows_of, |r| {
+            pull_rows(v, pos, rows_of, mask, flip, s, r)
+        })
+        .into_iter();
+    let first = parts.next().expect("one range at least");
+    parts.fold(first, |(mut idx, mut vals, c), (i2, v2, c2)| {
+        idx.extend(i2);
+        vals.extend(v2);
+        (idx, vals, [c[0] + c2[0], c[1] + c2[1], c[2] + c2[2]])
     })
 }
 
-/// Shared driver: pick a direction, sweep, filter zeros, record metrics.
+/// Run `f` with a pull's frontier locator for `v` against a matrix of
+/// `nnz` entries: over a compact key space (`ops::mxm::compact`) the
+/// context's pooled position index, otherwise `None` (each row
+/// intersects `v`). Records the `mv_pull_frontier` decision.
+pub(crate) fn with_locator<T, I, R>(
+    ctx: &OpCtx,
+    v: &SparseVec<T, I>,
+    nnz: usize,
+    f: impl FnOnce(Option<&[u32]>) -> R,
+) -> R
+where
+    T: Value,
+    I: IndexType,
+{
+    if compact(v.dim(), v.nnz() + nnz) {
+        ctx.metrics().record_decision(Decision::PullIndexed, 1);
+        let ids = v.indices().iter().map(|i| i.as_usize());
+        ctx.with_row_index(v.dim() as usize, ids, |pos| f(Some(pos)))
+    } else {
+        ctx.metrics().record_decision(Decision::PullSearched, 1);
+        f(None)
+    }
+}
+
+/// Shared driver: pick a direction, sweep, record metrics.
 ///
 /// `push_src` holds the matrix whose *rows are indexed by `v`* (that is
 /// `A` for vxm, `Aᵀ` for mxv); `pull_src` holds the matrix whose *rows
@@ -523,35 +500,13 @@ where
         (None, Some(_)) => Direction::Pull,
         (None, None) => unreachable!("one operand orientation is always supplied"),
     };
-    let (entries, flops, probes, hits) = match dir {
-        Direction::Push => {
-            let a = push_src.expect("push chosen");
-            // Expected edges: frontier × mean row length.
-            let edges = (v.nnz() * a.nnz() / a.n_nonempty_rows().max(1)) as u64;
-            run_push(ctx, v, a, mask, flip, s, edges)
-        }
-        Direction::Pull => {
-            let at = pull_src.expect("pull chosen");
-            if compact(v.dim(), v.nnz() + mat.nnz()) {
-                ctx.metrics().record_decision(Decision::PullIndexed, 1);
-                let ids = v.indices().iter().map(|i| i.as_usize());
-                ctx.with_row_index(v.dim() as usize, ids, |pos| {
-                    run_pull(ctx, v, Some(pos), at, mask, flip, s)
-                })
-            } else {
-                ctx.metrics().record_decision(Decision::PullSearched, 1);
-                run_pull(ctx, v, None, at, mask, flip, s)
-            }
-        }
+    let (idx, vals, [flops, probes, hits]) = match (dir, push_src, pull_src) {
+        (Direction::Push, Some(a), _) => run_push(ctx, v, a, mask, flip, s),
+        (Direction::Pull, _, Some(at)) => with_locator(ctx, v, at.nnz(), |pos| {
+            run_pull(ctx, v, pos, at, mask, flip, s)
+        }),
+        _ => unreachable!("the chosen direction's operand is supplied"),
     };
-    let mut idx = Vec::with_capacity(entries.len());
-    let mut vals = Vec::with_capacity(entries.len());
-    for (j, val) in entries {
-        if !s.is_zero(&val) {
-            idx.push(I::from_ix(j));
-            vals.push(val);
-        }
-    }
     let out = SparseVec::from_sorted_parts(out_dim, idx, vals);
     run.done(
         (v.nnz() + mat.nnz()) as u64,
@@ -620,7 +575,7 @@ pub fn check_mxv(a: (Ix, Ix), at: Option<(Ix, Ix)>, v_dim: Ix) -> Result<(), OpE
 // ---- vxm family ----
 
 /// `vᵀ A` over a semiring: `out(j) = ⊕_i v(i) ⊗ A(i,j)` — one frontier
-/// expansion, push direction, parallel over fixed frontier segments.
+/// expansion, push direction, one scatter on the calling thread.
 /// This is the forced-push side of the push ≡ pull law.
 pub fn vxm_ctx<T, I, S>(ctx: &OpCtx, v: &SparseVec<T, I>, a: &Dcsr<T, I>, s: S) -> SparseVec<T, I>
 where
@@ -771,6 +726,8 @@ mod tests {
     use crate::coo::Coo;
     use crate::gen::random_dcsr;
     use crate::ops::transform::transpose_ctx;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use semiring::{MinPlus, Plain, PlusTimes};
 
     fn pt() -> PlusTimes<f64> {
@@ -834,7 +791,7 @@ mod tests {
             vxm_ctx(&ctx, &v, &a, pt()),
             vxm_ctx(&ctx, &v, &a, Plain(pt()))
         );
-        // And for a frontier spanning multiple segments.
+        // And for a 3 000-entry frontier at a cap of 4.
         let big = random_dcsr(4000, 4000, 60_000, 52, pt());
         let vf = frontier(4000, 3000, 2);
         let ctx4 = OpCtx::new().with_threads(4);
@@ -913,6 +870,29 @@ mod tests {
         let push = vxm_ctx(&ctx, &v, &a, pt());
         let pull = vxm_pull_ctx(&ctx, &v, &at, pt());
         assert_eq!(push, pull);
+        // Inexact ⊕: 3 000 random f64 entries whose outputs fold a dozen
+        // products each, in increasing source order both ways, so the
+        // bits agree at every cap.
+        let n = 6000;
+        let a = random_dcsr(n, n, 80_000, 21, pt());
+        let at = transpose_ctx(&ctx, &a);
+        let mut rng = StdRng::seed_from_u64(5);
+        let entries = (0..3000)
+            .map(|i| (2 * i + 1, rng.gen::<f64>() - 0.5))
+            .collect();
+        let v = SparseVec::from_entries(n, entries, pt());
+        assert_eq!(v.nnz(), 3000);
+        let bits = |x: SparseVec<f64>| x.iter().map(|(i, y)| (i, y.to_bits())).collect::<Vec<_>>();
+        let want = bits(vxm_pull_ctx(&OpCtx::new().with_threads(1), &v, &at, pt()));
+        for threads in [1, 2, 4, 8] {
+            let ctx = OpCtx::new().with_threads(threads);
+            assert_eq!(bits(vxm_ctx(&ctx, &v, &a, pt())), want, "push @{threads}");
+            assert_eq!(
+                bits(vxm_pull_ctx(&ctx, &v, &at, pt())),
+                want,
+                "pull @{threads}"
+            );
+        }
     }
 
     #[test]
@@ -927,9 +907,9 @@ mod tests {
 
     #[test]
     fn parallel_equals_sequential_across_thread_counts() {
-        // Frontier spans several PUSH_SEG segments and every sweep two
-        // chunks of entries; min-plus ⊕ is exact under regrouping, so
-        // every thread count is bit-identical.
+        // A 3 000-entry frontier; both pulls sweep two chunks of entries
+        // and shard, while the push scatters on one thread at any cap.
+        // Every thread count is bit-identical.
         let s = MinPlus::<f64>::new();
         let n = 6000;
         let a = random_dcsr(n, n, 80_000, 21, s);
@@ -945,11 +925,12 @@ mod tests {
         };
         for threads in [2, 4, 8] {
             let ctx = OpCtx::new().with_threads(threads);
+            let many = || ctx.metrics().snapshot().decision(Decision::FanOutMany);
             assert_eq!(vxm_ctx(&ctx, &v, &a, s), base.0, "push @{threads}");
+            assert_eq!(many(), 0, "the push runs on one thread @{threads}");
             assert_eq!(vxm_pull_ctx(&ctx, &v, &at, s), base.1, "pull @{threads}");
             assert_eq!(mxv_ctx(&ctx, &a, &v, s), base.2, "mxv @{threads}");
-            let many = ctx.metrics().snapshot().decision(Decision::FanOutMany);
-            assert_eq!(many, 3, "every sweep fans out @{threads}");
+            assert_eq!(many(), 2, "every pull fans out @{threads}");
         }
         // Frontiers narrower than the rows: the pull clips each row to
         // `v`'s extent and still equals the push, which never clips.

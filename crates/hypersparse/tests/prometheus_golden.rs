@@ -17,7 +17,7 @@ use proptest::prelude::*;
 
 /// Build a registry with a fixed, hand-computable history: two 5 µs mxm
 /// calls and one 100 ns ewise_add, one format switch and four push
-/// segments.
+/// accumulator choices.
 fn fixed_registry() -> MetricsRegistry {
     let reg = MetricsRegistry::default();
     reg.record(Kernel::Mxm, Duration::from_micros(5), 10, 4, 30, 200);
