@@ -23,8 +23,11 @@
 //!   (32 768 instead of 4 096), per event;
 //! * **indexing instead of searching** — on the `kernel_batch` graph
 //!   (scale-14 RMAT, seed 7): the triangle-count product `L·L⟨L⟩` (mask
-//!   slots, B rows found by position) and the transpose BFS and PageRank
-//!   take (one counting pass in the compact column space).
+//!   slots, B rows found by position) and the transpose a reused BFS
+//!   takes (one counting pass in the compact column space);
+//! * **a push with no transpose** — one PageRank on a fresh `Graph` of
+//!   the scale-12 RMAT's pattern at one thread, whose dense vxm pushes
+//!   along `A`'s rows.
 //!
 //! The JSON artifact holds lower-is-better nanosecond medians;
 //! `perf_gate` fails CI when any of them regresses >10%.
@@ -172,6 +175,21 @@ fn main() {
         vec![Row {
             key: "mxm_rmat_weighted_ns",
             ns: med(5, || ops::mxm_ctx(&weighted, &g, &g, s()).nnz() as u64),
+        }],
+    );
+
+    // PageRank on a fresh graph: the dense vxm pushes over the pattern.
+    let unit = g.pattern(1.0);
+    let one = OpCtx::new().with_threads(1);
+    let opts = graph::pagerank::PageRankOpts::default();
+    report(
+        &mut rec,
+        "PageRank, RMAT scale 12, fresh Graph, 1 thread",
+        vec![Row {
+            key: "pagerank_rmat_ns",
+            ns: med(9, || {
+                graph::pagerank::pagerank_ctx(&one, &graph::Graph::new(&unit), opts).len() as u64
+            }),
         }],
     );
 

@@ -5,7 +5,7 @@
 //! purely linear-algebraic loop over the hypersparse engine. Vertex ids
 //! must be compact (`n` is materialized as the rank vector's length).
 
-use hypersparse::ops::mxv::vxm_dense_pull_ctx;
+use hypersparse::ops::mxv::vxm_dense_ctx;
 use hypersparse::ops::topk;
 use hypersparse::{with_default_ctx, Dcsr, Ix, Kernel, OpCtx};
 use semiring::PlusTimes;
@@ -40,7 +40,7 @@ pub fn pagerank(pat: &Dcsr<f64>, opts: PageRankOpts) -> Vec<f64> {
 }
 
 /// [`pagerank`] over a [`Graph`] through an explicit execution context.
-/// The graph's values must all be 1.0: the rank pull multiplies by them.
+/// The graph's values must all be 1.0: the rank push multiplies by them.
 pub fn pagerank_ctx(ctx: &OpCtx, g: &Graph<f64>, opts: PageRankOpts) -> Vec<f64> {
     let pat = g.adjacency();
     let n = usize::try_from(pat.nrows()).expect("pagerank needs compact vertex ids");
@@ -120,12 +120,6 @@ fn power_iterate(
     let outdeg = g.out_degrees();
 
     let s = PlusTimes::<f64>::new();
-    // The pull kernel gathers each vertex's in-edges from the unit-weight
-    // transpose in increasing source order — the exact f64 addition
-    // order of the original row-major scatter loop, so results are
-    // bit-identical to it at every thread count.
-    let at = g.transpose(ctx);
-
     let mut rank = seed;
     let mut next = vec![0.0f64; n];
     let mut scaled = vec![0.0f64; n];
@@ -136,7 +130,9 @@ fn power_iterate(
         let dangling: f64 = (0..n).filter(|&v| outdeg[v] == 0).map(|v| rank[v]).sum();
         let spread = d * dangling / n as f64;
         next.iter_mut().for_each(|x| *x = base + spread);
-        // next ← next + scaledᵀ · pattern, gathered over in-edges.
+        // next ← next + scaledᵀ · pattern, pushed along out-edges in
+        // source order: the f64 additions of the row-major edge loop, so
+        // the ranks match it bit for bit at every thread cap.
         for v in 0..n {
             scaled[v] = if outdeg[v] == 0 {
                 0.0
@@ -144,7 +140,7 @@ fn power_iterate(
                 d * rank[v] / outdeg[v] as f64
             };
         }
-        vxm_dense_pull_ctx(ctx, &scaled, at, &mut next, s);
+        vxm_dense_ctx(ctx, &scaled, pat, &mut next, s);
         let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
         std::mem::swap(&mut rank, &mut next);
         if delta < opts.tol {

@@ -180,10 +180,64 @@ fn bare_calls_build_no_more_transposes_than_one_per_call() {
     assert!(bare_transposes(|| connected_components(&p.p64)) <= 1);
     assert!(bare_transposes(|| sssp(&w, src)) <= 1);
     let opts = PageRankOpts::default();
-    assert_eq!(bare_transposes(|| pagerank(&w, opts)), 1);
+    assert_eq!(bare_transposes(|| pagerank(&w, opts)), 0);
     assert_eq!(bare_transposes(|| betweenness(&w, &[src])), 1);
     assert_eq!(bare_transposes(|| triangle_count(&w)), 0);
     assert_eq!(bare_transposes(|| edge_support(&w)), 0);
+}
+
+/// PageRank as the scalar edge loop: each iteration seeds every vertex
+/// with its teleport and dangling share, then adds each vertex's share of
+/// rank along its out-edges, sources in increasing order.
+fn edge_loop_pagerank(w: &Dcsr<f64>, opts: PageRankOpts) -> Vec<f64> {
+    let n = w.nrows() as usize;
+    let d = opts.damping;
+    let mut outdeg = vec![0usize; n];
+    for (r, cols, _) in w.iter_rows() {
+        outdeg[r as usize] = cols.len();
+    }
+    let mut rank = vec![1.0 / n as f64; n];
+    for _ in 0..opts.max_iter {
+        let dangling: f64 = (0..n).filter(|&v| outdeg[v] == 0).map(|v| rank[v]).sum();
+        let mut next = vec![(1.0 - d) / n as f64 + d * dangling / n as f64; n];
+        for (r, cols, _) in w.iter_rows() {
+            let share = d * rank[r as usize] / outdeg[r as usize] as f64;
+            for &c in cols {
+                next[c as usize] += share;
+            }
+        }
+        let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
+        rank = next;
+        if delta < opts.tol {
+            break;
+        }
+    }
+    rank
+}
+
+#[test]
+fn pagerank_is_the_edge_loop_to_the_bit() {
+    let w = weighted();
+    let opts = PageRankOpts::default();
+    assert_eq!(
+        bits(&pagerank(&w, opts)),
+        bits(&edge_loop_pagerank(&w, opts))
+    );
+}
+
+#[test]
+fn pagerank_builds_no_transpose_at_any_thread_cap() {
+    let w = weighted();
+    let unit = pattern_f64(&w);
+    let opts = PageRankOpts::default();
+    for k in [1, 2, 8] {
+        with_default_ctx(|c| c.set_threads(k));
+        assert_eq!(bare_transposes(|| pagerank(&w, opts)), 0, "bare @{k}");
+        let ctx = OpCtx::new().with_threads(k);
+        pagerank_ctx(&ctx, &Graph::new(&unit), opts);
+        assert_eq!(transposes(&ctx), 0, "fresh graph @{k}");
+    }
+    with_default_ctx(|c| c.set_threads(0));
 }
 
 /// Transposes the default context records while `f` runs.

@@ -3,12 +3,13 @@
 //! be byte-identical at every thread count.
 //!
 //! The graph entry points are ctx-free, so the thread cap is varied
-//! through the thread-local default context. Every PageRank, SSSP,
-//! components and triangle run at more than one thread must fan out at
-//! least one kernel call (`fan_out=many`), so each comparison is between
-//! sharded and unsharded runs. A one-shot BFS pushes every level, and a
-//! push runs on one thread at any cap; a reused `Graph` buys `Aᵀ` and
-//! pulls its wide levels, which shard.
+//! through the thread-local default context. Every SSSP, components and
+//! triangle run at more than one thread must fan out at least one kernel
+//! call (`fan_out=many`), so each comparison is between sharded and
+//! unsharded runs. A one-shot BFS pushes every level and PageRank pushes
+//! every iteration, and a push runs on one thread at any cap, so those
+//! two must not fan out: their comparison is between caps. A reused
+//! `Graph` buys `Aᵀ` and pulls its wide levels, which shard.
 
 use graph::bfs::{bfs_levels, bfs_parents, bfs_parents_ctx};
 use graph::cc::connected_components;
@@ -39,14 +40,10 @@ fn with_threads<R>(k: usize, f: impl FnOnce() -> R) -> R {
     r
 }
 
-/// A one-shot BFS at a cap of `k`: it pushes every level, so it must
-/// not fan out.
-fn one_shot_bfs<R>(k: usize, f: impl FnOnce() -> R) -> R {
+/// `what` at a cap of `k`: it only pushes, so it must not fan out.
+fn pushed<R>(k: usize, what: &str, f: impl FnOnce() -> R) -> R {
     let (r, fanned) = at_threads(k, f);
-    assert!(
-        !fanned,
-        "a one-shot BFS counted fan_out=many at {k} threads"
-    );
+    assert!(!fanned, "{what} counted fan_out=many at {k} threads");
     r
 }
 
@@ -68,24 +65,24 @@ fn bfs_pagerank_sssp_identical_at_any_thread_count() {
     let pat8 = pattern_u8(&g);
     let pat64 = pattern_u64(&g);
 
-    let base_levels = one_shot_bfs(1, || bfs_levels(&pat8, src));
-    let base_parents = one_shot_bfs(1, || bfs_parents(&pat64, src));
-    let base_rank = with_threads(1, || pagerank(&g, PageRankOpts::default()));
+    let base_levels = pushed(1, "a one-shot BFS", || bfs_levels(&pat8, src));
+    let base_parents = pushed(1, "a one-shot BFS", || bfs_parents(&pat64, src));
+    let base_rank = pushed(1, "PageRank", || pagerank(&g, PageRankOpts::default()));
     let base_dist = with_threads(1, || sssp(&g, src));
     assert!(base_levels.len() > 1, "source must reach something");
 
     for k in [2, 4, 8] {
         assert_eq!(
-            one_shot_bfs(k, || bfs_levels(&pat8, src)),
+            pushed(k, "a one-shot BFS", || bfs_levels(&pat8, src)),
             base_levels,
             "bfs_levels differs at {k} threads"
         );
         assert_eq!(
-            one_shot_bfs(k, || bfs_parents(&pat64, src)),
+            pushed(k, "a one-shot BFS", || bfs_parents(&pat64, src)),
             base_parents,
             "bfs_parents differs at {k} threads"
         );
-        let rank = with_threads(k, || pagerank(&g, PageRankOpts::default()));
+        let rank = pushed(k, "PageRank", || pagerank(&g, PageRankOpts::default()));
         assert!(
             rank.len() == base_rank.len()
                 && rank

@@ -45,8 +45,8 @@ use crate::trace::{Span, TraceRegistry};
 use crate::Ix;
 
 /// Work (entries swept, or a product's ⊗ count) a call must carry per
-/// thread it starts: a two-thread scope's cost (58.7 µs) over the dense
-/// pull's per-entry cost (3.66 ns), measured on a 2-core host (EXPERIMENTS.md).
+/// thread it starts: a two-thread scope's cost (58.7 µs) over the since
+/// deleted dense pull's 3.66 ns per entry, on a 2-core host (EXPERIMENTS.md).
 const CHUNK: u64 = 1 << 14;
 
 /// Weighted shards per thread: oversubscribe the merge-path plan so the

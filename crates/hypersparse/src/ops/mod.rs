@@ -32,7 +32,7 @@ pub use ewise::{
 };
 pub use mxm::{compact, mxm_apply_prune_ctx, mxm_ctx, mxm_masked_count_ctx, mxm_masked_ctx};
 pub use mxv::{
-    choose_direction, frontier_edges, gallop, mxv_ctx, mxv_opt_ctx, vxm_ctx, vxm_dense_pull_ctx,
+    choose_direction, frontier_edges, gallop, mxv_ctx, mxv_opt_ctx, vxm_ctx, vxm_dense_ctx,
     vxm_opt_ctx, vxm_pull_ctx, Mask,
 };
 pub use reduce::{

@@ -526,6 +526,29 @@ impl<T: Value, M: Value, I: IndexType, S: Semiring<Value = T>> Row<'_, T, M, I, 
         flops
     }
 
+    /// [`Row::fold`] of an unmasked row into its columns' slots of `flat`:
+    /// a B row whose stored columns form one run folds as a zip of its
+    /// slots with its values, any other through its column ids. Each slot
+    /// still takes its products in A's column order.
+    #[inline(always)]
+    fn fold_flat(&self, flat: &mut [T]) -> u64 {
+        let (s, mut flops) = (self.s, 0u64);
+        for (&k, aik) in self.acols.iter().zip(self.avals) {
+            let (bcols, bvals) = self.rows.row(k);
+            let fold = |slot: &mut T, bkj: &T| s.add_assign(slot, s.mul(aik.clone(), bkj.clone()));
+            match (bcols.first(), bcols.last()) {
+                (Some(f), Some(l)) if l.as_usize() - f.as_usize() + 1 == bcols.len() => {
+                    let run = flat[f.as_usize()..=l.as_usize()].iter_mut();
+                    run.zip(bvals).for_each(|(slot, bkj)| fold(slot, bkj));
+                }
+                _ => (bcols.iter().zip(bvals))
+                    .for_each(|(j, bkj)| fold(&mut flat[j.as_usize()], bkj)),
+            }
+            flops += bcols.len() as u64;
+        }
+        flops
+    }
+
     /// The columns `lo..hi` an unmasked row's products land in, when its
     /// ⊗ count is at least `(hi - lo) / SCAN_DENSITY` — both read off B's
     /// rows, before any product.
@@ -709,8 +732,7 @@ impl<T: Value, I: IndexType, S: Semiring<Value = T>> RowAcc<T, I, S> for FlatRow
             return fold_then_drain(self, r, out, ep);
         };
         self.drains[0] += 1;
-        let (s, flat) = (self.s, &mut *self.acc.flat);
-        let flops = r.fold(|t, p| s.add_assign(&mut flat[t as usize], p));
+        let flops = r.fold_flat(self.acc.flat);
         self.scan(span, out, ep);
         flops
     }

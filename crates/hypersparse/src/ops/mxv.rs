@@ -638,54 +638,35 @@ where
     )
 }
 
-/// Dense-accumulator pull `vᵀ A` for compact key spaces (PageRank's
-/// inner loop): for every stored row `j` of `at = Aᵀ`,
-/// `out[j] ⊕= ⊕_i v[i] ⊗ at(j,i)` folding in increasing `i` — slots of
-/// `out` act as per-output accumulator seeds and untouched slots keep
-/// their initial value. Output-sharded (merge-path weighted), so
-/// bit-identical at any thread count.
-pub fn vxm_dense_pull_ctx<T, I, S>(ctx: &OpCtx, v: &[T], at: &Dcsr<T, I>, out: &mut [T], s: S)
+/// Dense `vᵀ A` over a compact key space (PageRank's inner loop): one
+/// pass over `A`'s stored rows in order, `out[c] ← out[c] ⊕ v[r] ⊗ A(r,c)`,
+/// on the calling thread. Each slot of `out` is its own seed and folds in
+/// increasing source order, as a pull and the scalar edge loop do, so the
+/// bits match both; slots no edge reaches keep their value.
+pub fn vxm_dense_ctx<T, I, S>(ctx: &OpCtx, v: &[T], a: &Dcsr<T, I>, out: &mut [T], s: S)
 where
     T: Value,
     I: IndexType,
     S: Semiring<Value = T>,
 {
-    assert_eq!(v.len() as Ix, at.ncols(), "dimension mismatch");
-    assert_eq!(out.len() as Ix, at.nrows(), "dimension mismatch");
+    assert_eq!(v.len() as Ix, a.nrows(), "dimension mismatch");
+    assert_eq!(out.len() as Ix, a.ncols(), "dimension mismatch");
     let run = ctx.kernel(Kernel::Vxm, || {
-        format!("dense-pull {}×{}, {} nnz", at.nrows(), at.ncols(), at.nnz())
+        format!("dense-push {}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
     });
-    // Ranges only *read* `out` (their rows are disjoint); writes land
-    // after the fan-out completes.
-    let parts = ctx.par_rows(at.nnz() as u64, at, |range| {
-        let (mut updates, mut flops) = (Vec::with_capacity(range.len()), 0u64);
-        for k in range {
-            let (j, cols, avals) = at.row_at(k);
-            let j = j as usize;
-            let mut acc = out[j].clone();
-            flops += cols.len() as u64;
-            for (&i, aji) in cols.iter().zip(avals) {
-                s.add_assign(&mut acc, s.mul(v[i.as_usize()].clone(), aji.clone()));
-            }
-            updates.push((j, acc));
-        }
-        (updates, flops)
-    });
-    let (mut flops, mut touched) = (0u64, 0u64);
-    for (updates, f) in parts {
-        flops += f;
-        touched += updates.len() as u64;
-        for (j, val) in updates {
-            out[j] = val;
+    for (r, cols, avals) in a.iter_rows() {
+        let x = &v[r as usize];
+        for (&c, arc) in cols.iter().zip(avals) {
+            s.add_assign(&mut out[c.as_usize()], s.mul(x.clone(), arc.clone()));
         }
     }
     run.done(
-        (v.len() + at.nnz()) as u64,
-        touched,
-        flops,
-        (std::mem::size_of::<T>() * (v.len() + out.len()) + at.bytes()) as u64,
+        (v.len() + a.nnz()) as u64,
+        out.len() as u64,
+        a.nnz() as u64,
+        (std::mem::size_of::<T>() * (v.len() + out.len()) + a.bytes()) as u64,
     );
-    ctx.metrics().record_decision(Decision::MvPull, 1);
+    ctx.metrics().record_decision(Decision::MvPush, 1);
 }
 
 // ---- mxv family ----
@@ -1078,13 +1059,22 @@ mod tests {
     }
 
     #[test]
-    fn dense_pull_matches_scalar_scatter() {
+    fn dense_vxm_matches_scalar_scatter() {
         let n = 64usize;
-        let a = random_dcsr(n as Ix, n as Ix, 500, 17, pt());
-        let at = transpose_ctx(&OpCtx::new(), &a);
-        let v: Vec<f64> = (0..n).map(|i| 0.25 + i as f64 * 0.5).collect();
+        // Row 7 is empty. Slots 3 and 9 are seeded −0.0: only the product
+        // `v[0] ⊗ A(0,3) = 0.0` lands in 3, which must turn it into +0.0,
+        // and nothing lands in 9, which must keep it.
+        let mut c = Coo::new(n as Ix, n as Ix);
+        let full = random_dcsr(n as Ix, n as Ix, 500, 17, pt());
+        let kept = full.iter().filter(|e| e.0 != 7 && e.1 != 3 && e.1 != 9);
+        c.extend(kept.map(|(r, col, w)| (r, col, *w)));
+        c.push(0, 3, 1.0);
+        let a = c.build_dcsr(pt());
+        let v: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
+        let mut seed = vec![0.125f64; n];
+        (seed[3], seed[9]) = (-0.0, -0.0);
         // Scalar oracle: scatter rows of `a` in row order.
-        let mut want = vec![0.125f64; n];
+        let mut want = seed.clone();
         for (r, cols, vals) in a.iter_rows() {
             for (&c, w) in cols.iter().zip(vals) {
                 want[c as usize] += v[r as usize] * w;
@@ -1092,10 +1082,16 @@ mod tests {
         }
         for threads in [1, 2, 4] {
             let ctx = OpCtx::new().with_threads(threads);
-            let mut out = vec![0.125f64; n];
-            vxm_dense_pull_ctx(&ctx, &v, &at, &mut out, pt());
+            let mut out = seed.clone();
+            vxm_dense_ctx(&ctx, &v, &a, &mut out, pt());
             // Same fold order per slot: bitwise equality, any thread count.
-            assert!(out.iter().zip(&want).all(|(x, y)| x == y), "@{threads}");
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&want), "@{threads}");
+            let snap = ctx.metrics().snapshot();
+            assert_eq!(
+                (snap.mv_push_calls, snap.kernel(Kernel::Vxm).flops),
+                (1, a.nnz() as u64)
+            );
         }
     }
 

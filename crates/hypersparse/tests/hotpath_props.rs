@@ -12,7 +12,7 @@
 
 use hypersparse::gen::{rmat_dcsr, RmatParams};
 use hypersparse::ops::Mask;
-use hypersparse::{ops, Coo, Dcsr, Decision, Ix, OpCtx, SparseVec};
+use hypersparse::{ops, Coo, Dcsr, Decision, IndexType, Ix, OpCtx, SparseVec};
 use proptest::prelude::*;
 use semiring::{FnOp, LorLand, MinPlus, Numeric, Plain, PlusTimes, Semiring};
 
@@ -472,6 +472,54 @@ fn special_f64(v: i64) -> f64 {
     }
 }
 
+/// A banded `B` shaped like a RadiX-Net layer in rows 0–10 — column runs,
+/// one ending at the last column, two length-1 rows, a row with one gap
+/// and a row that wraps past the last column — with drawn rows from 12
+/// on. `A` is the draws plus a full row 0 and a diagonal, so every B row
+/// is reached and rows of the product scan.
+fn banded_operands(ta: &Triplets, tb: &Triplets) -> (Dcsr<f64>, Dcsr<f64>) {
+    let val = |r: Ix, c: Ix| special_f64(((r * 7 + c * 3) % 16) as i64 - 6);
+    let (mut a, mut b) = (Coo::new(N, N), Coo::new(N, N));
+    a.extend(ta.iter().map(|&(r, c, v)| (r, c, special_f64(v))));
+    a.extend((0..N).map(|k| (0, k, val(0, k))));
+    a.extend((1..N).map(|k| (k, k, val(k, k))));
+    let mut rows: Vec<Vec<Ix>> = (0..6).map(|k| (3 * k..3 * k + 6).collect()).collect();
+    rows.push((N - 6..N).collect());
+    rows.extend([vec![7], vec![N - 1]]);
+    rows.push((10..18).filter(|&c| c != 14).collect());
+    rows.push(vec![0, 1, N - 2, N - 1]);
+    for (r, cols) in (0..).zip(&rows) {
+        b.extend(cols.iter().map(|&c| (r, c, val(r, c))));
+    }
+    b.extend(
+        tb.iter()
+            .filter(|e| e.0 >= 12)
+            .map(|&(r, c, v)| (r, c, special_f64(v))),
+    );
+    let s = PlusTimes::<f64>::new();
+    (a.build_dcsr(s), b.build_dcsr(s))
+}
+
+/// `mxm_ctx` and `mxm_apply_prune_ctx` under `PlusTimes<f64>` (whose
+/// scanned rows fold a contiguous B row as one slice) ≡ `Plain<S>` (the
+/// hash scatter), bit for bit, at 1/2/4/8 threads.
+fn assert_banded_is_plain<I: IndexType>(a: &Dcsr<f64, I>, b: &Dcsr<f64, I>) {
+    let s = PlusTimes::<f64>::new();
+    let op = FnOp(|x: f64| (x - 3.0).max(0.0));
+    let same = |x: &Dcsr<f64, I>, y: &Dcsr<f64, I>| same_bits(x.iter(), y.iter(), |v| v.to_bits());
+    for threads in [1usize, 2, 4, 8] {
+        let ctx = OpCtx::new().with_threads(threads);
+        let flat = ops::mxm_ctx(&ctx, a, b, s);
+        let scans = ctx.metrics().snapshot().decision(Decision::DrainScan);
+        assert!(scans > 0, "no row scanned @{threads}");
+        let plain = ops::mxm_ctx(&ctx, a, b, Plain(s));
+        assert!(same(&flat, &plain), "banded mxm ≢ Plain @{threads}");
+        let fused = ops::mxm_apply_prune_ctx(&ctx, a, b, s, op, s);
+        let plain = ops::mxm_apply_prune_ctx(&ctx, a, b, Plain(s), op, s);
+        assert!(same(&fused, &plain), "banded prune ≢ Plain @{threads}");
+    }
+}
+
 /// Frontier, matrix and visited set for the pull laws: `A` is the tiled
 /// draw plus its diagonal (so `Aᵀ` has a row per vertex and the pull
 /// shards), the frontier covers every even vertex (so the
@@ -565,6 +613,17 @@ proptest! {
             PlusTimes::<u64>::new(), t, |v| v.unsigned_abs(), |x| x.saturating_sub(3), |&x| x,
         );
         assert_scan_is_bitmap(LorLand, t, |v| v % 3 != 0, |x| !x, |&x| u64::from(x));
+    }
+
+    /// A B row whose columns form one run folds as a slice; runs, a run
+    /// at the last column, length-1 rows, a gap and a wrap give the same
+    /// bits as the hash scatter, at `u64` and `u32` ids.
+    #[test]
+    fn contiguous_b_rows_fold_as_the_hash_scatter_does(ta in triplets(), tb in triplets()) {
+        let (a, b) = banded_operands(&ta, &tb);
+        assert_banded_is_plain(&a, &b);
+        let narrow = |m: &Dcsr<f64>| m.to_index_width::<u32>().unwrap();
+        assert_banded_is_plain(&narrow(&a), &narrow(&b));
     }
 
     /// The fused epilogue runs exactly once per non-zero accumulation —

@@ -9,7 +9,9 @@
 //!
 //! SpMV is timed per materializable format, each in its own storage (no
 //! conversion to DCSR inside the timed call); the policy's chosen format
-//! is asserted to match the figure's regime at each point.
+//! is asserted to match the figure's regime at each point. Every timed
+//! cell is the median of 41 calls, so a slow spell on a shared host does
+//! not decide a cell.
 //!
 //! Then the format ablation (DESIGN.md §3): forcing CSR vs DCSR vs
 //! trusting the automatic policy on an `N = 2¹⁶` SpMV from each regime —
@@ -74,7 +76,7 @@ fn main() {
         let mut cells = Vec::new();
         for fmt in [Format::Dense, Format::Bitmap, Format::Csr, Format::Dcsr] {
             let m = auto.clone().with_format(fmt, s());
-            let (t, _) = quick_time(3, || m.mxv_ctx(&ctx, &v, s()));
+            let (t, _) = quick_time(41, || m.mxv_ctx(&ctx, &v, s()));
             cells.push(fmt_dur(t));
         }
         println!(
@@ -131,9 +133,9 @@ fn main() {
         let csr = auto.clone().with_format(Format::Csr, s());
         let dcsr = auto.clone().with_format(Format::Dcsr, s());
         let ctx = OpCtx::new();
-        let (t_csr, _) = quick_time(5, || csr.mxv_ctx(&ctx, &v, s()));
-        let (t_dcsr, _) = quick_time(5, || dcsr.mxv_ctx(&ctx, &v, s()));
-        let (t_auto, _) = quick_time(5, || auto.mxv_ctx(&ctx, &v, s()));
+        let (t_csr, _) = quick_time(41, || csr.mxv_ctx(&ctx, &v, s()));
+        let (t_dcsr, _) = quick_time(41, || dcsr.mxv_ctx(&ctx, &v, s()));
+        let (t_auto, _) = quick_time(41, || auto.mxv_ctx(&ctx, &v, s()));
         println!(
             "| {:<12} | {:>10} | {:>11} | {:>10} | {:?} |",
             label,
