@@ -119,9 +119,14 @@ impl<T: Value, I: IndexType> Csr<T, I> {
     /// Heap bytes — `O(nrows + nnz)`: the `nrows` term is what Fig. 4's
     /// hypersparse regime cannot afford.
     pub fn bytes(&self) -> usize {
-        self.rowptr.len() * std::mem::size_of::<usize>()
-            + self.colidx.len() * std::mem::size_of::<I>()
-            + self.vals.len() * std::mem::size_of::<T>()
+        Self::bytes_for(self.nrows, self.ncols, self.nnz(), 0)
+    }
+
+    /// [`Self::bytes`] of a CSR matrix with these statistics: a row
+    /// pointer per row plus one, and a column id and a value per entry.
+    pub fn bytes_for(nrows: Ix, _ncols: Ix, nnz: usize, _nonempty_rows: usize) -> usize {
+        (nrows as usize + 1) * std::mem::size_of::<usize>()
+            + nnz * (std::mem::size_of::<I>() + std::mem::size_of::<T>())
     }
 }
 

@@ -186,10 +186,16 @@ impl<T: Value, I: IndexType> Dcsr<T, I> {
     /// Heap bytes used by the index structure and values — the Fig. 4
     /// storage metric. `O(nnz)`: no term scales with `nrows`.
     pub fn bytes(&self) -> usize {
-        self.rows.len() * std::mem::size_of::<Ix>()
-            + self.rowptr.len() * std::mem::size_of::<usize>()
-            + self.colidx.len() * std::mem::size_of::<I>()
-            + self.vals.len() * std::mem::size_of::<T>()
+        Self::bytes_for(self.nrows, self.ncols, self.nnz(), self.rows.len())
+    }
+
+    /// [`Self::bytes`] of a DCSR matrix with these statistics: a row id
+    /// and a row pointer per non-empty row (plus one pointer), and a
+    /// column id and a value per entry — no term in `nrows` or `ncols`.
+    pub fn bytes_for(_nrows: Ix, _ncols: Ix, nnz: usize, nonempty_rows: usize) -> usize {
+        nonempty_rows * std::mem::size_of::<Ix>()
+            + (nonempty_rows + 1) * std::mem::size_of::<usize>()
+            + nnz * (std::mem::size_of::<I>() + std::mem::size_of::<T>())
     }
 
     /// Re-dimension the key space (e.g. after key-dictionary growth in the

@@ -107,7 +107,14 @@ impl<T: Value> DenseMat<T> {
 
     /// Heap bytes — `O(nrows × ncols)` regardless of occupancy.
     pub fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<T>()
+        Self::bytes_for(self.nrows, self.ncols, 0, 0)
+    }
+
+    /// [`Self::bytes`] of an `nrows × ncols` dense matrix: one value per
+    /// cell, whatever `nnz` and `nonempty_rows` are. Every format's
+    /// `bytes_for` takes the same statistics, for [`crate::Format::decide`].
+    pub fn bytes_for(nrows: Ix, ncols: Ix, _nnz: usize, _nonempty_rows: usize) -> usize {
+        nrows as usize * ncols as usize * std::mem::size_of::<T>()
     }
 
     fn offset(&self, row: Ix, col: Ix) -> usize {

@@ -7,19 +7,22 @@
 //! too much. Its conclusion highlights that SuiteSparse:GraphBLAS keeps an
 //! opaque matrix that internally switches among *sparse, hypersparse,
 //! bitmap, and full* storage "with little or no involvement from the user
-//! application". This crate reproduces that design:
+//! application". This crate reproduces that design for the figure's three
+//! regimes:
 //!
 //! * [`DenseMat`] — full storage, one value per cell.
-//! * [`Bitmap`] — full value array plus a presence bitmap (fast random
-//!   writes at moderate density).
 //! * [`Csr`] — classic compressed sparse rows (`nnz ≈ N`): one row
 //!   pointer per row.
 //! * [`Dcsr`] — doubly-compressed sparse rows (Buluç–Gilbert
 //!   hypersparse): only *non-empty* rows exist, so storage is
 //!   `O(nnz)` independent of the row dimension. This is what lets
 //!   associative arrays live in ~2⁶⁰-sized key spaces.
-//! * [`Matrix`] — the opaque wrapper that picks a format automatically
-//!   ([`Format::decide`]) and re-decides it for each result;
+//! * [`Matrix`] — the opaque wrapper that stores each result in the
+//!   format with the fewest heap bytes ([`Format::decide`], read from
+//!   each format's own `bytes_for`). There is no bitmap: it never holds
+//!   fewer bytes than full storage, and it pays in assign- and
+//!   mask-heavy kernels (Davis, "Algorithm 1037: SuiteSparse:GraphBLAS
+//!   v7", ACM TOMS 2023), which this engine runs on DCSR;
 //! * [`StreamingMatrix`] — hierarchical (LSM-style) ⊕-merged layers for
 //!   O(1)-amortized streaming inserts, after the paper's cited
 //!   "75 billion inserts/second" hierarchical hypersparse design.
@@ -42,7 +45,7 @@
 //! [`Matrix::compute_ctx`], the one place a result's format is decided.
 
 //! Index space is `u64` throughout — dimensions are *key-space sizes*,
-//! not allocation sizes; only materialized formats (dense, bitmap, CSR)
+//! not allocation sizes; only materialized formats (dense, CSR)
 //! constrain them. The *physical* column-id width is a per-container
 //! choice ([`IndexType`]): `Dcsr<T, u32>` (via
 //! [`Dcsr::to_index_width`]) halves index bandwidth on kernel inner
@@ -76,7 +79,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bitmap;
 pub mod coo;
 pub mod csr;
 pub mod ctx;
@@ -93,7 +95,6 @@ pub mod stream;
 pub mod trace;
 pub mod vector;
 
-pub use bitmap::Bitmap;
 pub use coo::Coo;
 pub use csr::Csr;
 pub use ctx::{with_default_ctx, KernelRun, OpCtx};

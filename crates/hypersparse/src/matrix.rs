@@ -3,22 +3,30 @@
 //! The paper's conclusion credits the GraphBLAS design with supporting
 //! "sparse, hypersparse, bitmap, and full" representations and switching
 //! between them "automatically, with little or no involvement from the
-//! user application". [`Matrix`] reproduces that: it wraps one of the
-//! four storage formats and re-decides the choice ([`Format::decide`])
-//! for the result of every operation, from its occupancy statistics.
+//! user application". [`Matrix`] reproduces that for Fig. 4's three
+//! regimes: it wraps a full ([`DenseMat`]), sparse ([`Csr`]) or
+//! hypersparse ([`Dcsr`]) matrix and re-decides the choice
+//! ([`Format::decide`]) for the result of every operation. The rule is
+//! the fewest heap bytes, counted by each format's own `bytes_for`, so
+//! it cannot drift from what Fig. 4 prints.
+//!
+//! There is no bitmap format. A bitmap stores a value slot per cell plus
+//! a presence bit, so it never has fewer bytes than dense storage; in
+//! SuiteSparse it pays in assign- and mask-heavy kernels instead (Davis,
+//! "Algorithm 1037: SuiteSparse:GraphBLAS v7", ACM TOMS 2023), and this
+//! engine runs every kernel but SpMV on DCSR.
 //!
 //! `Matrix` *stores*; [`crate::ops`] *computes*. An operation is an
 //! `ops::*_ctx` kernel run on the hypersparse view through
 //! [`Matrix::compute_ctx`], the one place a result's format is decided
-//! and a change of format is counted. Dense/bitmap/CSR are storage
-//! formats with cheap conversions; the one operation they run natively
-//! is SpMV ([`Matrix::mxv_ctx`], benchmarked in the Fig. 4 harness).
+//! and a change of format is counted. Dense and CSR are storage formats
+//! with cheap conversions; the one operation they run natively is SpMV
+//! ([`Matrix::mxv_ctx`], benchmarked in the Fig. 4 harness).
 
 use std::borrow::Cow;
 
 use semiring::traits::{Semiring, Value};
 
-use crate::bitmap::Bitmap;
 use crate::coo::Coo;
 use crate::csr::Csr;
 use crate::ctx::OpCtx;
@@ -30,59 +38,64 @@ use crate::ops::mxv::{pull_row, with_locator};
 use crate::vector::SparseVec;
 use crate::Ix;
 
-/// Storage format tags (Fig. 4's regimes plus bitmap).
+/// Storage format tags: Fig. 4's three regimes.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Format {
     /// Full storage: `nnz ≈ nrows·ncols`.
     Dense,
-    /// Full value array + presence bits: moderate density, O(1) updates.
-    Bitmap,
     /// Compressed sparse rows: `nnz ≈ nrows`.
     Csr,
     /// Doubly-compressed (hypersparse): `nnz ≪ nrows`.
     Dcsr,
 }
 
-// Format-selection thresholds, after SuiteSparse's `hyper_switch` /
-// `bitmap_switch` controls.
-/// Occupancy (`nnz / cells`) at or above which full storage wins.
-const DENSE_SWITCH: f64 = 0.5;
-/// Occupancy at or above which bitmap storage wins.
-const BITMAP_SWITCH: f64 = 0.05;
-/// Fraction of non-empty rows below which CSR degrades to DCSR.
-const HYPER_SWITCH: f64 = 1.0 / 16.0;
-/// Never materialize dense/bitmap beyond this many cells.
+/// Never materialize dense storage beyond this many cells.
 const MAX_CELLS: u128 = 1 << 24;
 /// Never materialize a CSR row-pointer array beyond this many rows.
 const MAX_ROWS: Ix = 1 << 26;
 
 impl Format {
-    /// Pick a format for a matrix with the given statistics.
-    pub fn decide(nrows: Ix, ncols: Ix, nnz: usize, nonempty_rows: usize) -> Format {
-        let cells = (nrows as u128) * (ncols as u128);
-        if cells > 0 && cells <= MAX_CELLS {
-            let occupancy = nnz as f64 / cells as f64;
-            if occupancy >= DENSE_SWITCH {
-                return Format::Dense;
+    /// Heap bytes of a matrix of `T` with these statistics in this
+    /// format, as its `bytes()` counts them; `None` where the format is
+    /// not materialized (dense past `MAX_CELLS` cells, CSR past
+    /// `MAX_ROWS` rows).
+    pub fn bytes_for<T: Value>(
+        self,
+        nrows: Ix,
+        ncols: Ix,
+        nnz: usize,
+        nonempty_rows: usize,
+    ) -> Option<usize> {
+        match self {
+            Format::Dense => ((nrows as u128) * (ncols as u128) <= MAX_CELLS)
+                .then(|| DenseMat::<T>::bytes_for(nrows, ncols, nnz, nonempty_rows)),
+            Format::Csr => {
+                (nrows <= MAX_ROWS).then(|| Csr::<T>::bytes_for(nrows, ncols, nnz, nonempty_rows))
             }
-            if occupancy >= BITMAP_SWITCH {
-                return Format::Bitmap;
-            }
+            Format::Dcsr => Some(Dcsr::<T>::bytes_for(nrows, ncols, nnz, nonempty_rows)),
         }
-        if nrows <= MAX_ROWS && nrows > 0 {
-            let row_fill = nonempty_rows as f64 / nrows as f64;
-            if row_fill >= HYPER_SWITCH {
-                return Format::Csr;
-            }
+    }
+
+    /// Pick the format with the fewest heap bytes
+    /// ([`Format::bytes_for`]) for a matrix of `T` with the given
+    /// statistics. A tie goes to DCSR, then CSR: DCSR is the compute
+    /// format, so it converts nothing. An empty matrix stays DCSR, as
+    /// [`Matrix::empty`] makes it.
+    pub fn decide<T: Value>(nrows: Ix, ncols: Ix, nnz: usize, nonempty_rows: usize) -> Format {
+        if nnz == 0 {
+            return Format::Dcsr;
         }
-        Format::Dcsr
+        [Format::Dcsr, Format::Csr, Format::Dense]
+            .into_iter()
+            .filter_map(|f| Some((f.bytes_for::<T>(nrows, ncols, nnz, nonempty_rows)?, f)))
+            .min_by_key(|&(bytes, _)| bytes)
+            .map_or(Format::Dcsr, |(_, f)| f)
     }
 }
 
 #[derive(Clone, Debug)]
 enum Repr<T> {
     Dense(DenseMat<T>),
-    Bitmap(Bitmap<T>),
     Csr(Csr<T>),
     Dcsr(Dcsr<T>),
 }
@@ -116,7 +129,7 @@ impl<T: Value> Matrix<T> {
     /// Wrap a hypersparse matrix in the format [`Format::decide`] picks
     /// (the semiring provides the dense fill value).
     pub fn from_dcsr<S: Semiring<Value = T>>(d: Dcsr<T>, s: S) -> Self {
-        let fmt = Format::decide(d.nrows(), d.ncols(), d.nnz(), d.n_nonempty_rows());
+        let fmt = Format::decide::<T>(d.nrows(), d.ncols(), d.nnz(), d.n_nonempty_rows());
         Matrix {
             repr: Repr::Dcsr(d),
         }
@@ -129,7 +142,6 @@ impl<T: Value> Matrix<T> {
         let d = self.into_dcsr();
         let repr = match fmt {
             Format::Dense => Repr::Dense(DenseMat::from_dcsr(&d, s)),
-            Format::Bitmap => Repr::Bitmap(Bitmap::from_dcsr(&d, s)),
             Format::Csr => Repr::Csr(Csr::from_dcsr(&d)),
             Format::Dcsr => Repr::Dcsr(d),
         };
@@ -140,7 +152,6 @@ impl<T: Value> Matrix<T> {
     pub fn format(&self) -> Format {
         match &self.repr {
             Repr::Dense(_) => Format::Dense,
-            Repr::Bitmap(_) => Format::Bitmap,
             Repr::Csr(_) => Format::Csr,
             Repr::Dcsr(_) => Format::Dcsr,
         }
@@ -150,7 +161,6 @@ impl<T: Value> Matrix<T> {
     pub fn nrows(&self) -> Ix {
         match &self.repr {
             Repr::Dense(m) => m.nrows(),
-            Repr::Bitmap(m) => m.nrows(),
             Repr::Csr(m) => m.nrows(),
             Repr::Dcsr(m) => m.nrows(),
         }
@@ -160,7 +170,6 @@ impl<T: Value> Matrix<T> {
     pub fn ncols(&self) -> Ix {
         match &self.repr {
             Repr::Dense(m) => m.ncols(),
-            Repr::Bitmap(m) => m.ncols(),
             Repr::Csr(m) => m.ncols(),
             Repr::Dcsr(m) => m.ncols(),
         }
@@ -170,7 +179,6 @@ impl<T: Value> Matrix<T> {
     pub fn nnz(&self) -> usize {
         match &self.repr {
             Repr::Dense(m) => m.nnz(),
-            Repr::Bitmap(m) => m.nnz(),
             Repr::Csr(m) => m.nnz(),
             Repr::Dcsr(m) => m.nnz(),
         }
@@ -180,7 +188,6 @@ impl<T: Value> Matrix<T> {
     pub fn bytes(&self) -> usize {
         match &self.repr {
             Repr::Dense(m) => m.bytes(),
-            Repr::Bitmap(m) => m.bytes(),
             Repr::Csr(m) => m.bytes(),
             Repr::Dcsr(m) => m.bytes(),
         }
@@ -194,7 +201,6 @@ impl<T: Value> Matrix<T> {
                 let v = m.get(row, col);
                 (v != m.zero_value()).then_some(v)
             }
-            Repr::Bitmap(m) => m.get(row, col),
             Repr::Csr(m) => m.get(row, col),
             Repr::Dcsr(m) => m.get(row, col),
         }
@@ -204,7 +210,6 @@ impl<T: Value> Matrix<T> {
     pub fn as_dcsr(&self) -> Cow<'_, Dcsr<T>> {
         match &self.repr {
             Repr::Dense(m) => Cow::Owned(m.to_dcsr_by_fill()),
-            Repr::Bitmap(m) => Cow::Owned(m.to_dcsr()),
             Repr::Csr(m) => Cow::Owned(m.to_dcsr()),
             Repr::Dcsr(m) => Cow::Borrowed(m),
         }
@@ -214,7 +219,6 @@ impl<T: Value> Matrix<T> {
     pub fn into_dcsr(self) -> Dcsr<T> {
         match self.repr {
             Repr::Dense(m) => m.to_dcsr_by_fill(),
-            Repr::Bitmap(m) => m.to_dcsr(),
             Repr::Csr(m) => m.to_dcsr(),
             Repr::Dcsr(m) => m,
         }
@@ -241,7 +245,6 @@ impl<T: Value> Matrix<T> {
         if out.format() != self.format() {
             let d = match out.format() {
                 Format::Dense => Decision::FormatDense,
-                Format::Bitmap => Decision::FormatBitmap,
                 Format::Csr => Decision::FormatCsr,
                 Format::Dcsr => Decision::FormatDcsr,
             };
@@ -250,8 +253,8 @@ impl<T: Value> Matrix<T> {
         out
     }
 
-    /// `A v` in the storage format: Dense and Bitmap dot each row with
-    /// `v`'s entries; CSR pulls each row through the DCSR kernel's row
+    /// `A v` in the storage format: Dense dots each row with `v`'s
+    /// entries; CSR pulls each row through the DCSR kernel's row
     /// body, so the two give the same bits (no conversion, no kernel
     /// call — what Fig. 4 times per format); DCSR runs
     /// [`ops::mxv_ctx`]. Panics with
@@ -265,22 +268,24 @@ impl<T: Value> Matrix<T> {
         ops::mxv::check_mxv((self.nrows(), self.ncols()), None, v.dim())
             .unwrap_or_else(|e| panic!("{e}"));
         match &self.repr {
-            Repr::Dense(m) => row_dots(m.nrows(), s, |r, emit| {
-                let row = m.row(r);
-                for (c, x) in v.iter() {
-                    let a = &row[c as usize];
-                    if a != m.zero_value() {
-                        emit(a, x);
+            Repr::Dense(m) => {
+                let (mut idx, mut vals) = (Vec::new(), Vec::new());
+                for r in 0..m.nrows() {
+                    let row = m.row(r);
+                    let mut acc = s.zero();
+                    for (c, x) in v.iter() {
+                        let a = &row[c as usize];
+                        if a != m.zero_value() {
+                            s.add_assign(&mut acc, s.mul(a.clone(), x.clone()));
+                        }
+                    }
+                    if !s.is_zero(&acc) {
+                        idx.push(r);
+                        vals.push(acc);
                     }
                 }
-            }),
-            Repr::Bitmap(m) => row_dots(m.nrows(), s, |r, emit| {
-                for (c, x) in v.iter() {
-                    if let Some(a) = m.get(r, c) {
-                        emit(a, x);
-                    }
-                }
-            }),
+                SparseVec::from_sorted_parts(m.nrows(), idx, vals)
+            }
             // The DCSR kernel's pull row body, over every row.
             Repr::Csr(m) => with_locator(ctx, v, m.nnz(), |pos| {
                 let (mut idx, mut vals, mut flops) = (Vec::new(), Vec::new(), 0);
@@ -298,28 +303,6 @@ impl<T: Value> Matrix<T> {
     }
 }
 
-/// `out(r) = ⊕ A(r,c) ⊗ v(c)` over every row of a materialized format;
-/// `products(r, emit)` emits row `r`'s `(A(r,c), v(c))` pairs where both
-/// are stored, in increasing column order.
-fn row_dots<T: Value, S: Semiring<Value = T>>(
-    nrows: Ix,
-    s: S,
-    products: impl Fn(Ix, &mut dyn FnMut(&T, &T)),
-) -> SparseVec<T> {
-    let (mut idx, mut vals) = (Vec::new(), Vec::new());
-    for r in 0..nrows {
-        let mut acc = s.zero();
-        products(r, &mut |a, x| {
-            s.add_assign(&mut acc, s.mul(a.clone(), x.clone()))
-        });
-        if !s.is_zero(&acc) {
-            idx.push(r);
-            vals.push(acc);
-        }
-    }
-    SparseVec::from_sorted_parts(nrows, idx, vals)
-}
-
 impl<T: Value> PartialEq for Matrix<T> {
     /// Equality is *mathematical*: same key space, same entries —
     /// regardless of storage format.
@@ -335,7 +318,7 @@ mod tests {
     use super::*;
     use crate::gen::random_dcsr;
     use crate::metrics::Kernel;
-    use semiring::{PlusMonoid, PlusTimes};
+    use semiring::{LorLand, PlusMonoid, PlusTimes};
 
     fn s() -> PlusTimes<f64> {
         PlusTimes::new()
@@ -343,19 +326,53 @@ mod tests {
 
     #[test]
     fn policy_picks_fig4_regimes() {
+        let decide = Format::decide::<f64>;
         // nnz ≈ N²: dense.
-        assert_eq!(Format::decide(64, 64, 3000, 64), Format::Dense);
-        // moderate density: bitmap.
-        assert_eq!(Format::decide(64, 64, 300, 64), Format::Bitmap);
+        assert_eq!(decide(64, 64, 3000, 64), Format::Dense);
+        // 7 % of cells, every row stored: a row pointer per row is
+        // cheaper than a row id and a row pointer per row.
+        assert_eq!(decide(64, 64, 300, 64), Format::Csr);
         // nnz ≈ N with most rows occupied: CSR.
-        assert_eq!(
-            Format::decide(100_000, 100_000, 100_000, 60_000),
-            Format::Csr
-        );
+        assert_eq!(decide(100_000, 100_000, 100_000, 60_000), Format::Csr);
+        // nnz ≈ N with 23 % of rows stored: the row list is cheaper.
+        assert_eq!(decide(100_000, 100_000, 100_000, 23_000), Format::Dcsr);
         // nnz ≪ N: hypersparse.
-        assert_eq!(Format::decide(100_000, 100_000, 50, 50), Format::Dcsr);
+        assert_eq!(decide(100_000, 100_000, 50, 50), Format::Dcsr);
         // Huge key space: only DCSR is even possible.
-        assert_eq!(Format::decide(1 << 60, 1 << 60, 1000, 900), Format::Dcsr);
+        assert_eq!(decide(1 << 60, 1 << 60, 1000, 900), Format::Dcsr);
+        // Empty stays DCSR, even where dense would hold 0 bytes.
+        assert_eq!(decide(0, 64, 0, 0), Format::Dcsr);
+    }
+
+    /// Per format: the rule's estimate for `d`'s statistics equals the
+    /// `bytes()` of `d` stored in it, and the rule's pick holds no more.
+    fn check_bytes_rule<T: Value, S: Semiring<Value = T>>(d: Dcsr<T>, s: S) {
+        let (nrows, ncols, nnz, rows) = (d.nrows(), d.ncols(), d.nnz(), d.n_nonempty_rows());
+        let auto = Matrix::from_dcsr(d, s);
+        for f in [Format::Dense, Format::Csr, Format::Dcsr] {
+            let stored = auto.clone().with_format(f, s).bytes();
+            let at = (f, nrows, ncols, nnz);
+            assert_eq!(
+                f.bytes_for::<T>(nrows, ncols, nnz, rows),
+                Some(stored),
+                "{at:?}"
+            );
+            // An empty matrix stays DCSR whatever dense would hold.
+            assert!(nnz == 0 || auto.bytes() <= stored, "{at:?}");
+        }
+    }
+
+    #[test]
+    fn bytes_rule_counts_what_each_format_stores() {
+        for seed in 0..24u64 {
+            let (nrows, ncols) = (1 + seed * 37 % 97, 1 + seed * 53 % 89);
+            let nnz = (seed * 101 % (nrows * ncols + 1)) as usize;
+            let d = random_dcsr(nrows, ncols, nnz, seed, s());
+            let mut bits = Coo::new(nrows, ncols);
+            bits.extend(d.iter().map(|(r, c, _)| (r, c, true)));
+            check_bytes_rule(bits.build_dcsr(LorLand), LorLand);
+            check_bytes_rule(d, s());
+        }
     }
 
     #[test]
@@ -370,7 +387,7 @@ mod tests {
     fn math_equality_across_formats() {
         let d = random_dcsr(32, 32, 200, 3, s());
         let m = Matrix::from_dcsr(d, s());
-        for fmt in [Format::Dense, Format::Bitmap, Format::Csr, Format::Dcsr] {
+        for fmt in [Format::Dense, Format::Csr, Format::Dcsr] {
             let forced = m.clone().with_format(fmt, s());
             assert_eq!(forced.format(), fmt);
             assert_eq!(forced, m);
@@ -393,8 +410,8 @@ mod tests {
         let b0 = Matrix::from_dcsr(random_dcsr(24, 24, 150, 5, s()), s());
         let want_mxm = mxm(&a0, &b0);
         let want_add = add(&a0, &b0);
-        for fa in [Format::Dense, Format::Bitmap, Format::Csr, Format::Dcsr] {
-            for fb in [Format::Dense, Format::Bitmap, Format::Csr, Format::Dcsr] {
+        for fa in [Format::Dense, Format::Csr, Format::Dcsr] {
+            for fb in [Format::Dense, Format::Csr, Format::Dcsr] {
                 let a = a0.clone().with_format(fa, s());
                 let b = b0.clone().with_format(fb, s());
                 assert_eq!(mxm(&a, &b), want_mxm, "{fa:?}·{fb:?}");
@@ -414,14 +431,14 @@ mod tests {
             .with_format(Format::Dcsr, s())
             .mxv_ctx(&ctx, &v, s());
         assert_eq!(mxv_calls(&ctx), 1, "DCSR runs the kernel");
-        for fmt in [Format::Dense, Format::Bitmap, Format::Csr] {
+        for fmt in [Format::Dense, Format::Csr] {
             let ctx = OpCtx::new();
             let got = m.clone().with_format(fmt, s()).mxv_ctx(&ctx, &v, s());
             assert_eq!(mxv_calls(&ctx), 0, "{fmt:?} runs in its own format");
             assert_eq!(got.indices(), want.indices(), "{fmt:?}");
             for (g, w) in got.values().iter().zip(want.values()) {
                 // CSR pulls through the DCSR row body: the same bits.
-                // Dense and Bitmap fold from zero.
+                // Dense folds from zero.
                 match fmt {
                     Format::Csr => assert_eq!(g.to_bits(), w.to_bits()),
                     _ => assert!((g - w).abs() < 1e-9),
@@ -471,14 +488,14 @@ mod tests {
 
     #[test]
     fn format_switch_after_densifying_product() {
-        // Two moderately sparse (bitmap) operands whose product is dense
+        // Two moderately sparse (CSR) operands whose product is dense
         // enough to flip the result's storage to full automatically: one
         // switch is counted. A transpose keeps the occupancy, so the
         // format stays and nothing is counted.
         let switches = |ctx: &OpCtx| ctx.metrics().snapshot().format_switches;
         let a = Matrix::from_dcsr(random_dcsr(32, 32, 256, 8, s()), s());
         let b = Matrix::from_dcsr(random_dcsr(32, 32, 256, 9, s()), s());
-        assert_eq!(a.format(), Format::Bitmap);
+        assert_eq!(a.format(), Format::Csr);
         let ctx = OpCtx::new();
         let c = a.compute_ctx(&ctx, s(), |a| ops::mxm_ctx(&ctx, a, &b.as_dcsr(), s()));
         assert_eq!(

@@ -189,7 +189,6 @@ macro_rules! decisions {
 decisions! {
     // `Matrix::compute_ctx`: the format `Format::decide` switched to.
     FormatDense = "format", "dense";
-    FormatBitmap = "format", "bitmap";
     FormatCsr = "format", "csr";
     FormatDcsr = "format", "dcsr";
     // Per `vxm`/`mxv` call: `choose_direction`, or the one operand given.
@@ -749,7 +748,7 @@ mod tests {
             .take(Decision::LABELS.len())
             .collect();
         let decisions = |m: u64| std::array::from_fn(|d| primes[d] * m);
-        let fmt = |m: u64| (0..4).map(|d| primes[d] * m).sum::<u64>();
+        let fmt = |m: u64| (0..3).map(|d| primes[d] * m).sum::<u64>();
         let snap = |m: u64, latency: HistogramSnapshot| MetricsSnapshot {
             kernels: vec![KernelSnapshot {
                 kernel: Kernel::Mxm,

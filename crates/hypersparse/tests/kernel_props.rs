@@ -123,7 +123,7 @@ proptest! {
         let want_add = add(&a0);
         let v = SparseVec::from_entries(N, tb.iter().map(|&(_, c, x)| (c, x)).collect(), s);
         let want_mxv = ops::mxv_ctx(&ctx, &a0.as_dcsr(), &v, s);
-        for fa in [Format::Dense, Format::Bitmap, Format::Csr, Format::Dcsr] {
+        for fa in [Format::Dense, Format::Csr, Format::Dcsr] {
             let a = a0.clone().with_format(fa, s);
             prop_assert_eq!(mxm(&a), want.clone());
             prop_assert_eq!(add(&a), want_add.clone());

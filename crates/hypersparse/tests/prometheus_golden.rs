@@ -73,7 +73,6 @@ hypersparse_kernel_latency_seconds_count{kernel=\"ewise_add\"} 1
 # HELP hypersparse_decisions_total Dispatch decisions by site and the method chosen.
 # TYPE hypersparse_decisions_total counter
 hypersparse_decisions_total{site=\"format\",choice=\"dense\"} 1
-hypersparse_decisions_total{site=\"format\",choice=\"bitmap\"} 0
 hypersparse_decisions_total{site=\"format\",choice=\"csr\"} 0
 hypersparse_decisions_total{site=\"format\",choice=\"dcsr\"} 0
 hypersparse_decisions_total{site=\"mv_direction\",choice=\"push\"} 0
