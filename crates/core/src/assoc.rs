@@ -7,7 +7,7 @@ use hypersparse::{ops, with_default_ctx, Coo, Dcsr, Ix, Matrix, SparseVec};
 use semiring::traits::{Monoid, Semiring, UnaryOp, Value};
 use semiring::ZeroNorm;
 
-use crate::key::{dict_index, make_dict, remap, union_dicts, Key};
+use crate::key::{dict_index, make_dict, rank_keys, remap, union_dicts, Key};
 
 /// An associative array `A : K₁ × K₂ → 𝕍` (§III).
 ///
@@ -26,21 +26,20 @@ impl<K1: Key, K2: Key, T: Value> Assoc<K1, K2, T> {
     // ---- Table II: Construction  A = 𝔸(k₁, k₂, v) ----
 
     /// Build from `(row key, col key, value)` triplets. Duplicate keys
-    /// ⊕-combine; semiring zeros are dropped.
+    /// ⊕-combine in arrival order; semiring zeros are dropped. Each key
+    /// side is ranked by one sort ([`rank_keys`]), and each value is
+    /// placed by its ranks.
     pub fn from_triplets<S: Semiring<Value = T>>(triplets: Vec<(K1, K2, T)>, s: S) -> Self {
-        let row_keys = make_dict(triplets.iter().map(|t| t.0.clone()).collect());
-        let col_keys = make_dict(triplets.iter().map(|t| t.1.clone()).collect());
+        let (rows, rest): (Vec<K1>, Vec<(K2, T)>) =
+            triplets.into_iter().map(|(a, b, v)| (a, (b, v))).unzip();
+        let (cols, vals): (Vec<K2>, Vec<T>) = rest.into_iter().unzip();
+        let ((row_keys, rows), (col_keys, cols)) = (rank_keys(rows), rank_keys(cols));
         let mut coo = Coo::new(row_keys.len() as Ix, col_keys.len() as Ix);
-        for (k1, k2, v) in triplets {
-            let r = dict_index(&row_keys, &k1).expect("key in own dict");
-            let c = dict_index(&col_keys, &k2).expect("key in own dict");
-            coo.push(r, c, v);
+        for ((r, c), v) in rows.into_iter().zip(cols).zip(vals) {
+            coo.push(Ix::from(r), Ix::from(c), v);
         }
-        Assoc {
-            row_keys: Arc::new(row_keys),
-            col_keys: Arc::new(col_keys),
-            mat: Matrix::from_dcsr(coo.build_dcsr(s), s),
-        }
+        let mat = Matrix::from_dcsr(coo.build_dcsr(s), s);
+        Self::from_parts(Arc::new(row_keys), Arc::new(col_keys), mat)
     }
 
     /// The empty associative array (no keys, no entries).
@@ -52,9 +51,10 @@ impl<K1: Key, K2: Key, T: Value> Assoc<K1, K2, T> {
         }
     }
 
-    /// Assemble from aligned parts: sorted unique key dictionaries and a
-    /// matrix whose dimensions equal the dictionary lengths.
-    pub fn from_parts(row_keys: Vec<K1>, col_keys: Vec<K2>, mat: Matrix<T>) -> Self {
+    /// Assemble from aligned parts: sorted unique key dictionaries (which
+    /// other arrays may share) and a matrix whose dimensions equal the
+    /// dictionary lengths.
+    pub fn from_parts(row_keys: Arc<Vec<K1>>, col_keys: Arc<Vec<K2>>, mat: Matrix<T>) -> Self {
         assert!(
             row_keys.windows(2).all(|w| w[0] < w[1]),
             "row keys must be sorted unique"
@@ -74,8 +74,8 @@ impl<K1: Key, K2: Key, T: Value> Assoc<K1, K2, T> {
             "matrix/dict col mismatch"
         );
         Assoc {
-            row_keys: Arc::new(row_keys),
-            col_keys: Arc::new(col_keys),
+            row_keys,
+            col_keys,
             mat,
         }
     }
@@ -500,6 +500,48 @@ mod tests {
             MinPlus::<f64>::new(),
         );
         assert_eq!(m.get(&"x", &"y"), Some(2.0));
+    }
+
+    #[test]
+    fn from_triplets_ranks_keys_in_one_sort() {
+        // Duplicates ⊕-fold in arrival order: (1e16 + 1) − 1e16 is 0 in
+        // `f64`, not the 1 any other order gives.
+        let vals = [1e16, 1.0, -1e16, 2.5];
+        let a = Assoc::from_triplets(vals.iter().map(|&v| ("x", "y", v)).collect(), s());
+        let want = vals.iter().fold(0.0, |acc: f64, v| acc + v);
+        assert_eq!(a.get(&"x", &"y").map(f64::to_bits), Some(want.to_bits()));
+        // Unsorted input with repeated keys: the same dictionaries as
+        // `make_dict`, and every entry where its keys say.
+        let trips: Vec<(String, String, f64)> = (0..40u32)
+            .map(|i| {
+                (
+                    format!("r{}", (i * 7) % 11),
+                    format!("c{}", (i * 5) % 13),
+                    f64::from(i),
+                )
+            })
+            .collect();
+        let a = Assoc::from_triplets(trips.clone(), s());
+        assert_eq!(
+            a.row_keys(),
+            make_dict(trips.iter().map(|t| t.0.clone()).collect())
+        );
+        assert_eq!(
+            a.col_keys(),
+            make_dict(trips.iter().map(|t| t.1.clone()).collect())
+        );
+        for (r, c, v) in &trips {
+            let sum: f64 = trips
+                .iter()
+                .filter(|t| (&t.0, &t.1) == (r, c))
+                .map(|t| t.2)
+                .sum();
+            assert_eq!(a.get(r, c), Some(sum).filter(|&x| x != 0.0), "{r} {c} {v}");
+        }
+        // An empty input gives the empty array.
+        let e = Assoc::<String, String, f64>::from_triplets(Vec::new(), s());
+        assert!(e.is_empty() && e.row_keys().is_empty() && e.col_keys().is_empty());
+        assert_eq!(e, Assoc::new_empty());
     }
 
     #[test]

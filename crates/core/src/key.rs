@@ -21,6 +21,21 @@ pub fn make_dict<K: Key>(mut keys: Vec<K>) -> Vec<K> {
     keys
 }
 
+/// Rank a key list in one sort: `make_dict(keys)`, with each key moved
+/// (never cloned) into it, and each input key's `u32` position there.
+pub fn rank_keys<K: Ord>(keys: Vec<K>) -> (Vec<K>, Vec<u32>) {
+    let (mut dict, mut rank) = (Vec::new(), vec![0; keys.len()]);
+    let mut tagged: Vec<(K, usize)> = keys.into_iter().zip(0..).collect();
+    tagged.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    for (k, i) in tagged {
+        if dict.last() != Some(&k) {
+            dict.push(k);
+        }
+        rank[i] = u32::try_from(dict.len() - 1).expect("a dictionary holds fewer than 2³² keys");
+    }
+    (dict, rank)
+}
+
 /// Binary-search a dictionary.
 pub fn dict_index<K: Key>(dict: &[K], key: &K) -> Option<Ix> {
     dict.binary_search(key).ok().map(|i| i as Ix)
@@ -113,6 +128,8 @@ mod tests {
         assert_eq!(make_dict(vec!["b", "a", "b", "c"]), vec!["a", "b", "c"]);
         assert_eq!(dict_index(&["a", "b", "c"], &"b"), Some(1));
         assert_eq!(dict_index(&["a", "b", "c"], &"z"), None);
+        let (dict, rank) = rank_keys(vec!["b", "a", "b", "c"]);
+        assert_eq!((dict, rank), (vec!["a", "b", "c"], vec![1, 0, 1, 2]));
     }
 
     #[test]

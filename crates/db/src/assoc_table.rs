@@ -11,14 +11,18 @@
 //!
 //! A transposed copy is maintained as the column index (the classic D4M
 //! `Tedge`/`TedgeT` pair), so row and column access are both `O(row)`.
+//! Both are bulk-built from one [`Columns`] set, sharing its record-id
+//! dictionary.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use hyperspace_core::semilink::{support_cols, support_rows};
 use hyperspace_core::Assoc;
+use hypersparse::Matrix;
 use semiring::{PSet, PlusMonoid, PlusTimes, UnionIntersect};
 
-use crate::Record;
+use crate::{Columns, Record};
 
 type S = PlusTimes<f64>;
 type Arr = Assoc<String, String, f64>;
@@ -37,15 +41,23 @@ pub struct AssocTable {
 impl AssocTable {
     /// Bulk-load records into the exploded schema.
     pub fn from_records(records: Vec<(String, Record)>) -> Self {
-        let mut trips = Vec::new();
-        for (id, rec) in records {
-            for (field, value) in rec {
-                trips.push((id.clone(), format!("{field}|{value}"), 1.0));
-            }
+        Self::from_columns(&Columns::from_records(records))
+    }
+
+    /// Bulk-build from an interned column set: its record ids and its
+    /// `field|value` cells are the two dictionaries (shared, not copied),
+    /// and its rank pattern, in both orientations, the two matrices.
+    pub fn from_columns(cols: &Columns) -> Self {
+        let (a, at) = cols.patterns(s());
+        let (ids, keys) = (&cols.ids, &cols.cells);
+        AssocTable {
+            arr: Assoc::from_parts(Arc::clone(ids), Arc::clone(keys), Matrix::from_dcsr(a, s())),
+            arr_t: Assoc::from_parts(
+                Arc::clone(keys),
+                Arc::clone(ids),
+                Matrix::from_dcsr(at, s()),
+            ),
         }
-        let arr = Assoc::from_triplets(trips, s());
-        let arr_t = arr.transpose(s());
-        AssocTable { arr, arr_t }
     }
 
     /// The underlying `record × field|value` associative array.
@@ -85,15 +97,8 @@ impl AssocTable {
     /// stripped from column keys.
     pub fn field_subarray(&self, field: &str) -> Arr {
         let cols = self.columns_of_field(field);
-        let prefix_len = field.len() + 1;
         let sub = self.arr.extract(self.arr.row_keys().to_vec(), cols, s());
-        Assoc::from_triplets(
-            sub.to_triplets()
-                .into_iter()
-                .map(|(r, c, v)| (r, c[prefix_len..].to_string(), v))
-                .collect(),
-            s(),
-        )
+        sub.map_col_keys(|c| c[field.len() + 1..].to_string(), s())
     }
 
     /// `SELECT out_field WHERE field = value` (distinct values):

@@ -17,7 +17,8 @@
 //! * the adjacency-array view, reachable from [`AssocTable::adjacency`]
 //!   (`A = E_srcᵀ ⊕.⊗ E_dst`, the Fig. 3 projection applied to tables).
 //!
-//! All three engines answer one predicate language through the
+//! All three bulk-build from one interned, ranked [`Columns`] set, and
+//! all three engines answer one predicate language through the
 //! [`Select`] trait ([`Pred`] combinators building a [`PredExpr`] tree),
 //! the SQL front-end returns typed [`SqlError`]s, and every executor
 //! produces an id-sorted [`ResultSet`] so engines compare with `==`.
@@ -29,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod assoc_table;
+pub mod columns;
 pub mod error;
 pub mod gen;
 pub mod query;
@@ -38,10 +40,11 @@ pub mod sql;
 pub mod triplestore;
 
 pub use assoc_table::AssocTable;
+pub use columns::{Columns, ColumnsBuilder};
 pub use error::SqlError;
 pub use query::{Pred, PredExpr, Select};
 pub use result::{ResultSet, Row};
-pub use rowstore::RowTable;
+pub use rowstore::{RowRef, RowTable};
 pub use triplestore::TripleStore;
 
 /// A record: ordered `(field, value)` pairs (all strings, as in D4M).

@@ -22,7 +22,7 @@ use hyperspace_core::Assoc;
 use semiring::PlusTimes;
 
 use crate::assoc_table::AssocTable;
-use crate::rowstore::RowTable;
+use crate::rowstore::{RowRef, RowTable};
 
 type Mask = Assoc<String, String, f64>;
 
@@ -260,14 +260,14 @@ impl Select for AssocTable {
 
 // ---- the row-store engine: full scans ----
 
-pub(crate) fn row_matches(row: &std::collections::HashMap<String, String>, p: &Pred) -> bool {
+fn row_matches(row: RowRef<'_>, p: &Pred) -> bool {
     match p {
-        Pred::Eq(f, v) => row.get(f) == Some(v),
-        Pred::In(f, vs) => row.get(f).is_some_and(|x| vs.contains(x)),
+        Pred::Eq(f, v) => row.get(f) == Some(v.as_str()),
+        Pred::In(f, vs) => row.get(f).is_some_and(|x| vs.iter().any(|v| v == x)),
     }
 }
 
-fn row_matches_expr(row: &std::collections::HashMap<String, String>, e: &PredExpr) -> bool {
+fn row_matches_expr(row: RowRef<'_>, e: &PredExpr) -> bool {
     match e {
         PredExpr::Pred(p) => row_matches(row, p),
         PredExpr::And(a, b) => row_matches_expr(row, a) && row_matches_expr(row, b),
@@ -278,29 +278,15 @@ fn row_matches_expr(row: &std::collections::HashMap<String, String>, e: &PredExp
 
 impl Select for RowTable {
     fn ids_matching(&self, p: &Pred) -> Vec<String> {
-        let mut ids: Vec<String> = self
-            .iter()
-            .filter(|(_, row)| row_matches(row, p))
-            .map(|(id, _)| id.to_string())
-            .collect();
-        ids.sort();
-        ids
+        self.ids_where(|row| row_matches(row, p))
     }
 
     fn all_ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self.iter().map(|(id, _)| id.to_string()).collect();
-        ids.sort();
-        ids
+        self.ids_where(|_| true)
     }
 
     fn select(&self, expr: &PredExpr) -> Vec<String> {
-        let mut ids: Vec<String> = self
-            .iter()
-            .filter(|(_, row)| row_matches_expr(row, expr))
-            .map(|(id, _)| id.to_string())
-            .collect();
-        ids.sort();
-        ids
+        self.ids_where(|row| row_matches_expr(row, expr))
     }
 }
 

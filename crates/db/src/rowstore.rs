@@ -1,18 +1,39 @@
 //! The SQL-flavoured baseline: a row store queried by full scans.
 //!
-//! This is deliberately the *obvious* implementation — a `Vec` of
-//! field→value maps — so the Fig. 6 bench can compare the associative-
-//! array formulations against what a naive relational executor does.
+//! This is deliberately the *obvious* implementation — rows scanned one
+//! by one, each field looked up by name — so the Fig. 6 bench can compare
+//! the associative-array formulations against what a naive relational
+//! executor does. The rows are an interned [`Columns`] set's records.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
-use crate::Record;
+use crate::{Columns, Record};
 
-/// A table of records keyed by record id.
+/// A table of records keyed by record id, in arrival order.
 #[derive(Clone, Debug, Default)]
 pub struct RowTable {
-    ids: Vec<String>,
-    rows: Vec<HashMap<String, String>>,
+    cols: Arc<Columns>,
+}
+
+/// One row of a [`RowTable`]: the column set's cell spellings and the
+/// row's cell ranks, read by field name.
+#[derive(Clone, Copy, Debug)]
+pub struct RowRef<'a>(&'a [String], &'a [u32]);
+
+impl<'a> RowRef<'a> {
+    /// The row's `(field, value)` cells, in the order given.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
+        let spellings = self.0;
+        let split = move |&c: &u32| spellings[c as usize].split_once('|');
+        self.1.iter().filter_map(split)
+    }
+
+    /// The value of `field` (the last one given, as a map would keep).
+    pub fn get(&self, field: &str) -> Option<&'a str> {
+        let last = self.iter().filter(|(f, _)| *f == field).last();
+        last.map(|(_, v)| v)
+    }
 }
 
 impl RowTable {
@@ -23,46 +44,38 @@ impl RowTable {
 
     /// Bulk-load records.
     pub fn from_records(records: Vec<(String, Record)>) -> Self {
-        let mut t = Self::new();
-        for (id, rec) in records {
-            t.insert(id, rec);
-        }
-        t
+        Self::from_columns(Arc::new(Columns::from_records(records)))
     }
 
-    /// Append one record.
-    pub fn insert(&mut self, id: String, rec: Record) {
-        self.ids.push(id);
-        self.rows.push(rec.into_iter().collect());
+    /// The rows of an interned column set, in arrival order.
+    pub fn from_columns(cols: Arc<Columns>) -> Self {
+        RowTable { cols }
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.cols.len()
     }
 
     /// `true` if the table has no records.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
     /// `SELECT * WHERE field = value` — full scan. Returns record ids.
     pub fn select_eq(&self, field: &str, value: &str) -> Vec<&str> {
-        self.ids
-            .iter()
-            .zip(&self.rows)
-            .filter(|(_, r)| r.get(field).is_some_and(|v| v == value))
-            .map(|(id, _)| id.as_str())
+        self.iter()
+            .filter(|(_, r)| r.get(field) == Some(value))
+            .map(|(id, _)| id)
             .collect()
     }
 
     /// `SELECT out_field WHERE field = value` — project one column of the
     /// matching rows (distinct, sorted).
     pub fn select_project(&self, field: &str, value: &str, out_field: &str) -> BTreeSet<String> {
-        self.rows
-            .iter()
-            .filter(|r| r.get(field).is_some_and(|v| v == value))
-            .filter_map(|r| r.get(out_field).cloned())
+        self.iter()
+            .filter(|(_, r)| r.get(field) == Some(value))
+            .filter_map(|(_, r)| r.get(out_field).map(str::to_string))
             .collect()
     }
 
@@ -77,12 +90,15 @@ impl RowTable {
     /// `GROUP BY field COUNT(*)` — full scan.
     pub fn group_count(&self, field: &str) -> BTreeMap<String, usize> {
         let mut counts = BTreeMap::new();
-        for r in &self.rows {
+        for (_, r) in self.iter() {
             if let Some(v) = r.get(field) {
-                *counts.entry(v.clone()).or_insert(0) += 1;
+                *counts.entry(v).or_insert(0) += 1;
             }
         }
         counts
+            .into_iter()
+            .map(|(v, n)| (v.to_string(), n))
+            .collect()
     }
 
     /// Nested-loop equi-join with another table on `field` = `other_field`:
@@ -94,11 +110,11 @@ impl RowTable {
         other_field: &str,
     ) -> Vec<(String, String)> {
         let mut out = Vec::new();
-        for (lid, lrow) in self.ids.iter().zip(&self.rows) {
+        for (lid, lrow) in self.iter() {
             let Some(lv) = lrow.get(field) else { continue };
-            for (rid, rrow) in other.ids.iter().zip(&other.rows) {
+            for (rid, rrow) in other.iter() {
                 if rrow.get(other_field) == Some(lv) {
-                    out.push((lid.clone(), rid.clone()));
+                    out.push((lid.to_string(), rid.to_string()));
                 }
             }
         }
@@ -106,9 +122,21 @@ impl RowTable {
         out
     }
 
-    /// Iterate `(id, row)`.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &HashMap<String, String>)> {
-        self.ids.iter().map(|s| s.as_str()).zip(self.rows.iter())
+    /// Ids of the rows `keep` accepts, sorted.
+    pub(crate) fn ids_where(&self, keep: impl Fn(RowRef<'_>) -> bool) -> Vec<String> {
+        let kept = self.iter().filter(|&(_, row)| keep(row));
+        let mut ids: Vec<&str> = kept.map(|(id, _)| id).collect();
+        ids.sort_unstable();
+        ids.into_iter().map(str::to_string).collect()
+    }
+
+    /// Iterate `(id, row)` in arrival order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, RowRef<'_>)> {
+        let cols = &*self.cols;
+        (0..cols.len()).map(move |k| {
+            let (id, cells) = cols.record(k);
+            (cols.ids[id as usize].as_str(), RowRef(&cols.cells, cells))
+        })
     }
 }
 

@@ -213,7 +213,7 @@ pub fn execute_baseline(q: &Query, table: &RowTable) -> ResultSet {
             let cells = row
                 .iter()
                 .filter(|(f, _)| keep_field(q, f))
-                .map(|(f, v)| (f.clone(), v.clone()))
+                .map(|(f, v)| (f.to_string(), v.to_string()))
                 .collect();
             (id, cells)
         })

@@ -2,23 +2,35 @@
 //!
 //! Every record field becomes a triple `(record_id, field, value)`,
 //! indexed in both directions — the Dynamo/Cassandra/HBase/Accumulo
-//! school of Fig. 6. Point lookups are O(1) hash probes; the comparison
+//! school of Fig. 6. Both indexes are the pattern of ranks into one
+//! interned [`Columns`] set, bulk-built in one pass; a point lookup is a
+//! dictionary search and a borrowed row. The comparison
 //! against full-scan [`crate::RowTable`] and array-algebraic
 //! [`crate::AssocTable`] is the Fig. 6 bench.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
+
+use hypersparse::{Dcsr, Ix};
+use semiring::LorLand;
 
 use crate::query::{Pred, Select};
-use crate::Record;
+use crate::{Columns, Record};
 
-/// A doubly-indexed triple store.
-#[derive(Clone, Debug, Default)]
+/// A doubly-indexed triple store over an interned [`Columns`] set.
+#[derive(Clone, Debug)]
 pub struct TripleStore {
-    /// predicate → object → subjects (the "who has this value" index).
-    pov: HashMap<String, HashMap<String, BTreeSet<String>>>,
-    /// subject → predicate → objects (the "what does this record hold" index).
-    spo: HashMap<String, HashMap<String, BTreeSet<String>>>,
-    n_triples: usize,
+    cols: Arc<Columns>,
+    /// The "what does this record hold" index: id rank → cell ranks.
+    spo: Dcsr<bool>,
+    /// The "who has this value" index: cell rank → subject id ranks.
+    pov: Dcsr<bool>,
+}
+
+impl Default for TripleStore {
+    fn default() -> Self {
+        Self::from_columns(Arc::default())
+    }
 }
 
 impl TripleStore {
@@ -29,86 +41,86 @@ impl TripleStore {
 
     /// Bulk-load records as triples.
     pub fn from_records(records: Vec<(String, Record)>) -> Self {
-        let mut t = Self::new();
-        for (id, rec) in records {
-            for (field, value) in rec {
-                t.insert(id.clone(), field, value);
-            }
-        }
-        t
+        Self::from_columns(Arc::new(Columns::from_records(records)))
     }
 
-    /// Insert one triple.
-    pub fn insert(&mut self, subject: String, predicate: String, object: String) {
-        self.pov
-            .entry(predicate.clone())
-            .or_default()
-            .entry(object.clone())
-            .or_default()
-            .insert(subject.clone());
-        self.spo
-            .entry(subject)
-            .or_default()
-            .entry(predicate)
-            .or_default()
-            .insert(object);
-        self.n_triples += 1;
+    /// Bulk-build both indexes from an interned column set's ranks.
+    pub fn from_columns(cols: Arc<Columns>) -> Self {
+        let (spo, pov) = cols.patterns(LorLand);
+        TripleStore { cols, spo, pov }
     }
 
     /// Number of stored triples.
     pub fn len(&self) -> usize {
-        self.n_triples
+        self.cols.rec_cells.len()
     }
 
     /// `true` if empty.
     pub fn is_empty(&self) -> bool {
-        self.n_triples == 0
+        self.len() == 0
     }
 
-    /// Subjects with `predicate = object` — one hash probe.
+    /// The id ranks of subjects with `predicate = object`, in id order —
+    /// one index probe, borrowed.
+    fn subject_ranks(&self, predicate: &str, object: &str) -> &[Ix] {
+        let key = format!("{predicate}|{object}");
+        let cell = self.cols.cells.binary_search(&key);
+        cell.map_or(&[], |c| self.pov.row(c as Ix).0)
+    }
+
+    /// Objects of subject rank `s` under `predicate`, in value order.
+    fn objects_of<'a>(&'a self, s: Ix, predicate: &'a str) -> impl Iterator<Item = &'a str> {
+        let cells = self.spo.row(s).0.iter();
+        cells.filter_map(move |&c| self.cols.value_of(c, predicate))
+    }
+
+    fn ids_of(&self, ranks: &[Ix]) -> Vec<String> {
+        let ids = &self.cols.ids;
+        ranks.iter().map(|&r| ids[r as usize].clone()).collect()
+    }
+
+    /// Subjects with `predicate = object` — one index probe.
     pub fn subjects(&self, predicate: &str, object: &str) -> BTreeSet<String> {
-        self.pov
-            .get(predicate)
-            .and_then(|m| m.get(object))
-            .cloned()
-            .unwrap_or_default()
+        let ids = self.ids_of(self.subject_ranks(predicate, object));
+        ids.into_iter().collect()
     }
 
-    /// Objects of `subject.predicate` — one hash probe.
+    /// Objects of `subject.predicate` — one index probe.
     pub fn objects(&self, subject: &str, predicate: &str) -> BTreeSet<String> {
-        self.spo
-            .get(subject)
-            .and_then(|m| m.get(predicate))
-            .cloned()
-            .unwrap_or_default()
+        let ids = &self.cols.ids;
+        let Ok(s) = ids.binary_search_by(|id| id.as_str().cmp(subject)) else {
+            return BTreeSet::new();
+        };
+        let objects = self.objects_of(s as Ix, predicate);
+        objects.map(str::to_string).collect()
     }
 
     /// Fig. 6's query via index hops: records where `src = host` yield
-    /// their `dst`, records where `dst = host` yield their `src`.
+    /// their `dst`, records where `dst = host` yield their `src`. Every
+    /// hop borrows; only the answer's hosts are copied.
     pub fn neighbors(&self, host: &str) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
-        for rec in self.subjects("src", host) {
-            out.extend(self.objects(&rec, "dst"));
+        for (by, to) in [("src", "dst"), ("dst", "src")] {
+            for &s in self.subject_ranks(by, host) {
+                out.extend(self.objects_of(s, to));
+            }
         }
-        for rec in self.subjects("dst", host) {
-            out.extend(self.objects(&rec, "src"));
-        }
-        out
+        out.into_iter().map(str::to_string).collect()
     }
 
     /// `GROUP BY predicate` value counts (subjects per object).
     pub fn group_count(&self, predicate: &str) -> HashMap<String, usize> {
-        self.pov
-            .get(predicate)
-            .map(|m| m.iter().map(|(o, s)| (o.clone(), s.len())).collect())
-            .unwrap_or_default()
+        let held = self.pov.iter_rows();
+        let counts = held.filter_map(|(c, subjects, _)| {
+            let value = self.cols.value_of(c, predicate)?;
+            Some((value.to_string(), subjects.len()))
+        });
+        counts.collect()
     }
 
     /// Every subject id, sorted.
     pub fn subject_ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self.spo.keys().cloned().collect();
-        ids.sort();
-        ids
+        self.ids_of(self.spo.row_ids())
     }
 }
 
@@ -118,13 +130,13 @@ impl TripleStore {
 impl Select for TripleStore {
     fn ids_matching(&self, p: &Pred) -> Vec<String> {
         match p {
-            Pred::Eq(f, v) => self.subjects(f, v).into_iter().collect(),
+            Pred::Eq(f, v) => self.ids_of(self.subject_ranks(f, v)),
             Pred::In(f, vs) => {
-                let mut out = BTreeSet::new();
-                for v in vs {
-                    out.extend(self.subjects(f, v));
-                }
-                out.into_iter().collect()
+                let hits = vs.iter().flat_map(|v| self.subject_ranks(f, v));
+                let mut ranks: Vec<Ix> = hits.copied().collect();
+                ranks.sort_unstable();
+                ranks.dedup();
+                self.ids_of(&ranks)
             }
         }
     }

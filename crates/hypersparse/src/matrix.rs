@@ -32,7 +32,7 @@ use crate::csr::Csr;
 use crate::ctx::OpCtx;
 use crate::dcsr::Dcsr;
 use crate::dense::DenseMat;
-use crate::metrics::Decision;
+use crate::metrics::{Decision, Kernel};
 use crate::ops;
 use crate::ops::mxv::{pull_row, with_locator};
 use crate::vector::SparseVec;
@@ -255,10 +255,12 @@ impl<T: Value> Matrix<T> {
 
     /// `A v` in the storage format: Dense dots each row with `v`'s
     /// entries; CSR pulls each row through the DCSR kernel's row
-    /// body, so the two give the same bits (no conversion, no kernel
-    /// call — what Fig. 4 times per format); DCSR runs
-    /// [`ops::mxv_ctx`]. Panics with
-    /// [`ops::mxv::check_mxv`]'s error on a dimension mismatch.
+    /// body, so the two give the same bits (no conversion — what Fig. 4
+    /// times per format); DCSR runs [`ops::mxv_ctx`]. Every format
+    /// meters one [`Kernel::Mxv`] run. Dense and CSR run on the calling
+    /// thread, so Fig. 4 compares formats on a one-thread context.
+    /// Panics with [`ops::mxv::check_mxv`]'s error on a dimension
+    /// mismatch.
     pub fn mxv_ctx<S: Semiring<Value = T>>(
         &self,
         ctx: &OpCtx,
@@ -267,9 +269,16 @@ impl<T: Value> Matrix<T> {
     ) -> SparseVec<T> {
         ops::mxv::check_mxv((self.nrows(), self.ncols()), None, v.dim())
             .unwrap_or_else(|e| panic!("{e}"));
+        if let Repr::Dcsr(m) = &self.repr {
+            return ops::mxv_ctx(ctx, m, v, s);
+        }
+        let run = ctx.kernel(Kernel::Mxv, || {
+            let (r, c, f) = (self.nrows(), self.ncols(), self.format());
+            format!("{r}×{c} {f:?}, {} nnz v", v.nnz())
+        });
+        let (mut idx, mut vals, mut flops) = (Vec::new(), Vec::new(), 0);
         match &self.repr {
             Repr::Dense(m) => {
-                let (mut idx, mut vals) = (Vec::new(), Vec::new());
                 for r in 0..m.nrows() {
                     let row = m.row(r);
                     let mut acc = s.zero();
@@ -277,6 +286,7 @@ impl<T: Value> Matrix<T> {
                         let a = &row[c as usize];
                         if a != m.zero_value() {
                             s.add_assign(&mut acc, s.mul(a.clone(), x.clone()));
+                            flops += 1;
                         }
                     }
                     if !s.is_zero(&acc) {
@@ -284,11 +294,9 @@ impl<T: Value> Matrix<T> {
                         vals.push(acc);
                     }
                 }
-                SparseVec::from_sorted_parts(m.nrows(), idx, vals)
             }
             // The DCSR kernel's pull row body, over every row.
             Repr::Csr(m) => with_locator(ctx, v, m.nnz(), |pos| {
-                let (mut idx, mut vals, mut flops) = (Vec::new(), Vec::new(), 0);
                 for r in 0..m.nrows() {
                     let (cols, avals) = m.row(r);
                     if let Some(x) = pull_row(v, pos, cols, avals, true, s, &mut flops) {
@@ -296,10 +304,17 @@ impl<T: Value> Matrix<T> {
                         vals.push(x);
                     }
                 }
-                SparseVec::from_sorted_parts(m.nrows(), idx, vals)
             }),
-            Repr::Dcsr(m) => ops::mxv_ctx(ctx, m, v, s),
+            Repr::Dcsr(_) => unreachable!("DCSR returned above"),
         }
+        let out = SparseVec::from_sorted_parts(self.nrows(), idx, vals);
+        run.done(
+            (v.nnz() + self.nnz()) as u64,
+            out.nnz() as u64,
+            flops,
+            (v.bytes() + self.bytes() + out.bytes()) as u64,
+        );
+        out
     }
 }
 
@@ -317,7 +332,6 @@ impl<T: Value> PartialEq for Matrix<T> {
 mod tests {
     use super::*;
     use crate::gen::random_dcsr;
-    use crate::metrics::Kernel;
     use semiring::{LorLand, PlusMonoid, PlusTimes};
 
     fn s() -> PlusTimes<f64> {
@@ -434,7 +448,7 @@ mod tests {
         for fmt in [Format::Dense, Format::Csr] {
             let ctx = OpCtx::new();
             let got = m.clone().with_format(fmt, s()).mxv_ctx(&ctx, &v, s());
-            assert_eq!(mxv_calls(&ctx), 0, "{fmt:?} runs in its own format");
+            assert_eq!(mxv_calls(&ctx), 1, "{fmt:?} meters its own-format run");
             assert_eq!(got.indices(), want.indices(), "{fmt:?}");
             for (g, w) in got.values().iter().zip(want.values()) {
                 // CSR pulls through the DCSR row body: the same bits.

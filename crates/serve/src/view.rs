@@ -6,34 +6,33 @@
 //! [`RowTable`]) are built **lazily, once per epoch** behind a
 //! `OnceLock`: pinning an epoch is an `Arc` clone, and the first query
 //! that needs a table pays for construction exactly once — every later
-//! query on any thread shares the same tables.
+//! query on any thread shares the same tables. Construction renders the
+//! epoch once into an interned [`Columns`] set and bulk-builds the three
+//! engines from its ranks.
 
-use std::fmt;
+use std::fmt::{self, Write};
 use std::sync::{Arc, OnceLock};
 
-use db::{AssocTable, Record, RowTable, TripleStore};
-use hypersparse::Ix;
+use db::{AssocTable, Columns, ColumnsBuilder, Record, RowTable, TripleStore};
+use hypersparse::{Dcsr, Ix};
 use pipeline::{EpochSnapshot, PodValue};
-use semiring::traits::Semiring;
+use semiring::traits::{Semiring, Value};
 
-/// The entry→record closure a [`ViewSchema`] wraps.
-type RecordFn<V> = dyn Fn(Ix, Ix, &V) -> (String, Record) + Send + Sync;
+/// Writes a record id from an entry's row and column keys.
+type IdFn = dyn Fn(Ix, Ix, &mut String) -> fmt::Result + Send + Sync;
+/// Writes a field value from an entry `(row, col, value)`.
+type FieldFn<V> = dyn Fn(Ix, Ix, &V, &mut String) -> fmt::Result + Send + Sync;
 
 /// How a stored `(row, col, value)` entry reads as a database record.
 ///
-/// The serving layer is schema-agnostic: callers supply the closure that
-/// names records and fields; [`ViewSchema::flows`] is the network-flow
-/// default matching the repo's Fig. 6 harness (`src`/`dst`/`weight`).
+/// The serving layer is schema-agnostic: callers write each record's id
+/// from its keys and each field from the entry; [`ViewSchema::flows`] is
+/// the network-flow default matching the repo's Fig. 6 harness
+/// (`src`/`dst`/`weight`).
+#[derive(Clone)]
 pub struct ViewSchema<V> {
-    to_record: Arc<RecordFn<V>>,
-}
-
-impl<V> Clone for ViewSchema<V> {
-    fn clone(&self) -> Self {
-        ViewSchema {
-            to_record: Arc::clone(&self.to_record),
-        }
-    }
+    id: Arc<IdFn>,
+    fields: Vec<(String, Arc<FieldFn<V>>)>,
 }
 
 impl<V> fmt::Debug for ViewSchema<V> {
@@ -43,17 +42,59 @@ impl<V> fmt::Debug for ViewSchema<V> {
 }
 
 impl<V> ViewSchema<V> {
-    /// A schema from an arbitrary entry→record closure. The returned id
-    /// must be unique per entry (record ids key every table engine).
-    pub fn new(f: impl Fn(Ix, Ix, &V) -> (String, Record) + Send + Sync + 'static) -> Self {
+    /// A schema whose entry `(r, c)` is the record `id` writes, with no
+    /// fields yet. The id must be unique per entry (record ids key every
+    /// table engine).
+    pub fn new(id: impl Fn(Ix, Ix, &mut String) -> fmt::Result + Send + Sync + 'static) -> Self {
         ViewSchema {
-            to_record: Arc::new(f),
+            id: Arc::new(id),
+            fields: Vec::new(),
         }
+    }
+
+    /// Add field `name` (no `|` in it), written by `f(row, col, value,
+    /// out)`.
+    pub fn field(
+        mut self,
+        name: &str,
+        f: impl Fn(Ix, Ix, &V, &mut String) -> fmt::Result + Send + Sync + 'static,
+    ) -> Self {
+        self.fields.push((name.to_string(), Arc::new(f)));
+        self
+    }
+
+    // Writing into a `String` cannot fail, so `fmt::Result`s are dropped.
+    fn id(&self, row: Ix, col: Ix) -> String {
+        let mut id = String::with_capacity(32);
+        let _ = (self.id)(row, col, &mut id);
+        id
     }
 
     /// Read one entry as a record.
     pub fn record(&self, row: Ix, col: Ix, val: &V) -> (String, Record) {
-        (self.to_record)(row, col, val)
+        let fields = self.fields.iter().map(|(name, write)| {
+            let mut value = String::new();
+            let _ = write(row, col, val, &mut value);
+            (name.clone(), value)
+        });
+        (self.id(row, col), fields.collect())
+    }
+}
+
+impl<V: Value> ViewSchema<V> {
+    /// Render every entry of `m` once into an interned column set: one id
+    /// per entry, and a field's value copied only when its cell is new.
+    fn columns(&self, m: &Dcsr<V>) -> Columns {
+        let mut cols = ColumnsBuilder::default();
+        for (r, c, v) in m.iter() {
+            cols.record(self.id(r, c));
+            for (name, write) in &self.fields {
+                cols.cell(name, |out| {
+                    let _ = write(r, c, v, out);
+                });
+            }
+        }
+        cols.finish()
     }
 }
 
@@ -62,16 +103,10 @@ impl<V: fmt::Display> ViewSchema<V> {
     /// `e<r>-<c>` with fields `src = h<r>`, `dst = h<c>`,
     /// `weight = <v>` — the exploded schema the Fig. 6 queries expect.
     pub fn flows() -> Self {
-        ViewSchema::new(|r, c, v| {
-            (
-                format!("e{r:08}-{c:08}"),
-                vec![
-                    ("src".into(), format!("h{r}")),
-                    ("dst".into(), format!("h{c}")),
-                    ("weight".into(), format!("{v}")),
-                ],
-            )
-        })
+        ViewSchema::new(|r, c, out| write!(out, "e{r:08}-{c:08}"))
+            .field("src", |r, _, _, out| write!(out, "h{r}"))
+            .field("dst", |_, c, _, out| write!(out, "h{c}"))
+            .field("weight", |_, _, v, out| write!(out, "{v}"))
     }
 
     /// The netflow schema: keys are IPv4 addresses in the low 32 bits of
@@ -82,17 +117,11 @@ impl<V: fmt::Display> ViewSchema<V> {
     /// the packet count.
     pub fn netflow() -> Self {
         use hyperspace_core::cidr::ip_key;
-        ViewSchema::new(|r, c, v| {
-            let (src, dst) = (ip_key(r as u32), ip_key(c as u32));
-            (
-                format!("f{src}-{dst}"),
-                vec![
-                    ("src".into(), src),
-                    ("dst".into(), dst),
-                    ("packets".into(), format!("{v}")),
-                ],
-            )
-        })
+        let ip = |k: Ix| ip_key(k as u32);
+        ViewSchema::new(move |r, c, out| write!(out, "f{}-{}", ip(r), ip(c)))
+            .field("src", move |r, _, _, out| out.write_str(&ip(r)))
+            .field("dst", move |_, c, _, out| out.write_str(&ip(c)))
+            .field("packets", |_, _, v, out| write!(out, "{v}"))
     }
 }
 
@@ -151,8 +180,9 @@ where
         self.snap.nnz()
     }
 
-    /// The epoch's records under this view's schema (rebuilt on each
-    /// call; the cached [`Tables`] are what queries use).
+    /// The epoch's records under this view's schema, one rendering per
+    /// entry (rebuilt on each call; the cached [`Tables`] are what
+    /// queries use, and this is their test oracle).
     pub fn records(&self) -> Vec<(String, Record)> {
         self.snap
             .dcsr()
@@ -162,14 +192,16 @@ where
     }
 
     /// The three table engines, built on first use and shared by every
-    /// later query against this epoch (any thread).
+    /// later query against this epoch (any thread). The epoch renders
+    /// once into one interned [`Columns`] set, and each engine
+    /// bulk-builds from its ranks.
     pub fn tables(&self) -> &Tables {
         self.tables.get_or_init(|| {
-            let records = self.records();
+            let cols = Arc::new(self.schema.columns(self.snap.dcsr()));
             Tables {
-                assoc: AssocTable::from_records(records.clone()),
-                triples: TripleStore::from_records(records.clone()),
-                rows: RowTable::from_records(records),
+                assoc: AssocTable::from_columns(&cols),
+                triples: TripleStore::from_columns(Arc::clone(&cols)),
+                rows: RowTable::from_columns(cols),
             }
         })
     }
@@ -241,8 +273,8 @@ mod tests {
     #[test]
     fn custom_schema_controls_naming() {
         use db::Select;
-        let schema: ViewSchema<f64> =
-            ViewSchema::new(|r, c, v| (format!("{r}:{c}"), vec![("w".into(), format!("{v}"))]));
+        let schema: ViewSchema<f64> = ViewSchema::new(|r, c, out| write!(out, "{r}:{c}"))
+            .field("w", |_, _, v, out| write!(out, "{v}"));
         let view = EpochView::new(one_epoch(), schema);
         assert_eq!(view.tables().rows.all_ids(), ["1:2", "1:3", "2:1"]);
     }

@@ -8,7 +8,8 @@
 //!   walk DCSR → CSR → dense as occupancy rises.
 //!
 //! SpMV is timed per materializable format, each in its own storage (no
-//! conversion to DCSR inside the timed call); the policy's chosen format
+//! conversion to DCSR inside the timed call) and on a one-thread context,
+//! since Dense and CSR run on the calling thread; the policy's chosen format
 //! is asserted to match the figure's regime at each point. In every row
 //! of both tables, `auto` holds no more bytes than any format that can
 //! be materialized there: the policy picks by bytes, which no host
@@ -16,8 +17,8 @@
 //! on a shared host does not decide a cell.
 //!
 //! Then the format ablation (DESIGN.md §3): forcing CSR vs DCSR vs
-//! trusting the automatic policy on an `N = 2¹⁶` SpMV from each regime —
-//! auto should track the better hand-picked format.
+//! trusting the automatic policy on an `N = 2¹⁶` SpMV from each regime,
+//! all on one thread — auto should track the better hand-picked format.
 //!
 //! ```sh
 //! cargo run --release --example fig4_sparsity_formats
@@ -25,7 +26,7 @@
 
 use bench::{fmt_bytes, fmt_dur, quick_time};
 use hypersparse::gen::random_dcsr;
-use hypersparse::{Decision, Format, Ix, Matrix, OpCtx, SparseVec};
+use hypersparse::{Decision, Format, Ix, Kernel, Matrix, OpCtx, SparseVec};
 use semiring::PlusTimes;
 
 fn s() -> PlusTimes<f64> {
@@ -79,7 +80,7 @@ fn main() {
         let stats = (n, n, d.nnz(), d.n_nonempty_rows());
         let auto = Matrix::from_dcsr(d, s());
         let v = SparseVec::from_entries(n, (0..64).map(|i| (i, 1.0)).collect(), s());
-        let ctx = OpCtx::new();
+        let ctx = OpCtx::new().with_threads(1);
         let mut cells = Vec::new();
         for fmt in [Format::Dense, Format::Csr, Format::Dcsr] {
             let m = forced(&auto, stats, fmt).expect("N = 4096 materializes every format");
@@ -135,10 +136,13 @@ fn main() {
         let v = SparseVec::from_entries(n, (0..256).map(|i| (i * 131 % n, 1.0)).collect(), s());
         let csr = auto.clone().with_format(Format::Csr, s());
         let dcsr = auto.clone().with_format(Format::Dcsr, s());
-        let ctx = OpCtx::new();
+        let ctx = OpCtx::new().with_threads(1);
         let (t_csr, _) = quick_time(41, || csr.mxv_ctx(&ctx, &v, s()));
         let (t_dcsr, _) = quick_time(41, || dcsr.mxv_ctx(&ctx, &v, s()));
         let (t_auto, _) = quick_time(41, || auto.mxv_ctx(&ctx, &v, s()));
+        // Every format meters its run: 42 calls a cell (one warm-up).
+        let calls = ctx.metrics().snapshot().kernel(Kernel::Mxv).calls;
+        assert_eq!(calls, 3 * 42, "{label}: every format records its Mxv runs");
         println!(
             "| {:<12} | {:>10} | {:>11} | {:>10} | {:?} |",
             label,
