@@ -11,15 +11,15 @@
 //!
 //! A transposed copy is maintained as the column index (the classic D4M
 //! `Tedge`/`TedgeT` pair), so row and column access are both `O(row)`.
-//! Both are bulk-built from one [`Columns`] set, sharing its record-id
-//! dictionary.
+//! Both wrap the one [`Columns`] set's pattern and its transpose,
+//! sharing its dictionaries.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use hyperspace_core::semilink::{support_cols, support_rows};
 use hyperspace_core::Assoc;
-use hypersparse::Matrix;
+use hypersparse::{Dcsr, Matrix};
 use semiring::{PSet, PlusMonoid, PlusTimes, UnionIntersect};
 
 use crate::{Columns, Record};
@@ -46,17 +46,14 @@ impl AssocTable {
 
     /// Bulk-build from an interned column set: its record ids and its
     /// `field|value` cells are the two dictionaries (shared, not copied),
-    /// and its rank pattern, in both orientations, the two matrices.
+    /// and its pattern, in both orientations, the two matrices, each in
+    /// the format [`hypersparse::Format::decide`] picks.
     pub fn from_columns(cols: &Columns) -> Self {
-        let (a, at) = cols.patterns(s());
         let (ids, keys) = (&cols.ids, &cols.cells);
+        let matrix = |d: &Dcsr<f64>| Matrix::from_dcsr(d.clone(), s());
         AssocTable {
-            arr: Assoc::from_parts(Arc::clone(ids), Arc::clone(keys), Matrix::from_dcsr(a, s())),
-            arr_t: Assoc::from_parts(
-                Arc::clone(keys),
-                Arc::clone(ids),
-                Matrix::from_dcsr(at, s()),
-            ),
+            arr: Assoc::from_parts(Arc::clone(ids), Arc::clone(keys), matrix(&cols.by_id)),
+            arr_t: Assoc::from_parts(Arc::clone(keys), Arc::clone(ids), matrix(&cols.by_cell)),
         }
     }
 

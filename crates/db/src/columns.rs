@@ -3,20 +3,23 @@
 //! distinct record id and each distinct cell, spelled `field|value` as
 //! the exploded schema's column key (no field name holds a `|`), is
 //! stored once and ranked by one sort; a record is a run of cell ranks.
-//! [`ColumnsBuilder`] is the one way in, for `from_records` and for the
-//! serving layer's epoch views alike.
+//! The `id × cell` pattern is built once, in both orientations, and
+//! every engine reads those two matrices. [`ColumnsBuilder`] is the one
+//! way in, for `from_records` and for the serving layer's epoch views
+//! alike.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use hyperspace_core::key::rank_keys;
 use hypersparse::{Coo, Dcsr, Ix};
-use semiring::traits::Semiring;
+use semiring::PlusTimes;
 
 use crate::Record;
 
-/// Records with every distinct string stored once and ranked.
-#[derive(Clone, Debug, Default)]
+/// Records with every distinct string stored once and ranked, and their
+/// `id rank × cell rank` pattern.
+#[derive(Clone, Debug)]
 pub struct Columns {
     /// Sorted unique record ids: a record's id rank is its position.
     pub(crate) ids: Arc<Vec<String>>,
@@ -27,6 +30,17 @@ pub struct Columns {
     /// Record `k`'s cell ranks are `rec_cells[starts[k]..starts[k + 1]]`.
     starts: Vec<usize>,
     pub(crate) rec_cells: Vec<u32>,
+    /// Row = id rank, column = cell rank: `1` ⊕-folded over each repeat
+    /// of the pair (the D4M `Tedge`).
+    pub(crate) by_id: Dcsr<f64>,
+    /// Its transpose, row = cell rank (the column index, `TedgeT`).
+    pub(crate) by_cell: Dcsr<f64>,
+}
+
+impl Default for Columns {
+    fn default() -> Self {
+        ColumnsBuilder::default().finish()
+    }
 }
 
 /// Builds a [`Columns`] set record by record. Each cell is written into
@@ -63,7 +77,8 @@ impl ColumnsBuilder {
         self.entries.push(e);
     }
 
-    /// Rank the ids and the cells, one sort each.
+    /// Rank the ids and the cells, one sort each, and build the pattern
+    /// in both orientations, one radix build each.
     pub fn finish(mut self) -> Columns {
         let mut spellings = vec![String::new(); self.seen.len()];
         for (spelling, e) in self.seen {
@@ -72,14 +87,24 @@ impl ColumnsBuilder {
         self.starts.push(self.entries.len());
         let (ids, rec_ids) = rank_keys(self.ids);
         let (cells, rank) = rank_keys(spellings);
-        let rec_cells = self.entries.iter().map(|&e| rank[e as usize]).collect();
-        let (ids, cells, starts) = (Arc::new(ids), Arc::new(cells), self.starts);
+        let rec_cells: Vec<u32> = self.entries.iter().map(|&e| rank[e as usize]).collect();
+        let (n, m) = (ids.len() as Ix, cells.len() as Ix);
+        let (mut by_id, mut by_cell) = (Coo::new(n, m), Coo::new(m, n));
+        for (k, &r) in rec_ids.iter().enumerate() {
+            for &c in &rec_cells[self.starts[k]..self.starts[k + 1]] {
+                by_id.push(Ix::from(r), Ix::from(c), 1.0);
+                by_cell.push(Ix::from(c), Ix::from(r), 1.0);
+            }
+        }
+        let s = PlusTimes::<f64>::new();
         Columns {
-            ids,
-            cells,
+            ids: Arc::new(ids),
+            cells: Arc::new(cells),
             rec_ids,
-            starts,
+            starts: self.starts,
             rec_cells,
+            by_id: by_id.build_dcsr(s),
+            by_cell: by_cell.build_dcsr(s),
         }
     }
 }
@@ -105,21 +130,6 @@ impl Columns {
     pub(crate) fn record(&self, k: usize) -> (u32, &[u32]) {
         let cells = &self.rec_cells[self.starts[k]..self.starts[k + 1]];
         (self.rec_ids[k], cells)
-    }
-
-    /// The `id rank × cell rank` pattern and its transpose, built from
-    /// the ranks in one pass; an entry is `one` ⊕-folded over its repeats.
-    pub(crate) fn patterns<S: Semiring>(&self, s: S) -> (Dcsr<S::Value>, Dcsr<S::Value>) {
-        let (n, m) = (self.ids.len() as Ix, self.cells.len() as Ix);
-        let (mut a, mut at) = (Coo::new(n, m), Coo::new(m, n));
-        for k in 0..self.len() {
-            let (r, cells) = self.record(k);
-            for &c in cells {
-                a.push(Ix::from(r), Ix::from(c), s.one());
-                at.push(Ix::from(c), Ix::from(r), s.one());
-            }
-        }
-        (a.build_dcsr(s), at.build_dcsr(s))
     }
 
     /// Cell `c`'s value if its field is `field`.

@@ -2,35 +2,28 @@
 //!
 //! Every record field becomes a triple `(record_id, field, value)`,
 //! indexed in both directions — the Dynamo/Cassandra/HBase/Accumulo
-//! school of Fig. 6. Both indexes are the pattern of ranks into one
-//! interned [`Columns`] set, bulk-built in one pass; a point lookup is a
-//! dictionary search and a borrowed row. The comparison
+//! school of Fig. 6. Both indexes are one interned [`Columns`] set's
+//! `id × cell` pattern and its transpose, the same two matrices
+//! [`crate::AssocTable`] wraps; a point lookup is a dictionary search
+//! and a borrowed row. The comparison
 //! against full-scan [`crate::RowTable`] and array-algebraic
 //! [`crate::AssocTable`] is the Fig. 6 bench.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use hypersparse::{Dcsr, Ix};
-use semiring::LorLand;
+use hypersparse::Ix;
 
 use crate::query::{Pred, Select};
 use crate::{Columns, Record};
 
-/// A doubly-indexed triple store over an interned [`Columns`] set.
-#[derive(Clone, Debug)]
+/// A doubly-indexed triple store over an interned [`Columns`] set: its
+/// `by_id` pattern is the "what does this record hold" index (id rank →
+/// cell ranks), its `by_cell` pattern the "who has this value" index
+/// (cell rank → subject id ranks).
+#[derive(Clone, Debug, Default)]
 pub struct TripleStore {
     cols: Arc<Columns>,
-    /// The "what does this record hold" index: id rank → cell ranks.
-    spo: Dcsr<bool>,
-    /// The "who has this value" index: cell rank → subject id ranks.
-    pov: Dcsr<bool>,
-}
-
-impl Default for TripleStore {
-    fn default() -> Self {
-        Self::from_columns(Arc::default())
-    }
 }
 
 impl TripleStore {
@@ -44,10 +37,9 @@ impl TripleStore {
         Self::from_columns(Arc::new(Columns::from_records(records)))
     }
 
-    /// Bulk-build both indexes from an interned column set's ranks.
+    /// Both indexes are the interned column set's own pattern.
     pub fn from_columns(cols: Arc<Columns>) -> Self {
-        let (spo, pov) = cols.patterns(LorLand);
-        TripleStore { cols, spo, pov }
+        TripleStore { cols }
     }
 
     /// Number of stored triples.
@@ -65,12 +57,12 @@ impl TripleStore {
     fn subject_ranks(&self, predicate: &str, object: &str) -> &[Ix] {
         let key = format!("{predicate}|{object}");
         let cell = self.cols.cells.binary_search(&key);
-        cell.map_or(&[], |c| self.pov.row(c as Ix).0)
+        cell.map_or(&[], |c| self.cols.by_cell.row(c as Ix).0)
     }
 
     /// Objects of subject rank `s` under `predicate`, in value order.
     fn objects_of<'a>(&'a self, s: Ix, predicate: &'a str) -> impl Iterator<Item = &'a str> {
-        let cells = self.spo.row(s).0.iter();
+        let cells = self.cols.by_id.row(s).0.iter();
         cells.filter_map(move |&c| self.cols.value_of(c, predicate))
     }
 
@@ -110,7 +102,7 @@ impl TripleStore {
 
     /// `GROUP BY predicate` value counts (subjects per object).
     pub fn group_count(&self, predicate: &str) -> HashMap<String, usize> {
-        let held = self.pov.iter_rows();
+        let held = self.cols.by_cell.iter_rows();
         let counts = held.filter_map(|(c, subjects, _)| {
             let value = self.cols.value_of(c, predicate)?;
             Some((value.to_string(), subjects.len()))
@@ -120,12 +112,12 @@ impl TripleStore {
 
     /// Every subject id, sorted.
     pub fn subject_ids(&self) -> Vec<String> {
-        self.ids_of(self.spo.row_ids())
+        self.ids_of(self.cols.by_id.row_ids())
     }
 }
 
 /// The NoSQL engine answers the shared predicate language by index
-/// probes: an `Eq` leaf is one `pov` hop, an `In` leaf a union of hops;
+/// probes: an `Eq` leaf is one `by_cell` hop, an `In` leaf a union of hops;
 /// compound expressions use the trait's sorted-id set algebra.
 impl Select for TripleStore {
     fn ids_matching(&self, p: &Pred) -> Vec<String> {

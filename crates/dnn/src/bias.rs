@@ -31,16 +31,7 @@ pub fn active_rows(y: &Dcsr<f64>) -> SparseVec<f64> {
 /// whenever batch row `r` is active, and is empty otherwise.
 pub fn bias_matrix(y: &Dcsr<f64>, b: &[f64]) -> Dcsr<f64> {
     assert_eq!(b.len() as Ix, y.ncols(), "bias vector width");
-    let act = active_rows(y);
-    let mut c = Coo::new(y.nrows(), y.ncols());
-    for (r, _) in act.iter() {
-        for (j, &bj) in b.iter().enumerate() {
-            if bj != 0.0 {
-                c.push(r, j as Ix, bj);
-            }
-        }
-    }
-    c.build_dcsr(s())
+    bias_matrix_from_indicator(&active_rows(y), y.ncols(), b)
 }
 
 /// One inference layer with an explicit per-neuron bias vector, computed
@@ -55,6 +46,7 @@ pub fn layer_with_bias_vector(y: &Dcsr<f64>, w: &Dcsr<f64>, b: &[f64]) -> Dcsr<f
     })
 }
 
+/// `b` on every row the indicator `act` holds, zeros of `b` unstored.
 fn bias_matrix_from_indicator(act: &SparseVec<f64>, ncols: Ix, b: &[f64]) -> Dcsr<f64> {
     let mut c = Coo::new(act.dim(), ncols);
     for (r, _) in act.iter() {

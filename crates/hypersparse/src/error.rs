@@ -17,7 +17,7 @@ use crate::Ix;
 pub enum OpError {
     /// The operands' key spaces don't conform for the requested
     /// operation (inner dimensions of a multiply, shared key space of an
-    /// element-wise op, the matching axis of a concatenation).
+    /// element-wise op).
     DimensionMismatch {
         /// Which operation was attempted (`"mxm"`, `"ewise_add"`, …).
         op: &'static str,
@@ -37,16 +37,6 @@ pub enum OpError {
         index: Ix,
         /// The exclusive bound it had to stay under.
         bound: Ix,
-    },
-    /// The result's key space cannot be represented (dimension
-    /// arithmetic overflows the 64-bit index space).
-    TooLargeToMaterialize {
-        /// Which operation was attempted.
-        op: &'static str,
-        /// Which axis overflowed.
-        axis: Axis,
-        /// The two extents whose sum/product overflowed.
-        extents: (Ix, Ix),
     },
 }
 
@@ -77,11 +67,6 @@ impl fmt::Display for OpError {
             OpError::IndexOutOfBounds { axis, index, bound } => {
                 write!(f, "{axis} index {index} out of bounds (< {bound})")
             }
-            OpError::TooLargeToMaterialize { op, axis, extents } => write!(
-                f,
-                "{op}: {axis} overflow: result dimension {} + {} exceeds the index space",
-                extents.0, extents.1
-            ),
         }
     }
 }
@@ -115,18 +100,6 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("col index 99"), "{msg}");
         assert!(msg.contains("< 10"), "{msg}");
-    }
-
-    #[test]
-    fn too_large_mentions_overflow() {
-        let e = OpError::TooLargeToMaterialize {
-            op: "concat_rows",
-            axis: Axis::Rows,
-            extents: (u64::MAX, 2),
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("row overflow"), "{msg}");
-        assert!(msg.contains("concat_rows"), "{msg}");
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //!   O(1)-amortized streaming inserts, after the paper's cited
 //!   "75 billion inserts/second" hierarchical hypersparse design.
 //!
-//! All computational kernels ([`ops`]) are generic over a
+//! The computational kernels ([`ops`]) are the paper's operation set
+//! and no more — `mxm` (plain, masked, fused with an apply-prune),
+//! `mxv`/`vxm`, element-wise ⊕/⊗, reductions, `apply`, `select`,
+//! `extract`, `transpose` and `top_k`. All are generic over a
 //! [`semiring::Semiring`], take operator objects by value (zero-sized →
 //! fully monomorphized inner loops), never store semiring zeros, and are
 //! deterministic: the parallel SpGEMM partitions by row and merges in

@@ -36,7 +36,6 @@ pub enum Kernel {
     MxmMasked,
     EwiseAdd,
     EwiseMul,
-    EwiseUnion,
     ReduceRows,
     ReduceCols,
     ReduceScalar,
@@ -44,11 +43,6 @@ pub enum Kernel {
     Apply,
     Select,
     Extract,
-    Kron,
-    Assign,
-    ConcatRows,
-    ConcatCols,
-    Power,
     Vxm,
     Mxv,
     StreamMerge,
@@ -68,12 +62,11 @@ pub enum Kernel {
 
 impl Kernel {
     /// Every tracked kernel, in registry order.
-    pub const ALL: [Kernel; 29] = [
+    pub const ALL: [Kernel; 23] = [
         Kernel::Mxm,
         Kernel::MxmMasked,
         Kernel::EwiseAdd,
         Kernel::EwiseMul,
-        Kernel::EwiseUnion,
         Kernel::ReduceRows,
         Kernel::ReduceCols,
         Kernel::ReduceScalar,
@@ -81,11 +74,6 @@ impl Kernel {
         Kernel::Apply,
         Kernel::Select,
         Kernel::Extract,
-        Kernel::Kron,
-        Kernel::Assign,
-        Kernel::ConcatRows,
-        Kernel::ConcatCols,
-        Kernel::Power,
         Kernel::Vxm,
         Kernel::Mxv,
         Kernel::StreamMerge,
@@ -107,7 +95,6 @@ impl Kernel {
             Kernel::MxmMasked => "mxm_masked",
             Kernel::EwiseAdd => "ewise_add",
             Kernel::EwiseMul => "ewise_mul",
-            Kernel::EwiseUnion => "ewise_union",
             Kernel::ReduceRows => "reduce_rows",
             Kernel::ReduceCols => "reduce_cols",
             Kernel::ReduceScalar => "reduce_scalar",
@@ -115,11 +102,6 @@ impl Kernel {
             Kernel::Apply => "apply",
             Kernel::Select => "select",
             Kernel::Extract => "extract",
-            Kernel::Kron => "kron",
-            Kernel::Assign => "assign",
-            Kernel::ConcatRows => "concat_rows",
-            Kernel::ConcatCols => "concat_cols",
-            Kernel::Power => "power",
             Kernel::Vxm => "vxm",
             Kernel::Mxv => "mxv",
             Kernel::StreamMerge => "stream_merge",
@@ -677,13 +659,16 @@ mod tests {
         assert_eq!(m.bytes_touched, 400);
         assert_eq!(m.elapsed_ns, 10_000);
         assert_eq!(snap.kernel(Kernel::EwiseAdd).calls, 1);
-        assert_eq!(snap.kernel(Kernel::Kron).calls, 0);
+        assert_eq!(snap.kernel(Kernel::TopK).calls, 0);
         assert_eq!(snap.format_switches, 1);
         assert_eq!(snap.total_calls(), 3);
         let report = snap.report();
         assert!(report.contains("mxm"));
         assert!(report.contains("ewise_add"));
-        assert!(!report.contains("kron"), "idle kernels stay out:\n{report}");
+        assert!(
+            !report.contains("top_k"),
+            "idle kernels stay out:\n{report}"
+        );
         assert!(report.contains("decisions: format=csr 1\n"), "{report}");
     }
 

@@ -5,17 +5,16 @@
 //! within-row column lists: `O(nnz(A) + nnz(B))`, never touching the
 //! (possibly astronomically large) dimensions.
 //!
-//! There is exactly **one merge loop per direction**: the generic
-//! [`ewise_add_op_ctx`]/[`ewise_mul_op_ctx`] kernels take an arbitrary
-//! combiner, and [`ewise_add_ctx`]/[`ewise_mul_ctx`] plug in the
-//! semiring's own ⊕/⊗.
+//! There is exactly **one merge loop per direction**:
+//! [`ewise_add_ctx`] combines collisions with the semiring's ⊕ and
+//! [`ewise_mul_ctx`] with its ⊗.
 //!
-//! **Boolean word path** (DESIGN.md §13): when the combiner is the
-//! `LorLand` semiring's own ⊕/⊗, colliding row pairs that are dense
-//! relative to the column space merge **word-at-a-time** — each row
-//! becomes a presence bitmap plus a truth bitmap, the union/intersection
-//! is a handful of bitwise ops per 64 columns, and survivors drain with
-//! `trailing_zeros` in ascending order. Output and flop counts are
+//! **Boolean word path** (DESIGN.md §13): when the semiring is
+//! `LorLand`, colliding row pairs that are dense relative to the column
+//! space merge **word-at-a-time** — each row becomes a presence bitmap
+//! plus a truth bitmap, the union/intersection is a handful of bitwise
+//! ops per 64 columns, and survivors drain with `trailing_zeros` in
+//! ascending order. Output and flop counts are
 //! identical to the two-pointer merge; rows too sparse for the bitmaps
 //! to pay off (`words > nnz(a_row) + nnz(b_row)`) fall back per pair.
 //! This is a `T = bool` data-layout specialisation, not a semiring
@@ -25,7 +24,7 @@
 use std::any::{Any, TypeId};
 use std::cmp::Ordering;
 
-use semiring::traits::{BinaryOp, Semiring, Value};
+use semiring::traits::{Semiring, Value};
 use semiring::LorLand;
 
 use crate::ctx::{KernelRun, OpCtx};
@@ -34,26 +33,6 @@ use crate::error::OpError;
 use crate::index::IndexType;
 use crate::metrics::{Decision, Kernel};
 use crate::Ix;
-
-/// The semiring's ⊕ as a [`BinaryOp`] combiner.
-#[derive(Copy, Clone)]
-struct AddOf<S>(S);
-impl<T: Value, S: Semiring<Value = T>> BinaryOp<T, T, T> for AddOf<S> {
-    #[inline(always)]
-    fn apply(&self, a: T, b: T) -> T {
-        self.0.add(a, b)
-    }
-}
-
-/// The semiring's ⊗ as a [`BinaryOp`] combiner.
-#[derive(Copy, Clone)]
-struct MulOf<S>(S);
-impl<T: Value, S: Semiring<Value = T>> BinaryOp<T, T, T> for MulOf<S> {
-    #[inline(always)]
-    fn apply(&self, a: T, b: T) -> T {
-        self.0.mul(a, b)
-    }
-}
 
 /// `C = A ⊕ B`: union of sparsity patterns, collisions combined with ⊕.
 /// An entry present in only one operand passes through unchanged —
@@ -64,7 +43,20 @@ pub fn ewise_add_ctx<T: Value, I: IndexType, S: Semiring<Value = T>>(
     b: &Dcsr<T, I>,
     s: S,
 ) -> Dcsr<T, I> {
-    ewise_add_op_ctx(ctx, a, b, AddOf(s), s)
+    check_same_space("ewise_add", a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
+    let run = ctx.kernel(Kernel::EwiseAdd, || {
+        format!("{}×{}, {}+{} nnz", a.nrows(), a.ncols(), a.nnz(), b.nnz())
+    });
+    if TypeId::of::<S>() == TypeId::of::<LorLand>() {
+        if let Some((c, flops)) = try_bool_union(ctx, a, b) {
+            done_merge(run, a, b, &c, flops);
+            return c;
+        }
+    }
+    let mut flops = 0u64;
+    let c = union_rows(a, b, |out, ra, rb| flops += union_row(out, ra, rb, s));
+    done_merge(run, a, b, &c, flops);
+    c
 }
 
 /// `C = A ⊗ B`: intersection of sparsity patterns, survivors combined
@@ -76,156 +68,18 @@ pub fn ewise_mul_ctx<T: Value, I: IndexType, S: Semiring<Value = T>>(
     b: &Dcsr<T, I>,
     s: S,
 ) -> Dcsr<T, I> {
-    ewise_mul_op_ctx(ctx, a, b, MulOf(s), s)
-}
-
-/// `C = A ⊕' B` with an *arbitrary* combiner `op` at collisions (GraphBLAS
-/// `eWiseAdd` with a user binary op): pass-through entries are untouched,
-/// colliding entries combine with `op`, results equal to the semiring
-/// zero drop. Used where the combining operation is not the semiring's ⊕
-/// (e.g. `second` for "overwrite" merges, `-` for diffs).
-///
-/// This is *the* union merge loop: [`ewise_add_ctx`] lands here too.
-pub fn ewise_add_op_ctx<T, I, S, O>(
-    ctx: &OpCtx,
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    op: O,
-    s: S,
-) -> Dcsr<T, I>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-    O: BinaryOp<T, T, T> + 'static,
-{
-    check_same_space("ewise_add", a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
-    let run = ctx.kernel(Kernel::EwiseAdd, || {
-        format!("{}×{}, {}+{} nnz", a.nrows(), a.ncols(), a.nnz(), b.nnz())
-    });
-    if TypeId::of::<O>() == TypeId::of::<AddOf<LorLand>>() {
-        if let Some((c, flops)) = try_bool_union(ctx, a, b) {
-            done_merge(run, a, b, &c, flops);
-            return c;
-        }
-    }
-    let mut flops = 0u64;
-    let c = union_rows(a, b, |out, ra, rb| flops += union_row(out, ra, rb, op, s));
-    done_merge(run, a, b, &c, flops);
-    c
-}
-
-/// `C = A ⊗' B` with an arbitrary combiner at intersections (GraphBLAS
-/// `eWiseMult` with a user binary op).
-///
-/// This is *the* intersection merge loop: [`ewise_mul_ctx`] lands here
-/// too.
-pub fn ewise_mul_op_ctx<T, I, S, O>(
-    ctx: &OpCtx,
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    op: O,
-    s: S,
-) -> Dcsr<T, I>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-    O: BinaryOp<T, T, T> + 'static,
-{
     check_same_space("ewise_mul", a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
     let run = ctx.kernel(Kernel::EwiseMul, || {
         format!("{}×{}, {}+{} nnz", a.nrows(), a.ncols(), a.nnz(), b.nnz())
     });
-    if TypeId::of::<O>() == TypeId::of::<MulOf<LorLand>>() {
+    if TypeId::of::<S>() == TypeId::of::<LorLand>() {
         if let Some((c, flops)) = try_bool_intersect(ctx, a, b) {
             done_merge(run, a, b, &c, flops);
             return c;
         }
     }
     let mut flops = 0u64;
-    let c = intersect_rows(a, b, |out, ra, rb| {
-        flops += intersect_row(out, ra, rb, op, s)
-    });
-    done_merge(run, a, b, &c, flops);
-    c
-}
-
-/// GraphBLAS `eWiseUnion`: like [`ewise_add_op_ctx`], but an entry present in
-/// only one operand still goes through `op`, paired with the *other
-/// operand's default value* — so `op` need not treat "absent" as an
-/// identity. E.g. `ewise_union_ctx(ctx, a, b, minus, 0.0, 0.0, s)` is a true
-/// element-wise subtraction `A − B` including `0 − b` cells.
-pub fn ewise_union_ctx<T, I, S, O>(
-    ctx: &OpCtx,
-    a: &Dcsr<T, I>,
-    b: &Dcsr<T, I>,
-    op: O,
-    a_default: T,
-    b_default: T,
-    s: S,
-) -> Dcsr<T, I>
-where
-    T: Value,
-    I: IndexType,
-    S: Semiring<Value = T>,
-    O: BinaryOp<T, T, T>,
-{
-    check_same_space("ewise_union", a.shape(), b.shape()).unwrap_or_else(|e| panic!("{e}"));
-    let run = ctx.kernel(Kernel::EwiseUnion, || {
-        format!("{}×{}, {}+{} nnz", a.nrows(), a.ncols(), a.nnz(), b.nnz())
-    });
-    let mut flops = 0u64;
-    let mut out = DcsrBuilder::with_capacity(a.nrows(), a.ncols(), a.nnz() + b.nnz());
-    // Every cell goes through `op`; a side with no entry there lends its
-    // default.
-    let mut cell = |out: &mut DcsrBuilder<T, I>, c: I, x: &T, y: &T| {
-        let v = op.apply(x.clone(), y.clone());
-        flops += 1;
-        if !s.is_zero(&v) {
-            out.push(c, v);
-        }
-    };
-    let (ra, rb) = (a.row_ids(), b.row_ids());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ra.len() || j < rb.len() {
-        if j >= rb.len() || (i < ra.len() && ra[i] < rb[j]) {
-            let (r, cols, vs) = a.row_at(i);
-            out.row(r);
-            for (&c, v) in cols.iter().zip(vs) {
-                cell(&mut out, c, v, &b_default);
-            }
-            i += 1;
-        } else if i >= ra.len() || rb[j] < ra[i] {
-            let (r, cols, vs) = b.row_at(j);
-            out.row(r);
-            for (&c, v) in cols.iter().zip(vs) {
-                cell(&mut out, c, &a_default, v);
-            }
-            j += 1;
-        } else {
-            let (r, acols, avals) = a.row_at(i);
-            let (_, bcols, bvals) = b.row_at(j);
-            out.row(r);
-            let (mut p, mut q) = (0usize, 0usize);
-            while p < acols.len() || q < bcols.len() {
-                if q >= bcols.len() || (p < acols.len() && acols[p] < bcols[q]) {
-                    cell(&mut out, acols[p], &avals[p], &b_default);
-                    p += 1;
-                } else if p >= acols.len() || bcols[q] < acols[p] {
-                    cell(&mut out, bcols[q], &a_default, &bvals[q]);
-                    q += 1;
-                } else {
-                    cell(&mut out, acols[p], &avals[p], &bvals[q]);
-                    p += 1;
-                    q += 1;
-                }
-            }
-            i += 1;
-            j += 1;
-        }
-    }
-    let c = out.finish();
+    let c = intersect_rows(a, b, |out, ra, rb| flops += intersect_row(out, ra, rb, s));
     done_merge(run, a, b, &c, flops);
     c
 }
@@ -273,13 +127,12 @@ fn rows_before(rows: &[Ix], bound: Option<&Ix>) -> usize {
 
 /// Two-pointer union of one colliding row pair into the open row:
 /// one-sided columns pass through (the tail as a slice copy), collisions
-/// combine with `op` and drop if zero. Returns the collision count.
+/// combine with ⊕ and drop if zero. Returns the collision count.
 #[inline]
-fn union_row<T: Value, I: IndexType, S: Semiring<Value = T>, O: BinaryOp<T, T, T>>(
+fn union_row<T: Value, I: IndexType, S: Semiring<Value = T>>(
     out: &mut DcsrBuilder<T, I>,
     (acols, avals): RowOf<T, I>,
     (bcols, bvals): RowOf<T, I>,
-    op: O,
     s: S,
 ) -> u64 {
     let mut flops = 0;
@@ -295,7 +148,7 @@ fn union_row<T: Value, I: IndexType, S: Semiring<Value = T>, O: BinaryOp<T, T, T
                 q += 1;
             }
             Ordering::Equal => {
-                let v = op.apply(avals[p].clone(), bvals[q].clone());
+                let v = s.add(avals[p].clone(), bvals[q].clone());
                 flops += 1;
                 if !s.is_zero(&v) {
                     out.push(acols[p], v);
@@ -339,13 +192,12 @@ fn intersect_rows<T: Value, I: IndexType>(
 }
 
 /// Two-pointer intersection of one colliding row pair into the open
-/// row. Returns the collision count.
+/// row, survivors combined with ⊗. Returns the collision count.
 #[inline]
-fn intersect_row<T: Value, I: IndexType, S: Semiring<Value = T>, O: BinaryOp<T, T, T>>(
+fn intersect_row<T: Value, I: IndexType, S: Semiring<Value = T>>(
     out: &mut DcsrBuilder<T, I>,
     (acols, avals): RowOf<T, I>,
     (bcols, bvals): RowOf<T, I>,
-    op: O,
     s: S,
 ) -> u64 {
     let mut flops = 0;
@@ -355,7 +207,7 @@ fn intersect_row<T: Value, I: IndexType, S: Semiring<Value = T>, O: BinaryOp<T, 
             Ordering::Less => p += 1,
             Ordering::Greater => q += 1,
             Ordering::Equal => {
-                let v = op.apply(avals[p].clone(), bvals[q].clone());
+                let v = s.mul(avals[p].clone(), bvals[q].clone());
                 flops += 1;
                 if !s.is_zero(&v) {
                     out.push(acols[p], v);
@@ -471,7 +323,7 @@ fn bool_union<I: IndexType>(a: &Dcsr<bool, I>, b: &Dcsr<bool, I>) -> BoolMerge<I
     let c = union_rows(a, b, |out, (acols, avals), (bcols, bvals)| {
         if !word_merge_pays_off(nw_full, acols.len(), bcols.len()) {
             rows[1] += 1;
-            flops += union_row(out, (acols, avals), (bcols, bvals), AddOf(LorLand), LorLand);
+            flops += union_row(out, (acols, avals), (bcols, bvals), LorLand);
             return;
         }
         rows[0] += 1;
@@ -521,7 +373,7 @@ fn bool_intersect<I: IndexType>(a: &Dcsr<bool, I>, b: &Dcsr<bool, I>) -> BoolMer
     let c = intersect_rows(a, b, |out, (acols, avals), (bcols, bvals)| {
         if !word_merge_pays_off(nw_full, acols.len(), bcols.len()) {
             rows[1] += 1;
-            flops += intersect_row(out, (acols, avals), (bcols, bvals), MulOf(LorLand), LorLand);
+            flops += intersect_row(out, (acols, avals), (bcols, bvals), LorLand);
             return;
         }
         rows[0] += 1;
@@ -687,7 +539,7 @@ mod tests {
         // Sparse rows in a wide space: per-pair gate falls back.
         let aw = bool_mat(5000, 900, 72);
         let bw = bool_mat(5000, 900, 73);
-        // `Plain` changes the combiner's type, so it takes the generic
+        // `Plain` changes the semiring's type, so it takes the generic
         // two-pointer loop.
         let plain = semiring::Plain(s);
         let ctx = OpCtx::new();
@@ -724,105 +576,6 @@ mod tests {
         let wt: Vec<_> = wide.iter().collect();
         let nt: Vec<_> = narrow.iter().collect();
         assert_eq!(wt, nt);
-    }
-
-    #[test]
-    fn ewise_add_op_second_is_overwrite_merge() {
-        use semiring::Second;
-        let a = m(4, &[(0, 0, 1.0), (1, 1, 2.0)]);
-        let b = m(4, &[(1, 1, 9.0), (2, 2, 3.0)]);
-        let c = ewise_add_op_ctx(&OpCtx::new(), &a, &b, Second, PlusTimes::<f64>::new());
-        assert_eq!(c.get(0, 0), Some(&1.0)); // only in a
-        assert_eq!(c.get(1, 1), Some(&9.0)); // b wins the collision
-        assert_eq!(c.get(2, 2), Some(&3.0)); // only in b
-    }
-
-    #[test]
-    fn ewise_add_op_subtract_diffs() {
-        use semiring::FnBinOp;
-        let a = m(4, &[(0, 0, 5.0), (1, 1, 2.0)]);
-        let b = m(4, &[(0, 0, 5.0), (1, 1, 1.5)]);
-        let c = ewise_add_op_ctx(
-            &OpCtx::new(),
-            &a,
-            &b,
-            FnBinOp(|x: f64, y: f64| x - y),
-            PlusTimes::<f64>::new(),
-        );
-        // Equal cells cancel to zero and drop; the differing cell remains.
-        assert_eq!(c.nnz(), 1);
-        assert_eq!(c.get(1, 1), Some(&0.5));
-    }
-
-    #[test]
-    fn ewise_mul_op_max_at_intersections() {
-        use semiring::FnBinOp;
-        let a = m(4, &[(0, 0, 1.0), (1, 1, 7.0)]);
-        let b = m(4, &[(1, 1, 3.0), (2, 2, 9.0)]);
-        let c = ewise_mul_op_ctx(
-            &OpCtx::new(),
-            &a,
-            &b,
-            FnBinOp(|x: f64, y: f64| x.max(y)),
-            PlusTimes::<f64>::new(),
-        );
-        assert_eq!(c.nnz(), 1);
-        assert_eq!(c.get(1, 1), Some(&7.0));
-    }
-
-    #[test]
-    fn ewise_union_true_subtraction() {
-        use semiring::FnBinOp;
-        let sr = PlusTimes::<f64>::new();
-        let a = m(4, &[(0, 0, 5.0), (1, 1, 2.0)]);
-        let b = m(4, &[(1, 1, 2.0), (2, 2, 3.0)]);
-        let minus = FnBinOp(|x: f64, y: f64| x - y);
-        let c = ewise_union_ctx(&OpCtx::new(), &a, &b, minus, 0.0, 0.0, sr);
-        assert_eq!(c.get(0, 0), Some(&5.0)); // 5 − default(0)
-        assert_eq!(c.get(1, 1), None); // 2 − 2 cancels
-        assert_eq!(c.get(2, 2), Some(&-3.0)); // default(0) − 3: sign flips!
-    }
-
-    #[test]
-    fn ewise_union_with_add_matches_ewise_add() {
-        use semiring::FnBinOp;
-        let sr = PlusTimes::<f64>::new();
-        let a = random_dcsr(24, 24, 120, 60, sr);
-        let b = random_dcsr(24, 24, 120, 61, sr);
-        let plus = FnBinOp(|x: f64, y: f64| x + y);
-        assert_eq!(
-            ewise_union_ctx(&OpCtx::new(), &a, &b, plus, 0.0, 0.0, sr),
-            ewise_add_ctx(&OpCtx::new(), &a, &b, sr)
-        );
-    }
-
-    #[test]
-    fn ewise_union_custom_defaults() {
-        use semiring::FnBinOp;
-        let sr = PlusTimes::<f64>::new();
-        let a = m(4, &[(0, 0, 4.0)]);
-        let b = m(4, &[(1, 1, 6.0)]);
-        // min with +∞ defaults: singleton cells pass through unchanged.
-        let mn = FnBinOp(|x: f64, y: f64| x.min(y));
-        let c = ewise_union_ctx(&OpCtx::new(), &a, &b, mn, f64::INFINITY, f64::INFINITY, sr);
-        assert_eq!(c.get(0, 0), Some(&4.0));
-        assert_eq!(c.get(1, 1), Some(&6.0));
-    }
-
-    #[test]
-    fn op_variants_reduce_to_semiring_ops() {
-        let sr = PlusTimes::<f64>::new();
-        let a = random_dcsr(32, 32, 150, 50, sr);
-        let b = random_dcsr(32, 32, 150, 51, sr);
-        use semiring::FnBinOp;
-        assert_eq!(
-            ewise_add_op_ctx(&OpCtx::new(), &a, &b, FnBinOp(|x: f64, y: f64| x + y), sr),
-            ewise_add_ctx(&OpCtx::new(), &a, &b, sr)
-        );
-        assert_eq!(
-            ewise_mul_op_ctx(&OpCtx::new(), &a, &b, FnBinOp(|x: f64, y: f64| x * y), sr),
-            ewise_mul_ctx(&OpCtx::new(), &a, &b, sr)
-        );
     }
 
     #[test]

@@ -1,5 +1,11 @@
 //! Semiring kernels over the hypersparse compute format ([`crate::Dcsr`]).
 //!
+//! The operation set is the paper's algebra and no more: `mxm` (plain,
+//! masked, and fused with an apply-prune), `mxv`/`vxm`, element-wise ⊕
+//! and ⊗, reductions, `apply`, `select`, `extract`, `transpose` and
+//! `top_k` — the operations the program runs. Kernels nothing calls are
+//! deleted rather than kept beside them (DESIGN.md §1).
+//!
 //! Every kernel is generic over a [`semiring::Semiring`] (or a monoid for
 //! reductions), drops semiring zeros from its output, and is
 //! deterministic — the parallel SpGEMM partitions work by row and
@@ -23,13 +29,10 @@ pub mod ewise;
 pub mod mxm;
 pub mod mxv;
 pub mod reduce;
-pub mod structure;
 pub mod topk;
 pub mod transform;
 
-pub use ewise::{
-    ewise_add_ctx, ewise_add_op_ctx, ewise_mul_ctx, ewise_mul_op_ctx, ewise_union_ctx,
-};
+pub use ewise::{ewise_add_ctx, ewise_mul_ctx};
 pub use mxm::{compact, mxm_apply_prune_ctx, mxm_ctx, mxm_masked_count_ctx, mxm_masked_ctx};
 pub use mxv::{
     choose_direction, frontier_edges, gallop, mxv_ctx, mxv_opt_ctx, vxm_ctx, vxm_dense_ctx,
@@ -38,11 +41,8 @@ pub use mxv::{
 pub use reduce::{
     col_degrees_ctx, reduce_cols_ctx, reduce_rows_ctx, reduce_scalar_ctx, row_degrees_ctx,
 };
-pub use structure::{
-    assign_ctx, concat_cols_ctx, concat_rows_ctx, diag, diag_of, matrix_power_ctx,
-};
 pub use topk::{top_k_cols_ctx, top_k_ctx, top_k_rows_ctx};
-pub use transform::{apply_ctx, apply_prune_ctx, extract_ctx, kron_ctx, select_ctx, transpose_ctx};
+pub use transform::{apply_ctx, apply_prune_ctx, extract_ctx, select_ctx, transpose_ctx};
 
 #[cfg(test)]
 mod tests {
@@ -51,7 +51,7 @@ mod tests {
     use semiring::{FnOp, PlusTimes};
 
     use super::*;
-    use crate::error::{Axis, OpError};
+    use crate::error::OpError;
     use crate::{Dcsr, OpCtx, SparseVec};
 
     /// One message per misuse: for every kernel with a `check_*`, the
@@ -99,14 +99,6 @@ mod tests {
                 Box::new(|| drop(ewise_mul_ctx(&ctx, &d(4, 4), &d(4, 5), s))),
             ),
             (
-                "ewise_union",
-                ewise::check_same_space("ewise_union", (4, 4), (4, 5)).unwrap_err(),
-                Box::new(|| {
-                    let plus = semiring::FnBinOp(|x: f64, y: f64| x + y);
-                    drop(ewise_union_ctx(&ctx, &d(4, 4), &d(4, 5), plus, 0.0, 0.0, s))
-                }),
-            ),
-            (
                 "vxm",
                 mxv::check_vxm(11, (10, 12), None).unwrap_err(),
                 Box::new(|| drop(vxm_ctx(&ctx, &v(11), &d(10, 12), s))),
@@ -139,26 +131,6 @@ mod tests {
                 "mxv (transpose)",
                 mxv::check_mxv((10, 12), Some((12, 20)), 12).unwrap_err(),
                 Box::new(|| drop(mxv_opt_ctx(&ctx, &d(10, 12), Some(&d(12, 20)), &v(12), s))),
-            ),
-            (
-                "concat_rows",
-                structure::check_concat(Axis::Rows, (4, 4), (4, 5)).unwrap_err(),
-                Box::new(|| drop(concat_rows_ctx(&ctx, &d(4, 4), &d(4, 5)))),
-            ),
-            (
-                "concat_rows (overflow)",
-                structure::check_concat(Axis::Rows, (u64::MAX, 4), (4, 4)).unwrap_err(),
-                Box::new(|| drop(concat_rows_ctx(&ctx, &d(u64::MAX, 4), &d(4, 4)))),
-            ),
-            (
-                "concat_cols",
-                structure::check_concat(Axis::Cols, (4, 4), (5, 4)).unwrap_err(),
-                Box::new(|| drop(concat_cols_ctx(&ctx, &d(4, 4), &d(5, 4)))),
-            ),
-            (
-                "concat_cols (overflow)",
-                structure::check_concat(Axis::Cols, (4, u64::MAX), (4, 4)).unwrap_err(),
-                Box::new(|| drop(concat_cols_ctx(&ctx, &d(4, u64::MAX), &d(4, 4)))),
             ),
             (
                 "extract",

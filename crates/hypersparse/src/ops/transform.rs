@@ -1,4 +1,4 @@
-//! Structural transforms: transpose, apply, select, extract, Kronecker.
+//! Structural transforms: transpose, apply, select, extract.
 //!
 //! Each kernel records calls/nnz/flops into its [`OpCtx`]'s metrics.
 
@@ -245,57 +245,6 @@ pub fn extract_ctx<T: Value>(
     c
 }
 
-/// Kronecker product `A ⊗ₖ B`: output dimension
-/// `(nrows_A·nrows_B) × (ncols_A·ncols_B)`, entry
-/// `(i_A·nrows_B + i_B, j_A·ncols_B + j_B) = A(i_A,j_A) ⊗ B(i_B,j_B)`.
-/// The generator behind Graph500/RMAT-style power-law graphs.
-pub fn kron_ctx<T: Value, S: Semiring<Value = T>>(
-    ctx: &OpCtx,
-    a: &Dcsr<T>,
-    b: &Dcsr<T>,
-    s: S,
-) -> Dcsr<T> {
-    let nrows = a
-        .nrows()
-        .checked_mul(b.nrows())
-        .expect("kron rows overflow");
-    let ncols = a
-        .ncols()
-        .checked_mul(b.ncols())
-        .expect("kron cols overflow");
-    let run = ctx.kernel(Kernel::Kron, || {
-        format!("{}×{}, {} nnz", a.nrows(), a.ncols(), a.nnz())
-    });
-    let mut flops = 0u64;
-
-    let mut out = DcsrBuilder::with_capacity(nrows, ncols, a.nnz() * b.nnz());
-
-    // Row ids of the product appear in sorted order because a's rows and
-    // b's rows are each sorted and the blocks are disjoint.
-    for (ra, acols, avals) in a.iter_rows() {
-        for (rb, bcols, bvals) in b.iter_rows() {
-            out.row(ra * b.nrows() + rb);
-            for (&ca, va) in acols.iter().zip(avals) {
-                for (&cb, vb) in bcols.iter().zip(bvals) {
-                    let v = s.mul(va.clone(), vb.clone());
-                    flops += 1;
-                    if !s.is_zero(&v) {
-                        out.push(ca * b.ncols() + cb, v);
-                    }
-                }
-            }
-        }
-    }
-    let c = out.finish();
-    run.done(
-        (a.nnz() + b.nnz()) as u64,
-        c.nnz() as u64,
-        flops,
-        (a.bytes() + b.bytes() + c.bytes()) as u64,
-    );
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,40 +332,16 @@ mod tests {
     }
 
     #[test]
-    fn kron_small() {
-        let a = m(2, &[(0, 0, 1.0), (1, 1, 2.0)]);
-        let b = m(2, &[(0, 1, 3.0)]);
-        let k = kron_ctx(&OpCtx::new(), &a, &b, PlusTimes::<f64>::new());
-        assert_eq!(k.nrows(), 4);
-        assert_eq!(k.get(0, 1), Some(&3.0)); // (0,0)⊗(0,1)
-        assert_eq!(k.get(2, 3), Some(&6.0)); // (1,1)⊗(0,1)
-        assert_eq!(k.nnz(), 2);
-    }
-
-    #[test]
-    fn kron_nnz_is_product() {
-        let s = PlusTimes::<f64>::new();
-        let a = random_dcsr(8, 8, 10, 13, s);
-        let b = random_dcsr(8, 8, 12, 14, s);
-        let k = kron_ctx(&OpCtx::new(), &a, &b, s);
-        assert_eq!(k.nnz(), a.nnz() * b.nnz());
-    }
-
-    #[test]
     fn ctx_transform_kernels_record() {
-        let s = PlusTimes::<f64>::new();
         let ctx = crate::ctx::OpCtx::new();
         let a = m(4, &[(0, 1, 1.0), (1, 0, 2.0), (2, 3, 3.0)]);
         let _ = transpose_ctx(&ctx, &a);
         let _ = select_ctx(&ctx, &a, |r, c, _| c > r);
         let _ = extract_ctx(&ctx, &a, &[0, 2], &[1, 3]);
-        let _ = kron_ctx(&ctx, &a, &a, s);
         let snap = ctx.metrics().snapshot();
         assert_eq!(snap.kernel(Kernel::Transpose).calls, 1);
         assert_eq!(snap.kernel(Kernel::Select).calls, 1);
         assert_eq!(snap.kernel(Kernel::Extract).calls, 1);
-        assert_eq!(snap.kernel(Kernel::Kron).calls, 1);
-        assert_eq!(snap.kernel(Kernel::Kron).flops, 9); // 3 nnz × 3 nnz
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! `OnceLock`: pinning an epoch is an `Arc` clone, and the first query
 //! that needs a table pays for construction exactly once — every later
 //! query on any thread shares the same tables. Construction renders the
-//! epoch once into an interned [`Columns`] set and bulk-builds the three
-//! engines from its ranks.
+//! epoch once into an interned [`Columns`] set, which also builds the
+//! `id × cell` pattern once in each orientation; the three engines share
+//! that set.
 
 use std::fmt::{self, Write};
 use std::sync::{Arc, OnceLock};
@@ -193,8 +194,8 @@ where
 
     /// The three table engines, built on first use and shared by every
     /// later query against this epoch (any thread). The epoch renders
-    /// once into one interned [`Columns`] set, and each engine
-    /// bulk-builds from its ranks.
+    /// once into one interned [`Columns`] set, and each engine reads its
+    /// ranks and its pattern.
     pub fn tables(&self) -> &Tables {
         self.tables.get_or_init(|| {
             let cols = Arc::new(self.schema.columns(self.snap.dcsr()));

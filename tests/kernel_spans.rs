@@ -14,7 +14,7 @@ use hyperspace_core::cxkey::{rollup_ctx, CxField, CxPrefix, CxSchema, RollupAxes
 use hypersparse::{
     ops, Coo, Dcsr, Ix, Kernel, OpCtx, SparseVec, StreamConfig, StreamingMatrix, TraceMode,
 };
-use semiring::{FnBinOp, FnOp, MinFirst, PlusMonoid, PlusTimes, Semiring};
+use semiring::{FnOp, MinFirst, PlusMonoid, PlusTimes, Semiring};
 
 fn mat<S: Semiring>(n: Ix, entries: &[(Ix, Ix, S::Value)], s: S) -> Dcsr<S::Value> {
     let mut coo = Coo::new(n, n);
@@ -51,8 +51,6 @@ fn exercise(ctx: &Arc<OpCtx>) {
     let _ = ops::mxm_masked_ctx(ctx, &a, &a, &a, false, s);
     let _ = ops::ewise_add_ctx(ctx, &a, &c, s);
     let _ = ops::ewise_mul_ctx(ctx, &a, &b, s);
-    let minus = FnBinOp(|x: f64, y: f64| x - y);
-    let _ = ops::ewise_union_ctx(ctx, &a, &b, minus, 0.0, 0.0, s);
     let rows = ops::reduce_rows_ctx(ctx, &a, plus);
     let _ = ops::reduce_cols_ctx(ctx, &a, plus);
     let _ = ops::row_degrees_ctx(ctx, &a);
@@ -63,11 +61,6 @@ fn exercise(ctx: &Arc<OpCtx>) {
     let _ = ops::apply_prune_ctx(ctx, &b, FnOp(|x: f64| (x - 2.0).max(0.0)), s);
     let _ = ops::select_ctx(ctx, &a, |r, c, _| r < c);
     let _ = ops::extract_ctx(ctx, &a, &[0, 2, 3], &[1, 2, 5]);
-    let _ = ops::kron_ctx(ctx, &b, &b, s);
-    let _ = ops::assign_ctx(ctx, &a, &[1, 4], &[0, 3], &mat(2, &[(0, 1, 9.0)], s));
-    let _ = ops::concat_rows_ctx(ctx, &a, &b);
-    let _ = ops::concat_cols_ctx(ctx, &a, &b);
-    let _ = ops::matrix_power_ctx(ctx, &a, 3, s);
     let v = SparseVec::from_entries(6, vec![(0, 1.0), (3, 2.0)], s);
     let _ = ops::vxm_ctx(ctx, &v, &a, s);
     let _ = ops::mxv_ctx(ctx, &a, &v, s);
